@@ -10,8 +10,9 @@ Subcommands map 1:1 onto library entry points:
 
 Exit codes: 0 success, 1 gate failure under --strict (embed-verify
 gates are always strict), 2 config error, 3 numerical abort, 4 I/O
-error.  Seeds fan out across a thread pool; reductions happen in
-submission order so results are independent of scheduling.
+error.  Seeds, and the Monte Carlo chunks of the generic SE recursion,
+fan out across a thread pool of --workers threads; reductions happen
+in submission order so results are independent of scheduling.
 """
 
 from __future__ import annotations
@@ -204,16 +205,16 @@ def _spiked_se_rows(cfg) -> List[Tuple[int, str, float, float]]:
     return rows
 
 
-def _generic_se_rows(cfg) -> List[Tuple[int, str, float, float]]:
+def _generic_se_rows(cfg, workers) -> List[Tuple[int, str, float, float]]:
     instance, _ = _build_zoo(cfg, seed=cfg.amp_seeds[0])
     T = _graph_T(cfg)
     cov = se_run(instance, T, reps=cfg.se_samples, seed=cfg.master_seed,
-                 chunk=cfg.se_chunk)
+                 chunk=cfg.se_chunk, workers=workers)
     obs, times = _edge_observables(instance, T)
     reps = max(64, min(cfg.se_samples, 1000))
     stats = mc_observable_stats(instance, cov, obs, times, reps=reps,
                                 seed=cfg.master_seed + 1,
-                                chunk=min(cfg.se_chunk, 64))
+                                chunk=min(cfg.se_chunk, 64), workers=workers)
     rows = []
     for (t, name), st in sorted(stats.items()):
         sem = st["std"] / np.sqrt(st["n"]) if st["n"] > 1 else 0.0
@@ -221,7 +222,9 @@ def _generic_se_rows(cfg) -> List[Tuple[int, str, float, float]]:
     return rows
 
 
-def se_rows_for(cfg) -> List[Tuple[int, str, float, float]]:
+def se_rows_for(cfg, workers=1) -> List[Tuple[int, str, float, float]]:
+    """SE prediction rows; `workers` splits the generic recursion's Monte
+    Carlo chunks and never changes the rows."""
     if cfg.kind in ("lasso", "ridge", "logistic"):
         return _glm_se_rows(cfg)
     if cfg.kind == "spiked":
@@ -229,7 +232,7 @@ def se_rows_for(cfg) -> List[Tuple[int, str, float, float]]:
     if cfg.kind == "gmm_spatial":
         raise ConfigError("model gmm_spatial has no SE route; "
                           "use `run` for its fixed-point gates")
-    return _generic_se_rows(cfg)
+    return _generic_se_rows(cfg, workers)
 
 
 # ---------------------------------------------------------------------------
@@ -325,7 +328,7 @@ def cmd_run(cfg, out_dir, workers, strict) -> int:
                         header=SE_HEADER)
         cmp_rows = _gmm_compare_rows(cfg, amp_results)
     else:
-        se_rows = se_rows_for(cfg)
+        se_rows = se_rows_for(cfg, workers)
         write_dict_rows(os.path.join(out_dir, "se.csv"),
                         [{"t": t, "name": n, "value": v, "stderr": s}
                          for t, n, v, s in se_rows], h, header=SE_HEADER)
@@ -342,9 +345,9 @@ def cmd_run(cfg, out_dir, workers, strict) -> int:
     return 0
 
 
-def cmd_se_only(cfg, out_dir) -> int:
+def cmd_se_only(cfg, out_dir, workers) -> int:
     h = cfg.config_hash()
-    se_rows = se_rows_for(cfg)
+    se_rows = se_rows_for(cfg, workers)
     write_dict_rows(os.path.join(out_dir, "se.csv"),
                     [{"t": t, "name": n, "value": v, "stderr": s}
                      for t, n, v, s in se_rows], h, header=SE_HEADER)
@@ -477,7 +480,7 @@ def main(argv=None) -> int:
         if args.command == "run":
             return cmd_run(cfg, out_dir, workers, args.strict)
         if args.command == "se-only":
-            return cmd_se_only(cfg, out_dir)
+            return cmd_se_only(cfg, out_dir, workers)
         return cmd_embed_verify(cfg, out_dir)
     except ConfigError as ex:
         print(f"config error: {ex}", file=sys.stderr)

@@ -77,7 +77,7 @@ class ExperimentConfig:
     T: int
     amp_seeds: Tuple[int, ...] = (0,)
     se_samples: int = 2000
-    se_chunk: int = 256
+    se_chunk: int = 128
     quadrature: str = "gh"
     observables: Tuple[str, ...] = ("norm_sq", "mse", "overlap")
     out: str = "results"
@@ -213,7 +213,7 @@ def validate(raw: Dict[str, Any]) -> ExperimentConfig:
         T=T,
         amp_seeds=tuple(seeds),
         se_samples=checked.get("se_samples", 2000),
-        se_chunk=checked.get("se_chunk", 256),
+        se_chunk=checked.get("se_chunk", 128),
         quadrature=quad,
         observables=tuple(obs),
         out=checked.get("out", "results"),

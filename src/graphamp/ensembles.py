@@ -19,7 +19,7 @@ from scipy.special import ndtri
 
 from .errors import NumericalError
 
-_TWO53 = float(1 << 53)
+_HALF_ULP = 2.0 ** -54
 
 
 def stream(master_seed: int, *labels) -> np.random.Generator:
@@ -32,9 +32,17 @@ def stream(master_seed: int, *labels) -> np.random.Generator:
 
 
 def normals(rng: np.random.Generator, shape) -> np.ndarray:
-    """Standard normals via a fixed uniform-to-normal transform."""
-    u = (rng.integers(0, 1 << 53, size=shape, dtype=np.uint64).astype(float) + 0.5) / _TWO53
-    return ndtri(u)
+    """Standard normals via a fixed uniform-to-normal transform.
+
+    The uniforms are (k + 1/2) / 2**53 for the top 53 bits k of each
+    64-bit draw.  rng.random() returns k / 2**53, so adding 2**-54 in
+    place gives the same doubles, and the same stream position, as
+    drawing k with rng.integers(0, 2**53), in one buffer.
+    """
+    buf = np.empty(shape)
+    rng.random(out=buf)
+    buf += _HALF_ULP
+    return ndtri(buf, out=buf)
 
 
 @dataclass(frozen=True)

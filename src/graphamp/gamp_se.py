@@ -276,6 +276,8 @@ class GlmScalars:
         y = np.asarray(y, dtype=float)
         if self.loss == "squared":
             return (y - v) / (1.0 + beta)
+        # the prox needs labels of v's shape; quadrature grids broadcast
+        v, y = np.broadcast_arrays(v, y)
         spec = ProxSpec(kind="logistic", gamma=beta)
         p = prox(spec, v, labels=y)
         return (p - v) / beta
@@ -285,6 +287,7 @@ class GlmScalars:
         y = np.asarray(y, dtype=float)
         if self.loss == "squared":
             return np.full(np.broadcast(v, y).shape, -1.0 / (1.0 + beta))
+        v, y = np.broadcast_arrays(v, y)
         spec = ProxSpec(kind="logistic", gamma=beta)
         dp = prox_deriv(spec, v, labels=y)
         return (dp - 1.0) / beta

@@ -9,10 +9,19 @@ time pair, independent across edges:
 
 with Z^0 fixed at the actual initializer and the expectation over the
 Gaussian family of the input edges.  Expectations are estimated by
-replicated Monte Carlo: full-width copies of every input family are
-drawn with common random numbers, the real update functions (with
-their real side data) are evaluated on each copy, and products are
-accumulated in fixed chunk order so results are reproducible.
+replicated Monte Carlo: each step draws fresh full-width copies of
+every input family, evaluates the real update functions (with their
+real side data) on each copy, and keeps the PSD part of the extended
+kernel.  The copies are split into fixed chunks, each with its own
+named stream; chunks may run on a thread pool, and their partial sums
+are added in chunk order, so results are reproducible and do not
+depend on the number of workers.
+
+The stderr that mc_observable_stats reports covers only its own
+sampling of the observables under the final kernels.  The kernels'
+Monte Carlo noise, compounded over the steps, is not in it: on the
+committee acceptance run the predictions move by up to about six
+reported stderrs between master seeds.
 
 This generic recursion needs update functions with a fixed schedule
 (provider callable with traj=None).  Iterations whose step sizes adapt
@@ -23,8 +32,9 @@ gamp_se).
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -34,7 +44,9 @@ from .errors import NumericalError
 from .graphs import EdgeId, canonical_edge_order, edges_into
 from .nonlinearity import Nonlinearity, SideData
 
-DEFAULT_CHUNK = 256
+DEFAULT_CHUNK = 128
+# rows per tile of the in-place factor transform in sample_gaussian_family
+_TILE_ROWS = 1024
 JITTER_REL = 1e-10
 
 
@@ -69,15 +81,33 @@ def se_init(instance: GraphInstance) -> SECovariances:
     return SECovariances(K=K, T=1)
 
 
+def _stacked(K_e: np.ndarray) -> np.ndarray:
+    """The symmetrized (t q) x (t q) matrix of a (t, t, q, q) kernel."""
+    t, _, q, _ = K_e.shape
+    C = K_e.transpose(0, 2, 1, 3).reshape(t * q, t * q)
+    return 0.5 * (C + C.T)
+
+
+def _psd_part(K_e: np.ndarray) -> np.ndarray:
+    """K_e with the negative eigenvalues of its stacked matrix set to 0
+    (the nearest PSD kernel); returned unchanged when already PSD."""
+    C = _stacked(K_e)
+    w, V = np.linalg.eigh(C)
+    if w[0] >= 0.0:
+        return K_e
+    C = (V * np.maximum(w, 0.0)) @ V.T
+    C = 0.5 * (C + C.T)
+    t, _, q, _ = K_e.shape
+    return np.ascontiguousarray(C.reshape(t, q, t, q).transpose(0, 2, 1, 3))
+
+
 def family_factor(K_e: np.ndarray) -> np.ndarray:
     """Square-root factor of the stacked (t q) x (t q) family covariance.
 
     Negative eigenvalues (Monte Carlo noise) are clipped and a relative
     jitter keeps the factorization well posed near rank deficiency.
     """
-    t, _, q, _ = K_e.shape
-    C = K_e.transpose(0, 2, 1, 3).reshape(t * q, t * q)
-    C = 0.5 * (C + C.T)
+    C = _stacked(K_e)
     w, V = np.linalg.eigh(C)
     w = np.maximum(w, 0.0)
     jitter = JITTER_REL * float(np.trace(C)) / C.shape[0]
@@ -86,13 +116,29 @@ def family_factor(K_e: np.ndarray) -> np.ndarray:
 
 def sample_gaussian_family(K_e: np.ndarray, n_rows: int, reps: int,
                            rng: np.random.Generator) -> np.ndarray:
-    """reps independent copies of the length-n_rows family; returns an
-    array of shape (reps, t, n_rows, q) whose rows are iid with the
-    stacked kernel covariance."""
+    """reps independent copies of the length-n_rows family, stacked
+    copy-major: an array of shape (reps * n_rows, t * q) whose rows are
+    iid with the stacked kernel covariance.  Columns [s q, (s + 1) q)
+    hold time s + 1, so a time block is a view, not a copy.
+
+    The factor is applied in place, a row tile at a time, so the family
+    costs one buffer.
+    """
     t, _, q, _ = K_e.shape
-    F = family_factor(K_e)
-    Z = normals(rng, (reps * n_rows, t * q)) @ F.T
-    return Z.reshape(reps, n_rows, t, q).transpose(0, 2, 1, 3)
+    Ft = family_factor(K_e).T
+    Z = normals(rng, (reps * n_rows, t * q))
+    tmp = np.empty((min(_TILE_ROWS, len(Z)), t * q))
+    for a in range(0, len(Z), _TILE_ROWS):
+        tile = Z[a:a + _TILE_ROWS]
+        out = tmp[:len(tile)]
+        np.matmul(tile, Ft, out=out)
+        tile[...] = out
+    return Z
+
+
+def _time_block(Z: np.ndarray, s: int, q: int) -> np.ndarray:
+    """Time s (1-based) of a stacked family: a (reps * n, q) view."""
+    return Z[:, (s - 1) * q:s * q]
 
 
 def _tile_side(side: Optional[SideData], reps: int) -> Optional[SideData]:
@@ -102,80 +148,116 @@ def _tile_side(side: Optional[SideData], reps: int) -> Optional[SideData]:
     return SideData(arrays=arrays, scalars=dict(side.scalars))
 
 
-def _eval_replicated(f: Nonlinearity, inputs_rep: List[np.ndarray],
-                     side: Optional[SideData]) -> np.ndarray:
-    """Apply f to (reps, n, q) inputs, returning (reps, n, q_out).
+def _eval_copies(f: Nonlinearity, inputs: List[np.ndarray], side: Optional[SideData],
+                 tiled: Optional[SideData], reps: int) -> np.ndarray:
+    """Apply f to reps stacked copies, (reps * n, q_in) inputs in and
+    (reps * n, q_out) out.
 
-    Row-local functions are evaluated once on the stacked rows (side
-    arrays tiled to match); others loop over copies.
+    Row-local functions are evaluated once on all rows, with side
+    arrays tiled to match; others loop over copies.
     """
-    reps, n = inputs_rep[0].shape[:2]
     if f.row_local:
-        flat = [x.reshape(reps * n, -1) for x in inputs_rep]
-        out = np.asarray(f.apply(flat, side=_tile_side(side, reps)))
-        return out.reshape(reps, n, -1)
-    outs = [np.asarray(f.apply([x[r] for x in inputs_rep], side=side)) for r in range(reps)]
-    return np.stack(outs, axis=0)
+        return np.asarray(f.apply(inputs, side=tiled), dtype=float)
+    n = len(inputs[0]) // reps
+    out = None
+    for r in range(reps):
+        rows = slice(r * n, (r + 1) * n)
+        m = np.asarray(f.apply([x[rows] for x in inputs], side=side), dtype=float)
+        if out is None:
+            out = np.empty((reps * n, m.shape[1]))
+        out[rows] = m
+    return out
+
+
+def _chunks(reps: int, chunk: int) -> List[int]:
+    """Copy counts of the fixed chunks that split a budget of reps."""
+    return [min(chunk, reps - a) for a in range(0, reps, chunk)]
+
+
+def _map_chunks(task: Callable[[int], Any], n_chunks: int, workers: int) -> List[Any]:
+    """task(c) for every chunk index c, results in chunk order whatever
+    the worker count; chunks run on a thread pool when workers > 1."""
+    if workers <= 1 or n_chunks <= 1:
+        return [task(c) for c in range(n_chunks)]
+    with ThreadPoolExecutor(max_workers=min(workers, n_chunks)) as pool:
+        return list(pool.map(task, range(n_chunks)))
 
 
 def se_step(instance: GraphInstance, cov: SECovariances, reps: int,
             rng_factory: Callable[..., np.random.Generator],
-            chunk: int = DEFAULT_CHUNK) -> SECovariances:
+            chunk: int = DEFAULT_CHUNK, workers: int = 1) -> SECovariances:
     """Extend every kernel by one time using reps Monte Carlo copies.
 
-    rng_factory(*labels) must return independent generators for
-    distinct labels; draws are chunked and accumulated in canonical
-    edge order, so output depends only on (kernels, reps, chunk, rngs).
+    The copies are split into fixed chunks of `chunk`; chunk c draws
+    edge e's family from rng_factory("se", t, str(e), c), which must
+    return independent generators for distinct labels.  Each chunk
+    returns partial sums that are added in chunk order, so the output
+    depends only on (kernels, reps, chunk, rngs), never on `workers`,
+    the number of chunks run at once.
     """
     g = instance.graph
     t = cov.T
     order = canonical_edge_order(g)
-    x0 = {e: np.asarray(instance.x0.get(e, np.zeros(g.x_shape(e))), dtype=float) for e in order}
     fns = {e: [instance.provider(e, s, None) for s in range(t + 1)] for e in order}
-    sums = {e: [np.zeros((g.q(e), g.q(e))) for _ in range(t + 1)] for e in order}
-    rngs = {e: rng_factory("se", t, str(e)) for e in order}
+    m0 = {e: _m0(instance, e) for e in order}
+    sizes = _chunks(reps, chunk)
 
-    done = 0
-    while done < reps:
-        rc = min(chunk, reps - done)
-        fam = {}
-        for e in order:
-            Z = sample_gaussian_family(cov.K[e], g.node_dim[e.end], rc, rngs[e])
-            fam[e] = [np.broadcast_to(x0[e], (rc,) + x0[e].shape)] + [Z[:, s] for s in range(t)]
+    def chunk_sums(c: int) -> Dict[EdgeId, np.ndarray]:
+        rc = sizes[c]
+        fam = {e: sample_gaussian_family(cov.K[e], g.node_dim[e.end], rc,
+                                         rng_factory("se", t, str(e), c))
+               for e in order}
+        sums = {}
         for e in order:
             ins = edges_into(g, e)
             side = instance.side_data(e)
-            ms = []
-            for s in range(t + 1):
-                inputs_rep = [fam[ein][s] for ein in ins]
-                ms.append(_eval_replicated(fns[e][s], inputs_rep, side))
-            mt = ms[t]
-            for s in range(t + 1):
-                sums[e][s] += np.einsum("rna,rnb->ab", ms[s], mt)
-        done += rc
+            tiled = _tile_side(side, rc) if any(f.row_local for f in fns[e]) else None
 
+            def m(s):
+                inputs = [_time_block(fam[ein], s, g.q(ein)) for ein in ins]
+                return _eval_copies(fns[e][s], inputs, side, tiled, rc)
+
+            mt = m(t)
+            # row s holds sum over copies of m_s^T m_t; m_0 is the same
+            # deterministic output in every copy
+            S = np.empty((t + 1, g.q(e), g.q(e)))
+            S[0] = m0[e].T @ mt.reshape(rc, -1, g.q(e)).sum(axis=0)
+            for s in range(1, t):
+                S[s] = m(s).T @ mt
+            S[t] = mt.T @ mt
+            sums[e] = S
+        return sums
+
+    totals = _map_chunks(chunk_sums, len(sizes), workers)
     K = {}
     for e in order:
         q = g.q(e)
+        S = totals[0][e]
+        for part in totals[1:]:
+            S += part[e]
         new = np.zeros((t + 1, t + 1, q, q))
         new[:t, :t] = cov.K[e]
         for s in range(t + 1):
-            kst = sums[e][s] / (reps * instance.scale(e))
+            kst = S[s] / (reps * instance.scale(e))
             new[t, s] = kst.T
             new[s, t] = kst
-        K[e] = new
+        # the new row comes from fresh draws, so Monte Carlo noise can make
+        # it inconsistent with the earlier rows; keep the PSD part, the
+        # covariance family_factor would sample from anyway
+        K[e] = _psd_part(new)
     return SECovariances(K=K, T=t + 1)
 
 
 def se_run(instance: GraphInstance, T: int, reps: int = 2000, seed: int = 0,
-           chunk: int = DEFAULT_CHUNK) -> SECovariances:
-    """Covariance kernels for iterate times 1..T."""
+           chunk: int = DEFAULT_CHUNK, workers: int = 1) -> SECovariances:
+    """Covariance kernels for iterate times 1..T; `workers` chunks run
+    at once without changing the result."""
     if T < 1:
         raise ValueError("T must be >= 1")
     factory = lambda *labels: stream(seed, *labels)
     cov = se_init(instance)
     while cov.T < T:
-        cov = se_step(instance, cov, reps, factory, chunk=chunk)
+        cov = se_step(instance, cov, reps, factory, chunk=chunk, workers=workers)
     return cov
 
 
@@ -183,31 +265,43 @@ def mc_observable_stats(instance: GraphInstance, cov: SECovariances,
                         observables: Sequence[Observable],
                         times: Optional[Sequence[int]] = None,
                         reps: int = 400, seed: int = 1,
-                        chunk: int = 64) -> Dict[Tuple[int, str], dict]:
+                        chunk: int = 64, workers: int = 1) -> Dict[Tuple[int, str], dict]:
     """Monte Carlo mean and sd of each observable under the Gaussian
-    family, keyed by (t, name).  Time 0 evaluates the initializer."""
+    family, keyed by (t, name).  Time 0 evaluates the initializer.
+
+    Chunk c draws edge e from stream(seed, "se-obs", str(e), c), and
+    values are gathered in chunk order, so `workers` does not change
+    the result.
+    """
     g = instance.graph
     order = canonical_edge_order(g)
     ts = sorted(set(times)) if times is not None else list(range(cov.T + 1))
     if any(s < 0 or s > cov.T for s in ts):
         raise ValueError(f"times outside kernel range 0..{cov.T}")
     x0 = {e: np.asarray(instance.x0.get(e, np.zeros(g.x_shape(e))), dtype=float) for e in order}
-    rngs = {e: stream(seed, "se-obs", str(e)) for e in order}
-    acc: Dict[Tuple[int, str], List[float]] = {(s, o.name): [] for s in ts for o in observables}
+    sizes = _chunks(reps, chunk)
 
-    done = 0
-    while done < reps:
-        rc = min(chunk, reps - done)
-        fam = {}
-        for e in order:
-            Z = sample_gaussian_family(cov.K[e], g.node_dim[e.end], rc, rngs[e])
-            fam[e] = [np.broadcast_to(x0[e], (rc,) + x0[e].shape)] + [Z[:, s] for s in range(cov.T)]
-        for r in range(rc):
-            for s in ts:
-                xs = {e: fam[e][s][r] for e in order}
+    def chunk_values(c: int) -> Dict[Tuple[int, str], List[float]]:
+        rc = sizes[c]
+        fam = {e: sample_gaussian_family(cov.K[e], g.node_dim[e.end], rc,
+                                         stream(seed, "se-obs", str(e), c))
+               for e in order}
+        vals: Dict[Tuple[int, str], List[float]] = {(s, o.name): [] for s in ts for o in observables}
+        for s in ts:
+            if s == 0:
+                copies = [x0] * rc
+            else:
+                blocks = {e: _time_block(fam[e], s, g.q(e)).reshape(rc, -1, g.q(e)) for e in order}
+                copies = [{e: blocks[e][r] for e in order} for r in range(rc)]
+            for xs in copies:
                 for o in observables:
-                    acc[(s, o.name)].append(o(xs, s))
-        done += rc
+                    vals[(s, o.name)].append(o(xs, s))
+        return vals
+
+    acc: Dict[Tuple[int, str], List[float]] = {(s, o.name): [] for s in ts for o in observables}
+    for vals in _map_chunks(chunk_values, len(sizes), workers):
+        for key, v in vals.items():
+            acc[key].extend(v)
 
     out = {}
     for key, vals in acc.items():

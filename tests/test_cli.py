@@ -65,6 +65,25 @@ def test_worker_pool_does_not_change_artifacts(tmp_path):
         assert filecmp.cmp(a / name, b / name, shallow=False), name
 
 
+def test_worker_pool_splits_generic_se_without_changing_artifacts(tmp_path):
+    cfg = _write(tmp_path, {"model": {"kind": "committee", "d": 120, "n": 100},
+                            "T": 4, "amp_seeds": [0, 1], "se_samples": 300,
+                            "se_chunk": 64, "master_seed": 5,
+                            "observables": ["norm_sq"]})
+    a, b = tmp_path / "w1", tmp_path / "w2"
+    assert main(["run", "--config", cfg, "--out", str(a), "--workers", "1"]) == 0
+    assert main(["run", "--config", cfg, "--out", str(b), "--workers", "2"]) == 0
+    for name in ("trajectory.csv", "se.csv", "compare.csv"):
+        assert filecmp.cmp(a / name, b / name, shallow=False), name
+
+
+def test_logistic_gh_run_exits_0(tmp_path):
+    cfg = _write(tmp_path, {"model": {"kind": "logistic", "d": 60,
+                                      "aspect": 0.5, "lam": 1.0},
+                            "T": 3, "amp_seeds": [0, 1], "quadrature": "gh"})
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+
+
 def test_se_only_writes_predictions(tmp_path, capsys):
     cfg = _write(tmp_path, TINY_LASSO)
     out = tmp_path / "o"

@@ -17,6 +17,21 @@ def test_stream_is_deterministic_and_label_sensitive():
     assert not np.array_equal(a, d)
 
 
+def test_normals_match_the_integer_uniform_formula():
+    # (k + 1/2) / 2**53 with k drawn by rng.integers: same bytes, same
+    # stream position afterwards
+    from scipy.special import ndtri
+    for seed in range(8):
+        for shape in [(1,), 5, (3, 4), (257, 3), (2, 3, 5), (0,)]:
+            a, b = stream(seed, "ref", str(shape)), stream(seed, "ref", str(shape))
+            k = a.integers(0, 1 << 53, size=shape, dtype=np.uint64)
+            ref = ndtri((k.astype(float) + 0.5) / float(1 << 53))
+            got = normals(b, shape)
+            assert got.shape == ref.shape
+            assert got.tobytes() == ref.tobytes()
+            assert a.integers(0, 1 << 62) == b.integers(0, 1 << 62)
+
+
 def test_iid_entry_variance():
     # variance 1/N per entry, checked on 10^4 entries
     N = 100.0

@@ -64,6 +64,21 @@ def test_mc_quadrature_tracks_gh():
         assert abs(gh[t].kappa1 - mc[t].kappa1) < 0.03
 
 
+def test_logistic_gh_quadrature_runs_and_tracks_mc():
+    # the logistic loss needs labels broadcast against the gh grid
+    prior = GaussBernoulliPrior(eps=0.25, var=4.0)
+    scalars = GlmScalars(penalty=ProxSpec("abs", gamma=1.0, weight=0.5),
+                         loss="logistic")
+    channel = make_channel("logistic")
+    gh = gamp_overlap_se(prior, channel, scalars, delta=2.0, T=4, beta0=1.0)
+    mc = gamp_overlap_se(prior, channel, scalars, delta=2.0, T=4, beta0=1.0,
+                         quad=QuadSpec("mc", samples=100_000, seed=2))
+    for t in range(1, 5):
+        assert np.isfinite([gh[t].m, gh[t].p, gh[t].mse]).all()
+        assert abs(gh[t].m - mc[t].m) < 0.02
+        assert abs(gh[t].mse - mc[t].mse) < 0.02
+
+
 def test_mc_quadrature_is_seed_deterministic():
     prior, channel, scalars = _lasso_pieces()
     a = gamp_overlap_se(prior, channel, scalars, delta=0.5, T=5, beta0=1.0,

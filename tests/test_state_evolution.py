@@ -1,11 +1,16 @@
+import dataclasses
+import sys
+import tracemalloc
+
 import numpy as np
 
 from graphamp import CommitteeModel, GraphInstance, build_committee_instance
 from graphamp.engine import run, stationary_provider
 from graphamp.graphs import EdgeId, single_loop
-from graphamp.nonlinearity import Entrywise, Identity, Zero, relu
+from graphamp.nonlinearity import Entrywise, FromCallable, Identity, Zero, relu
 from graphamp.state_evolution import (amp_observable_stats, compare,
-                                      mc_observable_stats, se_run)
+                                      mc_observable_stats, se_run, se_step)
+from graphamp.engine import norm_sq_observable
 from graphamp.ensembles import sample_goe, stream
 
 
@@ -89,3 +94,61 @@ def test_compare_merges_amp_and_se_statistics():
     assert len(recs) == 3
     for r in recs:
         assert r["z"] < 6.0
+
+
+def test_kernels_do_not_depend_on_worker_count():
+    inst, _ = build_committee_instance(CommitteeModel(d=150, n=100), seed=2)
+    obs = [norm_sq_observable(EdgeId("wts", "obs"), scale=0.01, name="nsq")]
+    a = se_run(inst, T=4, reps=300, seed=3, chunk=64, workers=1)
+    sa = mc_observable_stats(inst, a, obs, reps=150, seed=4, chunk=32, workers=1)
+    # more workers than cores, with frequent thread switches
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for workers in (2, 4):
+            b = se_run(inst, T=4, reps=300, seed=3, chunk=64, workers=workers)
+            for e in inst.graph.edges:
+                assert a.K[e].tobytes() == b.K[e].tobytes()
+            sb = mc_observable_stats(inst, a, obs, reps=150, seed=4, chunk=32,
+                                     workers=workers)
+            assert sa == sb
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def _per_copy_twin(f, rows_seen):
+    def fn(inputs, side):
+        rows_seen.add(inputs[0].shape[0])
+        return f.apply(inputs, side)
+    return FromCallable(fn, out_cols=f.out_cols, arity=f.arity, row_local=False)
+
+
+def test_non_row_local_update_takes_per_copy_path():
+    inst, _ = build_committee_instance(CommitteeModel(d=150, n=100), seed=2)
+    rows_seen = set()
+    table = {e: _per_copy_twin(inst.provider(e, 0, None), rows_seen)
+             for e in inst.graph.edges}
+    twin = dataclasses.replace(inst, provider=stationary_provider(table))
+    a = se_run(inst, T=3, reps=200, seed=3, chunk=64)
+    b = se_run(twin, T=3, reps=200, seed=3, chunk=64, workers=2)
+    # every call saw a single copy: 150 rows on one edge, 100 on the other
+    assert rows_seen == {150, 100}
+    for e in inst.graph.edges:
+        assert np.allclose(a.K[e], b.K[e], rtol=1e-10, atol=1e-14)
+
+
+def test_se_step_memory_stays_within_chunks_in_flight():
+    # a chunk holds one (chunk * n, t * q) family per edge plus per-time
+    # outputs; full-width temporaries (the whole (reps, t, n, q) family,
+    # every time's outputs at once) would break this bound
+    n, t, q, chunk, workers = 400, 6, 2, 32, 2
+    inst, _ = build_committee_instance(CommitteeModel(d=n, n=n), seed=0)
+    cov = se_run(inst, T=t, reps=64, seed=1)
+    tracemalloc.start()
+    try:
+        se_step(inst, cov, 256, lambda *labels: stream(5, *labels),
+                chunk=chunk, workers=workers)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * workers * chunk * n * t * q * 8
