@@ -19,8 +19,8 @@ from .nonlinearity import (Entrywise, EntrywiseThenMix, FromCallable,
                            fd_jacobian_trace)
 from .prox import (ProxSpec, penalty_grad, penalty_value, prox,
                    prox_deriv, shifted_prox, soft_threshold)
-from .ensembles import (EnsembleSpec, normals, sample, sample_goe,
-                        sample_iid, spectral_inv_sqrt, spectral_sqrt, stream)
+from .ensembles import (normals, sample_goe, sample_iid, spectral_inv_sqrt,
+                        spectral_sqrt, stream)
 from .engine import (AmpTrajectory, GraphInstance, Observable, init,
                      norm_sq_observable, observe, overlap_observable, run,
                      stationary_provider, step)
@@ -55,8 +55,8 @@ __all__ = [
     "Nonlinearity", "Scaled", "SideData", "Zero", "fd_jacobian_trace",
     "ProxSpec", "penalty_grad", "penalty_value", "prox",
     "prox_deriv", "shifted_prox", "soft_threshold",
-    "EnsembleSpec", "normals", "sample", "sample_goe", "sample_iid",
-    "spectral_inv_sqrt", "spectral_sqrt", "stream",
+    "normals", "sample_goe", "sample_iid", "spectral_inv_sqrt",
+    "spectral_sqrt", "stream",
     "AmpTrajectory", "GraphInstance", "Observable", "init",
     "norm_sq_observable", "observe", "overlap_observable", "run",
     "stationary_provider", "step",

@@ -20,8 +20,8 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from typing import Dict, List, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -42,7 +42,8 @@ from .models import (CommitteeModel, GmmSpatialModel, MultilayerModel,
                      ridge_model, spiked_scalar_se)
 from .nonlinearity import Entrywise
 from .reporting import ReportIOError, write_dict_rows
-from .state_evolution import mc_observable_stats, se_run
+from .state_evolution import (compare, map_ordered, mc_observable_stats,
+                              se_run, summarize)
 
 TRAJ_HEADER = ("seed", "t", "name", "value")
 SE_HEADER = ("t", "name", "value", "stderr")
@@ -50,99 +51,76 @@ COMPARE_HEADER = ("t", "name", "amp_mean", "amp_std", "n_seeds",
                   "se_value", "se_stderr", "rel_err", "z", "pass")
 
 
-def _glm_model(cfg: config_mod.ExperimentConfig):
-    m = cfg.model
+# ---------------------------------------------------------------------------
+# model construction, shared by the AMP and SE paths
+
+def _glm_model(make, m, **extra):
     d = m["d"]
-    n = int(round(m["aspect"] * d))
     prior = GaussBernoulliPrior(eps=m.get("prior_eps", 0.25),
                                 var=m.get("prior_var", 4.0))
-    if cfg.kind == "lasso":
-        return lasso_model(d=d, n=n, lam=m["lam"], prior=prior,
-                           sigma=m.get("noise_sigma", 0.5),
-                           beta0=m.get("beta0", 1.0))
-    if cfg.kind == "ridge":
-        return ridge_model(d=d, n=n, lam=m["lam"], prior=prior,
-                           sigma=m.get("noise_sigma", 0.5),
-                           beta0=m.get("beta0", 1.0))
-    return logistic_model(d=d, n=n, lam=m["lam"], prior=prior,
-                          beta0=m.get("beta0", 1.0))
+    return make(d=d, n=int(round(m["aspect"] * d)), lam=m["lam"], prior=prior,
+                beta0=m.get("beta0", 1.0), **extra)
 
 
-def _build_zoo(cfg: config_mod.ExperimentConfig, seed: int):
-    """Returns (instance, context) for one AMP seed."""
-    kind = cfg.kind
-    m = cfg.model
-    if kind in ("lasso", "ridge", "logistic"):
-        model = _glm_model(cfg)
-        inst, teacher = build_gamp_instance(model, seed=seed)
-        return inst, {"model": model, "teacher": teacher}
-    if kind == "multilayer":
-        model = MultilayerModel(
-            d0=m["d0"],
-            layers=layer_specs(m["dims"], m["activations"]),
-        )
-        inst, pipe = build_multilayer_instance(model, seed=seed,
-                                               planted=m.get("planted", False))
-        return inst, {"model": model, "pipeline": pipe}
-    if kind == "spiked":
-        model = SpikedModel(
-            N=m["N"], lam=m["lam"],
-            init_overlap=m.get("init_overlap", 0.2),
-            gen_dims=tuple(m.get("gen_dims", ())),
-            gen_activation=m.get("gen_activation", "tanh"),
-            denoiser=m.get("denoiser", "tanh"),
-            theta=m.get("theta", 1.0),
-        )
-        inst, v0 = build_spiked_instance(model, seed=seed)
-        return inst, {"model": model, "v0": v0}
-    if kind == "gmm_spatial":
-        model = GmmSpatialModel(
-            K=m["K"], d=m["d"], n_per_cluster=m["n_per_cluster"],
-            lam=m.get("lam", 1.0), mean_scale=m.get("mean_scale", 0.1),
-            coupling=m.get("coupling", 0.0), beta0=m.get("beta0", 1.0),
-        )
-        inst, data = build_gmm_spatial_instance(model, seed=seed)
-        return inst, {"model": model, "data": data}
-    model = CommitteeModel(d=m["d"], n=m["n"], theta=m.get("theta", 0.4))
-    inst, _ = build_committee_instance(model, seed=seed)
-    return inst, {"model": model}
+def _spiked_model(m) -> SpikedModel:
+    return SpikedModel(
+        N=m["N"], lam=m["lam"],
+        init_overlap=m.get("init_overlap", 0.2),
+        gen_dims=tuple(m.get("gen_dims", ())),
+        gen_activation=m.get("gen_activation", "tanh"),
+        denoiser=m.get("denoiser", "tanh"),
+        theta=m.get("theta", 1.0),
+    )
 
 
-def _graph_T(cfg: config_mod.ExperimentConfig) -> int:
-    # chain phase models advance one model step per two graph steps
-    if cfg.kind in ("lasso", "ridge", "logistic", "gmm_spatial"):
-        return 2 * cfg.T
-    return cfg.T
+def _gmm_model(m) -> GmmSpatialModel:
+    return GmmSpatialModel(
+        K=m["K"], d=m["d"], n_per_cluster=m["n_per_cluster"],
+        lam=m.get("lam", 1.0), mean_scale=m.get("mean_scale", 0.1),
+        coupling=m.get("coupling", 0.0), beta0=m.get("beta0", 1.0),
+    )
+
+
+def _build_glm(model, m, seed):
+    return build_gamp_instance(model, seed=seed)
 
 
 # ---------------------------------------------------------------------------
 # per-kind AMP observable extraction: rows (t, name) -> value
 
-def _glm_rows(cfg, traj, ctx) -> List[Tuple[int, str, float]]:
-    stats = gamp_iterate_stats(traj, ctx["model"], ctx["teacher"])
+def _glm_named_rows(cfg, t, named) -> List[Tuple[int, str, float]]:
+    """Rows of the requested GLM observables at time t, in config
+    order; norm_sq stands for both field second moments."""
     rows = []
-    for st in stats:
-        named = {"overlap": st.m, "mse": st.mse, "norm_sq_v": st.v2,
-                 "norm_sq_u": st.u2}
-        for obs in cfg.observables:
-            if obs == "norm_sq":
-                rows.append((st.t, "norm_sq_v", named["norm_sq_v"]))
-                rows.append((st.t, "norm_sq_u", named["norm_sq_u"]))
-            elif obs in ("overlap", "mse"):
-                rows.append((st.t, obs, named[obs]))
+    for obs in cfg.observables:
+        if obs == "norm_sq":
+            rows.append((t, "norm_sq_v", named["norm_sq_v"]))
+            rows.append((t, "norm_sq_u", named["norm_sq_u"]))
+        elif obs in ("overlap", "mse"):
+            rows.append((t, obs, named[obs]))
     return rows
 
 
-def _spiked_rows(cfg, traj, ctx) -> List[Tuple[int, str, float]]:
-    model, v0 = ctx["model"], ctx["v0"]
+def _spiked_named_rows(cfg, t, overlap, norm_sq) -> List[Tuple[int, str, float]]:
+    named = {"overlap": overlap, "norm_sq": norm_sq}
+    return [(t, name, named[name]) for name in ("overlap", "norm_sq")
+            if name in cfg.observables]
+
+
+def _glm_rows(cfg, traj, instance, model, teacher) -> List[Tuple[int, str, float]]:
+    return [row for st in gamp_iterate_stats(traj, model, teacher)
+            for row in _glm_named_rows(cfg, st.t, {
+                "overlap": st.m, "mse": st.mse, "norm_sq_v": st.v2,
+                "norm_sq_u": st.u2})]
+
+
+def _spiked_rows(cfg, traj, instance, model, v0) -> List[Tuple[int, str, float]]:
     loop = next(e for e in traj.x if e.start == e.end)
     rows = []
     for t in range(1, traj.T + 1):
         x = traj.x[loop][t].reshape(-1)
-        if "overlap" in cfg.observables:
-            rows.append((t, "overlap", float(v0 @ x) / model.N))
-        if "norm_sq" in cfg.observables:
-            rows.append((t, "norm_sq", float(x @ x) / model.N))
+        rows += _spiked_named_rows(cfg, t, float(v0 @ x) / model.N,
+                                   float(x @ x) / model.N)
     return rows
 
 
@@ -154,7 +132,7 @@ def _edge_observables(instance, T):
     return obs, list(range(1, T + 1))
 
 
-def _generic_rows(cfg, traj, instance) -> List[Tuple[int, str, float]]:
+def _generic_rows(cfg, traj, instance, model, aux) -> List[Tuple[int, str, float]]:
     if "norm_sq" not in cfg.observables:
         return []
     obs, times = _edge_observables(instance, traj.T)
@@ -165,8 +143,7 @@ def _generic_rows(cfg, traj, instance) -> List[Tuple[int, str, float]]:
 # ---------------------------------------------------------------------------
 # per-kind SE prediction rows: (t, name, value, stderr)
 
-def _glm_se_rows(cfg) -> List[Tuple[int, str, float, float]]:
-    model = _glm_model(cfg)
+def _glm_se_rows(cfg, model, workers) -> List[Tuple[int, str, float, float]]:
     if cfg.quadrature == "mc":
         quad = QuadSpec(method="mc", samples=cfg.se_samples,
                         seed=cfg.master_seed)
@@ -175,38 +152,25 @@ def _glm_se_rows(cfg) -> List[Tuple[int, str, float, float]]:
     pts = gamp_overlap_se(model.prior, model.channel, model.scalars,
                           delta=model.delta, T=cfg.T, beta0=model.beta0,
                           quad=quad)
-    rows = []
-    for pt in pts[1:]:
-        named = {"overlap": pt.m, "mse": pt.mse,
-                 "norm_sq_v": pt.v_second_moment(),
-                 "norm_sq_u": pt.u_second_moment(model.prior.rho)}
-        for obs in cfg.observables:
-            if obs == "norm_sq":
-                rows.append((pt.t, "norm_sq_v", named["norm_sq_v"], 0.0))
-                rows.append((pt.t, "norm_sq_u", named["norm_sq_u"], 0.0))
-            elif obs in ("overlap", "mse"):
-                rows.append((pt.t, obs, named[obs], 0.0))
-    return rows
+    return [(t, name, value, 0.0) for pt in pts[1:]
+            for t, name, value in _glm_named_rows(cfg, pt.t, {
+                "overlap": pt.m, "mse": pt.mse,
+                "norm_sq_v": pt.v_second_moment(),
+                "norm_sq_u": pt.u_second_moment(model.prior.rho)})]
 
 
-def _spiked_se_rows(cfg) -> List[Tuple[int, str, float, float]]:
-    m = cfg.model
-    model = SpikedModel(N=m["N"], lam=m["lam"],
-                        init_overlap=m.get("init_overlap", 0.2),
-                        denoiser=m.get("denoiser", "tanh"),
-                        theta=m.get("theta", 1.0))
-    pts = spiked_scalar_se(model, cfg.T)
-    rows = []
-    for pt in pts[1:]:
-        if "overlap" in cfg.observables:
-            rows.append((pt.t, "overlap", pt.overlap(), 0.0))
-        if "norm_sq" in cfg.observables:
-            rows.append((pt.t, "norm_sq", pt.second_moment(), 0.0))
-    return rows
+def _spiked_se_rows(cfg, model, workers) -> List[Tuple[int, str, float, float]]:
+    if model.depth:
+        raise ConfigError("model.gen_dims: the spiked SE recursion covers the "
+                          "depth-0 spike only; embed-verify still runs "
+                          "the deep model")
+    return [(t, name, value, 0.0) for pt in spiked_scalar_se(model, cfg.T)[1:]
+            for t, name, value in _spiked_named_rows(cfg, pt.t, pt.overlap(),
+                                                     pt.second_moment())]
 
 
-def _generic_se_rows(cfg, workers) -> List[Tuple[int, str, float, float]]:
-    instance, _ = _build_zoo(cfg, seed=cfg.amp_seeds[0])
+def _generic_se_rows(cfg, model, workers) -> List[Tuple[int, str, float, float]]:
+    instance, _ = _kind(cfg).build(model, cfg.model, cfg.amp_seeds[0])
     T = _graph_T(cfg)
     cov = se_run(instance, T, reps=cfg.se_samples, seed=cfg.master_seed,
                  chunk=cfg.se_chunk, workers=workers)
@@ -215,125 +179,166 @@ def _generic_se_rows(cfg, workers) -> List[Tuple[int, str, float, float]]:
     stats = mc_observable_stats(instance, cov, obs, times, reps=reps,
                                 seed=cfg.master_seed + 1,
                                 chunk=min(cfg.se_chunk, 64), workers=workers)
+    return [(t, name, st["mean"], st["sem"])
+            for (t, name), st in sorted(stats.items())]
+
+
+# ---------------------------------------------------------------------------
+# gates: rows of compare.csv from the seeds' results and the SE rows
+
+def _compare_rows(cfg, amp_results, se_rows):
+    by_key: Dict[Tuple[int, str], List[float]] = {}
+    for _, (_, _, _, rows) in amp_results:
+        for t, name, value in rows:
+            by_key.setdefault((t, name), []).append(value)
+    tol = cfg.tolerances
+    return compare({key: summarize(values) for key, values in by_key.items()},
+                   {(t, name): {"mean": value, "sem": stderr}
+                    for t, name, value, stderr in se_rows},
+                   rel_tol=tol["rel"], z_tol=tol["z"],
+                   atol=tol.get("atol", 1e-6))
+
+
+def _gmm_compare_rows(cfg, amp_results, se_rows):
+    """Per-seed fixed-point gates: AMP weights against the direct ridge
+    solve, and their accuracies."""
+    def row(name, value, ref, err, ok):
+        return {"t": cfg.T, "name": name, "amp_mean": value, "amp_std": 0.0,
+                "n_seeds": 1, "se_value": ref, "se_stderr": 0.0,
+                "rel_err": err, "z": np.inf, "pass": int(ok)}
+
     rows = []
-    for (t, name), st in sorted(stats.items()):
-        sem = st["std"] / np.sqrt(st["n"]) if st["n"] > 1 else 0.0
-        rows.append((t, name, st["mean"], float(sem)))
+    for seed, (traj, model, data, _) in amp_results:
+        W = gmm_weights(traj, model, data)
+        Wb = ridge_baseline(model, data)
+        werr = float(np.linalg.norm(W - Wb) / max(np.linalg.norm(Wb), 1e-12))
+        acc_amp = accuracy(W, data)
+        acc_base = accuracy(Wb, data)
+        rows.append(row(f"weight_rel_err[seed={seed}]", werr, 0.0, werr,
+                        werr <= 1e-3))
+        rows.append(row(f"accuracy[seed={seed}]", acc_amp, acc_base,
+                        abs(acc_amp - acc_base),
+                        abs(acc_amp - acc_base) <= 0.02))
     return rows
+
+
+# ---------------------------------------------------------------------------
+# the kind table: everything the CLI knows about a model kind
+
+@dataclass(frozen=True)
+class Kind:
+    """How the CLI builds, runs and gates one model kind.
+
+    model(cfg.model) -> model; build(model, cfg.model, seed) ->
+    (instance, aux); amp_rows(cfg, traj, instance, model, aux) ->
+    [(t, name, value)]; se_rows(cfg, model, workers) ->
+    [(t, name, value, stderr)], None for a kind without an SE route;
+    gate(cfg, amp_results, se_rows) -> compare.csv rows; phases is the
+    number of graph steps per model step.
+    """
+
+    name: str
+    model: Callable
+    build: Callable
+    amp_rows: Callable
+    se_rows: Optional[Callable]
+    gate: Callable = _compare_rows
+    phases: int = 1
+
+
+# The rows call the instance builders by their module-global names at
+# call time and never hold them, so a wrapper installed on the module
+# attribute (a profiler's tracer, say) sees every call.
+KINDS: Dict[str, Kind] = {k.name: k for k in (
+    Kind("lasso", lambda m: _glm_model(lasso_model, m,
+                                       sigma=m.get("noise_sigma", 0.5)),
+         _build_glm, _glm_rows, _glm_se_rows, phases=2),
+    Kind("ridge", lambda m: _glm_model(ridge_model, m,
+                                       sigma=m.get("noise_sigma", 0.5)),
+         _build_glm, _glm_rows, _glm_se_rows, phases=2),
+    Kind("logistic", lambda m: _glm_model(logistic_model, m),
+         _build_glm, _glm_rows, _glm_se_rows, phases=2),
+    Kind("multilayer",
+         lambda m: MultilayerModel(d0=m["d0"], layers=layer_specs(
+             m["dims"], m["activations"])),
+         lambda model, m, seed: build_multilayer_instance(
+             model, seed=seed, planted=m.get("planted", False)),
+         _generic_rows, _generic_se_rows),
+    Kind("spiked", _spiked_model,
+         lambda model, m, seed: build_spiked_instance(model, seed=seed),
+         _spiked_rows, _spiked_se_rows),
+    Kind("gmm_spatial", _gmm_model,
+         lambda model, m, seed: build_gmm_spatial_instance(model, seed=seed),
+         _generic_rows, None, gate=_gmm_compare_rows, phases=2),
+    Kind("committee",
+         lambda m: CommitteeModel(d=m["d"], n=m["n"], theta=m.get("theta", 0.4)),
+         lambda model, m, seed: build_committee_instance(model, seed=seed),
+         _generic_rows, _generic_se_rows),
+)}
+
+
+def _kind(cfg) -> Kind:
+    return KINDS[cfg.kind]
+
+
+def _build_zoo(cfg: config_mod.ExperimentConfig, seed: int):
+    """Returns (instance, model, aux) for one AMP seed; aux is the
+    builder's second output (teacher, observations, spike or data)."""
+    kind = _kind(cfg)
+    model = kind.model(cfg.model)
+    instance, aux = kind.build(model, cfg.model, seed)
+    return instance, model, aux
+
+
+def _graph_T(cfg: config_mod.ExperimentConfig) -> int:
+    return _kind(cfg).phases * cfg.T
 
 
 def se_rows_for(cfg, workers=1) -> List[Tuple[int, str, float, float]]:
     """SE prediction rows; `workers` splits the generic recursion's Monte
     Carlo chunks and never changes the rows."""
-    if cfg.kind in ("lasso", "ridge", "logistic"):
-        return _glm_se_rows(cfg)
-    if cfg.kind == "spiked":
-        return _spiked_se_rows(cfg)
-    if cfg.kind == "gmm_spatial":
-        raise ConfigError("model gmm_spatial has no SE route; "
+    kind = _kind(cfg)
+    if kind.se_rows is None:
+        raise ConfigError(f"model {kind.name} has no SE route; "
                           "use `run` for its fixed-point gates")
-    return _generic_se_rows(cfg, workers)
+    return kind.se_rows(cfg, kind.model(cfg.model), workers)
 
 
 # ---------------------------------------------------------------------------
 # run orchestration
 
 def _run_one_seed(cfg, seed):
-    instance, ctx = _build_zoo(cfg, seed)
+    """(trajectory, model, aux, AMP rows) of one seed."""
+    instance, model, aux = _build_zoo(cfg, seed)
     traj = run(instance, _graph_T(cfg), allow_degenerate=True)
-    if cfg.kind in ("lasso", "ridge", "logistic"):
-        rows = _glm_rows(cfg, traj, ctx)
-    elif cfg.kind == "spiked":
-        rows = _spiked_rows(cfg, traj, ctx)
-    elif cfg.kind == "gmm_spatial":
-        rows = _generic_rows(cfg, traj, instance)
-    else:
-        rows = _generic_rows(cfg, traj, instance)
-    return traj, ctx, rows
+    return traj, model, aux, _kind(cfg).amp_rows(cfg, traj, instance, model, aux)
 
 
 def _fan_out(cfg, workers):
     seeds = list(cfg.amp_seeds)
-    if workers and workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_run_one_seed, cfg, s) for s in seeds]
-            results = [f.result() for f in futures]
-    else:
-        results = [_run_one_seed(cfg, s) for s in seeds]
+    results = map_ordered(lambda i: _run_one_seed(cfg, seeds[i]), len(seeds),
+                          workers)
     return list(zip(seeds, results))
 
 
-def _compare_rows(cfg, amp_rows_by_seed, se_rows):
-    by_key: Dict[Tuple[int, str], List[float]] = {}
-    for _, rows in amp_rows_by_seed:
-        for t, name, value in rows:
-            by_key.setdefault((t, name), []).append(value)
-    se_by_key = {(t, name): (value, stderr) for t, name, value, stderr in se_rows}
-    tol = cfg.tolerances
-    out = []
-    for (t, name), values in sorted(by_key.items()):
-        if (t, name) not in se_by_key:
-            continue
-        se_value, se_err = se_by_key[(t, name)]
-        arr = np.asarray(values)
-        mean = float(arr.mean())
-        std = float(arr.std(ddof=1)) if arr.size > 1 else 0.0
-        sem = std / np.sqrt(arr.size) if arr.size > 1 else 0.0
-        rel = abs(mean - se_value) / max(abs(se_value), 1e-12)
-        denom = np.hypot(sem, se_err)
-        z = abs(mean - se_value) / denom if denom > 0 else np.inf
-        # both sides indistinguishable from zero: degenerate scale, pass
-        atol = tol.get("atol", 1e-6)
-        ok = (rel <= tol["rel"]) or (z <= tol["z"]) or (
-            abs(mean) <= atol and abs(se_value) <= atol)
-        out.append({"t": t, "name": name, "amp_mean": mean, "amp_std": std,
-                    "n_seeds": arr.size, "se_value": se_value,
-                    "se_stderr": se_err, "rel_err": rel, "z": z,
-                    "pass": int(ok)})
-    return out
-
-
-def _gmm_compare_rows(cfg, amp_results):
-    rows = []
-    for seed, (traj, ctx, _) in amp_results:
-        model, data = ctx["model"], ctx["data"]
-        W = gmm_weights(traj, model, data)
-        Wb = ridge_baseline(model, data)
-        werr = float(np.linalg.norm(W - Wb) / max(np.linalg.norm(Wb), 1e-12))
-        acc_amp = accuracy(W, data)
-        acc_base = accuracy(Wb, data)
-        rows.append({"t": cfg.T, "name": f"weight_rel_err[seed={seed}]",
-                     "amp_mean": werr, "amp_std": 0.0, "n_seeds": 1,
-                     "se_value": 0.0, "se_stderr": 0.0, "rel_err": werr,
-                     "z": np.inf, "pass": int(werr <= 1e-3)})
-        rows.append({"t": cfg.T, "name": f"accuracy[seed={seed}]",
-                     "amp_mean": acc_amp, "amp_std": 0.0, "n_seeds": 1,
-                     "se_value": acc_base, "se_stderr": 0.0,
-                     "rel_err": abs(acc_amp - acc_base), "z": np.inf,
-                     "pass": int(abs(acc_amp - acc_base) <= 0.02)})
-    return rows
+def _write_se(out_dir, se_rows, h):
+    write_dict_rows(os.path.join(out_dir, "se.csv"),
+                    [{"t": t, "name": n, "value": v, "stderr": s}
+                     for t, n, v, s in se_rows], h, header=SE_HEADER)
 
 
 def cmd_run(cfg, out_dir, workers, strict) -> int:
     h = cfg.config_hash()
+    kind = _kind(cfg)
     amp_results = _fan_out(cfg, workers)
     traj_rows = [{"seed": seed, "t": t, "name": name, "value": value}
-                 for seed, (_, _, rows) in amp_results
+                 for seed, (_, _, _, rows) in amp_results
                  for t, name, value in rows]
     write_dict_rows(os.path.join(out_dir, "trajectory.csv"), traj_rows, h,
                     header=TRAJ_HEADER)
-
-    if cfg.kind == "gmm_spatial":
-        write_dict_rows(os.path.join(out_dir, "se.csv"), [], h,
-                        header=SE_HEADER)
-        cmp_rows = _gmm_compare_rows(cfg, amp_results)
-    else:
-        se_rows = se_rows_for(cfg, workers)
-        write_dict_rows(os.path.join(out_dir, "se.csv"),
-                        [{"t": t, "name": n, "value": v, "stderr": s}
-                         for t, n, v, s in se_rows], h, header=SE_HEADER)
-        cmp_rows = _compare_rows(cfg, [(s, r) for s, (_, _, r) in amp_results],
-                                 se_rows)
+    se_rows = se_rows_for(cfg, workers) if kind.se_rows else []
+    _write_se(out_dir, se_rows, h)
+    cmp_rows = kind.gate(cfg, amp_results, se_rows)
     write_dict_rows(os.path.join(out_dir, "compare.csv"), cmp_rows, h,
                     header=COMPARE_HEADER)
 
@@ -346,18 +351,15 @@ def cmd_run(cfg, out_dir, workers, strict) -> int:
 
 
 def cmd_se_only(cfg, out_dir, workers) -> int:
-    h = cfg.config_hash()
     se_rows = se_rows_for(cfg, workers)
-    write_dict_rows(os.path.join(out_dir, "se.csv"),
-                    [{"t": t, "name": n, "value": v, "stderr": s}
-                     for t, n, v, s in se_rows], h, header=SE_HEADER)
+    _write_se(out_dir, se_rows, cfg.config_hash())
     print(f"se-only: {len(se_rows)} rows -> {out_dir}/se.csv")
     return 0
 
 
 def cmd_embed_verify(cfg, out_dir) -> int:
     h = cfg.config_hash()
-    instance, _ = _build_zoo(cfg, seed=cfg.amp_seeds[0])
+    instance, _, _ = _build_zoo(cfg, seed=cfg.amp_seeds[0])
     report = verify_equivalence(instance, _graph_T(cfg), seed=cfg.master_seed)
     write_dict_rows(os.path.join(out_dir, "embed.csv"), report.records, h,
                     header=("t", "edge", "err"))
@@ -368,9 +370,6 @@ def cmd_embed_verify(cfg, out_dir) -> int:
 
 
 def _checks_suite(suite, master_seed):
-    from .gamp_se import GlmScalars
-    from .prox import ProxSpec
-
     reports = []
     if suite in ("stein", "all"):
         tanh = Entrywise(np.tanh, lambda x: 1 - np.tanh(x) ** 2)
@@ -474,7 +473,7 @@ def main(argv=None) -> int:
                 **{**cfg.__dict__, "master_seed": args.seed})
         out_dir = args.out or cfg.out
         if args.command == "validate-config":
-            print(f"config ok: kind={cfg.kind} T={cfg.T} "
+            print(f"config ok: kind={_kind(cfg).name} T={cfg.T} "
                   f"hash={cfg.config_hash()}")
             return 0
         if args.command == "run":

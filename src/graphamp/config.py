@@ -12,12 +12,9 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 from .errors import ConfigError
-
-MODEL_KINDS = ("lasso", "ridge", "logistic", "multilayer", "spiked",
-               "gmm_spatial", "committee")
 
 _TOP_KEYS = {
     "model": dict,
@@ -53,7 +50,7 @@ _MODEL_KEYS: Dict[str, Dict[str, Tuple[Any, bool]]] = {
     },
     "multilayer": {
         "d0": (int, True), "dims": (list, True), "activations": (list, True),
-        "signal_weight": (float, False), "planted": (bool, False),
+        "planted": (bool, False),
     },
     "spiked": {
         "N": (int, True), "lam": (float, True), "init_overlap": (float, False),
@@ -69,6 +66,7 @@ _MODEL_KEYS: Dict[str, Dict[str, Tuple[Any, bool]]] = {
         "d": (int, True), "n": (int, True), "theta": (float, False),
     },
 }
+MODEL_KINDS = tuple(_MODEL_KEYS)
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,7 @@ import numpy as np
 from . import engine
 from .engine import AmpTrajectory, GraphInstance
 from .ensembles import sample_goe, stream
-from .errors import GraphError, ShapeError
+from .errors import GraphError
 from .graphs import EdgeId, GraphSpec, canonical_edge_order, edges_into, reversed_input_index, single_loop
 from .nonlinearity import Nonlinearity
 
@@ -192,12 +192,6 @@ def embed(instance: GraphInstance, seed: int = 0, fill: str = "goe",
         meta={"flattened_from": instance.meta.get("name", "graph-instance")},
     )
     return EmbeddedInstance(symmetric=sym, layout=lay, source=instance)
-
-
-def sym_step(emb: EmbeddedInstance, traj: AmpTrajectory) -> AmpTrajectory:
-    """One step of X^{t+1} = A M^t - M^{t-1} (b^t)^T on the flattened
-    instance (b is the q_tot x q_tot diagonal Jacobian sum over N)."""
-    return engine.step(emb.symmetric, traj)
 
 
 def run_symmetric(emb: EmbeddedInstance, T: int) -> AmpTrajectory:

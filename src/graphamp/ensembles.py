@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -43,58 +42,6 @@ def normals(rng: np.random.Generator, shape) -> np.ndarray:
     rng.random(out=buf)
     buf += _HALF_ULP
     return ndtri(buf, out=buf)
-
-
-@dataclass(frozen=True)
-class SeededRng:
-    """Hierarchical deterministic randomness: one master seed, draws keyed
-    by string labels, each key an independent stream."""
-
-    master_seed: int
-
-    def generator(self, *labels) -> np.random.Generator:
-        return stream(self.master_seed, *labels)
-
-    def normals(self, shape, *labels) -> np.ndarray:
-        return normals(self.generator(*labels), shape)
-
-    def child(self, *labels) -> "SeededRng":
-        g = self.generator(*labels)
-        return SeededRng(int(g.integers(0, 1 << 63)))
-
-
-@dataclass(frozen=True)
-class EnsembleSpec:
-    """Declarative description of a random-matrix family.
-
-    kind: goe | iid_gaussian | spatially_coupled | correlated.
-    scale_N is the variance base: entries ~ N(0, 1/scale_N) (GOE diag
-    2/scale_N); spatially coupled blocks use sigma[i][j]/scale_N.
-    """
-
-    kind: str
-    rows: int
-    cols: int
-    scale_N: float
-    block_rows: Optional[Sequence[int]] = None
-    block_cols: Optional[Sequence[int]] = None
-    sigma: Optional[Sequence[Sequence[float]]] = None
-    sigma_factor: Optional[np.ndarray] = field(default=None, repr=False)
-
-    def __post_init__(self):
-        if self.kind not in ("goe", "iid_gaussian", "spatially_coupled", "correlated"):
-            raise ValueError(f"unknown ensemble kind {self.kind!r}")
-        if self.kind == "goe" and self.rows != self.cols:
-            raise ValueError("goe requires rows == cols")
-        if self.kind == "spatially_coupled":
-            if self.block_rows is None or self.block_cols is None or self.sigma is None:
-                raise ValueError("spatially_coupled needs block_rows, block_cols, sigma")
-            if sum(self.block_rows) != self.rows or sum(self.block_cols) != self.cols:
-                raise ValueError("block sizes must sum to rows/cols")
-            if any(s < 0 for row in self.sigma for s in row):
-                raise ValueError("sigma grid entries must be >= 0")
-        if self.kind == "correlated" and self.sigma_factor is None:
-            raise ValueError("correlated needs a covariance factor")
 
 
 def sample_goe(n: int, rng: np.random.Generator, scale_N: Optional[float] = None) -> np.ndarray:
@@ -174,14 +121,3 @@ def spectral_inv_sqrt(Sigma: np.ndarray) -> np.ndarray:
         raise NumericalError(f"covariance not positive definite: min eigenvalue {w[0]:.3e}")
     return (V / np.sqrt(w)) @ V.T
 
-
-def sample(spec: EnsembleSpec, rng: np.random.Generator) -> np.ndarray:
-    if spec.kind == "goe":
-        return sample_goe(spec.rows, rng, spec.scale_N)
-    if spec.kind == "iid_gaussian":
-        return sample_iid(spec.rows, spec.cols, spec.scale_N, rng)
-    if spec.kind == "spatially_coupled":
-        return sample_spatially_coupled(spec.block_rows, spec.block_cols, spec.sigma, spec.scale_N, rng)
-    if spec.kind == "correlated":
-        return sample_correlated_rows(spec.rows, spec.sigma_factor, spec.scale_N, rng)
-    raise AssertionError(spec.kind)

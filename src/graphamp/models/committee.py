@@ -17,7 +17,6 @@ algebra and the flattening's block bookkeeping.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Tuple
 
 import numpy as np
 

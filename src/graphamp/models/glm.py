@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import List
 
 import numpy as np
 
@@ -64,24 +64,6 @@ class GlmTeacher:
     x0: np.ndarray
     z: np.ndarray
     y: np.ndarray
-
-
-@dataclass(frozen=True)
-class SignalDecomposition:
-    """Standardized planted direction: s_std has unit-variance entries,
-    rho_hat = ||x0||^2 / d, and y = channel(sqrt(rho_hat) s_std)."""
-
-    s_std: np.ndarray
-    rho_hat: float
-
-
-def decompose_teacher(A: np.ndarray, x0: np.ndarray) -> SignalDecomposition:
-    x0 = np.asarray(x0, dtype=float).reshape(-1)
-    rho_hat = float(x0 @ x0) / x0.size
-    if rho_hat <= 0:
-        raise NumericalError("planted signal is identically zero")
-    s_std = (A @ x0) / math.sqrt(rho_hat)
-    return SignalDecomposition(s_std=s_std, rho_hat=rho_hat)
 
 
 class PenaltyProx(Nonlinearity):
@@ -130,32 +112,50 @@ def forward_edge() -> EdgeId:
     return EdgeId("sig", "obs")
 
 
-def _b_scalar(traj: AmpTrajectory, e: EdgeId, t: int) -> float:
-    return float(traj.b[e][t][0, 0])
+def _iso_scalar(b: np.ndarray, what: str) -> float:
+    """The scalar c of a correction coefficient b = c I (exact for q = 1)."""
+    off = np.abs(b - b[0, 0] * np.eye(b.shape[0])).max()
+    if off > 1e-8 * (1.0 + abs(b[0, 0])):
+        raise NumericalError(f"{what} coefficient is not isotropic (off by {off:.2e})")
+    return float(b[0, 0])
 
 
-def make_gamp_provider(model: GlmModel):
-    """Phase-alternating provider with adaptive scales read from the
-    trajectory's stored correction coefficients."""
-    fwd = forward_edge()
+def two_phase_provider(fwd: EdgeId, q: int, signal_fn, obs_fn, beta0: float):
+    """Phase-alternating provider on the chain fwd = (signal, obs).
+
+    Odd graph times apply signal_fn(alpha) on fwd, even times
+    obs_fn(beta) on the reversed edge, and the off-phase function is
+    zero.  The scales adapt to the run: alpha_t = -1/b of the previous
+    observation-side step and beta_t = b of the previous signal-side
+    step, with beta = beta0 at t = 0.
+    """
     bwd = fwd.reversed()
-    zero = Zero(1)
+    zero = Zero(q)
 
     def provider(edge, t, traj):
         if edge == fwd:
             if t % 2 == 0:
                 return zero
-            d0 = _b_scalar(traj, bwd, t - 1)
+            d0 = _iso_scalar(traj.b[bwd][t - 1], "observation-side")
             if abs(d0) < 1e-14:
                 raise NumericalError("vanishing average derivative on the "
                                      "observation side", edge=str(edge), t=t)
-            return PenaltyProx(model.scalars, alpha=-1.0 / d0)
+            return signal_fn(-1.0 / d0)
         if t % 2 == 1:
             return zero
-        beta = model.beta0 if t == 0 else _b_scalar(traj, fwd, t - 1)
-        return LossResidual(model.scalars, beta=beta)
+        beta = beta0 if t == 0 else _iso_scalar(traj.b[fwd][t - 1], "signal-side")
+        return obs_fn(beta)
 
     return provider
+
+
+def signal_half_iterates(traj: AmpTrajectory, fwd: EdgeId):
+    """[(u^t, alpha_t)] for t = 1..: the signal-side half iterates of a
+    two-phase run and the scale its provider applied to each."""
+    bwd = fwd.reversed()
+    half = reindex_half_iterates(traj, fwd)
+    return [(half.u[t], -1.0 / _iso_scalar(traj.b[bwd][2 * t - 2], "observation-side"))
+            for t in range(1, len(half.u))]
 
 
 def build_gamp_instance(model: GlmModel, seed: int = 0):
@@ -177,7 +177,9 @@ def build_gamp_instance(model: GlmModel, seed: int = 0):
     instance = GraphInstance(
         graph=g,
         matrices={fwd: A},
-        provider=make_gamp_provider(model),
+        provider=two_phase_provider(
+            fwd, 1, lambda alpha: PenaltyProx(model.scalars, alpha),
+            lambda beta: LossResidual(model.scalars, beta), model.beta0),
         x0={},
         side={bwd: SideData(arrays={"y": y})},
         scale_base={fwd: float(model.d)},
@@ -203,38 +205,27 @@ class GampIterateStats:
 def gamp_estimates(traj: AmpTrajectory, model: GlmModel) -> List[np.ndarray]:
     """Signal estimates x_hat_t = e_t(u^t) for t = 1..; alpha_t is
     recovered from the stored observation-side coefficients."""
-    fwd = forward_edge()
-    bwd = fwd.reversed()
-    half = reindex_half_iterates(traj, fwd)
-    out = []
-    for t in range(1, len(half.u)):
-        d_prev = _b_scalar(traj, bwd, 2 * t - 2)
-        alpha = -1.0 / d_prev
-        out.append(model.scalars.e_apply(half.u[t].reshape(-1), alpha))
-    return out
+    return [model.scalars.e_apply(u.reshape(-1), alpha)
+            for u, alpha in signal_half_iterates(traj, forward_edge())]
 
 
 def gamp_iterate_stats(traj: AmpTrajectory, model: GlmModel,
                        teacher: GlmTeacher) -> List[GampIterateStats]:
     """Per-time overlap/error/field statistics for comparison with the
     overlap recursion (same normalizations: everything per coordinate)."""
-    fwd = forward_edge()
-    half = reindex_half_iterates(traj, fwd)
-    xhats = gamp_estimates(traj, model)
+    half = reindex_half_iterates(traj, forward_edge())
     x0 = teacher.x0
     recs = []
-    for t in range(1, len(half.u)):
-        xh = xhats[t - 1]
+    for t, xh in enumerate(gamp_estimates(traj, model), start=1):
         u = half.u[t].reshape(-1)
-        rec = GampIterateStats(
+        recs.append(GampIterateStats(
             t=t,
             m=float(x0 @ xh) / model.d,
             mse=float(np.sum((xh - x0) ** 2)) / model.d,
             p=float(xh @ xh) / model.d,
             u2=float(u @ u) / model.d,
             v2=float(np.sum(half.v[t] ** 2)) / model.n if t < len(half.v) else math.nan,
-        )
-        recs.append(rec)
+        ))
     return recs
 
 

@@ -27,16 +27,16 @@ with Y one-hot labels; predictions take an argmax of x^T W_hat.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Tuple
 
 import numpy as np
 
-from ..engine import AmpTrajectory, GraphInstance, reindex_half_iterates
+from ..engine import AmpTrajectory, GraphInstance
 from ..ensembles import normals, sample_spatially_coupled, spectral_inv_sqrt, spectral_sqrt, stream
-from ..errors import NumericalError
 from ..graphs import EdgeId, GraphSpec
-from ..nonlinearity import Nonlinearity, SideData, Zero
+from ..nonlinearity import Nonlinearity, SideData
+from .glm import signal_half_iterates, two_phase_provider
 
 
 @dataclass(frozen=True)
@@ -173,34 +173,6 @@ class OneHotResidual(Nonlinearity):
         return (-n / (1.0 + self.beta)) * np.eye(K)
 
 
-def _iso_scalar(b: np.ndarray, what: str) -> float:
-    off = np.abs(b - b[0, 0] * np.eye(b.shape[0])).max()
-    if off > 1e-8 * (1.0 + abs(b[0, 0])):
-        raise NumericalError(f"{what} coefficient is not isotropic (off by {off:.2e})")
-    return float(b[0, 0])
-
-
-def make_gmm_provider(model: GmmSpatialModel, covs, roots):
-    fwd = EdgeId("stack", "obs")
-    bwd = fwd.reversed()
-    zero = Zero(model.K)
-
-    def provider(edge, t, traj):
-        if edge == fwd:
-            if t % 2 == 0:
-                return zero
-            d0 = _iso_scalar(traj.b[bwd][t - 1], "observation-side")
-            if abs(d0) < 1e-14:
-                raise NumericalError("vanishing average derivative", edge=str(edge), t=t)
-            return StackPenaltyProx(model, covs, roots, alpha=-1.0 / d0)
-        if t % 2 == 1:
-            return zero
-        beta = model.beta0 if t == 0 else _iso_scalar(traj.b[fwd][t - 1], "stack-side")
-        return OneHotResidual(beta)
-
-    return provider
-
-
 def build_gmm_spatial_instance(model: GmmSpatialModel, seed: int = 0):
     """Assemble the chain instance over the stacked variable.
 
@@ -217,7 +189,10 @@ def build_gmm_spatial_instance(model: GmmSpatialModel, seed: int = 0):
     instance = GraphInstance(
         graph=g,
         matrices={fwd: data.design},
-        provider=make_gmm_provider(model, data.covs, data.cov_sqrts),
+        provider=two_phase_provider(
+            fwd, model.K,
+            lambda alpha: StackPenaltyProx(model, data.covs, data.cov_sqrts, alpha),
+            OneHotResidual, model.beta0),
         side={bwd: SideData(arrays={"Y": data.Y})},
         scale_base={fwd: float(model.d)},
         meta={"name": "gmm_spatial", "seed": seed, "model": model},
@@ -227,13 +202,8 @@ def build_gmm_spatial_instance(model: GmmSpatialModel, seed: int = 0):
 
 def gmm_weights(traj: AmpTrajectory, model: GmmSpatialModel, data: GmmData) -> np.ndarray:
     """Ridge weights W (d x K) recovered from the final stacked iterate."""
-    fwd = EdgeId("stack", "obs")
-    bwd = fwd.reversed()
-    half = reindex_half_iterates(traj, fwd)
-    t = len(half.u) - 1
-    d0 = _iso_scalar(traj.b[bwd][2 * t - 2], "observation-side")
-    prox = StackPenaltyProx(model, data.covs, data.cov_sqrts, alpha=-1.0 / d0)
-    return prox.weights(half.u[t])
+    u, alpha = signal_half_iterates(traj, EdgeId("stack", "obs"))[-1]
+    return StackPenaltyProx(model, data.covs, data.cov_sqrts, alpha).weights(u)
 
 
 def ridge_baseline(model: GmmSpatialModel, data: GmmData) -> np.ndarray:

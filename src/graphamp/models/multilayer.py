@@ -23,15 +23,15 @@ matrices and is marked in meta as outside that coverage.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
 from ..engine import GraphInstance, stationary_provider
 from ..ensembles import sample_iid, stream
 from ..gamp_se import GlmScalars, Prior, GaussBernoulliPrior, make_channel
-from ..graphs import EdgeId, GraphSpec, edges_into, line_graph
-from ..nonlinearity import Entrywise, FromCallable, Nonlinearity, SideData
+from ..graphs import EdgeId, edges_into, line_graph
+from ..nonlinearity import Nonlinearity, SideData
 from ..prox import ProxSpec, prox, prox_deriv
 from . import glm as glm_mod
 

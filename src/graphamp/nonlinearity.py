@@ -241,10 +241,6 @@ def relu(x):
     return np.maximum(x, 0.0)
 
 
-def drelu(x):
-    return (x > 0).astype(float)
-
-
 def estimate_pl_constant(f: Nonlinearity, in_cols, n_rows, budget=64, rng=None, order_k=None, side=None):
     """Empirical pseudo-Lipschitz constant probe.
 

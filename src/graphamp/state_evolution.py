@@ -31,16 +31,14 @@ gamp_se).
 
 from __future__ import annotations
 
-import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .engine import AmpTrajectory, GraphInstance, Observable
+from .engine import AmpTrajectory, GraphInstance, Observable, observe
 from .ensembles import normals, stream
-from .errors import NumericalError
 from .graphs import EdgeId, canonical_edge_order, edges_into
 from .nonlinearity import Nonlinearity, SideData
 
@@ -174,13 +172,13 @@ def _chunks(reps: int, chunk: int) -> List[int]:
     return [min(chunk, reps - a) for a in range(0, reps, chunk)]
 
 
-def _map_chunks(task: Callable[[int], Any], n_chunks: int, workers: int) -> List[Any]:
-    """task(c) for every chunk index c, results in chunk order whatever
-    the worker count; chunks run on a thread pool when workers > 1."""
-    if workers <= 1 or n_chunks <= 1:
-        return [task(c) for c in range(n_chunks)]
-    with ThreadPoolExecutor(max_workers=min(workers, n_chunks)) as pool:
-        return list(pool.map(task, range(n_chunks)))
+def map_ordered(task: Callable[[int], Any], n_tasks: int, workers: int) -> List[Any]:
+    """task(i) for i in range(n_tasks), results in index order whatever
+    the worker count; tasks run on a thread pool when workers > 1."""
+    if workers <= 1 or n_tasks <= 1:
+        return [task(i) for i in range(n_tasks)]
+    with ThreadPoolExecutor(max_workers=min(workers, n_tasks)) as pool:
+        return list(pool.map(task, range(n_tasks)))
 
 
 def se_step(instance: GraphInstance, cov: SECovariances, reps: int,
@@ -228,7 +226,7 @@ def se_step(instance: GraphInstance, cov: SECovariances, reps: int,
             sums[e] = S
         return sums
 
-    totals = _map_chunks(chunk_sums, len(sizes), workers)
+    totals = map_ordered(chunk_sums, len(sizes), workers)
     K = {}
     for e in order:
         q = g.q(e)
@@ -259,6 +257,16 @@ def se_run(instance: GraphInstance, T: int, reps: int = 2000, seed: int = 0,
     while cov.T < T:
         cov = se_step(instance, cov, reps, factory, chunk=chunk, workers=workers)
     return cov
+
+
+def summarize(values: Sequence[float]) -> dict:
+    """Mean, sd (ddof 1), count and standard error of the mean of a
+    sample; sd and sem are 0 for a single value."""
+    arr = np.asarray(values)
+    n = arr.size
+    std = float(arr.std(ddof=1)) if n > 1 else 0.0
+    return {"mean": float(arr.mean()), "std": std, "n": n,
+            "sem": float(std / np.sqrt(n)) if n > 1 else 0.0}
 
 
 def mc_observable_stats(instance: GraphInstance, cov: SECovariances,
@@ -299,63 +307,51 @@ def mc_observable_stats(instance: GraphInstance, cov: SECovariances,
         return vals
 
     acc: Dict[Tuple[int, str], List[float]] = {(s, o.name): [] for s in ts for o in observables}
-    for vals in _map_chunks(chunk_values, len(sizes), workers):
+    for vals in map_ordered(chunk_values, len(sizes), workers):
         for key, v in vals.items():
             acc[key].extend(v)
 
-    out = {}
-    for key, vals in acc.items():
-        arr = np.asarray(vals)
-        out[key] = {"mean": float(arr.mean()), "std": float(arr.std(ddof=1)) if len(arr) > 1 else 0.0,
-                    "n": len(arr)}
-    return out
+    return {key: summarize(vals) for key, vals in acc.items()}
 
 
 def amp_observable_stats(trajs: Sequence[AmpTrajectory],
                          observables: Sequence[Observable],
                          times: Optional[Sequence[int]] = None) -> Dict[Tuple[int, str], dict]:
     """Across-seed mean and sd of trajectory observables, keyed by (t, name)."""
-    from .engine import observe
-
     acc: Dict[Tuple[int, str], List[float]] = {}
     for traj in trajs:
         for rec in observe(traj, observables, times=times):
             acc.setdefault((rec["t"], rec["observable"]), []).append(rec["value"])
-    out = {}
-    for key, vals in acc.items():
-        arr = np.asarray(vals)
-        out[key] = {"mean": float(arr.mean()), "std": float(arr.std(ddof=1)) if len(arr) > 1 else 0.0,
-                    "n": len(arr)}
-    return out
+    return {key: summarize(vals) for key, vals in acc.items()}
 
 
 def compare(amp_stats: Mapping[Tuple[int, str], dict],
-            se_stats: Mapping[Tuple[int, str], dict]) -> List[dict]:
-    """Match iteration statistics against the Gaussian-limit prediction.
+            se_stats: Mapping[Tuple[int, str], dict], rel_tol: float = 0.05,
+            z_tol: float = 4.0, atol: float = 1e-6) -> List[dict]:
+    """Gate iteration statistics against the prediction.
 
-    One record per shared (t, observable): means, sds, relative error
-    against the prediction, and the z-score under the combined standard
-    error.  Records are sorted by (t, observable).
+    amp_stats values carry mean, std, n and sem (see summarize);
+    se_stats values carry mean and sem.  One record per shared
+    (t, name), sorted, in the columns of compare.csv: the relative
+    error against the prediction, the z-score under the combined
+    standard error (inf when that is 0), and pass when either is within
+    its tolerance or both means are within atol of zero.
     """
     records = []
     for key in sorted(set(amp_stats) & set(se_stats)):
         t, name = key
         a, s = amp_stats[key], se_stats[key]
-        diff = a["mean"] - s["mean"]
-        sem2 = 0.0
-        if a["n"] > 1:
-            sem2 += a["std"] ** 2 / a["n"]
-        if s["n"] > 1:
-            sem2 += s["std"] ** 2 / s["n"]
-        if sem2 > 0:
-            z = abs(diff) / math.sqrt(sem2)
-        else:
-            z = 0.0 if diff == 0 else math.inf
-        denom = max(abs(s["mean"]), 1e-12)
+        diff = abs(a["mean"] - s["mean"])
+        rel = diff / max(abs(s["mean"]), 1e-12)
+        denom = np.hypot(a["sem"], s["sem"])
+        z = diff / denom if denom > 0 else np.inf
+        # both sides indistinguishable from zero: degenerate scale, pass
+        ok = (rel <= rel_tol) or (z <= z_tol) or (
+            abs(a["mean"]) <= atol and abs(s["mean"]) <= atol)
         records.append({
-            "t": t, "observable": name,
-            "amp_mean": a["mean"], "amp_std": a["std"], "amp_n": a["n"],
-            "se_mean": s["mean"], "se_std": s["std"], "se_n": s["n"],
-            "rel_err": abs(diff) / denom, "z": z,
+            "t": t, "name": name,
+            "amp_mean": a["mean"], "amp_std": a["std"], "n_seeds": a["n"],
+            "se_value": s["mean"], "se_stderr": s["sem"],
+            "rel_err": rel, "z": z, "pass": int(ok),
         })
     return records

@@ -26,7 +26,6 @@ from graphamp.gamp_se import GlmScalars
 from graphamp.graphs import EdgeId
 from graphamp.models import GmmSpatialModel, MultilayerModel, SpikedModel
 from graphamp.models.committee import AffineMix
-from graphamp.models.covariance import CovariancePenaltyProx
 from graphamp.models.glm import LossResidual, PenaltyProx
 from graphamp.models.gmm import (OneHotResidual, StackPenaltyProx, accuracy,
                                  build_gmm_spatial_instance, gmm_weights,
@@ -354,12 +353,6 @@ def _nonlinearity_catalog(rng):
            lambda: ([smooth(2)],
                     SideData(arrays={"Y": np.eye(2)[rng.integers(0, 2, n)]}),
                     0))
-
-    q, _ = np.linalg.qr(rng.normal(size=(40, 40)))
-    yield ("covariance_penalty_prox",
-           CovariancePenaltyProx(rng.uniform(0.5, 2.0, size=40), q,
-                                 lam=1.1, alpha=0.8),
-           lambda: ([rng.normal(size=(40, 1))], None, 0))
 
 
 def test_criterion_06_onsager_fd_all_nonlinearities():

@@ -5,7 +5,9 @@ import sys
 
 import pytest
 
+from graphamp import cli
 from graphamp.cli import main
+from graphamp.config import MODEL_KINDS
 
 from helpers import read_report_csv
 
@@ -171,3 +173,45 @@ def test_module_entry_point_runs(tmp_path):
         capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert "comparisons" in proc.stdout
+
+
+GLM_TINY = {"d": 60, "aspect": 0.5, "lam": 1.0}
+TINY_MODELS = {
+    "lasso": GLM_TINY,
+    "ridge": GLM_TINY,
+    "logistic": GLM_TINY,
+    "multilayer": {"d0": 60, "dims": [50, 40],
+                   "activations": ["linear", "relu"]},
+    "spiked": {"N": 80, "lam": 2.5},
+    "gmm_spatial": {"K": 2, "d": 30, "n_per_cluster": 20, "coupling": 0.3},
+    "committee": {"d": 60, "n": 60},
+}
+
+
+def test_kind_table_covers_the_config_schema():
+    assert set(cli.KINDS) == set(MODEL_KINDS)
+
+
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_every_model_kind_runs(tmp_path, kind):
+    cfg = _write(tmp_path, {"model": {"kind": kind, **TINY_MODELS[kind]},
+                            "T": 3, "amp_seeds": [0, 1], "se_samples": 100,
+                            "master_seed": 1})
+    out = tmp_path / "o"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 0
+    _, rows = read_report_csv(out / "compare.csv")
+    assert rows
+
+
+def test_spiked_generative_prior_has_no_scalar_se_gate(tmp_path, capsys):
+    # the scalar recursion is the depth-0 one; comparing a depth-1 run
+    # against it would put every row outside its gate
+    cfg = _write(tmp_path, {"model": {"kind": "spiked", "N": 120, "lam": 2.5,
+                                      "gen_dims": [60]},
+                            "T": 4, "amp_seeds": [0, 1]})
+    for command in ("run", "se-only"):
+        assert main([command, "--config", cfg,
+                     "--out", str(tmp_path / command)]) == 2
+        assert "model.gen_dims" in capsys.readouterr().err
+    assert main(["embed-verify", "--config", cfg,
+                 "--out", str(tmp_path / "e")]) == 0

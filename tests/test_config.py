@@ -146,3 +146,11 @@ def test_defaults_match_documented_values():
     assert cfg.quadrature == "gh"
     assert cfg.observables == ("norm_sq", "mse", "overlap")
     assert cfg.workers is None
+
+
+def test_unread_multilayer_signal_weight_is_rejected():
+    raw = {"model": {"kind": "multilayer", "d0": 10, "dims": [8, 6],
+                     "activations": ["linear", "relu"],
+                     "signal_weight": 123.0}, "T": 2}
+    with pytest.raises(ConfigError, match="model.signal_weight: unknown key"):
+        loads(json.dumps(raw))

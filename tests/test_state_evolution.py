@@ -3,13 +3,15 @@ import sys
 import tracemalloc
 
 import numpy as np
+import pytest
 
 from graphamp import CommitteeModel, GraphInstance, build_committee_instance
 from graphamp.engine import run, stationary_provider
 from graphamp.graphs import EdgeId, single_loop
 from graphamp.nonlinearity import Entrywise, FromCallable, Identity, Zero, relu
 from graphamp.state_evolution import (amp_observable_stats, compare,
-                                      mc_observable_stats, se_run, se_step)
+                                      mc_observable_stats, se_run, se_step,
+                                      summarize)
 from graphamp.engine import norm_sq_observable
 from graphamp.ensembles import sample_goe, stream
 
@@ -94,6 +96,24 @@ def test_compare_merges_amp_and_se_statistics():
     assert len(recs) == 3
     for r in recs:
         assert r["z"] < 6.0
+
+
+def test_compare_passes_on_rel_z_or_atol():
+    amp = {(1, "off"): summarize([1.0, 1.2]),     # sem 0.1
+           (1, "by_z"): summarize([1.0, 1.2]),
+           (1, "by_rel"): summarize([5.0]),       # sem 0
+           (1, "by_atol"): summarize([1e-8])}
+    se = {(1, "off"): {"mean": 2.0, "sem": 0.0},
+          (1, "by_z"): {"mean": 1.3, "sem": 0.0},
+          (1, "by_rel"): {"mean": 5.1, "sem": 0.0},
+          (1, "by_atol"): {"mean": 0.0, "sem": 0.0}}
+    recs = {r["name"]: r for r in compare(amp, se, rel_tol=0.05, z_tol=4.0,
+                                          atol=1e-6)}
+    assert {k: r["pass"] for k, r in recs.items()} == {
+        "off": 0, "by_z": 1, "by_rel": 1, "by_atol": 1}
+    assert recs["by_z"]["z"] == pytest.approx(2.0)
+    assert recs["by_rel"]["z"] == np.inf
+    assert recs["off"]["rel_err"] == pytest.approx(0.45)
 
 
 def test_kernels_do_not_depend_on_worker_count():
