@@ -31,7 +31,7 @@ from .state_evolution import (SECovariances, amp_observable_stats, compare,
 from .gamp_se import (Channel, GampSePoint, GaussBernoulliPrior,
                       GaussianPrior, GlmScalars, LinearGaussianChannel,
                       LogisticChannel, Prior, QuadSpec, RademacherPrior,
-                      SignChannel, gamp_overlap_se, make_channel)
+                      gamp_overlap_se, make_channel)
 from .checks import (CheckReport, goe_projection_checks, onsager_fd_check,
                      opnorm_check, stein_check)
 from .config import ExperimentConfig, load, loads
@@ -66,8 +66,7 @@ __all__ = [
     "mc_observable_stats", "se_run",
     "Channel", "GampSePoint", "GaussBernoulliPrior", "GaussianPrior",
     "GlmScalars", "LinearGaussianChannel", "LogisticChannel", "Prior",
-    "QuadSpec", "RademacherPrior", "SignChannel", "gamp_overlap_se",
-    "make_channel",
+    "QuadSpec", "RademacherPrior", "gamp_overlap_se", "make_channel",
     "CheckReport", "goe_projection_checks", "onsager_fd_check",
     "opnorm_check", "stein_check",
     "ExperimentConfig", "load", "loads",

@@ -169,6 +169,14 @@ def _spiked_se_rows(cfg, model, workers) -> List[Tuple[int, str, float, float]]:
                                                      pt.second_moment())]
 
 
+def _multilayer_se_rows(cfg, model, workers) -> List[Tuple[int, str, float, float]]:
+    if model.L == 1:
+        raise ConfigError("model.dims: a one-layer pipeline runs as an "
+                          "adaptive-scale regression, which the generic SE "
+                          "recursion does not cover; embed-verify still runs it")
+    return _generic_se_rows(cfg, model, workers)
+
+
 def _generic_se_rows(cfg, model, workers) -> List[Tuple[int, str, float, float]]:
     instance, _ = _kind(cfg).build(model, cfg.model, cfg.amp_seeds[0])
     T = _graph_T(cfg)
@@ -263,7 +271,7 @@ KINDS: Dict[str, Kind] = {k.name: k for k in (
              m["dims"], m["activations"])),
          lambda model, m, seed: build_multilayer_instance(
              model, seed=seed, planted=m.get("planted", False)),
-         _generic_rows, _generic_se_rows),
+         _generic_rows, _multilayer_se_rows),
     Kind("spiked", _spiked_model,
          lambda model, m, seed: build_spiked_instance(model, seed=seed),
          _spiked_rows, _spiked_se_rows),

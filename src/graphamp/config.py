@@ -12,7 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Tuple
 
 from .errors import ConfigError
 
@@ -27,7 +27,6 @@ _TOP_KEYS = {
     "out": str,
     "tolerances": dict,
     "master_seed": int,
-    "workers": (int, type(None)),
 }
 _TOP_REQUIRED = ("model", "T")
 
@@ -82,7 +81,6 @@ class ExperimentConfig:
     tolerances: Dict[str, float] = field(default_factory=lambda: {
         "rel": 0.05, "z": 4.0, "embed": 1e-10, "atol": 1e-4})
     master_seed: int = 0
-    workers: Optional[int] = None
 
     @property
     def kind(self) -> str:
@@ -100,7 +98,6 @@ class ExperimentConfig:
             "out": self.out,
             "tolerances": self.tolerances,
             "master_seed": self.master_seed,
-            "workers": self.workers,
         }
         return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
@@ -198,9 +195,6 @@ def validate(raw: Dict[str, Any]) -> ExperimentConfig:
     for name, floor in (("se_samples", 1), ("se_chunk", 1)):
         if checked.get(name, floor) < floor:
             raise ConfigError(f"{name}: must be >= {floor}")
-    workers = checked.get("workers")
-    if workers is not None and workers < 1:
-        raise ConfigError("workers: must be >= 1 when given")
 
     for key in ("d", "d0", "N", "n", "K", "n_per_cluster"):
         if key in model and model[key] < 1:
@@ -217,7 +211,6 @@ def validate(raw: Dict[str, Any]) -> ExperimentConfig:
         out=checked.get("out", "results"),
         tolerances=tols,
         master_seed=checked.get("master_seed", 0),
-        workers=workers,
     )
 
 

@@ -95,7 +95,7 @@ class EmbeddedNonlinearity(Nonlinearity):
             M[lay.row_slices[e.reversed()], lay.col_slices[e]] = self._scale[e] * m
         return M
 
-    def jacobian_trace(self, inputs, side=None, wrt=0, notes=None):
+    def jacobian_trace(self, inputs, side=None, wrt=0):
         (X,) = inputs
         lay = self.layout
         g = self.source.graph
@@ -106,7 +106,6 @@ class EmbeddedNonlinearity(Nonlinearity):
                 self._edge_inputs(X, e),
                 side=self.source.side_data(e),
                 wrt=reversed_input_index(g, e),
-                notes=notes,
             )
             B[lay.col_slices[e], lay.col_slices[e.reversed()]] = self._scale[e] * np.atleast_2d(J)
         return B

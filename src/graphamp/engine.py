@@ -109,9 +109,6 @@ class AmpTrajectory:
         e = next(iter(self.x))
         return len(self.x[e]) - 1
 
-    def last_x(self, e: EdgeId) -> np.ndarray:
-        return self.x[e][-1]
-
 
 def init(instance: GraphInstance, allow_degenerate: bool = False) -> AmpTrajectory:
     """Trajectory holding x^0 (zeros where not supplied)."""

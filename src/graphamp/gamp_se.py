@@ -198,19 +198,6 @@ class LinearGaussianChannel(Channel):
 
 
 @dataclass(frozen=True)
-class SignChannel(Channel):
-    """y = sign(z), with sign(0) = +1."""
-
-    def sample(self, z, rng):
-        return np.where(np.asarray(z) >= 0, 1.0, -1.0)
-
-    def cond_points(self, z, nodes):
-        z = np.asarray(z, dtype=float)
-        y = np.where(z >= 0, 1.0, -1.0)[..., None]
-        return y, np.ones(z.shape + (1,))
-
-
-@dataclass(frozen=True)
 class LogisticChannel(Channel):
     """y = +1 with probability sigmoid(z), else -1."""
 
@@ -229,10 +216,8 @@ class LogisticChannel(Channel):
 
 
 def make_channel(kind: str, sigma: float = 0.0) -> Channel:
-    if kind in ("linear", "linear_gaussian"):
+    if kind == "linear":
         return LinearGaussianChannel(sigma=sigma)
-    if kind == "sign":
-        return SignChannel()
     if kind == "logistic":
         return LogisticChannel()
     raise ValueError(f"unknown channel {kind!r}")
@@ -395,11 +380,16 @@ def gamp_overlap_se(prior: Prior, channel: Channel, scalars: GlmScalars, delta: 
     if rho <= 0:
         raise ValueError("prior second moment must be positive")
 
-    e_sh, e_h2, e_dh = _v_expectations(channel, scalars, 0.0, 0.0, rho, beta0, quad)
+    try:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            e_sh, e_h2, e_dh = _v_expectations(channel, scalars, 0.0, 0.0, rho, beta0, quad)
+    except ZeroDivisionError:
+        e_dh = math.nan
     d = delta * e_dh
-    if abs(d) < 1e-14:
-        raise NumericalError("init stage has vanishing average derivative; "
-                             "cannot set the estimation step size")
+    if not math.isfinite(d) or abs(d) < 1e-14:
+        raise NumericalError(f"init stage has a vanishing or undefined average "
+                             f"derivative at beta0 = {beta0}; cannot set the "
+                             "estimation step size")
     points = [GampSePoint(t=0, beta=beta0, d=d)]
     nu = (delta / math.sqrt(rho)) * e_sh
     kappa2 = delta * e_h2

@@ -54,7 +54,7 @@ class AffineMix(Nonlinearity):
         Y = side.array("Y")
         return (Y - inputs[0]) @ self.C
 
-    def jacobian_trace(self, inputs, side=None, wrt=0, notes=None):
+    def jacobian_trace(self, inputs, side=None, wrt=0):
         n = inputs[0].shape[0]
         return -n * self.C.T
 

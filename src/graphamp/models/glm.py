@@ -22,7 +22,7 @@ scalar overlap recursion (gamp_overlap_se) predicts the observables.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List
 
 import numpy as np
@@ -81,7 +81,7 @@ class PenaltyProx(Nonlinearity):
         (u,) = inputs
         return self.scalars.e_apply(u, self.alpha)
 
-    def jacobian_trace(self, inputs, side=None, wrt=0, notes=None):
+    def jacobian_trace(self, inputs, side=None, wrt=0):
         (u,) = inputs
         return np.array([[float(np.sum(self.scalars.e_deriv(u, self.alpha)))]])
 
@@ -102,10 +102,28 @@ class LossResidual(Nonlinearity):
         y = side.array("y").reshape(v.shape)
         return self.scalars.h_apply(v, y, self.beta)
 
-    def jacobian_trace(self, inputs, side=None, wrt=0, notes=None):
+    def jacobian_trace(self, inputs, side=None, wrt=0):
         (v,) = inputs
         y = side.array("y").reshape(v.shape)
         return np.array([[float(np.sum(self.scalars.h_deriv(v, y, self.beta)))]])
+
+
+class ObservationResidual(Nonlinearity):
+    """Observation-side map V -> (Y - V) / (1 + beta), columnwise, with
+    Y taken from side data "y"; the Jacobian sum is -n / (1 + beta) I."""
+
+    def __init__(self, beta: float):
+        self.beta = float(beta)
+        self.arity = 1
+        self.row_local = True
+
+    def apply(self, inputs, side=None):
+        y = side.array("y").reshape(inputs[0].shape)
+        return (y - inputs[0]) / (1.0 + self.beta)
+
+    def jacobian_trace(self, inputs, side=None, wrt=0):
+        n, q = inputs[0].shape
+        return (-n / (1.0 + self.beta)) * np.eye(q)
 
 
 def forward_edge() -> EdgeId:

@@ -36,7 +36,7 @@ from ..engine import AmpTrajectory, GraphInstance
 from ..ensembles import normals, sample_spatially_coupled, spectral_inv_sqrt, spectral_sqrt, stream
 from ..graphs import EdgeId, GraphSpec
 from ..nonlinearity import Nonlinearity, SideData
-from .glm import signal_half_iterates, two_phase_provider
+from .glm import ObservationResidual, signal_half_iterates, two_phase_provider
 
 
 @dataclass(frozen=True)
@@ -145,7 +145,7 @@ class StackPenaltyProx(Nonlinearity):
         _, out = self._solve(inputs[0])
         return out
 
-    def jacobian_trace(self, inputs, side=None, wrt=0, notes=None):
+    def jacobian_trace(self, inputs, side=None, wrt=0):
         K = self.model.K
         Ginv = np.linalg.inv(self._G)
         tr = sum(float(np.trace(self.covs[k] @ Ginv)) for k in range(K))
@@ -154,23 +154,6 @@ class StackPenaltyProx(Nonlinearity):
     def weights(self, U) -> np.ndarray:
         W, _ = self._solve(U)
         return W
-
-
-class OneHotResidual(Nonlinearity):
-    """Observation-side map (Y - V) / (1 + beta), columnwise."""
-
-    def __init__(self, beta: float):
-        self.beta = float(beta)
-        self.arity = 1
-        self.row_local = True
-
-    def apply(self, inputs, side=None):
-        Y = side.array("Y")
-        return (Y - inputs[0]) / (1.0 + self.beta)
-
-    def jacobian_trace(self, inputs, side=None, wrt=0, notes=None):
-        n, K = inputs[0].shape
-        return (-n / (1.0 + self.beta)) * np.eye(K)
 
 
 def build_gmm_spatial_instance(model: GmmSpatialModel, seed: int = 0):
@@ -192,8 +175,8 @@ def build_gmm_spatial_instance(model: GmmSpatialModel, seed: int = 0):
         provider=two_phase_provider(
             fwd, model.K,
             lambda alpha: StackPenaltyProx(model, data.covs, data.cov_sqrts, alpha),
-            OneHotResidual, model.beta0),
-        side={bwd: SideData(arrays={"Y": data.Y})},
+            ObservationResidual, model.beta0),
+        side={bwd: SideData(arrays={"y": data.Y})},
         scale_base={fwd: float(model.d)},
         meta={"name": "gmm_spatial", "seed": seed, "model": model},
     )

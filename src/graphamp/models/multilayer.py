@@ -32,17 +32,20 @@ from ..ensembles import sample_iid, stream
 from ..gamp_se import GlmScalars, Prior, GaussBernoulliPrior, make_channel
 from ..graphs import EdgeId, edges_into, line_graph
 from ..nonlinearity import Nonlinearity, SideData
-from ..prox import ProxSpec, prox, prox_deriv
+from ..prox import ProxSpec
 from . import glm as glm_mod
+from .glm import ObservationResidual, PenaltyProx
 
 
-def _activation(kind: str):
+def _activation(kind: str, theta: float = 1.0):
+    """(phi, phi') of the named map x -> kind(theta x)."""
     if kind == "linear":
-        return (lambda x: x), (lambda x: np.ones_like(x))
+        return (lambda x: theta * x), (lambda x: np.full_like(x, theta))
     if kind == "relu":
-        return (lambda x: np.maximum(x, 0.0)), (lambda x: (x > 0).astype(float))
+        return (lambda x: np.maximum(theta * x, 0.0)), (lambda x: theta * (theta * x > 0))
     if kind == "tanh":
-        return np.tanh, (lambda x: 1.0 - np.tanh(x) ** 2)
+        return (lambda x: np.tanh(theta * x),
+                lambda x: theta * (1.0 - np.tanh(theta * x) ** 2))
     raise ValueError(f"unknown activation {kind!r}")
 
 
@@ -84,70 +87,39 @@ class MultilayerModel:
 
 
 class InteriorMessage(Nonlinearity):
-    """Message out of an interior node: combines the below/above fields
-    and emits either the downward residual or the upward activation."""
+    """Message out of a node with two incoming fields: combines them as
+    zhat = w_below x_below + w_above x_above and emits either the
+    residual scale (zhat - x_below) ("down") or scale phi(zhat) ("up",
+    with act = (phi, phi')).  Interior nodes of the multilayer and
+    generative chains use it, and so does the spiked loop node."""
 
-    def __init__(self, model: MultilayerModel, activation: str, direction: str,
-                 below_index: int, above_index: int):
-        act, dact = _activation(activation)
-        self.act, self.dact = act, dact
-        self.model = model
+    def __init__(self, direction: str, below_index: int, above_index: int,
+                 w_below: float, w_above: float, scale: float = 1.0, act=None):
         self.direction = direction
         self.below = below_index
         self.above = above_index
+        self.w_below, self.w_above, self.scale = w_below, w_above, scale
+        self.act, self.dact = act or (None, None)
         self.arity = 2
         self.out_cols = 1
         self.row_local = True
 
     def _zhat(self, inputs):
-        return self.model.w_a * inputs[self.below] + self.model.w_b * inputs[self.above]
+        return self.w_below * inputs[self.below] + self.w_above * inputs[self.above]
 
     def apply(self, inputs, side=None):
         z = self._zhat(inputs)
         if self.direction == "down":
-            return self.model.w_h * (z - inputs[self.below])
-        return self.model.w_e * self.act(z)
+            return self.scale * (z - inputs[self.below])
+        return self.scale * self.act(z)
 
-    def jacobian_trace(self, inputs, side=None, wrt=0, notes=None):
+    def jacobian_trace(self, inputs, side=None, wrt=0):
         z = self._zhat(inputs)
-        w = self.model.w_a if wrt == self.below else self.model.w_b
+        w = self.w_below if wrt == self.below else self.w_above
         if self.direction == "down":
             s = w - (1.0 if wrt == self.below else 0.0)
-            return np.array([[self.model.w_h * s * inputs[0].shape[0]]])
-        return np.array([[self.model.w_e * w * float(np.sum(self.dact(z)))]])
-
-
-class SignalProx(Nonlinearity):
-    """End-node denoiser on the signal side: fixed-scale penalty prox."""
-
-    def __init__(self, spec: ProxSpec):
-        self.spec = spec
-        self.arity = 1
-        self.out_cols = 1
-        self.row_local = True
-
-    def apply(self, inputs, side=None):
-        return prox(self.spec, inputs[0])
-
-    def jacobian_trace(self, inputs, side=None, wrt=0, notes=None):
-        return np.array([[float(np.sum(prox_deriv(self.spec, inputs[0])))]])
-
-
-class ObservationResidual(Nonlinearity):
-    """End-node map on the observation side: (y - v) / (1 + beta)."""
-
-    def __init__(self, beta: float):
-        self.beta = float(beta)
-        self.arity = 1
-        self.out_cols = 1
-        self.row_local = True
-
-    def apply(self, inputs, side=None):
-        y = side.array("y").reshape(inputs[0].shape)
-        return (y - inputs[0]) / (1.0 + self.beta)
-
-    def jacobian_trace(self, inputs, side=None, wrt=0, notes=None):
-        return np.array([[-inputs[0].shape[0] / (1.0 + self.beta)]])
+            return np.array([[self.scale * s * inputs[0].shape[0]]])
+        return np.array([[self.scale * w * float(np.sum(self.dact(z)))]])
 
 
 def sample_pipeline(model: MultilayerModel, mats: Dict[int, np.ndarray],
@@ -202,16 +174,18 @@ def build_multilayer_instance(model: MultilayerModel, seed: int = 0,
 
     up = [EdgeId(names[l - 1], names[l]) for l in range(1, model.L + 1)]
     fns: Dict[EdgeId, Nonlinearity] = {}
-    fns[up[0]] = SignalProx(model.signal_prox)
+    fns[up[0]] = PenaltyProx(GlmScalars(penalty=model.signal_prox), 1.0)
     fns[up[-1].reversed()] = ObservationResidual(model.obs_beta)
     for l in range(1, model.L):
         # both out-edges of z_l read the same inputs (edges ending at z_l)
         below_edge, above_edge = up[l - 1], up[l].reversed()
         ins = edges_into(g, up[l])
         bi, ai = ins.index(below_edge), ins.index(above_edge)
-        act = model.layers[l - 1].activation
-        fns[below_edge.reversed()] = InteriorMessage(model, act, "down", bi, ai)
-        fns[up[l]] = InteriorMessage(model, act, "up", bi, ai)
+        act = _activation(model.layers[l - 1].activation)
+        fns[below_edge.reversed()] = InteriorMessage(
+            "down", bi, ai, model.w_a, model.w_b, model.w_h)
+        fns[up[l]] = InteriorMessage("up", bi, ai, model.w_a, model.w_b,
+                                     model.w_e, act)
 
     instance = GraphInstance(
         graph=g,

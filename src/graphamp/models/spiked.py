@@ -35,7 +35,7 @@ from ..errors import NumericalError
 from ..gamp_se import Prior, RademacherPrior, gh_points
 from ..graphs import EdgeId, GraphSpec, edges_into
 from ..nonlinearity import Entrywise, Nonlinearity
-from .multilayer import _activation
+from .multilayer import InteriorMessage, _activation
 
 
 @dataclass(frozen=True)
@@ -53,43 +53,6 @@ class SpikedModel:
     @property
     def depth(self) -> int:
         return len(self.gen_dims)
-
-
-def _denoiser_pair(kind: str, theta: float):
-    if kind == "tanh":
-        return (lambda x: np.tanh(theta * x),
-                lambda x: theta * (1.0 - np.tanh(theta * x) ** 2))
-    if kind == "linear":
-        return (lambda x: theta * x, lambda x: np.full_like(x, theta))
-    raise ValueError(f"unknown denoiser {kind!r}")
-
-
-class LoopCombine(Nonlinearity):
-    """Loop-node output when a generative chain is attached: mixes the
-    loop field with the chain field before the entrywise denoiser."""
-
-    def __init__(self, model: SpikedModel, loop_index: int, chain_index: int,
-                 emit: str):
-        self.f, self.df = _denoiser_pair(model.denoiser, model.theta)
-        self.w = model.w_mix
-        self.loop_i = loop_index
-        self.chain_i = chain_index
-        self.emit = emit
-        self.arity = 2
-        self.out_cols = 1
-        self.row_local = True
-
-    def _field(self, inputs):
-        return (1.0 - self.w) * inputs[self.loop_i] + self.w * inputs[self.chain_i]
-
-    def apply(self, inputs, side=None):
-        z = self._field(inputs)
-        return self.f(z)
-
-    def jacobian_trace(self, inputs, side=None, wrt=0, notes=None):
-        z = self._field(inputs)
-        w = (1.0 - self.w) if wrt == self.loop_i else self.w
-        return np.array([[w * float(np.sum(self.df(z)))]])
 
 
 def build_spiked_instance(model: SpikedModel, seed: int = 0):
@@ -117,7 +80,7 @@ def build_spiked_instance(model: SpikedModel, seed: int = 0):
     # keep the loop matrix exactly symmetric against rounding
     Y = 0.5 * (Y + Y.T)
 
-    f, df = _denoiser_pair(model.denoiser, model.theta)
+    denoiser = _activation(model.denoiser, model.theta)
     loop = EdgeId("spike", "spike")
 
     if model.depth == 0:
@@ -127,7 +90,7 @@ def build_spiked_instance(model: SpikedModel, seed: int = 0):
         inst = GraphInstance(
             graph=g,
             matrices={loop: Y},
-            provider=stationary_provider({loop: Entrywise(f, df)}),
+            provider=stationary_provider({loop: Entrywise(*denoiser)}),
             x0={loop: model.init_overlap * v0.reshape(-1, 1)},
             meta={"name": "spiked", "depth": 0, "lam": lam, "seed": seed,
                   "se_mode": "spiked_scalar"},
@@ -156,16 +119,17 @@ def build_spiked_instance(model: SpikedModel, seed: int = 0):
     ins_at_spike = edges_into(g, loop)
     li = ins_at_spike.index(loop)
     ci = ins_at_spike.index(top_up)
-    fns[loop] = LoopCombine(model, li, ci, emit="loop")
-    fns[top_up.reversed()] = LoopCombine(model, li, ci, emit="down")
-    gact, dgact = _activation(model.gen_activation)
+    # the loop node mixes the loop field with the chain field before
+    # the denoiser, and sends the same output both ways
+    fns[loop] = fns[top_up.reversed()] = InteriorMessage(
+        "up", li, ci, 1.0 - model.w_mix, model.w_mix, 1.0, denoiser)
+    gact = _activation(model.gen_activation)
     for i in range(1, len(names) - 1):
         up_e = EdgeId(names[i - 1], names[i])
-        below = up_e
-        above = EdgeId(names[i + 1], names[i])
         ins = edges_into(g, EdgeId(names[i], names[i + 1]))
-        fns[EdgeId(names[i], names[i + 1])] = _ChainUp(gact, dgact, ins.index(below), ins.index(above))
-        fns[up_e.reversed()] = _ChainDown(ins.index(below), ins.index(above))
+        bi, ai = ins.index(up_e), ins.index(EdgeId(names[i + 1], names[i]))
+        fns[EdgeId(names[i], names[i + 1])] = InteriorMessage("up", bi, ai, 0.5, 0.5, 1.0, gact)
+        fns[up_e.reversed()] = InteriorMessage("down", bi, ai, 0.5, 0.5)
     fns[EdgeId(names[0], names[1])] = Entrywise(np.tanh, lambda x: 1.0 - np.tanh(x) ** 2)
 
     inst = GraphInstance(
@@ -177,43 +141,6 @@ def build_spiked_instance(model: SpikedModel, seed: int = 0):
         meta={"name": "spiked", "depth": model.depth, "lam": lam, "seed": seed},
     )
     return inst, v0
-
-
-class _ChainUp(Nonlinearity):
-    """Interior generative-chain message toward the spike: activation of
-    the mixed local field."""
-
-    def __init__(self, act, dact, below_i, above_i):
-        self.act, self.dact = act, dact
-        self.bi, self.ai = below_i, above_i
-        self.arity = 2
-        self.out_cols = 1
-        self.row_local = True
-
-    def apply(self, inputs, side=None):
-        return self.act(0.5 * (inputs[self.bi] + inputs[self.ai]))
-
-    def jacobian_trace(self, inputs, side=None, wrt=0, notes=None):
-        z = 0.5 * (inputs[self.bi] + inputs[self.ai])
-        return np.array([[0.5 * float(np.sum(self.dact(z)))]])
-
-
-class _ChainDown(Nonlinearity):
-    """Interior generative-chain residual message away from the spike."""
-
-    def __init__(self, below_i, above_i):
-        self.bi, self.ai = below_i, above_i
-        self.arity = 2
-        self.out_cols = 1
-        self.row_local = True
-
-    def apply(self, inputs, side=None):
-        return 0.5 * (inputs[self.ai] - inputs[self.bi])
-
-    def jacobian_trace(self, inputs, side=None, wrt=0, notes=None):
-        n = inputs[0].shape[0]
-        s = -0.5 if wrt == self.bi else 0.5
-        return np.array([[s * n]])
 
 
 @dataclass
@@ -241,7 +168,7 @@ def spiked_scalar_se(model: SpikedModel, T: int, mu0: Optional[float] = None,
         raise NumericalError("spike prior must have unit second moment")
     if mu0 is None:
         mu0 = model.init_overlap
-    f, _ = _denoiser_pair(model.denoiser, model.theta)
+    f, _ = _activation(model.denoiser, model.theta)
     v, wv = model.prior.quad_points(nodes)
     gz, wg = gh_points(nodes)
     sl = math.sqrt(model.lam)

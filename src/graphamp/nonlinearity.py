@@ -21,16 +21,12 @@ FD_STEP = float(np.cbrt(np.finfo(float).eps))
 
 @dataclass(frozen=True)
 class SideData:
-    """Named arrays/scalars attached to an edge's update function."""
+    """Named arrays attached to an edge's update function."""
 
     arrays: Mapping[str, np.ndarray] = field(default_factory=dict)
-    scalars: Mapping[str, float] = field(default_factory=dict)
 
     def array(self, name):
         return self.arrays[name]
-
-    def scalar(self, name):
-        return self.scalars[name]
 
 
 class Nonlinearity:
@@ -41,15 +37,14 @@ class Nonlinearity:
 
     arity: int = 1
     out_cols: int = 1
-    order_k: int = 1
     # True when output row i depends only on row i of every input block.
     row_local: bool = False
 
     def apply(self, inputs: Sequence[np.ndarray], side: Optional[SideData] = None) -> np.ndarray:
         raise NotImplementedError
 
-    def jacobian_trace(self, inputs, side=None, wrt: int = 0, notes=None) -> np.ndarray:
-        return fd_jacobian_trace(self, inputs, side=side, wrt=wrt, notes=notes)
+    def jacobian_trace(self, inputs, side=None, wrt: int = 0) -> np.ndarray:
+        return fd_jacobian_trace(self, inputs, side=side, wrt=wrt)
 
     def check_inputs(self, inputs):
         if len(inputs) != self.arity:
@@ -59,19 +54,12 @@ class Nonlinearity:
             raise ShapeError(f"{type(self).__name__}: input row counts differ: {sorted(rows)}")
 
 
-def fd_jacobian_trace(f: Nonlinearity, inputs, side=None, wrt=0, notes=None) -> np.ndarray:
-    """Central-difference Jacobian trace, step h = cbrt(eps) * (1 + |x|).
-
-    Appends a note per column where the two one-sided slopes disagree
-    (likely kink straddle; the returned value is then a subgradient
-    choice, not a derivative).
-    """
+def fd_jacobian_trace(f: Nonlinearity, inputs, side=None, wrt=0) -> np.ndarray:
+    """Central-difference Jacobian trace, step h = cbrt(eps) * (1 + |x|)."""
     inputs = [np.asarray(x, dtype=float) for x in inputs]
     X = inputs[wrt]
     n, qw = X.shape
-    f0 = f.apply(inputs, side)
-    qo = f0.shape[1]
-    B = np.zeros((qo, qw))
+    B = np.zeros((f.apply(inputs, side).shape[1], qw))
 
     def eval_with(Xmod):
         mod = list(inputs)
@@ -89,13 +77,6 @@ def fd_jacobian_trace(f: Nonlinearity, inputs, side=None, wrt=0, notes=None) -> 
             fm = eval_with(Xm)
             inv2h = 1.0 / (2.0 * h)
             B[:, c] = ((fp - fm) * inv2h[:, None]).sum(axis=0)
-            if notes is not None:
-                sp = (fp - f0) * (1.0 / h)[:, None]
-                sm = (f0 - fm) * (1.0 / h)[:, None]
-                gap = np.abs(sp - sm).max()
-                scale = np.abs(sp).max() + np.abs(sm).max() + 1e-9
-                if gap > 0.5 * scale:
-                    notes.append(f"possible kink straddle in wrt block, column {c}")
         else:
             for i in range(n):
                 hi = h[i]
@@ -106,13 +87,6 @@ def fd_jacobian_trace(f: Nonlinearity, inputs, side=None, wrt=0, notes=None) -> 
                 fp = eval_with(Xp)
                 fm = eval_with(Xm)
                 B[:, c] += (fp[i, :] - fm[i, :]) / (2.0 * hi)
-                if notes is not None:
-                    sp = (fp[i, :] - f0[i, :]) / hi
-                    sm = (f0[i, :] - fm[i, :]) / hi
-                    gap = np.abs(sp - sm).max()
-                    scale = np.abs(sp).max() + np.abs(sm).max() + 1e-9
-                    if gap > 0.5 * scale:
-                        notes.append(f"possible kink straddle at row {i}, column {c}")
     return B
 
 
@@ -126,7 +100,7 @@ class Identity(Nonlinearity):
         self.check_inputs(inputs)
         return np.array(inputs[0], dtype=float, copy=True)
 
-    def jacobian_trace(self, inputs, side=None, wrt=0, notes=None):
+    def jacobian_trace(self, inputs, side=None, wrt=0):
         n, q = inputs[0].shape
         return float(n) * np.eye(q)
 
@@ -144,7 +118,7 @@ class Zero(Nonlinearity):
         self.check_inputs(inputs)
         return np.zeros((inputs[0].shape[0], self.out_cols))
 
-    def jacobian_trace(self, inputs, side=None, wrt=0, notes=None):
+    def jacobian_trace(self, inputs, side=None, wrt=0):
         return np.zeros((self.out_cols, inputs[wrt].shape[1]))
 
 
@@ -153,17 +127,15 @@ class Entrywise(Nonlinearity):
 
     row_local = True
 
-    def __init__(self, phi: Callable, dphi: Callable, order_k: int = 1, name: str = "entrywise"):
+    def __init__(self, phi: Callable, dphi: Callable):
         self.phi = phi
         self.dphi = dphi
-        self.order_k = order_k
-        self.name = name
 
     def apply(self, inputs, side=None):
         self.check_inputs(inputs)
         return self.phi(np.asarray(inputs[0], dtype=float))
 
-    def jacobian_trace(self, inputs, side=None, wrt=0, notes=None):
+    def jacobian_trace(self, inputs, side=None, wrt=0):
         X = np.asarray(inputs[0], dtype=float)
         return np.diag(self.dphi(X).sum(axis=0))
 
@@ -178,12 +150,11 @@ class EntrywiseThenMix(Nonlinearity):
 
     row_local = True
 
-    def __init__(self, phi, dphi, R, order_k: int = 1):
+    def __init__(self, phi, dphi, R):
         self.phi = phi
         self.dphi = dphi
         self.R = np.asarray(R, dtype=float)
         self.out_cols = self.R.shape[1]
-        self.order_k = order_k
 
     def apply(self, inputs, side=None):
         self.check_inputs(inputs)
@@ -192,7 +163,7 @@ class EntrywiseThenMix(Nonlinearity):
             raise ShapeError(f"mix expects {self.R.shape[0]} input columns, got {X.shape[1]}")
         return self.phi(X) @ self.R
 
-    def jacobian_trace(self, inputs, side=None, wrt=0, notes=None):
+    def jacobian_trace(self, inputs, side=None, wrt=0):
         X = np.asarray(inputs[0], dtype=float)
         return self.R.T * self.dphi(X).sum(axis=0)[None, :]
 
@@ -205,25 +176,23 @@ class Scaled(Nonlinearity):
         self.c = float(c)
         self.arity = inner.arity
         self.out_cols = inner.out_cols
-        self.order_k = inner.order_k
         self.row_local = inner.row_local
 
     def apply(self, inputs, side=None):
         return self.c * self.inner.apply(inputs, side)
 
-    def jacobian_trace(self, inputs, side=None, wrt=0, notes=None):
-        return self.c * self.inner.jacobian_trace(inputs, side=side, wrt=wrt, notes=notes)
+    def jacobian_trace(self, inputs, side=None, wrt=0):
+        return self.c * self.inner.jacobian_trace(inputs, side=side, wrt=wrt)
 
 
 class FromCallable(Nonlinearity):
     """Adapter for ad-hoc functions; Jacobian trace by finite differences
     unless an analytic jac(inputs, side, wrt) is supplied."""
 
-    def __init__(self, fn, out_cols=1, arity=1, order_k=1, jac=None, row_local=False):
+    def __init__(self, fn, out_cols=1, arity=1, jac=None, row_local=False):
         self.fn = fn
         self.out_cols = out_cols
         self.arity = arity
-        self.order_k = order_k
         self.jac = jac
         self.row_local = row_local
 
@@ -231,17 +200,17 @@ class FromCallable(Nonlinearity):
         self.check_inputs(inputs)
         return self.fn(inputs, side)
 
-    def jacobian_trace(self, inputs, side=None, wrt=0, notes=None):
+    def jacobian_trace(self, inputs, side=None, wrt=0):
         if self.jac is not None:
             return self.jac(inputs, side, wrt)
-        return fd_jacobian_trace(self, inputs, side=side, wrt=wrt, notes=notes)
+        return fd_jacobian_trace(self, inputs, side=side, wrt=wrt)
 
 
 def relu(x):
     return np.maximum(x, 0.0)
 
 
-def estimate_pl_constant(f: Nonlinearity, in_cols, n_rows, budget=64, rng=None, order_k=None, side=None):
+def estimate_pl_constant(f: Nonlinearity, in_cols, n_rows, budget=64, rng=None, k=1, side=None):
     """Empirical pseudo-Lipschitz constant probe.
 
     Samples input pairs at a few magnitudes and returns (k, Lhat) where
@@ -249,7 +218,6 @@ def estimate_pl_constant(f: Nonlinearity, in_cols, n_rows, budget=64, rng=None, 
     factor times ||x-y||_F/sqrt(n).  A sanity probe, not a certificate.
     """
     rng = rng or np.random.default_rng(0)
-    k = order_k if order_k is not None else f.order_k
     if isinstance(in_cols, int):
         in_cols = [in_cols]
     best = 0.0

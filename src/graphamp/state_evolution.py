@@ -143,7 +143,7 @@ def _tile_side(side: Optional[SideData], reps: int) -> Optional[SideData]:
     if side is None or reps == 1:
         return side
     arrays = {k: np.tile(v, (reps,) + (1,) * (np.ndim(v) - 1)) for k, v in side.arrays.items()}
-    return SideData(arrays=arrays, scalars=dict(side.scalars))
+    return SideData(arrays=arrays)
 
 
 def _eval_copies(f: Nonlinearity, inputs: List[np.ndarray], side: Optional[SideData],

@@ -26,13 +26,11 @@ from graphamp.gamp_se import GlmScalars
 from graphamp.graphs import EdgeId
 from graphamp.models import GmmSpatialModel, MultilayerModel, SpikedModel
 from graphamp.models.committee import AffineMix
-from graphamp.models.glm import LossResidual, PenaltyProx
-from graphamp.models.gmm import (OneHotResidual, StackPenaltyProx, accuracy,
+from graphamp.models.glm import LossResidual, ObservationResidual, PenaltyProx
+from graphamp.models.gmm import (StackPenaltyProx, accuracy,
                                  build_gmm_spatial_instance, gmm_weights,
                                  ridge_baseline)
-from graphamp.models.multilayer import (InteriorMessage, ObservationResidual,
-                                        SignalProx)
-from graphamp.models.spiked import LoopCombine, _ChainDown, _ChainUp
+from graphamp.models.multilayer import InteriorMessage, _activation
 from graphamp.nonlinearity import (Entrywise, EntrywiseThenMix, FromCallable,
                                    Identity, Scaled, SideData, Zero)
 from graphamp.prox import ProxSpec
@@ -297,30 +295,33 @@ def _nonlinearity_catalog(rng):
             return [below, above], None, wrt
         return make
 
-    yield ("interior_up_relu_wrt_below",
-           InteriorMessage(ml, "relu", "up", 0, 1), relu_case(0))
-    yield ("interior_up_relu_wrt_above",
-           InteriorMessage(ml, "relu", "up", 0, 1), relu_case(1))
-    yield ("interior_up_linear",
-           InteriorMessage(ml, "linear", "up", 0, 1),
+    def interior_up(activation):
+        return InteriorMessage("up", 0, 1, ml.w_a, ml.w_b, ml.w_e,
+                               _activation(activation))
+
+    yield ("interior_up_relu_wrt_below", interior_up("relu"), relu_case(0))
+    yield ("interior_up_relu_wrt_above", interior_up("relu"), relu_case(1))
+    yield ("interior_up_linear", interior_up("linear"),
            lambda: ([smooth(), smooth()], None, rng.integers(2)))
     yield ("interior_down",
-           InteriorMessage(ml, "relu", "down", 0, 1),
+           InteriorMessage("down", 0, 1, ml.w_a, ml.w_b, ml.w_h),
            lambda: ([smooth(), smooth()], None, rng.integers(2)))
     yield ("signal_prox",
-           SignalProx(ProxSpec(kind="abs", gamma=1.0, weight=0.05)),
+           PenaltyProx(GlmScalars(penalty=ml.signal_prox), 1.0),
            lambda: ([_away_from(smooth(), [-0.05, 0.05])], None, 0))
     yield ("observation_residual", ObservationResidual(1.0),
            lambda: ([smooth()],
                     SideData(arrays={"y": rng.normal(size=n)}), 0))
 
     sp = SpikedModel(N=n, lam=2.0, gen_dims=(n,))
-    yield ("loop_combine_wrt_loop", LoopCombine(sp, 0, 1, emit="loop"),
+    loop_node = InteriorMessage("up", 0, 1, 1.0 - sp.w_mix, sp.w_mix, 1.0,
+                                _activation(sp.denoiser, sp.theta))
+    yield ("loop_node_wrt_loop", loop_node,
            lambda: ([smooth(), smooth()], None, 0))
-    yield ("loop_combine_wrt_chain", LoopCombine(sp, 0, 1, emit="loop"),
+    yield ("loop_node_wrt_chain", loop_node,
            lambda: ([smooth(), smooth()], None, 1))
     yield ("chain_up_tanh",
-           _ChainUp(np.tanh, lambda x: 1.0 - np.tanh(x) ** 2, 0, 1),
+           InteriorMessage("up", 0, 1, 0.5, 0.5, 1.0, _activation("tanh")),
            lambda: ([smooth(), smooth()], None, rng.integers(2)))
 
     def chain_up_relu_case():
@@ -329,10 +330,9 @@ def _nonlinearity_catalog(rng):
         return [below, above], None, 0
 
     yield ("chain_up_relu",
-           _ChainUp(lambda x: np.maximum(x, 0.0),
-                    lambda x: (x > 0).astype(float), 0, 1),
+           InteriorMessage("up", 0, 1, 0.5, 0.5, 1.0, _activation("relu")),
            chain_up_relu_case)
-    yield ("chain_down", _ChainDown(0, 1),
+    yield ("chain_down", InteriorMessage("down", 0, 1, 0.5, 0.5),
            lambda: ([smooth(), smooth()], None, rng.integers(2)))
 
     yield ("affine_mix", AffineMix(rng.normal(size=(2, 2))),
@@ -349,10 +349,13 @@ def _nonlinearity_catalog(rng):
     stack = StackPenaltyProx(gmodel, covs, roots, alpha=0.7)
     yield ("stack_penalty_prox", stack,
            lambda: ([rng.normal(size=(60, 2))], None, 0))
-    yield ("one_hot_residual", OneHotResidual(0.9),
+    yield ("observation_residual_q2", ObservationResidual(0.9),
            lambda: ([smooth(2)],
-                    SideData(arrays={"Y": np.eye(2)[rng.integers(0, 2, n)]}),
+                    SideData(arrays={"y": np.eye(2)[rng.integers(0, 2, n)]}),
                     0))
+    yield ("spiked_denoiser_tanh_theta",
+           Entrywise(*_activation("tanh", 1.7)),
+           lambda: ([smooth()], None, 0))
 
 
 def test_criterion_06_onsager_fd_all_nonlinearities():

@@ -1,10 +1,12 @@
 import filecmp
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+import graphamp
 from graphamp import cli
 from graphamp.cli import main
 from graphamp.config import MODEL_KINDS
@@ -167,10 +169,14 @@ def test_strict_turns_gate_failures_into_exit_1(tmp_path):
 
 def test_module_entry_point_runs(tmp_path):
     cfg = _write(tmp_path, {**TINY_LASSO, "T": 2, "amp_seeds": [0]})
+    # the child finds the package where this process found it, installed
+    # or not
+    src = os.path.dirname(os.path.dirname(graphamp.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "graphamp.cli", "run", "--config", cfg,
          "--out", str(tmp_path / "o")],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0, proc.stderr
     assert "comparisons" in proc.stdout
 
@@ -215,3 +221,29 @@ def test_spiked_generative_prior_has_no_scalar_se_gate(tmp_path, capsys):
         assert "model.gen_dims" in capsys.readouterr().err
     assert main(["embed-verify", "--config", cfg,
                  "--out", str(tmp_path / "e")]) == 0
+
+
+def test_one_layer_multilayer_has_no_generic_se_gate(tmp_path, capsys):
+    # depth 1 runs as the adaptive-scale regression chain, whose provider
+    # reads the run's own coefficients; the generic recursion has none
+    cfg = _write(tmp_path, {"model": {"kind": "multilayer", "d0": 60,
+                                      "dims": [50], "activations": ["linear"]},
+                            "T": 3, "amp_seeds": [0], "se_samples": 100})
+    for command in ("run", "se-only"):
+        assert main([command, "--config", cfg,
+                     "--out", str(tmp_path / command)]) == 2
+        assert "model.dims" in capsys.readouterr().err
+    assert main(["embed-verify", "--config", cfg,
+                 "--out", str(tmp_path / "e")]) == 0
+
+
+def test_se_only_numerical_abort_names_the_init_stage(tmp_path, capsys):
+    # the overlap recursion meets beta0 = -1 before any AMP step runs
+    cfg = _write(tmp_path, {
+        "model": {"kind": "lasso", "d": 60, "aspect": 0.5, "lam": 1.0,
+                  "beta0": -1.0},
+        "T": 3,
+    })
+    assert main(["se-only", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert "numerical abort" in err and "init stage" in err

@@ -145,7 +145,14 @@ def test_defaults_match_documented_values():
     assert cfg.se_samples == 2000
     assert cfg.quadrature == "gh"
     assert cfg.observables == ("norm_sq", "mse", "overlap")
-    assert cfg.workers is None
+
+
+def test_workers_key_is_rejected():
+    # the worker count comes from --workers / AMP_WORKERS only
+    raw = json.loads(GOOD)
+    raw["workers"] = 2
+    with pytest.raises(ConfigError, match="workers: unknown key"):
+        loads(json.dumps(raw))
 
 
 def test_unread_multilayer_signal_weight_is_rejected():
