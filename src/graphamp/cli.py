@@ -20,14 +20,14 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from . import checks as checks_mod
 from . import config as config_mod
-from .embedding import verify_equivalence
+from .embedding import EMBED_TOL, verify_equivalence
 from .engine import norm_sq_observable, observe, run
 from .ensembles import normals, stream
 from .errors import ConfigError, GraphampError, NumericalError
@@ -62,23 +62,11 @@ def _glm_model(make, m, **extra):
                 beta0=m.get("beta0", 1.0), **extra)
 
 
-def _spiked_model(m) -> SpikedModel:
-    return SpikedModel(
-        N=m["N"], lam=m["lam"],
-        init_overlap=m.get("init_overlap", 0.2),
-        gen_dims=tuple(m.get("gen_dims", ())),
-        gen_activation=m.get("gen_activation", "tanh"),
-        denoiser=m.get("denoiser", "tanh"),
-        theta=m.get("theta", 1.0),
-    )
-
-
-def _gmm_model(m) -> GmmSpatialModel:
-    return GmmSpatialModel(
-        K=m["K"], d=m["d"], n_per_cluster=m["n_per_cluster"],
-        lam=m.get("lam", 1.0), mean_scale=m.get("mean_scale", 0.1),
-        coupling=m.get("coupling", 0.0), beta0=m.get("beta0", 1.0),
-    )
+def _fields(m):
+    """The model block without its kind, as keyword arguments of the
+    model class (its keys are the field names); lists become tuples."""
+    return {k: tuple(v) if isinstance(v, list) else v
+            for k, v in m.items() if k != "kind"}
 
 
 def _build_glm(model, m, seed):
@@ -181,12 +169,11 @@ def _generic_se_rows(cfg, model, workers) -> List[Tuple[int, str, float, float]]
     instance, _ = _kind(cfg).build(model, cfg.model, cfg.amp_seeds[0])
     T = _graph_T(cfg)
     cov = se_run(instance, T, reps=cfg.se_samples, seed=cfg.master_seed,
-                 chunk=cfg.se_chunk, workers=workers)
+                 workers=workers)
     obs, times = _edge_observables(instance, T)
     reps = max(64, min(cfg.se_samples, 1000))
     stats = mc_observable_stats(instance, cov, obs, times, reps=reps,
-                                seed=cfg.master_seed + 1,
-                                chunk=min(cfg.se_chunk, 64), workers=workers)
+                                seed=cfg.master_seed + 1, workers=workers)
     return [(t, name, st["mean"], st["sem"])
             for (t, name), st in sorted(stats.items())]
 
@@ -199,12 +186,9 @@ def _compare_rows(cfg, amp_results, se_rows):
     for _, (_, _, _, rows) in amp_results:
         for t, name, value in rows:
             by_key.setdefault((t, name), []).append(value)
-    tol = cfg.tolerances
     return compare({key: summarize(values) for key, values in by_key.items()},
                    {(t, name): {"mean": value, "sem": stderr}
-                    for t, name, value, stderr in se_rows},
-                   rel_tol=tol["rel"], z_tol=tol["z"],
-                   atol=tol.get("atol", 1e-6))
+                    for t, name, value, stderr in se_rows})
 
 
 def _gmm_compare_rows(cfg, amp_results, se_rows):
@@ -272,14 +256,13 @@ KINDS: Dict[str, Kind] = {k.name: k for k in (
          lambda model, m, seed: build_multilayer_instance(
              model, seed=seed, planted=m.get("planted", False)),
          _generic_rows, _multilayer_se_rows),
-    Kind("spiked", _spiked_model,
+    Kind("spiked", lambda m: SpikedModel(**_fields(m)),
          lambda model, m, seed: build_spiked_instance(model, seed=seed),
          _spiked_rows, _spiked_se_rows),
-    Kind("gmm_spatial", _gmm_model,
+    Kind("gmm_spatial", lambda m: GmmSpatialModel(**_fields(m)),
          lambda model, m, seed: build_gmm_spatial_instance(model, seed=seed),
          _generic_rows, None, gate=_gmm_compare_rows, phases=2),
-    Kind("committee",
-         lambda m: CommitteeModel(d=m["d"], n=m["n"], theta=m.get("theta", 0.4)),
+    Kind("committee", lambda m: CommitteeModel(**_fields(m)),
          lambda model, m, seed: build_committee_instance(model, seed=seed),
          _generic_rows, _generic_se_rows),
 )}
@@ -289,12 +272,20 @@ def _kind(cfg) -> Kind:
     return KINDS[cfg.kind]
 
 
+def _model(cfg):
+    """The model cfg describes; a value the model rejects is a config
+    error."""
+    try:
+        return _kind(cfg).model(cfg.model)
+    except ValueError as ex:
+        raise ConfigError(f"model: {ex}") from ex
+
+
 def _build_zoo(cfg: config_mod.ExperimentConfig, seed: int):
     """Returns (instance, model, aux) for one AMP seed; aux is the
     builder's second output (teacher, observations, spike or data)."""
-    kind = _kind(cfg)
-    model = kind.model(cfg.model)
-    instance, aux = kind.build(model, cfg.model, seed)
+    model = _model(cfg)
+    instance, aux = _kind(cfg).build(model, cfg.model, seed)
     return instance, model, aux
 
 
@@ -309,7 +300,7 @@ def se_rows_for(cfg, workers=1) -> List[Tuple[int, str, float, float]]:
     if kind.se_rows is None:
         raise ConfigError(f"model {kind.name} has no SE route; "
                           "use `run` for its fixed-point gates")
-    return kind.se_rows(cfg, kind.model(cfg.model), workers)
+    return kind.se_rows(cfg, _model(cfg), workers)
 
 
 # ---------------------------------------------------------------------------
@@ -371,10 +362,9 @@ def cmd_embed_verify(cfg, out_dir) -> int:
     report = verify_equivalence(instance, _graph_T(cfg), seed=cfg.master_seed)
     write_dict_rows(os.path.join(out_dir, "embed.csv"), report.records, h,
                     header=("t", "edge", "err"))
-    tol = cfg.tolerances["embed"]
     print(f"embed-verify: max discrepancy {report.max_err:.3e} "
-          f"(tolerance {tol:.1e}) -> {out_dir}/embed.csv")
-    return 0 if report.max_err <= tol else 1
+          f"(tolerance {EMBED_TOL:.1e}) -> {out_dir}/embed.csv")
+    return 0 if report.ok() else 1
 
 
 def _checks_suite(suite, master_seed):
@@ -435,8 +425,8 @@ def _parser():
         if needs_config:
             sp.add_argument("--config", required=True, help="JSON config path")
         sp.add_argument("--out", default=None, help="output directory")
-        sp.add_argument("--workers", type=int, default=None,
-                        help="worker pool size (or env AMP_WORKERS)")
+        sp.add_argument("--workers", type=int, default=1,
+                        help="worker pool size")
         sp.add_argument("--seed", type=int, default=None,
                         help="override the master seed")
         sp.add_argument("--strict", action="store_true",
@@ -454,22 +444,9 @@ def _parser():
     return p
 
 
-def _resolve_workers(args):
-    if args.workers is not None:
-        return args.workers
-    env = os.environ.get("AMP_WORKERS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError as ex:
-            raise ConfigError(f"AMP_WORKERS: not an integer: {env!r}") from ex
-    return 1
-
-
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        workers = _resolve_workers(args)
         if args.command == "checks":
             out_dir = args.out or "results"
             seed = args.seed if args.seed is not None else 0
@@ -477,17 +454,17 @@ def main(argv=None) -> int:
 
         cfg = config_mod.load(args.config)
         if args.seed is not None:
-            cfg = config_mod.ExperimentConfig(
-                **{**cfg.__dict__, "master_seed": args.seed})
+            cfg = replace(cfg, master_seed=args.seed)
         out_dir = args.out or cfg.out
         if args.command == "validate-config":
+            _model(cfg)
             print(f"config ok: kind={_kind(cfg).name} T={cfg.T} "
                   f"hash={cfg.config_hash()}")
             return 0
         if args.command == "run":
-            return cmd_run(cfg, out_dir, workers, args.strict)
+            return cmd_run(cfg, out_dir, args.workers, args.strict)
         if args.command == "se-only":
-            return cmd_se_only(cfg, out_dir, workers)
+            return cmd_se_only(cfg, out_dir, args.workers)
         return cmd_embed_verify(cfg, out_dir)
     except ConfigError as ex:
         print(f"config error: {ex}", file=sys.stderr)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Any, Dict, Tuple
 
 from .errors import ConfigError
@@ -21,16 +21,13 @@ _TOP_KEYS = {
     "T": int,
     "amp_seeds": list,
     "se_samples": int,
-    "se_chunk": int,
     "quadrature": str,
     "observables": list,
     "out": str,
-    "tolerances": dict,
     "master_seed": int,
 }
 _TOP_REQUIRED = ("model", "T")
-
-_TOL_KEYS = {"rel": float, "z": float, "embed": float, "atol": float}
+OBSERVABLES = ("norm_sq", "mse", "overlap")
 
 # per-kind model keys: name -> (types, required)
 _MODEL_KEYS: Dict[str, Dict[str, Tuple[Any, bool]]] = {
@@ -74,12 +71,9 @@ class ExperimentConfig:
     T: int
     amp_seeds: Tuple[int, ...] = (0,)
     se_samples: int = 2000
-    se_chunk: int = 128
     quadrature: str = "gh"
-    observables: Tuple[str, ...] = ("norm_sq", "mse", "overlap")
+    observables: Tuple[str, ...] = OBSERVABLES
     out: str = "results"
-    tolerances: Dict[str, float] = field(default_factory=lambda: {
-        "rel": 0.05, "z": 4.0, "embed": 1e-10, "atol": 1e-4})
     master_seed: int = 0
 
     @property
@@ -87,49 +81,20 @@ class ExperimentConfig:
         return self.model["kind"]
 
     def canonical_json(self) -> str:
-        payload = {
-            "model": self.model,
-            "T": self.T,
-            "amp_seeds": list(self.amp_seeds),
-            "se_samples": self.se_samples,
-            "se_chunk": self.se_chunk,
-            "quadrature": self.quadrature,
-            "observables": list(self.observables),
-            "out": self.out,
-            "tolerances": self.tolerances,
-            "master_seed": self.master_seed,
-        }
-        return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        return json.dumps(asdict(self), sort_keys=True, separators=(",", ":"))
 
     def config_hash(self) -> str:
         return hashlib.sha256(self.canonical_json().encode()).hexdigest()[:16]
 
 
-def _type_name(tp) -> str:
-    if isinstance(tp, tuple):
-        return "/".join(_type_name(t) for t in tp)
-    return {type(None): "null"}.get(tp, tp.__name__)
-
-
 def _check_type(value, tp, path):
     # bool is an int subclass in Python; keep the two distinct in configs
-    kinds = tp if isinstance(tp, tuple) else (tp,)
-    for k in kinds:
-        if k is float:
-            if isinstance(value, (int, float)) and not isinstance(value, bool):
-                return float(value)
-        elif k is int:
-            if isinstance(value, int) and not isinstance(value, bool):
-                return value
-        elif k is bool:
-            if isinstance(value, bool):
-                return value
-        elif k is type(None):
-            if value is None:
-                return value
-        elif isinstance(value, k):
-            return value
-    raise ConfigError(f"{path}: expected {_type_name(tp)}, "
+    if (tp is float and isinstance(value, (int, float))
+            and not isinstance(value, bool)):
+        return float(value)
+    if isinstance(value, tp) and (tp is bool or not isinstance(value, bool)):
+        return value
+    raise ConfigError(f"{path}: expected {tp.__name__}, "
                       f"got {type(value).__name__}")
 
 
@@ -163,55 +128,33 @@ def validate(raw: Dict[str, Any]) -> ExperimentConfig:
     for key in _TOP_REQUIRED:
         if key not in raw:
             raise ConfigError(f"{key}: missing required key")
-    checked: Dict[str, Any] = {}
-    for key, value in raw.items():
-        checked[key] = _check_type(value, _TOP_KEYS[key], key)
+    checked = {key: _check_type(value, _TOP_KEYS[key], key)
+               for key, value in raw.items()}
+    checked["model"] = _validate_model(checked["model"])
+    for key in ("amp_seeds", "observables"):
+        if key in checked:
+            checked[key] = tuple(checked[key])
+    cfg = ExperimentConfig(**checked)
 
-    model = _validate_model(checked["model"])
-    T = checked["T"]
-    if T < 1:
+    if cfg.T < 1:
         raise ConfigError("T: must be >= 1")
-
-    seeds = checked.get("amp_seeds", [0])
-    for i, s in enumerate(seeds):
+    for i, s in enumerate(cfg.amp_seeds):
         _check_type(s, int, f"amp_seeds[{i}]")
-    if len(seeds) == 0:
+    if not cfg.amp_seeds:
         raise ConfigError("amp_seeds: must be non-empty")
-
-    quad = checked.get("quadrature", "gh")
-    if quad not in ("gh", "mc"):
-        raise ConfigError(f"quadrature: expected 'gh' or 'mc', got {quad!r}")
-
-    obs = checked.get("observables", ["norm_sq", "mse", "overlap"])
-    for i, name in enumerate(obs):
-        _check_type(name, str, f"observables[{i}]")
-
-    tols = dict(ExperimentConfig.__dataclass_fields__["tolerances"].default_factory())
-    for key, value in checked.get("tolerances", {}).items():
-        if key not in _TOL_KEYS:
-            raise ConfigError(f"tolerances.{key}: unknown key")
-        tols[key] = _check_type(value, float, f"tolerances.{key}")
-
-    for name, floor in (("se_samples", 1), ("se_chunk", 1)):
-        if checked.get(name, floor) < floor:
-            raise ConfigError(f"{name}: must be >= {floor}")
-
+    if cfg.quadrature not in ("gh", "mc"):
+        raise ConfigError("quadrature: expected 'gh' or 'mc', "
+                          f"got {cfg.quadrature!r}")
+    for i, name in enumerate(cfg.observables):
+        if name not in OBSERVABLES:
+            raise ConfigError(f"observables[{i}]: unknown observable {name!r}; "
+                              f"expected one of {', '.join(OBSERVABLES)}")
+    if cfg.se_samples < 1:
+        raise ConfigError("se_samples: must be >= 1")
     for key in ("d", "d0", "N", "n", "K", "n_per_cluster"):
-        if key in model and model[key] < 1:
+        if key in cfg.model and cfg.model[key] < 1:
             raise ConfigError(f"model.{key}: must be positive")
-
-    return ExperimentConfig(
-        model=model,
-        T=T,
-        amp_seeds=tuple(seeds),
-        se_samples=checked.get("se_samples", 2000),
-        se_chunk=checked.get("se_chunk", 128),
-        quadrature=quad,
-        observables=tuple(obs),
-        out=checked.get("out", "results"),
-        tolerances=tols,
-        master_seed=checked.get("master_seed", 0),
-    )
+    return cfg
 
 
 def loads(text: str) -> ExperimentConfig:

@@ -28,6 +28,9 @@ from .errors import GraphError
 from .graphs import EdgeId, GraphSpec, canonical_edge_order, edges_into, reversed_input_index, single_loop
 from .nonlinearity import Nonlinearity
 
+# gate on the largest normalized block discrepancy of verify_equivalence
+EMBED_TOL = 1e-10
+
 
 @dataclass(frozen=True)
 class BlockLayout:
@@ -188,7 +191,6 @@ def embed(instance: GraphInstance, seed: int = 0, fill: str = "goe",
         matrices={loop_edge: A},
         provider=provider,
         x0={loop_edge: X0},
-        meta={"flattened_from": instance.meta.get("name", "graph-instance")},
     )
     return EmbeddedInstance(symmetric=sym, layout=lay, source=instance)
 
@@ -204,7 +206,7 @@ class EquivalenceReport:
     max_err: float
     records: List[dict] = field(default_factory=list)
 
-    def ok(self, tol: float = 1e-10) -> bool:
+    def ok(self, tol: float = EMBED_TOL) -> bool:
         return self.max_err <= tol
 
 

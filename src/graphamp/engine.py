@@ -54,7 +54,6 @@ class GraphInstance:
     x0: Dict[EdgeId, np.ndarray] = field(default_factory=dict)
     side: Dict[EdgeId, SideData] = field(default_factory=dict)
     scale_base: Dict[EdgeId, float] = field(default_factory=dict)
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         require_valid(self.graph)

@@ -117,6 +117,11 @@ class GaussBernoulliPrior(Prior):
     eps: float = 0.1
     var: float = 1.0
 
+    def __post_init__(self):
+        if not (0.0 < self.eps <= 1.0 and self.var > 0.0):
+            raise ValueError("prior needs 0 < eps <= 1 and var > 0, got "
+                             f"eps = {self.eps}, var = {self.var}")
+
     @property
     def rho(self) -> float:
         return self.eps * self.var

@@ -80,6 +80,5 @@ def build_committee_instance(model: CommitteeModel, seed: int = 0):
         x0={bwd: 0.5 * np.ones((model.d, 2))},
         side={bwd: SideData(arrays={"Y": Y})},
         scale_base={fwd: float(model.d)},
-        meta={"name": "committee", "seed": seed, "se_mode": "mc"},
     )
     return instance, Y

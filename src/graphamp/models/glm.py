@@ -48,6 +48,16 @@ class GlmModel:
     scalars: GlmScalars
     beta0: float = 1.0
 
+    def __post_init__(self):
+        if self.n < 1:
+            raise ValueError(f"aspect: gives n = {self.n} rows, need >= 1")
+        lam = self.scalars.penalty.weight
+        if lam < 0:
+            raise ValueError(f"lam: must be >= 0, got {lam}")
+        if self.scalars.loss == "logistic" and self.beta0 <= 0:
+            raise ValueError("beta0: the logistic loss prox needs beta0 > 0, "
+                             f"got {self.beta0}")
+
     @property
     def delta(self) -> float:
         return self.n / self.d
@@ -181,7 +191,7 @@ def build_gamp_instance(model: GlmModel, seed: int = 0):
 
     Returns (instance, teacher).  The observations are planted (y is
     drawn from A x0), so the plain covariance recursion does not cover
-    this instance; meta marks it for the overlap recursion.
+    this instance; the overlap recursion does.
     """
     fwd = forward_edge()
     bwd = fwd.reversed()
@@ -201,7 +211,6 @@ def build_gamp_instance(model: GlmModel, seed: int = 0):
         x0={},
         side={bwd: SideData(arrays={"y": y})},
         scale_base={fwd: float(model.d)},
-        meta={"name": "glm", "se_mode": "overlap", "model": model, "seed": seed},
     )
     return instance, teacher
 

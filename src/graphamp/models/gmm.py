@@ -178,7 +178,6 @@ def build_gmm_spatial_instance(model: GmmSpatialModel, seed: int = 0):
             ObservationResidual, model.beta0),
         side={bwd: SideData(arrays={"y": data.Y})},
         scale_base={fwd: float(model.d)},
-        meta={"name": "gmm_spatial", "seed": seed, "model": model},
     )
     return instance, data
 

@@ -17,12 +17,13 @@ By default the observations are sampled from an independent copy of
 the pipeline (fresh matrices), which keeps the side data independent
 of the matrices the iteration multiplies by; that is the regime the
 Gaussian-limit prediction covers.  planted=True reuses the run
-matrices and is marked in meta as outside that coverage.
+matrices, which puts the instance outside that coverage.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from numbers import Integral
 from typing import Dict, Tuple
 
 import numpy as np
@@ -37,16 +38,32 @@ from . import glm as glm_mod
 from .glm import ObservationResidual, PenaltyProx
 
 
+# name -> theta -> (phi, phi') of the map x -> name(theta x)
+ACTIVATIONS = {
+    "linear": lambda theta: ((lambda x: theta * x),
+                             (lambda x: np.full_like(x, theta))),
+    "relu": lambda theta: ((lambda x: np.maximum(theta * x, 0.0)),
+                           (lambda x: theta * (theta * x > 0))),
+    "tanh": lambda theta: ((lambda x: np.tanh(theta * x)),
+                           (lambda x: theta * (1.0 - np.tanh(theta * x) ** 2))),
+}
+
+
+def check_activation(path: str, kind) -> None:
+    if not isinstance(kind, str) or kind not in ACTIVATIONS:
+        raise ValueError(f"{path}: unknown activation {kind!r}; expected one "
+                         f"of {', '.join(ACTIVATIONS)}")
+
+
+def check_dims(path: str, dims) -> None:
+    for i, d in enumerate(dims):
+        if isinstance(d, bool) or not isinstance(d, Integral) or d < 1:
+            raise ValueError(f"{path}[{i}]: expected a positive int, got {d!r}")
+
+
 def _activation(kind: str, theta: float = 1.0):
     """(phi, phi') of the named map x -> kind(theta x)."""
-    if kind == "linear":
-        return (lambda x: theta * x), (lambda x: np.full_like(x, theta))
-    if kind == "relu":
-        return (lambda x: np.maximum(theta * x, 0.0)), (lambda x: theta * (theta * x > 0))
-    if kind == "tanh":
-        return (lambda x: np.tanh(theta * x),
-                lambda x: theta * (1.0 - np.tanh(theta * x) ** 2))
-    raise ValueError(f"unknown activation {kind!r}")
+    return ACTIVATIONS[kind](theta)
 
 
 @dataclass(frozen=True)
@@ -60,7 +77,7 @@ class LayerSpec:
 def layer_specs(dims, activations):
     if len(dims) != len(activations):
         raise ValueError("dims and activations must have equal length")
-    return tuple(LayerSpec(int(d), str(a)) for d, a in zip(dims, activations))
+    return tuple(LayerSpec(d, a) for d, a in zip(dims, activations))
 
 
 @dataclass(frozen=True)
@@ -76,6 +93,16 @@ class MultilayerModel:
     w_b: float = 0.5
     w_h: float = 1.0
     w_e: float = 1.0
+
+    def __post_init__(self):
+        if not self.layers:
+            raise ValueError("dims: need at least one layer")
+        check_dims("dims", self.dims[1:])
+        for i, layer in enumerate(self.layers):
+            check_activation(f"activations[{i}]", layer.activation)
+        if self.L == 1 and self.layers[0].activation != "linear":
+            raise ValueError("activations[0]: a one-layer pipeline runs as a "
+                             "linear regression; it must be 'linear'")
 
     @property
     def L(self) -> int:
@@ -140,19 +167,13 @@ def build_multilayer_instance(model: MultilayerModel, seed: int = 0,
     two-node chain builder so the adaptive-scale machinery and overlap
     recursion apply.  Returns (instance, y).
     """
-    if model.L == 0:
-        raise ValueError("need at least one layer")
     if model.L == 1:
-        if model.layers[0].activation != "linear":
-            raise ValueError("depth-1 delegation supports the linear activation only")
         gm = glm_mod.GlmModel(
             d=model.d0, n=model.layers[0].dim, prior=model.prior,
             channel=make_channel("linear", 0.0),
             scalars=GlmScalars(penalty=model.signal_prox, loss="squared"),
             beta0=model.obs_beta)
         inst, teacher = glm_mod.build_gamp_instance(gm, seed=seed)
-        inst.meta["name"] = "multilayer"
-        inst.meta["depth"] = 1
         return inst, teacher.y
 
     dims = model.dims
@@ -194,7 +215,5 @@ def build_multilayer_instance(model: MultilayerModel, seed: int = 0,
         x0={up[0]: np.full(g.x_shape(up[0]), 0.3)},
         side={up[-1].reversed(): SideData(arrays={"y": y})},
         scale_base={e: float(dims[l - 1]) for l, e in enumerate(up, start=1)},
-        meta={"name": "multilayer", "depth": model.L, "seed": seed,
-              "se_mode": "mc", "planted": planted},
     )
     return instance, y

@@ -35,7 +35,8 @@ from ..errors import NumericalError
 from ..gamp_se import Prior, RademacherPrior, gh_points
 from ..graphs import EdgeId, GraphSpec, edges_into
 from ..nonlinearity import Entrywise, Nonlinearity
-from .multilayer import InteriorMessage, _activation
+from .multilayer import (InteriorMessage, _activation, check_activation,
+                         check_dims)
 
 
 @dataclass(frozen=True)
@@ -49,6 +50,13 @@ class SpikedModel:
     gen_dims: Tuple[int, ...] = ()
     gen_activation: str = "tanh"
     w_mix: float = 0.5
+
+    def __post_init__(self):
+        check_activation("denoiser", self.denoiser)
+        check_activation("gen_activation", self.gen_activation)
+        check_dims("gen_dims", self.gen_dims)
+        if self.lam < 0:
+            raise ValueError(f"lam: must be >= 0, got {self.lam}")
 
     @property
     def depth(self) -> int:
@@ -92,8 +100,6 @@ def build_spiked_instance(model: SpikedModel, seed: int = 0):
             matrices={loop: Y},
             provider=stationary_provider({loop: Entrywise(*denoiser)}),
             x0={loop: model.init_overlap * v0.reshape(-1, 1)},
-            meta={"name": "spiked", "depth": 0, "lam": lam, "seed": seed,
-                  "se_mode": "spiked_scalar"},
         )
         return inst, v0
 
@@ -138,7 +144,6 @@ def build_spiked_instance(model: SpikedModel, seed: int = 0):
         provider=stationary_provider(fns),
         x0={loop: 0.1 * np.ones((N, 1))},
         scale_base=scale,
-        meta={"name": "spiked", "depth": model.depth, "lam": lam, "seed": seed},
     )
     return inst, v0
 

@@ -327,7 +327,7 @@ def amp_observable_stats(trajs: Sequence[AmpTrajectory],
 
 def compare(amp_stats: Mapping[Tuple[int, str], dict],
             se_stats: Mapping[Tuple[int, str], dict], rel_tol: float = 0.05,
-            z_tol: float = 4.0, atol: float = 1e-6) -> List[dict]:
+            z_tol: float = 4.0, atol: float = 1e-4) -> List[dict]:
     """Gate iteration statistics against the prediction.
 
     amp_stats values carry mean, std, n and sem (see summarize);

@@ -24,7 +24,8 @@ from graphamp.engine import run
 from graphamp.ensembles import normals, stream
 from graphamp.gamp_se import GlmScalars
 from graphamp.graphs import EdgeId
-from graphamp.models import GmmSpatialModel, MultilayerModel, SpikedModel
+from graphamp.models import (GmmSpatialModel, LayerSpec, MultilayerModel,
+                             SpikedModel)
 from graphamp.models.committee import AffineMix
 from graphamp.models.glm import LossResidual, ObservationResidual, PenaltyProx
 from graphamp.models.gmm import (StackPenaltyProx, accuracy,
@@ -286,7 +287,7 @@ def _nonlinearity_catalog(rng):
                     SideData(arrays={"y": rng.choice([-1.0, 1.0], size=n)}),
                     0))
 
-    ml = MultilayerModel(d0=n, layers=())
+    ml = MultilayerModel(d0=n, layers=(LayerSpec(n),))
 
     def relu_case(wrt):
         def make():

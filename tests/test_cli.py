@@ -72,7 +72,7 @@ def test_worker_pool_does_not_change_artifacts(tmp_path):
 def test_worker_pool_splits_generic_se_without_changing_artifacts(tmp_path):
     cfg = _write(tmp_path, {"model": {"kind": "committee", "d": 120, "n": 100},
                             "T": 4, "amp_seeds": [0, 1], "se_samples": 300,
-                            "se_chunk": 64, "master_seed": 5,
+                            "master_seed": 5,
                             "observables": ["norm_sq"]})
     a, b = tmp_path / "w1", tmp_path / "w2"
     assert main(["run", "--config", cfg, "--out", str(a), "--workers", "1"]) == 0
@@ -158,13 +158,21 @@ def test_checks_subcommand_writes_suite_csv(tmp_path, capsys):
 
 
 def test_strict_turns_gate_failures_into_exit_1(tmp_path):
-    # single seed, tight tolerances: finite-size offsets must trip gates
-    cfg = _write(tmp_path, {**TINY_LASSO, "amp_seeds": [0],
-                            "tolerances": {"rel": 1e-6, "z": 1e-6,
-                                           "atol": 1e-12}})
+    # a single seed at d = 80: finite-size offsets trip the gates
+    cfg = _write(tmp_path, {**TINY_LASSO, "amp_seeds": [0]})
     out = tmp_path / "o"
     assert main(["run", "--config", cfg, "--out", str(out), "--strict"]) == 1
     assert main(["run", "--config", cfg, "--out", str(out)]) == 0
+
+
+def test_shipped_configs_pass_their_own_gates(tmp_path):
+    configs = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
+    names = sorted(os.listdir(configs))
+    assert names
+    for name in names:
+        assert main(["run", "--config", os.path.join(configs, name),
+                     "--out", str(tmp_path / name), "--workers", "2",
+                     "--strict"]) == 0, name
 
 
 def test_module_entry_point_runs(tmp_path):
@@ -247,3 +255,42 @@ def test_se_only_numerical_abort_names_the_init_stage(tmp_path, capsys):
     assert main(["se-only", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
     err = capsys.readouterr().err
     assert "numerical abort" in err and "init stage" in err
+
+
+ML_LINEAR_RELU = {"kind": "multilayer", "d0": 30, "dims": [20, 10],
+                  "activations": ["linear", "relu"]}
+BAD_VALUES = {
+    "unknown_activation": {**ML_LINEAR_RELU,
+                           "activations": ["linear", "sigmoid"]},
+    "unknown_denoiser": {"kind": "spiked", "N": 40, "lam": 2.0,
+                         "denoiser": "sign"},
+    "unknown_gen_activation": {"kind": "spiked", "N": 40, "lam": 2.0,
+                               "gen_dims": [10], "gen_activation": "sigmoid"},
+    "logistic_beta0": {"kind": "logistic", "d": 30, "aspect": 0.5,
+                       "lam": 1.0, "beta0": -1.0},
+    "one_activation_for_two_layers": {**ML_LINEAR_RELU,
+                                      "activations": ["linear"]},
+    "no_layers": {**ML_LINEAR_RELU, "dims": [], "activations": []},
+    "nonlinear_one_layer": {**ML_LINEAR_RELU, "dims": [20],
+                            "activations": ["relu"]},
+    "string_dim": {**ML_LINEAR_RELU, "dims": ["a", 10]},
+    "zero_dim": {**ML_LINEAR_RELU, "dims": [0, 10]},
+    "negative_spike": {"kind": "spiked", "N": 40, "lam": -1.0},
+    "empty_prior": {"kind": "lasso", "d": 30, "aspect": 0.5, "lam": 1.0,
+                    "prior_eps": 0.0},
+    "no_rows": {"kind": "lasso", "d": 30, "aspect": 0.01, "lam": 1.0},
+    "negative_aspect": {"kind": "lasso", "d": 30, "aspect": -0.5, "lam": 1.0},
+    "negative_penalty": {"kind": "ridge", "d": 30, "aspect": 0.5, "lam": -1.0},
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_VALUES))
+def test_bad_model_values_are_config_errors(tmp_path, capsys, case):
+    cfg = _write(tmp_path, {"model": BAD_VALUES[case], "T": 2,
+                            "se_samples": 50})
+    out = tmp_path / "o"
+    for command in ("validate-config", "run"):
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
+        assert "config error: model: " in capsys.readouterr().err
+    assert not out.exists()
+

@@ -12,8 +12,7 @@ GOOD = """
   "amp_seeds": [0, 1],
   "se_samples": 500,
   "quadrature": "mc",
-  "out": "out_dir",
-  "tolerances": {"rel": 0.04}
+  "out": "out_dir"
 }
 """
 
@@ -26,12 +25,6 @@ def test_loads_good_config():
     assert cfg.model["lam"] == 1.2
     assert cfg.quadrature == "mc"
     assert cfg.out == "out_dir"
-
-
-def test_tolerance_defaults_fill_unspecified_keys():
-    cfg = loads(GOOD)
-    assert cfg.tolerances == {"rel": 0.04, "z": 4.0, "embed": 1e-10,
-                              "atol": 1e-4}
 
 
 def test_unknown_top_level_key_is_rejected_by_name():
@@ -103,13 +96,6 @@ def test_nonpositive_iterations_rejected():
         loads(json.dumps(raw))
 
 
-def test_unknown_tolerance_key():
-    raw = json.loads(GOOD)
-    raw["tolerances"] = {"relative": 0.1}
-    with pytest.raises(ConfigError, match="tolerances.relative: unknown key"):
-        loads(json.dumps(raw))
-
-
 def test_canonical_json_is_key_sorted_and_stable():
     cfg = loads(GOOD)
     text = cfg.canonical_json()
@@ -148,10 +134,30 @@ def test_defaults_match_documented_values():
 
 
 def test_workers_key_is_rejected():
-    # the worker count comes from --workers / AMP_WORKERS only
+    # the worker count comes from --workers only
     raw = json.loads(GOOD)
     raw["workers"] = 2
     with pytest.raises(ConfigError, match="workers: unknown key"):
+        loads(json.dumps(raw))
+
+
+# the gate thresholds and the SE chunk size are fixed, not settings
+DROPPED = {"tolerances": {"rel": 0.04}, "se_chunk": 64}
+
+
+@pytest.mark.parametrize("key", sorted(DROPPED))
+def test_dropped_settings_are_rejected(key):
+    raw = json.loads(GOOD)
+    raw[key] = DROPPED[key]
+    with pytest.raises(ConfigError, match=f"{key}: unknown key"):
+        loads(json.dumps(raw))
+
+
+def test_unknown_observable_is_rejected_by_index():
+    raw = json.loads(GOOD)
+    raw["observables"] = ["mse", "nrm_sq"]
+    with pytest.raises(ConfigError, match="observables\\[1\\]: unknown "
+                                          "observable 'nrm_sq'"):
         loads(json.dumps(raw))
 
 

@@ -67,8 +67,6 @@ def test_logistic_fixed_point_satisfies_kkt_with_positive_overlap():
 def test_depth_one_multilayer_delegates_to_regression_chain():
     ml = MultilayerModel(d0=80, layers=layer_specs([40], ["linear"]))
     inst, y = build_multilayer_instance(ml, seed=4)
-    assert inst.meta["name"] == "multilayer"
-    assert inst.meta["depth"] == 1
     assert set(inst.graph.vertices) == {"sig", "obs"}
     traj = run(inst, 8, allow_degenerate=True)
     assert traj.T == 8

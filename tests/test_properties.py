@@ -13,6 +13,7 @@ from graphamp.ensembles import normals, sample_goe, sample_iid, stream
 from graphamp.graphs import EdgeId, GraphSpec, canonical_edge_order, edges_into
 from graphamp.nonlinearity import Entrywise, EntrywiseThenMix, Nonlinearity
 from graphamp.prox import soft_threshold
+from graphamp.state_evolution import se_run
 
 PHIS = {
     "tanh": (np.tanh, lambda x: 1.0 - np.tanh(x) ** 2),
@@ -107,3 +108,19 @@ def test_random_graphs_embed_exactly(case):
         f = emb.symmetric.provider(emb.loop_edge, t, sym)
         B = f.jacobian_trace([sym.x[emb.loop_edge][t]])
         assert onsager_block_pattern_err(emb.layout, B) == 0.0
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(symmetric_instances())
+def test_random_graph_se_kernels_are_symmetric_psd(case):
+    instance, T, seed = case
+    cov = se_run(instance, T, reps=16, seed=seed)
+    for e in instance.graph.edges:
+        K = cov.K[e]
+        q = K.shape[-1]
+        for t in range(1, cov.T + 1):
+            # the kernel of times 1..t is the leading t x t block
+            C = K[:t, :t].transpose(0, 2, 1, 3).reshape(t * q, t * q)
+            tol = 1e-12 * np.trace(C)
+            assert np.abs(C - C.T).max() <= tol, (e, t)
+            assert np.linalg.eigvalsh(C)[0] >= -tol, (e, t)
