@@ -69,10 +69,6 @@ def _fields(m):
             for k, v in m.items() if k != "kind"}
 
 
-def _build_glm(model, m, seed):
-    return build_gamp_instance(model, seed=seed)
-
-
 # ---------------------------------------------------------------------------
 # per-kind AMP observable extraction: rows (t, name) -> value
 
@@ -157,16 +153,8 @@ def _spiked_se_rows(cfg, model, workers) -> List[Tuple[int, str, float, float]]:
                                                      pt.second_moment())]
 
 
-def _multilayer_se_rows(cfg, model, workers) -> List[Tuple[int, str, float, float]]:
-    if model.L == 1:
-        raise ConfigError("model.dims: a one-layer pipeline runs as an "
-                          "adaptive-scale regression, which the generic SE "
-                          "recursion does not cover; embed-verify still runs it")
-    return _generic_se_rows(cfg, model, workers)
-
-
 def _generic_se_rows(cfg, model, workers) -> List[Tuple[int, str, float, float]]:
-    instance, _ = _kind(cfg).build(model, cfg.model, cfg.amp_seeds[0])
+    instance, _ = _kind(cfg).build(model, cfg.amp_seeds[0])
     T = _graph_T(cfg)
     cov = se_run(instance, T, reps=cfg.se_samples, seed=cfg.master_seed,
                  workers=workers)
@@ -221,12 +209,11 @@ def _gmm_compare_rows(cfg, amp_results, se_rows):
 class Kind:
     """How the CLI builds, runs and gates one model kind.
 
-    model(cfg.model) -> model; build(model, cfg.model, seed) ->
-    (instance, aux); amp_rows(cfg, traj, instance, model, aux) ->
-    [(t, name, value)]; se_rows(cfg, model, workers) ->
-    [(t, name, value, stderr)], None for a kind without an SE route;
-    gate(cfg, amp_results, se_rows) -> compare.csv rows; phases is the
-    number of graph steps per model step.
+    model(cfg.model) -> model; build(model, seed) -> (instance, aux);
+    amp_rows(cfg, traj, instance, model, aux) -> [(t, name, value)];
+    se_rows(cfg, model, workers) -> [(t, name, value, stderr)], None for
+    a kind without an SE route; gate(cfg, amp_results, se_rows) ->
+    compare.csv rows; phases is the number of graph steps per model step.
     """
 
     name: str
@@ -244,26 +231,28 @@ class Kind:
 KINDS: Dict[str, Kind] = {k.name: k for k in (
     Kind("lasso", lambda m: _glm_model(lasso_model, m,
                                        sigma=m.get("noise_sigma", 0.5)),
-         _build_glm, _glm_rows, _glm_se_rows, phases=2),
+         lambda model, seed: build_gamp_instance(model, seed),
+         _glm_rows, _glm_se_rows, phases=2),
     Kind("ridge", lambda m: _glm_model(ridge_model, m,
                                        sigma=m.get("noise_sigma", 0.5)),
-         _build_glm, _glm_rows, _glm_se_rows, phases=2),
+         lambda model, seed: build_gamp_instance(model, seed),
+         _glm_rows, _glm_se_rows, phases=2),
     Kind("logistic", lambda m: _glm_model(logistic_model, m),
-         _build_glm, _glm_rows, _glm_se_rows, phases=2),
+         lambda model, seed: build_gamp_instance(model, seed),
+         _glm_rows, _glm_se_rows, phases=2),
     Kind("multilayer",
          lambda m: MultilayerModel(d0=m["d0"], layers=layer_specs(
              m["dims"], m["activations"])),
-         lambda model, m, seed: build_multilayer_instance(
-             model, seed=seed, planted=m.get("planted", False)),
-         _generic_rows, _multilayer_se_rows),
+         lambda model, seed: build_multilayer_instance(model, seed),
+         _generic_rows, _generic_se_rows),
     Kind("spiked", lambda m: SpikedModel(**_fields(m)),
-         lambda model, m, seed: build_spiked_instance(model, seed=seed),
+         lambda model, seed: build_spiked_instance(model, seed),
          _spiked_rows, _spiked_se_rows),
     Kind("gmm_spatial", lambda m: GmmSpatialModel(**_fields(m)),
-         lambda model, m, seed: build_gmm_spatial_instance(model, seed=seed),
+         lambda model, seed: build_gmm_spatial_instance(model, seed),
          _generic_rows, None, gate=_gmm_compare_rows, phases=2),
     Kind("committee", lambda m: CommitteeModel(**_fields(m)),
-         lambda model, m, seed: build_committee_instance(model, seed=seed),
+         lambda model, seed: build_committee_instance(model, seed),
          _generic_rows, _generic_se_rows),
 )}
 
@@ -285,7 +274,7 @@ def _build_zoo(cfg: config_mod.ExperimentConfig, seed: int):
     """Returns (instance, model, aux) for one AMP seed; aux is the
     builder's second output (teacher, observations, spike or data)."""
     model = _model(cfg)
-    instance, aux = _kind(cfg).build(model, cfg.model, seed)
+    instance, aux = _kind(cfg).build(model, seed)
     return instance, model, aux
 
 

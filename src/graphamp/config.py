@@ -46,7 +46,6 @@ _MODEL_KEYS: Dict[str, Dict[str, Tuple[Any, bool]]] = {
     },
     "multilayer": {
         "d0": (int, True), "dims": (list, True), "activations": (list, True),
-        "planted": (bool, False),
     },
     "spiked": {
         "N": (int, True), "lam": (float, True), "init_overlap": (float, False),
@@ -92,7 +91,7 @@ def _check_type(value, tp, path):
     if (tp is float and isinstance(value, (int, float))
             and not isinstance(value, bool)):
         return float(value)
-    if isinstance(value, tp) and (tp is bool or not isinstance(value, bool)):
+    if isinstance(value, tp) and not isinstance(value, bool):
         return value
     raise ConfigError(f"{path}: expected {tp.__name__}, "
                       f"got {type(value).__name__}")

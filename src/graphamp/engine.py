@@ -201,7 +201,7 @@ class Observable:
     fn receives ({edge: x^t_e}, t); the same callable is evaluated on
     iterates and on Gaussian families sampled from the limit covariance,
     so it must not read anything but its arguments and captured
-    constants (e.g. a planted signal).
+    constants (e.g. a teacher signal).
     """
 
     name: str
@@ -236,28 +236,3 @@ def observe(traj: AmpTrajectory, observables: Sequence[Observable],
             records.append({"t": t, "observable": obs.name, "value": obs(xs, t)})
     return records
 
-
-@dataclass
-class HalfIterates:
-    """Two-phase view of a two-node chain trajectory.
-
-    v[k] = x^{2k} on the forward edge (the variable-side field) and
-    u[k] = x^{2k-1} on the reversed edge (the observation-side field,
-    defined for k >= 1; u[0] is None).  Off-phase iterates are zero by
-    construction when the off-phase update functions are Zero.
-    """
-
-    v: List[np.ndarray]
-    u: List[Optional[np.ndarray]]
-
-
-def reindex_half_iterates(traj: AmpTrajectory, forward_edge: EdgeId) -> HalfIterates:
-    back = forward_edge.reversed()
-    if forward_edge not in traj.x or back not in traj.x:
-        raise GraphError(f"trajectory has no edge {forward_edge}")
-    T = traj.T
-    v = [traj.x[forward_edge][2 * k] for k in range(T // 2 + 1)]
-    u: List[Optional[np.ndarray]] = [None]
-    for k in range(1, (T + 1) // 2 + 1):
-        u.append(traj.x[back][2 * k - 1])
-    return HalfIterates(v=v, u=u)

@@ -1,8 +1,8 @@
 """Scalar overlap recursion for two-phase regression iterations.
 
-The two-node chain with a planted signal (y drawn from the design
+The two-node chain with a teacher signal (y drawn from the design
 matrix itself) falls outside the plain covariance recursion: the
-observations correlate with the matrix.  Conditioning on the planted
+observations correlate with the matrix.  Conditioning on the teacher
 direction splits each iterate into a deterministic signal component
 and a Gaussian remainder, giving a closed recursion over six scalars
 per iteration:
@@ -19,7 +19,7 @@ normals, and
     beta_t   = E[e_t'(U_t)]
     d_t      = delta E[h_t'(V_t, y)]
     kappa2_{t+1} = delta E[h_t(V_t, y)^2]  (full second moment; the
-                   conditioning removes only the planted direction on
+                   conditioning removes only the teacher direction on
                    the column side)
     nu_{t+1}     = (delta / sqrt(rho)) E[S h_t] - d_t m_t / rho
     alpha_{t+1}  = -1 / d_t
@@ -187,6 +187,10 @@ class LinearGaussianChannel(Channel):
     """y = z + sigma * noise."""
 
     sigma: float = 0.0
+
+    def __post_init__(self):
+        if self.sigma < 0:
+            raise ValueError(f"channel needs sigma >= 0, got {self.sigma}")
 
     def sample(self, z, rng):
         if self.sigma == 0.0:

@@ -40,6 +40,10 @@ class CommitteeModel:
     C: np.ndarray = field(default_factory=lambda: DEFAULT_C.copy())
     y_scale: float = 1.0
 
+    def __post_init__(self):
+        if self.theta < 0:
+            raise ValueError(f"theta: must be >= 0, got {self.theta}")
+
 
 class AffineMix(Nonlinearity):
     """V -> (Y - V) @ C with side data Y; Jacobian sum is -n C^T."""

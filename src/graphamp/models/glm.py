@@ -27,7 +27,7 @@ from typing import List
 
 import numpy as np
 
-from ..engine import AmpTrajectory, GraphInstance, reindex_half_iterates
+from ..engine import AmpTrajectory, GraphInstance
 from ..ensembles import sample_iid, stream
 from ..errors import NumericalError
 from ..gamp_se import Channel, GlmScalars, Prior, make_channel
@@ -69,10 +69,9 @@ class GlmModel:
 
 @dataclass
 class GlmTeacher:
-    """Planted data: signal, noiseless projections, observations."""
+    """Teacher data: signal and observations."""
 
     x0: np.ndarray
-    z: np.ndarray
     y: np.ndarray
 
 
@@ -181,26 +180,25 @@ def signal_half_iterates(traj: AmpTrajectory, fwd: EdgeId):
     """[(u^t, alpha_t)] for t = 1..: the signal-side half iterates of a
     two-phase run and the scale its provider applied to each."""
     bwd = fwd.reversed()
-    half = reindex_half_iterates(traj, fwd)
-    return [(half.u[t], -1.0 / _iso_scalar(traj.b[bwd][2 * t - 2], "observation-side"))
-            for t in range(1, len(half.u))]
+    return [(traj.x[bwd][2 * t - 1],
+             -1.0 / _iso_scalar(traj.b[bwd][2 * t - 2], "observation-side"))
+            for t in range(1, (traj.T + 1) // 2 + 1)]
 
 
 def build_gamp_instance(model: GlmModel, seed: int = 0):
     """Sample (A, x0, y) and assemble the chain instance.
 
-    Returns (instance, teacher).  The observations are planted (y is
-    drawn from A x0), so the plain covariance recursion does not cover
-    this instance; the overlap recursion does.
+    Returns (instance, teacher).  The observations come from the run's
+    own design (y is drawn from A x0), so the plain covariance recursion
+    does not cover this instance; the overlap recursion does.
     """
     fwd = forward_edge()
     bwd = fwd.reversed()
     g = two_node_chain("sig", model.d, "obs", model.n)
     A = sample_iid(model.n, model.d, model.d, stream(seed, "glm", "A"))
     x0 = model.prior.sample(model.d, stream(seed, "glm", "x0"))
-    z = A @ x0
-    y = model.channel.sample(z, stream(seed, "glm", "y"))
-    teacher = GlmTeacher(x0=x0, z=z, y=y)
+    y = model.channel.sample(A @ x0, stream(seed, "glm", "y"))
+    teacher = GlmTeacher(x0=x0, y=y)
 
     instance = GraphInstance(
         graph=g,
@@ -218,13 +216,11 @@ def build_gamp_instance(model: GlmModel, seed: int = 0):
 @dataclass
 class GampIterateStats:
     """Measured two-phase quantities at estimation time t: signal
-    overlap m, squared error, estimate second moment p, and the
-    per-row field second moments."""
+    overlap m, squared error, and the per-row field second moments."""
 
     t: int
     m: float
     mse: float
-    p: float
     u2: float
     v2: float
 
@@ -240,18 +236,18 @@ def gamp_iterate_stats(traj: AmpTrajectory, model: GlmModel,
                        teacher: GlmTeacher) -> List[GampIterateStats]:
     """Per-time overlap/error/field statistics for comparison with the
     overlap recursion (same normalizations: everything per coordinate)."""
-    half = reindex_half_iterates(traj, forward_edge())
+    fwd = forward_edge()
     x0 = teacher.x0
     recs = []
     for t, xh in enumerate(gamp_estimates(traj, model), start=1):
-        u = half.u[t].reshape(-1)
+        u = traj.x[fwd.reversed()][2 * t - 1].reshape(-1)
         recs.append(GampIterateStats(
             t=t,
             m=float(x0 @ xh) / model.d,
             mse=float(np.sum((xh - x0) ** 2)) / model.d,
-            p=float(xh @ xh) / model.d,
             u2=float(u @ u) / model.d,
-            v2=float(np.sum(half.v[t] ** 2)) / model.n if t < len(half.v) else math.nan,
+            v2=float(np.sum(traj.x[fwd][2 * t] ** 2)) / model.n
+            if 2 * t <= traj.T else math.nan,
         ))
     return recs
 

@@ -54,6 +54,11 @@ class GmmSpatialModel:
     cov_scales: Optional[Tuple[float, ...]] = None
     beta0: float = 1.0
 
+    def __post_init__(self):
+        for key, value in (("lam", self.lam), ("coupling", self.coupling)):
+            if value < 0:
+                raise ValueError(f"{key}: must be >= 0, got {value}")
+
     @property
     def n(self) -> int:
         return self.K * self.n_per_cluster
@@ -67,7 +72,6 @@ class GmmSpatialModel:
 
 @dataclass
 class GmmData:
-    means: List[np.ndarray]
     covs: List[np.ndarray]
     cov_sqrts: List[np.ndarray]
     design: np.ndarray        # stacked design (n x Kd), mean blocks included
@@ -113,7 +117,7 @@ def sample_gmm_data(model: GmmSpatialModel, seed: int, tag: str = "train") -> Gm
     labels = np.repeat(np.arange(K), npc)
     Y = np.zeros((model.n, K))
     Y[np.arange(model.n), labels] = 1.0
-    return GmmData(means=means, covs=covs, cov_sqrts=roots, design=design,
+    return GmmData(covs=covs, cov_sqrts=roots, design=design,
                    design_rows=rows, labels=labels, Y=Y)
 
 

@@ -11,13 +11,13 @@ from below, one from above) and sends messages both ways:
 The end nodes apply a penalty prox (signal side) and a loss residual
 map (observation side).  All scales are fixed constants, so the
 provider is time-independent and the plain covariance recursion
-applies.
+applies at every depth, L = 1 (one edge pair, no interior node)
+included.
 
-By default the observations are sampled from an independent copy of
-the pipeline (fresh matrices), which keeps the side data independent
-of the matrices the iteration multiplies by; that is the regime the
-Gaussian-limit prediction covers.  planted=True reuses the run
-matrices, which puts the instance outside that coverage.
+The observations are sampled from an independent copy of the pipeline
+(fresh matrices), which keeps the side data independent of the
+matrices the iteration multiplies by; that is the regime the
+Gaussian-limit prediction covers.
 """
 
 from __future__ import annotations
@@ -30,11 +30,10 @@ import numpy as np
 
 from ..engine import GraphInstance, stationary_provider
 from ..ensembles import sample_iid, stream
-from ..gamp_se import GlmScalars, Prior, GaussBernoulliPrior, make_channel
+from ..gamp_se import GlmScalars, Prior, GaussBernoulliPrior
 from ..graphs import EdgeId, edges_into, line_graph
 from ..nonlinearity import Nonlinearity, SideData
 from ..prox import ProxSpec
-from . import glm as glm_mod
 from .glm import ObservationResidual, PenaltyProx
 
 
@@ -100,9 +99,6 @@ class MultilayerModel:
         check_dims("dims", self.dims[1:])
         for i, layer in enumerate(self.layers):
             check_activation(f"activations[{i}]", layer.activation)
-        if self.L == 1 and self.layers[0].activation != "linear":
-            raise ValueError("activations[0]: a one-layer pipeline runs as a "
-                             "linear regression; it must be 'linear'")
 
     @property
     def L(self) -> int:
@@ -159,23 +155,8 @@ def sample_pipeline(model: MultilayerModel, mats: Dict[int, np.ndarray],
     return z
 
 
-def build_multilayer_instance(model: MultilayerModel, seed: int = 0,
-                              planted: bool = False):
-    """Assemble the line-graph instance.
-
-    Depth 1 is a plain penalized regression; it is delegated to the
-    two-node chain builder so the adaptive-scale machinery and overlap
-    recursion apply.  Returns (instance, y).
-    """
-    if model.L == 1:
-        gm = glm_mod.GlmModel(
-            d=model.d0, n=model.layers[0].dim, prior=model.prior,
-            channel=make_channel("linear", 0.0),
-            scalars=GlmScalars(penalty=model.signal_prox, loss="squared"),
-            beta0=model.obs_beta)
-        inst, teacher = glm_mod.build_gamp_instance(gm, seed=seed)
-        return inst, teacher.y
-
+def build_multilayer_instance(model: MultilayerModel, seed: int = 0):
+    """Assemble the line-graph instance; returns (instance, y)."""
     dims = model.dims
     names = [f"z{l}" for l in range(model.L + 1)]
     g = line_graph(names, dims)
@@ -185,13 +166,10 @@ def build_multilayer_instance(model: MultilayerModel, seed: int = 0,
         mats[l] = sample_iid(dims[l], dims[l - 1], dims[l - 1],
                              stream(seed, "mlayer", "A", l))
 
-    if planted:
-        y = sample_pipeline(model, mats, lambda tag: stream(seed, "mlayer", "teacher", tag))
-    else:
-        fresh = {l: sample_iid(dims[l], dims[l - 1], dims[l - 1],
-                               stream(seed, "mlayer", "indep", l))
-                 for l in range(1, model.L + 1)}
-        y = sample_pipeline(model, fresh, lambda tag: stream(seed, "mlayer", "teacher", tag))
+    fresh = {l: sample_iid(dims[l], dims[l - 1], dims[l - 1],
+                           stream(seed, "mlayer", "indep", l))
+             for l in range(1, model.L + 1)}
+    y = sample_pipeline(model, fresh, lambda tag: stream(seed, "mlayer", "teacher", tag))
 
     up = [EdgeId(names[l - 1], names[l]) for l in range(1, model.L + 1)]
     fns: Dict[EdgeId, Nonlinearity] = {}

@@ -125,7 +125,7 @@ def test_criterion_02_lasso_se_agreement():
 def test_criterion_03_multilayer_se_agreement(tmp_path):
     cfg = {
         "model": {"kind": "multilayer", "d0": 1000, "dims": [1000, 1000],
-                  "activations": ["linear", "relu"], "planted": False},
+                  "activations": ["linear", "relu"]},
         "T": 8,
         "amp_seeds": list(range(10)),
         "se_samples": 2000,

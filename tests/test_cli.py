@@ -231,18 +231,19 @@ def test_spiked_generative_prior_has_no_scalar_se_gate(tmp_path, capsys):
                  "--out", str(tmp_path / "e")]) == 0
 
 
-def test_one_layer_multilayer_has_no_generic_se_gate(tmp_path, capsys):
-    # depth 1 runs as the adaptive-scale regression chain, whose provider
-    # reads the run's own coefficients; the generic recursion has none
+def test_one_layer_multilayer_runs_the_generic_se_gate(tmp_path):
+    # depth 1 is the same stationary line graph as any other depth: one
+    # edge pair, no interior node, gated by the generic recursion
     cfg = _write(tmp_path, {"model": {"kind": "multilayer", "d0": 60,
-                                      "dims": [50], "activations": ["linear"]},
-                            "T": 3, "amp_seeds": [0], "se_samples": 100})
-    for command in ("run", "se-only"):
+                                      "dims": [50], "activations": ["relu"]},
+                            "T": 3, "amp_seeds": [0, 1], "se_samples": 100})
+    assert main(["run", "--strict", "--config", cfg,
+                 "--out", str(tmp_path / "run")]) == 0
+    for command in ("se-only", "embed-verify"):
         assert main([command, "--config", cfg,
-                     "--out", str(tmp_path / command)]) == 2
-        assert "model.dims" in capsys.readouterr().err
-    assert main(["embed-verify", "--config", cfg,
-                 "--out", str(tmp_path / "e")]) == 0
+                     "--out", str(tmp_path / command)]) == 0
+    _, rows = read_report_csv(tmp_path / "run" / "compare.csv")
+    assert {r["name"] for r in rows} == {"norm_sq[z0->z1]", "norm_sq[z1->z0]"}
 
 
 def test_se_only_numerical_abort_names_the_init_stage(tmp_path, capsys):
@@ -271,8 +272,6 @@ BAD_VALUES = {
     "one_activation_for_two_layers": {**ML_LINEAR_RELU,
                                       "activations": ["linear"]},
     "no_layers": {**ML_LINEAR_RELU, "dims": [], "activations": []},
-    "nonlinear_one_layer": {**ML_LINEAR_RELU, "dims": [20],
-                            "activations": ["relu"]},
     "string_dim": {**ML_LINEAR_RELU, "dims": ["a", 10]},
     "zero_dim": {**ML_LINEAR_RELU, "dims": [0, 10]},
     "negative_spike": {"kind": "spiked", "N": 40, "lam": -1.0},
@@ -281,6 +280,16 @@ BAD_VALUES = {
     "no_rows": {"kind": "lasso", "d": 30, "aspect": 0.01, "lam": 1.0},
     "negative_aspect": {"kind": "lasso", "d": 30, "aspect": -0.5, "lam": 1.0},
     "negative_penalty": {"kind": "ridge", "d": 30, "aspect": 0.5, "lam": -1.0},
+    "negative_lasso_noise": {"kind": "lasso", "d": 30, "aspect": 0.5,
+                             "lam": 1.0, "noise_sigma": -1.0},
+    "negative_ridge_noise": {"kind": "ridge", "d": 30, "aspect": 0.5,
+                             "lam": 1.0, "noise_sigma": -1.0},
+    "negative_gmm_penalty": {"kind": "gmm_spatial", "K": 2, "d": 10,
+                             "n_per_cluster": 8, "lam": -5.0},
+    "negative_gmm_coupling": {"kind": "gmm_spatial", "K": 2, "d": 10,
+                              "n_per_cluster": 8, "coupling": -0.3},
+    "negative_committee_threshold": {"kind": "committee", "d": 20, "n": 20,
+                                     "theta": -1.0},
 }
 
 

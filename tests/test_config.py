@@ -161,9 +161,10 @@ def test_unknown_observable_is_rejected_by_index():
         loads(json.dumps(raw))
 
 
-def test_unread_multilayer_signal_weight_is_rejected():
+@pytest.mark.parametrize("key, value", [("signal_weight", 123.0),
+                                        ("planted", True)])
+def test_unread_multilayer_keys_are_rejected(key, value):
     raw = {"model": {"kind": "multilayer", "d0": 10, "dims": [8, 6],
-                     "activations": ["linear", "relu"],
-                     "signal_weight": 123.0}, "T": 2}
-    with pytest.raises(ConfigError, match="model.signal_weight: unknown key"):
+                     "activations": ["linear", "relu"], key: value}, "T": 2}
+    with pytest.raises(ConfigError, match=f"model.{key}: unknown key"):
         loads(json.dumps(raw))

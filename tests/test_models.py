@@ -64,10 +64,13 @@ def test_logistic_fixed_point_satisfies_kkt_with_positive_overlap():
     assert stats[-1].m > 0.3
 
 
-def test_depth_one_multilayer_delegates_to_regression_chain():
-    ml = MultilayerModel(d0=80, layers=layer_specs([40], ["linear"]))
+def test_depth_one_multilayer_is_a_stationary_line_graph():
+    ml = MultilayerModel(d0=80, layers=layer_specs([40], ["relu"]))
     inst, y = build_multilayer_instance(ml, seed=4)
-    assert set(inst.graph.vertices) == {"sig", "obs"}
+    assert set(inst.graph.vertices) == {"z0", "z1"}
+    # the generic SE calls the provider without a trajectory
+    for e in inst.graph.edges:
+        assert inst.provider(e, 0, None) is inst.provider(e, 5, None)
     traj = run(inst, 8, allow_degenerate=True)
     assert traj.T == 8
 
