@@ -26,6 +26,11 @@ from .nonlinearity import Nonlinearity, SideData
 
 Provider = Callable[[EdgeId, int, "AmpTrajectory"], Nonlinearity]
 
+# The finite-difference trace of a non-row-local update perturbs one
+# input entry per pair of applies, O(n^2 q) work in all; onsager refuses
+# it above this many entries (n * q of the perturbed block).
+FD_FALLBACK_MAX_ENTRIES = 512
+
 
 def stationary_provider(fns: Mapping[EdgeId, Nonlinearity]) -> Provider:
     """Provider for time-independent update functions."""
@@ -147,6 +152,14 @@ def onsager(instance: GraphInstance, e: EdgeId, t: int, traj: AmpTrajectory,
         f = instance.provider(e, t, traj)
     inputs = _gather_inputs(traj, g, e, t)
     wrt = reversed_input_index(g, e)
+    if not f.row_local and f.fd_trace:
+        n, qw = inputs[wrt].shape
+        if n * qw > FD_FALLBACK_MAX_ENTRIES:
+            raise NumericalError(
+                f"non-row-local update has no analytic jacobian_trace; its "
+                f"finite-difference trace over {n} x {qw} inputs would take "
+                f"{2 * n * qw} applies (budget {FD_FALLBACK_MAX_ENTRIES} entries)",
+                edge=str(e), t=t)
     J = f.jacobian_trace(inputs, side=instance.side_data(e), wrt=wrt)
     J = np.atleast_2d(np.asarray(J, dtype=float))
     want = (g.q(e), g.q(e.reversed()))

@@ -16,9 +16,14 @@ into the effective cluster noise, still a valid mixture).
 
 The iteration runs on a two-node chain with q = K columns.  The
 penalty prox is non-separable across the K stacked blocks but closed
-form: W* solves (lam gamma I + sum_k Sigma_k) W = sum_k Sigma_k^{1/2}
-V_k and the output restacks Sigma_k^{1/2} W*.  Its diagonal Jacobian
-sum is isotropic, so the adaptive scalar steps stay well defined.
+form: W* solves (lam gamma I + S) W = sum_k Sigma_k^{1/2} V_k with
+S = sum_k Sigma_k, and the output restacks Sigma_k^{1/2} W*.  S does
+not depend on the step, so each instance factors it once,
+S = U diag(s) U^T; every step then solves in that basis,
+W* = U ((U^T rhs) / (lam gamma + s)), and the diagonal Jacobian sum is
+gamma sum_i s_i / (lam gamma + s_i) times I_K, with no factorization
+per step.  The trace is isotropic, so the adaptive scalar steps stay
+well defined.
 The fixed point is the exact ridge minimizer of
   0.5 ||Y - A_eff W||_F^2 + 0.5 lam ||W||_F^2
 with Y one-hot labels; predictions take an argmax of x^T W_hat.
@@ -33,7 +38,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from ..engine import AmpTrajectory, GraphInstance
-from ..ensembles import normals, sample_spatially_coupled, spectral_inv_sqrt, spectral_sqrt, stream
+from ..ensembles import normals, sample_spatially_coupled, stream
 from ..graphs import EdgeId, GraphSpec
 from ..nonlinearity import Nonlinearity, SideData
 from .glm import ObservationResidual, signal_half_iterates, two_phase_provider
@@ -58,6 +63,9 @@ class GmmSpatialModel:
         for key, value in (("lam", self.lam), ("coupling", self.coupling)):
             if value < 0:
                 raise ValueError(f"{key}: must be >= 0, got {value}")
+        if self.cov_scales is not None and (len(self.cov_scales) != self.K
+                                            or min(self.cov_scales) <= 0):
+            raise ValueError(f"cov_scales: need {self.K} positive values, got {self.cov_scales}")
 
     @property
     def n(self) -> int:
@@ -72,16 +80,20 @@ class GmmSpatialModel:
 
 @dataclass
 class GmmData:
-    covs: List[np.ndarray]
     cov_sqrts: List[np.ndarray]
+    spectrum: Tuple[np.ndarray, np.ndarray]  # (s, U) with sum_k Sigma_k = U diag(s) U^T
     design: np.ndarray        # stacked design (n x Kd), mean blocks included
     design_rows: np.ndarray   # effective per-sample feature rows (n x d)
     labels: np.ndarray        # cluster index per row
     Y: np.ndarray             # one-hot targets (n x K)
 
 
-def _sample_means_covs(model: GmmSpatialModel, seed: int):
-    means, covs, roots = [], [], []
+def _sample_clusters(model: GmmSpatialModel, seed: int):
+    """Per cluster: Sigma_k^{1/2} and g_k = Sigma_k^{-1/2} mu_k, built from
+    the sampled eigenpairs of Sigma_k = q diag(eig) q^T; plus the
+    eigendecomposition (s, U) of sum_k Sigma_k."""
+    roots, gs = [], []
+    S = np.zeros((model.d, model.d))
     scales = model.cov_scales or tuple(1.0 + 0.5 * k for k in range(model.K))
     for k in range(model.K):
         # O(1)-norm means balance the O(1)-norm noise rows
@@ -89,24 +101,24 @@ def _sample_means_covs(model: GmmSpatialModel, seed: int):
         mu /= math.sqrt(model.d)
         z = normals(stream(seed, "gmm", "cov", k), (model.d, model.d))
         q, _ = np.linalg.qr(z)
+        # eig lies between 0.5 and scales[k] > 0, so the inverse root exists
         eig = 0.5 + (scales[k] - 0.5) * (np.arange(model.d) + 0.5) / model.d
-        Sigma = (q * eig) @ q.T
-        means.append(mu)
-        covs.append(Sigma)
-        roots.append(spectral_sqrt(Sigma))
-    return means, covs, roots
+        root_eig = np.sqrt(eig)
+        roots.append((q * root_eig) @ q.T)
+        gs.append(q @ ((q.T @ mu) / root_eig))
+        S += (q * eig) @ q.T
+    return roots, gs, np.linalg.eigh(S)
 
 
 def sample_gmm_data(model: GmmSpatialModel, seed: int, tag: str = "train") -> GmmData:
     """Draw one dataset: coupled Gaussian blocks plus mean blocks."""
     K, d, npc = model.K, model.d, model.n_per_cluster
-    means, covs, roots = _sample_means_covs(model, seed)
+    roots, gs, spectrum = _sample_clusters(model, seed)
     Z = sample_spatially_coupled([npc] * K, [d] * K, model.sigma_grid(), d,
                                  stream(seed, "gmm", "Z", tag))
     design = Z.copy()
     for k in range(K):
-        g_k = spectral_inv_sqrt(covs[k]) @ means[k]
-        design[k * npc:(k + 1) * npc, k * d:(k + 1) * d] += np.outer(np.ones(npc), g_k)
+        design[k * npc:(k + 1) * npc, k * d:(k + 1) * d] += np.outer(np.ones(npc), gs[k])
     # effective per-sample rows: block row k maps W -> sum_j block_{kj} Sigma_j^{1/2} W
     rows = np.zeros((model.n, d))
     for k in range(K):
@@ -117,23 +129,26 @@ def sample_gmm_data(model: GmmSpatialModel, seed: int, tag: str = "train") -> Gm
     labels = np.repeat(np.arange(K), npc)
     Y = np.zeros((model.n, K))
     Y[np.arange(model.n), labels] = 1.0
-    return GmmData(covs=covs, cov_sqrts=roots, design=design,
+    return GmmData(cov_sqrts=roots, spectrum=spectrum, design=design,
                    design_rows=rows, labels=labels, Y=Y)
 
 
 class StackPenaltyProx(Nonlinearity):
-    """Non-separable prox of 0.5 lam ||W||_F^2 in stacked coordinates."""
+    """Non-separable prox of 0.5 lam ||W||_F^2 in stacked coordinates.
 
-    def __init__(self, model: GmmSpatialModel, covs, roots, alpha: float):
+    spectrum is (s, U) with sum_k Sigma_k = U diag(s) U^T, factored once
+    per instance, so neither apply nor jacobian_trace factors a matrix.
+    """
+
+    def __init__(self, model: GmmSpatialModel, roots, spectrum, alpha: float):
         self.model = model
-        self.covs = covs
         self.roots = roots
         self.alpha = float(alpha)
         self.arity = 1
         self.out_cols = model.K
         self.row_local = False
-        G = self.alpha * self.model.lam * np.eye(model.d) + sum(covs)
-        self._G = G
+        self._s, self._U = spectrum
+        self._denom = self.alpha * model.lam + self._s
 
     def _solve(self, U):
         K, d = self.model.K, self.model.d
@@ -141,7 +156,7 @@ class StackPenaltyProx(Nonlinearity):
         rhs = np.zeros((d, K))
         for k in range(K):
             rhs += self.roots[k].T @ V[k * d:(k + 1) * d]
-        W = np.linalg.solve(self._G, rhs)
+        W = self._U @ ((self._U.T @ rhs) / self._denom[:, None])
         out = np.vstack([self.roots[k] @ W for k in range(K)])
         return W, out
 
@@ -150,10 +165,9 @@ class StackPenaltyProx(Nonlinearity):
         return out
 
     def jacobian_trace(self, inputs, side=None, wrt=0):
-        K = self.model.K
-        Ginv = np.linalg.inv(self._G)
-        tr = sum(float(np.trace(self.covs[k] @ Ginv)) for k in range(K))
-        return self.alpha * tr * np.eye(K)
+        # alpha sum_k tr(Sigma_k G^{-1}) = alpha tr(S G^{-1}), G = alpha lam I + S
+        tr = float(np.sum(self._s / self._denom))
+        return self.alpha * tr * np.eye(self.model.K)
 
     def weights(self, U) -> np.ndarray:
         W, _ = self._solve(U)
@@ -178,7 +192,7 @@ def build_gmm_spatial_instance(model: GmmSpatialModel, seed: int = 0):
         matrices={fwd: data.design},
         provider=two_phase_provider(
             fwd, model.K,
-            lambda alpha: StackPenaltyProx(model, data.covs, data.cov_sqrts, alpha),
+            lambda alpha: StackPenaltyProx(model, data.cov_sqrts, data.spectrum, alpha),
             ObservationResidual, model.beta0),
         side={bwd: SideData(arrays={"y": data.Y})},
         scale_base={fwd: float(model.d)},
@@ -189,7 +203,7 @@ def build_gmm_spatial_instance(model: GmmSpatialModel, seed: int = 0):
 def gmm_weights(traj: AmpTrajectory, model: GmmSpatialModel, data: GmmData) -> np.ndarray:
     """Ridge weights W (d x K) recovered from the final stacked iterate."""
     u, alpha = signal_half_iterates(traj, EdgeId("stack", "obs"))[-1]
-    return StackPenaltyProx(model, data.covs, data.cov_sqrts, alpha).weights(u)
+    return StackPenaltyProx(model, data.cov_sqrts, data.spectrum, alpha).weights(u)
 
 
 def ridge_baseline(model: GmmSpatialModel, data: GmmData) -> np.ndarray:

@@ -46,6 +46,11 @@ class Nonlinearity:
     def jacobian_trace(self, inputs, side=None, wrt: int = 0) -> np.ndarray:
         return fd_jacobian_trace(self, inputs, side=side, wrt=wrt)
 
+    @property
+    def fd_trace(self) -> bool:
+        """True when jacobian_trace is the finite-difference fallback."""
+        return type(self).jacobian_trace is Nonlinearity.jacobian_trace
+
     def check_inputs(self, inputs):
         if len(inputs) != self.arity:
             raise ShapeError(f"{type(self).__name__}: expected {self.arity} input blocks, got {len(inputs)}")
@@ -184,6 +189,10 @@ class Scaled(Nonlinearity):
     def jacobian_trace(self, inputs, side=None, wrt=0):
         return self.c * self.inner.jacobian_trace(inputs, side=side, wrt=wrt)
 
+    @property
+    def fd_trace(self) -> bool:
+        return self.inner.fd_trace
+
 
 class FromCallable(Nonlinearity):
     """Adapter for ad-hoc functions; Jacobian trace by finite differences
@@ -204,6 +213,10 @@ class FromCallable(Nonlinearity):
         if self.jac is not None:
             return self.jac(inputs, side, wrt)
         return fd_jacobian_trace(self, inputs, side=side, wrt=wrt)
+
+    @property
+    def fd_trace(self) -> bool:
+        return self.jac is None
 
 
 def relu(x):

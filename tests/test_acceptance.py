@@ -347,7 +347,7 @@ def _nonlinearity_catalog(rng):
         Sig = (q * rng.uniform(0.5, 2.0, size=30)) @ q.T
         covs.append(Sig)
         roots.append(spectral_sqrt(Sig))
-    stack = StackPenaltyProx(gmodel, covs, roots, alpha=0.7)
+    stack = StackPenaltyProx(gmodel, roots, np.linalg.eigh(sum(covs)), alpha=0.7)
     yield ("stack_penalty_prox", stack,
            lambda: ([rng.normal(size=(60, 2))], None, 0))
     yield ("observation_residual_q2", ObservationResidual(0.9),

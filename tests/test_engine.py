@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,7 @@ from graphamp.engine import (Observable, init, norm_sq_observable, observe,
                              overlap_observable, run, stationary_provider,
                              step)
 from graphamp.graphs import EdgeId, single_loop, two_node_chain
-from graphamp.nonlinearity import Entrywise, FromCallable, Identity
+from graphamp.nonlinearity import Entrywise, FromCallable, Identity, Scaled
 
 
 def _chain_instance(A, x0_fwd, scale):
@@ -81,6 +83,42 @@ def test_divergence_aborts_with_location():
         run(inst, 400, allow_degenerate=True)
     assert ei.value.edge == str(loop)
     assert ei.value.t is not None and ei.value.t > 1
+
+
+def _centering_chain(n, wrap=lambda f: f):
+    """Chain whose forward update centers its input: not row-local, and
+    FromCallable without jac, so its trace is the FD fallback."""
+    g = two_node_chain("sig", n, "obs", 10)
+    fwd = EdgeId("sig", "obs")
+    center = wrap(FromCallable(lambda inputs, side: inputs[0] - inputs[0].mean(axis=0)))
+    A = np.random.default_rng(2).normal(size=(10, n)) / np.sqrt(n)
+    inst = GraphInstance(
+        graph=g,
+        matrices={fwd: A},
+        provider=stationary_provider({fwd: center, fwd.reversed(): Identity()}),
+        x0={fwd.reversed(): np.ones((n, 1))},
+    )
+    return inst, fwd
+
+
+@pytest.mark.parametrize("wrap", [lambda f: f, lambda f: Scaled(f, 2.0)],
+                         ids=["from_callable", "scaled"])
+def test_costly_fd_fallback_aborts_with_location(wrap):
+    inst, fwd = _centering_chain(2000, wrap)
+    start = time.perf_counter()
+    with pytest.raises(NumericalError, match="analytic jacobian_trace") as ei:
+        run(inst, 2, allow_degenerate=True)
+    assert time.perf_counter() - start < 1.0
+    assert ei.value.edge == str(fwd)
+    assert ei.value.t == 0
+
+
+def test_fd_fallback_within_budget_still_runs():
+    n = 40
+    inst, fwd = _centering_chain(n)
+    traj = run(inst, 2, allow_degenerate=True)
+    # d/dx_i of (x_i - mean x) summed over rows is n - 1
+    assert traj.b[fwd][0][0, 0] == pytest.approx((n - 1) / inst.scale(fwd), rel=1e-6)
 
 
 def sample_goe_like(n):

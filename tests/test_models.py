@@ -9,7 +9,8 @@ from graphamp import (CommitteeModel, GmmSpatialModel, MultilayerModel,
 from graphamp.engine import run
 from graphamp.graphs import EdgeId
 from graphamp.models.glm import gamp_estimates, gamp_iterate_stats, kkt_residual
-from graphamp.models.gmm import accuracy, classify, gmm_weights, ridge_baseline
+from graphamp.models.gmm import (StackPenaltyProx, accuracy, classify, gmm_weights,
+                                 ridge_baseline, sample_gmm_data)
 from graphamp.models.spiked import spiked_scalar_se
 
 from helpers import default_prior, fista_lasso, ridge_direct
@@ -161,6 +162,59 @@ def test_gmm_iteration_reaches_ridge_weights():
     assert abs(acc_amp - acc_ridge) < 0.02
     labels = classify(W, data.design_rows)
     assert labels.shape == (2 * 160,)
+
+
+def _rel(got, ref):
+    return float(np.linalg.norm(got - ref) / np.linalg.norm(ref))
+
+
+@pytest.mark.parametrize("lam", [0.0, 1.1])
+def test_stack_prox_spectral_form_matches_dense_solve(lam):
+    model = GmmSpatialModel(K=3, d=40, n_per_cluster=10, lam=lam, coupling=0.3)
+    data = sample_gmm_data(model, seed=4)
+    alpha, K, d = 0.7, model.K, model.d
+    prox = StackPenaltyProx(model, data.cov_sqrts, data.spectrum, alpha)
+    U = np.random.default_rng(5).normal(size=(K * d, K))
+    # dense reference: G = alpha lam I + sum_k Sigma_k, Sigma_k = R_k R_k^T
+    roots = data.cov_sqrts
+    covs = [R @ R.T for R in roots]
+    G = alpha * lam * np.eye(d) + sum(covs)
+    rhs = sum(roots[k].T @ (alpha * U[k * d:(k + 1) * d]) for k in range(K))
+    W_ref = np.linalg.solve(G, rhs)
+    out_ref = np.vstack([roots[k] @ W_ref for k in range(K)])
+    Ginv = np.linalg.inv(G)
+    tr_ref = alpha * sum(np.trace(C @ Ginv) for C in covs) * np.eye(K)
+    assert _rel(prox.weights(U), W_ref) <= 1e-12
+    assert _rel(prox.apply([U]), out_ref) <= 1e-12
+    assert _rel(prox.jacobian_trace([U]), tr_ref) <= 1e-12
+
+
+@pytest.mark.parametrize("scales", [(1.0, 0.0), (1.0,), (1.0, 1.5, 2.0)])
+def test_gmm_rejects_cov_scales_without_a_positive_spectrum(scales):
+    with pytest.raises(ValueError, match="cov_scales"):
+        GmmSpatialModel(K=2, d=10, n_per_cluster=5, cov_scales=scales)
+
+
+FACTORIZATIONS = ("eigh", "eig", "eigvalsh", "solve", "inv", "cholesky",
+                  "qr", "svd", "lstsq", "pinv")
+
+
+def test_gmm_iteration_factors_no_matrix_per_step(monkeypatch):
+    model = GmmSpatialModel(K=2, d=60, n_per_cluster=50, coupling=0.3)
+    inst, _ = build_gmm_spatial_instance(model, seed=3)
+    calls = {name: 0 for name in FACTORIZATIONS}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in FACTORIZATIONS:
+        monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
+    traj = run(inst, 6, allow_degenerate=True)
+    assert traj.T == 6
+    assert calls == {name: 0 for name in FACTORIZATIONS}
 
 
 def test_default_mean_scale_is_in_the_stable_regime():
