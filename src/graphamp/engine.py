@@ -10,6 +10,12 @@ q_e columns.  One step computes, for every edge,
 where e<- is the reversed edge and S_e is the edge's variance base
 (the scale_N of its matrix ensemble; defaults to the global N).  The
 t = 0 update has no correction term (m^{-1} = 0).
+
+An output m^t_e with no nonzero entry (the off phase of a two-phase
+chain) skips the product A_e m^t_e, which is known to be zero; the
+correction term still applies.  A matrix holding non-finite entries is
+therefore caught at the first step whose output through it is nonzero,
+not at a zero step.
 """
 
 from __future__ import annotations
@@ -169,7 +175,12 @@ def onsager(instance: GraphInstance, e: EdgeId, t: int, traj: AmpTrajectory,
 
 
 def step(instance: GraphInstance, traj: AmpTrajectory) -> AmpTrajectory:
-    """Advance every edge by one iteration (in place; returns traj)."""
+    """Advance every edge by one iteration (in place; returns traj).
+
+    An all-zero output m^t_e leaves A_e unread: x^{t+1}_e is then the
+    correction term alone (zeros at t = 0), and a non-finite A_e is
+    only caught at a step whose output is nonzero.
+    """
     g = instance.graph
     t = traj.T
     order = canonical_edge_order(g)
@@ -188,7 +199,10 @@ def step(instance: GraphInstance, traj: AmpTrajectory) -> AmpTrajectory:
     for e in order:
         # overflow surfaces through the isfinite guard, not a warning
         with np.errstate(over="ignore", invalid="ignore"):
-            x_new = instance.matrix(e) @ ms[e]
+            if ms[e].any():
+                x_new = instance.matrix(e) @ ms[e]
+            else:
+                x_new = np.zeros(g.x_shape(e))
             if t >= 1:
                 x_new = x_new - traj.m[e.reversed()][t - 1] @ bs[e].T
         if not np.all(np.isfinite(x_new)):

@@ -29,11 +29,15 @@ penalty at scale alpha_t applied to alpha_t u, and h_t(v, y) is the
 residual map of the loss prox at scale beta_t.
 
 Expectations run on tensorized Gauss-Hermite grids by default, or by
-seeded Monte Carlo.
+seeded Monte Carlo.  Each quadrature rule (Gauss-Hermite nodes and the
+Gauss-Legendre rule of the piecewise grids) is built once per node
+count and cached; the cached arrays are read-only, so a caller that
+writes to them raises instead of corrupting later runs.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
@@ -48,10 +52,24 @@ from .prox import ProxSpec, prox, prox_deriv
 DEFAULT_GH_NODES = 61
 
 
+def _read_only(*arrays: np.ndarray) -> Tuple[np.ndarray, ...]:
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+@functools.lru_cache(maxsize=None)
 def gh_points(n: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Nodes and probability weights so E[f(Z)] = sum w f(x), Z std normal."""
+    """Nodes and probability weights so E[f(Z)] = sum w f(x), Z std normal
+    (cached per n, read-only)."""
     x, w = roots_hermitenorm(n)
-    return x, w / math.sqrt(2.0 * math.pi)
+    return _read_only(x, w / math.sqrt(2.0 * math.pi))
+
+
+@functools.lru_cache(maxsize=None)
+def _legendre_points(n: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1] (cached per n, read-only)."""
+    return _read_only(*np.polynomial.legendre.leggauss(n))
 
 
 _TAIL_SDS = 12.0
@@ -69,15 +87,13 @@ def gaussian_piecewise_nodes(mean: float, sd: float, kinks, n: int):
     if sd == 0.0:
         return np.array([mean]), np.array([1.0])
     lo, hi = mean - _TAIL_SDS * sd, mean + _TAIL_SDS * sd
-    cuts = [lo] + sorted(k for k in kinks if lo < k < hi) + [hi]
-    xg, wg = np.polynomial.legendre.leggauss(n)
-    nodes, weights = [], []
-    for a, b in zip(cuts[:-1], cuts[1:]):
-        u = 0.5 * (b - a) * xg + 0.5 * (a + b)
-        dens = np.exp(-0.5 * ((u - mean) / sd) ** 2) / (sd * math.sqrt(2.0 * math.pi))
-        nodes.append(u)
-        weights.append(0.5 * (b - a) * wg * dens)
-    return np.concatenate(nodes), np.concatenate(weights)
+    cuts = np.array([lo] + sorted(k for k in kinks if lo < k < hi) + [hi])
+    xg, wg = _legendre_points(n)
+    # one row per piece
+    a, b = cuts[:-1, None], cuts[1:, None]
+    u = 0.5 * (b - a) * xg + 0.5 * (a + b)
+    dens = np.exp(-0.5 * ((u - mean) / sd) ** 2) / (sd * math.sqrt(2.0 * math.pi))
+    return u.ravel(), (0.5 * (b - a) * wg * dens).ravel()
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,7 @@ import pytest
 
 import graphamp
 from graphamp import cli
+from graphamp import config as config_mod
 from graphamp.cli import main
 from graphamp.config import MODEL_KINDS
 
@@ -173,6 +174,26 @@ def test_shipped_configs_pass_their_own_gates(tmp_path):
         assert main(["run", "--config", os.path.join(configs, name),
                      "--out", str(tmp_path / name), "--workers", "2",
                      "--strict"]) == 0, name
+
+
+def test_glm_gate_fails_a_scaled_prediction():
+    # negative control: the quickstart's gates must reject an SE that is
+    # 10% off; the AMP side is computed once and gated three times
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "configs",
+                        "lasso_quickstart.json")
+    cfg = config_mod.load(path)
+    kind = cli.KINDS[cfg.kind]
+    amp = cli._fan_out(cfg, workers=2)
+    se = cli.se_rows_for(cfg)
+
+    def failures(scale):
+        scaled = [(t, name, scale * value, scale * stderr)
+                  for t, name, value, stderr in se]
+        return sum(1 for row in kind.gate(cfg, amp, scaled) if not row["pass"])
+
+    assert failures(1.0) == 0
+    assert failures(1.1) >= 1
+    assert failures(0.9) >= 1
 
 
 def test_module_entry_point_runs(tmp_path):

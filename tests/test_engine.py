@@ -3,12 +3,14 @@ import time
 import numpy as np
 import pytest
 
-from graphamp import GraphInstance, NumericalError, ShapeError
+from graphamp import (GraphInstance, NumericalError, ShapeError,
+                      build_gamp_instance, lasso_model)
 from graphamp.engine import (Observable, init, norm_sq_observable, observe,
                              overlap_observable, run, stationary_provider,
                              step)
 from graphamp.graphs import EdgeId, single_loop, two_node_chain
 from graphamp.nonlinearity import Entrywise, FromCallable, Identity, Scaled
+from helpers import default_prior
 
 
 def _chain_instance(A, x0_fwd, scale):
@@ -56,6 +58,44 @@ def test_second_step_subtracts_onsager_term():
     assert np.allclose(traj.x[bwd][2], x2_bwd)
     assert np.allclose(traj.b[fwd][1], [[1.0]])
     assert np.allclose(traj.b[bwd][1], [[2.0 / 3.0]])
+
+
+def test_zero_output_skips_the_matrix_product():
+    model = lasso_model(d=200, n=100, lam=1.2, prior=default_prior(), sigma=0.5)
+    inst, _ = build_gamp_instance(model, seed=3)
+    reads = []
+    matrix = inst.matrix
+    inst.matrix = lambda e: reads.append(e) or matrix(e)
+    T = 10
+    run(inst, T, allow_degenerate=True)
+    # one of the two phases applies the zero update at every step
+    assert len(reads) == T
+
+
+def test_zero_output_keeps_its_onsager_correction():
+    A = np.array([[1.0, 2.0, 0.0], [0.0, 1.0, -1.0]])
+    n, d = A.shape
+    g = two_node_chain("sig", d, "obs", n)
+    fwd = EdgeId("sig", "obs")
+    bwd = fwd.reversed()
+    # zero output, unit derivative: J = d rows, b = d / scale
+    zero_with_trace = Entrywise(np.zeros_like, np.ones_like)
+    shift = Entrywise(lambda x: x + 1.0, np.ones_like)
+    inst = GraphInstance(
+        graph=g,
+        matrices={fwd: A},
+        provider=stationary_provider({fwd: zero_with_trace, bwd: shift}),
+        x0={fwd: np.array([[1.0], [-1.0]]), bwd: np.array([[0.5], [2.0], [-1.5]])},
+        scale_base={fwd: 4.0},
+    )
+    traj = run(inst, 3)
+    assert traj.x[fwd][1].shape == g.x_shape(fwd)
+    assert not traj.x[fwd][1].any()
+    for t in (1, 2):
+        assert traj.b[fwd][t][0, 0] == d / 4.0
+        want = -traj.m[bwd][t - 1] @ traj.b[fwd][t].T
+        assert want.any()
+        assert np.array_equal(traj.x[fwd][t + 1], want)
 
 
 def test_degenerate_zero_init_warns():

@@ -1,7 +1,9 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
-from graphamp import NumericalError
+from graphamp import NumericalError, gamp_se
 from graphamp.gamp_se import (GaussBernoulliPrior, GaussianPrior, GlmScalars,
                               QuadSpec, RademacherPrior, gamp_overlap_se,
                               gh_points, make_channel)
@@ -35,6 +37,36 @@ def test_gh_points_integrate_polynomials():
     assert abs(np.sum(w) - 1.0) < 1e-12
     assert abs(np.sum(w * z ** 2) - 1.0) < 1e-10
     assert abs(np.sum(w * z ** 4) - 3.0) < 1e-8
+
+
+def test_quadrature_rules_are_built_once_per_node_count(monkeypatch):
+    calls = Counter()
+    leggauss, hermite = np.polynomial.legendre.leggauss, gamp_se.roots_hermitenorm
+
+    def counted(name, rule):
+        def build(n):
+            calls[name, n] += 1
+            return rule(n)
+        return build
+
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss",
+                        counted("legendre", leggauss))
+    monkeypatch.setattr(gamp_se, "roots_hermitenorm", counted("hermite", hermite))
+    gamp_se.gh_points.cache_clear()
+    gamp_se._legendre_points.cache_clear()
+    prior, channel, scalars = _lasso_pieces(lam=1.2)
+    gamp_overlap_se(prior, channel, scalars, delta=0.5, T=12, beta0=1.0,
+                    quad=QuadSpec("gh"))
+    assert set(calls) == {("legendre", 61), ("hermite", 61)}
+    assert max(calls.values()) == 1
+
+
+def test_cached_quadrature_rules_are_read_only():
+    for x, w in (gh_points(61), gamp_se._legendre_points(61)):
+        with pytest.raises(ValueError):
+            x[0] = 0.0
+        with pytest.raises(ValueError):
+            w *= 2.0
 
 
 def test_first_iteration_scalars_are_closed_form():
