@@ -38,6 +38,9 @@ class Nonlinearity:
     arity: int = 1
     out_cols: int = 1
     # True when output row i depends only on row i of every input block.
+    # Per-row data (anything that differs between rows) must then come
+    # only through SideData: with no side data, the state evolution takes
+    # the rows as exchangeable and integrates one row on a grid.
     row_local: bool = False
 
     def apply(self, inputs: Sequence[np.ndarray], side: Optional[SideData] = None) -> np.ndarray:

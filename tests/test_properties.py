@@ -1,6 +1,7 @@
 """Invariants that hold by construction, checked on random symmetric
-graphs: loops and pairs over up to three vertices, dims 3-40, q 1-3,
-entrywise (optionally column-mixed) update functions."""
+graphs: loops and pairs over up to three vertices, dims 3-40 (200-240
+where the SE budget must reach the Gauss-Hermite grid), q 1-3, entrywise
+(optionally column-mixed) update functions."""
 
 import numpy as np
 from hypothesis import given, settings
@@ -13,7 +14,7 @@ from graphamp.ensembles import normals, sample_goe, sample_iid, stream
 from graphamp.graphs import EdgeId, GraphSpec, canonical_edge_order, edges_into
 from graphamp.nonlinearity import Entrywise, EntrywiseThenMix, Nonlinearity
 from graphamp.prox import soft_threshold
-from graphamp.state_evolution import se_run
+from graphamp.state_evolution import GRID_NODES, se_run
 
 PHIS = {
     "tanh": (np.tanh, lambda x: 1.0 - np.tanh(x) ** 2),
@@ -42,7 +43,7 @@ class OnBlock(Nonlinearity):
 
 
 @st.composite
-def symmetric_instances(draw):
+def symmetric_instances(draw, dims=(3, 40)):
     V = draw(st.integers(1, 3))
     names = [f"v{i}" for i in range(V)]
     loops = [EdgeId(v, v) for v in names if draw(st.booleans())]
@@ -52,7 +53,7 @@ def symmetric_instances(draw):
         loops = [EdgeId(names[0], names[0])]
     keys = loops + pairs
     used = sorted({v for e in keys for v in (e.start, e.end)})
-    node_dim = {v: draw(st.integers(3, 40)) for v in used}
+    node_dim = {v: draw(st.integers(*dims)) for v in used}
     cols = {}
     for e in keys:
         cols[e] = cols[e.reversed()] = draw(st.integers(1, 3))
@@ -110,11 +111,7 @@ def test_random_graphs_embed_exactly(case):
         assert onsager_block_pattern_err(emb.layout, B) == 0.0
 
 
-@settings(derandomize=True, max_examples=40, deadline=None)
-@given(symmetric_instances())
-def test_random_graph_se_kernels_are_symmetric_psd(case):
-    instance, T, seed = case
-    cov = se_run(instance, T, reps=16, seed=seed)
+def _assert_symmetric_psd(cov, instance):
     for e in instance.graph.edges:
         K = cov.K[e]
         q = K.shape[-1]
@@ -124,3 +121,20 @@ def test_random_graph_se_kernels_are_symmetric_psd(case):
             tol = 1e-12 * np.trace(C)
             assert np.abs(C - C.T).max() <= tol, (e, t)
             assert np.linalg.eigvalsh(C)[0] >= -tol, (e, t)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(symmetric_instances())
+def test_random_graph_se_kernels_are_symmetric_psd(case):
+    instance, T, seed = case
+    _assert_symmetric_psd(se_run(instance, T, reps=16, seed=seed), instance)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(symmetric_instances(dims=(200, 240)))
+def test_random_graph_se_kernels_are_symmetric_psd_on_the_grid(case):
+    # a budget above the grid size at every node: edges with at most two
+    # input columns take the grid, wider ones stay on Monte Carlo
+    instance, T, seed = case
+    reps = GRID_NODES // 200 + 1
+    _assert_symmetric_psd(se_run(instance, T, reps=reps, seed=seed), instance)

@@ -6,12 +6,14 @@ import numpy as np
 import pytest
 
 from graphamp import CommitteeModel, GraphInstance, build_committee_instance
+from graphamp import state_evolution
 from graphamp.engine import run, stationary_provider
 from graphamp.graphs import EdgeId, single_loop
-from graphamp.nonlinearity import Entrywise, FromCallable, Identity, Zero, relu
-from graphamp.state_evolution import (amp_observable_stats, compare,
-                                      mc_observable_stats, se_run, se_step,
-                                      summarize)
+from graphamp.nonlinearity import (Entrywise, FromCallable, Identity,
+                                   Nonlinearity, SideData, Zero, relu)
+from graphamp.state_evolution import (GRID_NODES, amp_observable_stats,
+                                      compare, mc_observable_stats, se_run,
+                                      se_step, summarize)
 from graphamp.engine import norm_sq_observable
 from graphamp.ensembles import sample_goe, stream
 
@@ -172,3 +174,155 @@ def test_se_step_memory_stays_within_chunks_in_flight():
     finally:
         tracemalloc.stop()
     assert peak <= 4 * workers * chunk * n * t * q * 8
+
+
+# committee edges: the signal side (soft threshold, no side data, two input
+# columns, so a 4-dimensional pair grid) and the observation side (reads Y)
+SIG, OBS = EdgeId("wts", "obs"), EdgeId("obs", "wts")
+
+
+def _committee(n=300):
+    inst, _ = build_committee_instance(CommitteeModel(d=n, n=n), seed=0)
+    return inst
+
+
+def _on_mc(inst, e):
+    # empty side data: the same update, but not side-data free
+    return dataclasses.replace(inst, side={**inst.side, e: SideData()})
+
+
+def test_grid_kernels_match_a_tenfold_monte_carlo_reference():
+    inst, T, B, R = _committee(), 4, 256, 4
+    assert B * 300 > GRID_NODES            # the signal edge takes the grid
+    grid = se_run(inst, T, reps=B, seed=0)
+    refs = [se_run(_on_mc(inst, SIG), T, reps=10 * B, seed=1 + r) for r in range(R)]
+    for e in (SIG, OBS):
+        K = np.stack([ref.K[e] for ref in refs])
+        mean, var = K.mean(axis=0), K.var(axis=0, ddof=1)
+        # time 1 is the initializer's on both sides; the PSD steps move
+        # it at rounding level only
+        np.testing.assert_allclose(grid.K[e][0, 0], mean[0, 0], rtol=1e-8)
+        for t in range(1, T):
+            for s in range(t + 1):
+                # Monte Carlo variance scales as 1 / budget: the grid run's
+                # observation edge (at B) carries 10 x the reference's
+                # variance, the reference mean 1 / R of it; gate at 4 sd,
+                # pooled over the block's q x q entries
+                sd = np.sqrt((10 + 1 / R) * var[t, s].sum())
+                assert np.linalg.norm(grid.K[e][t, s] - mean[t, s]) <= 4 * sd, (e, t, s)
+
+
+class _Recorded(Nonlinearity):
+    """f, with the row count of every call recorded."""
+
+    def __init__(self, f, rows, row_local=None):
+        self.f, self.rows = f, rows
+        self.arity, self.out_cols = f.arity, f.out_cols
+        self.row_local = f.row_local if row_local is None else row_local
+
+    def apply(self, inputs, side=None):
+        self.rows.append(len(inputs[0]))
+        return self.f.apply(inputs, side)
+
+
+def _rows_seen(inst, reps, T=3, row_local=None):
+    """Row counts each edge's update receives during se_run, other than
+    n (one copy, or the initializer's call)."""
+    rows = {e: [] for e in inst.graph.edges}
+    table = {e: _Recorded(inst.provider(e, 0, None), rows[e], row_local)
+             for e in inst.graph.edges}
+    se_run(dataclasses.replace(inst, provider=stationary_provider(table)),
+           T, reps=reps, seed=0)
+    return {e: set(r) - {inst.graph.node_dim[e.start]} for e, r in rows.items()}
+
+
+def test_grid_routing(monkeypatch):
+    # reps = 2 chunks of 128 copies
+    inst, reps, n, chunk = _committee(), 256, 300, state_evolution.DEFAULT_CHUNK
+    drawn = []
+    sample = state_evolution.sample_gaussian_family
+
+    def recording_sample(F, *args):
+        drawn.append(F)
+        return sample(F, *args)
+
+    monkeypatch.setattr(state_evolution, "sample_gaussian_family", recording_sample)
+    cov = se_run(inst, 2, reps=reps, seed=0)
+    drawn.clear()
+    se_step(inst, cov, reps, lambda *labels: stream(5, *labels))
+    # one family per chunk, and only the signal edge's, which the
+    # observation edge reads; the signal edge's own input is never drawn
+    F = state_evolution.family_factor(cov.K[SIG])
+    assert len(drawn) == reps // chunk and all(np.array_equal(D, F) for D in drawn)
+    monkeypatch.undo()
+
+    rows = _rows_seen(inst, reps)
+    assert rows[OBS] == {chunk * n}                   # reads side data Y
+    assert rows[SIG] and max(rows[SIG]) <= state_evolution._GRID_TILE
+    assert chunk * n not in rows[SIG]
+    # empty side data, a non-row-local twin, a budget below the grid size
+    assert _rows_seen(_on_mc(inst, SIG), reps)[SIG] == {chunk * n}
+    assert _rows_seen(inst, reps, row_local=False)[SIG] == set()
+    assert _rows_seen(inst, 64)[SIG] == {64 * n}
+    # a 3-column loop: pair dimension 6 > 4
+    loop = EdgeId("v", "v")
+    wide = GraphInstance(
+        graph=single_loop("v", 400, q=3),
+        matrices={loop: sample_goe(400, stream(9, "loop"), scale_N=400)},
+        provider=stationary_provider(
+            {loop: Entrywise(np.tanh, lambda x: 1 - np.tanh(x) ** 2)}),
+        x0={loop: np.ones((400, 3))})
+    assert 400 * reps > GRID_NODES
+    assert _rows_seen(wide, reps)[loop] == {chunk * 400}
+
+
+def test_grid_kernels_rerun_identically_for_any_worker_count():
+    inst = _committee()
+    a = se_run(inst, 4, reps=256, seed=3, chunk=64, workers=1)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for workers in (1, 2, 4):
+            b = se_run(inst, 4, reps=256, seed=3, chunk=64, workers=workers)
+            for e in inst.graph.edges:
+                assert a.K[e].tobytes() == b.K[e].tobytes()
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_grid_matches_closed_form_relu_moments():
+    # relu on a loop: every entry of the new kernel row is known in closed
+    # form from the previous ones, E max(Z,0) = sqrt(k / 2 pi) for the
+    # initializer's row (m^0 = 1, so its column sum over N is 1), k / 2 on
+    # the diagonal, and the arc-cosine kernel for the (Z^s, Z^t) pairs
+    f = Entrywise(relu, lambda x: (x > 0).astype(float))
+    inst, loop = _loop_instance(f, n=400, x0_val=1.0)
+    T = 4
+    K = se_run(inst, T=T, reps=20_000, seed=1).K[loop][..., 0, 0]
+
+    def arc_cosine(a, b, c):
+        theta = np.arccos(c / np.sqrt(a * b))
+        return np.sqrt(a * b) / (2 * np.pi) * (np.sin(theta) + (np.pi - theta) * np.cos(theta))
+
+    for t in range(1, T):
+        want = [np.sqrt(K[t - 1, t - 1] / (2 * np.pi))]
+        want += [arc_cosine(K[s - 1, s - 1], K[t - 1, t - 1], K[s - 1, t - 1])
+                 for s in range(1, t)]
+        want += [K[t - 1, t - 1] / 2]
+        # quadrature error only (it reads at most 4e-5 here)
+        np.testing.assert_allclose(K[t, :t + 1], want, rtol=1e-4)
+
+
+def test_family_factor_once_per_step_and_edge(monkeypatch):
+    inst, _ = build_committee_instance(CommitteeModel(d=150, n=100), seed=2)
+    cov = se_run(inst, T=3, reps=300, seed=3, chunk=64)
+    calls = []
+    factor = state_evolution.family_factor
+    monkeypatch.setattr(state_evolution, "family_factor",
+                        lambda K_e: calls.append(K_e) or factor(K_e))
+    # 5 chunks of Monte Carlo on both edges, and 5 of observables
+    se_step(inst, cov, 300, lambda *labels: stream(5, *labels), chunk=64)
+    assert len(calls) == 2
+    calls.clear()
+    mc_observable_stats(inst, cov, [], reps=300, seed=4, chunk=64)
+    assert len(calls) == 2
