@@ -42,8 +42,7 @@ from .models import (CommitteeModel, GmmSpatialModel, MultilayerModel,
                      ridge_model, spiked_scalar_se)
 from .nonlinearity import Entrywise
 from .reporting import ReportIOError, write_dict_rows
-from .state_evolution import (compare, map_ordered, mc_observable_stats,
-                              se_run, summarize)
+from .state_evolution import compare, map_ordered, se_run, summarize
 
 TRAJ_HEADER = ("seed", "t", "name", "value")
 SE_HEADER = ("t", "name", "value", "stderr")
@@ -108,20 +107,13 @@ def _spiked_rows(cfg, traj, instance, model, v0) -> List[Tuple[int, str, float]]
     return rows
 
 
-def _edge_observables(instance, T):
-    obs = []
-    for e in canonical_edge_order(instance.graph):
-        scale = instance.graph.node_dim[e.end]
-        obs.append(norm_sq_observable(e, scale, name=f"norm_sq[{e.start}->{e.end}]"))
-    return obs, list(range(1, T + 1))
-
-
 def _generic_rows(cfg, traj, instance, model, aux) -> List[Tuple[int, str, float]]:
-    if "norm_sq" not in cfg.observables:
-        return []
-    obs, times = _edge_observables(instance, traj.T)
+    """norm_sq[e] = ||x_e||^2 / n_e, the per-row second moment."""
+    g = instance.graph
+    obs = [norm_sq_observable(e, 1.0 / g.node_dim[e.end])
+           for e in canonical_edge_order(g)]
     return [(rec["t"], rec["observable"], rec["value"])
-            for rec in observe(traj, obs, times)]
+            for rec in observe(traj, obs, range(1, traj.T + 1))]
 
 
 # ---------------------------------------------------------------------------
@@ -158,12 +150,10 @@ def _generic_se_rows(cfg, model, workers) -> List[Tuple[int, str, float, float]]
     T = _graph_T(cfg)
     cov = se_run(instance, T, reps=cfg.se_samples, seed=cfg.master_seed,
                  workers=workers)
-    obs, times = _edge_observables(instance, T)
-    reps = max(64, min(cfg.se_samples, 1000))
-    stats = mc_observable_stats(instance, cov, obs, times, reps=reps,
-                                seed=cfg.master_seed + 1, workers=workers)
-    return [(t, name, st["mean"], st["sem"])
-            for (t, name), st in sorted(stats.items())]
+    # rows of x^t_e tend to N(0, K_e^{t,t}), so ||x^t_e||^2 / n_e -> tr K
+    return sorted((t, f"norm_sq[{e}]", float(np.trace(cov.kernel(e, t, t))),
+                   0.0) for t in range(1, T + 1)
+                  for e in canonical_edge_order(instance.graph))
 
 
 # ---------------------------------------------------------------------------
@@ -213,7 +203,8 @@ class Kind:
     amp_rows(cfg, traj, instance, model, aux) -> [(t, name, value)];
     se_rows(cfg, model, workers) -> [(t, name, value, stderr)], None for
     a kind without an SE route; gate(cfg, amp_results, se_rows) ->
-    compare.csv rows; phases is the number of graph steps per model step.
+    compare.csv rows; phases is the number of graph steps per model step;
+    reports holds the config observables that amp_rows can write.
     """
 
     name: str
@@ -221,6 +212,7 @@ class Kind:
     build: Callable
     amp_rows: Callable
     se_rows: Optional[Callable]
+    reports: Tuple[str, ...]
     gate: Callable = _compare_rows
     phases: int = 1
 
@@ -232,28 +224,28 @@ KINDS: Dict[str, Kind] = {k.name: k for k in (
     Kind("lasso", lambda m: _glm_model(lasso_model, m,
                                        sigma=m.get("noise_sigma", 0.5)),
          lambda model, seed: build_gamp_instance(model, seed),
-         _glm_rows, _glm_se_rows, phases=2),
+         _glm_rows, _glm_se_rows, config_mod.OBSERVABLES, phases=2),
     Kind("ridge", lambda m: _glm_model(ridge_model, m,
                                        sigma=m.get("noise_sigma", 0.5)),
          lambda model, seed: build_gamp_instance(model, seed),
-         _glm_rows, _glm_se_rows, phases=2),
+         _glm_rows, _glm_se_rows, config_mod.OBSERVABLES, phases=2),
     Kind("logistic", lambda m: _glm_model(logistic_model, m),
          lambda model, seed: build_gamp_instance(model, seed),
-         _glm_rows, _glm_se_rows, phases=2),
+         _glm_rows, _glm_se_rows, config_mod.OBSERVABLES, phases=2),
     Kind("multilayer",
          lambda m: MultilayerModel(d0=m["d0"], layers=layer_specs(
              m["dims"], m["activations"])),
          lambda model, seed: build_multilayer_instance(model, seed),
-         _generic_rows, _generic_se_rows),
+         _generic_rows, _generic_se_rows, ("norm_sq",)),
     Kind("spiked", lambda m: SpikedModel(**_fields(m)),
          lambda model, seed: build_spiked_instance(model, seed),
-         _spiked_rows, _spiked_se_rows),
+         _spiked_rows, _spiked_se_rows, ("overlap", "norm_sq")),
     Kind("gmm_spatial", lambda m: GmmSpatialModel(**_fields(m)),
          lambda model, seed: build_gmm_spatial_instance(model, seed),
-         _generic_rows, None, gate=_gmm_compare_rows, phases=2),
+         _generic_rows, None, ("norm_sq",), gate=_gmm_compare_rows, phases=2),
     Kind("committee", lambda m: CommitteeModel(**_fields(m)),
          lambda model, seed: build_committee_instance(model, seed),
-         _generic_rows, _generic_se_rows),
+         _generic_rows, _generic_se_rows, ("norm_sq",)),
 )}
 
 
@@ -268,6 +260,14 @@ def _model(cfg):
         return _kind(cfg).model(cfg.model)
     except ValueError as ex:
         raise ConfigError(f"model: {ex}") from ex
+
+
+def _check_reported(cfg) -> None:
+    """Requesting none of the kind's observables would gate nothing."""
+    kind = _kind(cfg)
+    if not set(cfg.observables) & set(kind.reports):
+        raise ConfigError(f"observables: model {kind.name} reports only "
+                          f"{', '.join(kind.reports)}")
 
 
 def _build_zoo(cfg: config_mod.ExperimentConfig, seed: int):
@@ -445,6 +445,8 @@ def main(argv=None) -> int:
         if args.seed is not None:
             cfg = replace(cfg, master_seed=args.seed)
         out_dir = args.out or cfg.out
+        if args.command != "embed-verify":
+            _check_reported(cfg)
         if args.command == "validate-config":
             _model(cfg)
             print(f"config ok: kind={_kind(cfg).name} T={cfg.T} "

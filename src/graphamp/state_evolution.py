@@ -34,12 +34,10 @@ stream, and the grids into fixed tiles; chunks and grids may run on a
 thread pool, and partial sums are added in a fixed order, so results
 are reproducible and do not depend on the number of workers.
 
-The stderr that mc_observable_stats reports covers only its own
-sampling of the observables under the final kernels.  The kernels'
-Monte Carlo noise, compounded over the steps, is not in it: on the
-committee benchmark config the predictions move by up to about 3.5
-reported stderrs between master seeds (about 6 with every edge on Monte
-Carlo).
+The CLI reads its predictions off the kernels (||x^t_e||^2 / n_e tends
+to tr K_e^{t,t}) with stderr 0: the kernels' Monte Carlo noise,
+compounded over the steps, is not estimated.  mc_observable_stats
+samples other observables under the final kernels.
 
 This generic recursion needs update functions with a fixed schedule
 (provider callable with traj=None).  Iterations whose step sizes adapt
@@ -454,7 +452,7 @@ def compare(amp_stats: Mapping[Tuple[int, str], dict],
     se_stats values carry mean and sem.  One record per shared
     (t, name), sorted, in the columns of compare.csv: the relative
     error against the prediction, the z-score under the combined
-    standard error (inf when that is 0), and pass when either is within
+    standard error (x/0 is inf, 0/0 is 0), and pass when either is within
     its tolerance or both means are within atol of zero.
     """
     records = []
@@ -464,7 +462,7 @@ def compare(amp_stats: Mapping[Tuple[int, str], dict],
         diff = abs(a["mean"] - s["mean"])
         rel = diff / max(abs(s["mean"]), 1e-12)
         denom = np.hypot(a["sem"], s["sem"])
-        z = diff / denom if denom > 0 else np.inf
+        z = diff / denom if denom > 0 else (np.inf if diff else 0.0)
         # both sides indistinguishable from zero: degenerate scale, pass
         ok = (rel <= rel_tol) or (z <= z_tol) or (
             abs(a["mean"]) <= atol and abs(s["mean"]) <= atol)

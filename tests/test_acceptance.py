@@ -35,6 +35,7 @@ from graphamp.models.multilayer import InteriorMessage, _activation
 from graphamp.nonlinearity import (Entrywise, EntrywiseThenMix, FromCallable,
                                    Identity, Scaled, SideData, Zero)
 from graphamp.prox import ProxSpec
+from graphamp.state_evolution import compare
 
 from helpers import default_prior, fista_lasso, read_report_csv, ridge_direct, zoo_instances
 
@@ -442,10 +443,27 @@ def test_criterion_09_committee_matrix_valued(tmp_path):
                        "--strict"])
     _, rows = read_report_csv(out / "compare.csv")
     fails = [r for r in rows if r["pass"] != "1"]
-    ok = rc_embed == 0 and rc_run == 0 and not fails and max_embed <= 1e-10
+
+    # negative control: the same AMP rows, re-gated against the SE scaled
+    # by 1.1 and by 0.9, must each fail at least one row
+    amp = {(r["t"], r["name"]): {
+        "mean": float(r["amp_mean"]), "std": float(r["amp_std"]),
+        "n": int(r["n_seeds"]),
+        "sem": float(r["amp_std"]) / np.sqrt(int(r["n_seeds"]))} for r in rows}
+
+    def failures(scale):
+        se = {(r["t"], r["name"]): {"mean": scale * float(r["se_value"]),
+                                    "sem": scale * float(r["se_stderr"])}
+              for r in rows}
+        return sum(1 for rec in compare(amp, se) if not rec["pass"])
+
+    control = {scale: failures(scale) for scale in (1.0, 1.1, 0.9)}
+    ok = (rc_embed == 0 and rc_run == 0 and not fails and max_embed <= 1e-10
+          and control[1.0] == 0 and control[1.1] >= 1 and control[0.9] >= 1)
     _report(9, "committee-matrix-valued", ok,
             f"embed max {max_embed:.3e}; {len(rows)} SE gates, "
-            f"{len(fails)} failed")
+            f"{len(fails)} failed; SE x1.1 fails {control[1.1]}, "
+            f"x0.9 fails {control[0.9]}")
 
 
 # ---------------------------------------------------------------------------

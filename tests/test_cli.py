@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import graphamp
@@ -11,6 +12,8 @@ from graphamp import cli
 from graphamp import config as config_mod
 from graphamp.cli import main
 from graphamp.config import MODEL_KINDS
+from graphamp.graphs import canonical_edge_order
+from graphamp.state_evolution import se_run
 
 from helpers import read_report_csv
 
@@ -70,16 +73,57 @@ def test_worker_pool_does_not_change_artifacts(tmp_path):
         assert filecmp.cmp(a / name, b / name, shallow=False), name
 
 
+SMALL_COMMITTEE = {"model": {"kind": "committee", "d": 120, "n": 100},
+                   "T": 4, "amp_seeds": [0, 1], "se_samples": 300,
+                   "master_seed": 5, "observables": ["norm_sq"]}
+
+
 def test_worker_pool_splits_generic_se_without_changing_artifacts(tmp_path):
-    cfg = _write(tmp_path, {"model": {"kind": "committee", "d": 120, "n": 100},
-                            "T": 4, "amp_seeds": [0, 1], "se_samples": 300,
-                            "master_seed": 5,
-                            "observables": ["norm_sq"]})
+    cfg = _write(tmp_path, SMALL_COMMITTEE)
     a, b = tmp_path / "w1", tmp_path / "w2"
     assert main(["run", "--config", cfg, "--out", str(a), "--workers", "1"]) == 0
     assert main(["run", "--config", cfg, "--out", str(b), "--workers", "2"]) == 0
     for name in ("trajectory.csv", "se.csv", "compare.csv"):
         assert filecmp.cmp(a / name, b / name, shallow=False), name
+
+
+def test_generic_se_rows_are_kernel_traces():
+    # the rows of x^t_e tend to N(0, K_e^{t,t}): the prediction of
+    # ||x^t_e||^2 / n_e is tr K_e^{t,t}, read off se_run with no sampling
+    cfg = config_mod.validate(SMALL_COMMITTEE)
+    instance, _, _ = cli._build_zoo(cfg, cfg.amp_seeds[0])
+    cov = se_run(instance, cfg.T, reps=cfg.se_samples, seed=cfg.master_seed)
+    rows = {(t, name): (value, stderr)
+            for t, name, value, stderr in cli.se_rows_for(cfg, workers=2)}
+    edges = canonical_edge_order(instance.graph)
+    assert len(rows) == cfg.T * len(edges)
+    for t in range(1, cfg.T + 1):
+        for e in edges:
+            trace = float(np.trace(cov.kernel(e, t, t)))
+            assert rows[(t, f"norm_sq[{e}]")] == (trace, 0.0)
+
+
+def test_generic_norm_sq_is_the_per_row_second_moment():
+    # norm_sq[e] is ||x_e||^2 / n_e, n_e the rows of x_e, the scale of
+    # tr K_e^{t,t}
+    cfg = config_mod.validate(SMALL_COMMITTEE)
+    traj, _, _, rows = cli._run_one_seed(cfg, cfg.amp_seeds[0])
+    xs = {f"norm_sq[{e}]": traj.x[e] for e in traj.x}
+    assert len(rows) == cfg.T * len(xs)
+    for t, name, value in rows:
+        x = xs[name][t]
+        assert value == pytest.approx(np.sum(x ** 2) / x.shape[0], rel=1e-12)
+
+
+def test_structurally_zero_generic_row_predicts_exactly_zero():
+    # x^1 on the signal edge is A_e times an all-zero first update
+    cfg = config_mod.validate({"model": {"kind": "multilayer",
+                                         **TINY_MODELS["multilayer"]},
+                               "T": 2, "se_samples": 100})
+    rows = {(t, name): (value, stderr)
+            for t, name, value, stderr in cli.se_rows_for(cfg)}
+    assert rows[(1, "norm_sq[z0->z1]")] == (0.0, 0.0)
+    assert rows[(2, "norm_sq[z0->z1]")][0] > 0
 
 
 def test_logistic_gh_run_exits_0(tmp_path):
@@ -236,6 +280,19 @@ def test_every_model_kind_runs(tmp_path, kind):
     assert main(["run", "--config", cfg, "--out", str(out)]) == 0
     _, rows = read_report_csv(out / "compare.csv")
     assert rows
+
+
+@pytest.mark.parametrize("kind", ["committee", "multilayer", "spiked"])
+def test_config_requesting_no_reported_observable_exits_2(tmp_path, capsys,
+                                                          kind):
+    # these kinds report no mse; a config asking only for it gates nothing
+    cfg = _write(tmp_path, {"model": {"kind": kind, **TINY_MODELS[kind]},
+                            "T": 2, "se_samples": 50, "observables": ["mse"]})
+    out = tmp_path / "o"
+    for command in ("validate-config", "run", "se-only"):
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
+        assert "config error: observables: " in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_spiked_generative_prior_has_no_scalar_se_gate(tmp_path, capsys):

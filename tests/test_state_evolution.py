@@ -104,17 +104,20 @@ def test_compare_passes_on_rel_z_or_atol():
     amp = {(1, "off"): summarize([1.0, 1.2]),     # sem 0.1
            (1, "by_z"): summarize([1.0, 1.2]),
            (1, "by_rel"): summarize([5.0]),       # sem 0
-           (1, "by_atol"): summarize([1e-8])}
+           (1, "by_atol"): summarize([1e-8]),
+           (1, "exact"): summarize([0.0])}
     se = {(1, "off"): {"mean": 2.0, "sem": 0.0},
           (1, "by_z"): {"mean": 1.3, "sem": 0.0},
           (1, "by_rel"): {"mean": 5.1, "sem": 0.0},
-          (1, "by_atol"): {"mean": 0.0, "sem": 0.0}}
+          (1, "by_atol"): {"mean": 0.0, "sem": 0.0},
+          (1, "exact"): {"mean": 0.0, "sem": 0.0}}
     recs = {r["name"]: r for r in compare(amp, se, rel_tol=0.05, z_tol=4.0,
                                           atol=1e-6)}
     assert {k: r["pass"] for k, r in recs.items()} == {
-        "off": 0, "by_z": 1, "by_rel": 1, "by_atol": 1}
+        "off": 0, "by_z": 1, "by_rel": 1, "by_atol": 1, "exact": 1}
     assert recs["by_z"]["z"] == pytest.approx(2.0)
     assert recs["by_rel"]["z"] == np.inf
+    assert recs["exact"]["z"] == 0.0
     assert recs["off"]["rel_err"] == pytest.approx(0.45)
 
 
