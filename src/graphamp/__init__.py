@@ -15,8 +15,8 @@ from .graphs import (EdgeId, GraphSpec, canonical_edge_order, edges_into,
                      line_graph, require_valid, single_loop, two_node_chain,
                      validate)
 from .nonlinearity import (Entrywise, EntrywiseThenMix, FromCallable,
-                           Identity, Nonlinearity, Scaled, SideData, Zero,
-                           fd_jacobian_trace)
+                           Identity, LinearEntrywiseLinear, Nonlinearity,
+                           Scaled, SideData, Zero, fd_jacobian_trace)
 from .prox import (ProxSpec, penalty_grad, penalty_value, prox,
                    prox_deriv, shifted_prox, soft_threshold)
 from .ensembles import (normals, sample_goe, sample_iid, spectral_inv_sqrt,
@@ -52,7 +52,7 @@ __all__ = [
     "EdgeId", "GraphSpec", "canonical_edge_order", "edges_into",
     "line_graph", "require_valid", "single_loop", "two_node_chain", "validate",
     "Entrywise", "EntrywiseThenMix", "FromCallable", "Identity",
-    "Nonlinearity", "Scaled", "SideData", "Zero", "fd_jacobian_trace",
+    "LinearEntrywiseLinear", "Nonlinearity", "Scaled", "SideData", "Zero", "fd_jacobian_trace",
     "ProxSpec", "penalty_grad", "penalty_value", "prox",
     "prox_deriv", "shifted_prox", "soft_threshold",
     "normals", "sample_goe", "sample_iid", "spectral_inv_sqrt",

@@ -10,9 +10,10 @@ Subcommands map 1:1 onto library entry points:
 
 Exit codes: 0 success, 1 gate failure under --strict (embed-verify
 gates are always strict), 2 config error, 3 numerical abort, 4 I/O
-error.  Seeds, and the Monte Carlo chunks of the generic SE recursion,
-fan out across a thread pool of --workers threads; reductions happen
-in submission order so results are independent of scheduling.
+error.  Seeds fan out across a thread pool of --workers threads, for
+the AMP runs and for the generic SE recursion, which runs once per AMP
+seed on that seed's instance; reductions happen in submission order so
+results are independent of scheduling.
 """
 
 from __future__ import annotations
@@ -146,14 +147,21 @@ def _spiked_se_rows(cfg, model, workers) -> List[Tuple[int, str, float, float]]:
 
 
 def _generic_se_rows(cfg, model, workers) -> List[Tuple[int, str, float, float]]:
-    instance, _ = _kind(cfg).build(model, cfg.amp_seeds[0])
+    """The mean over the AMP seeds of each seed's prediction: the SE is
+    conditional on side data, so each seed's instance gets its own run."""
     T = _graph_T(cfg)
-    cov = se_run(instance, T, reps=cfg.se_samples, seed=cfg.master_seed,
-                 workers=workers)
-    # rows of x^t_e tend to N(0, K_e^{t,t}), so ||x^t_e||^2 / n_e -> tr K
-    return sorted((t, f"norm_sq[{e}]", float(np.trace(cov.kernel(e, t, t))),
-                   0.0) for t in range(1, T + 1)
-                  for e in canonical_edge_order(instance.graph))
+
+    def predict(i):
+        instance, _ = _kind(cfg).build(model, cfg.amp_seeds[i])
+        cov = se_run(instance, T, reps=cfg.se_samples, seed=cfg.master_seed)
+        # rows of x^t_e tend to N(0, K_e^{t,t}), so ||x^t_e||^2 / n_e -> tr K
+        return {(t, f"norm_sq[{e}]"): float(np.trace(cov.kernel(e, t, t)))
+                for t in range(1, T + 1)
+                for e in canonical_edge_order(instance.graph)}
+
+    per_seed = map_ordered(predict, len(cfg.amp_seeds), workers)
+    return [(t, name, float(np.mean([p[(t, name)] for p in per_seed])), 0.0)
+            for t, name in sorted(per_seed[0])]
 
 
 # ---------------------------------------------------------------------------
@@ -283,8 +291,8 @@ def _graph_T(cfg: config_mod.ExperimentConfig) -> int:
 
 
 def se_rows_for(cfg, workers=1) -> List[Tuple[int, str, float, float]]:
-    """SE prediction rows; `workers` splits the generic recursion's Monte
-    Carlo chunks and never changes the rows."""
+    """SE prediction rows; `workers` runs the generic recursion's seeds
+    at once and never changes the rows."""
     kind = _kind(cfg)
     if kind.se_rows is None:
         raise ConfigError(f"model {kind.name} has no SE route; "

@@ -75,7 +75,7 @@ def _legendre_points(n: int) -> Tuple[np.ndarray, np.ndarray]:
 _TAIL_SDS = 12.0
 
 
-def gaussian_piecewise_nodes(mean: float, sd: float, kinks, n: int):
+def gaussian_piecewise_nodes(mean, sd: float, kinks, n: int):
     """Nodes and weights for E[g(U)], U ~ N(mean, sd^2), with g smooth
     between the given kink points.
 
@@ -83,17 +83,35 @@ def gaussian_piecewise_nodes(mean: float, sd: float, kinks, n: int):
     integrand only piecewise smooth), so the axis is split at the kinks
     and each finite piece integrated by Gauss-Legendre against the
     explicit normal density; the truncated tails carry ~1e-32 mass.
+
+    mean may also be a 1-D array of m means sharing sd.  The rules then
+    come as (m, P) arrays, a row per mean, and each row is cut at its
+    mean as well as at the kinks, so that no piece spans the peak of
+    the density.  Kinks outside a row's range clip to its ends, where
+    they leave pieces of zero weight, so every row has the same P.
     """
-    if sd == 0.0:
-        return np.array([mean]), np.array([1.0])
-    lo, hi = mean - _TAIL_SDS * sd, mean + _TAIL_SDS * sd
-    cuts = np.array([lo] + sorted(k for k in kinks if lo < k < hi) + [hi])
+    if np.ndim(mean) == 0:
+        if sd == 0.0:
+            return np.array([mean]), np.array([1.0])
+        lo, hi = mean - _TAIL_SDS * sd, mean + _TAIL_SDS * sd
+        cuts = np.array([lo] + sorted(k for k in kinks if lo < k < hi) + [hi])
+        centre = mean
+    else:
+        centre = np.asarray(mean, dtype=float)[:, None]
+        if sd == 0.0:
+            return centre, np.ones_like(centre)
+        lo, hi = centre - _TAIL_SDS * sd, centre + _TAIL_SDS * sd
+        inner = np.clip(np.asarray(kinks, dtype=float)[None, :], lo, hi)
+        inner = np.sort(np.concatenate([inner, centre], axis=1), axis=1)
+        cuts = np.concatenate([lo, inner, hi], axis=1)
+        centre = centre[:, :, None]
     xg, wg = _legendre_points(n)
     # one row per piece
-    a, b = cuts[:-1, None], cuts[1:, None]
+    a, b = cuts[..., :-1, None], cuts[..., 1:, None]
     u = 0.5 * (b - a) * xg + 0.5 * (a + b)
-    dens = np.exp(-0.5 * ((u - mean) / sd) ** 2) / (sd * math.sqrt(2.0 * math.pi))
-    return u.ravel(), (0.5 * (b - a) * wg * dens).ravel()
+    dens = np.exp(-0.5 * ((u - centre) / sd) ** 2) / (sd * math.sqrt(2.0 * math.pi))
+    shape = (-1,) if np.ndim(mean) == 0 else (len(cuts), -1)
+    return u.reshape(shape), (0.5 * (b - a) * wg * dens).reshape(shape)
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ import numpy as np
 from ..engine import GraphInstance, stationary_provider
 from ..ensembles import normals, sample_iid, stream
 from ..graphs import EdgeId, GraphSpec
-from ..nonlinearity import EntrywiseThenMix, Nonlinearity, SideData
+from ..nonlinearity import EntrywiseThenMix, LinearEntrywiseLinear, SideData
 from ..prox import soft_threshold
 
 
@@ -45,22 +45,10 @@ class CommitteeModel:
             raise ValueError(f"theta: must be >= 0, got {self.theta}")
 
 
-class AffineMix(Nonlinearity):
+def AffineMix(C: np.ndarray) -> LinearEntrywiseLinear:
     """V -> (Y - V) @ C with side data Y; Jacobian sum is -n C^T."""
-
-    def __init__(self, C: np.ndarray):
-        self.C = np.asarray(C, dtype=float)
-        self.arity = 1
-        self.out_cols = self.C.shape[1]
-        self.row_local = True
-
-    def apply(self, inputs, side=None):
-        Y = side.array("Y")
-        return (Y - inputs[0]) @ self.C
-
-    def jacobian_trace(self, inputs, side=None, wrt=0):
-        n = inputs[0].shape[0]
-        return -n * self.C.T
+    C = np.asarray(C, dtype=float)
+    return LinearEntrywiseLinear(out_cols=C.shape[1], offset=("Y", C), M=[-C])
 
 
 def build_committee_instance(model: CommitteeModel, seed: int = 0):
@@ -76,7 +64,7 @@ def build_committee_instance(model: CommitteeModel, seed: int = 0):
     theta = model.theta
     sig = EntrywiseThenMix(lambda x: soft_threshold(x, theta),
                            lambda x: (np.abs(x) > theta).astype(float),
-                           model.R)
+                           model.R, kinks=(-theta, theta))
     instance = GraphInstance(
         graph=g,
         matrices={fwd: A},

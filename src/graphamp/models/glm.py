@@ -32,7 +32,8 @@ from ..ensembles import sample_iid, stream
 from ..errors import NumericalError
 from ..gamp_se import Channel, GlmScalars, Prior, make_channel
 from ..graphs import EdgeId, two_node_chain
-from ..nonlinearity import Nonlinearity, SideData, Zero
+from ..nonlinearity import (LinearEntrywiseLinear, Nonlinearity, SideData,
+                            Zero)
 from ..prox import ProxSpec, penalty_grad
 
 
@@ -75,24 +76,13 @@ class GlmTeacher:
     y: np.ndarray
 
 
-class PenaltyProx(Nonlinearity):
+def PenaltyProx(scalars: GlmScalars, alpha: float) -> LinearEntrywiseLinear:
     """Signal-side update u -> prox_{alpha penalty}(alpha u), scale fixed
     at construction; the diagonal Jacobian sum is the derivative sum."""
-
-    def __init__(self, scalars: GlmScalars, alpha: float):
-        self.scalars = scalars
-        self.alpha = float(alpha)
-        self.arity = 1
-        self.out_cols = 1
-        self.row_local = True
-
-    def apply(self, inputs, side=None):
-        (u,) = inputs
-        return self.scalars.e_apply(u, self.alpha)
-
-    def jacobian_trace(self, inputs, side=None, wrt=0):
-        (u,) = inputs
-        return np.array([[float(np.sum(self.scalars.e_deriv(u, self.alpha)))]])
+    alpha = float(alpha)
+    return LinearEntrywiseLinear(phi=lambda u: scalars.e_apply(u, alpha),
+                                 dphi=lambda u: scalars.e_deriv(u, alpha),
+                                 L=[1.0], kinks=scalars.e_kinks(alpha))
 
 
 class LossResidual(Nonlinearity):
@@ -117,22 +107,11 @@ class LossResidual(Nonlinearity):
         return np.array([[float(np.sum(self.scalars.h_deriv(v, y, self.beta)))]])
 
 
-class ObservationResidual(Nonlinearity):
+def ObservationResidual(beta: float) -> LinearEntrywiseLinear:
     """Observation-side map V -> (Y - V) / (1 + beta), columnwise, with
     Y taken from side data "y"; the Jacobian sum is -n / (1 + beta) I."""
-
-    def __init__(self, beta: float):
-        self.beta = float(beta)
-        self.arity = 1
-        self.row_local = True
-
-    def apply(self, inputs, side=None):
-        y = side.array("y").reshape(inputs[0].shape)
-        return (y - inputs[0]) / (1.0 + self.beta)
-
-    def jacobian_trace(self, inputs, side=None, wrt=0):
-        n, q = inputs[0].shape
-        return (-n / (1.0 + self.beta)) * np.eye(q)
+    return LinearEntrywiseLinear(offset=("y", 1.0), M=[-1.0],
+                                 den=1.0 + float(beta))
 
 
 def forward_edge() -> EdgeId:

@@ -32,19 +32,20 @@ from ..engine import GraphInstance, stationary_provider
 from ..ensembles import sample_iid, stream
 from ..gamp_se import GlmScalars, Prior, GaussBernoulliPrior
 from ..graphs import EdgeId, edges_into, line_graph
-from ..nonlinearity import Nonlinearity, SideData
+from ..nonlinearity import LinearEntrywiseLinear, Nonlinearity, SideData
 from ..prox import ProxSpec
 from .glm import ObservationResidual, PenaltyProx
 
 
-# name -> theta -> (phi, phi') of the map x -> name(theta x)
+# name -> theta -> (phi, phi', kinks) of the map x -> name(theta x)
 ACTIVATIONS = {
     "linear": lambda theta: ((lambda x: theta * x),
-                             (lambda x: np.full_like(x, theta))),
+                             (lambda x: np.full_like(x, theta)), ()),
     "relu": lambda theta: ((lambda x: np.maximum(theta * x, 0.0)),
-                           (lambda x: theta * (theta * x > 0))),
+                           (lambda x: theta * (theta * x > 0)), (0.0,)),
     "tanh": lambda theta: ((lambda x: np.tanh(theta * x)),
-                           (lambda x: theta * (1.0 - np.tanh(theta * x) ** 2))),
+                           (lambda x: theta * (1.0 - np.tanh(theta * x) ** 2)),
+                           ()),
 }
 
 
@@ -61,7 +62,7 @@ def check_dims(path: str, dims) -> None:
 
 
 def _activation(kind: str, theta: float = 1.0):
-    """(phi, phi') of the named map x -> kind(theta x)."""
+    """(phi, phi', kinks) of the named map x -> kind(theta x)."""
     return ACTIVATIONS[kind](theta)
 
 
@@ -109,40 +110,23 @@ class MultilayerModel:
         return (self.d0,) + tuple(l.dim for l in self.layers)
 
 
-class InteriorMessage(Nonlinearity):
+def InteriorMessage(direction: str, below_index: int, above_index: int,
+                    w_below: float, w_above: float, scale: float = 1.0,
+                    act=None) -> LinearEntrywiseLinear:
     """Message out of a node with two incoming fields: combines them as
     zhat = w_below x_below + w_above x_above and emits either the
     residual scale (zhat - x_below) ("down") or scale phi(zhat) ("up",
-    with act = (phi, phi')).  Interior nodes of the multilayer and
+    with act = (phi, phi', kinks)).  Interior nodes of the multilayer and
     generative chains use it, and so does the spiked loop node."""
-
-    def __init__(self, direction: str, below_index: int, above_index: int,
-                 w_below: float, w_above: float, scale: float = 1.0, act=None):
-        self.direction = direction
-        self.below = below_index
-        self.above = above_index
-        self.w_below, self.w_above, self.scale = w_below, w_above, scale
-        self.act, self.dact = act or (None, None)
-        self.arity = 2
-        self.out_cols = 1
-        self.row_local = True
-
-    def _zhat(self, inputs):
-        return self.w_below * inputs[self.below] + self.w_above * inputs[self.above]
-
-    def apply(self, inputs, side=None):
-        z = self._zhat(inputs)
-        if self.direction == "down":
-            return self.scale * (z - inputs[self.below])
-        return self.scale * self.act(z)
-
-    def jacobian_trace(self, inputs, side=None, wrt=0):
-        z = self._zhat(inputs)
-        w = self.w_below if wrt == self.below else self.w_above
-        if self.direction == "down":
-            s = w - (1.0 if wrt == self.below else 0.0)
-            return np.array([[self.scale * s * inputs[0].shape[0]]])
-        return np.array([[self.scale * w * float(np.sum(self.dact(z)))]])
+    coef = [None, None]
+    if direction == "down":
+        coef[below_index] = scale * (w_below - 1.0)
+        coef[above_index] = scale * w_above
+        return LinearEntrywiseLinear(arity=2, M=coef)
+    coef[below_index], coef[above_index] = w_below, w_above
+    phi, dphi, kinks = act
+    return LinearEntrywiseLinear(arity=2, phi=phi, dphi=dphi, L=coef, R=scale,
+                                 kinks=kinks)
 
 
 def sample_pipeline(model: MultilayerModel, mats: Dict[int, np.ndarray],
@@ -150,7 +134,7 @@ def sample_pipeline(model: MultilayerModel, mats: Dict[int, np.ndarray],
     """Push a fresh signal through the layer maps, returning y."""
     z = model.prior.sample(model.d0, seed_rng("signal"))
     for l, layer in enumerate(model.layers, start=1):
-        act, _ = _activation(layer.activation)
+        act = _activation(layer.activation)[0]
         z = act(mats[l] @ z)
     return z
 

@@ -74,7 +74,7 @@ def build_spiked_instance(model: SpikedModel, seed: int = 0):
         v0 = model.prior.sample(N, stream(seed, "spiked", "v0"))
     else:
         dims = model.gen_dims + (N,)
-        act, _ = _activation(model.gen_activation)
+        act = _activation(model.gen_activation)[0]
         z = model.prior.sample(dims[0], stream(seed, "spiked", "w0"))
         gen_mats = {}
         for l in range(1, len(dims)):
@@ -173,7 +173,7 @@ def spiked_scalar_se(model: SpikedModel, T: int, mu0: Optional[float] = None,
         raise NumericalError("spike prior must have unit second moment")
     if mu0 is None:
         mu0 = model.init_overlap
-    f, _ = _activation(model.denoiser, model.theta)
+    f = _activation(model.denoiser, model.theta)[0]
     v, wv = model.prior.quad_points(nodes)
     gz, wg = gh_points(nodes)
     sl = math.sqrt(model.lam)

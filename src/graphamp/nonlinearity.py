@@ -39,8 +39,8 @@ class Nonlinearity:
     out_cols: int = 1
     # True when output row i depends only on row i of every input block.
     # Per-row data (anything that differs between rows) must then come
-    # only through SideData: with no side data, the state evolution takes
-    # the rows as exchangeable and integrates one row on a grid.
+    # only through SideData: the state evolution's Monte Carlo route
+    # evaluates all copies in one call, with the side arrays tiled.
     row_local: bool = False
 
     def apply(self, inputs: Sequence[np.ndarray], side: Optional[SideData] = None) -> np.ndarray:
@@ -98,82 +98,109 @@ def fd_jacobian_trace(f: Nonlinearity, inputs, side=None, wrt=0) -> np.ndarray:
     return B
 
 
-class Identity(Nonlinearity):
-    row_local = True
-
-    def __init__(self, cols=1):
-        self.out_cols = cols
-
-    def apply(self, inputs, side=None):
-        self.check_inputs(inputs)
-        return np.array(inputs[0], dtype=float, copy=True)
-
-    def jacobian_trace(self, inputs, side=None, wrt=0):
-        n, q = inputs[0].shape
-        return float(n) * np.eye(q)
+def times(X, A):
+    """X A for a fixed matrix A; X a for a scalar a, which stands for a I
+    at whatever width it meets."""
+    return X * A if np.ndim(A) == 0 else X @ A
 
 
-class Zero(Nonlinearity):
-    """Constant zero output (used for off-phase half-iterations)."""
-
-    row_local = True
-
-    def __init__(self, cols=1, arity=1):
-        self.out_cols = cols
-        self.arity = arity
-
-    def apply(self, inputs, side=None):
-        self.check_inputs(inputs)
-        return np.zeros((inputs[0].shape[0], self.out_cols))
-
-    def jacobian_trace(self, inputs, side=None, wrt=0):
-        return np.zeros((self.out_cols, inputs[wrt].shape[1]))
+def _transpose(A):
+    return A if np.ndim(A) == 0 else A.T
 
 
-class Entrywise(Nonlinearity):
-    """phi applied entrywise to a single input block."""
-
-    row_local = True
-
-    def __init__(self, phi: Callable, dphi: Callable):
-        self.phi = phi
-        self.dphi = dphi
-
-    def apply(self, inputs, side=None):
-        self.check_inputs(inputs)
-        return self.phi(np.asarray(inputs[0], dtype=float))
-
-    def jacobian_trace(self, inputs, side=None, wrt=0):
-        X = np.asarray(inputs[0], dtype=float)
-        return np.diag(self.dphi(X).sum(axis=0))
+def sandwich(A, K, B):
+    """A^T K B for coefficients A, B (matrices or scalars, see times)."""
+    return times(times(_transpose(K), A).T, B)
 
 
-class EntrywiseThenMix(Nonlinearity):
-    """X -> phi(X) @ R: entrywise map followed by a column mix.
+class LinearEntrywiseLinear(Nonlinearity):
+    """f(X_1..X_k) = (Y + sum_j X_j M_j + phi(W) R) / den, W = sum_j X_j L_j.
 
-    The per-row Jacobian is R^T diag(phi'(X_i)), so the trace block is
-    R^T diag(column sums of phi').  Exercises non-diagonal Onsager
-    blocks in the matrix-valued path.
+    Y is the side array named offset[0], taken as n rows, times the
+    coefficient offset[1]; M and L hold one coefficient per input block,
+    None where the block does not enter that term.  A coefficient is a
+    fixed matrix or a scalar a, standing for a I.  phi is entrywise with
+    derivative dphi and smooth between the points in kinks.  Every part
+    is optional; den divides last, so (y - V) / (1 + beta) rounds as
+    written.  The Jacobian sum with respect to block j is
+    (n M_j^T + R^T diag(sum over rows of phi'(W)) L_j^T) / den, and the
+    state evolution integrates these maps exactly (see state_evolution).
     """
 
     row_local = True
 
-    def __init__(self, phi, dphi, R):
-        self.phi = phi
-        self.dphi = dphi
-        self.R = np.asarray(R, dtype=float)
-        self.out_cols = self.R.shape[1]
+    def __init__(self, arity=1, out_cols=1, offset=None, M=None, phi=None,
+                 dphi=None, L=None, R=1.0, kinks=(), den=1.0):
+        self.arity, self.out_cols, self.offset = arity, out_cols, offset
+        self.M = tuple(M) if M is not None else (None,) * arity
+        self.L = tuple(L) if L is not None else (None,) * arity
+        self.phi, self.dphi, self.R, self.kinks = phi, dphi, R, tuple(kinks)
+        self.den = float(den)
+
+    @property
+    def affine(self) -> bool:
+        """Whether f has a part outside phi (Y or some M_j)."""
+        return self.offset is not None or any(A is not None for A in self.M)
+
+    def offset_rows(self, side, n) -> Optional[np.ndarray]:
+        """Y, or None when f has no offset."""
+        if self.offset is None:
+            return None
+        return times(side.array(self.offset[0]).reshape(n, -1), self.offset[1])
+
+    def field(self, inputs) -> np.ndarray:
+        """W = sum_j X_j L_j."""
+        terms = [times(x, A) for x, A in zip(inputs, self.L) if A is not None]
+        return sum(terms[1:], terms[0])
 
     def apply(self, inputs, side=None):
         self.check_inputs(inputs)
-        X = np.asarray(inputs[0], dtype=float)
-        if X.shape[1] != self.R.shape[0]:
-            raise ShapeError(f"mix expects {self.R.shape[0]} input columns, got {X.shape[1]}")
-        return self.phi(X) @ self.R
+        X = [np.asarray(x, dtype=float) for x in inputs]
+        terms = [] if self.offset is None else [self.offset_rows(side, len(X[0]))]
+        terms += [times(x, A) for x, A in zip(X, self.M) if A is not None]
+        if self.phi is not None:
+            terms.append(times(self.phi(self.field(X)), self.R))
+        if not terms:
+            return np.zeros((len(X[0]), self.out_cols))
+        return sum(terms[1:], terms[0]) / self.den
 
     def jacobian_trace(self, inputs, side=None, wrt=0):
-        X = np.asarray(inputs[0], dtype=float)
-        return self.R.T * self.dphi(X).sum(axis=0)[None, :]
+        X = [np.asarray(x, dtype=float) for x in inputs]
+        n, q = X[wrt].shape
+        terms = []
+        if self.M[wrt] is not None:
+            terms.append(n * sandwich(self.M[wrt], np.eye(q), 1.0))
+        if self.phi is not None and self.L[wrt] is not None:
+            s = self.dphi(self.field(X)).sum(axis=0)
+            terms.append(sandwich(self.R, np.diag(s), _transpose(self.L[wrt])))
+        if not terms:
+            return np.zeros((self.out_cols, q))
+        return sum(terms[1:], terms[0]) / self.den
+
+
+def Identity(cols=1) -> LinearEntrywiseLinear:
+    return LinearEntrywiseLinear(out_cols=cols, M=[1.0])
+
+
+def Zero(cols=1, arity=1) -> LinearEntrywiseLinear:
+    """Constant zero output (used for off-phase half-iterations)."""
+    return LinearEntrywiseLinear(arity=arity, out_cols=cols)
+
+
+def Entrywise(phi: Callable, dphi: Callable, kinks=()) -> LinearEntrywiseLinear:
+    """phi applied entrywise to a single input block."""
+    return LinearEntrywiseLinear(phi=phi, dphi=dphi, L=[1.0], kinks=kinks)
+
+
+def EntrywiseThenMix(phi, dphi, R, kinks=()) -> LinearEntrywiseLinear:
+    """X -> phi(X) @ R: entrywise map followed by a column mix.
+
+    The trace block is R^T diag(column sums of phi'), which exercises
+    non-diagonal Onsager blocks in the matrix-valued path.
+    """
+    R = np.asarray(R, dtype=float)
+    return LinearEntrywiseLinear(out_cols=R.shape[1], phi=phi, dphi=dphi,
+                                 L=[1.0], R=R, kinks=kinks)
 
 
 class Scaled(Nonlinearity):

@@ -11,18 +11,20 @@ with Z^0 fixed at the actual initializer and the expectation over the
 Gaussian family of the input edges.  Each step computes the new kernel
 row of an edge in one of two ways:
 
-- Gauss-Hermite grid.  When the edge's update is row-local at every
-  time and reads no side data, its rows are iid, so the expectation is
-  n times a per-row integral: over the pair (Z^s, Z^t) of the input
-  families for 1 <= s < t, over the marginal Z^t for s = t, and the
-  mean E f^t times the column sums of m^0 for s = 0.  Each integral
-  runs on a tensor Gauss-Hermite grid of at most GRID_NODES points (the
-  largest p nodes per dimension with p^D <= GRID_NODES, D the grid's
-  dimension).  The grid is taken when the pair dimension D = 2 * (sum
-  of the input widths) is at most GRID_MAX_DIM and the pair grid has
-  fewer points than the reps * n Monte Carlo rows it replaces.  It is
-  deterministic; its error is the quadrature's (up to about 0.6% of a
-  soft threshold's cross-time entries at 16 nodes per dimension).
+- Exact, when the edge's update is a LinearEntrywiseLinear map at
+  every time, f_s = (Y_s + sum_j X_j M_{s,j} + phi_s(W^s) R_s) / den_s
+  with W^s = sum_j X^s_j L_{s,j}, and no map has an affine part (Y or
+  M) while another, or the same, has a phi part.  The family is
+  centred, independent of the side data and independent across input
+  edges, so the affine rows are closed form,
+      Y_s^T Y_t + n sum_j M_{s,j}^T K_j^{s,t} M_{t,j},
+  and m^0^T Y_t for s = 0.  The phi rows are n R_s^T E[phi_s(W^s)^T
+  phi_t(W^t)] R_t, and each entry (a, b) of that expectation is a 2-D
+  Gaussian integral over (W^s_a, W^t_b): an outer integral over W^s_a
+  and an inner one over W^t_b given W^s_a, each split at phi's kinks
+  (gamp_se.gaussian_piecewise_nodes, QUAD_NODES Gauss-Legendre nodes a
+  piece).  The s = 0 row needs the 1-D integral E phi_t(W^t).  These
+  rows are deterministic: they depend on neither reps nor the streams.
 - Replicated Monte Carlo, for every other edge.  Each step draws fresh
   full-width copies of the input families that these edges read,
   evaluates the real update functions (with their real side data) on
@@ -30,14 +32,14 @@ row of an edge in one of two ways:
 
 Either way the PSD part of the extended kernel is kept.  The Monte
 Carlo copies are split into fixed chunks, each with its own named
-stream, and the grids into fixed tiles; chunks and grids may run on a
-thread pool, and partial sums are added in a fixed order, so results
-are reproducible and do not depend on the number of workers.
+stream; chunks and exact rows may run on a thread pool, and partial
+sums are added in a fixed order, so results are reproducible and do not
+depend on the number of workers.
 
 The CLI reads its predictions off the kernels (||x^t_e||^2 / n_e tends
-to tr K_e^{t,t}) with stderr 0: the kernels' Monte Carlo noise,
-compounded over the steps, is not estimated.  mc_observable_stats
-samples other observables under the final kernels.
+to tr K_e^{t,t}) with stderr 0: the kernels' Monte Carlo noise, if an
+edge takes that route, is not estimated.  mc_observable_stats samples
+other observables under the final kernels.
 
 This generic recursion needs update functions with a fixed schedule
 (provider callable with traj=None).  Iterations whose step sizes adapt
@@ -55,20 +57,17 @@ import numpy as np
 
 from .engine import AmpTrajectory, GraphInstance, Observable, observe
 from .ensembles import normals, stream
-from .gamp_se import gh_points
+from .gamp_se import gaussian_piecewise_nodes
 from .graphs import EdgeId, canonical_edge_order, edges_into
-from .nonlinearity import Nonlinearity, SideData
+from .nonlinearity import (LinearEntrywiseLinear, Nonlinearity, SideData,
+                           sandwich, times)
 
 DEFAULT_CHUNK = 128
 # rows per tile of the in-place factor transform in sample_gaussian_family
 _TILE_ROWS = 1024
 JITTER_REL = 1e-10
-# most points of one Gauss-Hermite grid, and the largest pair dimension
-# 2 * (sum of input widths) that takes a grid at all
-GRID_NODES = 2 ** 16
-GRID_MAX_DIM = 4
-# grid points evaluated at once
-_GRID_TILE = 8192
+# Gauss-Legendre nodes per piece of the exact route's integrals
+QUAD_NODES = 20
 
 
 @dataclass
@@ -204,99 +203,102 @@ def map_ordered(task: Callable[[int], Any], n_tasks: int, workers: int) -> List[
         return list(pool.map(task, range(n_tasks)))
 
 
-def _nodes_per_dim(D: int) -> int:
-    """Largest p with p^D <= GRID_NODES."""
-    p = round(GRID_NODES ** (1.0 / D))
-    return p if p ** D <= GRID_NODES else p - 1
+def _exact(fns: Sequence[Nonlinearity]) -> bool:
+    """Whether an edge whose maps at times 1..t are fns takes the exact
+    route (see the module docstring)."""
+    return (all(isinstance(f, LinearEntrywiseLinear) for f in fns)
+            and not (any(f.affine for f in fns)
+                     and any(f.phi is not None for f in fns)))
 
 
-def _on_grid(instance: GraphInstance, e: EdgeId, fns: Sequence[Nonlinearity],
-             reps: int) -> bool:
-    """Whether edge e's new kernel row comes from the Gauss-Hermite grid
-    rather than reps Monte Carlo copies (see the module docstring)."""
+def _rule(f: LinearEntrywiseLinear, var: float):
+    """Nodes and weights of E g(U), U ~ N(0, var), cut at f's kinks."""
+    u, w = gaussian_piecewise_nodes(np.zeros(1), np.sqrt(var), f.kinks, QUAD_NODES)
+    return u[0], w[0]
+
+
+def _pair_mean(fs: LinearEntrywiseLinear, ft: LinearEntrywiseLinear,
+               a: float, b: float, c: float) -> float:
+    """E phi_s(U) phi_t(V) for centred Gaussian (U, V) with variances a,
+    b and covariance c: the inner rule over V given each outer node of
+    U runs in one broadcast."""
+    u, wu = _rule(fs, a)
+    slope = c / a if a > 0.0 else 0.0
+    v, wv = gaussian_piecewise_nodes(slope * u, np.sqrt(max(b - slope * c, 0.0)),
+                                     ft.kinks, QUAD_NODES)
+    return float(wu @ (fs.phi(u) * np.sum(wv * ft.phi(v), axis=1)))
+
+
+def _exact_moment(instance: GraphInstance, cov: SECovariances, e: EdgeId,
+                  f_s: LinearEntrywiseLinear, f_t: LinearEntrywiseLinear,
+                  s: int, t: int, m0: np.ndarray) -> np.ndarray:
+    """Sum over the rows of E[f_s^T f_t] on edge e by the exact route;
+    s = 0 stands for the initializer's output m0."""
     g = instance.graph
-    D = 2 * sum(g.q(ein) for ein in edges_into(g, e))
-    return (instance.side_data(e) is None and all(f.row_local for f in fns)
-            and D <= GRID_MAX_DIM
-            and _nodes_per_dim(D) ** D < reps * g.node_dim[e.start])
+    n, q = g.node_dim[e.start], g.q(e)
+    side = instance.side_data(e)
+    K = [cov.K[ein] for ein in edges_into(g, e)]
 
+    def field_cov(fa, fb, a, b):
+        """Covariance of (W^a, W^b) (1-based times) of maps fa and fb."""
+        width = [q if np.ndim(f.R) == 0 else len(f.R) for f in (fa, fb)]
+        return sum((sandwich(A, Kj[a - 1, b - 1], B)
+                    for A, B, Kj in zip(fa.L, fb.L, K)
+                    if A is not None and B is not None), np.zeros(width))
 
-def _grid_moments(instance: GraphInstance, cov: SECovariances, e: EdgeId,
-                  f_s: Nonlinearity, f_t: Nonlinearity, s: int,
-                  t: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Per-row E[f_s(Z^s)^T f_t(Z^t)] and E[f_t(Z^t)] over the input
-    families of edge e, on a tensor Gauss-Hermite grid over (Z^s, Z^t),
-    or over Z^t alone when s = t.
-
-    The grid has the largest p nodes per dimension with p^D <=
-    GRID_NODES, D its dimension; nodes whose weight underflows to zero
-    are dropped.  Each input edge gets its own block of dimensions,
-    mapped by the square-root factor of its kernel at the times read, so
-    the blocks are independent as the input families are.  Tiles of
-    _GRID_TILE points are summed in order.
-    """
-    g = instance.graph
-    ins = edges_into(g, e)
-    times = [s - 1, t - 1] if s < t else [t - 1]
-    factors = [family_factor(cov.K[ein][np.ix_(times, times)]) for ein in ins]
-    D = sum(len(F) for F in factors)
-    x, w = gh_points(_nodes_per_dim(D))
-    x, w = x[w > 0], w[w > 0]
-    p = len(x)
-    place = p ** np.arange(D - 1, -1, -1)
-    q = g.q(e)
     S = np.zeros((q, q))
-    mean = np.zeros(q)
-    for a in range(0, p ** D, _GRID_TILE):
-        digits = np.arange(a, min(a + _GRID_TILE, p ** D))[:, None] // place % p
-        xi, wt = x[digits], w[digits].prod(axis=1)
-        zs, zt, col = [], [], 0
-        for ein, F in zip(ins, factors):
-            z = xi[:, col:col + len(F)] @ F.T
-            col += len(F)
-            zs.append(z[:, :g.q(ein)])
-            zt.append(z[:, -g.q(ein):])
-        mt = np.asarray(f_t.apply(zt, side=None), dtype=float)
-        ms = mt if s == t else np.asarray(f_s.apply(zs, side=None), dtype=float)
-        S += (ms * wt[:, None]).T @ mt
-        mean += wt @ mt
-    return S, mean
+    Y_t = f_t.offset_rows(side, n)
+    if s == 0:
+        if Y_t is not None:
+            S += m0.T @ Y_t
+        if f_t.phi is not None:
+            C = field_cov(f_t, f_t, t, t)
+            mean = [w @ f_t.phi(u) for u, w in (_rule(f_t, c) for c in np.diag(C))]
+            S += np.outer(m0.sum(axis=0), times(np.array([mean]), f_t.R)[0])
+        return S / f_t.den
+    Y_s = f_s.offset_rows(side, n)
+    if Y_s is not None and Y_t is not None:
+        S += Y_s.T @ Y_t
+    S += n * sum((sandwich(A, Kj[s - 1, t - 1], B)
+                  for A, B, Kj in zip(f_s.M, f_t.M, K)
+                  if A is not None and B is not None), np.zeros_like(S))
+    if f_s.phi is not None and f_t.phi is not None:
+        Css, Ctt = field_cov(f_s, f_s, s, s), field_cov(f_t, f_t, t, t)
+        Cst = field_cov(f_s, f_t, s, t)
+        E = np.array([[_pair_mean(f_s, f_t, Css[a, a], Ctt[b, b], Cst[a, b])
+                       for b in range(len(Ctt))] for a in range(len(Css))])
+        if s == t:
+            # the nested rule is not symmetric in (a, b); the block must be
+            E = 0.5 * (E + E.T)
+        S += n * sandwich(f_s.R, E, f_t.R)
+    return S / (f_s.den * f_t.den)
 
 
 def se_step(instance: GraphInstance, cov: SECovariances, reps: int,
             rng_factory: Callable[..., np.random.Generator],
-            chunk: int = DEFAULT_CHUNK, workers: int = 1,
-            tiled_sides: Optional[dict] = None) -> SECovariances:
+            chunk: int = DEFAULT_CHUNK, workers: int = 1) -> SECovariances:
     """Extend every kernel by one time.
 
-    Edges that qualify (see _on_grid) integrate on the Gauss-Hermite
-    grid; the others use reps Monte Carlo copies, split into fixed
-    chunks of `chunk`.  Chunk c draws the family of each edge e that an
-    MC edge reads from rng_factory("se", t, str(e), c), which must
-    return independent generators for distinct labels.  Chunks and
-    grids return partial sums that are added in a fixed order, so the
-    output depends only on (kernels, reps, chunk, rngs), never on
-    `workers`, the number of them run at once.  `tiled_sides` caches
-    each MC edge's side data tiled per chunk size; se_run shares one
-    across its steps.
+    Edges that qualify (see _exact) get exact rows; the others use reps
+    Monte Carlo copies, split into fixed chunks of `chunk`.  Chunk c
+    draws the family of each edge e that an MC edge reads from
+    rng_factory("se", t, str(e), c), which must return independent
+    generators for distinct labels.  Chunks and exact rows return
+    partial results that are combined in a fixed order, so the output
+    depends only on (kernels, reps, chunk, rngs), never on `workers`,
+    the number of them run at once.
     """
     g = instance.graph
     t = cov.T
     order = canonical_edge_order(g)
     fns = {e: [instance.provider(e, s, None) for s in range(t + 1)] for e in order}
     m0 = {e: _m0(instance, e) for e in order}
-    grid = [e for e in order if _on_grid(instance, e, fns[e], reps)]
-    mc = [e for e in order if e not in grid]
+    exact = [e for e in order if _exact(fns[e][1:])]
+    mc = [e for e in order if e not in exact]
     drawn = [e for e in order if any(e in edges_into(g, x) for x in mc)]
     factors = {e: family_factor(cov.K[e]) for e in drawn}
     sizes = _chunks(reps, chunk) if mc else []
-    tiled_sides = {} if tiled_sides is None else tiled_sides
-    for e in mc:
-        if any(f.row_local for f in fns[e]):
-            for rc in set(sizes):
-                if (e, rc) not in tiled_sides:
-                    tiled_sides[(e, rc)] = _tile_side(instance.side_data(e), rc)
-    integrals = [(e, s) for e in grid for s in range(1, t + 1)]
+    rows = [(e, s) for e in exact for s in range(t + 1)]
 
     def chunk_sums(c: int) -> Dict[EdgeId, np.ndarray]:
         rc = sizes[c]
@@ -307,7 +309,7 @@ def se_step(instance: GraphInstance, cov: SECovariances, reps: int,
         for e in mc:
             ins = edges_into(g, e)
             side = instance.side_data(e)
-            tiled = tiled_sides.get((e, rc))
+            tiled = _tile_side(side, rc) if any(f.row_local for f in fns[e]) else None
 
             def m(s):
                 inputs = [_time_block(fam[ein], s, g.q(ein)) for ein in ins]
@@ -327,21 +329,16 @@ def se_step(instance: GraphInstance, cov: SECovariances, reps: int,
     def task(i: int):
         if i < len(sizes):
             return chunk_sums(i)
-        e, s = integrals[i - len(sizes)]
-        return _grid_moments(instance, cov, e, fns[e][s], fns[e][t], s, t)
+        e, s = rows[i - len(sizes)]
+        return _exact_moment(instance, cov, e, fns[e][s], fns[e][t], s, t, m0[e])
 
-    results = map_ordered(task, len(sizes) + len(integrals), workers)
-    moments = dict(zip(integrals, results[len(sizes):]))
+    results = map_ordered(task, len(sizes) + len(rows), workers)
+    moments = dict(zip(rows, results[len(sizes):]))
     K = {}
     for e in order:
         q = g.q(e)
-        if e in grid:
-            # n iid rows: the sum over rows is n times the per-row moment
-            n = g.node_dim[e.start]
-            S = np.empty((t + 1, q, q))
-            S[0] = np.outer(m0[e].sum(axis=0), moments[(e, t)][1])
-            for s in range(1, t + 1):
-                S[s] = n * moments[(e, s)][0]
+        if e in exact:
+            S = [moments[(e, s)] for s in range(t + 1)]
             denom = instance.scale(e)
         else:
             S = results[0][e]
@@ -354,8 +351,8 @@ def se_step(instance: GraphInstance, cov: SECovariances, reps: int,
             kst = S[s] / denom
             new[t, s] = kst.T
             new[s, t] = kst
-        # the new row comes from fresh draws (or a grid), so it can be
-        # inconsistent with the earlier rows; keep the PSD part, the
+        # the new row comes from fresh draws (or quadrature), so it can
+        # be inconsistent with the earlier rows; keep the PSD part, the
         # covariance family_factor would sample from anyway
         K[e] = _psd_part(new)
     return SECovariances(K=K, T=t + 1)
@@ -364,15 +361,13 @@ def se_step(instance: GraphInstance, cov: SECovariances, reps: int,
 def se_run(instance: GraphInstance, T: int, reps: int = 2000, seed: int = 0,
            chunk: int = DEFAULT_CHUNK, workers: int = 1) -> SECovariances:
     """Covariance kernels for iterate times 1..T; `workers` chunks and
-    grids run at once without changing the result."""
+    exact rows run at once without changing the result."""
     if T < 1:
         raise ValueError("T must be >= 1")
     factory = lambda *labels: stream(seed, *labels)
     cov = se_init(instance)
-    tiled_sides = {}
     while cov.T < T:
-        cov = se_step(instance, cov, reps, factory, chunk=chunk, workers=workers,
-                      tiled_sides=tiled_sides)
+        cov = se_step(instance, cov, reps, factory, chunk=chunk, workers=workers)
     return cov
 
 

@@ -123,6 +123,24 @@ def test_criterion_02_lasso_se_agreement():
 # 3. multilayer SE agreement via the CLI route
 
 
+def _scaled_se_failures(rows, scales=(1.0, 1.1, 0.9)):
+    """scale -> failing rows when the AMP side of compare.csv rows is
+    re-gated against their SE side scaled by that factor."""
+    amp = {(r["t"], r["name"]): {
+        "mean": float(r["amp_mean"]), "std": float(r["amp_std"]),
+        "n": int(r["n_seeds"]),
+        "sem": float(r["amp_std"]) / np.sqrt(int(r["n_seeds"]))} for r in rows}
+
+    def failures(scale):
+        se = {(r["t"], r["name"]): {"mean": scale * float(r["se_value"]),
+                                    "sem": scale * float(r["se_stderr"])}
+              for r in rows}
+        return sum(1 for rec in compare(amp, se) if not rec["pass"])
+
+    return {scale: failures(scale) for scale in scales}
+
+
+
 def test_criterion_03_multilayer_se_agreement(tmp_path):
     cfg = {
         "model": {"kind": "multilayer", "d0": 1000, "dims": [1000, 1000],
@@ -145,8 +163,14 @@ def test_criterion_03_multilayer_se_agreement(tmp_path):
           if np.isfinite(float(r["z"]))
           and max(abs(float(r["amp_mean"])), abs(float(r["se_value"]))) > 1e-4]
     max_z = max(zs) if zs else 0.0
-    _report(3, "multilayer-se-agreement", rc == 0 and not fails,
-            f"{len(rows)} gates, {len(fails)} failed; max z {max_z:.2f}")
+    # negative control: the same AMP rows, re-gated against the SE scaled
+    # by 1.1 and by 0.9, must each fail at least one row
+    control = _scaled_se_failures(rows)
+    ok = (rc == 0 and not fails and control[1.0] == 0 and control[1.1] >= 1
+          and control[0.9] >= 1)
+    _report(3, "multilayer-se-agreement", ok,
+            f"{len(rows)} gates, {len(fails)} failed; max z {max_z:.2f}; "
+            f"SE x1.1 fails {control[1.1]}, x0.9 fails {control[0.9]}")
 
 
 # ---------------------------------------------------------------------------
@@ -446,18 +470,7 @@ def test_criterion_09_committee_matrix_valued(tmp_path):
 
     # negative control: the same AMP rows, re-gated against the SE scaled
     # by 1.1 and by 0.9, must each fail at least one row
-    amp = {(r["t"], r["name"]): {
-        "mean": float(r["amp_mean"]), "std": float(r["amp_std"]),
-        "n": int(r["n_seeds"]),
-        "sem": float(r["amp_std"]) / np.sqrt(int(r["n_seeds"]))} for r in rows}
-
-    def failures(scale):
-        se = {(r["t"], r["name"]): {"mean": scale * float(r["se_value"]),
-                                    "sem": scale * float(r["se_stderr"])}
-              for r in rows}
-        return sum(1 for rec in compare(amp, se) if not rec["pass"])
-
-    control = {scale: failures(scale) for scale in (1.0, 1.1, 0.9)}
+    control = _scaled_se_failures(rows)
     ok = (rc_embed == 0 and rc_run == 0 and not fails and max_embed <= 1e-10
           and control[1.0] == 0 and control[1.1] >= 1 and control[0.9] >= 1)
     _report(9, "committee-matrix-valued", ok,

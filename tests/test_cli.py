@@ -89,18 +89,24 @@ def test_worker_pool_splits_generic_se_without_changing_artifacts(tmp_path):
 
 def test_generic_se_rows_are_kernel_traces():
     # the rows of x^t_e tend to N(0, K_e^{t,t}): the prediction of
-    # ||x^t_e||^2 / n_e is tr K_e^{t,t}, read off se_run with no sampling
+    # ||x^t_e||^2 / n_e is tr K_e^{t,t}, read off se_run with no sampling,
+    # on each AMP seed's instance (the SE is conditional on its side
+    # data) and averaged over the seeds
     cfg = config_mod.validate(SMALL_COMMITTEE)
-    instance, _, _ = cli._build_zoo(cfg, cfg.amp_seeds[0])
-    cov = se_run(instance, cfg.T, reps=cfg.se_samples, seed=cfg.master_seed)
+    instances = [cli._build_zoo(cfg, seed)[0] for seed in cfg.amp_seeds]
+    covs = [se_run(inst, cfg.T, reps=cfg.se_samples, seed=cfg.master_seed)
+            for inst in instances]
     rows = {(t, name): (value, stderr)
             for t, name, value, stderr in cli.se_rows_for(cfg, workers=2)}
-    edges = canonical_edge_order(instance.graph)
+    edges = canonical_edge_order(instances[0].graph)
     assert len(rows) == cfg.T * len(edges)
+    differ = 0
     for t in range(1, cfg.T + 1):
         for e in edges:
-            trace = float(np.trace(cov.kernel(e, t, t)))
-            assert rows[(t, f"norm_sq[{e}]")] == (trace, 0.0)
+            traces = [float(np.trace(cov.kernel(e, t, t))) for cov in covs]
+            differ += traces[0] != traces[1]
+            assert rows[(t, f"norm_sq[{e}]")] == (float(np.mean(traces)), 0.0)
+    assert differ
 
 
 def test_generic_norm_sq_is_the_per_row_second_moment():

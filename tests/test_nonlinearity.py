@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from graphamp.nonlinearity import (Entrywise, EntrywiseThenMix, FromCallable,
-                                   Identity, Scaled, SideData, Zero,
-                                   estimate_pl_constant, fd_jacobian_trace,
-                                   relu)
+                                   Identity, LinearEntrywiseLinear, Scaled,
+                                   SideData, Zero, estimate_pl_constant,
+                                   fd_jacobian_trace, relu)
 
 
 def test_identity_jacobian_is_row_count():
@@ -48,6 +48,27 @@ def test_entrywise_then_mix_matrix_jacobian():
     fd = fd_jacobian_trace(f, [x])
     assert an.shape == (2, 2)
     assert np.max(np.abs(an - fd)) < 1e-5 * max(1.0, np.abs(an).max())
+
+
+def test_linear_entrywise_linear_parts_and_jacobian():
+    # every part at once, with matrix and scalar coefficients: two input
+    # blocks of widths 2 and 3, a 2-column side array, 3 output columns
+    rng = np.random.default_rng(8)
+    x = [rng.normal(size=(20, 2)), rng.normal(size=(20, 3))]
+    y = rng.normal(size=(20, 2))
+    C, M0, L0, L1, R = (rng.normal(size=s) for s in
+                        [(2, 3), (2, 3), (2, 4), (3, 4), (4, 3)])
+    f = LinearEntrywiseLinear(arity=2, out_cols=3, offset=("y", C), M=[M0, 0.5],
+                              phi=np.tanh, dphi=lambda v: 1.0 - np.tanh(v) ** 2,
+                              L=[L0, L1], R=R, den=1.5)
+    side = SideData(arrays={"y": y})
+    want = (y @ C + x[0] @ M0 + 0.5 * x[1] + np.tanh(x[0] @ L0 + x[1] @ L1) @ R) / 1.5
+    np.testing.assert_allclose(f.apply(x, side), want, rtol=1e-12)
+    for wrt in (0, 1):
+        an = f.jacobian_trace(x, side, wrt=wrt)
+        fd = fd_jacobian_trace(f, x, side=side, wrt=wrt)
+        assert an.shape == (3, x[wrt].shape[1])
+        assert np.max(np.abs(an - fd)) < 1e-5 * max(1.0, np.abs(an).max())
 
 
 def test_scaled_wrapper():

@@ -1,7 +1,7 @@
 """Invariants that hold by construction, checked on random symmetric
-graphs: loops and pairs over up to three vertices, dims 3-40 (200-240
-where the SE budget must reach the Gauss-Hermite grid), q 1-3, entrywise
-(optionally column-mixed) update functions."""
+graphs: loops and pairs over up to three vertices, dims 3-40, q 1-3,
+entrywise (optionally column-mixed) update functions, or random
+linear-entrywise-linear maps with side-data offsets."""
 
 import numpy as np
 from hypothesis import given, settings
@@ -9,41 +9,49 @@ from hypothesis import strategies as st
 
 from graphamp.embedding import (embed, onsager_block_pattern_err,
                                 run_symmetric, verify_equivalence)
+import dataclasses
+
 from graphamp.engine import GraphInstance, run, stationary_provider
 from graphamp.ensembles import normals, sample_goe, sample_iid, stream
-from graphamp.graphs import EdgeId, GraphSpec, canonical_edge_order, edges_into
-from graphamp.nonlinearity import Entrywise, EntrywiseThenMix, Nonlinearity
+from graphamp.graphs import (EdgeId, GraphSpec, canonical_edge_order, edges_into,
+                             reversed_input_index)
+from graphamp.nonlinearity import (Entrywise, EntrywiseThenMix, FromCallable,
+                                   LinearEntrywiseLinear, SideData)
 from graphamp.prox import soft_threshold
-from graphamp.state_evolution import GRID_NODES, se_run
+from graphamp.state_evolution import se_run
 
+# name -> (phi, phi', kinks)
 PHIS = {
-    "tanh": (np.tanh, lambda x: 1.0 - np.tanh(x) ** 2),
-    "sin": (np.sin, np.cos),
+    "tanh": (np.tanh, lambda x: 1.0 - np.tanh(x) ** 2, ()),
+    "sin": (np.sin, np.cos, ()),
     "soft": (lambda x: soft_threshold(x, 0.3),
-             lambda x: (np.abs(x) > 0.3).astype(float)),
+             lambda x: (np.abs(x) > 0.3).astype(float), (-0.3, 0.3)),
 }
 
 
-class OnBlock(Nonlinearity):
-    """inner applied to input block k of an edge with several inputs;
-    the Jacobian sum with respect to every other block is zero."""
-
-    row_local = True
-
-    def __init__(self, inner, k, arity, out_cols):
-        self.inner, self.k, self.arity, self.out_cols = inner, k, arity, out_cols
-
-    def apply(self, inputs, side=None):
-        return self.inner.apply([inputs[self.k]], side)
-
-    def jacobian_trace(self, inputs, side=None, wrt=0):
-        if wrt == self.k:
-            return self.inner.jacobian_trace([inputs[self.k]], side)
-        return np.zeros((self.out_cols, inputs[wrt].shape[1]))
+def OnBlock(inner, k, arity, out_cols):
+    """inner, a map of one input block, applied to block k of an edge
+    with several inputs; the Jacobian sum with respect to every other
+    block is zero."""
+    L = [None] * arity
+    L[k] = inner.L[0]
+    return LinearEntrywiseLinear(arity=arity, out_cols=out_cols, phi=inner.phi,
+                                 dphi=inner.dphi, L=L, R=inner.R,
+                                 kinks=inner.kinks)
 
 
-@st.composite
-def symmetric_instances(draw, dims=(3, 40)):
+def _mc_twins(instance):
+    """instance with every map wrapped in FromCallable: the same updates,
+    which the state evolution takes by Monte Carlo."""
+    g = instance.graph
+    table = {e: FromCallable(f.apply, out_cols=f.out_cols, arity=f.arity,
+                             jac=f.jacobian_trace, row_local=True)
+             for e, f in ((e, instance.provider(e, 0, None)) for e in g.edges)}
+    return dataclasses.replace(instance, provider=stationary_provider(table))
+
+
+def _random_graph(draw):
+    """(graph, matrices, scale_base, seed) of a random symmetric graph."""
     V = draw(st.integers(1, 3))
     names = [f"v{i}" for i in range(V)]
     loops = [EdgeId(v, v) for v in names if draw(st.booleans())]
@@ -53,7 +61,7 @@ def symmetric_instances(draw, dims=(3, 40)):
         loops = [EdgeId(names[0], names[0])]
     keys = loops + pairs
     used = sorted({v for e in keys for v in (e.start, e.end)})
-    node_dim = {v: draw(st.integers(*dims)) for v in used}
+    node_dim = {v: draw(st.integers(3, 40)) for v in used}
     cols = {}
     for e in keys:
         cols[e] = cols[e.reversed()] = draw(st.integers(1, 3))
@@ -69,18 +77,23 @@ def symmetric_instances(draw, dims=(3, 40)):
         else:
             matrices[e] = sample_iid(node_dim[e.end], n_in, n_in, rng)
         scale[e] = float(n_in)
+    return g, matrices, scale, seed
 
+
+@st.composite
+def symmetric_instances(draw):
+    g, matrices, scale, seed = _random_graph(draw)
     fns = {}
     for e in canonical_edge_order(g):
         ins = edges_into(g, e)
         k = draw(st.integers(0, len(ins) - 1))
         q_in, q_out = g.q(ins[k]), g.q(e)
-        phi, dphi = PHIS[draw(st.sampled_from(sorted(PHIS)))]
+        phi, dphi, kinks = PHIS[draw(st.sampled_from(sorted(PHIS)))]
         if q_in != q_out or draw(st.booleans()):
             R = normals(stream(seed, "mix", str(e)), (q_in, q_out))
-            f = EntrywiseThenMix(phi, dphi, R)
+            f = EntrywiseThenMix(phi, dphi, R, kinks)
         else:
-            f = Entrywise(phi, dphi)
+            f = Entrywise(phi, dphi, kinks)
         fns[e] = f if len(ins) == 1 else OnBlock(f, k, len(ins), q_out)
 
     x0 = {e: normals(stream(seed, "x0", str(e)), g.x_shape(e))
@@ -126,15 +139,74 @@ def _assert_symmetric_psd(cov, instance):
 @settings(derandomize=True, max_examples=40, deadline=None)
 @given(symmetric_instances())
 def test_random_graph_se_kernels_are_symmetric_psd(case):
+    # a small budget on the Monte Carlo route
+    instance, T, seed = case
+    _assert_symmetric_psd(se_run(_mc_twins(instance), T, reps=16, seed=seed),
+                          instance)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(symmetric_instances())
+def test_random_graph_se_kernels_are_symmetric_psd_on_the_grid(case):
+    # the exact route (every map is a LinearEntrywiseLinear)
     instance, T, seed = case
     _assert_symmetric_psd(se_run(instance, T, reps=16, seed=seed), instance)
 
 
+@st.composite
+def affine_or_phi_instances(draw):
+    """Random graphs whose maps are random LinearEntrywiseLinear maps over
+    a random subset of the input blocks, each either affine (a side-data
+    offset plus random M_j) or a random phi(sum_j X_j L_j) R.  Every map
+    reads its reversed edge, the input its Onsager term corrects, and W
+    is as wide as the output."""
+    g, matrices, scale, seed = _random_graph(draw)
+    fns, side = {}, {}
+    for e in canonical_edge_order(g):
+        ins = edges_into(g, e)
+        use = [draw(st.booleans()) for _ in ins]
+        use[reversed_input_index(g, e)] = True
+        q = g.q(e)
+
+        def coef(rows, label):
+            return normals(stream(seed, label, str(e)), (rows, q)) / np.sqrt(rows * len(ins))
+
+        blocks = [coef(g.q(ein), f"{j}") if u else None
+                  for j, (ein, u) in enumerate(zip(ins, use))]
+        if draw(st.booleans()):
+            side[e] = SideData(arrays={"y": normals(stream(seed, "y", str(e)),
+                                                    (g.node_dim[e.start], q))})
+            fns[e] = LinearEntrywiseLinear(arity=len(ins), out_cols=q,
+                                           offset=("y", coef(q, "Y")), M=blocks)
+        else:
+            phi, dphi, kinks = PHIS[draw(st.sampled_from(sorted(PHIS)))]
+            fns[e] = LinearEntrywiseLinear(arity=len(ins), out_cols=q, phi=phi,
+                                           dphi=dphi, L=blocks, kinks=kinks,
+                                           R=coef(q, "R"))
+    x0 = {e: normals(stream(seed, "x0", str(e)), g.x_shape(e)) for e in g.edges}
+    instance = GraphInstance(graph=g, matrices=matrices,
+                             provider=stationary_provider(fns), x0=x0,
+                             side=side, scale_base=scale)
+    return instance, draw(st.integers(2, 3)), seed
+
+
 @settings(derandomize=True, max_examples=40, deadline=None)
-@given(symmetric_instances(dims=(200, 240)))
-def test_random_graph_se_kernels_are_symmetric_psd_on_the_grid(case):
-    # a budget above the grid size at every node: edges with at most two
-    # input columns take the grid, wider ones stay on Monte Carlo
+@given(affine_or_phi_instances())
+def test_random_maps_exact_kernels_match_tenfold_monte_carlo(case):
+    # exact kernels against the mean of R Monte Carlo runs of the twins
+    # at ten times the budget, each block within 4 sd of that mean; the
+    # floor covers tails (a soft threshold far above its field's sd) that
+    # the copies never reach
     instance, T, seed = case
-    reps = GRID_NODES // 200 + 1
-    _assert_symmetric_psd(se_run(instance, T, reps=reps, seed=seed), instance)
+    B, R = 100, 8
+    exact = se_run(instance, T, reps=B, seed=seed)
+    refs = [se_run(_mc_twins(instance), T, reps=10 * B, seed=seed + 1 + r)
+            for r in range(R)]
+    for e in instance.graph.edges:
+        K = np.stack([ref.K[e] for ref in refs])
+        mean, var = K.mean(axis=0), K.var(axis=0, ddof=1)
+        floor = 1e-8 * np.abs(exact.K[e]).max()
+        for t in range(T):
+            for s in range(t + 1):
+                sd = np.sqrt(var[t, s].sum() / R)
+                assert np.linalg.norm(exact.K[e][t, s] - mean[t, s]) <= 4 * sd + floor, (e, t, s)

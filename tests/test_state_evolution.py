@@ -10,10 +10,11 @@ from graphamp import state_evolution
 from graphamp.engine import run, stationary_provider
 from graphamp.graphs import EdgeId, single_loop
 from graphamp.nonlinearity import (Entrywise, FromCallable, Identity,
-                                   Nonlinearity, SideData, Zero, relu)
-from graphamp.state_evolution import (GRID_NODES, amp_observable_stats,
-                                      compare, mc_observable_stats, se_run,
-                                      se_step, summarize)
+                                   LinearEntrywiseLinear, Nonlinearity, Zero,
+                                   relu)
+from graphamp.state_evolution import (amp_observable_stats, compare,
+                                      mc_observable_stats, se_run, se_step,
+                                      summarize)
 from graphamp.engine import norm_sq_observable
 from graphamp.ensembles import sample_goe, stream
 
@@ -28,6 +29,30 @@ def _loop_instance(f, n=400, x0_val=1.0, seed=9):
         provider=stationary_provider({loop: f}),
         x0={loop: np.full((n, 1), x0_val)},
     ), loop
+
+
+class _Recorded(Nonlinearity):
+    """f, with the row count of every call recorded."""
+
+    def __init__(self, f, rows, row_local=None):
+        self.f, self.rows = f, rows
+        self.arity, self.out_cols = f.arity, f.out_cols
+        self.row_local = f.row_local if row_local is None else row_local
+
+    def apply(self, inputs, side=None):
+        self.rows.append(len(inputs[0]))
+        return self.f.apply(inputs, side)
+
+
+def _mc_twin(inst, edges=None, row_local=None):
+    """inst with the maps of `edges` (default all) wrapped in _Recorded:
+    the same updates, but not LinearEntrywiseLinear, so the state
+    evolution takes them by Monte Carlo."""
+    edges = inst.graph.edges if edges is None else edges
+    table = {e: _Recorded(inst.provider(e, 0, None), [], row_local)
+             if e in edges else inst.provider(e, 0, None)
+             for e in inst.graph.edges}
+    return dataclasses.replace(inst, provider=stationary_provider(table))
 
 
 def test_identity_updates_keep_variance_fixed():
@@ -72,7 +97,7 @@ def test_kernels_are_symmetric_and_psd():
 
 
 def test_doubled_sample_count_moves_kernels_little():
-    inst, _ = build_committee_instance(CommitteeModel(d=150, n=100), seed=2)
+    inst = _mc_twin(build_committee_instance(CommitteeModel(d=150, n=100), seed=2)[0])
     cov1 = se_run(inst, T=3, reps=1000, seed=4)
     cov2 = se_run(inst, T=3, reps=2000, seed=5)
     for e in inst.graph.edges:
@@ -122,7 +147,7 @@ def test_compare_passes_on_rel_z_or_atol():
 
 
 def test_kernels_do_not_depend_on_worker_count():
-    inst, _ = build_committee_instance(CommitteeModel(d=150, n=100), seed=2)
+    inst = _mc_twin(build_committee_instance(CommitteeModel(d=150, n=100), seed=2)[0])
     obs = [norm_sq_observable(EdgeId("wts", "obs"), scale=0.01, name="nsq")]
     a = se_run(inst, T=4, reps=300, seed=3, chunk=64, workers=1)
     sa = mc_observable_stats(inst, a, obs, reps=150, seed=4, chunk=32, workers=1)
@@ -154,7 +179,7 @@ def test_non_row_local_update_takes_per_copy_path():
     table = {e: _per_copy_twin(inst.provider(e, 0, None), rows_seen)
              for e in inst.graph.edges}
     twin = dataclasses.replace(inst, provider=stationary_provider(table))
-    a = se_run(inst, T=3, reps=200, seed=3, chunk=64)
+    a = se_run(_mc_twin(inst), T=3, reps=200, seed=3, chunk=64)
     b = se_run(twin, T=3, reps=200, seed=3, chunk=64, workers=2)
     # every call saw a single copy: 150 rows on one edge, 100 on the other
     assert rows_seen == {150, 100}
@@ -167,7 +192,7 @@ def test_se_step_memory_stays_within_chunks_in_flight():
     # outputs; full-width temporaries (the whole (reps, t, n, q) family,
     # every time's outputs at once) would break this bound
     n, t, q, chunk, workers = 400, 6, 2, 32, 2
-    inst, _ = build_committee_instance(CommitteeModel(d=n, n=n), seed=0)
+    inst = _mc_twin(build_committee_instance(CommitteeModel(d=n, n=n), seed=0)[0])
     cov = se_run(inst, T=t, reps=64, seed=1)
     tracemalloc.start()
     try:
@@ -179,8 +204,8 @@ def test_se_step_memory_stays_within_chunks_in_flight():
     assert peak <= 4 * workers * chunk * n * t * q * 8
 
 
-# committee edges: the signal side (soft threshold, no side data, two input
-# columns, so a 4-dimensional pair grid) and the observation side (reads Y)
+# committee edges: the signal side (soft threshold, then a column mix)
+# and the observation side (affine, reads Y); both take the exact route
 SIG, OBS = EdgeId("wts", "obs"), EdgeId("obs", "wts")
 
 
@@ -189,48 +214,34 @@ def _committee(n=300):
     return inst
 
 
-def _on_mc(inst, e):
-    # empty side data: the same update, but not side-data free
-    return dataclasses.replace(inst, side={**inst.side, e: SideData()})
-
-
-def test_grid_kernels_match_a_tenfold_monte_carlo_reference():
-    inst, T, B, R = _committee(), 4, 256, 4
-    assert B * 300 > GRID_NODES            # the signal edge takes the grid
-    grid = se_run(inst, T, reps=B, seed=0)
-    refs = [se_run(_on_mc(inst, SIG), T, reps=10 * B, seed=1 + r) for r in range(R)]
-    for e in (SIG, OBS):
+def _assert_within_monte_carlo(exact, refs, edges, T):
+    """Exact kernels against the mean of R Monte Carlo reference runs,
+    each block within 4 sd of that mean: the exact side carries no
+    sampling variance, the reference mean 1 / R of one run's, pooled
+    over the block's q x q entries."""
+    for e in edges:
         K = np.stack([ref.K[e] for ref in refs])
         mean, var = K.mean(axis=0), K.var(axis=0, ddof=1)
         # time 1 is the initializer's on both sides; the PSD steps move
         # it at rounding level only
-        np.testing.assert_allclose(grid.K[e][0, 0], mean[0, 0], rtol=1e-8)
+        np.testing.assert_allclose(exact.K[e][0, 0], mean[0, 0], rtol=1e-8)
         for t in range(1, T):
             for s in range(t + 1):
-                # Monte Carlo variance scales as 1 / budget: the grid run's
-                # observation edge (at B) carries 10 x the reference's
-                # variance, the reference mean 1 / R of it; gate at 4 sd,
-                # pooled over the block's q x q entries
-                sd = np.sqrt((10 + 1 / R) * var[t, s].sum())
-                assert np.linalg.norm(grid.K[e][t, s] - mean[t, s]) <= 4 * sd, (e, t, s)
+                sd = np.sqrt(var[t, s].sum() / len(refs))
+                assert np.linalg.norm(exact.K[e][t, s] - mean[t, s]) <= 4 * sd, (e, t, s)
 
 
-class _Recorded(Nonlinearity):
-    """f, with the row count of every call recorded."""
-
-    def __init__(self, f, rows, row_local=None):
-        self.f, self.rows = f, rows
-        self.arity, self.out_cols = f.arity, f.out_cols
-        self.row_local = f.row_local if row_local is None else row_local
-
-    def apply(self, inputs, side=None):
-        self.rows.append(len(inputs[0]))
-        return self.f.apply(inputs, side)
+def test_grid_kernels_match_a_tenfold_monte_carlo_reference():
+    inst, T, B, R = _committee(), 4, 256, 6
+    exact = se_run(inst, T, reps=B, seed=0)
+    refs = [se_run(_mc_twin(inst), T, reps=10 * B, seed=1 + r) for r in range(R)]
+    _assert_within_monte_carlo(exact, refs, (SIG, OBS), T)
 
 
 def _rows_seen(inst, reps, T=3, row_local=None):
     """Row counts each edge's update receives during se_run, other than
-    n (one copy, or the initializer's call)."""
+    n (one copy, or the initializer's call), with every map wrapped in
+    _Recorded (so on Monte Carlo)."""
     rows = {e: [] for e in inst.graph.edges}
     table = {e: _Recorded(inst.provider(e, 0, None), rows[e], row_local)
              for e in inst.graph.edges}
@@ -239,7 +250,18 @@ def _rows_seen(inst, reps, T=3, row_local=None):
     return {e: set(r) - {inst.graph.node_dim[e.start]} for e, r in rows.items()}
 
 
+def _wide_loop(f, q=3, n=400):
+    loop = EdgeId("v", "v")
+    return GraphInstance(
+        graph=single_loop("v", n, q=q),
+        matrices={loop: sample_goe(n, stream(9, "loop"), scale_N=n)},
+        provider=stationary_provider({loop: f}),
+        x0={loop: np.ones((n, q))})
+
+
 def test_grid_routing(monkeypatch):
+    # routing is by type: an edge whose map is a LinearEntrywiseLinear at
+    # every time takes quadrature, whatever its side data or widths;
     # reps = 2 chunks of 128 copies
     inst, reps, n, chunk = _committee(), 256, 300, state_evolution.DEFAULT_CHUNK
     drawn = []
@@ -250,33 +272,34 @@ def test_grid_routing(monkeypatch):
         return sample(F, *args)
 
     monkeypatch.setattr(state_evolution, "sample_gaussian_family", recording_sample)
+    factory = lambda *labels: stream(5, *labels)
     cov = se_run(inst, 2, reps=reps, seed=0)
-    drawn.clear()
-    se_step(inst, cov, reps, lambda *labels: stream(5, *labels))
-    # one family per chunk, and only the signal edge's, which the
-    # observation edge reads; the signal edge's own input is never drawn
+    assert drawn == []
+    se_step(inst, cov, reps, factory)
+    assert drawn == []
+    # the observation edge as a twin: it alone takes Monte Carlo, drawing
+    # the signal edge's family, which it reads, once per chunk
+    se_step(_mc_twin(inst, [OBS]), cov, reps, factory)
     F = state_evolution.family_factor(cov.K[SIG])
     assert len(drawn) == reps // chunk and all(np.array_equal(D, F) for D in drawn)
+    # a 3-column loop (six pair dimensions) takes quadrature
+    tanh = Entrywise(np.tanh, lambda x: 1 - np.tanh(x) ** 2)
+    drawn.clear()
+    se_run(_wide_loop(tanh), 3, reps=reps, seed=0)
+    assert drawn == []
+    # a map with both an affine and a phi part would need their cross
+    # moment, which the exact route does not build
+    mixed = LinearEntrywiseLinear(M=[0.5], phi=np.tanh,
+                                  dphi=lambda x: 1 - np.tanh(x) ** 2, L=[1.0])
+    se_run(_wide_loop(mixed, q=1), 3, reps=reps, seed=0)
+    assert len(drawn) == 2 * reps // chunk
     monkeypatch.undo()
 
+    # the Monte Carlo route evaluates a row-local twin on a chunk of
+    # copies at once, and any other map one copy at a time
     rows = _rows_seen(inst, reps)
-    assert rows[OBS] == {chunk * n}                   # reads side data Y
-    assert rows[SIG] and max(rows[SIG]) <= state_evolution._GRID_TILE
-    assert chunk * n not in rows[SIG]
-    # empty side data, a non-row-local twin, a budget below the grid size
-    assert _rows_seen(_on_mc(inst, SIG), reps)[SIG] == {chunk * n}
-    assert _rows_seen(inst, reps, row_local=False)[SIG] == set()
-    assert _rows_seen(inst, 64)[SIG] == {64 * n}
-    # a 3-column loop: pair dimension 6 > 4
-    loop = EdgeId("v", "v")
-    wide = GraphInstance(
-        graph=single_loop("v", 400, q=3),
-        matrices={loop: sample_goe(400, stream(9, "loop"), scale_N=400)},
-        provider=stationary_provider(
-            {loop: Entrywise(np.tanh, lambda x: 1 - np.tanh(x) ** 2)}),
-        x0={loop: np.ones((400, 3))})
-    assert 400 * reps > GRID_NODES
-    assert _rows_seen(wide, reps)[loop] == {chunk * 400}
+    assert rows[OBS] == rows[SIG] == {chunk * n}
+    assert _rows_seen(inst, reps, row_local=False) == {SIG: set(), OBS: set()}
 
 
 def test_grid_kernels_rerun_identically_for_any_worker_count():
@@ -298,10 +321,12 @@ def test_grid_matches_closed_form_relu_moments():
     # form from the previous ones, E max(Z,0) = sqrt(k / 2 pi) for the
     # initializer's row (m^0 = 1, so its column sum over N is 1), k / 2 on
     # the diagonal, and the arc-cosine kernel for the (Z^s, Z^t) pairs
-    f = Entrywise(relu, lambda x: (x > 0).astype(float))
+    f = Entrywise(relu, lambda x: (x > 0).astype(float), kinks=(0.0,))
     inst, loop = _loop_instance(f, n=400, x0_val=1.0)
     T = 4
-    K = se_run(inst, T=T, reps=20_000, seed=1).K[loop][..., 0, 0]
+    K = se_run(inst, T=T, reps=16, seed=1).K[loop][..., 0, 0]
+    # the route is exact: no budget or seed enters
+    assert np.array_equal(K, se_run(inst, T=T, reps=20_000, seed=2).K[loop][..., 0, 0])
 
     def arc_cosine(a, b, c):
         theta = np.arccos(c / np.sqrt(a * b))
@@ -312,12 +337,11 @@ def test_grid_matches_closed_form_relu_moments():
         want += [arc_cosine(K[s - 1, s - 1], K[t - 1, t - 1], K[s - 1, t - 1])
                  for s in range(1, t)]
         want += [K[t - 1, t - 1] / 2]
-        # quadrature error only (it reads at most 4e-5 here)
-        np.testing.assert_allclose(K[t, :t + 1], want, rtol=1e-4)
+        np.testing.assert_allclose(K[t, :t + 1], want, rtol=1e-8)
 
 
 def test_family_factor_once_per_step_and_edge(monkeypatch):
-    inst, _ = build_committee_instance(CommitteeModel(d=150, n=100), seed=2)
+    inst = _mc_twin(build_committee_instance(CommitteeModel(d=150, n=100), seed=2)[0])
     cov = se_run(inst, T=3, reps=300, seed=3, chunk=64)
     calls = []
     factor = state_evolution.family_factor
