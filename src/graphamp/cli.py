@@ -10,10 +10,11 @@ Subcommands map 1:1 onto library entry points:
 
 Exit codes: 0 success, 1 gate failure under --strict (embed-verify
 gates are always strict), 2 config error, 3 numerical abort, 4 I/O
-error.  Seeds fan out across a thread pool of --workers threads, for
-the AMP runs and for the generic SE recursion, which runs once per AMP
-seed on that seed's instance; reductions happen in submission order so
-results are independent of scheduling.
+error.  Seeds fan out across a thread pool of --workers threads.  The
+generic SE runs once per AMP seed, in `run` inside the seed's task on
+the instance its AMP run used (built once, at most --workers alive);
+reductions happen in submission order so results are independent of
+scheduling.
 """
 
 from __future__ import annotations
@@ -54,12 +55,14 @@ COMPARE_HEADER = ("t", "name", "amp_mean", "amp_std", "n_seeds",
 # ---------------------------------------------------------------------------
 # model construction, shared by the AMP and SE paths
 
-def _glm_model(make, m, **extra):
-    d = m["d"]
-    prior = GaussBernoulliPrior(eps=m.get("prior_eps", 0.25),
-                                var=m.get("prior_var", 4.0))
-    return make(d=d, n=int(round(m["aspect"] * d)), lam=m["lam"], prior=prior,
-                beta0=m.get("beta0", 1.0), **extra)
+def _glm_model(make, m):
+    """The GLM of model block m: the keys m sets, under their library
+    names; the library's defaults stand for the rest."""
+    def given(*names):
+        return {arg: m[key] for key, arg in names if key in m}
+    return make(d=m["d"], n=int(round(m["aspect"] * m["d"])), lam=m["lam"],
+                prior=GaussBernoulliPrior(**given(("prior_eps", "eps"), ("prior_var", "var"))),
+                **given(("noise_sigma", "sigma"), ("beta0", "beta0")))
 
 
 def _fields(m):
@@ -120,7 +123,7 @@ def _generic_rows(cfg, traj, instance, model, aux) -> List[Tuple[int, str, float
 # ---------------------------------------------------------------------------
 # per-kind SE prediction rows: (t, name, value, stderr)
 
-def _glm_se_rows(cfg, model, workers) -> List[Tuple[int, str, float, float]]:
+def _glm_se_rows(cfg, model, *_) -> List[Tuple[int, str, float, float]]:
     if cfg.quadrature == "mc":
         quad = QuadSpec(method="mc", samples=cfg.se_samples,
                         seed=cfg.master_seed)
@@ -136,7 +139,7 @@ def _glm_se_rows(cfg, model, workers) -> List[Tuple[int, str, float, float]]:
                 "norm_sq_u": pt.u_second_moment(model.prior.rho)})]
 
 
-def _spiked_se_rows(cfg, model, workers) -> List[Tuple[int, str, float, float]]:
+def _spiked_se_rows(cfg, model, *_) -> List[Tuple[int, str, float, float]]:
     if model.depth:
         raise ConfigError("model.gen_dims: the spiked SE recursion covers the "
                           "depth-0 spike only; embed-verify still runs "
@@ -146,20 +149,23 @@ def _spiked_se_rows(cfg, model, workers) -> List[Tuple[int, str, float, float]]:
                                                      pt.second_moment())]
 
 
-def _generic_se_rows(cfg, model, workers) -> List[Tuple[int, str, float, float]]:
-    """The mean over the AMP seeds of each seed's prediction: the SE is
-    conditional on side data, so each seed's instance gets its own run."""
+def _seed_se(cfg, instance) -> Dict[Tuple[int, str], float]:
+    """One AMP seed's prediction: the SE is conditional on side data, so
+    each seed's instance gets its own run."""
     T = _graph_T(cfg)
+    cov = se_run(instance, T, reps=cfg.se_samples, seed=cfg.master_seed)
+    # rows of x^t_e tend to N(0, K_e^{t,t}), so ||x^t_e||^2 / n_e -> tr K
+    return {(t, f"norm_sq[{e}]"): float(np.trace(cov.kernel(e, t, t)))
+            for t in range(1, T + 1) for e in canonical_edge_order(instance.graph)}
 
-    def predict(i):
-        instance, _ = _kind(cfg).build(model, cfg.amp_seeds[i])
-        cov = se_run(instance, T, reps=cfg.se_samples, seed=cfg.master_seed)
-        # rows of x^t_e tend to N(0, K_e^{t,t}), so ||x^t_e||^2 / n_e -> tr K
-        return {(t, f"norm_sq[{e}]"): float(np.trace(cov.kernel(e, t, t)))
-                for t in range(1, T + 1)
-                for e in canonical_edge_order(instance.graph)}
 
-    per_seed = map_ordered(predict, len(cfg.amp_seeds), workers)
+def _generic_se_rows(cfg, model, workers, per_seed) -> List[Tuple[int, str, float, float]]:
+    """The mean over the AMP seeds of each seed's prediction; per_seed
+    holds them when `run` made them, else each instance is built here."""
+    if per_seed is None:
+        per_seed = map_ordered(
+            lambda i: _seed_se(cfg, _kind(cfg).build(model, cfg.amp_seeds[i])[0]),
+            len(cfg.amp_seeds), workers)
     return [(t, name, float(np.mean([p[(t, name)] for p in per_seed])), 0.0)
             for t, name in sorted(per_seed[0])]
 
@@ -169,7 +175,7 @@ def _generic_se_rows(cfg, model, workers) -> List[Tuple[int, str, float, float]]
 
 def _compare_rows(cfg, amp_results, se_rows):
     by_key: Dict[Tuple[int, str], List[float]] = {}
-    for _, (_, _, _, rows) in amp_results:
+    for _, (_, _, _, rows, _) in amp_results:
         for t, name, value in rows:
             by_key.setdefault((t, name), []).append(value)
     return compare({key: summarize(values) for key, values in by_key.items()},
@@ -186,7 +192,7 @@ def _gmm_compare_rows(cfg, amp_results, se_rows):
                 "rel_err": err, "z": np.inf, "pass": int(ok)}
 
     rows = []
-    for seed, (traj, model, data, _) in amp_results:
+    for seed, (traj, model, data, _, _) in amp_results:
         W = gmm_weights(traj, model, data)
         Wb = ridge_baseline(model, data)
         werr = float(np.linalg.norm(W - Wb) / max(np.linalg.norm(Wb), 1e-12))
@@ -209,8 +215,8 @@ class Kind:
 
     model(cfg.model) -> model; build(model, seed) -> (instance, aux);
     amp_rows(cfg, traj, instance, model, aux) -> [(t, name, value)];
-    se_rows(cfg, model, workers) -> [(t, name, value, stderr)], None for
-    a kind without an SE route; gate(cfg, amp_results, se_rows) ->
+    se_rows(cfg, model, workers, per_seed) -> [(t, name, value, stderr)],
+    None for a kind without an SE route; gate(cfg, amp_results, se_rows) ->
     compare.csv rows; phases is the number of graph steps per model step;
     reports holds the config observables that amp_rows can write.
     """
@@ -229,12 +235,10 @@ class Kind:
 # call time and never hold them, so a wrapper installed on the module
 # attribute (a profiler's tracer, say) sees every call.
 KINDS: Dict[str, Kind] = {k.name: k for k in (
-    Kind("lasso", lambda m: _glm_model(lasso_model, m,
-                                       sigma=m.get("noise_sigma", 0.5)),
+    Kind("lasso", lambda m: _glm_model(lasso_model, m),
          lambda model, seed: build_gamp_instance(model, seed),
          _glm_rows, _glm_se_rows, config_mod.OBSERVABLES, phases=2),
-    Kind("ridge", lambda m: _glm_model(ridge_model, m,
-                                       sigma=m.get("noise_sigma", 0.5)),
+    Kind("ridge", lambda m: _glm_model(ridge_model, m),
          lambda model, seed: build_gamp_instance(model, seed),
          _glm_rows, _glm_se_rows, config_mod.OBSERVABLES, phases=2),
     Kind("logistic", lambda m: _glm_model(logistic_model, m),
@@ -290,24 +294,27 @@ def _graph_T(cfg: config_mod.ExperimentConfig) -> int:
     return _kind(cfg).phases * cfg.T
 
 
-def se_rows_for(cfg, workers=1) -> List[Tuple[int, str, float, float]]:
+def se_rows_for(cfg, workers=1, per_seed=None) -> List[Tuple[int, str, float, float]]:
     """SE prediction rows; `workers` runs the generic recursion's seeds
-    at once and never changes the rows."""
+    at once and never changes the rows (per_seed: see _generic_se_rows)."""
     kind = _kind(cfg)
     if kind.se_rows is None:
         raise ConfigError(f"model {kind.name} has no SE route; "
                           "use `run` for its fixed-point gates")
-    return kind.se_rows(cfg, _model(cfg), workers)
+    return kind.se_rows(cfg, _model(cfg), workers, per_seed)
 
 
 # ---------------------------------------------------------------------------
 # run orchestration
 
 def _run_one_seed(cfg, seed):
-    """(trajectory, model, aux, AMP rows) of one seed."""
+    """(trajectory, model, aux, AMP rows, SE prediction) of one seed; the
+    generic kinds' SE runs on the AMP instance, others' prediction is None."""
+    kind = _kind(cfg)
     instance, model, aux = _build_zoo(cfg, seed)
     traj = run(instance, _graph_T(cfg), allow_degenerate=True)
-    return traj, model, aux, _kind(cfg).amp_rows(cfg, traj, instance, model, aux)
+    se = _seed_se(cfg, instance) if kind.se_rows is _generic_se_rows else None
+    return traj, model, aux, kind.amp_rows(cfg, traj, instance, model, aux), se
 
 
 def _fan_out(cfg, workers):
@@ -328,11 +335,12 @@ def cmd_run(cfg, out_dir, workers, strict) -> int:
     kind = _kind(cfg)
     amp_results = _fan_out(cfg, workers)
     traj_rows = [{"seed": seed, "t": t, "name": name, "value": value}
-                 for seed, (_, _, _, rows) in amp_results
+                 for seed, (_, _, _, rows, _) in amp_results
                  for t, name, value in rows]
     write_dict_rows(os.path.join(out_dir, "trajectory.csv"), traj_rows, h,
                     header=TRAJ_HEADER)
-    se_rows = se_rows_for(cfg, workers) if kind.se_rows else []
+    se_rows = (se_rows_for(cfg, workers, [se for _, (*_, se) in amp_results])
+               if kind.se_rows else [])
     _write_se(out_dir, se_rows, h)
     cmp_rows = kind.gate(cfg, amp_results, se_rows)
     write_dict_rows(os.path.join(out_dir, "compare.csv"), cmp_rows, h,

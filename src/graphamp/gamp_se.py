@@ -75,7 +75,7 @@ def _legendre_points(n: int) -> Tuple[np.ndarray, np.ndarray]:
 _TAIL_SDS = 12.0
 
 
-def gaussian_piecewise_nodes(mean, sd: float, kinks, n: int):
+def gaussian_piecewise_nodes(mean, sd, kinks, n: int):
     """Nodes and weights for E[g(U)], U ~ N(mean, sd^2), with g smooth
     between the given kink points.
 
@@ -84,11 +84,13 @@ def gaussian_piecewise_nodes(mean, sd: float, kinks, n: int):
     and each finite piece integrated by Gauss-Legendre against the
     explicit normal density; the truncated tails carry ~1e-32 mass.
 
-    mean may also be a 1-D array of m means sharing sd.  The rules then
-    come as (m, P) arrays, a row per mean, and each row is cut at its
-    mean as well as at the kinks, so that no piece spans the peak of
-    the density.  Kinks outside a row's range clip to its ends, where
-    they leave pieces of zero weight, so every row has the same P.
+    mean may also be a 1-D array of m means, with sd one sd or an array
+    of m.  The rules then come as (m, P) arrays, a row per mean, and
+    each row is cut at its mean as well as at the kinks, so that no
+    piece spans the peak of the density.  Kinks outside a row's range
+    clip to its ends, where they leave pieces of zero weight, so every
+    row has the same P.  A row of sd 0 puts every node on its mean and
+    weight 1 on the first.
     """
     if np.ndim(mean) == 0:
         if sd == 0.0:
@@ -98,20 +100,23 @@ def gaussian_piecewise_nodes(mean, sd: float, kinks, n: int):
         centre = mean
     else:
         centre = np.asarray(mean, dtype=float)[:, None]
-        if sd == 0.0:
-            return centre, np.ones_like(centre)
+        point = np.broadcast_to(np.reshape(sd, (-1, 1)) == 0.0, centre.shape)
+        sd = np.where(point, 1.0, np.reshape(sd, (-1, 1)))
         lo, hi = centre - _TAIL_SDS * sd, centre + _TAIL_SDS * sd
         inner = np.clip(np.asarray(kinks, dtype=float)[None, :], lo, hi)
         inner = np.sort(np.concatenate([inner, centre], axis=1), axis=1)
         cuts = np.concatenate([lo, inner, hi], axis=1)
-        centre = centre[:, :, None]
+        centre, sd = centre[:, :, None], sd[:, :, None]
     xg, wg = _legendre_points(n)
     # one row per piece
     a, b = cuts[..., :-1, None], cuts[..., 1:, None]
     u = 0.5 * (b - a) * xg + 0.5 * (a + b)
     dens = np.exp(-0.5 * ((u - centre) / sd) ** 2) / (sd * math.sqrt(2.0 * math.pi))
     shape = (-1,) if np.ndim(mean) == 0 else (len(cuts), -1)
-    return u.reshape(shape), (0.5 * (b - a) * wg * dens).reshape(shape)
+    u, w = u.reshape(shape), (0.5 * (b - a) * wg * dens).reshape(shape)
+    if np.ndim(mean):
+        u[point[:, 0]], w[point[:, 0]] = centre[point], np.eye(1, w.shape[1])
+    return u, w
 
 
 @dataclass(frozen=True)
@@ -148,8 +153,8 @@ class GaussBernoulliPrior(Prior):
     """Zero with probability 1 - eps, else centered normal with
     variance var."""
 
-    eps: float = 0.1
-    var: float = 1.0
+    eps: float = 0.25
+    var: float = 4.0
 
     def __post_init__(self):
         if not (0.0 < self.eps <= 1.0 and self.var > 0.0):

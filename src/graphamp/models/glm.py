@@ -250,14 +250,14 @@ def kkt_residual(model: GlmModel, A: np.ndarray, y: np.ndarray, xhat: np.ndarray
     return float(np.max(np.abs(grad + penalty_grad(pen, xhat))))
 
 
-def lasso_model(d: int, n: int, lam: float, prior: Prior, sigma: float = 0.0,
+def lasso_model(d: int, n: int, lam: float, prior: Prior, sigma: float = 0.5,
                 beta0: float = 1.0) -> GlmModel:
     return GlmModel(d=d, n=n, prior=prior, channel=make_channel("linear", sigma),
                     scalars=GlmScalars(penalty=ProxSpec(kind="abs", gamma=1.0, weight=lam),
                                        loss="squared"), beta0=beta0)
 
 
-def ridge_model(d: int, n: int, lam: float, prior: Prior, sigma: float = 0.0,
+def ridge_model(d: int, n: int, lam: float, prior: Prior, sigma: float = 0.5,
                 beta0: float = 1.0) -> GlmModel:
     return GlmModel(d=d, n=n, prior=prior, channel=make_channel("linear", sigma),
                     scalars=GlmScalars(penalty=ProxSpec(kind="squared", gamma=1.0, weight=lam),

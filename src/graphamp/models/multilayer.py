@@ -84,7 +84,7 @@ def layer_specs(dims, activations):
 class MultilayerModel:
     d0: int
     layers: Tuple[LayerSpec, ...]
-    prior: Prior = field(default_factory=lambda: GaussBernoulliPrior(0.25, 4.0))
+    prior: Prior = field(default_factory=GaussBernoulliPrior)
     # Soft threshold small enough that typical interior fields (rms
     # around 0.15 for unit weights) are not annihilated.
     signal_prox: ProxSpec = ProxSpec(kind="abs", gamma=1.0, weight=0.05)

@@ -23,8 +23,13 @@ row of an edge in one of two ways:
   Gaussian integral over (W^s_a, W^t_b): an outer integral over W^s_a
   and an inner one over W^t_b given W^s_a, each split at phi's kinks
   (gamp_se.gaussian_piecewise_nodes, QUAD_NODES Gauss-Legendre nodes a
-  piece).  The s = 0 row needs the 1-D integral E phi_t(W^t).  These
-  rows are deterministic: they depend on neither reps nor the streams.
+  piece).  The s = 0 row needs the 1-D integral E phi_t(W^t).  A step
+  integrates the entries of all rows whose maps are one object in one
+  batch: a single outer rule over every W^s_a (its s = t rows give
+  E phi_t(W^t)), outer nodes where phi_s vanishes dropped, and the
+  inner rules in blocks of _QUAD_TILE nodes, so temporaries do not
+  grow with t.  These rows are deterministic: they depend on neither
+  reps nor the streams.
 - Replicated Monte Carlo, for every other edge.  Each step draws fresh
   full-width copies of the input families that these edges read,
   evaluates the real update functions (with their real side data) on
@@ -32,9 +37,10 @@ row of an edge in one of two ways:
 
 Either way the PSD part of the extended kernel is kept.  The Monte
 Carlo copies are split into fixed chunks, each with its own named
-stream; chunks and exact rows may run on a thread pool, and partial
+stream; chunks and exact edges may run on a thread pool, and partial
 sums are added in a fixed order, so results are reproducible and do not
-depend on the number of workers.
+depend on the number of workers.  The initializer's outputs m^0_e are
+computed once per run, by se_init.
 
 The CLI reads its predictions off the kernels (||x^t_e||^2 / n_e tends
 to tr K_e^{t,t}) with stderr 0: the kernels' Monte Carlo noise, if an
@@ -68,37 +74,36 @@ _TILE_ROWS = 1024
 JITTER_REL = 1e-10
 # Gauss-Legendre nodes per piece of the exact route's integrals
 QUAD_NODES = 20
+# nodes per block of the exact route's inner rules
+_QUAD_TILE = 1 << 15
 
 
 @dataclass
 class SECovariances:
     """Per-edge covariance kernels; K[e][a, b] is the q x q covariance
-    between iterate times a+1 and b+1."""
+    between iterate times a+1 and b+1.  m0[e] is the initializer's
+    output f^0_e(x^0), the same at every step."""
 
     K: Dict[EdgeId, np.ndarray]
     T: int
+    m0: Dict[EdgeId, np.ndarray]
 
     def kernel(self, e: EdgeId, s: int, t: int) -> np.ndarray:
         """Covariance of (x^s_e, x^t_e), 1-based times."""
         return self.K[e][s - 1, t - 1]
 
 
-def _m0(instance: GraphInstance, e: EdgeId) -> np.ndarray:
-    g = instance.graph
-    x0 = {ein: instance.x0.get(ein, np.zeros(g.x_shape(ein))) for ein in g.edges}
-    f = instance.provider(e, 0, None)
-    inputs = [np.asarray(x0[ein], dtype=float) for ein in edges_into(g, e)]
-    return np.asarray(f.apply(inputs, side=instance.side_data(e)), dtype=float)
-
-
 def se_init(instance: GraphInstance) -> SECovariances:
     """One-time kernel from the deterministic first update."""
     g = instance.graph
-    K = {}
-    for e in canonical_edge_order(g):
-        m0 = _m0(instance, e)
-        K[e] = (m0.T @ m0 / instance.scale(e)).reshape(1, 1, g.q(e), g.q(e))
-    return SECovariances(K=K, T=1)
+    x0 = {e: np.asarray(instance.x0.get(e, np.zeros(g.x_shape(e))), dtype=float)
+          for e in g.edges}
+    m0 = {e: np.asarray(instance.provider(e, 0, None).apply(
+        [x0[ein] for ein in edges_into(g, e)], side=instance.side_data(e)), dtype=float)
+        for e in canonical_edge_order(g)}
+    K = {e: (m.T @ m / instance.scale(e)).reshape(1, 1, g.q(e), g.q(e))
+         for e, m in m0.items()}
+    return SECovariances(K=K, T=1, m0=m0)
 
 
 def _stacked(K_e: np.ndarray) -> np.ndarray:
@@ -211,33 +216,48 @@ def _exact(fns: Sequence[Nonlinearity]) -> bool:
                      and any(f.phi is not None for f in fns)))
 
 
-def _rule(f: LinearEntrywiseLinear, var: float):
-    """Nodes and weights of E g(U), U ~ N(0, var), cut at f's kinks."""
-    u, w = gaussian_piecewise_nodes(np.zeros(1), np.sqrt(var), f.kinks, QUAD_NODES)
-    return u[0], w[0]
+def _phi_moments(f_s: LinearEntrywiseLinear, f_t: LinearEntrywiseLinear,
+                 var_s: np.ndarray, var_t: np.ndarray, cov_st: np.ndarray):
+    """(E phi_s(U_r) phi_t(V_b), E phi_s(U_r)) for centred Gaussian pairs
+    (U_r, V_b) with variances var_s[r], var_t[b] and covariances
+    cov_st[r, b]: one outer rule over every U_r, less the nodes where its
+    weight times phi_s is 0, and the inner rules over V_b given each
+    node in blocks of _QUAD_TILE nodes.  A zero (conditional) variance
+    puts the variable on its (conditional) mean."""
+    u, wu = gaussian_piecewise_nodes(np.zeros(len(var_s)), np.sqrt(var_s),
+                                     f_s.kinks, QUAD_NODES)
+    pu = f_s.phi(u)
+    r, k = np.nonzero(wu * pu)
+    slope = np.divide(cov_st, var_s[:, None], out=np.zeros_like(cov_st),
+                      where=var_s[:, None] > 0.0)
+    sd = np.sqrt(np.maximum(var_t - slope * cov_st, 0.0))
+    # one inner row per (kept node, b)
+    means, sds = (slope[r] * u[r, k][:, None]).ravel(), sd[r].ravel()
+    inner = np.empty(len(means))
+    # an inner rule has QUAD_NODES nodes a piece, cut at the kinks and the mean
+    rows = max(1, _QUAD_TILE // ((len(f_t.kinks) + 2) * QUAD_NODES))
+    for a in range(0, len(means), rows):
+        v, wv = gaussian_piecewise_nodes(means[a:a + rows], sds[a:a + rows],
+                                         f_t.kinks, QUAD_NODES)
+        inner[a:a + rows] = np.sum(wv * f_t.phi(v), axis=1)
+    E = np.zeros_like(cov_st)
+    np.add.at(E, r, wu[r, k][:, None] * (pu[r, k][:, None] * inner.reshape(len(r), -1)))
+    return E, np.sum(wu * pu, axis=1)
 
 
-def _pair_mean(fs: LinearEntrywiseLinear, ft: LinearEntrywiseLinear,
-               a: float, b: float, c: float) -> float:
-    """E phi_s(U) phi_t(V) for centred Gaussian (U, V) with variances a,
-    b and covariance c: the inner rule over V given each outer node of
-    U runs in one broadcast."""
-    u, wu = _rule(fs, a)
-    slope = c / a if a > 0.0 else 0.0
-    v, wv = gaussian_piecewise_nodes(slope * u, np.sqrt(max(b - slope * c, 0.0)),
-                                     ft.kinks, QUAD_NODES)
-    return float(wu @ (fs.phi(u) * np.sum(wv * ft.phi(v), axis=1)))
-
-
-def _exact_moment(instance: GraphInstance, cov: SECovariances, e: EdgeId,
-                  f_s: LinearEntrywiseLinear, f_t: LinearEntrywiseLinear,
-                  s: int, t: int, m0: np.ndarray) -> np.ndarray:
-    """Sum over the rows of E[f_s^T f_t] on edge e by the exact route;
-    s = 0 stands for the initializer's output m0."""
+def _exact_row(instance: GraphInstance, cov: SECovariances, e: EdgeId,
+               fns: Sequence[LinearEntrywiseLinear]) -> List[np.ndarray]:
+    """Sums over the rows of E[f_s^T f_t] on edge e by the exact route,
+    for s = 0..t with t = cov.T and fns the maps at times 0..t; s = 0
+    stands for the initializer's output m0.  The phi parts of the rows
+    whose maps are one object (every row, for a stationary provider)
+    are integrated in one batch."""
     g = instance.graph
+    t, f_t = cov.T, fns[-1]
     n, q = g.node_dim[e.start], g.q(e)
     side = instance.side_data(e)
     K = [cov.K[ein] for ein in edges_into(g, e)]
+    m0 = cov.m0[e]
 
     def field_cov(fa, fb, a, b):
         """Covariance of (W^a, W^b) (1-based times) of maps fa and fb."""
@@ -246,32 +266,36 @@ def _exact_moment(instance: GraphInstance, cov: SECovariances, e: EdgeId,
                     for A, B, Kj in zip(fa.L, fb.L, K)
                     if A is not None and B is not None), np.zeros(width))
 
-    S = np.zeros((q, q))
+    S = [np.zeros((q, q)) for _ in range(t + 1)]
     Y_t = f_t.offset_rows(side, n)
-    if s == 0:
-        if Y_t is not None:
-            S += m0.T @ Y_t
-        if f_t.phi is not None:
-            C = field_cov(f_t, f_t, t, t)
-            mean = [w @ f_t.phi(u) for u, w in (_rule(f_t, c) for c in np.diag(C))]
-            S += np.outer(m0.sum(axis=0), times(np.array([mean]), f_t.R)[0])
-        return S / f_t.den
-    Y_s = f_s.offset_rows(side, n)
-    if Y_s is not None and Y_t is not None:
-        S += Y_s.T @ Y_t
-    S += n * sum((sandwich(A, Kj[s - 1, t - 1], B)
-                  for A, B, Kj in zip(f_s.M, f_t.M, K)
-                  if A is not None and B is not None), np.zeros_like(S))
-    if f_s.phi is not None and f_t.phi is not None:
-        Css, Ctt = field_cov(f_s, f_s, s, s), field_cov(f_t, f_t, t, t)
-        Cst = field_cov(f_s, f_t, s, t)
-        E = np.array([[_pair_mean(f_s, f_t, Css[a, a], Ctt[b, b], Cst[a, b])
-                       for b in range(len(Ctt))] for a in range(len(Css))])
-        if s == t:
-            # the nested rule is not symmetric in (a, b); the block must be
-            E = 0.5 * (E + E.T)
-        S += n * sandwich(f_s.R, E, f_t.R)
-    return S / (f_s.den * f_t.den)
+    if Y_t is not None:
+        S[0] += m0.T @ Y_t
+    for s in range(1, t + 1):
+        Y_s = fns[s].offset_rows(side, n)
+        if Y_s is not None and Y_t is not None:
+            S[s] += Y_s.T @ Y_t
+        S[s] += n * sum((sandwich(A, Kj[s - 1, t - 1], B)
+                         for A, B, Kj in zip(fns[s].M, f_t.M, K)
+                         if A is not None and B is not None), np.zeros((q, q)))
+    if f_t.phi is not None:
+        batches: Dict[int, List[int]] = {}
+        for s in range(1, t + 1):
+            if fns[s].phi is not None:
+                batches.setdefault(id(fns[s]), []).append(s)
+        var_t = np.diag(field_cov(f_t, f_t, t, t))
+        for ss in batches.values():
+            f_s = fns[ss[0]]
+            E, mean = _phi_moments(
+                f_s, f_t, np.concatenate([np.diag(field_cov(f_s, f_s, s, s)) for s in ss]),
+                var_t, np.concatenate([field_cov(f_s, f_t, s, t) for s in ss]))
+            for s, E_s, mean_s in zip(ss, E.reshape(len(ss), -1, len(var_t)),
+                                      mean.reshape(len(ss), 1, -1)):
+                if s == t:
+                    # the nested rule is not symmetric in (a, b); the block must be
+                    E_s = 0.5 * (E_s + E_s.T)
+                    S[0] += np.outer(m0.sum(axis=0), times(mean_s, f_t.R)[0])
+                S[s] += n * sandwich(f_s.R, E_s, f_t.R)
+    return [S[0] / f_t.den] + [S[s] / (fns[s].den * f_t.den) for s in range(1, t + 1)]
 
 
 def se_step(instance: GraphInstance, cov: SECovariances, reps: int,
@@ -283,7 +307,7 @@ def se_step(instance: GraphInstance, cov: SECovariances, reps: int,
     Monte Carlo copies, split into fixed chunks of `chunk`.  Chunk c
     draws the family of each edge e that an MC edge reads from
     rng_factory("se", t, str(e), c), which must return independent
-    generators for distinct labels.  Chunks and exact rows return
+    generators for distinct labels.  Chunks and exact edges return
     partial results that are combined in a fixed order, so the output
     depends only on (kernels, reps, chunk, rngs), never on `workers`,
     the number of them run at once.
@@ -292,13 +316,11 @@ def se_step(instance: GraphInstance, cov: SECovariances, reps: int,
     t = cov.T
     order = canonical_edge_order(g)
     fns = {e: [instance.provider(e, s, None) for s in range(t + 1)] for e in order}
-    m0 = {e: _m0(instance, e) for e in order}
     exact = [e for e in order if _exact(fns[e][1:])]
     mc = [e for e in order if e not in exact]
     drawn = [e for e in order if any(e in edges_into(g, x) for x in mc)]
     factors = {e: family_factor(cov.K[e]) for e in drawn}
     sizes = _chunks(reps, chunk) if mc else []
-    rows = [(e, s) for e in exact for s in range(t + 1)]
 
     def chunk_sums(c: int) -> Dict[EdgeId, np.ndarray]:
         rc = sizes[c]
@@ -319,7 +341,7 @@ def se_step(instance: GraphInstance, cov: SECovariances, reps: int,
             # row s holds sum over copies of m_s^T m_t; m_0 is the same
             # deterministic output in every copy
             S = np.empty((t + 1, g.q(e), g.q(e)))
-            S[0] = m0[e].T @ mt.reshape(rc, -1, g.q(e)).sum(axis=0)
+            S[0] = cov.m0[e].T @ mt.reshape(rc, -1, g.q(e)).sum(axis=0)
             for s in range(1, t):
                 S[s] = m(s).T @ mt
             S[t] = mt.T @ mt
@@ -329,16 +351,16 @@ def se_step(instance: GraphInstance, cov: SECovariances, reps: int,
     def task(i: int):
         if i < len(sizes):
             return chunk_sums(i)
-        e, s = rows[i - len(sizes)]
-        return _exact_moment(instance, cov, e, fns[e][s], fns[e][t], s, t, m0[e])
+        e = exact[i - len(sizes)]
+        return _exact_row(instance, cov, e, fns[e])
 
-    results = map_ordered(task, len(sizes) + len(rows), workers)
-    moments = dict(zip(rows, results[len(sizes):]))
+    results = map_ordered(task, len(sizes) + len(exact), workers)
+    moments = dict(zip(exact, results[len(sizes):]))
     K = {}
     for e in order:
         q = g.q(e)
         if e in exact:
-            S = [moments[(e, s)] for s in range(t + 1)]
+            S = moments[e]
             denom = instance.scale(e)
         else:
             S = results[0][e]
@@ -355,13 +377,13 @@ def se_step(instance: GraphInstance, cov: SECovariances, reps: int,
         # be inconsistent with the earlier rows; keep the PSD part, the
         # covariance family_factor would sample from anyway
         K[e] = _psd_part(new)
-    return SECovariances(K=K, T=t + 1)
+    return SECovariances(K=K, T=t + 1, m0=cov.m0)
 
 
 def se_run(instance: GraphInstance, T: int, reps: int = 2000, seed: int = 0,
            chunk: int = DEFAULT_CHUNK, workers: int = 1) -> SECovariances:
     """Covariance kernels for iterate times 1..T; `workers` chunks and
-    exact rows run at once without changing the result."""
+    exact edges run at once without changing the result."""
     if T < 1:
         raise ValueError("T must be >= 1")
     factory = lambda *labels: stream(seed, *labels)

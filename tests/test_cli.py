@@ -109,11 +109,29 @@ def test_generic_se_rows_are_kernel_traces():
     assert differ
 
 
+def test_run_builds_each_seed_instance_once(tmp_path, monkeypatch):
+    # run's generic SE runs in each seed's task, on the instance its AMP
+    # run used; se-only builds the instances for the SE alone, and both
+    # predict the same rows
+    built = []
+    build = cli.build_committee_instance
+    monkeypatch.setattr(cli, "build_committee_instance",
+                        lambda model, seed: built.append(seed) or build(model, seed))
+    cfg = _write(tmp_path, SMALL_COMMITTEE)
+    run, se_only = tmp_path / "run", tmp_path / "se-only"
+    assert main(["run", "--config", cfg, "--out", str(run), "--workers", "2"]) == 0
+    assert sorted(built) == [0, 1]
+    assert main(["se-only", "--config", cfg, "--out", str(se_only)]) == 0
+    assert sorted(built) == [0, 0, 1, 1]
+    bodies = [(d / "se.csv").read_text().splitlines()[1:] for d in (run, se_only)]
+    assert bodies[0] == bodies[1] and len(bodies[0]) == 1 + 2 * SMALL_COMMITTEE["T"]
+
+
 def test_generic_norm_sq_is_the_per_row_second_moment():
     # norm_sq[e] is ||x_e||^2 / n_e, n_e the rows of x_e, the scale of
     # tr K_e^{t,t}
     cfg = config_mod.validate(SMALL_COMMITTEE)
-    traj, _, _, rows = cli._run_one_seed(cfg, cfg.amp_seeds[0])
+    traj, _, _, rows, _ = cli._run_one_seed(cfg, cfg.amp_seeds[0])
     xs = {f"norm_sq[{e}]": traj.x[e] for e in traj.x}
     assert len(rows) == cfg.T * len(xs)
     for t, name, value in rows:

@@ -6,7 +6,7 @@ import pytest
 from graphamp import NumericalError, gamp_se
 from graphamp.gamp_se import (GaussBernoulliPrior, GaussianPrior, GlmScalars,
                               QuadSpec, RademacherPrior, gamp_overlap_se,
-                              gh_points, make_channel)
+                              gaussian_piecewise_nodes, gh_points, make_channel)
 from graphamp.prox import ProxSpec
 
 # frozen two-sided quadrature oracles for the soft-threshold instance
@@ -59,6 +59,23 @@ def test_quadrature_rules_are_built_once_per_node_count(monkeypatch):
                     quad=QuadSpec("gh"))
     assert set(calls) == {("legendre", 61), ("hermite", 61)}
     assert max(calls.values()) == 1
+
+
+def test_piecewise_rules_take_one_sd_per_row():
+    # a batched call is the one-row calls stacked, whatever each row's
+    # sd: 0 (every node on the mean, weight 1 on the first) included,
+    # and kinks outside a row's range (rows 3 and 4) clip to its ends
+    means = np.array([0.0, 1.5, -2.0, 40.0, -30.0, 0.3])
+    sds = np.array([1.0, 0.0, 0.25, 2.0, 0.5, 3.0])
+    kinks = (-0.4, 0.4)
+    u, w = gaussian_piecewise_nodes(means, sds, kinks, 20)
+    assert u.shape == w.shape == (6, 80)
+    for i in range(6):
+        ui, wi = gaussian_piecewise_nodes(means[i:i + 1], sds[i], kinks, 20)
+        assert np.array_equal(ui, u[i:i + 1]) and np.array_equal(wi, w[i:i + 1])
+    assert np.all(u[1] == 1.5) and w[1, 0] == 1.0 and not w[1, 1:].any()
+    np.testing.assert_allclose(np.sum(w * u ** 2, axis=1), means ** 2 + sds ** 2,
+                               rtol=1e-8)
 
 
 def test_cached_quadrature_rules_are_read_only():

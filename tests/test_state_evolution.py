@@ -12,9 +12,10 @@ from graphamp.graphs import EdgeId, single_loop
 from graphamp.nonlinearity import (Entrywise, FromCallable, Identity,
                                    LinearEntrywiseLinear, Nonlinearity, Zero,
                                    relu)
+from graphamp.gamp_se import gaussian_piecewise_nodes
 from graphamp.state_evolution import (amp_observable_stats, compare,
-                                      mc_observable_stats, se_run, se_step,
-                                      summarize)
+                                      mc_observable_stats, se_init, se_run,
+                                      se_step, summarize)
 from graphamp.engine import norm_sq_observable
 from graphamp.ensembles import sample_goe, stream
 
@@ -338,6 +339,47 @@ def test_grid_matches_closed_form_relu_moments():
                  for s in range(1, t)]
         want += [K[t - 1, t - 1] / 2]
         np.testing.assert_allclose(K[t, :t + 1], want, rtol=1e-8)
+
+
+def test_exact_relu_rows_at_zero_variances():
+    # a relu loop from x^0 = 0 (so m^0 = 0) with kernel diag(0, k): the
+    # new row pairs W^2 with W^1, an outer field of variance 0 (E = 0),
+    # and with itself, where the inner conditional variance is 0 and the
+    # nested rule collapses onto its outer 1-D rule for E relu(W^2)^2,
+    # which is k / 2 to the rule's accuracy
+    f = Entrywise(relu, lambda x: (x > 0).astype(float), kinks=(0.0,))
+    inst, loop = _loop_instance(f, x0_val=0.0)
+    for k in (0.37, 1.0, 2.5):
+        K = np.zeros((2, 2, 1, 1))
+        K[1, 1] = k
+        cov = dataclasses.replace(se_init(inst), K={loop: K}, T=2)
+        row = se_step(inst, cov, 16, lambda *labels: stream(0, *labels)).K[loop][2, :, 0, 0]
+        assert np.all(np.isfinite(row))
+        assert row[0] == row[1] == 0.0
+        u, w = gaussian_piecewise_nodes(np.zeros(1), np.sqrt(k), f.kinks,
+                                        state_evolution.QUAD_NODES)
+        np.testing.assert_allclose(row[2], np.sum(w * relu(u) ** 2), rtol=1e-12)
+        np.testing.assert_allclose(row[2], k / 2, rtol=1e-8)
+
+
+def test_exact_route_memory_does_not_grow_with_t(monkeypatch):
+    # a step runs its inner rules in blocks of _QUAD_TILE nodes, each
+    # with a few temporaries; at T = 30 one block for the whole row
+    # (about 4,600 inner rules of 80 nodes at t = 29) peaks near 15 MB
+    inst = _committee(n=60)
+
+    def peak():
+        tracemalloc.start()
+        try:
+            se_run(inst, 30, reps=16)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    bound = 16 * 8 * state_evolution._QUAD_TILE
+    assert peak() <= bound
+    monkeypatch.setattr(state_evolution, "_QUAD_TILE", 1 << 30)
+    assert peak() > bound
 
 
 def test_family_factor_once_per_step_and_edge(monkeypatch):
