@@ -27,8 +27,9 @@ row of an edge in one of two ways:
   integrates the entries of all rows whose maps are one object in one
   batch: a single outer rule over every W^s_a (its s = t rows give
   E phi_t(W^t)), outer nodes where phi_s vanishes dropped, and the
-  inner rules in blocks of _QUAD_TILE nodes, so temporaries do not
-  grow with t.  These rows are deterministic: they depend on neither
+  inner rules in blocks of _QUAD_TILE nodes, so the inner rules'
+  temporaries do not grow with t (the outer rule and the row do,
+  linearly).  These rows are deterministic: they depend on neither
   reps nor the streams.
 - Replicated Monte Carlo, for every other edge.  Each step draws fresh
   full-width copies of the input families that these edges read,
@@ -222,26 +223,27 @@ def _phi_moments(f_s: LinearEntrywiseLinear, f_t: LinearEntrywiseLinear,
     (U_r, V_b) with variances var_s[r], var_t[b] and covariances
     cov_st[r, b]: one outer rule over every U_r, less the nodes where its
     weight times phi_s is 0, and the inner rules over V_b given each
-    node in blocks of _QUAD_TILE nodes.  A zero (conditional) variance
-    puts the variable on its (conditional) mean."""
+    kept node in blocks of about _QUAD_TILE nodes.  Only the outer rule
+    and the outputs grow with the number of rows; the inner rules and
+    their inputs are built a block at a time.  A zero (conditional)
+    variance puts the variable on its (conditional) mean."""
     u, wu = gaussian_piecewise_nodes(np.zeros(len(var_s)), np.sqrt(var_s),
                                      f_s.kinks, QUAD_NODES)
     pu = f_s.phi(u)
     r, k = np.nonzero(wu * pu)
-    slope = np.divide(cov_st, var_s[:, None], out=np.zeros_like(cov_st),
-                      where=var_s[:, None] > 0.0)
-    sd = np.sqrt(np.maximum(var_t - slope * cov_st, 0.0))
-    # one inner row per (kept node, b)
-    means, sds = (slope[r] * u[r, k][:, None]).ravel(), sd[r].ravel()
-    inner = np.empty(len(means))
-    # an inner rule has QUAD_NODES nodes a piece, cut at the kinks and the mean
-    rows = max(1, _QUAD_TILE // ((len(f_t.kinks) + 2) * QUAD_NODES))
-    for a in range(0, len(means), rows):
-        v, wv = gaussian_piecewise_nodes(means[a:a + rows], sds[a:a + rows],
-                                         f_t.kinks, QUAD_NODES)
-        inner[a:a + rows] = np.sum(wv * f_t.phi(v), axis=1)
     E = np.zeros_like(cov_st)
-    np.add.at(E, r, wu[r, k][:, None] * (pu[r, k][:, None] * inner.reshape(len(r), -1)))
+    # one inner rule per (kept node, b), of QUAD_NODES nodes a piece, cut
+    # at the kinks and the mean
+    step = max(1, _QUAD_TILE // ((len(f_t.kinks) + 2) * QUAD_NODES * len(var_t)))
+    for a in range(0, len(r), step):
+        rb, kb = r[a:a + step], k[a:a + step]
+        c, v_s = cov_st[rb], var_s[rb, None]
+        slope = np.divide(c, v_s, out=np.zeros_like(c), where=v_s > 0.0)
+        sd = np.sqrt(np.maximum(var_t - slope * c, 0.0))
+        v, wv = gaussian_piecewise_nodes((slope * u[rb, kb][:, None]).ravel(), sd.ravel(),
+                                         f_t.kinks, QUAD_NODES)
+        inner = np.sum(wv * f_t.phi(v), axis=1).reshape(len(rb), len(var_t))
+        np.add.at(E, rb, wu[rb, kb][:, None] * (pu[rb, kb][:, None] * inner))
     return E, np.sum(wu * pu, axis=1)
 
 

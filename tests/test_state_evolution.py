@@ -362,6 +362,16 @@ def test_exact_relu_rows_at_zero_variances():
         np.testing.assert_allclose(row[2], k / 2, rtol=1e-8)
 
 
+def test_exact_relu_loop_from_zero_stays_zero():
+    # from x^0 = 0 every field has variance 0 and relu(0) = 0, so a step
+    # keeps no outer node at all: every kernel stays exactly 0
+    f = Entrywise(relu, lambda x: (x > 0).astype(float), kinks=(0.0,))
+    inst, loop = _loop_instance(f, x0_val=0.0)
+    K = se_run(inst, 4, reps=16).K[loop]
+    assert K.shape == (4, 4, 1, 1)
+    assert np.all(np.isfinite(K)) and not np.any(K)
+
+
 def test_exact_route_memory_does_not_grow_with_t(monkeypatch):
     # a step runs its inner rules in blocks of _QUAD_TILE nodes, each
     # with a few temporaries; at T = 30 one block for the whole row
