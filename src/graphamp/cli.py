@@ -175,7 +175,7 @@ def _generic_se_rows(cfg, model, workers, per_seed) -> List[Tuple[int, str, floa
 
 def _compare_rows(cfg, amp_results, se_rows):
     by_key: Dict[Tuple[int, str], List[float]] = {}
-    for _, (_, _, _, rows, _) in amp_results:
+    for _, (rows, _, _) in amp_results:
         for t, name, value in rows:
             by_key.setdefault((t, name), []).append(value)
     return compare({key: summarize(values) for key, values in by_key.items()},
@@ -183,21 +183,23 @@ def _compare_rows(cfg, amp_results, se_rows):
                     for t, name, value, stderr in se_rows})
 
 
+def _gmm_fixed_point(traj, model, data):
+    """(weight relative error, AMP accuracy, ridge accuracy) of a seed."""
+    W = gmm_weights(traj, model, data)
+    Wb = ridge_baseline(model, data)
+    werr = float(np.linalg.norm(W - Wb) / max(np.linalg.norm(Wb), 1e-12))
+    return werr, accuracy(W, data), accuracy(Wb, data)
+
+
 def _gmm_compare_rows(cfg, amp_results, se_rows):
-    """Per-seed fixed-point gates: AMP weights against the direct ridge
-    solve, and their accuracies."""
+    """Per-seed fixed-point gates on the weights and the accuracies."""
     def row(name, value, ref, err, ok):
         return {"t": cfg.T, "name": name, "amp_mean": value, "amp_std": 0.0,
                 "n_seeds": 1, "se_value": ref, "se_stderr": 0.0,
                 "rel_err": err, "z": np.inf, "pass": int(ok)}
 
     rows = []
-    for seed, (traj, model, data, _, _) in amp_results:
-        W = gmm_weights(traj, model, data)
-        Wb = ridge_baseline(model, data)
-        werr = float(np.linalg.norm(W - Wb) / max(np.linalg.norm(Wb), 1e-12))
-        acc_amp = accuracy(W, data)
-        acc_base = accuracy(Wb, data)
+    for seed, (_, _, (werr, acc_amp, acc_base)) in amp_results:
         rows.append(row(f"weight_rel_err[seed={seed}]", werr, 0.0, werr,
                         werr <= 1e-3))
         rows.append(row(f"accuracy[seed={seed}]", acc_amp, acc_base,
@@ -308,13 +310,15 @@ def se_rows_for(cfg, workers=1, per_seed=None) -> List[Tuple[int, str, float, fl
 # run orchestration
 
 def _run_one_seed(cfg, seed):
-    """(trajectory, model, aux, AMP rows, SE prediction) of one seed; the
-    generic kinds' SE runs on the AMP instance, others' prediction is None."""
+    """(AMP rows, SE prediction, fixed point) of one seed, all its gate
+    reads; the generic kinds' SE runs on the AMP instance, None where the
+    kind has no SE or fixed-point gate.  The trajectory is dropped."""
     kind = _kind(cfg)
     instance, model, aux = _build_zoo(cfg, seed)
     traj = run(instance, _graph_T(cfg), allow_degenerate=True)
     se = _seed_se(cfg, instance) if kind.se_rows is _generic_se_rows else None
-    return traj, model, aux, kind.amp_rows(cfg, traj, instance, model, aux), se
+    fixed = _gmm_fixed_point(traj, model, aux) if kind.gate is _gmm_compare_rows else None
+    return kind.amp_rows(cfg, traj, instance, model, aux), se, fixed
 
 
 def _fan_out(cfg, workers):
@@ -335,11 +339,11 @@ def cmd_run(cfg, out_dir, workers, strict) -> int:
     kind = _kind(cfg)
     amp_results = _fan_out(cfg, workers)
     traj_rows = [{"seed": seed, "t": t, "name": name, "value": value}
-                 for seed, (_, _, _, rows, _) in amp_results
+                 for seed, (rows, _, _) in amp_results
                  for t, name, value in rows]
     write_dict_rows(os.path.join(out_dir, "trajectory.csv"), traj_rows, h,
                     header=TRAJ_HEADER)
-    se_rows = (se_rows_for(cfg, workers, [se for _, (*_, se) in amp_results])
+    se_rows = (se_rows_for(cfg, workers, [se for _, (_, se, _) in amp_results])
                if kind.se_rows else [])
     _write_se(out_dir, se_rows, h)
     cmp_rows = kind.gate(cfg, amp_results, se_rows)

@@ -67,7 +67,8 @@ class EmbeddedNonlinearity(Nonlinearity):
 
     Reads block (rows(e'), cols(e')) for each input edge e' of e,
     applies f_e, writes sqrt(N/S_e) m_e at (rows(reversed e), cols(e)),
-    zeros everywhere else.  The diagonal Jacobian sum is assembled
+    its out_blocks, and zeros everywhere else, so the engine multiplies
+    only the live blocks.  The diagonal Jacobian sum is assembled
     analytically from the per-edge traces, so no finite differences run
     on the big iterate.
     """
@@ -81,6 +82,8 @@ class EmbeddedNonlinearity(Nonlinearity):
         self.arity = 1
         self.out_cols = layout.q_tot
         self._scale = {e: math.sqrt(layout.N / source.scale(e)) for e in layout.order}
+        self.out_blocks = [(layout.row_slices[e.reversed()], layout.col_slices[e])
+                           for e in layout.order]
 
     def _edge_fn(self, e: EdgeId) -> Nonlinearity:
         return self.source.provider(e, self.t, self.graph_traj)

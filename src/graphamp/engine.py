@@ -11,11 +11,11 @@ where e<- is the reversed edge and S_e is the edge's variance base
 (the scale_N of its matrix ensemble; defaults to the global N).  The
 t = 0 update has no correction term (m^{-1} = 0).
 
-An output m^t_e with no nonzero entry (the off phase of a two-phase
-chain) skips the product A_e m^t_e, which is known to be zero; the
-correction term still applies.  A matrix holding non-finite entries is
-therefore caught at the first step whose output through it is nonzero,
-not at a zero step.
+The product is formed as x_e[:, cs] = A_e[:, rs] m^t_e[rs, cs] over the
+blocks (rs, cs) of f.out_blocks that hold a nonzero entry (no blocks
+declared: one covering m^t_e).  An all-zero output, as in the off phase
+of a two-phase chain, leaves A_e unread, and a non-finite entry of A_e
+is caught only at a step whose nonzero blocks read its column.
 """
 
 from __future__ import annotations
@@ -81,7 +81,8 @@ class GraphInstance:
             want = (self.graph.node_dim[key.end], self.graph.node_dim[key.start])
             if A.shape != want:
                 raise ShapeError(f"matrix for {key} has shape {A.shape}, expected {want}")
-            if key.is_loop() and not np.allclose(A, A.T):
+            # array_equal is the cheap exact case; allclose sets what passes
+            if key.is_loop() and not (np.array_equal(A, A.T) or np.allclose(A, A.T)):
                 raise ShapeError(f"loop matrix at {key.start} must be symmetric")
         extra = set(self.matrices) - seen
         if extra:
@@ -174,18 +175,30 @@ def onsager(instance: GraphInstance, e: EdgeId, t: int, traj: AmpTrajectory,
     return J / instance.scale(e)
 
 
+def _live_blocks(f: Nonlinearity, m: np.ndarray, e: EdgeId, t: int) -> list:
+    """The blocks of f.out_blocks holding a nonzero entry of m; their column
+    slices are disjoint, so their nonzero counts add up to m's unless m
+    has one outside them."""
+    blocks = f.out_blocks or [(slice(None), slice(None))]
+    counts = [(np.count_nonzero(m[rs, cs]), (rs, cs)) for rs, cs in blocks]
+    if sum(n for n, _ in counts) != np.count_nonzero(m):
+        raise ShapeError(f"f for {e} wrote a nonzero entry outside its out_blocks at step {t}")
+    return [block for n, block in counts if n]
+
+
 def step(instance: GraphInstance, traj: AmpTrajectory) -> AmpTrajectory:
     """Advance every edge by one iteration (in place; returns traj).
 
-    An all-zero output m^t_e leaves A_e unread: x^{t+1}_e is then the
-    correction term alone (zeros at t = 0), and a non-finite A_e is
-    only caught at a step whose output is nonzero.
+    A_e is read only if some block of m^t_e is nonzero, else x^{t+1}_e
+    is the correction term alone (zeros at t = 0).  An output with a
+    nonzero entry outside its out_blocks raises ShapeError.
     """
     g = instance.graph
     t = traj.T
     order = canonical_edge_order(g)
     ms: Dict[EdgeId, np.ndarray] = {}
     bs: Dict[EdgeId, np.ndarray] = {}
+    live: Dict[EdgeId, list] = {}
     for e in order:
         f = instance.provider(e, t, traj)
         inputs = _gather_inputs(traj, g, e, t)
@@ -195,14 +208,16 @@ def step(instance: GraphInstance, traj: AmpTrajectory) -> AmpTrajectory:
         if not np.all(np.isfinite(m)):
             raise NumericalError("update function produced non-finite values", edge=str(e), t=t)
         ms[e] = m
+        live[e] = _live_blocks(f, m, e, t)
         bs[e] = onsager(instance, e, t, traj, f=f)
     for e in order:
+        x_new = np.zeros(g.x_shape(e))
         # overflow surfaces through the isfinite guard, not a warning
         with np.errstate(over="ignore", invalid="ignore"):
-            if ms[e].any():
-                x_new = instance.matrix(e) @ ms[e]
-            else:
-                x_new = np.zeros(g.x_shape(e))
+            if live[e]:
+                A = instance.matrix(e)
+                for rs, cs in live[e]:
+                    np.matmul(A[:, rs], ms[e][rs, cs], out=x_new[:, cs])
             if t >= 1:
                 x_new = x_new - traj.m[e.reversed()][t - 1] @ bs[e].T
         if not np.all(np.isfinite(x_new)):

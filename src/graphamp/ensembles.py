@@ -48,12 +48,15 @@ def sample_goe(n: int, rng: np.random.Generator, scale_N: Optional[float] = None
     """A = G + G^T with G_ij iid N(0, 1/(2 scale)): off-diagonal variance
     1/scale, diagonal 2/scale.  Default scale is n itself."""
     scale = float(scale_N if scale_N is not None else n)
-    G = normals(rng, (n, n)) / math.sqrt(2.0 * scale)
+    G = normals(rng, (n, n))
+    G /= math.sqrt(2.0 * scale)
     return G + G.T
 
 
 def sample_iid(rows: int, cols: int, scale_N: float, rng: np.random.Generator) -> np.ndarray:
-    return normals(rng, (rows, cols)) / math.sqrt(float(scale_N))
+    Z = normals(rng, (rows, cols))
+    Z /= math.sqrt(float(scale_N))
+    return Z
 
 
 def sample_spatially_coupled(
@@ -92,7 +95,8 @@ def sample_correlated_rows(
     sigma_factor = np.asarray(sigma_factor, dtype=float)
     if sigma_factor.ndim != 2 or sigma_factor.shape[0] != sigma_factor.shape[1]:
         raise ValueError("covariance factor must be square")
-    Z = normals(rng, (rows, sigma_factor.shape[0])) / math.sqrt(float(scale_N))
+    Z = normals(rng, (rows, sigma_factor.shape[0]))
+    Z /= math.sqrt(float(scale_N))
     return Z @ sigma_factor
 
 

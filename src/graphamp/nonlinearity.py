@@ -10,7 +10,7 @@ input block; the engine divides by the edge's variance scale base.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Callable, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -42,6 +42,10 @@ class Nonlinearity:
     # only through SideData: the state evolution's Monte Carlo route
     # evaluates all copies in one call, with the side arrays tiled.
     row_local: bool = False
+    # (row slice, column slice) pairs with disjoint column slices outside
+    # which apply writes exact zeros; the engine multiplies only these
+    # and raises ShapeError on a nonzero entry elsewhere.  None: one block.
+    out_blocks: Optional[Sequence[Tuple[slice, slice]]] = None
 
     def apply(self, inputs: Sequence[np.ndarray], side: Optional[SideData] = None) -> np.ndarray:
         raise NotImplementedError

@@ -12,6 +12,7 @@ from graphamp import cli
 from graphamp import config as config_mod
 from graphamp.cli import main
 from graphamp.config import MODEL_KINDS
+from graphamp.engine import run
 from graphamp.graphs import canonical_edge_order
 from graphamp.state_evolution import se_run
 
@@ -131,7 +132,9 @@ def test_generic_norm_sq_is_the_per_row_second_moment():
     # norm_sq[e] is ||x_e||^2 / n_e, n_e the rows of x_e, the scale of
     # tr K_e^{t,t}
     cfg = config_mod.validate(SMALL_COMMITTEE)
-    traj, _, _, rows, _ = cli._run_one_seed(cfg, cfg.amp_seeds[0])
+    rows, _, _ = cli._run_one_seed(cfg, cfg.amp_seeds[0])
+    instance, _, _ = cli._build_zoo(cfg, cfg.amp_seeds[0])
+    traj = run(instance, cli._graph_T(cfg), allow_degenerate=True)
     xs = {f"norm_sq[{e}]": traj.x[e] for e in traj.x}
     assert len(rows) == cfg.T * len(xs)
     for t, name, value in rows:

@@ -9,7 +9,8 @@ from graphamp.engine import (Observable, init, norm_sq_observable, observe,
                              overlap_observable, run, stationary_provider,
                              step)
 from graphamp.graphs import EdgeId, single_loop, two_node_chain
-from graphamp.nonlinearity import Entrywise, FromCallable, Identity, Scaled
+from graphamp.nonlinearity import (Entrywise, FromCallable, Identity,
+                                   Nonlinearity, Scaled)
 from helpers import default_prior
 
 
@@ -70,6 +71,75 @@ def test_zero_output_skips_the_matrix_product():
     run(inst, T, allow_degenerate=True)
     # one of the two phases applies the zero update at every step
     assert len(reads) == T
+
+
+class _TwoBlocks(Nonlinearity):
+    """Writes 2 x (rows 0..2 of column 0) into block 1; block 2 (rows
+    3..5, columns 1..2) stays zero.  leak writes one entry outside."""
+
+    out_cols = 3
+    out_blocks = [(slice(0, 3), slice(0, 1)), (slice(3, 6), slice(1, 3))]
+
+    def __init__(self, leak=False):
+        self.leak = leak
+
+    def apply(self, inputs, side=None):
+        (X,) = inputs
+        m = np.zeros_like(X)
+        m[:3, 0] = 2.0 * X[:3, 0]
+        if self.leak:
+            m[4, 0] = 1.0
+        return m
+
+    def jacobian_trace(self, inputs, side=None, wrt=0):
+        return np.diag([6.0, 0.0, 0.0])
+
+
+def _two_block_instance(leak_at=None):
+    g = single_loop("v", 6, q=3)
+    loop = EdgeId("v", "v")
+    G = np.random.default_rng(0).standard_normal((6, 6))
+    x0 = np.random.default_rng(1).standard_normal((6, 3))
+    inst = GraphInstance(
+        graph=g, matrices={loop: G + G.T},
+        provider=lambda e, t, traj: _TwoBlocks(leak=t == leak_at),
+        x0={loop: x0})
+    return inst, loop
+
+
+def test_block_products_match_the_dense_product():
+    inst, loop = _two_block_instance()
+    traj = run(inst, 2)
+    A = inst.matrix(loop)
+    for t in (0, 1):
+        want = A @ traj.m[loop][t]
+        if t:
+            want -= traj.m[loop][t - 1] @ traj.b[loop][t].T
+        assert not traj.m[loop][t][3:, :].any()
+        assert np.max(np.abs(traj.x[loop][t + 1] - want)) <= 1e-12
+
+
+def test_output_outside_its_blocks_is_refused():
+    # negative control: the product would silently drop the stray entry
+    inst, _ = _two_block_instance(leak_at=1)
+    with pytest.raises(ShapeError, match=r"v->v .*step 1"):
+        run(inst, 2)
+
+
+def test_loop_matrix_symmetry_tolerance():
+    A = np.random.default_rng(2).standard_normal((5, 5))
+    A = A + A.T
+
+    def build(delta):
+        B = A.copy()
+        B[0, 1] += delta
+        g = single_loop("v", 5)
+        return GraphInstance(graph=g, matrices={EdgeId("v", "v"): B},
+                             provider=lambda e, t, traj: Identity())
+
+    build(1e-12)
+    with pytest.raises(ShapeError, match="symmetric"):
+        build(1e-3)
 
 
 def test_zero_output_keeps_its_onsager_correction():

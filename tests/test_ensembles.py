@@ -78,6 +78,17 @@ def test_correlated_rows_covariance():
     assert np.max(np.abs(emp - Sigma)) < 0.1
 
 
+def test_samplers_scale_the_normals_exactly():
+    # dividing the draws in place rounds as dividing a copy does
+    s = 7.0
+    ref = normals(stream(5, "scale"), (6, 4)) / np.sqrt(s)
+    assert np.array_equal(sample_iid(6, 4, s, stream(5, "scale")), ref)
+    assert np.array_equal(
+        sample_correlated_rows(6, np.eye(4), s, stream(5, "scale")), ref)
+    G = normals(stream(5, "scale"), (5, 5)) / np.sqrt(2.0 * s)
+    assert np.array_equal(sample_goe(5, stream(5, "scale"), scale_N=s), G + G.T)
+
+
 def test_spectral_sqrt_roundtrip():
     rng = np.random.default_rng(5)
     B = rng.normal(size=(4, 4))
