@@ -17,13 +17,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
 from . import engine
 from .engine import AmpTrajectory, GraphInstance
-from .ensembles import sample_goe, stream
+from .ensembles import sample_goe, sample_iid, stream
 from .errors import GraphError
 from .graphs import EdgeId, GraphSpec, canonical_edge_order, edges_into, reversed_input_index, single_loop
 from .nonlinearity import Nonlinearity
@@ -144,16 +144,40 @@ def _check_pair_scales(instance: GraphInstance) -> None:
             )
 
 
+def _goe_fill(lay: BlockLayout, rng: np.random.Generator) -> np.ndarray:
+    """A GOE(N) matrix drawn only on the blocks embed does not overwrite.
+
+    Each untracked diagonal block gets a GOE(n) block, each untracked
+    off-diagonal pair an iid N(0, 1/N) block and its transpose, in
+    layout order; the tracked blocks stay zero.
+    """
+    N = lay.N
+    A = np.zeros((N, N))
+    for i, e in enumerate(lay.order):
+        rows_e = lay.row_slices[e]
+        for f in lay.order[i:]:
+            if f == e.reversed():
+                continue
+            rows_f = lay.row_slices[f]
+            n_e, n_f = rows_e.stop - rows_e.start, rows_f.stop - rows_f.start
+            if f == e:
+                A[rows_e, rows_e] = sample_goe(n_e, rng, scale_N=N)
+            else:
+                A[rows_e, rows_f] = sample_iid(n_e, n_f, N, rng)
+                A[rows_f, rows_e] = A[rows_e, rows_f].T
+    return A
+
+
 def embed(instance: GraphInstance, seed: int = 0, fill: str = "goe",
           graph_traj: Optional[AmpTrajectory] = None) -> EmbeddedInstance:
     """Flatten a graph instance into a single symmetric iteration.
 
-    fill selects the untracked blocks: "goe" samples a fresh GOE(N)
-    matrix and overwrites the tracked blocks (the default; gives a
-    genuine Gaussian symmetric instance), "zero" leaves them zero
-    (cheaper; iterates of tracked blocks are identical either way).
-    graph_traj supplies a precomputed trajectory to providers that read
-    history (adaptive step sizes); stationary providers ignore it.
+    fill selects the untracked blocks: "goe" draws them as the matching
+    blocks of a GOE(N) matrix (the default; gives a genuine Gaussian
+    symmetric instance), "zero" leaves them zero (cheaper; iterates of
+    tracked blocks are identical either way).  graph_traj supplies a
+    precomputed trajectory to providers that read history (adaptive step
+    sizes); stationary providers ignore it.
     """
     _check_pair_scales(instance)
     g = instance.graph
@@ -161,7 +185,7 @@ def embed(instance: GraphInstance, seed: int = 0, fill: str = "goe",
     N = lay.N
 
     if fill == "goe":
-        A = sample_goe(N, stream(seed, "embed", "fill"), scale_N=N)
+        A = _goe_fill(lay, stream(seed, "embed", "fill"))
     elif fill == "zero":
         A = np.zeros((N, N))
     else:
@@ -198,8 +222,24 @@ def embed(instance: GraphInstance, seed: int = 0, fill: str = "goe",
     return EmbeddedInstance(symmetric=sym, layout=lay, source=instance)
 
 
-def run_symmetric(emb: EmbeddedInstance, T: int) -> AmpTrajectory:
-    return engine.run(emb.symmetric, T, allow_degenerate=True)
+def run_symmetric(emb: EmbeddedInstance, T: int,
+                  each: Callable[[int, np.ndarray], None]) -> None:
+    """Run the flattened iteration for T steps from X^0, calling
+    each(t, X^t) on every iterate as its step returns.
+
+    The run keeps only what its next step reads, x^t and m^{t-1}, so the
+    flattened history is never held whole; engine.run(emb.symmetric, T)
+    keeps it all.
+    """
+    traj = engine.init(emb.symmetric, allow_degenerate=True)
+    e = emb.loop_edge
+    each(0, traj.x[e][0])
+    for t in range(1, T + 1):
+        engine.step(emb.symmetric, traj)
+        each(t, traj.x[e][t])
+        traj.x[e][t - 1] = traj.b[e][t - 1] = None
+        if t > 1:
+            traj.m[e][t - 2] = None
 
 
 @dataclass
@@ -218,25 +258,24 @@ def verify_equivalence(instance: GraphInstance, T: int, seed: int = 0,
     """Run both sides for T steps and compare every tracked block.
 
     Per (t, e) error is ||X^t block - x^t_e||_F / (1 + ||x^t_e||_F).
-    The graph trajectory is computed first and handed to the flattening
-    so history-dependent update functions resolve identically on both
-    sides.
+    The graph trajectory is computed first and kept whole, and handed
+    to the flattening so history-dependent update functions resolve
+    identically on both sides.  Each flattened iterate is compared as
+    its step returns, so the flattened history is never held whole.
     """
     graph_traj = engine.run(instance, T, allow_degenerate=True)
     emb = embed(instance, seed=seed, fill=fill, graph_traj=graph_traj)
-    sym_traj = run_symmetric(emb, T)
-    loop_edge = emb.loop_edge
+    report = EquivalenceReport(max_err=0.0)
 
-    records = []
-    max_err = 0.0
-    for t in range(T + 1):
-        X = sym_traj.x[loop_edge][t]
+    def compare(t: int, X: np.ndarray) -> None:
         for e in emb.layout.order:
             ref = graph_traj.x[e][t]
             err = float(np.linalg.norm(emb.tracked_block(X, e) - ref) / (1.0 + np.linalg.norm(ref)))
-            records.append({"t": t, "edge": str(e), "err": err})
-            max_err = max(max_err, err)
-    return EquivalenceReport(max_err=max_err, records=records)
+            report.records.append({"t": t, "edge": str(e), "err": err})
+            report.max_err = max(report.max_err, err)
+
+    run_symmetric(emb, T, each=compare)
+    return report
 
 
 def onsager_block_pattern_err(layout: BlockLayout, B: np.ndarray) -> float:

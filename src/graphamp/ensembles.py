@@ -1,10 +1,10 @@
 """Gaussian random-matrix samplers and deterministic seed streams.
 
-All normal variates are produced by inverse-CDF (scipy.special.ndtri)
-applied to 53-bit uniforms drawn from a PCG64 stream, so draws are
-reproducible byte-for-byte across platforms for a fixed (master seed,
-stream key).  Stream keys are derived by hashing string labels, giving
-every (edge, purpose, index) its own independent substream.
+All normal variates come from numpy's ziggurat sampler
+(Generator.standard_normal) on a PCG64 stream, so draws are
+reproducible byte-for-byte for a fixed (master seed, stream key) and a
+fixed numpy version.  Stream keys are derived by hashing string labels,
+giving every (edge, purpose, index) its own independent substream.
 """
 
 from __future__ import annotations
@@ -14,11 +14,8 @@ import math
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.special import ndtri
 
 from .errors import NumericalError
-
-_HALF_ULP = 2.0 ** -54
 
 
 def stream(master_seed: int, *labels) -> np.random.Generator:
@@ -31,17 +28,9 @@ def stream(master_seed: int, *labels) -> np.random.Generator:
 
 
 def normals(rng: np.random.Generator, shape) -> np.ndarray:
-    """Standard normals via a fixed uniform-to-normal transform.
-
-    The uniforms are (k + 1/2) / 2**53 for the top 53 bits k of each
-    64-bit draw.  rng.random() returns k / 2**53, so adding 2**-54 in
-    place gives the same doubles, and the same stream position, as
-    drawing k with rng.integers(0, 2**53), in one buffer.
-    """
-    buf = np.empty(shape)
-    rng.random(out=buf)
-    buf += _HALF_ULP
-    return ndtri(buf, out=buf)
+    """Standard normals of the given shape: the one entry point every
+    sampler draws through."""
+    return rng.standard_normal(shape)
 
 
 def sample_goe(n: int, rng: np.random.Generator, scale_N: Optional[float] = None) -> np.ndarray:

@@ -43,7 +43,6 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 import numpy as np
-from scipy.special import roots_hermitenorm
 
 from .ensembles import normals, stream
 from .errors import NumericalError
@@ -62,7 +61,7 @@ def _read_only(*arrays: np.ndarray) -> Tuple[np.ndarray, ...]:
 def gh_points(n: int) -> Tuple[np.ndarray, np.ndarray]:
     """Nodes and probability weights so E[f(Z)] = sum w f(x), Z std normal
     (cached per n, read-only)."""
-    x, w = roots_hermitenorm(n)
+    x, w = np.polynomial.hermite_e.hermegauss(n)
     return _read_only(x, w / math.sqrt(2.0 * math.pi))
 
 
@@ -354,9 +353,24 @@ class GampSePoint:
         return self.nu ** 2 * rho + self.kappa2
 
 
+def _mc_bases(prior: Prior, channel: Channel, quad: QuadSpec):
+    """The Monte Carlo sample sets, drawn once per recursion: (X0, H) for
+    the u-field and (S, y, G) for the v-field.  Every iteration reuses
+    them (common random numbers), so the recursion runs on one fixed
+    M-sample empirical measure instead of compounding fresh MC noise
+    every step."""
+    rng = stream(quad.seed, "overlap-se", "u")
+    u_base = (prior.sample(quad.samples, rng), normals(rng, quad.samples))
+    rng = stream(quad.seed, "overlap-se", "v")
+    S = normals(rng, quad.samples)
+    Y = channel.sample(math.sqrt(prior.rho) * S, rng)
+    return u_base, (S, Y, normals(rng, quad.samples))
+
+
 def _u_expectations(prior: Prior, scalars: GlmScalars, nu: float, kappa2: float,
-                    alpha: float, quad: QuadSpec):
-    """E[X0 e], E[e^2], E[e'], E[(e - X0)^2] over U = nu X0 + sqrt(kappa2) H."""
+                    alpha: float, quad: QuadSpec, base):
+    """E[X0 e], E[e^2], E[e'], E[(e - X0)^2] over U = nu X0 + sqrt(kappa2) H
+    (base: the u-field sample set of _mc_bases, for quad "mc")."""
     sk = math.sqrt(max(kappa2, 0.0))
     if quad.method == "gh":
         x0, wx = prior.quad_points(quad.nodes)
@@ -370,12 +384,8 @@ def _u_expectations(prior: Prior, scalars: GlmScalars, nu: float, kappa2: float,
             W[i, : len(ui)] = wx[i] * wi
         X0 = x0[:, None]
     else:
-        # common random numbers across iterations: the recursion runs on
-        # one fixed M-sample empirical measure instead of compounding
-        # fresh MC noise every step
-        rng = stream(quad.seed, "overlap-se", "u")
-        X0 = prior.sample(quad.samples, rng)
-        U = nu * X0 + sk * normals(rng, quad.samples)
+        X0, H = base
+        U = nu * X0 + sk * H
         W = np.full(quad.samples, 1.0 / quad.samples)
     e = scalars.e_apply(U, alpha)
     de = scalars.e_deriv(U, alpha)
@@ -387,9 +397,10 @@ def _u_expectations(prior: Prior, scalars: GlmScalars, nu: float, kappa2: float,
 
 
 def _v_expectations(channel: Channel, scalars: GlmScalars, m: float, kappa1: float,
-                    rho: float, beta: float, quad: QuadSpec):
+                    rho: float, beta: float, quad: QuadSpec, base):
     """E[S h], E[h^2], E[h'] over V = (m/sqrt(rho)) S + sqrt(kappa1) G,
-    y ~ channel(sqrt(rho) S)."""
+    y ~ channel(sqrt(rho) S) (base: the v-field sample set of _mc_bases,
+    for quad "mc")."""
     sr = math.sqrt(rho)
     sk = math.sqrt(max(kappa1, 0.0))
     if quad.method == "gh":
@@ -401,11 +412,8 @@ def _v_expectations(channel: Channel, scalars: GlmScalars, m: float, kappa1: flo
         S = s[:, None, None]
         Yb = Y[:, None, :]
     else:
-        # same fixed sample base at every iteration (see _u_expectations)
-        rng = stream(quad.seed, "overlap-se", "v")
-        S = normals(rng, quad.samples)
-        Yb = channel.sample(sr * S, rng)
-        V = (m / sr) * S + sk * normals(rng, quad.samples)
+        S, Yb, G = base
+        V = (m / sr) * S + sk * G
         W = np.full(quad.samples, 1.0 / quad.samples)
     hv = scalars.h_apply(V, Yb, beta)
     dh = scalars.h_deriv(V, Yb, beta)
@@ -428,9 +436,11 @@ def gamp_overlap_se(prior: Prior, channel: Channel, scalars: GlmScalars, delta: 
     if rho <= 0:
         raise ValueError("prior second moment must be positive")
 
+    u_base, v_base = _mc_bases(prior, channel, quad) if quad.method == "mc" else (None, None)
     try:
         with np.errstate(divide="ignore", invalid="ignore"):
-            e_sh, e_h2, e_dh = _v_expectations(channel, scalars, 0.0, 0.0, rho, beta0, quad)
+            e_sh, e_h2, e_dh = _v_expectations(channel, scalars, 0.0, 0.0, rho, beta0,
+                                               quad, v_base)
     except ZeroDivisionError:
         e_dh = math.nan
     d = delta * e_dh
@@ -444,12 +454,13 @@ def gamp_overlap_se(prior: Prior, channel: Channel, scalars: GlmScalars, delta: 
     alpha = -1.0 / d
 
     for t in range(1, T + 1):
-        m, p, beta_t, mse = _u_expectations(prior, scalars, nu, kappa2, alpha, quad)
+        m, p, beta_t, mse = _u_expectations(prior, scalars, nu, kappa2, alpha, quad, u_base)
         kappa1 = max(p - m ** 2 / rho, 0.0)
         pt = GampSePoint(t=t, nu=nu, kappa2=kappa2, alpha=alpha, m=m, p=p,
                          mse=mse, kappa1=kappa1, beta=beta_t)
         if t < T:
-            e_sh, e_h2, e_dh = _v_expectations(channel, scalars, m, kappa1, rho, beta_t, quad)
+            e_sh, e_h2, e_dh = _v_expectations(channel, scalars, m, kappa1, rho, beta_t,
+                                               quad, v_base)
             d = delta * e_dh
             if abs(d) < 1e-14:
                 raise NumericalError(f"average derivative vanished at t={t}")

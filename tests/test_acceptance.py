@@ -103,7 +103,7 @@ def test_criterion_02_lasso_se_agreement():
     table = _glm_amp_table(model, range(200, 210), T=10)
     pts = gamp_overlap_se(model.prior, model.channel, model.scalars,
                           delta=model.delta, T=10, beta0=model.beta0,
-                          quad=QuadSpec(method="mc", samples=4000, seed=11))
+                          quad=QuadSpec(method="gh"))
     se = {}
     for pt in pts[1:]:
         se[(pt.t, "norm_sq_v")] = pt.v_second_moment()

@@ -1,6 +1,12 @@
+import math
+import weakref
+
 import numpy as np
 
-from graphamp import CommitteeModel, build_committee_instance, lasso_model
+from graphamp import (CommitteeModel, MultilayerModel, SpikedModel,
+                      build_committee_instance, build_multilayer_instance,
+                      build_spiked_instance, ensembles, lasso_model,
+                      layer_specs)
 from graphamp.embedding import (BlockLayout, embed, onsager_block_pattern_err,
                                 run_symmetric, verify_equivalence)
 from graphamp.engine import run
@@ -65,7 +71,71 @@ def test_symmetric_onsager_respects_block_pattern():
     inst = _small_glm()
     graph_traj = run(inst, 8, allow_degenerate=True)
     emb = embed(inst, seed=0, graph_traj=graph_traj)
-    sym_traj = run_symmetric(emb, 8)
+    sym_traj = run(emb.symmetric, 8, allow_degenerate=True)
     for t in range(1, 8):
         B = sym_traj.b[emb.loop_edge][t]
         assert onsager_block_pattern_err(emb.layout, B) <= 1e-12
+
+
+def test_streamed_comparison_matches_the_whole_trajectory():
+    inst = _small_glm()
+    T = 6
+    rep = verify_equivalence(inst, T=T, seed=2)
+    graph_traj = run(inst, T, allow_degenerate=True)
+    emb = embed(inst, seed=2, graph_traj=graph_traj)
+    loop = emb.loop_edge
+    whole = run(emb.symmetric, T, allow_degenerate=True)
+    errs = [float(np.linalg.norm(emb.tracked_block(whole.x[loop][t], e) - graph_traj.x[e][t])
+                  / (1.0 + np.linalg.norm(graph_traj.x[e][t])))
+            for t in range(T + 1) for e in emb.layout.order]
+    assert [r["err"] for r in rep.records] == errs
+
+    seen, refs = [], []
+
+    def each(t, X):
+        assert np.array_equal(X, whole.x[loop][t])
+        seen.append(t)
+        refs.append(weakref.ref(X))
+        # x^{t-1} is released once each returns, and nothing older but
+        # x^0, which the instance holds, is alive
+        assert all(r() is None for r in refs[1:-2])
+
+    run_symmetric(emb, T, each)
+    assert seen == list(range(T + 1))
+
+
+def _fill_instances():
+    ml = MultilayerModel(d0=60, layers=layer_specs([50, 40], ["linear", "relu"]))
+    yield build_multilayer_instance(ml, seed=0)[0]
+    # a loop edge: its diagonal block is tracked
+    yield build_spiked_instance(SpikedModel(N=80, lam=2.5, gen_dims=(30,),
+                                            gen_activation="tanh"), seed=0)[0]
+
+
+def test_goe_fill_draws_only_the_untracked_blocks(monkeypatch):
+    draws, normals = [], ensembles.normals
+
+    def counted(rng, shape):
+        out = normals(rng, shape)
+        draws.append(out.size)
+        return out
+
+    monkeypatch.setattr(ensembles, "normals", counted)
+    for inst in _fill_instances():
+        draws.clear()
+        emb = embed(inst, seed=4)
+        lay, A = emb.layout, emb.symmetric.matrix(emb.loop_edge)
+        n = {e: lay.row_slices[e].stop - lay.row_slices[e].start for e in lay.order}
+        assert np.array_equal(A, A.T)
+        untracked = np.ones(A.shape, dtype=bool)
+        for e in lay.order:
+            block = A[lay.row_slices[e], lay.row_slices[e.reversed()]]
+            ref = inst.matrix(e) * math.sqrt(inst.scale(e) / lay.N)
+            assert np.array_equal(block, ref)
+            untracked[lay.row_slices[e], lay.row_slices[e.reversed()]] = False
+        # a GOE(n) block draws n^2 normals for each untracked diagonal
+        # block, and an off-diagonal pair draws one of its two mirror blocks
+        diag = sum(n[e] ** 2 for e in lay.order if not e.is_loop())
+        assert sum(draws) == diag + (untracked.sum() - diag) // 2
+        off = np.triu(untracked, k=1)
+        assert abs(A[off].var() * lay.N - 1.0) < 0.05
