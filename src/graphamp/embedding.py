@@ -11,11 +11,16 @@ Gaussian noise that never couples back.
 Edges with a non-default variance base S are rescaled on the way in
 (A -> A sqrt(S/N), f -> sqrt(N/S) f), which leaves the x-iterates
 unchanged but makes every block of the big matrix variance-1/N.
+
+verify_equivalence runs the graph side and the flattened side on two
+threads; each side's arithmetic is that of a run of one after the
+other, so the report has the same bits.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
@@ -161,7 +166,7 @@ def _goe_fill(lay: BlockLayout, rng: np.random.Generator) -> np.ndarray:
             rows_f = lay.row_slices[f]
             n_e, n_f = rows_e.stop - rows_e.start, rows_f.stop - rows_f.start
             if f == e:
-                A[rows_e, rows_e] = sample_goe(n_e, rng, scale_N=N)
+                sample_goe(n_e, rng, scale_N=N, out=A[rows_e, rows_e])
             else:
                 A[rows_e, rows_f] = sample_iid(n_e, n_f, N, rng)
                 A[rows_f, rows_e] = A[rows_e, rows_f].T
@@ -175,9 +180,11 @@ def embed(instance: GraphInstance, seed: int = 0, fill: str = "goe",
     fill selects the untracked blocks: "goe" draws them as the matching
     blocks of a GOE(N) matrix (the default; gives a genuine Gaussian
     symmetric instance), "zero" leaves them zero (cheaper; iterates of
-    tracked blocks are identical either way).  graph_traj supplies a
-    precomputed trajectory to providers that read history (adaptive step
-    sizes); stationary providers ignore it.
+    tracked blocks are identical either way).  graph_traj supplies the
+    graph run's trajectory to providers that read history (adaptive step
+    sizes); stationary providers ignore it.  It may still be growing
+    (verify_equivalence extends it on another thread) while it stays
+    ahead of the flattened steps taken.
     """
     _check_pair_scales(instance)
     g = instance.graph
@@ -258,23 +265,55 @@ def verify_equivalence(instance: GraphInstance, T: int, seed: int = 0,
     """Run both sides for T steps and compare every tracked block.
 
     Per (t, e) error is ||X^t block - x^t_e||_F / (1 + ||x^t_e||_F).
-    The graph trajectory is computed first and kept whole, and handed
-    to the flattening so history-dependent update functions resolve
-    identically on both sides.  Each flattened iterate is compared as
-    its step returns, so the flattened history is never held whole.
+    The graph side steps on a worker thread and keeps its trajectory
+    whole; the flattening resolves its update functions against it, so
+    history-dependent providers see the same history on both sides.
+    Meanwhile the calling thread builds and runs the flattening, and
+    before it compares step t it waits for graph step t, which also
+    covers every graph time flattened step t reads (see
+    engine.Provider).  Each flattened iterate is compared as its step
+    returns, so the flattened history is never held whole.
+
+    Errors come out as if the graph run had finished first: a graph-side
+    exception is re-raised unchanged and wins over the flattened side's.
+    The worker is joined before this returns or raises.
     """
-    graph_traj = engine.run(instance, T, allow_degenerate=True)
-    emb = embed(instance, seed=seed, fill=fill, graph_traj=graph_traj)
+    graph_traj = engine.init(instance, allow_degenerate=True)
+    stepped = threading.Semaphore(0)
+    failed: List[BaseException] = []
+
+    def graph_side() -> None:
+        try:
+            for _ in range(T):
+                engine.step(instance, graph_traj)
+                stepped.release()
+        except BaseException as ex:  # re-raised on the calling thread
+            failed.append(ex)
+            stepped.release()
+
     report = EquivalenceReport(max_err=0.0)
 
     def compare(t: int, X: np.ndarray) -> None:
+        if t:
+            stepped.acquire()
+            if failed:
+                raise failed[0]
         for e in emb.layout.order:
             ref = graph_traj.x[e][t]
             err = float(np.linalg.norm(emb.tracked_block(X, e) - ref) / (1.0 + np.linalg.norm(ref)))
             report.records.append({"t": t, "edge": str(e), "err": err})
-            report.max_err = max(report.max_err, err)
+            # overflowing norms give inf / inf: a block that cannot be compared fails
+            report.max_err = max(report.max_err, math.inf if math.isnan(err) else err)
 
-    run_symmetric(emb, T, each=compare)
+    worker = threading.Thread(target=graph_side, name="graph-side")
+    worker.start()
+    try:
+        emb = embed(instance, seed=seed, fill=fill, graph_traj=graph_traj)
+        run_symmetric(emb, T, each=compare)
+    finally:
+        worker.join()
+        if failed:
+            raise failed[0]
     return report
 
 

@@ -30,6 +30,11 @@ from .errors import GraphError, NumericalError, ShapeError
 from .graphs import EdgeId, GraphSpec, canonical_edge_order, edges_into, require_valid, reversed_input_index
 from .nonlinearity import Nonlinearity, SideData
 
+# provider(e, t, traj) returns f^t_e.  It may read traj.b and traj.m only
+# at times < t and traj.x only at times <= t, and never traj.T: the
+# trajectory it is handed can run ahead of step t (embedding's
+# verify_equivalence hands the flattened side a graph trajectory that a
+# second thread is still extending), so any other read would race.
 Provider = Callable[[EdgeId, int, "AmpTrajectory"], Nonlinearity]
 
 # The finite-difference trace of a non-row-local update perturbs one
@@ -57,6 +62,8 @@ class GraphInstance:
     direction; the reversed direction is served as the transpose.  Loop
     matrices must be symmetric.  scale_base[e] is the ensemble variance
     base of A_e (entries ~ 1/S_e); both directions of a pair share it.
+    provider(e, t, traj) reads traj.b and traj.m only at times < t and
+    traj.x only at times <= t, never traj.T (see Provider).
     """
 
     graph: GraphSpec

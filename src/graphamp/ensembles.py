@@ -33,13 +33,15 @@ def normals(rng: np.random.Generator, shape) -> np.ndarray:
     return rng.standard_normal(shape)
 
 
-def sample_goe(n: int, rng: np.random.Generator, scale_N: Optional[float] = None) -> np.ndarray:
+def sample_goe(n: int, rng: np.random.Generator, scale_N: Optional[float] = None,
+               out: Optional[np.ndarray] = None) -> np.ndarray:
     """A = G + G^T with G_ij iid N(0, 1/(2 scale)): off-diagonal variance
-    1/scale, diagonal 2/scale.  Default scale is n itself."""
+    1/scale, diagonal 2/scale.  Default scale is n itself.  out, an
+    n x n array or view, receives A in place of a new array."""
     scale = float(scale_N if scale_N is not None else n)
     G = normals(rng, (n, n))
     G /= math.sqrt(2.0 * scale)
-    return G + G.T
+    return np.add(G, G.T, out=out)
 
 
 def sample_iid(rows: int, cols: int, scale_N: float, rng: np.random.Generator) -> np.ndarray:

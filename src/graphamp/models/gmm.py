@@ -31,6 +31,7 @@ with Y one-hot labels; predictions take an argmax of x^T W_hat.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
@@ -83,9 +84,22 @@ class GmmData:
     cov_sqrts: List[np.ndarray]
     spectrum: Tuple[np.ndarray, np.ndarray]  # (s, U) with sum_k Sigma_k = U diag(s) U^T
     design: np.ndarray        # stacked design (n x Kd), mean blocks included
-    design_rows: np.ndarray   # effective per-sample feature rows (n x d)
     labels: np.ndarray        # cluster index per row
     Y: np.ndarray             # one-hot targets (n x K)
+
+    @functools.cached_property
+    def design_rows(self) -> np.ndarray:
+        """Effective per-sample feature rows (n x d), formed on first read:
+        block row k maps W -> sum_j block_{kj} Sigma_j^{1/2} W."""
+        K, (n, Kd) = len(self.cov_sqrts), self.design.shape
+        npc, d = n // K, Kd // K
+        rows = np.zeros((n, d))
+        for k in range(K):
+            for j in range(K):
+                blk = self.design[k * npc:(k + 1) * npc, j * d:(j + 1) * d]
+                if np.any(blk):
+                    rows[k * npc:(k + 1) * npc] += blk @ self.cov_sqrts[j]
+        return rows
 
 
 def _sample_clusters(model: GmmSpatialModel, seed: int):
@@ -119,18 +133,11 @@ def sample_gmm_data(model: GmmSpatialModel, seed: int, tag: str = "train") -> Gm
     design = Z.copy()
     for k in range(K):
         design[k * npc:(k + 1) * npc, k * d:(k + 1) * d] += np.outer(np.ones(npc), gs[k])
-    # effective per-sample rows: block row k maps W -> sum_j block_{kj} Sigma_j^{1/2} W
-    rows = np.zeros((model.n, d))
-    for k in range(K):
-        for j in range(K):
-            blk = design[k * npc:(k + 1) * npc, j * d:(j + 1) * d]
-            if np.any(blk):
-                rows[k * npc:(k + 1) * npc] += blk @ roots[j]
     labels = np.repeat(np.arange(K), npc)
     Y = np.zeros((model.n, K))
     Y[np.arange(model.n), labels] = 1.0
     return GmmData(cov_sqrts=roots, spectrum=spectrum, design=design,
-                   design_rows=rows, labels=labels, Y=Y)
+                   labels=labels, Y=Y)
 
 
 class StackPenaltyProx(Nonlinearity):

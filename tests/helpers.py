@@ -5,6 +5,8 @@ internals (plain numpy) so fixed-point tests compare against a second
 implementation, not the code under test.
 """
 
+import threading
+
 import numpy as np
 
 from graphamp import (CommitteeModel, GaussBernoulliPrior, GmmSpatialModel,
@@ -79,3 +81,29 @@ def read_report_csv(path):
         schema = fh.readline().strip()
         rows = list(csv.DictReader(fh))
     return schema, rows
+
+
+def bounded_call(fn, *args, timeout=120.0, **kwargs):
+    """fn(*args, **kwargs) on a daemon thread joined within timeout.
+
+    Returns its result or re-raises its exception, after asserting that
+    the call finished in time (a deadlock fails the test instead of
+    hanging the suite) and left no thread of its own running.
+    """
+    before = threading.active_count()
+    out = {}
+
+    def target():
+        try:
+            out["result"] = fn(*args, **kwargs)
+        except BaseException as ex:  # re-raised below, on the test's thread
+            out["error"] = ex
+
+    th = threading.Thread(target=target, daemon=True)
+    th.start()
+    th.join(timeout)
+    assert not th.is_alive(), f"call still running after {timeout} s"
+    assert threading.active_count() == before
+    if "error" in out:
+        raise out["error"]
+    return out["result"]

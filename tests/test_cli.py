@@ -16,7 +16,7 @@ from graphamp.engine import run
 from graphamp.graphs import canonical_edge_order
 from graphamp.state_evolution import se_run
 
-from helpers import read_report_csv
+from helpers import bounded_call, read_report_csv
 
 TINY_LASSO = {
     "model": {"kind": "lasso", "d": 80, "aspect": 0.5, "lam": 1.2,
@@ -211,6 +211,35 @@ def test_numerical_abort_exits_3_with_location(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "numerical abort" in err
     assert "edge obs->sig" in err and "step 0" in err
+
+
+# large cluster means make the mean direction's loop gain far above 1
+DIVERGING_GMM = {"kind": "gmm_spatial", "K": 2, "d": 20, "n_per_cluster": 15,
+                 "mean_scale": 300.0}
+
+
+@pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+def test_diverging_embed_verify_exits_3_with_the_graph_location(tmp_path, capsys):
+    cfg = _write(tmp_path, {"model": DIVERGING_GMM, "T": 100, "amp_seeds": [0]})
+    params = {k: v for k, v in DIVERGING_GMM.items() if k != "kind"}
+    inst, _ = graphamp.build_gmm_spatial_instance(graphamp.GmmSpatialModel(**params), seed=0)
+    with pytest.raises(graphamp.NumericalError) as ref:
+        run(inst, 200, allow_degenerate=True)
+    rc = bounded_call(main, ["embed-verify", "--config", cfg, "--out", str(tmp_path / "o")])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert f"numerical abort at edge {ref.value.edge}, step {ref.value.t}:" in err
+
+
+@pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+def test_embed_verify_fails_blocks_whose_norms_overflow(tmp_path, capsys):
+    # stops a few steps short of the abort: the iterates are finite, but
+    # their norms overflow and every late error reads inf / inf = nan
+    cfg = _write(tmp_path, {"model": DIVERGING_GMM, "T": 56, "amp_seeds": [0]})
+    assert main(["embed-verify", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    assert "max discrepancy inf" in capsys.readouterr().out
+    _, rows = read_report_csv(str(tmp_path / "o" / "embed.csv"))
+    assert any(np.isnan(float(r["err"])) for r in rows)
 
 
 def test_unwritable_output_exits_4(tmp_path, capsys):

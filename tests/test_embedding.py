@@ -1,19 +1,27 @@
+import dataclasses
 import math
+import sys
+import threading
+import time
 import weakref
 
 import numpy as np
+import pytest
 
-from graphamp import (CommitteeModel, MultilayerModel, SpikedModel,
-                      build_committee_instance, build_multilayer_instance,
+from graphamp import (CommitteeModel, GmmSpatialModel, MultilayerModel,
+                      SpikedModel, build_committee_instance,
+                      build_gmm_spatial_instance, build_multilayer_instance,
                       build_spiked_instance, ensembles, lasso_model,
                       layer_specs)
 from graphamp.embedding import (BlockLayout, embed, onsager_block_pattern_err,
                                 run_symmetric, verify_equivalence)
 from graphamp.engine import run
-from graphamp.graphs import EdgeId, line_graph
+from graphamp.errors import GraphError, NumericalError
+from graphamp.graphs import EdgeId, canonical_edge_order, line_graph
 from graphamp.models.glm import build_gamp_instance
+from graphamp.nonlinearity import Nonlinearity
 
-from helpers import default_prior
+from helpers import bounded_call, default_prior
 
 
 def _small_glm():
@@ -102,6 +110,107 @@ def test_streamed_comparison_matches_the_whole_trajectory():
 
     run_symmetric(emb, T, each)
     assert seen == list(range(T + 1))
+
+
+@pytest.fixture
+def fast_switching():
+    """Switch threads every microsecond, so that an unsynchronized read
+    of the graph side's trajectory would land mid-step."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        yield
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def _sequential_records(inst, T, seed):
+    """The comparison run one side after the other: the whole graph run,
+    then the flattening and the flattened run."""
+    graph_traj = run(inst, T, allow_degenerate=True)
+    emb = embed(inst, seed=seed, graph_traj=graph_traj)
+    records = []
+
+    def each(t, X):
+        for e in emb.layout.order:
+            ref = graph_traj.x[e][t]
+            err = float(np.linalg.norm(emb.tracked_block(X, e) - ref) / (1.0 + np.linalg.norm(ref)))
+            records.append({"t": t, "edge": str(e), "err": err})
+
+    run_symmetric(emb, T, each)
+    return records
+
+
+def _small_gmm():
+    model = GmmSpatialModel(K=2, d=30, n_per_cluster=20, coupling=0.3)
+    return build_gmm_spatial_instance(model, seed=1)[0]
+
+
+@pytest.mark.parametrize("make", [_small_glm, _small_gmm], ids=["glm", "gmm_spatial"])
+def test_concurrent_sides_match_the_sequential_reference(make, fast_switching):
+    # both are two-phase chains: the flattened side's provider reads the
+    # graph side's b^{t-1} while the graph side keeps stepping
+    inst, T = make(), 12
+    rep = bounded_call(verify_equivalence, inst, T, seed=3)
+    assert rep.records == _sequential_records(inst, T, seed=3)
+    assert rep.max_err <= 1e-12
+
+
+class _NonFinite(Nonlinearity):
+    """An update whose output is non-finite; its trace is the wrapped one's.
+    The first apply to take `first` sleeps before it returns."""
+
+    def __init__(self, f, first):
+        self.f, self.first = f, first
+        self.arity, self.out_cols, self.row_local = f.arity, f.out_cols, f.row_local
+
+    def apply(self, inputs, side=None):
+        if self.first.acquire(blocking=False):
+            time.sleep(0.2)
+        return np.asarray(self.f.apply(inputs, side)) + np.inf
+
+    def jacobian_trace(self, inputs, side=None, wrt=0):
+        return self.f.jacobian_trace(inputs, side, wrt)
+
+
+def test_graph_side_error_is_raised_unchanged(fast_switching):
+    inst, bad_t = _small_glm(), 5
+    base = inst.provider
+    first = threading.Lock()
+
+    def provider(e, t, traj):
+        f = base(e, t, traj)
+        return _NonFinite(f, first) if t == bad_t else f
+
+    inst = dataclasses.replace(inst, provider=provider)
+    with pytest.raises(NumericalError) as ref:
+        run(inst, 10, allow_degenerate=True)
+    assert (ref.value.edge, ref.value.t) == (str(canonical_edge_order(inst.graph)[0]), bad_t)
+    # the flattened side fails at the same step, on its own loop edge.  The
+    # graph side, which is ahead, gets there first and sleeps, so the
+    # flattened side raises first; the graph side's error still wins
+    first.release()
+    with pytest.raises(NumericalError) as got:
+        bounded_call(verify_equivalence, inst, 10)
+    assert (got.value.edge, got.value.t) == (ref.value.edge, ref.value.t)
+    assert first.locked()
+
+
+def test_flattening_error_joins_the_graph_side():
+    inst = _small_glm()
+    fwd, base = next(iter(inst.matrices)), inst.provider
+
+    def slow(e, t, traj):
+        time.sleep(0.005)
+        return base(e, t, traj)
+
+    # unequal variance bases run on the graph side but cannot be flattened;
+    # the slowed graph side is still running when embed raises
+    inst = dataclasses.replace(inst, provider=slow,
+                               scale_base={fwd: 90.0, fwd.reversed(): 91.0})
+    run(inst, 20, allow_degenerate=True)
+    with pytest.raises(GraphError, match="different variance bases"):
+        bounded_call(verify_equivalence, inst, 20)
 
 
 def _fill_instances():

@@ -87,6 +87,16 @@ def test_samplers_scale_the_normals_exactly():
     assert np.array_equal(sample_goe(5, stream(5, "scale"), scale_N=s), G + G.T)
 
 
+def test_goe_written_into_a_view_is_the_same_matrix():
+    big = np.zeros((9, 9))
+    view = big[2:7, 3:8]
+    got = sample_goe(5, stream(5, "out"), scale_N=7.0, out=view)
+    assert got is view
+    assert np.array_equal(big[2:7, 3:8], sample_goe(5, stream(5, "out"), scale_N=7.0))
+    big[2:7, 3:8] = 0.0
+    assert not big.any()
+
+
 def test_spectral_sqrt_roundtrip():
     rng = np.random.default_rng(5)
     B = rng.normal(size=(4, 4))
