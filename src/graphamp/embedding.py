@@ -12,6 +12,10 @@ Edges with a non-default variance base S are rescaled on the way in
 (A -> A sqrt(S/N), f -> sqrt(N/S) f), which leaves the x-iterates
 unchanged but makes every block of the big matrix variance-1/N.
 
+The big matrix is symmetric bit for bit when the source's loop matrices
+are, so the engine reads each column strip it multiplies as the row
+strip with the same values (see engine).
+
 verify_equivalence runs the graph side and the flattened side on two
 threads; each side's arithmetic is that of a run of one after the
 other, so the report has the same bits.

@@ -16,6 +16,16 @@ blocks (rs, cs) of f.out_blocks that hold a nonzero entry (no blocks
 declared: one covering m^t_e).  An all-zero output, as in the off phase
 of a two-phase chain, leaves A_e unread, and a non-finite entry of A_e
 is caught only at a step whose nonzero blocks read its column.
+
+Each block product is taken as (m^T S^T)^T with S = A_e[:, rs]
+(block_product).  On the reversed direction of a pair, served as the
+transpose of the stored matrix, S^T is a block of stored rows, which
+BLAS streams instead of striding across columns.  A loop matrix that is
+exactly symmetric has its column strip read as the row strip
+A_e[rs, :]^T, the same values, so it is streamed too; one that is only
+allclose-symmetric is read as stored.  A row strip is summed in another
+order than the column strip when q = 1, so such a loop product can
+differ from S @ m in the last bits.
 """
 
 from __future__ import annotations
@@ -72,6 +82,7 @@ class GraphInstance:
     x0: Dict[EdgeId, np.ndarray] = field(default_factory=dict)
     side: Dict[EdgeId, SideData] = field(default_factory=dict)
     scale_base: Dict[EdgeId, float] = field(default_factory=dict)
+    exact_symmetric: set = field(init=False, default_factory=set, repr=False, compare=False)
 
     def __post_init__(self):
         require_valid(self.graph)
@@ -89,8 +100,11 @@ class GraphInstance:
             if A.shape != want:
                 raise ShapeError(f"matrix for {key} has shape {A.shape}, expected {want}")
             # array_equal is the cheap exact case; allclose sets what passes
-            if key.is_loop() and not (np.array_equal(A, A.T) or np.allclose(A, A.T)):
-                raise ShapeError(f"loop matrix at {key.start} must be symmetric")
+            if key.is_loop():
+                if np.array_equal(A, A.T):
+                    self.exact_symmetric.add(key)
+                elif not np.allclose(A, A.T):
+                    raise ShapeError(f"loop matrix at {key.start} must be symmetric")
         extra = set(self.matrices) - seen
         if extra:
             raise GraphError(f"matrices for unknown edges: {sorted(str(e) for e in extra)}")
@@ -193,12 +207,24 @@ def _live_blocks(f: Nonlinearity, m: np.ndarray, e: EdgeId, t: int) -> list:
     return [block for n, block in counts if n]
 
 
+def block_product(S: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """S @ m, taken as (m^T S^T)^T so that BLAS reads S^T.
+
+    The same values as np.matmul(S, m) up to rounding.  When S is a
+    transposed view of row-major storage, S^T is that storage, and a
+    skinny m streams it instead of striding across it.
+    """
+    return (m.T @ S.T).T
+
+
 def step(instance: GraphInstance, traj: AmpTrajectory) -> AmpTrajectory:
     """Advance every edge by one iteration (in place; returns traj).
 
     A_e is read only if some block of m^t_e is nonzero, else x^{t+1}_e
-    is the correction term alone (zeros at t = 0).  An output with a
-    nonzero entry outside its out_blocks raises ShapeError.
+    is the correction term alone (zeros at t = 0).  Each live block is
+    assigned block_product(A_e[:, rs], m^t_e[rs, cs]); an exactly
+    symmetric loop passes its row strip A_e[rs, :]^T instead.  An output
+    with a nonzero entry outside its out_blocks raises ShapeError.
     """
     g = instance.graph
     t = traj.T
@@ -223,10 +249,12 @@ def step(instance: GraphInstance, traj: AmpTrajectory) -> AmpTrajectory:
         with np.errstate(over="ignore", invalid="ignore"):
             if live[e]:
                 A = instance.matrix(e)
+                by_rows = e in instance.exact_symmetric
                 for rs, cs in live[e]:
-                    np.matmul(A[:, rs], ms[e][rs, cs], out=x_new[:, cs])
+                    S = A[rs, :].T if by_rows else A[:, rs]
+                    x_new[:, cs] = block_product(S, ms[e][rs, cs])
             if t >= 1:
-                x_new = x_new - traj.m[e.reversed()][t - 1] @ bs[e].T
+                x_new -= traj.m[e.reversed()][t - 1] @ bs[e].T
         if not np.all(np.isfinite(x_new)):
             raise NumericalError("iterate diverged (non-finite values)", edge=str(e), t=t + 1)
         traj.x[e].append(x_new)

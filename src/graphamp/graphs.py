@@ -9,6 +9,7 @@ the global scale is N = sum of end-node dimensions over directed edges.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -85,6 +86,19 @@ class GraphSpec:
         """Shape of m_e = f_e(...): rows live on the start node."""
         return (self.node_dim[e.start], self.edge_cols[e])
 
+    @functools.cached_property
+    def _edge_order(self) -> tuple:
+        # sorted on first read only: the spec is immutable
+        loops = sorted(e for e in self.edges if e.is_loop())
+        pairs = sorted(
+            {(min(e.start, e.end), max(e.start, e.end)) for e in self.edges if not e.is_loop()}
+        )
+        order = list(loops)
+        for lo, hi in pairs:
+            order.append(EdgeId(lo, hi))
+            order.append(EdgeId(hi, lo))
+        return tuple(order)
+
 
 def validate(spec: GraphSpec) -> ValidationResult:
     """Check all GraphSpec invariants; reports the violations found."""
@@ -142,17 +156,9 @@ def canonical_edge_order(spec: GraphSpec) -> tuple:
     Loops first, sorted by vertex id; then non-loop pairs sorted by
     (min endpoint, max endpoint), each pair emitted forward (min, max)
     then backward.  This fixes the block layout of the symmetric
-    embedding.
+    embedding.  Computed once per spec.
     """
-    loops = sorted(e for e in spec.edges if e.is_loop())
-    pairs = sorted(
-        {(min(e.start, e.end), max(e.start, e.end)) for e in spec.edges if not e.is_loop()}
-    )
-    order = list(loops)
-    for lo, hi in pairs:
-        order.append(EdgeId(lo, hi))
-        order.append(EdgeId(hi, lo))
-    return tuple(order)
+    return spec._edge_order
 
 
 def reversed_input_index(spec: GraphSpec, e: EdgeId) -> int:

@@ -38,7 +38,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from ..engine import AmpTrajectory, GraphInstance
+from ..engine import AmpTrajectory, GraphInstance, block_product
 from ..ensembles import normals, sample_spatially_coupled, stream
 from ..graphs import EdgeId, GraphSpec
 from ..nonlinearity import Nonlinearity, SideData
@@ -162,8 +162,8 @@ class StackPenaltyProx(Nonlinearity):
         V = self.alpha * U
         rhs = np.zeros((d, K))
         for k in range(K):
-            rhs += self.roots[k].T @ V[k * d:(k + 1) * d]
-        W = self._U @ ((self._U.T @ rhs) / self._denom[:, None])
+            rhs += block_product(self.roots[k].T, V[k * d:(k + 1) * d])
+        W = self._U @ (block_product(self._U.T, rhs) / self._denom[:, None])
         out = np.vstack([self.roots[k] @ W for k in range(K)])
         return W, out
 

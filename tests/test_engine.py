@@ -5,9 +5,9 @@ import pytest
 
 from graphamp import (GraphInstance, NumericalError, ShapeError,
                       build_gamp_instance, lasso_model)
-from graphamp.engine import (Observable, init, norm_sq_observable, observe,
-                             overlap_observable, run, stationary_provider,
-                             step)
+from graphamp.engine import (Observable, block_product, init,
+                             norm_sq_observable, observe, overlap_observable,
+                             run, stationary_provider, step)
 from graphamp.graphs import EdgeId, single_loop, two_node_chain
 from graphamp.nonlinearity import (Entrywise, FromCallable, Identity,
                                    Nonlinearity, Scaled)
@@ -121,9 +121,64 @@ def test_block_products_match_the_dense_product():
 
 def test_output_outside_its_blocks_is_refused():
     # negative control: the product would silently drop the stray entry
-    inst, _ = _two_block_instance(leak_at=1)
+    inst, loop = _two_block_instance(leak_at=1)
+    assert loop in inst.exact_symmetric  # the row-strip path
     with pytest.raises(ShapeError, match=r"v->v .*step 1"):
         run(inst, 2)
+
+
+def _rel(a, b):
+    return np.linalg.norm(a - b) / np.linalg.norm(b)
+
+
+@pytest.mark.parametrize("q", [1, 2, 3, 4])
+def test_block_product_matches_matmul(q):
+    rng = np.random.default_rng(q)
+    for _ in range(5):
+        n, r = rng.integers(1, 60, size=2)
+        a, b = sorted(rng.integers(0, r + 1, size=2))
+        b += a == b
+        C = rng.standard_normal((n, r + 1))
+        F = rng.standard_normal((r + 1, n)).T
+        # C arrays, transposed views, and column sub-slices of both
+        for S in (C, F, C[:, a:b], F[:, a:b]):
+            m = rng.standard_normal((S.shape[1], q))
+            assert _rel(block_product(S, m), np.matmul(S, m)) <= 1e-13
+
+
+def _identity_loop(A, q):
+    n = A.shape[0]
+    loop = EdgeId("v", "v")
+    x0 = np.random.default_rng(7).standard_normal((n, q))
+    inst = GraphInstance(graph=single_loop("v", n, q=q), matrices={loop: A},
+                         provider=lambda e, t, traj: Identity(), x0={loop: x0})
+    return inst, loop, x0
+
+
+@pytest.mark.parametrize("q", [1, 2])
+def test_exactly_symmetric_loop_is_read_by_rows(q):
+    G = np.random.default_rng(3).standard_normal((40, 40))
+    inst, loop, x0 = _identity_loop(G + G.T, q)
+    assert loop in inst.exact_symmetric
+    traj = run(inst, 1)
+    assert _rel(traj.x[loop][1], (G + G.T) @ x0) <= 1e-13
+
+
+@pytest.mark.parametrize("q", [1, 2])
+def test_nearly_symmetric_loop_keeps_its_stored_orientation(q):
+    rng = np.random.default_rng(4)
+    G = rng.standard_normal((40, 40))
+    A = G + G.T
+    # 1e-7 relative off the diagonal: allclose passes, array_equal does not
+    U = rng.standard_normal((40, 40))
+    np.fill_diagonal(U, 0.0)
+    B = A + 1e-7 * np.abs(A) * U
+    assert np.allclose(B, B.T) and not np.array_equal(B, B.T)
+    inst, loop, x0 = _identity_loop(B, q)
+    assert loop not in inst.exact_symmetric
+    x1 = run(inst, 1).x[loop][1]
+    assert _rel(x1, B @ x0) <= 1e-13
+    assert _rel(x1, B.T @ x0) > 1e-9
 
 
 def test_loop_matrix_symmetry_tolerance():

@@ -37,6 +37,17 @@ def test_line_graph_edges_and_order():
     assert set(order) == g.edges
 
 
+def test_canonical_order_is_loops_then_pairs_and_computed_once():
+    edges = [EdgeId("b", "b"), EdgeId("a", "a"), EdgeId("c", "a"), EdgeId("a", "c"),
+             EdgeId("b", "a"), EdgeId("a", "b")]
+    g = GraphSpec(node_dim={"a": 2, "b": 3, "c": 4}, edges=frozenset(edges))
+    order = canonical_edge_order(g)
+    assert order == (EdgeId("a", "a"), EdgeId("b", "b"), EdgeId("a", "b"), EdgeId("b", "a"),
+                     EdgeId("a", "c"), EdgeId("c", "a"))
+    assert canonical_edge_order(g) is order
+    assert g == GraphSpec(node_dim=g.node_dim, edges=g.edges)
+
+
 def test_single_loop_is_self_reversed():
     g = single_loop("spike", 6, q=2)
     loop = EdgeId("spike", "spike")

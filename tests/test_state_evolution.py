@@ -232,7 +232,7 @@ def _assert_within_monte_carlo(exact, refs, edges, T):
                 assert np.linalg.norm(exact.K[e][t, s] - mean[t, s]) <= 4 * sd, (e, t, s)
 
 
-def test_grid_kernels_match_a_tenfold_monte_carlo_reference():
+def test_exact_kernels_match_a_tenfold_monte_carlo_reference():
     inst, T, B, R = _committee(), 4, 256, 6
     exact = se_run(inst, T, reps=B, seed=0)
     refs = [se_run(_mc_twin(inst), T, reps=10 * B, seed=1 + r) for r in range(R)]
@@ -303,7 +303,7 @@ def test_grid_routing(monkeypatch):
     assert _rows_seen(inst, reps, row_local=False) == {SIG: set(), OBS: set()}
 
 
-def test_grid_kernels_rerun_identically_for_any_worker_count():
+def test_exact_kernels_rerun_identically_for_any_worker_count():
     inst = _committee()
     a = se_run(inst, 4, reps=256, seed=3, chunk=64, workers=1)
     interval = sys.getswitchinterval()
