@@ -16,7 +16,7 @@ from .graphs import (EdgeId, GraphSpec, canonical_edge_order, edges_into,
                      validate)
 from .nonlinearity import (Entrywise, EntrywiseThenMix, FromCallable,
                            Identity, LinearEntrywiseLinear, Nonlinearity,
-                           Scaled, SideData, Zero, fd_jacobian_trace)
+                           SideData, Zero, fd_jacobian_trace)
 from .prox import (ProxSpec, penalty_grad, penalty_value, prox,
                    prox_deriv, shifted_prox, soft_threshold)
 from .ensembles import (normals, sample_goe, sample_iid, spectral_inv_sqrt,
@@ -26,8 +26,8 @@ from .engine import (AmpTrajectory, GraphInstance, Observable, init,
                      stationary_provider, step)
 from .embedding import (BlockLayout, EmbeddedInstance, EquivalenceReport,
                         embed, run_symmetric, verify_equivalence)
-from .state_evolution import (SECovariances, amp_observable_stats, compare,
-                              mc_observable_stats, se_run)
+from .state_evolution import (SECovariances, compare, mc_observable_stats,
+                              se_run)
 from .gamp_se import (Channel, GampSePoint, GaussBernoulliPrior,
                       GaussianPrior, GlmScalars, LinearGaussianChannel,
                       LogisticChannel, Prior, QuadSpec, RademacherPrior,
@@ -52,7 +52,7 @@ __all__ = [
     "EdgeId", "GraphSpec", "canonical_edge_order", "edges_into",
     "line_graph", "require_valid", "single_loop", "two_node_chain", "validate",
     "Entrywise", "EntrywiseThenMix", "FromCallable", "Identity",
-    "LinearEntrywiseLinear", "Nonlinearity", "Scaled", "SideData", "Zero", "fd_jacobian_trace",
+    "LinearEntrywiseLinear", "Nonlinearity", "SideData", "Zero", "fd_jacobian_trace",
     "ProxSpec", "penalty_grad", "penalty_value", "prox",
     "prox_deriv", "shifted_prox", "soft_threshold",
     "normals", "sample_goe", "sample_iid", "spectral_inv_sqrt",
@@ -62,8 +62,7 @@ __all__ = [
     "stationary_provider", "step",
     "BlockLayout", "EmbeddedInstance", "EquivalenceReport", "embed",
     "run_symmetric", "verify_equivalence",
-    "SECovariances", "amp_observable_stats", "compare",
-    "mc_observable_stats", "se_run",
+    "SECovariances", "compare", "mc_observable_stats", "se_run",
     "Channel", "GampSePoint", "GaussBernoulliPrior", "GaussianPrior",
     "GlmScalars", "LinearGaussianChannel", "LogisticChannel", "Prior",
     "QuadSpec", "RademacherPrior", "gamp_overlap_se", "make_channel",

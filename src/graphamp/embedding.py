@@ -16,6 +16,10 @@ The big matrix is symmetric bit for bit when the source's loop matrices
 are, so the engine reads each column strip it multiplies as the row
 strip with the same values (see engine).
 
+The flattened iteration runs on its own: a provider that adapts to the
+run reads its b^{t-1} from the flattened loop's Onsager coefficient,
+converted block by block (see EmbeddedNonlinearity).
+
 verify_equivalence runs the graph side and the flattened side on two
 threads; each side's arithmetic is that of a run of one after the
 other, so the report has the same bits.
@@ -31,7 +35,7 @@ from typing import Callable, Dict, List, Optional
 import numpy as np
 
 from . import engine
-from .engine import AmpTrajectory, GraphInstance
+from .engine import GraphInstance
 from .ensembles import sample_goe, sample_iid, stream
 from .errors import GraphError
 from .graphs import EdgeId, GraphSpec, canonical_edge_order, edges_into, reversed_input_index, single_loop
@@ -80,22 +84,26 @@ class EmbeddedNonlinearity(Nonlinearity):
     only the live blocks.  The diagonal Jacobian sum is assembled
     analytically from the per-edge traces, so no finite differences run
     on the big iterate.
+
+    b is the flattened loop's b^{t-1} (q_tot x q_tot; None at t = 0).
+    Its block (cols(e), cols(e<-)) is sqrt(N/S_e) J_e / N, so times
+    sqrt(N/S_e) it is the graph coefficient b_e = J_e / S_e, which the
+    source provider reads.
     """
 
     def __init__(self, source: GraphInstance, layout: BlockLayout, t: int,
-                 graph_traj: Optional[AmpTrajectory] = None):
+                 b: Optional[np.ndarray]):
         self.source = source
         self.layout = layout
-        self.t = t
-        self.graph_traj = graph_traj
         self.arity = 1
         self.out_cols = layout.q_tot
         self._scale = {e: math.sqrt(layout.N / source.scale(e)) for e in layout.order}
         self.out_blocks = [(layout.row_slices[e.reversed()], layout.col_slices[e])
                            for e in layout.order]
-
-    def _edge_fn(self, e: EdgeId) -> Nonlinearity:
-        return self.source.provider(e, self.t, self.graph_traj)
+        graph_b = None if b is None else {
+            e: self._scale[e] * b[layout.col_slices[e], layout.col_slices[e.reversed()]]
+            for e in layout.order}
+        self._fns = {e: source.provider(e, t, graph_b) for e in layout.order}
 
     def _edge_inputs(self, X: np.ndarray, e: EdgeId) -> List[np.ndarray]:
         return [self.layout.x_block(X, ein) for ein in edges_into(self.source.graph, e)]
@@ -105,8 +113,7 @@ class EmbeddedNonlinearity(Nonlinearity):
         lay = self.layout
         M = np.zeros((lay.N, lay.q_tot))
         for e in lay.order:
-            f = self._edge_fn(e)
-            m = np.asarray(f.apply(self._edge_inputs(X, e), side=self.source.side_data(e)))
+            m = np.asarray(self._fns[e].apply(self._edge_inputs(X, e), side=self.source.side_data(e)))
             M[lay.row_slices[e.reversed()], lay.col_slices[e]] = self._scale[e] * m
         return M
 
@@ -116,8 +123,7 @@ class EmbeddedNonlinearity(Nonlinearity):
         g = self.source.graph
         B = np.zeros((lay.q_tot, lay.q_tot))
         for e in lay.order:
-            f = self._edge_fn(e)
-            J = f.jacobian_trace(
+            J = self._fns[e].jacobian_trace(
                 self._edge_inputs(X, e),
                 side=self.source.side_data(e),
                 wrt=reversed_input_index(g, e),
@@ -177,18 +183,13 @@ def _goe_fill(lay: BlockLayout, rng: np.random.Generator) -> np.ndarray:
     return A
 
 
-def embed(instance: GraphInstance, seed: int = 0, fill: str = "goe",
-          graph_traj: Optional[AmpTrajectory] = None) -> EmbeddedInstance:
+def embed(instance: GraphInstance, seed: int = 0, fill: str = "goe") -> EmbeddedInstance:
     """Flatten a graph instance into a single symmetric iteration.
 
     fill selects the untracked blocks: "goe" draws them as the matching
     blocks of a GOE(N) matrix (the default; gives a genuine Gaussian
     symmetric instance), "zero" leaves them zero (cheaper; iterates of
-    tracked blocks are identical either way).  graph_traj supplies the
-    graph run's trajectory to providers that read history (adaptive step
-    sizes); stationary providers ignore it.  It may still be growing
-    (verify_equivalence extends it on another thread) while it stays
-    ahead of the flattened steps taken.
+    tracked blocks are identical either way).
     """
     _check_pair_scales(instance)
     g = instance.graph
@@ -221,8 +222,8 @@ def embed(instance: GraphInstance, seed: int = 0, fill: str = "goe",
     loop = single_loop("flat", N, q=lay.q_tot)
     loop_edge = next(iter(loop.edges))
 
-    def provider(edge, t, traj):
-        return EmbeddedNonlinearity(instance, lay, t, graph_traj=graph_traj)
+    def provider(edge, t, b):
+        return EmbeddedNonlinearity(instance, lay, t, None if b is None else b[edge])
 
     sym = GraphInstance(
         graph=loop,
@@ -238,9 +239,9 @@ def run_symmetric(emb: EmbeddedInstance, T: int,
     """Run the flattened iteration for T steps from X^0, calling
     each(t, X^t) on every iterate as its step returns.
 
-    The run keeps only what its next step reads, x^t and m^{t-1}, so the
-    flattened history is never held whole; engine.run(emb.symmetric, T)
-    keeps it all.
+    The run keeps only what its next step reads, x^t, m^{t-1} and
+    b^{t-1}, so the flattened history is never held whole;
+    engine.run(emb.symmetric, T) keeps it all.
     """
     traj = engine.init(emb.symmetric, allow_degenerate=True)
     e = emb.loop_edge
@@ -248,9 +249,9 @@ def run_symmetric(emb: EmbeddedInstance, T: int,
     for t in range(1, T + 1):
         engine.step(emb.symmetric, traj)
         each(t, traj.x[e][t])
-        traj.x[e][t - 1] = traj.b[e][t - 1] = None
+        traj.x[e][t - 1] = None
         if t > 1:
-            traj.m[e][t - 2] = None
+            traj.m[e][t - 2] = traj.b[e][t - 2] = None
 
 
 @dataclass
@@ -269,27 +270,24 @@ def verify_equivalence(instance: GraphInstance, T: int, seed: int = 0,
     """Run both sides for T steps and compare every tracked block.
 
     Per (t, e) error is ||X^t block - x^t_e||_F / (1 + ||x^t_e||_F).
-    The graph side steps on a worker thread and keeps its trajectory
-    whole; the flattening resolves its update functions against it, so
-    history-dependent providers see the same history on both sides.
-    Meanwhile the calling thread builds and runs the flattening, and
-    before it compares step t it waits for graph step t, which also
-    covers every graph time flattened step t reads (see
-    engine.Provider).  Each flattened iterate is compared as its step
-    returns, so the flattened history is never held whole.
+    The graph side steps on a worker thread while the calling thread
+    builds and runs the flattening; only the comparison of step t reads
+    the graph trajectory, after waiting for graph step t.  Each
+    flattened iterate is compared as its step returns, so the flattened
+    history is never held whole.
 
     Errors come out as if the graph run had finished first: a graph-side
     exception is re-raised unchanged and wins over the flattened side's.
     The worker is joined before this returns or raises.
     """
-    graph_traj = engine.init(instance, allow_degenerate=True)
+    traj = engine.init(instance, allow_degenerate=True)
     stepped = threading.Semaphore(0)
     failed: List[BaseException] = []
 
     def graph_side() -> None:
         try:
             for _ in range(T):
-                engine.step(instance, graph_traj)
+                engine.step(instance, traj)
                 stepped.release()
         except BaseException as ex:  # re-raised on the calling thread
             failed.append(ex)
@@ -303,7 +301,7 @@ def verify_equivalence(instance: GraphInstance, T: int, seed: int = 0,
             if failed:
                 raise failed[0]
         for e in emb.layout.order:
-            ref = graph_traj.x[e][t]
+            ref = traj.x[e][t]
             err = float(np.linalg.norm(emb.tracked_block(X, e) - ref) / (1.0 + np.linalg.norm(ref)))
             report.records.append({"t": t, "edge": str(e), "err": err})
             # overflowing norms give inf / inf: a block that cannot be compared fails
@@ -312,7 +310,7 @@ def verify_equivalence(instance: GraphInstance, T: int, seed: int = 0,
     worker = threading.Thread(target=graph_side, name="graph-side")
     worker.start()
     try:
-        emb = embed(instance, seed=seed, fill=fill, graph_traj=graph_traj)
+        emb = embed(instance, seed=seed, fill=fill)
         run_symmetric(emb, T, each=compare)
     finally:
         worker.join()

@@ -40,12 +40,9 @@ from .errors import GraphError, NumericalError, ShapeError
 from .graphs import EdgeId, GraphSpec, canonical_edge_order, edges_into, require_valid, reversed_input_index
 from .nonlinearity import Nonlinearity, SideData
 
-# provider(e, t, traj) returns f^t_e.  It may read traj.b and traj.m only
-# at times < t and traj.x only at times <= t, and never traj.T: the
-# trajectory it is handed can run ahead of step t (embedding's
-# verify_equivalence hands the flattened side a graph trajectory that a
-# second thread is still extending), so any other read would race.
-Provider = Callable[[EdgeId, int, "AmpTrajectory"], Nonlinearity]
+# provider(e, t, b) returns f^t_e; b maps every edge to its Onsager
+# coefficient b^{t-1}_e, and is None at t = 0 and in the state evolution.
+Provider = Callable[[EdgeId, int, Optional[Mapping[EdgeId, np.ndarray]]], Nonlinearity]
 
 # The finite-difference trace of a non-row-local update perturbs one
 # input entry per pair of applies, O(n^2 q) work in all; onsager refuses
@@ -57,7 +54,7 @@ def stationary_provider(fns: Mapping[EdgeId, Nonlinearity]) -> Provider:
     """Provider for time-independent update functions."""
     table = dict(fns)
 
-    def provider(edge, t, traj):
+    def provider(edge, t, b):
         return table[edge]
 
     return provider
@@ -72,8 +69,6 @@ class GraphInstance:
     direction; the reversed direction is served as the transpose.  Loop
     matrices must be symmetric.  scale_base[e] is the ensemble variance
     base of A_e (entries ~ 1/S_e); both directions of a pair share it.
-    provider(e, t, traj) reads traj.b and traj.m only at times < t and
-    traj.x only at times <= t, never traj.T (see Provider).
     """
 
     graph: GraphSpec
@@ -167,18 +162,11 @@ def init(instance: GraphInstance, allow_degenerate: bool = False) -> AmpTrajecto
     return AmpTrajectory(graph=g, x=xs, m={e: [] for e in xs}, b={e: [] for e in xs})
 
 
-def _gather_inputs(traj: AmpTrajectory, g: GraphSpec, e: EdgeId, t: int) -> List[np.ndarray]:
-    return [traj.x[ein][t] for ein in edges_into(g, e)]
-
-
-def onsager(instance: GraphInstance, e: EdgeId, t: int, traj: AmpTrajectory,
-            f: Optional[Nonlinearity] = None) -> np.ndarray:
+def onsager(instance: GraphInstance, e: EdgeId, t: int, f: Nonlinearity,
+            inputs: List[np.ndarray]) -> np.ndarray:
     """Correction coefficient b^t_e = J_e / S_e where J_e sums the rowwise
-    Jacobian of f^t_e with respect to the reversed input edge."""
+    Jacobian of f^t_e at inputs with respect to the reversed input edge."""
     g = instance.graph
-    if f is None:
-        f = instance.provider(e, t, traj)
-    inputs = _gather_inputs(traj, g, e, t)
     wrt = reversed_input_index(g, e)
     if not f.row_local and f.fd_trace:
         n, qw = inputs[wrt].shape
@@ -232,9 +220,10 @@ def step(instance: GraphInstance, traj: AmpTrajectory) -> AmpTrajectory:
     ms: Dict[EdgeId, np.ndarray] = {}
     bs: Dict[EdgeId, np.ndarray] = {}
     live: Dict[EdgeId, list] = {}
+    b_prev = {e: traj.b[e][t - 1] for e in order} if t else None
     for e in order:
-        f = instance.provider(e, t, traj)
-        inputs = _gather_inputs(traj, g, e, t)
+        f = instance.provider(e, t, b_prev)
+        inputs = [traj.x[ein][t] for ein in edges_into(g, e)]
         m = np.asarray(f.apply(inputs, side=instance.side_data(e)), dtype=float)
         if m.shape != g.m_shape(e):
             raise ShapeError(f"f for {e} returned shape {m.shape}, expected {g.m_shape(e)}")
@@ -242,7 +231,7 @@ def step(instance: GraphInstance, traj: AmpTrajectory) -> AmpTrajectory:
             raise NumericalError("update function produced non-finite values", edge=str(e), t=t)
         ms[e] = m
         live[e] = _live_blocks(f, m, e, t)
-        bs[e] = onsager(instance, e, t, traj, f=f)
+        bs[e] = onsager(instance, e, t, f, inputs)
     for e in order:
         x_new = np.zeros(g.x_shape(e))
         # overflow surfaces through the isfinite guard, not a warning

@@ -138,18 +138,18 @@ def two_phase_provider(fwd: EdgeId, q: int, signal_fn, obs_fn, beta0: float):
     bwd = fwd.reversed()
     zero = Zero(q)
 
-    def provider(edge, t, traj):
+    def provider(edge, t, b):
         if edge == fwd:
             if t % 2 == 0:
                 return zero
-            d0 = _iso_scalar(traj.b[bwd][t - 1], "observation-side")
+            d0 = _iso_scalar(b[bwd], "observation-side")
             if abs(d0) < 1e-14:
                 raise NumericalError("vanishing average derivative on the "
                                      "observation side", edge=str(edge), t=t)
             return signal_fn(-1.0 / d0)
         if t % 2 == 1:
             return zero
-        beta = beta0 if t == 0 else _iso_scalar(traj.b[fwd][t - 1], "signal-side")
+        beta = beta0 if t == 0 else _iso_scalar(b[fwd], "signal-side")
         return obs_fn(beta)
 
     return provider

@@ -207,27 +207,6 @@ def EntrywiseThenMix(phi, dphi, R, kinks=()) -> LinearEntrywiseLinear:
                                  L=[1.0], R=R, kinks=kinks)
 
 
-class Scaled(Nonlinearity):
-    """c * f, same inputs; Jacobian trace scales linearly."""
-
-    def __init__(self, inner: Nonlinearity, c: float):
-        self.inner = inner
-        self.c = float(c)
-        self.arity = inner.arity
-        self.out_cols = inner.out_cols
-        self.row_local = inner.row_local
-
-    def apply(self, inputs, side=None):
-        return self.c * self.inner.apply(inputs, side)
-
-    def jacobian_trace(self, inputs, side=None, wrt=0):
-        return self.c * self.inner.jacobian_trace(inputs, side=side, wrt=wrt)
-
-    @property
-    def fd_trace(self) -> bool:
-        return self.inner.fd_trace
-
-
 class FromCallable(Nonlinearity):
     """Adapter for ad-hoc functions; Jacobian trace by finite differences
     unless an analytic jac(inputs, side, wrt) is supplied."""

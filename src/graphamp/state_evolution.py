@@ -49,7 +49,7 @@ edge takes that route, is not estimated.  mc_observable_stats samples
 other observables under the final kernels.
 
 This generic recursion needs update functions with a fixed schedule
-(provider callable with traj=None).  Iterations whose step sizes adapt
+(provider callable with b=None).  Iterations whose step sizes adapt
 to the run are covered by the scalar overlap recursion instead (see
 gamp_se).
 """
@@ -62,7 +62,7 @@ from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .engine import AmpTrajectory, GraphInstance, Observable, observe
+from .engine import GraphInstance, Observable
 from .ensembles import normals, stream
 from .gamp_se import gaussian_piecewise_nodes
 from .graphs import EdgeId, canonical_edge_order, edges_into
@@ -448,17 +448,6 @@ def mc_observable_stats(instance: GraphInstance, cov: SECovariances,
         for key, v in vals.items():
             acc[key].extend(v)
 
-    return {key: summarize(vals) for key, vals in acc.items()}
-
-
-def amp_observable_stats(trajs: Sequence[AmpTrajectory],
-                         observables: Sequence[Observable],
-                         times: Optional[Sequence[int]] = None) -> Dict[Tuple[int, str], dict]:
-    """Across-seed mean and sd of trajectory observables, keyed by (t, name)."""
-    acc: Dict[Tuple[int, str], List[float]] = {}
-    for traj in trajs:
-        for rec in observe(traj, observables, times=times):
-            acc.setdefault((rec["t"], rec["observable"]), []).append(rec["value"])
     return {key: summarize(vals) for key, vals in acc.items()}
 
 

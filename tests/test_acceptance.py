@@ -33,7 +33,8 @@ from graphamp.models.gmm import (StackPenaltyProx, accuracy,
                                  ridge_baseline)
 from graphamp.models.multilayer import InteriorMessage, _activation
 from graphamp.nonlinearity import (Entrywise, EntrywiseThenMix, FromCallable,
-                                   Identity, Scaled, SideData, Zero)
+                                   Identity, LinearEntrywiseLinear, SideData,
+                                   Zero)
 from graphamp.prox import ProxSpec
 from graphamp.state_evolution import compare
 
@@ -281,7 +282,8 @@ def _nonlinearity_catalog(rng):
                             lambda x: (np.abs(x) > 0.4).astype(float), R),
            lambda: ([_away_from(smooth(2), [-0.4, 0.4])], None, 0))
     yield ("scaled_tanh",
-           Scaled(Entrywise(np.tanh, lambda x: 1.0 - np.tanh(x) ** 2), -2.5),
+           LinearEntrywiseLinear(phi=np.tanh, dphi=lambda x: 1.0 - np.tanh(x) ** 2,
+                                 L=[1.0], R=-2.5),
            lambda: ([smooth(2)], None, 0))
 
     def affine_jac(inputs, side, wrt):

@@ -77,26 +77,29 @@ def test_equivalence_records_cover_all_times_and_edges():
 
 def test_symmetric_onsager_respects_block_pattern():
     inst = _small_glm()
-    graph_traj = run(inst, 8, allow_degenerate=True)
-    emb = embed(inst, seed=0, graph_traj=graph_traj)
+    emb = embed(inst, seed=0)
     sym_traj = run(emb.symmetric, 8, allow_degenerate=True)
     for t in range(1, 8):
         B = sym_traj.b[emb.loop_edge][t]
         assert onsager_block_pattern_err(emb.layout, B) <= 1e-12
 
 
+def _block_errs(emb, flat, graph, T):
+    """verify_equivalence's records for whole trajectories of both sides."""
+    return [{"t": t, "edge": str(e),
+             "err": float(np.linalg.norm(emb.tracked_block(flat.x[emb.loop_edge][t], e)
+                                         - graph.x[e][t]) / (1.0 + np.linalg.norm(graph.x[e][t])))}
+            for t in range(T + 1) for e in emb.layout.order]
+
+
 def test_streamed_comparison_matches_the_whole_trajectory():
     inst = _small_glm()
     T = 6
     rep = verify_equivalence(inst, T=T, seed=2)
-    graph_traj = run(inst, T, allow_degenerate=True)
-    emb = embed(inst, seed=2, graph_traj=graph_traj)
+    emb = embed(inst, seed=2)
     loop = emb.loop_edge
     whole = run(emb.symmetric, T, allow_degenerate=True)
-    errs = [float(np.linalg.norm(emb.tracked_block(whole.x[loop][t], e) - graph_traj.x[e][t])
-                  / (1.0 + np.linalg.norm(graph_traj.x[e][t])))
-            for t in range(T + 1) for e in emb.layout.order]
-    assert [r["err"] for r in rep.records] == errs
+    assert rep.records == _block_errs(emb, whole, run(inst, T, allow_degenerate=True), T)
 
     seen, refs = [], []
 
@@ -125,20 +128,10 @@ def fast_switching():
 
 
 def _sequential_records(inst, T, seed):
-    """The comparison run one side after the other: the whole graph run,
-    then the flattening and the flattened run."""
-    graph_traj = run(inst, T, allow_degenerate=True)
-    emb = embed(inst, seed=seed, graph_traj=graph_traj)
-    records = []
-
-    def each(t, X):
-        for e in emb.layout.order:
-            ref = graph_traj.x[e][t]
-            err = float(np.linalg.norm(emb.tracked_block(X, e) - ref) / (1.0 + np.linalg.norm(ref)))
-            records.append({"t": t, "edge": str(e), "err": err})
-
-    run_symmetric(emb, T, each)
-    return records
+    """The comparison run one side after the other."""
+    emb = embed(inst, seed=seed)
+    return _block_errs(emb, run(emb.symmetric, T, allow_degenerate=True),
+                       run(inst, T, allow_degenerate=True), T)
 
 
 def _small_gmm():
@@ -148,12 +141,48 @@ def _small_gmm():
 
 @pytest.mark.parametrize("make", [_small_glm, _small_gmm], ids=["glm", "gmm_spatial"])
 def test_concurrent_sides_match_the_sequential_reference(make, fast_switching):
-    # both are two-phase chains: the flattened side's provider reads the
-    # graph side's b^{t-1} while the graph side keeps stepping
+    # both are two-phase chains; only the comparison reads the graph
+    # trajectory while the graph side keeps stepping
     inst, T = make(), 12
     rep = bounded_call(verify_equivalence, inst, T, seed=3)
     assert rep.records == _sequential_records(inst, T, seed=3)
     assert rep.max_err <= 1e-12
+
+
+@pytest.mark.parametrize("make", [_small_glm, _small_gmm], ids=["glm", "gmm_spatial"])
+def test_flattened_run_needs_no_graph_run(make):
+    # the flattening reads its two-phase step sizes off its own b
+    inst, T = make(), 12
+    emb = embed(inst, seed=1)
+    flat = run(emb.symmetric, T, allow_degenerate=True)
+    errs = _block_errs(emb, flat, run(inst, T, allow_degenerate=True), T)
+    assert max(r["err"] for r in errs) <= 1e-12
+
+
+def test_providers_see_the_previous_onsager_coefficients():
+    inst, T = _small_glm(), 8
+    edges = set(inst.graph.edges)
+
+    def recording(calls):
+        def provider(e, t, b):
+            calls.append((e, t, b))
+            return inst.provider(e, t, b)
+        return dataclasses.replace(inst, provider=provider)
+
+    graph_calls, flat_calls = [], []
+    graph = run(recording(graph_calls), T, allow_degenerate=True)
+    run(embed(recording(flat_calls)).symmetric, T, allow_degenerate=True)
+    # each side resolves every edge's map once per step
+    for calls, tol in ((graph_calls, 0.0), (flat_calls, 1e-12)):
+        assert sorted((t, str(e)) for e, t, _ in calls) == sorted(
+            (t, str(e)) for t in range(T) for e in edges)
+        for e, t, b in calls:
+            if t == 0:
+                assert b is None
+                continue
+            assert set(b) == edges
+            for k in edges:
+                assert np.max(np.abs(b[k] - graph.b[k][t - 1])) <= tol
 
 
 class _NonFinite(Nonlinearity):
@@ -178,8 +207,8 @@ def test_graph_side_error_is_raised_unchanged(fast_switching):
     base = inst.provider
     first = threading.Lock()
 
-    def provider(e, t, traj):
-        f = base(e, t, traj)
+    def provider(e, t, b):
+        f = base(e, t, b)
         return _NonFinite(f, first) if t == bad_t else f
 
     inst = dataclasses.replace(inst, provider=provider)
@@ -200,9 +229,9 @@ def test_flattening_error_joins_the_graph_side():
     inst = _small_glm()
     fwd, base = next(iter(inst.matrices)), inst.provider
 
-    def slow(e, t, traj):
+    def slow(e, t, b):
         time.sleep(0.005)
-        return base(e, t, traj)
+        return base(e, t, b)
 
     # unequal variance bases run on the graph side but cannot be flattened;
     # the slowed graph side is still running when embed raises

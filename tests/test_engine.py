@@ -10,7 +10,7 @@ from graphamp.engine import (Observable, block_product, init,
                              run, stationary_provider, step)
 from graphamp.graphs import EdgeId, single_loop, two_node_chain
 from graphamp.nonlinearity import (Entrywise, FromCallable, Identity,
-                                   Nonlinearity, Scaled)
+                                   Nonlinearity)
 from helpers import default_prior
 
 
@@ -102,7 +102,7 @@ def _two_block_instance(leak_at=None):
     x0 = np.random.default_rng(1).standard_normal((6, 3))
     inst = GraphInstance(
         graph=g, matrices={loop: G + G.T},
-        provider=lambda e, t, traj: _TwoBlocks(leak=t == leak_at),
+        provider=lambda e, t, b: _TwoBlocks(leak=t == leak_at),
         x0={loop: x0})
     return inst, loop
 
@@ -151,7 +151,7 @@ def _identity_loop(A, q):
     loop = EdgeId("v", "v")
     x0 = np.random.default_rng(7).standard_normal((n, q))
     inst = GraphInstance(graph=single_loop("v", n, q=q), matrices={loop: A},
-                         provider=lambda e, t, traj: Identity(), x0={loop: x0})
+                         provider=lambda e, t, b: Identity(), x0={loop: x0})
     return inst, loop, x0
 
 
@@ -190,7 +190,7 @@ def test_loop_matrix_symmetry_tolerance():
         B[0, 1] += delta
         g = single_loop("v", 5)
         return GraphInstance(graph=g, matrices={EdgeId("v", "v"): B},
-                             provider=lambda e, t, traj: Identity())
+                             provider=lambda e, t, b: Identity())
 
     build(1e-12)
     with pytest.raises(ShapeError, match="symmetric"):
@@ -250,12 +250,12 @@ def test_divergence_aborts_with_location():
     assert ei.value.t is not None and ei.value.t > 1
 
 
-def _centering_chain(n, wrap=lambda f: f):
+def _centering_chain(n):
     """Chain whose forward update centers its input: not row-local, and
     FromCallable without jac, so its trace is the FD fallback."""
     g = two_node_chain("sig", n, "obs", 10)
     fwd = EdgeId("sig", "obs")
-    center = wrap(FromCallable(lambda inputs, side: inputs[0] - inputs[0].mean(axis=0)))
+    center = FromCallable(lambda inputs, side: inputs[0] - inputs[0].mean(axis=0))
     A = np.random.default_rng(2).normal(size=(10, n)) / np.sqrt(n)
     inst = GraphInstance(
         graph=g,
@@ -266,10 +266,8 @@ def _centering_chain(n, wrap=lambda f: f):
     return inst, fwd
 
 
-@pytest.mark.parametrize("wrap", [lambda f: f, lambda f: Scaled(f, 2.0)],
-                         ids=["from_callable", "scaled"])
-def test_costly_fd_fallback_aborts_with_location(wrap):
-    inst, fwd = _centering_chain(2000, wrap)
+def test_costly_fd_fallback_aborts_with_location():
+    inst, fwd = _centering_chain(2000)
     start = time.perf_counter()
     with pytest.raises(NumericalError, match="analytic jacobian_trace") as ei:
         run(inst, 2, allow_degenerate=True)

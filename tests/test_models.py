@@ -69,7 +69,7 @@ def test_depth_one_multilayer_is_a_stationary_line_graph():
     ml = MultilayerModel(d0=80, layers=layer_specs([40], ["relu"]))
     inst, y = build_multilayer_instance(ml, seed=4)
     assert set(inst.graph.vertices) == {"z0", "z1"}
-    # the generic SE calls the provider without a trajectory
+    # the generic SE calls the provider with b=None
     for e in inst.graph.edges:
         assert inst.provider(e, 0, None) is inst.provider(e, 5, None)
     traj = run(inst, 8, allow_degenerate=True)

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from graphamp.nonlinearity import (Entrywise, EntrywiseThenMix, FromCallable,
-                                   Identity, LinearEntrywiseLinear, Scaled,
-                                   SideData, Zero, estimate_pl_constant,
+                                   Identity, LinearEntrywiseLinear, SideData,
+                                   Zero, estimate_pl_constant,
                                    fd_jacobian_trace, relu)
 
 
@@ -69,14 +69,6 @@ def test_linear_entrywise_linear_parts_and_jacobian():
         fd = fd_jacobian_trace(f, x, side=side, wrt=wrt)
         assert an.shape == (3, x[wrt].shape[1])
         assert np.max(np.abs(an - fd)) < 1e-5 * max(1.0, np.abs(an).max())
-
-
-def test_scaled_wrapper():
-    inner = Entrywise(np.tanh, lambda x: 1.0 - np.tanh(x) ** 2)
-    f = Scaled(inner, -2.5)
-    x = np.random.default_rng(4).normal(size=(12, 1))
-    assert np.allclose(f.apply([x]), -2.5 * np.tanh(x))
-    assert np.allclose(f.jacobian_trace([x]), -2.5 * inner.jacobian_trace([x]))
 
 
 def test_from_callable_with_analytic_jacobian():

@@ -1,4 +1,6 @@
+import importlib
 import os
+import runpy
 import subprocess
 import sys
 
@@ -25,3 +27,13 @@ def test_cli_import_leaves_scipy_unloaded():
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_every_benchmark_trace_target_resolves():
+    # the benchmark's tracer getattr()s every target, so a deleted one
+    # breaks each traced run; run_path reads the file without caching it
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    targets = runpy.run_path(os.path.join(root, "perfbench", "tracer.py"))["TARGETS"]
+    assert targets
+    assert [f"{mod}.{attr}" for mod, attr, *_ in targets
+            if not hasattr(importlib.import_module(mod), attr)] == []

@@ -13,10 +13,9 @@ from graphamp.nonlinearity import (Entrywise, FromCallable, Identity,
                                    LinearEntrywiseLinear, Nonlinearity, Zero,
                                    relu)
 from graphamp.gamp_se import gaussian_piecewise_nodes
-from graphamp.state_evolution import (amp_observable_stats, compare,
-                                      mc_observable_stats, se_init, se_run,
-                                      se_step, summarize)
-from graphamp.engine import norm_sq_observable
+from graphamp.state_evolution import (compare, mc_observable_stats, se_init,
+                                      se_run, se_step, summarize)
+from graphamp.engine import norm_sq_observable, observe
 from graphamp.ensembles import sample_goe, stream
 
 
@@ -113,11 +112,12 @@ def test_compare_merges_amp_and_se_statistics():
     from graphamp.engine import norm_sq_observable
     fwd = EdgeId("wts", "obs")
     obs = [norm_sq_observable(fwd, scale=1.0 / 100.0, name="nsq")]
-    trajs = []
+    values = {}
     for s in range(4):
         i2, _ = build_committee_instance(CommitteeModel(d=150, n=100), seed=10 + s)
-        trajs.append(run(i2, 4, allow_degenerate=True))
-    amp = amp_observable_stats(trajs, obs, times=[1, 2, 3])
+        for rec in observe(run(i2, 4, allow_degenerate=True), obs, times=[1, 2, 3]):
+            values.setdefault((rec["t"], rec["observable"]), []).append(rec["value"])
+    amp = {key: summarize(vals) for key, vals in values.items()}
     cov = se_run(inst, T=3, reps=1500, seed=7)
     se = mc_observable_stats(inst, cov, obs, times=[1, 2, 3], reps=300, seed=8)
     recs = compare(amp, se)
