@@ -43,10 +43,21 @@ sums are added in a fixed order, so results are reproducible and do not
 depend on the number of workers.  The initializer's outputs m^0_e are
 computed once per run, by se_init.
 
-The CLI reads its predictions off the kernels (||x^t_e||^2 / n_e tends
-to tr K_e^{t,t}) with stderr 0: the kernels' Monte Carlo noise, if an
-edge takes that route, is not estimated.  mc_observable_stats samples
-other observables under the final kernels.
+The updates are memoryless, so the time-diagonal blocks close on
+their own: K_e^{t+1,t+1} = (1/S_e) E[f^t_e(Z^t)^T f^t_e(Z^t)] needs only
+each input's K^{t,t} and the side data (the one-edge case is the tau_t
+recursion of Bayati & Montanari).  se_run(diagonal=True) runs that
+recursion: each step forms the row of time t alone, by the same exact
+and Monte Carlo code (the latter drawing each family for time t from
+the q x q factor of K^{t,t}), and keeps the PSD part of the new block.
+A run then integrates O(T) rows instead of O(T^2).  Its result holds
+no cross-time block, and reading one raises.
+
+The CLI reads its predictions off the diagonal blocks (||x^t_e||^2 /
+n_e tends to tr K_e^{t,t}) with stderr 0: the kernels' Monte Carlo
+noise, if an edge takes that route, is not estimated.
+mc_observable_stats samples other observables under the final full
+kernels.
 
 This generic recursion needs update functions with a fixed schedule
 (provider callable with b=None).  Iterations whose step sizes adapt
@@ -83,28 +94,39 @@ _QUAD_TILE = 1 << 15
 class SECovariances:
     """Per-edge covariance kernels; K[e][a, b] is the q x q covariance
     between iterate times a+1 and b+1.  m0[e] is the initializer's
-    output f^0_e(x^0), the same at every step."""
+    output f^0_e(x^0), the same at every step.
+
+    A diagonal result (se_run(diagonal=True)) holds only the time-diagonal
+    blocks: K[e][a] is K_e^{a+1,a+1}, of shape (T, q, q), and no
+    cross-time covariance exists to read."""
 
     K: Dict[EdgeId, np.ndarray]
     T: int
     m0: Dict[EdgeId, np.ndarray]
+    diagonal: bool = False
 
     def kernel(self, e: EdgeId, s: int, t: int) -> np.ndarray:
         """Covariance of (x^s_e, x^t_e), 1-based times."""
-        return self.K[e][s - 1, t - 1]
+        if not self.diagonal:
+            return self.K[e][s - 1, t - 1]
+        if s != t:
+            raise ValueError(f"a diagonal SE result has no cross-time block ({s}, {t})")
+        return self.K[e][t - 1]
 
 
-def se_init(instance: GraphInstance) -> SECovariances:
-    """One-time kernel from the deterministic first update."""
+def se_init(instance: GraphInstance, diagonal: bool = False) -> SECovariances:
+    """One-time kernel from the deterministic first update; `diagonal`
+    starts a time-diagonal recursion (see se_run)."""
     g = instance.graph
     x0 = {e: np.asarray(instance.x0.get(e, np.zeros(g.x_shape(e))), dtype=float)
           for e in g.edges}
     m0 = {e: np.asarray(instance.provider(e, 0, None).apply(
         [x0[ein] for ein in edges_into(g, e)], side=instance.side_data(e)), dtype=float)
         for e in canonical_edge_order(g)}
-    K = {e: (m.T @ m / instance.scale(e)).reshape(1, 1, g.q(e), g.q(e))
+    shape = (1,) if diagonal else (1, 1)
+    K = {e: (m.T @ m / instance.scale(e)).reshape(shape + (g.q(e), g.q(e)))
          for e, m in m0.items()}
-    return SECovariances(K=K, T=1, m0=m0)
+    return SECovariances(K=K, T=1, m0=m0, diagonal=diagonal)
 
 
 def _stacked(K_e: np.ndarray) -> np.ndarray:
@@ -248,41 +270,45 @@ def _phi_moments(f_s: LinearEntrywiseLinear, f_t: LinearEntrywiseLinear,
 
 
 def _exact_row(instance: GraphInstance, cov: SECovariances, e: EdgeId,
-               fns: Sequence[LinearEntrywiseLinear]) -> List[np.ndarray]:
+               fns: Sequence[LinearEntrywiseLinear],
+               rows: Sequence[int]) -> List[np.ndarray]:
     """Sums over the rows of E[f_s^T f_t] on edge e by the exact route,
-    for s = 0..t with t = cov.T and fns the maps at times 0..t; s = 0
-    stands for the initializer's output m0.  The phi parts of the rows
-    whose maps are one object (every row, for a stationary provider)
-    are integrated in one batch."""
+    for the earlier times s in rows (ascending, within 0..t, t = cov.T)
+    and fns the maps at times 0..t; s = 0 stands for the initializer's
+    output m0.  The phi parts of the rows whose maps are one object
+    (every row, for a stationary provider) are integrated in one
+    batch."""
     g = instance.graph
     t, f_t = cov.T, fns[-1]
     n, q = g.node_dim[e.start], g.q(e)
     side = instance.side_data(e)
-    K = [cov.K[ein] for ein in edges_into(g, e)]
+    ins = edges_into(g, e)
     m0 = cov.m0[e]
 
     def field_cov(fa, fb, a, b):
         """Covariance of (W^a, W^b) (1-based times) of maps fa and fb."""
         width = [q if np.ndim(f.R) == 0 else len(f.R) for f in (fa, fb)]
-        return sum((sandwich(A, Kj[a - 1, b - 1], B)
-                    for A, B, Kj in zip(fa.L, fb.L, K)
+        return sum((sandwich(A, cov.kernel(ein, a, b), B)
+                    for A, B, ein in zip(fa.L, fb.L, ins)
                     if A is not None and B is not None), np.zeros(width))
 
-    S = [np.zeros((q, q)) for _ in range(t + 1)]
+    S = {s: np.zeros((q, q)) for s in rows}
     Y_t = f_t.offset_rows(side, n)
-    if Y_t is not None:
+    if Y_t is not None and 0 in S:
         S[0] += m0.T @ Y_t
-    for s in range(1, t + 1):
+    for s in rows:
+        if s == 0:
+            continue
         Y_s = fns[s].offset_rows(side, n)
         if Y_s is not None and Y_t is not None:
             S[s] += Y_s.T @ Y_t
-        S[s] += n * sum((sandwich(A, Kj[s - 1, t - 1], B)
-                         for A, B, Kj in zip(fns[s].M, f_t.M, K)
+        S[s] += n * sum((sandwich(A, cov.kernel(ein, s, t), B)
+                         for A, B, ein in zip(fns[s].M, f_t.M, ins)
                          if A is not None and B is not None), np.zeros((q, q)))
     if f_t.phi is not None:
         batches: Dict[int, List[int]] = {}
-        for s in range(1, t + 1):
-            if fns[s].phi is not None:
+        for s in rows:
+            if s and fns[s].phi is not None:
                 batches.setdefault(id(fns[s]), []).append(s)
         var_t = np.diag(field_cov(f_t, f_t, t, t))
         for ss in batches.values():
@@ -295,9 +321,10 @@ def _exact_row(instance: GraphInstance, cov: SECovariances, e: EdgeId,
                 if s == t:
                     # the nested rule is not symmetric in (a, b); the block must be
                     E_s = 0.5 * (E_s + E_s.T)
-                    S[0] += np.outer(m0.sum(axis=0), times(mean_s, f_t.R)[0])
+                    if 0 in S:
+                        S[0] += np.outer(m0.sum(axis=0), times(mean_s, f_t.R)[0])
                 S[s] += n * sandwich(f_s.R, E_s, f_t.R)
-    return [S[0] / f_t.den] + [S[s] / (fns[s].den * f_t.den) for s in range(1, t + 1)]
+    return [S[s] / (fns[s].den * f_t.den) if s else S[0] / f_t.den for s in rows]
 
 
 def se_step(instance: GraphInstance, cov: SECovariances, reps: int,
@@ -313,15 +340,24 @@ def se_step(instance: GraphInstance, cov: SECovariances, reps: int,
     partial results that are combined in a fixed order, so the output
     depends only on (kernels, reps, chunk, rngs), never on `workers`,
     the number of them run at once.
+
+    A diagonal cov (see se_run) gets only the new block K^{t+1,t+1}:
+    the rows read time t alone, and the families are drawn for time t
+    from the q x q factor of K^{t,t}.
     """
     g = instance.graph
     t = cov.T
     order = canonical_edge_order(g)
+    # the earlier times whose cross rows the step forms, and the times a
+    # drawn family holds, in column order
+    rows = [t] if cov.diagonal else list(range(t + 1))
+    span = [s for s in rows if s]
     fns = {e: [instance.provider(e, s, None) for s in range(t + 1)] for e in order}
     exact = [e for e in order if _exact(fns[e][1:])]
     mc = [e for e in order if e not in exact]
     drawn = [e for e in order if any(e in edges_into(g, x) for x in mc)]
-    factors = {e: family_factor(cov.K[e]) for e in drawn}
+    factors = {e: family_factor(cov.K[e][-1][None, None] if cov.diagonal else cov.K[e])
+               for e in drawn}
     sizes = _chunks(reps, chunk) if mc else []
 
     def chunk_sums(c: int) -> Dict[EdgeId, np.ndarray]:
@@ -336,17 +372,20 @@ def se_step(instance: GraphInstance, cov: SECovariances, reps: int,
             tiled = _tile_side(side, rc) if any(f.row_local for f in fns[e]) else None
 
             def m(s):
-                inputs = [_time_block(fam[ein], s, g.q(ein)) for ein in ins]
+                inputs = [_time_block(fam[ein], span.index(s) + 1, g.q(ein)) for ein in ins]
                 return _eval_copies(fns[e][s], inputs, side, tiled, rc)
 
             mt = m(t)
-            # row s holds sum over copies of m_s^T m_t; m_0 is the same
-            # deterministic output in every copy
-            S = np.empty((t + 1, g.q(e), g.q(e)))
-            S[0] = cov.m0[e].T @ mt.reshape(rc, -1, g.q(e)).sum(axis=0)
-            for s in range(1, t):
-                S[s] = m(s).T @ mt
-            S[t] = mt.T @ mt
+            # row i holds sum over copies of m_s^T m_t for s = rows[i]; m_0
+            # is the same deterministic output in every copy
+            S = np.empty((len(rows), g.q(e), g.q(e)))
+            for i, s in enumerate(rows):
+                if s == 0:
+                    S[i] = cov.m0[e].T @ mt.reshape(rc, -1, g.q(e)).sum(axis=0)
+                elif s == t:
+                    S[i] = mt.T @ mt
+                else:
+                    S[i] = m(s).T @ mt
             sums[e] = S
         return sums
 
@@ -354,7 +393,7 @@ def se_step(instance: GraphInstance, cov: SECovariances, reps: int,
         if i < len(sizes):
             return chunk_sums(i)
         e = exact[i - len(sizes)]
-        return _exact_row(instance, cov, e, fns[e])
+        return _exact_row(instance, cov, e, fns[e], rows)
 
     results = map_ordered(task, len(sizes) + len(exact), workers)
     moments = dict(zip(exact, results[len(sizes):]))
@@ -369,6 +408,11 @@ def se_step(instance: GraphInstance, cov: SECovariances, reps: int,
             for part in results[1:len(sizes)]:
                 S += part[e]
             denom = reps * instance.scale(e)
+        if cov.diagonal:
+            # the new block's own PSD part, as the full kernel's below
+            new = _psd_part((S[0] / denom)[None, None])[0, 0]
+            K[e] = np.concatenate([cov.K[e], new[None]])
+            continue
         new = np.zeros((t + 1, t + 1, q, q))
         new[:t, :t] = cov.K[e]
         for s in range(t + 1):
@@ -379,17 +423,23 @@ def se_step(instance: GraphInstance, cov: SECovariances, reps: int,
         # be inconsistent with the earlier rows; keep the PSD part, the
         # covariance family_factor would sample from anyway
         K[e] = _psd_part(new)
-    return SECovariances(K=K, T=t + 1, m0=cov.m0)
+    return SECovariances(K=K, T=t + 1, m0=cov.m0, diagonal=cov.diagonal)
 
 
 def se_run(instance: GraphInstance, T: int, reps: int = 2000, seed: int = 0,
-           chunk: int = DEFAULT_CHUNK, workers: int = 1) -> SECovariances:
+           chunk: int = DEFAULT_CHUNK, workers: int = 1,
+           diagonal: bool = False) -> SECovariances:
     """Covariance kernels for iterate times 1..T; `workers` chunks and
-    exact edges run at once without changing the result."""
+    exact edges run at once without changing the result.
+
+    With diagonal=True only the blocks K_e^{t,t} are formed, from the
+    inputs' K^{t,t} alone (see the module docstring); they agree with
+    the full kernel's up to the rounding-level revisions its PSD step
+    makes to earlier blocks."""
     if T < 1:
         raise ValueError("T must be >= 1")
     factory = lambda *labels: stream(seed, *labels)
-    cov = se_init(instance)
+    cov = se_init(instance, diagonal=diagonal)
     while cov.T < T:
         cov = se_step(instance, cov, reps, factory, chunk=chunk, workers=workers)
     return cov
@@ -417,6 +467,9 @@ def mc_observable_stats(instance: GraphInstance, cov: SECovariances,
     values are gathered in chunk order, so `workers` does not change
     the result.
     """
+    if cov.diagonal:
+        raise ValueError("observables are sampled from a full kernel; "
+                         "a diagonal SE result has no time family")
     g = instance.graph
     order = canonical_edge_order(g)
     ts = sorted(set(times)) if times is not None else list(range(cov.T + 1))

@@ -13,6 +13,7 @@ from graphamp import config as config_mod
 from graphamp.cli import main
 from graphamp.config import MODEL_KINDS
 from graphamp.engine import run
+from graphamp import state_evolution
 from graphamp.graphs import canonical_edge_order
 from graphamp.state_evolution import se_run
 
@@ -90,13 +91,17 @@ def test_worker_pool_splits_generic_se_without_changing_artifacts(tmp_path):
 
 def test_generic_se_rows_are_kernel_traces():
     # the rows of x^t_e tend to N(0, K_e^{t,t}): the prediction of
-    # ||x^t_e||^2 / n_e is tr K_e^{t,t}, read off se_run with no sampling,
-    # on each AMP seed's instance (the SE is conditional on its side
-    # data) and averaged over the seeds
+    # ||x^t_e||^2 / n_e is tr K_e^{t,t}, read off the time-diagonal
+    # se_run with no sampling, on each AMP seed's instance (the SE is
+    # conditional on its side data, so the seeds' traces differ) and
+    # averaged over the seeds; the full kernel's diagonal agrees up to
+    # the rounding-level revisions of its PSD step
     cfg = config_mod.validate(SMALL_COMMITTEE)
     instances = [cli._build_zoo(cfg, seed)[0] for seed in cfg.amp_seeds]
-    covs = [se_run(inst, cfg.T, reps=cfg.se_samples, seed=cfg.master_seed)
-            for inst in instances]
+    covs = [se_run(inst, cfg.T, reps=cfg.se_samples, seed=cfg.master_seed,
+                   diagonal=True) for inst in instances]
+    fulls = [se_run(inst, cfg.T, reps=cfg.se_samples, seed=cfg.master_seed)
+             for inst in instances]
     rows = {(t, name): (value, stderr)
             for t, name, value, stderr in cli.se_rows_for(cfg, workers=2)}
     edges = canonical_edge_order(instances[0].graph)
@@ -107,7 +112,26 @@ def test_generic_se_rows_are_kernel_traces():
             traces = [float(np.trace(cov.kernel(e, t, t))) for cov in covs]
             differ += traces[0] != traces[1]
             assert rows[(t, f"norm_sq[{e}]")] == (float(np.mean(traces)), 0.0)
+            full = [float(np.trace(cov.kernel(e, t, t))) for cov in fulls]
+            np.testing.assert_allclose(traces, full, rtol=1e-12)
     assert differ
+
+
+def test_seed_se_integrates_one_time_row_per_step(monkeypatch):
+    # the CLI reads only tr K^{t,t}, so each step of a seed's SE
+    # integrates the phi moments of time t alone, not of every earlier
+    # time; the committee's signal edge has one phi batch per step
+    calls = []
+    moments = state_evolution._phi_moments
+
+    def recording_moments(f_s, f_t, var_s, var_t, cov_st):
+        calls.append(len(var_s) // len(var_t))
+        return moments(f_s, f_t, var_s, var_t, cov_st)
+
+    monkeypatch.setattr(state_evolution, "_phi_moments", recording_moments)
+    cfg = config_mod.validate(SMALL_COMMITTEE)
+    cli._seed_se(cfg, cli._build_zoo(cfg, cfg.amp_seeds[0])[0])
+    assert calls == [1] * (cfg.T - 1)
 
 
 def test_run_builds_each_seed_instance_once(tmp_path, monkeypatch):

@@ -201,6 +201,23 @@ def affine_or_phi_instances(draw):
     return instance, draw(st.integers(2, 3)), seed
 
 
+@seed(0)
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(affine_or_phi_instances())
+def test_random_maps_diagonal_recursion_matches_the_full_kernel(case):
+    # the time-diagonal recursion reads each input's K^{t,t} alone; its
+    # blocks are the full kernel's diagonal up to the rounding-level
+    # revisions of the full recursion's PSD step
+    instance, T, seed = case
+    diag = se_run(instance, T, reps=16, seed=seed, diagonal=True)
+    full = se_run(instance, T, reps=16, seed=seed)
+    for e in instance.graph.edges:
+        floor = 1e-15 * np.abs(full.K[e]).max()
+        for t in range(1, T + 1):
+            np.testing.assert_allclose(diag.kernel(e, t, t), full.kernel(e, t, t),
+                                       rtol=1e-12, atol=floor, err_msg=f"{e} t={t}")
+
+
 @settings(derandomize=True, max_examples=40, deadline=None)
 @given(affine_or_phi_instances())
 def test_random_maps_exact_kernels_match_tenfold_monte_carlo(case):

@@ -405,3 +405,42 @@ def test_family_factor_once_per_step_and_edge(monkeypatch):
     calls.clear()
     mc_observable_stats(inst, cov, [], reps=300, seed=4, chunk=64)
     assert len(calls) == 2
+
+
+def test_diagonal_result_has_no_cross_time_blocks():
+    # the time-diagonal recursion keeps K^{t,t} alone: a cross-time read
+    # raises instead of returning a block that was never formed, and so
+    # does sampling a time family from it
+    inst = _committee(n=60)
+    cov = se_run(inst, 3, reps=16, diagonal=True)
+    assert cov.diagonal and cov.K[SIG].shape == (3, 2, 2)
+    np.testing.assert_allclose(cov.kernel(SIG, 3, 3),
+                               se_run(inst, 3, reps=16).kernel(SIG, 3, 3), rtol=1e-12)
+    for s, t in ((1, 2), (3, 1)):
+        with pytest.raises(ValueError, match="cross-time"):
+            cov.kernel(SIG, s, t)
+    with pytest.raises(ValueError, match="diagonal"):
+        mc_observable_stats(inst, cov, [norm_sq_observable(SIG)], reps=16)
+
+
+def test_diagonal_monte_carlo_draws_time_t_alone(monkeypatch):
+    # on Monte Carlo the diagonal recursion draws each family for time t
+    # alone, from the q x q factor of K^{t,t}, and its blocks agree with
+    # the exact diagonal within 4 sd of the mean of R runs
+    inst, T, B, R = _committee(n=150), 4, 256, 8
+    widths = []
+    sample = state_evolution.sample_gaussian_family
+    monkeypatch.setattr(state_evolution, "sample_gaussian_family",
+                        lambda F, *args: widths.append(F.shape) or sample(F, *args))
+    refs = [se_run(_mc_twin(inst), T, reps=B, seed=1 + r, diagonal=True)
+            for r in range(R)]
+    assert len(widths) == R * (T - 1) * 2 * (B // state_evolution.DEFAULT_CHUNK)
+    assert set(widths) == {(2, 2)}
+    exact = se_run(inst, T, reps=B, diagonal=True)
+    for e in (SIG, OBS):
+        K = np.stack([ref.K[e] for ref in refs])
+        mean, var = K.mean(axis=0), K.var(axis=0, ddof=1)
+        np.testing.assert_allclose(exact.K[e][0], mean[0], rtol=1e-8)
+        for t in range(1, T):
+            sd = np.sqrt(var[t].sum() / R)
+            assert np.linalg.norm(exact.K[e][t] - mean[t]) <= 4 * sd, (e, t)
