@@ -23,8 +23,9 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -45,7 +46,7 @@ from .models import (CommitteeModel, GmmSpatialModel, MultilayerModel,
                      ridge_model, spiked_scalar_se)
 from .nonlinearity import Entrywise
 from .reporting import ReportIOError, write_dict_rows
-from .state_evolution import compare, map_ordered, se_run, summarize
+from .state_evolution import compare, se_run, summarize
 
 TRAJ_HEADER = ("seed", "t", "name", "value")
 SE_HEADER = ("t", "name", "value", "stderr")
@@ -311,6 +312,15 @@ def se_rows_for(cfg, workers=1, per_seed=None) -> List[Tuple[int, str, float, fl
 
 # ---------------------------------------------------------------------------
 # run orchestration
+
+def map_ordered(task: Callable[[int], Any], n_tasks: int, workers: int) -> List[Any]:
+    """task(i) for i in range(n_tasks), results in index order whatever
+    the worker count; tasks run on a thread pool when workers > 1."""
+    if workers <= 1 or n_tasks <= 1:
+        return [task(i) for i in range(n_tasks)]
+    with ThreadPoolExecutor(max_workers=min(workers, n_tasks)) as pool:
+        return list(pool.map(task, range(n_tasks)))
+
 
 def _run_one_seed(cfg, seed):
     """(AMP rows, SE prediction, fixed point) of one seed, all its gate

@@ -137,29 +137,30 @@ class AmpTrajectory:
         return len(self.x[e]) - 1
 
 
+def initial_iterates(instance: GraphInstance) -> Dict[EdgeId, np.ndarray]:
+    """x^0 of every edge in canonical order, zeros where not supplied."""
+    g = instance.graph
+    xs: Dict[EdgeId, np.ndarray] = {}
+    for e in canonical_edge_order(g):
+        v = np.asarray(instance.x0[e], dtype=float) if e in instance.x0 else np.zeros(g.x_shape(e))
+        if v.shape != g.x_shape(e):
+            raise ShapeError(f"x0 for {e} has shape {v.shape}, expected {g.x_shape(e)}")
+        xs[e] = v
+    return xs
+
+
 def init(instance: GraphInstance, allow_degenerate: bool = False) -> AmpTrajectory:
     """Trajectory holding x^0 (zeros where not supplied)."""
-    g = instance.graph
-    xs: Dict[EdgeId, List[np.ndarray]] = {}
-    any_nonzero = False
-    for e in canonical_edge_order(g):
-        if e in instance.x0:
-            v = np.asarray(instance.x0[e], dtype=float)
-            if v.shape != g.x_shape(e):
-                raise ShapeError(f"x0 for {e} has shape {v.shape}, expected {g.x_shape(e)}")
-        else:
-            v = np.zeros(g.x_shape(e))
-        if np.any(v != 0.0):
-            any_nonzero = True
-        xs[e] = [v]
-    if not any_nonzero and not allow_degenerate:
+    xs = initial_iterates(instance)
+    if not allow_degenerate and not any(np.any(v != 0.0) for v in xs.values()):
         warnings.warn(
             "all edges initialized at zero; odd update functions will keep the "
             "iteration at the all-zero fixed point (pass allow_degenerate=True "
             "to silence)",
             stacklevel=2,
         )
-    return AmpTrajectory(graph=g, x=xs, m={e: [] for e in xs}, b={e: [] for e in xs})
+    return AmpTrajectory(graph=instance.graph, x={e: [v] for e, v in xs.items()},
+                         m={e: [] for e in xs}, b={e: [] for e in xs})
 
 
 def onsager(instance: GraphInstance, e: EdgeId, t: int, f: Nonlinearity,

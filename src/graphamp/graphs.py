@@ -168,12 +168,7 @@ def reversed_input_index(spec: GraphSpec, e: EdgeId) -> int:
 
 def two_node_chain(name_a: str, dim_a: int, name_b: str, dim_b: int, q: int = 1) -> GraphSpec:
     """The asymmetric 2-node graph (one edge pair)."""
-    e = EdgeId(name_a, name_b)
-    return GraphSpec(
-        node_dim={name_a: dim_a, name_b: dim_b},
-        edges=frozenset({e, e.reversed()}),
-        edge_cols={e: q, e.reversed(): q},
-    )
+    return line_graph([name_a, name_b], [dim_a, dim_b], q)
 
 
 def line_graph(names, dims, q: int = 1) -> GraphSpec:
@@ -194,3 +189,10 @@ def line_graph(names, dims, q: int = 1) -> GraphSpec:
 def single_loop(name: str, dim: int, q: int = 1) -> GraphSpec:
     e = EdgeId(name, name)
     return GraphSpec(node_dim={name: dim}, edges=frozenset({e}), edge_cols={e: q})
+
+
+def with_loop(spec: GraphSpec, name: str) -> GraphSpec:
+    """spec with a one-column loop added at its vertex name."""
+    e = EdgeId(name, name)
+    return GraphSpec(node_dim=spec.node_dim, edges=spec.edges | {e},
+                     edge_cols={**spec.edge_cols, e: 1})

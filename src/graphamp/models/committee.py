@@ -22,7 +22,7 @@ import numpy as np
 
 from ..engine import GraphInstance, stationary_provider
 from ..ensembles import normals, sample_iid, stream
-from ..graphs import EdgeId, GraphSpec
+from ..graphs import EdgeId, line_graph
 from ..nonlinearity import EntrywiseThenMix, LinearEntrywiseLinear, SideData
 from ..prox import soft_threshold
 
@@ -55,9 +55,7 @@ def build_committee_instance(model: CommitteeModel, seed: int = 0):
     """Chain instance with q = 2 on both edges; returns (instance, Y)."""
     fwd = EdgeId("wts", "obs")
     bwd = fwd.reversed()
-    g = GraphSpec(node_dim={"wts": model.d, "obs": model.n},
-                  edges=frozenset({fwd, bwd}),
-                  edge_cols={fwd: 2, bwd: 2})
+    g = line_graph(["wts", "obs"], [model.d, model.n], q=2)
     A = sample_iid(model.n, model.d, model.d, stream(seed, "committee", "A"))
     Y = model.y_scale * normals(stream(seed, "committee", "Y"), (model.n, 2))
 

@@ -31,7 +31,7 @@ from ..engine import AmpTrajectory, GraphInstance
 from ..ensembles import sample_iid, stream
 from ..errors import NumericalError
 from ..gamp_se import Channel, GlmScalars, Prior, make_channel
-from ..graphs import EdgeId, two_node_chain
+from ..graphs import EdgeId, line_graph
 from ..nonlinearity import (LinearEntrywiseLinear, Nonlinearity, SideData,
                             Zero)
 from ..prox import ProxSpec, penalty_grad
@@ -173,7 +173,7 @@ def build_gamp_instance(model: GlmModel, seed: int = 0):
     """
     fwd = forward_edge()
     bwd = fwd.reversed()
-    g = two_node_chain("sig", model.d, "obs", model.n)
+    g = line_graph(["sig", "obs"], [model.d, model.n])
     A = sample_iid(model.n, model.d, model.d, stream(seed, "glm", "A"))
     x0 = model.prior.sample(model.d, stream(seed, "glm", "x0"))
     y = model.channel.sample(A @ x0, stream(seed, "glm", "y"))

@@ -40,7 +40,7 @@ import numpy as np
 
 from ..engine import AmpTrajectory, GraphInstance, block_product
 from ..ensembles import normals, sample_spatially_coupled, stream
-from ..graphs import EdgeId, GraphSpec
+from ..graphs import EdgeId, line_graph
 from ..nonlinearity import Nonlinearity, SideData
 from .glm import ObservationResidual, signal_half_iterates, two_phase_provider
 
@@ -191,9 +191,7 @@ def build_gmm_spatial_instance(model: GmmSpatialModel, seed: int = 0):
     fwd = EdgeId("stack", "obs")
     bwd = fwd.reversed()
     data = sample_gmm_data(model, seed, tag="train")
-    g = GraphSpec(node_dim={"stack": model.K * model.d, "obs": model.n},
-                  edges=frozenset({fwd, bwd}),
-                  edge_cols={fwd: model.K, bwd: model.K})
+    g = line_graph(["stack", "obs"], [model.K * model.d, model.n], q=model.K)
     instance = GraphInstance(
         graph=g,
         matrices={fwd: data.design},

@@ -129,14 +129,38 @@ def InteriorMessage(direction: str, below_index: int, above_index: int,
                                  kinks=kinks)
 
 
-def sample_pipeline(model: MultilayerModel, mats: Dict[int, np.ndarray],
-                    seed_rng) -> np.ndarray:
-    """Push a fresh signal through the layer maps, returning y."""
-    z = model.prior.sample(model.d0, seed_rng("signal"))
-    for l, layer in enumerate(model.layers, start=1):
-        act = _activation(layer.activation)[0]
-        z = act(mats[l] @ z)
+def push_pipeline(z: np.ndarray, mats, phis) -> np.ndarray:
+    """z pushed through the layer maps z <- phi_l(A_l z), l = 1..L."""
+    for A, phi in zip(mats, phis):
+        z = phi(A @ z)
     return z
+
+
+def line_matrices(names, dims, seed: int, *labels):
+    """(matrices, scale bases) of the upward edges names[l-1] -> names[l]
+    of a line: A_l is iid with variance 1/dims[l-1], drawn from
+    stream(seed, *labels, l), and dims[l-1] is its scale base."""
+    up = [EdgeId(a, b) for a, b in zip(names, names[1:])]
+    mats = {e: sample_iid(dims[l], dims[l - 1], dims[l - 1], stream(seed, *labels, l))
+            for l, e in enumerate(up, start=1)}
+    return mats, {e: float(dims[l - 1]) for l, e in enumerate(up, start=1)}
+
+
+def interior_messages(g, names, w_below: float, w_above: float,
+                      down_scale: float, up_scale: float, acts) -> Dict[EdgeId, Nonlinearity]:
+    """The down/up InteriorMessage pair out of every interior node
+    names[l] (0 < l < L) of a line in g.  Both read the fields from below
+    (names[l-1] -> names[l]) and above (names[l+1] -> names[l]) in their
+    edges_into slots; acts[l - 1] is the up message's activation."""
+    fns: Dict[EdgeId, Nonlinearity] = {}
+    for l in range(1, len(names) - 1):
+        below, above = EdgeId(names[l - 1], names[l]), EdgeId(names[l + 1], names[l])
+        ins = edges_into(g, above.reversed())
+        bi, ai = ins.index(below), ins.index(above)
+        fns[below.reversed()] = InteriorMessage("down", bi, ai, w_below, w_above, down_scale)
+        fns[above.reversed()] = InteriorMessage("up", bi, ai, w_below, w_above, up_scale,
+                                                acts[l - 1])
+    return fns
 
 
 def build_multilayer_instance(model: MultilayerModel, seed: int = 0):
@@ -144,38 +168,23 @@ def build_multilayer_instance(model: MultilayerModel, seed: int = 0):
     dims = model.dims
     names = [f"z{l}" for l in range(model.L + 1)]
     g = line_graph(names, dims)
+    mats, scale = line_matrices(names, dims, seed, "mlayer", "A")
+    fresh, _ = line_matrices(names, dims, seed, "mlayer", "indep")
+    acts = [_activation(layer.activation) for layer in model.layers]
+    y = push_pipeline(model.prior.sample(model.d0, stream(seed, "mlayer", "teacher", "signal")),
+                      fresh.values(), [act[0] for act in acts])
 
-    mats = {}
-    for l in range(1, model.L + 1):
-        mats[l] = sample_iid(dims[l], dims[l - 1], dims[l - 1],
-                             stream(seed, "mlayer", "A", l))
-
-    fresh = {l: sample_iid(dims[l], dims[l - 1], dims[l - 1],
-                           stream(seed, "mlayer", "indep", l))
-             for l in range(1, model.L + 1)}
-    y = sample_pipeline(model, fresh, lambda tag: stream(seed, "mlayer", "teacher", tag))
-
-    up = [EdgeId(names[l - 1], names[l]) for l in range(1, model.L + 1)]
-    fns: Dict[EdgeId, Nonlinearity] = {}
+    up = list(mats)
+    fns = interior_messages(g, names, model.w_a, model.w_b, model.w_h, model.w_e, acts)
     fns[up[0]] = PenaltyProx(GlmScalars(penalty=model.signal_prox), 1.0)
     fns[up[-1].reversed()] = ObservationResidual(model.obs_beta)
-    for l in range(1, model.L):
-        # both out-edges of z_l read the same inputs (edges ending at z_l)
-        below_edge, above_edge = up[l - 1], up[l].reversed()
-        ins = edges_into(g, up[l])
-        bi, ai = ins.index(below_edge), ins.index(above_edge)
-        act = _activation(model.layers[l - 1].activation)
-        fns[below_edge.reversed()] = InteriorMessage(
-            "down", bi, ai, model.w_a, model.w_b, model.w_h)
-        fns[up[l]] = InteriorMessage("up", bi, ai, model.w_a, model.w_b,
-                                     model.w_e, act)
 
     instance = GraphInstance(
         graph=g,
-        matrices={e: mats[l] for l, e in enumerate(up, start=1)},
+        matrices=mats,
         provider=stationary_provider(fns),
         x0={up[0]: np.full(g.x_shape(up[0]), 0.3)},
         side={up[-1].reversed(): SideData(arrays={"y": y})},
-        scale_base={e: float(dims[l - 1]) for l, e in enumerate(up, start=1)},
+        scale_base=scale,
     )
     return instance, y

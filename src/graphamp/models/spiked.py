@@ -25,18 +25,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from ..engine import GraphInstance, stationary_provider
-from ..ensembles import sample_goe, sample_iid, stream
+from ..ensembles import sample_goe, stream
 from ..errors import NumericalError
 from ..gamp_se import Prior, RademacherPrior, gh_points
-from ..graphs import EdgeId, GraphSpec, edges_into
-from ..nonlinearity import Entrywise, Nonlinearity
-from .multilayer import (InteriorMessage, _activation, check_activation,
-                         check_dims)
+from ..graphs import EdgeId, edges_into, line_graph, single_loop, with_loop
+from ..nonlinearity import Entrywise
+from .multilayer import (InteriorMessage, _activation, check_activation, check_dims,
+                         interior_messages, line_matrices, push_pipeline)
 
 
 @dataclass(frozen=True)
@@ -66,22 +66,19 @@ class SpikedModel:
 def build_spiked_instance(model: SpikedModel, seed: int = 0):
     """Sample (v0, W), form Y, and assemble the estimation graph.
 
-    Returns (instance, v0).  Depth 0 is a single loop; depth L >= 1
-    adds a generative line below the loop node.
+    Returns (instance, v0).  Depth 0 is a single loop; depth L >= 1 is
+    the line g0 - ... - g(L-1) - spike with the loop added at spike.
     """
     N, lam = model.N, model.lam
+    dims = model.gen_dims + (N,)
+    names = [f"g{l}" for l in range(model.depth)] + ["spike"]
+    gact = _activation(model.gen_activation)
     if model.depth == 0:
         v0 = model.prior.sample(N, stream(seed, "spiked", "v0"))
     else:
-        dims = model.gen_dims + (N,)
-        act = _activation(model.gen_activation)[0]
-        z = model.prior.sample(dims[0], stream(seed, "spiked", "w0"))
-        gen_mats = {}
-        for l in range(1, len(dims)):
-            gen_mats[l] = sample_iid(dims[l], dims[l - 1], dims[l - 1],
-                                     stream(seed, "spiked", "G", l))
-            z = act(gen_mats[l] @ z)
-        v0 = z
+        gen, _ = line_matrices(names, dims, seed, "spiked", "G")
+        v0 = push_pipeline(model.prior.sample(dims[0], stream(seed, "spiked", "w0")),
+                           gen.values(), [gact[0]] * model.depth)
 
     W = sample_goe(N, stream(seed, "spiked", "W"), scale_N=N)
     Y = (math.sqrt(lam) / N) * np.outer(v0, v0) + W
@@ -92,58 +89,34 @@ def build_spiked_instance(model: SpikedModel, seed: int = 0):
     loop = EdgeId("spike", "spike")
 
     if model.depth == 0:
-        g = GraphSpec(node_dim={"spike": N}, edges=frozenset({loop}))
         # informative start aligned with the spike: the two-scalar
         # recursion then begins at (mu0, q0) = (init_overlap, 0)
         inst = GraphInstance(
-            graph=g,
+            graph=single_loop("spike", N),
             matrices={loop: Y},
             provider=stationary_provider({loop: Entrywise(*denoiser)}),
             x0={loop: model.init_overlap * v0.reshape(-1, 1)},
         )
         return inst, v0
 
-    dims = model.gen_dims + (N,)
-    names = [f"g{l}" for l in range(len(model.gen_dims))] + ["spike"]
-    node_dim = {nm: dims[i] for i, nm in enumerate(names)}
-    edges = {loop}
-    for i in range(1, len(names)):
-        e = EdgeId(names[i - 1], names[i])
-        edges |= {e, e.reversed()}
-    g = GraphSpec(node_dim=node_dim, edges=frozenset(edges))
-
-    mats: Dict[EdgeId, np.ndarray] = {loop: Y}
-    scale = {loop: float(N)}
-    for i in range(1, len(names)):
-        e = EdgeId(names[i - 1], names[i])
-        mats[e] = sample_iid(dims[i], dims[i - 1], dims[i - 1],
-                             stream(seed, "spiked", "A", i))
-        scale[e] = float(dims[i - 1])
-
-    fns: Dict[EdgeId, Nonlinearity] = {}
+    g = with_loop(line_graph(names, dims), "spike")
+    mats, scale = line_matrices(names, dims, seed, "spiked", "A")
+    fns = interior_messages(g, names, 0.5, 0.5, 1.0, 1.0, [gact] * model.depth)
     top_up = EdgeId(names[-2], "spike")
     ins_at_spike = edges_into(g, loop)
-    li = ins_at_spike.index(loop)
-    ci = ins_at_spike.index(top_up)
     # the loop node mixes the loop field with the chain field before
     # the denoiser, and sends the same output both ways
     fns[loop] = fns[top_up.reversed()] = InteriorMessage(
-        "up", li, ci, 1.0 - model.w_mix, model.w_mix, 1.0, denoiser)
-    gact = _activation(model.gen_activation)
-    for i in range(1, len(names) - 1):
-        up_e = EdgeId(names[i - 1], names[i])
-        ins = edges_into(g, EdgeId(names[i], names[i + 1]))
-        bi, ai = ins.index(up_e), ins.index(EdgeId(names[i + 1], names[i]))
-        fns[EdgeId(names[i], names[i + 1])] = InteriorMessage("up", bi, ai, 0.5, 0.5, 1.0, gact)
-        fns[up_e.reversed()] = InteriorMessage("down", bi, ai, 0.5, 0.5)
+        "up", ins_at_spike.index(loop), ins_at_spike.index(top_up),
+        1.0 - model.w_mix, model.w_mix, 1.0, denoiser)
     fns[EdgeId(names[0], names[1])] = Entrywise(np.tanh, lambda x: 1.0 - np.tanh(x) ** 2)
 
     inst = GraphInstance(
         graph=g,
-        matrices=mats,
+        matrices={loop: Y, **mats},
         provider=stationary_provider(fns),
         x0={loop: 0.1 * np.ones((N, 1))},
-        scale_base=scale,
+        scale_base={loop: float(N), **scale},
     )
     return inst, v0
 

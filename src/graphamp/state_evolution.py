@@ -38,10 +38,9 @@ row of an edge in one of two ways:
 
 Either way the PSD part of the extended kernel is kept.  The Monte
 Carlo copies are split into fixed chunks, each with its own named
-stream; chunks and exact edges may run on a thread pool, and partial
-sums are added in a fixed order, so results are reproducible and do not
-depend on the number of workers.  The initializer's outputs m^0_e are
-computed once per run, by se_init.
+stream, and partial sums are added in chunk order, so results are
+reproducible.  The initializer's outputs m^0_e are computed once per
+run, by se_init.
 
 The updates are memoryless, so the time-diagonal blocks close on
 their own: K_e^{t+1,t+1} = (1/S_e) E[f^t_e(Z^t)^T f^t_e(Z^t)] needs only
@@ -67,13 +66,12 @@ gamp_se).
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .engine import GraphInstance, Observable
+from .engine import GraphInstance, Observable, initial_iterates
 from .ensembles import normals, stream
 from .gamp_se import gaussian_piecewise_nodes
 from .graphs import EdgeId, canonical_edge_order, edges_into
@@ -118,8 +116,7 @@ def se_init(instance: GraphInstance, diagonal: bool = False) -> SECovariances:
     """One-time kernel from the deterministic first update; `diagonal`
     starts a time-diagonal recursion (see se_run)."""
     g = instance.graph
-    x0 = {e: np.asarray(instance.x0.get(e, np.zeros(g.x_shape(e))), dtype=float)
-          for e in g.edges}
+    x0 = initial_iterates(instance)
     m0 = {e: np.asarray(instance.provider(e, 0, None).apply(
         [x0[ein] for ein in edges_into(g, e)], side=instance.side_data(e)), dtype=float)
         for e in canonical_edge_order(g)}
@@ -222,15 +219,6 @@ def _chunks(reps: int, chunk: int) -> List[int]:
     return [min(chunk, reps - a) for a in range(0, reps, chunk)]
 
 
-def map_ordered(task: Callable[[int], Any], n_tasks: int, workers: int) -> List[Any]:
-    """task(i) for i in range(n_tasks), results in index order whatever
-    the worker count; tasks run on a thread pool when workers > 1."""
-    if workers <= 1 or n_tasks <= 1:
-        return [task(i) for i in range(n_tasks)]
-    with ThreadPoolExecutor(max_workers=min(workers, n_tasks)) as pool:
-        return list(pool.map(task, range(n_tasks)))
-
-
 def _exact(fns: Sequence[Nonlinearity]) -> bool:
     """Whether an edge whose maps at times 1..t are fns takes the exact
     route (see the module docstring)."""
@@ -329,17 +317,14 @@ def _exact_row(instance: GraphInstance, cov: SECovariances, e: EdgeId,
 
 def se_step(instance: GraphInstance, cov: SECovariances, reps: int,
             rng_factory: Callable[..., np.random.Generator],
-            chunk: int = DEFAULT_CHUNK, workers: int = 1) -> SECovariances:
+            chunk: int = DEFAULT_CHUNK) -> SECovariances:
     """Extend every kernel by one time.
 
     Edges that qualify (see _exact) get exact rows; the others use reps
-    Monte Carlo copies, split into fixed chunks of `chunk`.  Chunk c
-    draws the family of each edge e that an MC edge reads from
-    rng_factory("se", t, str(e), c), which must return independent
-    generators for distinct labels.  Chunks and exact edges return
-    partial results that are combined in a fixed order, so the output
-    depends only on (kernels, reps, chunk, rngs), never on `workers`,
-    the number of them run at once.
+    Monte Carlo copies, split into fixed chunks of `chunk`, whose
+    partial sums are added in chunk order.  Chunk c draws the family of
+    each edge e that an MC edge reads from rng_factory("se", t, str(e),
+    c), which must return independent generators for distinct labels.
 
     A diagonal cov (see se_run) gets only the new block K^{t+1,t+1}:
     the rows read time t alone, and the families are drawn for time t
@@ -361,6 +346,7 @@ def se_step(instance: GraphInstance, cov: SECovariances, reps: int,
     sizes = _chunks(reps, chunk) if mc else []
 
     def chunk_sums(c: int) -> Dict[EdgeId, np.ndarray]:
+        # one chunk's family lives only while its sums are formed
         rc = sizes[c]
         fam = {e: sample_gaussian_family(factors[e], g.node_dim[e.end], rc,
                                          rng_factory("se", t, str(e), c))
@@ -389,14 +375,8 @@ def se_step(instance: GraphInstance, cov: SECovariances, reps: int,
             sums[e] = S
         return sums
 
-    def task(i: int):
-        if i < len(sizes):
-            return chunk_sums(i)
-        e = exact[i - len(sizes)]
-        return _exact_row(instance, cov, e, fns[e], rows)
-
-    results = map_ordered(task, len(sizes) + len(exact), workers)
-    moments = dict(zip(exact, results[len(sizes):]))
+    parts = [chunk_sums(c) for c in range(len(sizes))]
+    moments = {e: _exact_row(instance, cov, e, fns[e], rows) for e in exact}
     K = {}
     for e in order:
         q = g.q(e)
@@ -404,8 +384,8 @@ def se_step(instance: GraphInstance, cov: SECovariances, reps: int,
             S = moments[e]
             denom = instance.scale(e)
         else:
-            S = results[0][e]
-            for part in results[1:len(sizes)]:
+            S = parts[0][e]
+            for part in parts[1:]:
                 S += part[e]
             denom = reps * instance.scale(e)
         if cov.diagonal:
@@ -427,10 +407,8 @@ def se_step(instance: GraphInstance, cov: SECovariances, reps: int,
 
 
 def se_run(instance: GraphInstance, T: int, reps: int = 2000, seed: int = 0,
-           chunk: int = DEFAULT_CHUNK, workers: int = 1,
-           diagonal: bool = False) -> SECovariances:
-    """Covariance kernels for iterate times 1..T; `workers` chunks and
-    exact edges run at once without changing the result.
+           chunk: int = DEFAULT_CHUNK, diagonal: bool = False) -> SECovariances:
+    """Covariance kernels for iterate times 1..T.
 
     With diagonal=True only the blocks K_e^{t,t} are formed, from the
     inputs' K^{t,t} alone (see the module docstring); they agree with
@@ -441,7 +419,7 @@ def se_run(instance: GraphInstance, T: int, reps: int = 2000, seed: int = 0,
     factory = lambda *labels: stream(seed, *labels)
     cov = se_init(instance, diagonal=diagonal)
     while cov.T < T:
-        cov = se_step(instance, cov, reps, factory, chunk=chunk, workers=workers)
+        cov = se_step(instance, cov, reps, factory, chunk=chunk)
     return cov
 
 
@@ -459,13 +437,12 @@ def mc_observable_stats(instance: GraphInstance, cov: SECovariances,
                         observables: Sequence[Observable],
                         times: Optional[Sequence[int]] = None,
                         reps: int = 400, seed: int = 1,
-                        chunk: int = 64, workers: int = 1) -> Dict[Tuple[int, str], dict]:
+                        chunk: int = 64) -> Dict[Tuple[int, str], dict]:
     """Monte Carlo mean and sd of each observable under the Gaussian
     family, keyed by (t, name).  Time 0 evaluates the initializer.
 
     Chunk c draws edge e from stream(seed, "se-obs", str(e), c), and
-    values are gathered in chunk order, so `workers` does not change
-    the result.
+    values are gathered in chunk order.
     """
     if cov.diagonal:
         raise ValueError("observables are sampled from a full kernel; "
@@ -475,16 +452,17 @@ def mc_observable_stats(instance: GraphInstance, cov: SECovariances,
     ts = sorted(set(times)) if times is not None else list(range(cov.T + 1))
     if any(s < 0 or s > cov.T for s in ts):
         raise ValueError(f"times outside kernel range 0..{cov.T}")
-    x0 = {e: np.asarray(instance.x0.get(e, np.zeros(g.x_shape(e))), dtype=float) for e in order}
+    x0 = initial_iterates(instance)
     sizes = _chunks(reps, chunk)
     factors = {e: family_factor(cov.K[e]) for e in order}
 
-    def chunk_values(c: int) -> Dict[Tuple[int, str], List[float]]:
+    acc: Dict[Tuple[int, str], List[float]] = {(s, o.name): [] for s in ts for o in observables}
+
+    def add_chunk(c: int) -> None:
         rc = sizes[c]
         fam = {e: sample_gaussian_family(factors[e], g.node_dim[e.end], rc,
                                          stream(seed, "se-obs", str(e), c))
                for e in order}
-        vals: Dict[Tuple[int, str], List[float]] = {(s, o.name): [] for s in ts for o in observables}
         for s in ts:
             if s == 0:
                 copies = [x0] * rc
@@ -493,14 +471,10 @@ def mc_observable_stats(instance: GraphInstance, cov: SECovariances,
                 copies = [{e: blocks[e][r] for e in order} for r in range(rc)]
             for xs in copies:
                 for o in observables:
-                    vals[(s, o.name)].append(o(xs, s))
-        return vals
+                    acc[(s, o.name)].append(o(xs, s))
 
-    acc: Dict[Tuple[int, str], List[float]] = {(s, o.name): [] for s in ts for o in observables}
-    for vals in map_ordered(chunk_values, len(sizes), workers):
-        for key, v in vals.items():
-            acc[key].extend(v)
-
+    for c in range(len(sizes)):
+        add_chunk(c)
     return {key: summarize(vals) for key, vals in acc.items()}
 
 

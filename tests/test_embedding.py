@@ -248,6 +248,9 @@ def _fill_instances():
     # a loop edge: its diagonal block is tracked
     yield build_spiked_instance(SpikedModel(N=80, lam=2.5, gen_dims=(30,),
                                             gen_activation="tanh"), seed=0)[0]
+    # a depth-2 generative line: its interior node is wired too
+    yield build_spiked_instance(SpikedModel(N=80, lam=2.5, gen_dims=(30, 40),
+                                            gen_activation="tanh"), seed=0)[0]
 
 
 def test_goe_fill_draws_only_the_untracked_blocks(monkeypatch):

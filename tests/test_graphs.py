@@ -4,7 +4,7 @@ from graphamp import GraphError
 from graphamp.graphs import (EdgeId, GraphSpec, canonical_edge_order,
                              edges_into, line_graph, require_valid,
                              reversed_input_index, single_loop, two_node_chain,
-                             validate)
+                             validate, with_loop)
 
 
 def test_edge_id_reverse_and_loop():
@@ -54,6 +54,17 @@ def test_single_loop_is_self_reversed():
     assert validate(g).ok
     assert g.x_shape(loop) == (6, 2)
     assert loop in edges_into(g, loop)
+
+
+def test_with_loop_adds_the_loop_to_a_line():
+    line = line_graph(["g0", "spike"], [3, 5])
+    g = with_loop(line, "spike")
+    loop = EdgeId("spike", "spike")
+    assert validate(g).ok
+    assert g.edges == line.edges | {loop}
+    assert g.node_dim == line.node_dim
+    # the top node reads the loop field and the field from below
+    assert edges_into(g, loop) == (loop, EdgeId("g0", "spike"))
 
 
 def test_validate_missing_reverse_edge():

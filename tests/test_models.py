@@ -7,7 +7,7 @@ from graphamp import (CommitteeModel, GmmSpatialModel, MultilayerModel,
                       build_multilayer_instance, build_spiked_instance,
                       lasso_model, layer_specs, logistic_model, ridge_model)
 from graphamp.engine import run
-from graphamp.graphs import EdgeId
+from graphamp.graphs import EdgeId, edges_into
 from graphamp.models.glm import gamp_estimates, gamp_iterate_stats, kkt_residual
 from graphamp.models.gmm import (StackPenaltyProx, accuracy, classify, gmm_weights,
                                  ridge_baseline, sample_gmm_data)
@@ -115,11 +115,20 @@ def test_weak_spike_keeps_overlap_near_zero():
 
 
 def test_spiked_generative_chain_runs_finite():
-    model = SpikedModel(N=240, lam=2.5, gen_dims=(80,), gen_activation="tanh")
-    inst, v0 = build_spiked_instance(model, seed=8)
-    traj = run(inst, 8, allow_degenerate=True)
-    assert all(np.all(np.isfinite(traj.x[e][8])) for e in inst.graph.edges)
-    assert v0.shape == (240,)
+    for gen_dims in ((80,), (30, 40)):
+        model = SpikedModel(N=240, lam=2.5, gen_dims=gen_dims, gen_activation="tanh")
+        inst, v0 = build_spiked_instance(model, seed=8)
+        traj = run(inst, 8, allow_degenerate=True)
+        assert all(np.all(np.isfinite(traj.x[e][8])) for e in inst.graph.edges)
+        assert v0.shape == (240,)
+    # the depth-2 line's interior node g1 combines its fields from below
+    # (g0->g1) and above (spike->g1) at weights 0.5 / 0.5
+    ins = edges_into(inst.graph, EdgeId("g1", "spike"))
+    slots = [ins.index(EdgeId("g0", "g1")), ins.index(EdgeId("spike", "g1"))]
+    up = inst.provider(EdgeId("g1", "spike"), 0, None)
+    down = inst.provider(EdgeId("g1", "g0"), 0, None)
+    assert [up.L[i] for i in slots] == [0.5, 0.5]
+    assert [down.M[i] for i in slots] == [-0.5, 0.5]
 
 
 def test_committee_first_iterate_second_moment():

@@ -1,5 +1,4 @@
 import dataclasses
-import sys
 import tracemalloc
 
 import numpy as np
@@ -147,26 +146,6 @@ def test_compare_passes_on_rel_z_or_atol():
     assert recs["off"]["rel_err"] == pytest.approx(0.45)
 
 
-def test_kernels_do_not_depend_on_worker_count():
-    inst = _mc_twin(build_committee_instance(CommitteeModel(d=150, n=100), seed=2)[0])
-    obs = [norm_sq_observable(EdgeId("wts", "obs"), scale=0.01, name="nsq")]
-    a = se_run(inst, T=4, reps=300, seed=3, chunk=64, workers=1)
-    sa = mc_observable_stats(inst, a, obs, reps=150, seed=4, chunk=32, workers=1)
-    # more workers than cores, with frequent thread switches
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for workers in (2, 4):
-            b = se_run(inst, T=4, reps=300, seed=3, chunk=64, workers=workers)
-            for e in inst.graph.edges:
-                assert a.K[e].tobytes() == b.K[e].tobytes()
-            sb = mc_observable_stats(inst, a, obs, reps=150, seed=4, chunk=32,
-                                     workers=workers)
-            assert sa == sb
-    finally:
-        sys.setswitchinterval(interval)
-
-
 def _per_copy_twin(f, rows_seen):
     def fn(inputs, side):
         rows_seen.add(inputs[0].shape[0])
@@ -181,7 +160,7 @@ def test_non_row_local_update_takes_per_copy_path():
              for e in inst.graph.edges}
     twin = dataclasses.replace(inst, provider=stationary_provider(table))
     a = se_run(_mc_twin(inst), T=3, reps=200, seed=3, chunk=64)
-    b = se_run(twin, T=3, reps=200, seed=3, chunk=64, workers=2)
+    b = se_run(twin, T=3, reps=200, seed=3, chunk=64)
     # every call saw a single copy: 150 rows on one edge, 100 on the other
     assert rows_seen == {150, 100}
     for e in inst.graph.edges:
@@ -189,20 +168,20 @@ def test_non_row_local_update_takes_per_copy_path():
 
 
 def test_se_step_memory_stays_within_chunks_in_flight():
-    # a chunk holds one (chunk * n, t * q) family per edge plus per-time
-    # outputs; full-width temporaries (the whole (reps, t, n, q) family,
-    # every time's outputs at once) would break this bound
-    n, t, q, chunk, workers = 400, 6, 2, 32, 2
+    # one chunk is in flight at a time: it holds one (chunk * n, t * q)
+    # family per edge plus per-time outputs; full-width temporaries (the
+    # whole (reps, t, n, q) family, every time's outputs at once) would
+    # break this bound
+    n, t, q, chunk = 400, 6, 2, 32
     inst = _mc_twin(build_committee_instance(CommitteeModel(d=n, n=n), seed=0)[0])
     cov = se_run(inst, T=t, reps=64, seed=1)
     tracemalloc.start()
     try:
-        se_step(inst, cov, 256, lambda *labels: stream(5, *labels),
-                chunk=chunk, workers=workers)
+        se_step(inst, cov, 256, lambda *labels: stream(5, *labels), chunk=chunk)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 4 * workers * chunk * n * t * q * 8
+    assert peak <= 4 * chunk * n * t * q * 8
 
 
 # committee edges: the signal side (soft threshold, then a column mix)
@@ -303,18 +282,12 @@ def test_grid_routing(monkeypatch):
     assert _rows_seen(inst, reps, row_local=False) == {SIG: set(), OBS: set()}
 
 
-def test_exact_kernels_rerun_identically_for_any_worker_count():
+def test_exact_kernels_rerun_identically():
     inst = _committee()
-    a = se_run(inst, 4, reps=256, seed=3, chunk=64, workers=1)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for workers in (1, 2, 4):
-            b = se_run(inst, 4, reps=256, seed=3, chunk=64, workers=workers)
-            for e in inst.graph.edges:
-                assert a.K[e].tobytes() == b.K[e].tobytes()
-    finally:
-        sys.setswitchinterval(interval)
+    a = se_run(inst, 4, reps=256, seed=3, chunk=64)
+    b = se_run(inst, 4, reps=256, seed=3, chunk=64)
+    for e in inst.graph.edges:
+        assert a.K[e].tobytes() == b.K[e].tobytes()
 
 
 def test_grid_matches_closed_form_relu_moments():
