@@ -12,10 +12,9 @@ Exit codes: 0 success, 1 gate failure under --strict (embed-verify
 gates are always strict), 2 config error, 3 numerical abort, 4 I/O
 error.  Seeds fan out across a thread pool of --workers threads.  The
 generic SE runs once per AMP seed, in `run` inside the seed's task on
-the instance its AMP run used (built once, at most --workers alive);
-its rows read only the blocks K^{t,t}, so it is the time-diagonal
-recursion, O(T) rows per seed.  Reductions happen in submission order
-so results are independent of scheduling.
+the instance its AMP run used (built once, at most --workers alive),
+and its rows are the traces of the kernels K^{t,t}.  Reductions happen
+in submission order so results are independent of scheduling.
 """
 
 from __future__ import annotations
@@ -153,13 +152,11 @@ def _spiked_se_rows(cfg, model, *_) -> List[Tuple[int, str, float, float]]:
 
 def _seed_se(cfg, instance) -> Dict[Tuple[int, str], float]:
     """One AMP seed's prediction: the SE is conditional on side data, so
-    each seed's instance gets its own run.  The rows read only the
-    blocks K^{t,t}, so the run is the time-diagonal recursion."""
+    each seed's instance gets its own run."""
     T = _graph_T(cfg)
-    cov = se_run(instance, T, reps=cfg.se_samples, seed=cfg.master_seed,
-                 diagonal=True)
+    cov = se_run(instance, T, reps=cfg.se_samples, seed=cfg.master_seed)
     # rows of x^t_e tend to N(0, K_e^{t,t}), so ||x^t_e||^2 / n_e -> tr K
-    return {(t, f"norm_sq[{e}]"): float(np.trace(cov.kernel(e, t, t)))
+    return {(t, f"norm_sq[{e}]"): float(np.trace(cov.kernel(e, t)))
             for t in range(1, T + 1) for e in canonical_edge_order(instance.graph)}
 
 

@@ -94,14 +94,11 @@ def test_generic_se_rows_are_kernel_traces():
     # ||x^t_e||^2 / n_e is tr K_e^{t,t}, read off the time-diagonal
     # se_run with no sampling, on each AMP seed's instance (the SE is
     # conditional on its side data, so the seeds' traces differ) and
-    # averaged over the seeds; the full kernel's diagonal agrees up to
-    # the rounding-level revisions of its PSD step
+    # averaged over the seeds
     cfg = config_mod.validate(SMALL_COMMITTEE)
     instances = [cli._build_zoo(cfg, seed)[0] for seed in cfg.amp_seeds]
-    covs = [se_run(inst, cfg.T, reps=cfg.se_samples, seed=cfg.master_seed,
-                   diagonal=True) for inst in instances]
-    fulls = [se_run(inst, cfg.T, reps=cfg.se_samples, seed=cfg.master_seed)
-             for inst in instances]
+    covs = [se_run(inst, cfg.T, reps=cfg.se_samples, seed=cfg.master_seed)
+            for inst in instances]
     rows = {(t, name): (value, stderr)
             for t, name, value, stderr in cli.se_rows_for(cfg, workers=2)}
     edges = canonical_edge_order(instances[0].graph)
@@ -109,29 +106,27 @@ def test_generic_se_rows_are_kernel_traces():
     differ = 0
     for t in range(1, cfg.T + 1):
         for e in edges:
-            traces = [float(np.trace(cov.kernel(e, t, t))) for cov in covs]
+            traces = [float(np.trace(cov.kernel(e, t))) for cov in covs]
             differ += traces[0] != traces[1]
             assert rows[(t, f"norm_sq[{e}]")] == (float(np.mean(traces)), 0.0)
-            full = [float(np.trace(cov.kernel(e, t, t))) for cov in fulls]
-            np.testing.assert_allclose(traces, full, rtol=1e-12)
     assert differ
 
 
 def test_seed_se_integrates_one_time_row_per_step(monkeypatch):
-    # the CLI reads only tr K^{t,t}, so each step of a seed's SE
-    # integrates the phi moments of time t alone, not of every earlier
-    # time; the committee's signal edge has one phi batch per step
+    # each step of a seed's SE integrates the phi moment of time t
+    # alone, one q x q field block, not a row over every earlier time;
+    # the committee's signal edge is its one phi edge
     calls = []
     moments = state_evolution._phi_moments
 
-    def recording_moments(f_s, f_t, var_s, var_t, cov_st):
-        calls.append(len(var_s) // len(var_t))
-        return moments(f_s, f_t, var_s, var_t, cov_st)
+    def recording_moments(f, field_cov):
+        calls.append(field_cov.shape)
+        return moments(f, field_cov)
 
     monkeypatch.setattr(state_evolution, "_phi_moments", recording_moments)
     cfg = config_mod.validate(SMALL_COMMITTEE)
     cli._seed_se(cfg, cli._build_zoo(cfg, cfg.amp_seeds[0])[0])
-    assert calls == [1] * (cfg.T - 1)
+    assert calls == [(2, 2)] * (cfg.T - 1)
 
 
 def test_run_builds_each_seed_instance_once(tmp_path, monkeypatch):

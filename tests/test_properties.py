@@ -5,11 +5,12 @@ linear-entrywise-linear maps with side-data offsets.
 
 The tests draw their examples from @seed(0), not from a hash of their
 source, so an edit to a test body keeps the examples it runs.  The
-tenfold Monte Carlo test is the exception: under @seed(0) one example
-has a soft-threshold tail of about 1e-8 that its reference's 1,000
-copies do not reach (the exact kernel agrees with 800,000 copies), so
-it keeps the examples of its source hash until its reference can see
-such tails; do not edit its body or decorators meanwhile."""
+tenfold Monte Carlo test is the exception: under @seed(0) it still
+draws one example whose soft-threshold tail, about 1e-8 in the time-2
+block of a q = 3 loop on n = 3, the reference's 500 copies a run do not
+reach (the exact kernel agrees with 800,000 copies).  It keeps the
+examples of its source hash until its reference can see such tails, so
+an edit to its body or decorators draws a new example set."""
 
 import numpy as np
 from hypothesis import given, seed, settings
@@ -135,11 +136,8 @@ def test_random_graphs_embed_exactly(case):
 
 def _assert_symmetric_psd(cov, instance):
     for e in instance.graph.edges:
-        K = cov.K[e]
-        q = K.shape[-1]
         for t in range(1, cov.T + 1):
-            # the kernel of times 1..t is the leading t x t block
-            C = K[:t, :t].transpose(0, 2, 1, 3).reshape(t * q, t * q)
+            C = cov.kernel(e, t)
             tol = 1e-12 * np.trace(C)
             assert np.abs(C - C.T).max() <= tol, (e, t)
             assert np.linalg.eigvalsh(C)[0] >= -tol, (e, t)
@@ -201,32 +199,15 @@ def affine_or_phi_instances(draw):
     return instance, draw(st.integers(2, 3)), seed
 
 
-@seed(0)
-@settings(derandomize=True, max_examples=60, deadline=None)
-@given(affine_or_phi_instances())
-def test_random_maps_diagonal_recursion_matches_the_full_kernel(case):
-    # the time-diagonal recursion reads each input's K^{t,t} alone; its
-    # blocks are the full kernel's diagonal up to the rounding-level
-    # revisions of the full recursion's PSD step
-    instance, T, seed = case
-    diag = se_run(instance, T, reps=16, seed=seed, diagonal=True)
-    full = se_run(instance, T, reps=16, seed=seed)
-    for e in instance.graph.edges:
-        floor = 1e-15 * np.abs(full.K[e]).max()
-        for t in range(1, T + 1):
-            np.testing.assert_allclose(diag.kernel(e, t, t), full.kernel(e, t, t),
-                                       rtol=1e-12, atol=floor, err_msg=f"{e} t={t}")
-
-
 @settings(derandomize=True, max_examples=40, deadline=None)
 @given(affine_or_phi_instances())
 def test_random_maps_exact_kernels_match_tenfold_monte_carlo(case):
     # exact kernels against the mean of R Monte Carlo runs of the twins
-    # at ten times the budget, each block within 4 sd of that mean; the
-    # floor covers tails (a soft threshold far above its field's sd) that
-    # the copies never reach
+    # at ten times the budget, each time's q x q block within 4 sd of
+    # that mean; the floor covers tails (a soft threshold far above its
+    # field's sd) that the copies never reach
     instance, T, seed = case
-    B, R = 100, 16
+    B, R = 50, 32
     exact = se_run(instance, T, reps=B, seed=seed)
     refs = [se_run(_mc_twins(instance), T, reps=10 * B, seed=seed + 1 + r)
             for r in range(R)]
@@ -235,6 +216,5 @@ def test_random_maps_exact_kernels_match_tenfold_monte_carlo(case):
         mean, var = K.mean(axis=0), K.var(axis=0, ddof=1)
         floor = 1e-8 * np.abs(exact.K[e]).max()
         for t in range(T):
-            for s in range(t + 1):
-                sd = np.sqrt(var[t, s].sum() / R)
-                assert np.linalg.norm(exact.K[e][t, s] - mean[t, s]) <= 4 * sd + floor, (e, t, s)
+            sd = np.sqrt(var[t].sum() / R)
+            assert np.linalg.norm(exact.K[e][t] - mean[t]) <= 4 * sd + floor, (e, t)
