@@ -12,26 +12,23 @@ classification) and numerical checks for the identities involved.
 from .errors import (ConfigError, GraphError, GraphampError, NumericalError,
                      ShapeError)
 from .graphs import (EdgeId, GraphSpec, canonical_edge_order, edges_into,
-                     line_graph, require_valid, single_loop, two_node_chain,
-                     validate)
+                     line_graph, require_valid, single_loop, validate)
 from .nonlinearity import (Entrywise, EntrywiseThenMix, FromCallable,
                            Identity, LinearEntrywiseLinear, Nonlinearity,
                            SideData, Zero, fd_jacobian_trace)
 from .prox import (ProxSpec, penalty_grad, penalty_value, prox,
-                   prox_deriv, shifted_prox, soft_threshold)
-from .ensembles import (normals, sample_goe, sample_iid, spectral_inv_sqrt,
-                        spectral_sqrt, stream)
+                   prox_deriv, soft_threshold)
+from .ensembles import normals, sample_goe, sample_iid, spectral_sqrt, stream
 from .engine import (AmpTrajectory, GraphInstance, Observable, init,
-                     norm_sq_observable, observe, overlap_observable, run,
-                     stationary_provider, step)
+                     norm_sq_observable, observe, run, stationary_provider,
+                     step)
 from .embedding import (BlockLayout, EmbeddedInstance, EquivalenceReport,
                         embed, run_symmetric, verify_equivalence)
 from .state_evolution import (SECovariances, compare, mc_observable_stats,
                               se_run)
-from .gamp_se import (Channel, GampSePoint, GaussBernoulliPrior,
-                      GaussianPrior, GlmScalars, LinearGaussianChannel,
-                      LogisticChannel, Prior, QuadSpec, RademacherPrior,
-                      gamp_overlap_se, make_channel)
+from .gamp_se import (Channel, GampSePoint, GaussBernoulliPrior, GlmScalars,
+                      LinearGaussianChannel, LogisticChannel, Prior, QuadSpec,
+                      RademacherPrior, gamp_overlap_se)
 from .checks import (CheckReport, goe_projection_checks, onsager_fd_check,
                      opnorm_check, stein_check)
 from .config import ExperimentConfig, load, loads
@@ -50,22 +47,20 @@ __version__ = "0.1.0"
 __all__ = [
     "ConfigError", "GraphError", "GraphampError", "NumericalError", "ShapeError",
     "EdgeId", "GraphSpec", "canonical_edge_order", "edges_into",
-    "line_graph", "require_valid", "single_loop", "two_node_chain", "validate",
+    "line_graph", "require_valid", "single_loop", "validate",
     "Entrywise", "EntrywiseThenMix", "FromCallable", "Identity",
     "LinearEntrywiseLinear", "Nonlinearity", "SideData", "Zero", "fd_jacobian_trace",
     "ProxSpec", "penalty_grad", "penalty_value", "prox",
-    "prox_deriv", "shifted_prox", "soft_threshold",
-    "normals", "sample_goe", "sample_iid", "spectral_inv_sqrt",
-    "spectral_sqrt", "stream",
+    "prox_deriv", "soft_threshold",
+    "normals", "sample_goe", "sample_iid", "spectral_sqrt", "stream",
     "AmpTrajectory", "GraphInstance", "Observable", "init",
-    "norm_sq_observable", "observe", "overlap_observable", "run",
-    "stationary_provider", "step",
+    "norm_sq_observable", "observe", "run", "stationary_provider", "step",
     "BlockLayout", "EmbeddedInstance", "EquivalenceReport", "embed",
     "run_symmetric", "verify_equivalence",
     "SECovariances", "compare", "mc_observable_stats", "se_run",
-    "Channel", "GampSePoint", "GaussBernoulliPrior", "GaussianPrior",
-    "GlmScalars", "LinearGaussianChannel", "LogisticChannel", "Prior",
-    "QuadSpec", "RademacherPrior", "gamp_overlap_se", "make_channel",
+    "Channel", "GampSePoint", "GaussBernoulliPrior", "GlmScalars",
+    "LinearGaussianChannel", "LogisticChannel", "Prior", "QuadSpec",
+    "RademacherPrior", "gamp_overlap_se",
     "CheckReport", "goe_projection_checks", "onsager_fd_check",
     "opnorm_check", "stein_check",
     "ExperimentConfig", "load", "loads",

@@ -14,12 +14,16 @@ error.  Seeds fan out across a thread pool of --workers threads.  The
 generic SE runs once per AMP seed, in `run` inside the seed's task on
 the instance its AMP run used (built once, at most --workers alive),
 and its rows are the traces of the kernels K^{t,t}.  Reductions happen
-in submission order so results are independent of scheduling.
+in submission order so results are independent of scheduling.  A
+command runs on one BLAS thread, so its bytes do not depend on the BLAS
+thread count, and gives the caller its count back.
 """
 
 from __future__ import annotations
 
 import argparse
+import ctypes
+import functools
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -136,7 +140,7 @@ def _glm_se_rows(cfg, model, *_) -> List[Tuple[int, str, float, float]]:
     return [(t, name, value, 0.0) for pt in pts[1:]
             for t, name, value in _glm_named_rows(cfg, pt.t, {
                 "overlap": pt.m, "mse": pt.mse,
-                "norm_sq_v": pt.v_second_moment(),
+                "norm_sq_v": pt.p,
                 "norm_sq_u": pt.u_second_moment(model.prior.rho)})]
 
 
@@ -146,7 +150,7 @@ def _spiked_se_rows(cfg, model, *_) -> List[Tuple[int, str, float, float]]:
                           "depth-0 spike only; embed-verify still runs "
                           "the deep model")
     return [(t, name, value, 0.0) for pt in spiked_scalar_se(model, cfg.T)[1:]
-            for t, name, value in _spiked_named_rows(cfg, pt.t, pt.overlap(),
+            for t, name, value in _spiked_named_rows(cfg, pt.t, pt.mu,
                                                      pt.second_moment())]
 
 
@@ -463,8 +467,45 @@ def _parser():
     return p
 
 
+# (set, get) thread-count symbols of scipy-openblas (numpy's wheels),
+# OpenBLAS and MKL, in lookup order
+_BLAS_SYMBOLS = (
+    ("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),
+    ("openblas_set_num_threads", "openblas_get_num_threads"),
+    ("MKL_Set_Num_Threads", "MKL_Get_Max_Threads"),
+)
+
+
+@functools.lru_cache(maxsize=None)
+def _blas_threads():
+    """(set, get) of the BLAS thread count, through ctypes as threadpoolctl
+    does: the first known pair in a loaded library named like a BLAS (on
+    Linux, where /proc/self/maps lists them); no-ops, said once on stderr,
+    where there is none."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            paths = {line[line.index("/"):].strip() for line in fh if "/" in line}
+    except OSError:
+        paths = set()
+    libs = [ctypes.CDLL(p) for p in sorted(paths) if os.path.exists(p)
+            and any(k in os.path.basename(p).lower() for k in ("blas", "mkl"))]
+    for names in _BLAS_SYMBOLS:
+        for lib in libs:
+            if all(hasattr(lib, name) for name in names):
+                set_threads, get_threads = (getattr(lib, name) for name in names)
+                set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+                get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+                return set_threads, get_threads
+    print("graphamp: no known BLAS library found; output bytes may depend "
+          "on the BLAS thread count", file=sys.stderr)
+    return (lambda n: None), (lambda: None)
+
+
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
+    set_threads, get_threads = _blas_threads()
+    previous = get_threads()
+    set_threads(1)
     try:
         if args.command == "checks":
             out_dir = args.out or "results"
@@ -502,6 +543,8 @@ def main(argv=None) -> int:
     except GraphampError as ex:
         print(f"error: {ex}", file=sys.stderr)
         return 3
+    finally:
+        set_threads(previous)
 
 
 if __name__ == "__main__":

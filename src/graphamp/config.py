@@ -137,8 +137,11 @@ def validate(raw: Dict[str, Any]) -> ExperimentConfig:
 
     if cfg.T < 1:
         raise ConfigError("T: must be >= 1")
+    # a repeated seed or observable would count one instance twice
     for i, s in enumerate(cfg.amp_seeds):
         _check_type(s, int, f"amp_seeds[{i}]")
+        if s in cfg.amp_seeds[:i]:
+            raise ConfigError(f"amp_seeds[{i}]: duplicate seed {s}")
     if not cfg.amp_seeds:
         raise ConfigError("amp_seeds: must be non-empty")
     if cfg.quadrature not in ("gh", "mc"):
@@ -148,6 +151,8 @@ def validate(raw: Dict[str, Any]) -> ExperimentConfig:
         if name not in OBSERVABLES:
             raise ConfigError(f"observables[{i}]: unknown observable {name!r}; "
                               f"expected one of {', '.join(OBSERVABLES)}")
+        if name in cfg.observables[:i]:
+            raise ConfigError(f"observables[{i}]: duplicate observable {name!r}")
     if cfg.se_samples < 1:
         raise ConfigError("se_samples: must be >= 1")
     for key in ("d", "d0", "N", "n", "K", "n_per_cluster"):

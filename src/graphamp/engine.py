@@ -284,14 +284,6 @@ def norm_sq_observable(e: EdgeId, scale: float = 1.0, name: Optional[str] = None
     return Observable(label, lambda xs, t, _e=e, _s=scale: _s * float(np.sum(xs[_e] ** 2)))
 
 
-def overlap_observable(e: EdgeId, ref: np.ndarray, scale: float = 1.0,
-                       name: Optional[str] = None) -> Observable:
-    """(scale) * <ref, x_e> for a fixed reference vector/matrix."""
-    r = np.asarray(ref, dtype=float)
-    label = name or f"overlap[{e}]"
-    return Observable(label, lambda xs, t, _e=e, _s=scale, _r=r: _s * float(np.sum(_r * xs[_e])))
-
-
 def observe(traj: AmpTrajectory, observables: Sequence[Observable],
             times: Optional[Sequence[int]] = None) -> List[dict]:
     """Evaluate observables along the trajectory; one record per (t, name)."""

@@ -79,18 +79,6 @@ def sample_spatially_coupled(
     return out
 
 
-def sample_correlated_rows(
-    rows: int, sigma_factor: np.ndarray, scale_N: float, rng: np.random.Generator
-) -> np.ndarray:
-    """Z @ Sigma^{1/2} with Z iid N(0, 1/scale_N): row covariance Sigma/scale_N."""
-    sigma_factor = np.asarray(sigma_factor, dtype=float)
-    if sigma_factor.ndim != 2 or sigma_factor.shape[0] != sigma_factor.shape[1]:
-        raise ValueError("covariance factor must be square")
-    Z = normals(rng, (rows, sigma_factor.shape[0]))
-    Z /= math.sqrt(float(scale_N))
-    return Z @ sigma_factor
-
-
 EIG_FLOOR = 1e-12
 
 
@@ -105,14 +93,4 @@ def spectral_sqrt(Sigma: np.ndarray, require_pd: bool = True) -> np.ndarray:
         raise NumericalError(f"covariance not positive definite: min eigenvalue {w[0]:.3e}")
     w = np.maximum(w, floor)
     return (V * np.sqrt(w)) @ V.T
-
-
-def spectral_inv_sqrt(Sigma: np.ndarray) -> np.ndarray:
-    Sigma = np.asarray(Sigma, dtype=float)
-    Sigma = 0.5 * (Sigma + Sigma.T)
-    w, V = np.linalg.eigh(Sigma)
-    floor = EIG_FLOOR * max(1.0, float(w[-1]))
-    if w[0] < floor:
-        raise NumericalError(f"covariance not positive definite: min eigenvalue {w[0]:.3e}")
-    return (V / np.sqrt(w)) @ V.T
 

@@ -176,35 +176,15 @@ class GaussBernoulliPrior(Prior):
 
 
 @dataclass(frozen=True)
-class GaussianPrior(Prior):
-    var: float = 1.0
-
-    @property
-    def rho(self) -> float:
-        return self.var
-
-    def sample(self, n, rng):
-        return math.sqrt(self.var) * normals(rng, n)
-
-    def quad_points(self, nodes):
-        x, w = gh_points(nodes)
-        return math.sqrt(self.var) * x, w
-
-
-@dataclass(frozen=True)
 class RademacherPrior(Prior):
-    a: float = 1.0
-
-    @property
-    def rho(self) -> float:
-        return self.a ** 2
+    rho = 1.0  # uniform on {-1, +1}
 
     def sample(self, n, rng):
         u = (rng.integers(0, 1 << 53, size=n) + 0.5) / float(1 << 53)
-        return np.where(u < 0.5, -self.a, self.a)
+        return np.where(u < 0.5, -1.0, 1.0)
 
     def quad_points(self, nodes):
-        return np.array([-self.a, self.a]), np.array([0.5, 0.5])
+        return np.array([-1.0, 1.0]), np.array([0.5, 0.5])
 
 
 class Channel:
@@ -262,14 +242,6 @@ class LogisticChannel(Channel):
         return y, w
 
 
-def make_channel(kind: str, sigma: float = 0.0) -> Channel:
-    if kind == "linear":
-        return LinearGaussianChannel(sigma=sigma)
-    if kind == "logistic":
-        return LogisticChannel()
-    raise ValueError(f"unknown channel {kind!r}")
-
-
 @dataclass(frozen=True)
 class GlmScalars:
     """Coordinatewise update maps of the two-phase iteration.
@@ -286,13 +258,11 @@ class GlmScalars:
         if self.loss not in ("squared", "logistic"):
             raise ValueError(f"unknown loss {self.loss!r}")
 
-    def e_kinks(self, alpha: float):
+    def e_kinks(self):
         """Points where u -> e(u) is not smooth (quadrature split points)."""
         pen = self.penalty
         if pen.kind == "abs":
             return [-pen.weight, pen.weight]
-        if pen.kind == "indicator":
-            return [pen.lo / alpha, pen.hi / alpha] if math.isfinite(pen.hi) else [pen.lo / alpha]
         return []
 
     def e_apply(self, u, alpha: float):
@@ -346,9 +316,6 @@ class GampSePoint:
     beta: float = 0.0
     d: float = 0.0
 
-    def v_second_moment(self) -> float:
-        return self.p
-
     def u_second_moment(self, rho: float) -> float:
         return self.nu ** 2 * rho + self.kappa2
 
@@ -374,7 +341,7 @@ def _u_expectations(prior: Prior, scalars: GlmScalars, nu: float, kappa2: float,
     sk = math.sqrt(max(kappa2, 0.0))
     if quad.method == "gh":
         x0, wx = prior.quad_points(quad.nodes)
-        kinks = scalars.e_kinks(alpha)
+        kinks = scalars.e_kinks()
         pts = [gaussian_piecewise_nodes(nu * v, sk, kinks, quad.nodes) for v in x0]
         width = max(len(p[0]) for p in pts)
         U = np.zeros((len(x0), width))

@@ -166,11 +166,6 @@ def reversed_input_index(spec: GraphSpec, e: EdgeId) -> int:
     return edges_into(spec, e).index(e.reversed())
 
 
-def two_node_chain(name_a: str, dim_a: int, name_b: str, dim_b: int, q: int = 1) -> GraphSpec:
-    """The asymmetric 2-node graph (one edge pair)."""
-    return line_graph([name_a, name_b], [dim_a, dim_b], q)
-
-
 def line_graph(names, dims, q: int = 1) -> GraphSpec:
     """Line graph v0 - v1 - ... - vL (L edge pairs)."""
     if len(names) != len(dims) or len(names) < 2:

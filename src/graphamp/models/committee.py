@@ -16,7 +16,7 @@ algebra and the flattening's block bookkeeping.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,8 +27,8 @@ from ..nonlinearity import EntrywiseThenMix, LinearEntrywiseLinear, SideData
 from ..prox import soft_threshold
 
 
-DEFAULT_R = np.array([[0.9, 0.25], [-0.15, 0.8]])
-DEFAULT_C = np.array([[0.6, 0.2], [0.1, 0.5]])
+R = np.array([[0.9, 0.25], [-0.15, 0.8]])
+C = np.array([[0.6, 0.2], [0.1, 0.5]])
 
 
 @dataclass(frozen=True)
@@ -36,9 +36,6 @@ class CommitteeModel:
     d: int
     n: int
     theta: float = 0.4
-    R: np.ndarray = field(default_factory=lambda: DEFAULT_R.copy())
-    C: np.ndarray = field(default_factory=lambda: DEFAULT_C.copy())
-    y_scale: float = 1.0
 
     def __post_init__(self):
         if self.theta < 0:
@@ -57,16 +54,16 @@ def build_committee_instance(model: CommitteeModel, seed: int = 0):
     bwd = fwd.reversed()
     g = line_graph(["wts", "obs"], [model.d, model.n], q=2)
     A = sample_iid(model.n, model.d, model.d, stream(seed, "committee", "A"))
-    Y = model.y_scale * normals(stream(seed, "committee", "Y"), (model.n, 2))
+    Y = normals(stream(seed, "committee", "Y"), (model.n, 2))
 
     theta = model.theta
     sig = EntrywiseThenMix(lambda x: soft_threshold(x, theta),
                            lambda x: (np.abs(x) > theta).astype(float),
-                           model.R, kinks=(-theta, theta))
+                           R, kinks=(-theta, theta))
     instance = GraphInstance(
         graph=g,
         matrices={fwd: A},
-        provider=stationary_provider({fwd: sig, bwd: AffineMix(model.C)}),
+        provider=stationary_provider({fwd: sig, bwd: AffineMix(C)}),
         x0={bwd: 0.5 * np.ones((model.d, 2))},
         side={bwd: SideData(arrays={"Y": Y})},
         scale_base={fwd: float(model.d)},

@@ -30,7 +30,8 @@ import numpy as np
 from ..engine import AmpTrajectory, GraphInstance
 from ..ensembles import sample_iid, stream
 from ..errors import NumericalError
-from ..gamp_se import Channel, GlmScalars, Prior, make_channel
+from ..gamp_se import (Channel, GlmScalars, LinearGaussianChannel,
+                       LogisticChannel, Prior)
 from ..graphs import EdgeId, line_graph
 from ..nonlinearity import (LinearEntrywiseLinear, Nonlinearity, SideData,
                             Zero)
@@ -82,7 +83,7 @@ def PenaltyProx(scalars: GlmScalars, alpha: float) -> LinearEntrywiseLinear:
     alpha = float(alpha)
     return LinearEntrywiseLinear(phi=lambda u: scalars.e_apply(u, alpha),
                                  dphi=lambda u: scalars.e_deriv(u, alpha),
-                                 L=[1.0], kinks=scalars.e_kinks(alpha))
+                                 L=[1.0], kinks=scalars.e_kinks())
 
 
 class LossResidual(Nonlinearity):
@@ -252,20 +253,20 @@ def kkt_residual(model: GlmModel, A: np.ndarray, y: np.ndarray, xhat: np.ndarray
 
 def lasso_model(d: int, n: int, lam: float, prior: Prior, sigma: float = 0.5,
                 beta0: float = 1.0) -> GlmModel:
-    return GlmModel(d=d, n=n, prior=prior, channel=make_channel("linear", sigma),
+    return GlmModel(d=d, n=n, prior=prior, channel=LinearGaussianChannel(sigma),
                     scalars=GlmScalars(penalty=ProxSpec(kind="abs", gamma=1.0, weight=lam),
                                        loss="squared"), beta0=beta0)
 
 
 def ridge_model(d: int, n: int, lam: float, prior: Prior, sigma: float = 0.5,
                 beta0: float = 1.0) -> GlmModel:
-    return GlmModel(d=d, n=n, prior=prior, channel=make_channel("linear", sigma),
+    return GlmModel(d=d, n=n, prior=prior, channel=LinearGaussianChannel(sigma),
                     scalars=GlmScalars(penalty=ProxSpec(kind="squared", gamma=1.0, weight=lam),
                                        loss="squared"), beta0=beta0)
 
 
 def logistic_model(d: int, n: int, lam: float, prior: Prior,
                    beta0: float = 1.0) -> GlmModel:
-    return GlmModel(d=d, n=n, prior=prior, channel=make_channel("logistic"),
+    return GlmModel(d=d, n=n, prior=prior, channel=LogisticChannel(),
                     scalars=GlmScalars(penalty=ProxSpec(kind="squared", gamma=1.0, weight=lam),
                                        loss="logistic"), beta0=beta0)

@@ -34,7 +34,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -57,16 +57,12 @@ class GmmSpatialModel:
     lam: float = 1.0
     mean_scale: float = 0.1
     coupling: float = 0.0
-    cov_scales: Optional[Tuple[float, ...]] = None
     beta0: float = 1.0
 
     def __post_init__(self):
         for key, value in (("lam", self.lam), ("coupling", self.coupling)):
             if value < 0:
                 raise ValueError(f"{key}: must be >= 0, got {value}")
-        if self.cov_scales is not None and (len(self.cov_scales) != self.K
-                                            or min(self.cov_scales) <= 0):
-            raise ValueError(f"cov_scales: need {self.K} positive values, got {self.cov_scales}")
 
     @property
     def n(self) -> int:
@@ -108,15 +104,15 @@ def _sample_clusters(model: GmmSpatialModel, seed: int):
     eigendecomposition (s, U) of sum_k Sigma_k."""
     roots, gs = [], []
     S = np.zeros((model.d, model.d))
-    scales = model.cov_scales or tuple(1.0 + 0.5 * k for k in range(model.K))
     for k in range(model.K):
         # O(1)-norm means balance the O(1)-norm noise rows
         mu = model.mean_scale * normals(stream(seed, "gmm", "mean", k), model.d)
         mu /= math.sqrt(model.d)
         z = normals(stream(seed, "gmm", "cov", k), (model.d, model.d))
         q, _ = np.linalg.qr(z)
-        # eig lies between 0.5 and scales[k] > 0, so the inverse root exists
-        eig = 0.5 + (scales[k] - 0.5) * (np.arange(model.d) + 0.5) / model.d
+        # eig lies between 0.5 and top > 0, so the inverse root exists
+        top = 1.0 + 0.5 * k
+        eig = 0.5 + (top - 0.5) * (np.arange(model.d) + 0.5) / model.d
         root_eig = np.sqrt(eig)
         roots.append((q * root_eig) @ q.T)
         gs.append(q @ ((q.T @ mu) / root_eig))

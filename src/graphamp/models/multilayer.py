@@ -4,9 +4,9 @@ A depth-L pipeline z_0 -> phi_1(A_1 z_0) -> ... -> y couples L + 1
 nodes in a line; each interior node carries two incoming fields (one
 from below, one from above) and sends messages both ways:
 
-    zhat      = w_a x_below + w_b x_above      (combined local field)
-    downward  = w_h (zhat - x_below)           (residual message)
-    upward    = w_e phi(zhat)                  (activation push)
+    zhat      = (x_below + x_above) / 2        (combined local field)
+    downward  = zhat - x_below                 (residual message)
+    upward    = phi(zhat)                      (activation push)
 
 The end nodes apply a penalty prox (signal side) and a loss residual
 map (observation side).  All scales are fixed constants, so the
@@ -22,7 +22,7 @@ Gaussian-limit prediction covers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from numbers import Integral
 from typing import Dict, Tuple
 
@@ -30,12 +30,18 @@ import numpy as np
 
 from ..engine import GraphInstance, stationary_provider
 from ..ensembles import sample_iid, stream
-from ..gamp_se import GlmScalars, Prior, GaussBernoulliPrior
+from ..gamp_se import GaussBernoulliPrior, GlmScalars
 from ..graphs import EdgeId, edges_into, line_graph
 from ..nonlinearity import LinearEntrywiseLinear, Nonlinearity, SideData
 from ..prox import ProxSpec
 from .glm import ObservationResidual, PenaltyProx
 
+PRIOR = GaussBernoulliPrior()
+# Soft threshold small enough that typical interior fields (rms
+# around 0.15 for unit weights) are not annihilated.
+SIGNAL_PROX = ProxSpec(kind="abs", gamma=1.0, weight=0.05)
+# the weight of each of an interior node's two fields in zhat
+MIX = 0.5
 
 # name -> theta -> (phi, phi', kinks) of the map x -> name(theta x)
 ACTIVATIONS = {
@@ -84,15 +90,6 @@ def layer_specs(dims, activations):
 class MultilayerModel:
     d0: int
     layers: Tuple[LayerSpec, ...]
-    prior: Prior = field(default_factory=GaussBernoulliPrior)
-    # Soft threshold small enough that typical interior fields (rms
-    # around 0.15 for unit weights) are not annihilated.
-    signal_prox: ProxSpec = ProxSpec(kind="abs", gamma=1.0, weight=0.05)
-    obs_beta: float = 1.0
-    w_a: float = 0.5
-    w_b: float = 0.5
-    w_h: float = 1.0
-    w_e: float = 1.0
 
     def __post_init__(self):
         if not self.layers:
@@ -111,21 +108,19 @@ class MultilayerModel:
 
 
 def InteriorMessage(direction: str, below_index: int, above_index: int,
-                    w_below: float, w_above: float, scale: float = 1.0,
                     act=None) -> LinearEntrywiseLinear:
     """Message out of a node with two incoming fields: combines them as
-    zhat = w_below x_below + w_above x_above and emits either the
-    residual scale (zhat - x_below) ("down") or scale phi(zhat) ("up",
-    with act = (phi, phi', kinks)).  Interior nodes of the multilayer and
-    generative chains use it, and so does the spiked loop node."""
+    zhat = MIX x_below + MIX x_above and emits either the residual
+    zhat - x_below ("down") or phi(zhat) ("up", with act = (phi, phi',
+    kinks)).  Interior nodes of the multilayer and generative chains use
+    it, and so does the spiked loop node."""
     coef = [None, None]
     if direction == "down":
-        coef[below_index] = scale * (w_below - 1.0)
-        coef[above_index] = scale * w_above
+        coef[below_index], coef[above_index] = MIX - 1.0, MIX
         return LinearEntrywiseLinear(arity=2, M=coef)
-    coef[below_index], coef[above_index] = w_below, w_above
+    coef[below_index] = coef[above_index] = MIX
     phi, dphi, kinks = act
-    return LinearEntrywiseLinear(arity=2, phi=phi, dphi=dphi, L=coef, R=scale,
+    return LinearEntrywiseLinear(arity=2, phi=phi, dphi=dphi, L=coef,
                                  kinks=kinks)
 
 
@@ -146,8 +141,7 @@ def line_matrices(names, dims, seed: int, *labels):
     return mats, {e: float(dims[l - 1]) for l, e in enumerate(up, start=1)}
 
 
-def interior_messages(g, names, w_below: float, w_above: float,
-                      down_scale: float, up_scale: float, acts) -> Dict[EdgeId, Nonlinearity]:
+def interior_messages(g, names, acts) -> Dict[EdgeId, Nonlinearity]:
     """The down/up InteriorMessage pair out of every interior node
     names[l] (0 < l < L) of a line in g.  Both read the fields from below
     (names[l-1] -> names[l]) and above (names[l+1] -> names[l]) in their
@@ -157,9 +151,8 @@ def interior_messages(g, names, w_below: float, w_above: float,
         below, above = EdgeId(names[l - 1], names[l]), EdgeId(names[l + 1], names[l])
         ins = edges_into(g, above.reversed())
         bi, ai = ins.index(below), ins.index(above)
-        fns[below.reversed()] = InteriorMessage("down", bi, ai, w_below, w_above, down_scale)
-        fns[above.reversed()] = InteriorMessage("up", bi, ai, w_below, w_above, up_scale,
-                                                acts[l - 1])
+        fns[below.reversed()] = InteriorMessage("down", bi, ai)
+        fns[above.reversed()] = InteriorMessage("up", bi, ai, acts[l - 1])
     return fns
 
 
@@ -171,13 +164,13 @@ def build_multilayer_instance(model: MultilayerModel, seed: int = 0):
     mats, scale = line_matrices(names, dims, seed, "mlayer", "A")
     fresh, _ = line_matrices(names, dims, seed, "mlayer", "indep")
     acts = [_activation(layer.activation) for layer in model.layers]
-    y = push_pipeline(model.prior.sample(model.d0, stream(seed, "mlayer", "teacher", "signal")),
+    y = push_pipeline(PRIOR.sample(model.d0, stream(seed, "mlayer", "teacher", "signal")),
                       fresh.values(), [act[0] for act in acts])
 
     up = list(mats)
-    fns = interior_messages(g, names, model.w_a, model.w_b, model.w_h, model.w_e, acts)
-    fns[up[0]] = PenaltyProx(GlmScalars(penalty=model.signal_prox), 1.0)
-    fns[up[-1].reversed()] = ObservationResidual(model.obs_beta)
+    fns = interior_messages(g, names, acts)
+    fns[up[0]] = PenaltyProx(GlmScalars(penalty=SIGNAL_PROX), 1.0)
+    fns[up[-1].reversed()] = ObservationResidual(1.0)
 
     instance = GraphInstance(
         graph=g,

@@ -11,45 +11,44 @@ deterministic signal direction and two scalars close the recursion:
     mu_{t+1} = sqrt(lam) E[V f(mu_t V + sqrt(q_t) G)]
     q_{t+1}  = E[f(mu_t V + sqrt(q_t) G)^2]
 
-with V ~ prior (unit second moment makes lam the SNR), G standard
-normal.  q is the full second moment: the noise W is independent of
-v0, so no projection is involved.
+with V ~ PRIOR, a Rademacher sign (its unit second moment makes lam
+the SNR), and G standard normal.  q is the full second moment: the
+noise W is independent of v0, so no projection is involved.
 
 With depth L >= 1 the spike is generated by a small pipeline
 v0 = phi(A_L ... phi(A_1 w)) and the estimation graph attaches the
-generative chain below the loop node; denoisers combine the loop field
-with the chain field at fixed weights.
+generative chain below the loop node; the loop node averages the loop
+field with the chain field before its denoiser.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from dataclasses import dataclass
+from typing import List, Tuple
 
 import numpy as np
 
 from ..engine import GraphInstance, stationary_provider
 from ..ensembles import sample_goe, stream
-from ..errors import NumericalError
-from ..gamp_se import Prior, RademacherPrior, gh_points
+from ..gamp_se import RademacherPrior, gh_points
 from ..graphs import EdgeId, edges_into, line_graph, single_loop, with_loop
 from ..nonlinearity import Entrywise
 from .multilayer import (InteriorMessage, _activation, check_activation, check_dims,
                          interior_messages, line_matrices, push_pipeline)
+
+PRIOR = RademacherPrior()
 
 
 @dataclass(frozen=True)
 class SpikedModel:
     N: int
     lam: float
-    prior: Prior = field(default_factory=RademacherPrior)
     denoiser: str = "tanh"
     theta: float = 1.0
     init_overlap: float = 0.2
     gen_dims: Tuple[int, ...] = ()
     gen_activation: str = "tanh"
-    w_mix: float = 0.5
 
     def __post_init__(self):
         check_activation("denoiser", self.denoiser)
@@ -74,10 +73,10 @@ def build_spiked_instance(model: SpikedModel, seed: int = 0):
     names = [f"g{l}" for l in range(model.depth)] + ["spike"]
     gact = _activation(model.gen_activation)
     if model.depth == 0:
-        v0 = model.prior.sample(N, stream(seed, "spiked", "v0"))
+        v0 = PRIOR.sample(N, stream(seed, "spiked", "v0"))
     else:
         gen, _ = line_matrices(names, dims, seed, "spiked", "G")
-        v0 = push_pipeline(model.prior.sample(dims[0], stream(seed, "spiked", "w0")),
+        v0 = push_pipeline(PRIOR.sample(dims[0], stream(seed, "spiked", "w0")),
                            gen.values(), [gact[0]] * model.depth)
 
     W = sample_goe(N, stream(seed, "spiked", "W"), scale_N=N)
@@ -101,14 +100,13 @@ def build_spiked_instance(model: SpikedModel, seed: int = 0):
 
     g = with_loop(line_graph(names, dims), "spike")
     mats, scale = line_matrices(names, dims, seed, "spiked", "A")
-    fns = interior_messages(g, names, 0.5, 0.5, 1.0, 1.0, [gact] * model.depth)
+    fns = interior_messages(g, names, [gact] * model.depth)
     top_up = EdgeId(names[-2], "spike")
     ins_at_spike = edges_into(g, loop)
     # the loop node mixes the loop field with the chain field before
     # the denoiser, and sends the same output both ways
     fns[loop] = fns[top_up.reversed()] = InteriorMessage(
-        "up", ins_at_spike.index(loop), ins_at_spike.index(top_up),
-        1.0 - model.w_mix, model.w_mix, 1.0, denoiser)
+        "up", ins_at_spike.index(loop), ins_at_spike.index(top_up), denoiser)
     fns[EdgeId(names[0], names[1])] = Entrywise(np.tanh, lambda x: 1.0 - np.tanh(x) ** 2)
 
     inst = GraphInstance(
@@ -124,34 +122,25 @@ def build_spiked_instance(model: SpikedModel, seed: int = 0):
 @dataclass
 class SpikedSePoint:
     t: int
-    mu: float
+    mu: float  # the limit of <v0, x^t> / N
     q: float
-
-    def overlap(self) -> float:
-        """Limit of <v0, x^t> / N."""
-        return self.mu
 
     def second_moment(self) -> float:
         """Limit of ||x^t||^2 / N (prior has unit second moment)."""
         return self.mu ** 2 + self.q
 
 
-def spiked_scalar_se(model: SpikedModel, T: int, mu0: Optional[float] = None,
-                     q0: float = 0.0, nodes: int = 121) -> List[SpikedSePoint]:
-    """Two-scalar recursion for the depth-0 spike; requires the prior's
-    second moment to be 1 so lam is the signal-to-noise ratio."""
+def spiked_scalar_se(model: SpikedModel, T: int) -> List[SpikedSePoint]:
+    """Two-scalar recursion for the depth-0 spike from (mu, q) =
+    (init_overlap, 0), on a 121-node Gauss-Hermite rule."""
     if model.depth != 0:
         raise ValueError("scalar recursion covers the depth-0 spike only")
-    if abs(model.prior.rho - 1.0) > 1e-12:
-        raise NumericalError("spike prior must have unit second moment")
-    if mu0 is None:
-        mu0 = model.init_overlap
     f = _activation(model.denoiser, model.theta)[0]
-    v, wv = model.prior.quad_points(nodes)
-    gz, wg = gh_points(nodes)
+    v, wv = PRIOR.quad_points(121)
+    gz, wg = gh_points(121)
     sl = math.sqrt(model.lam)
-    pts = [SpikedSePoint(t=0, mu=mu0, q=q0)]
-    mu, q = mu0, q0
+    mu, q = model.init_overlap, 0.0
+    pts = [SpikedSePoint(t=0, mu=mu, q=q)]
     for t in range(1, T + 1):
         X = mu * v[:, None] + math.sqrt(max(q, 0.0)) * gz[None, :]
         W2 = wv[:, None] * wg[None, :]

@@ -231,35 +231,3 @@ class FromCallable(Nonlinearity):
     def fd_trace(self) -> bool:
         return self.jac is None
 
-
-def relu(x):
-    return np.maximum(x, 0.0)
-
-
-def estimate_pl_constant(f: Nonlinearity, in_cols, n_rows, budget=64, rng=None, k=1, side=None):
-    """Empirical pseudo-Lipschitz constant probe.
-
-    Samples input pairs at a few magnitudes and returns (k, Lhat) where
-    Lhat is the max of ||f(x)-f(y)||_F/sqrt(m) over the order-k bound
-    factor times ||x-y||_F/sqrt(n).  A sanity probe, not a certificate.
-    """
-    rng = rng or np.random.default_rng(0)
-    if isinstance(in_cols, int):
-        in_cols = [in_cols]
-    best = 0.0
-    for _ in range(budget):
-        scale = float(rng.choice([0.1, 1.0, 3.0, 10.0]))
-        xs = [scale * rng.standard_normal((n_rows, q)) for q in in_cols]
-        ys = [x + rng.standard_normal(x.shape) * scale * float(rng.uniform(0.01, 1.0)) for x in xs]
-        fx = f.apply(xs, side)
-        fy = f.apply(ys, side)
-        m = fx.shape[0]
-        num = np.linalg.norm(fx - fy) / np.sqrt(m)
-        nx = np.sqrt(sum(np.linalg.norm(x) ** 2 for x in xs) / n_rows)
-        ny = np.sqrt(sum(np.linalg.norm(y) ** 2 for y in ys) / n_rows)
-        dist = np.sqrt(sum(np.linalg.norm(x - y) ** 2 for x, y in zip(xs, ys)) / n_rows)
-        if dist == 0:
-            continue
-        bound_factor = (1.0 + nx ** (k - 1) + ny ** (k - 1)) * dist
-        best = max(best, num / bound_factor)
-    return k, best

@@ -6,16 +6,13 @@ entrywise (all shipped penalties/losses are separable).  Shipped kinds:
   abs       f(p) = weight * |p|               (soft threshold)
   squared   f(p) = weight/2 * p^2
   logistic  f(p) = weight * log(1 + exp(-y p)), labels y in {+-1}
-  indicator f(p) = 0 on [lo, hi], +inf outside (clip)
-  zero      f(p) = 0                           (identity prox)
 
-Derivatives at the non-differentiable points of abs/indicator use the
-closed-active-set convention (derivative 0 exactly at the kink).
+The derivative at the kinks of abs uses the closed-active-set
+convention (derivative 0 exactly at the kink).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,7 +22,7 @@ from .errors import NumericalError
 LOGISTIC_TOL = 1e-10
 LOGISTIC_MAX_ITERS = 100
 
-_KINDS = ("abs", "squared", "logistic", "indicator", "zero")
+_KINDS = ("abs", "squared", "logistic")
 
 
 @dataclass(frozen=True)
@@ -35,19 +32,15 @@ class ProxSpec:
     kind: str
     gamma: float
     weight: float = 1.0
-    lo: float = 0.0
-    hi: float = math.inf
 
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValueError(f"unknown prox kind {self.kind!r}; expected one of {_KINDS}")
         if not self.gamma > 0:
             raise ValueError(f"prox scale gamma must be > 0, got {self.gamma}")
-        if self.kind == "indicator" and not self.lo <= self.hi:
-            raise ValueError("indicator needs lo <= hi")
 
     def with_gamma(self, gamma: float) -> "ProxSpec":
-        return ProxSpec(self.kind, gamma, self.weight, self.lo, self.hi)
+        return ProxSpec(self.kind, gamma, self.weight)
 
 
 def soft_threshold(v, thresh):
@@ -99,14 +92,10 @@ def prox(spec: ProxSpec, v, labels=None):
     """Entrywise prox_{gamma f}(v); logistic needs labels of v's shape."""
     v = np.asarray(v, dtype=float)
     g, w = spec.gamma, spec.weight
-    if spec.kind == "zero":
-        return v.copy()
     if spec.kind == "abs":
         return soft_threshold(v, g * w)
     if spec.kind == "squared":
         return v / (1.0 + g * w)
-    if spec.kind == "indicator":
-        return np.clip(v, spec.lo, spec.hi)
     if spec.kind == "logistic":
         if labels is None:
             raise ValueError("logistic prox needs labels")
@@ -125,14 +114,10 @@ def prox_deriv(spec: ProxSpec, v, labels=None):
     """
     v = np.asarray(v, dtype=float)
     g, w = spec.gamma, spec.weight
-    if spec.kind == "zero":
-        return np.ones_like(v)
     if spec.kind == "abs":
         return (np.abs(v) > g * w).astype(float)
     if spec.kind == "squared":
         return np.full_like(v, 1.0 / (1.0 + g * w))
-    if spec.kind == "indicator":
-        return ((v > spec.lo) & (v < spec.hi)).astype(float)
     if spec.kind == "logistic":
         p = prox(spec, v, labels)
         y = np.asarray(labels, dtype=float)
@@ -141,25 +126,14 @@ def prox_deriv(spec: ProxSpec, v, labels=None):
     raise AssertionError(spec.kind)
 
 
-def shifted_prox(spec: ProxSpec, shift, v, labels=None):
-    """prox of the shifted function f(shift + .): prox(shift + v) - shift."""
-    shift = np.asarray(shift, dtype=float)
-    return prox(spec, v + shift, labels=labels) - shift
-
-
 def penalty_value(spec: ProxSpec, p, labels=None):
     """f(p) summed over entries (used by optimality checks)."""
     p = np.asarray(p, dtype=float)
     w = spec.weight
-    if spec.kind == "zero":
-        return 0.0
     if spec.kind == "abs":
         return w * float(np.sum(np.abs(p)))
     if spec.kind == "squared":
         return 0.5 * w * float(np.sum(p * p))
-    if spec.kind == "indicator":
-        ok = np.all((p >= spec.lo) & (p <= spec.hi))
-        return 0.0 if ok else math.inf
     if spec.kind == "logistic":
         y = np.asarray(labels, dtype=float)
         z = -y * p
@@ -171,8 +145,6 @@ def penalty_grad(spec: ProxSpec, p, labels=None):
     """f'(p) entrywise for the differentiable kinds."""
     p = np.asarray(p, dtype=float)
     w = spec.weight
-    if spec.kind == "zero":
-        return np.zeros_like(p)
     if spec.kind == "squared":
         return w * p
     if spec.kind == "logistic":

@@ -24,14 +24,14 @@ from graphamp.engine import run
 from graphamp.ensembles import normals, stream
 from graphamp.gamp_se import GlmScalars
 from graphamp.graphs import EdgeId
-from graphamp.models import (GmmSpatialModel, LayerSpec, MultilayerModel,
-                             SpikedModel)
+from graphamp.models import GmmSpatialModel, SpikedModel
 from graphamp.models.committee import AffineMix
 from graphamp.models.glm import LossResidual, ObservationResidual, PenaltyProx
 from graphamp.models.gmm import (StackPenaltyProx, accuracy,
                                  build_gmm_spatial_instance, gmm_weights,
                                  ridge_baseline)
-from graphamp.models.multilayer import InteriorMessage, _activation
+from graphamp.models.multilayer import (MIX, SIGNAL_PROX, InteriorMessage,
+                                        _activation)
 from graphamp.nonlinearity import (Entrywise, EntrywiseThenMix, FromCallable,
                                    Identity, LinearEntrywiseLinear, SideData,
                                    Zero)
@@ -107,7 +107,7 @@ def test_criterion_02_lasso_se_agreement():
                           quad=QuadSpec(method="gh"))
     se = {}
     for pt in pts[1:]:
-        se[(pt.t, "norm_sq_v")] = pt.v_second_moment()
+        se[(pt.t, "norm_sq_v")] = pt.p
         se[(pt.t, "norm_sq_u")] = pt.u_second_moment(prior.rho)
         se[(pt.t, "mse")] = pt.mse
     rows = _gate_rows(table, se, ("norm_sq_v", "norm_sq_u", "mse"),
@@ -239,12 +239,12 @@ def _away_from(x, kinks, clear=_CLEAR):
     return x
 
 
-def _clear_mixed_field(below, above, wa, wb, clear=_CLEAR):
-    """Shift the below-input so wa*below + wb*above stays off zero."""
-    z = wa * below + wb * above
+def _clear_mixed_field(below, above, clear=_CLEAR):
+    """Shift the below-input so MIX*below + MIX*above stays off zero."""
+    z = MIX * below + MIX * above
     close = np.abs(z) < clear
     sgn = np.where(z[close] >= 0.0, 1.0, -1.0)
-    below[close] += (2.0 * clear / wa) * sgn
+    below[close] += (2.0 * clear / MIX) * sgn
     return below, above
 
 
@@ -298,7 +298,7 @@ def _nonlinearity_catalog(rng):
                                               weight=0.8), loss="squared")
     alpha = 0.9
     yield ("penalty_prox_abs", PenaltyProx(abs_scalars, alpha),
-           lambda: ([_away_from(smooth(), abs_scalars.e_kinks(alpha))],
+           lambda: ([_away_from(smooth(), abs_scalars.e_kinks())],
                     None, 0))
     sq_scalars = GlmScalars(penalty=ProxSpec(kind="squared", gamma=1.0,
                                              weight=1.2), loss="squared")
@@ -314,54 +314,34 @@ def _nonlinearity_catalog(rng):
                     SideData(arrays={"y": rng.choice([-1.0, 1.0], size=n)}),
                     0))
 
-    ml = MultilayerModel(d0=n, layers=(LayerSpec(n),))
-
     def relu_case(wrt):
         def make():
-            below, above = smooth(), smooth()
-            below, above = _clear_mixed_field(below, above, ml.w_a, ml.w_b)
-            return [below, above], None, wrt
+            return [*_clear_mixed_field(smooth(), smooth())], None, wrt
         return make
 
-    def interior_up(activation):
-        return InteriorMessage("up", 0, 1, ml.w_a, ml.w_b, ml.w_e,
-                               _activation(activation))
+    def interior_up(activation, theta=1.0):
+        return InteriorMessage("up", 0, 1, _activation(activation, theta))
 
+    # the messages out of every interior node of the multilayer and
+    # generative chains
     yield ("interior_up_relu_wrt_below", interior_up("relu"), relu_case(0))
     yield ("interior_up_relu_wrt_above", interior_up("relu"), relu_case(1))
     yield ("interior_up_linear", interior_up("linear"),
            lambda: ([smooth(), smooth()], None, rng.integers(2)))
-    yield ("interior_down",
-           InteriorMessage("down", 0, 1, ml.w_a, ml.w_b, ml.w_h),
+    yield ("interior_down", InteriorMessage("down", 0, 1),
            lambda: ([smooth(), smooth()], None, rng.integers(2)))
-    yield ("signal_prox",
-           PenaltyProx(GlmScalars(penalty=ml.signal_prox), 1.0),
+    yield ("signal_prox", PenaltyProx(GlmScalars(penalty=SIGNAL_PROX), 1.0),
            lambda: ([_away_from(smooth(), [-0.05, 0.05])], None, 0))
     yield ("observation_residual", ObservationResidual(1.0),
            lambda: ([smooth()],
                     SideData(arrays={"y": rng.normal(size=n)}), 0))
 
     sp = SpikedModel(N=n, lam=2.0, gen_dims=(n,))
-    loop_node = InteriorMessage("up", 0, 1, 1.0 - sp.w_mix, sp.w_mix, 1.0,
-                                _activation(sp.denoiser, sp.theta))
+    loop_node = interior_up(sp.denoiser, sp.theta)
     yield ("loop_node_wrt_loop", loop_node,
            lambda: ([smooth(), smooth()], None, 0))
     yield ("loop_node_wrt_chain", loop_node,
            lambda: ([smooth(), smooth()], None, 1))
-    yield ("chain_up_tanh",
-           InteriorMessage("up", 0, 1, 0.5, 0.5, 1.0, _activation("tanh")),
-           lambda: ([smooth(), smooth()], None, rng.integers(2)))
-
-    def chain_up_relu_case():
-        below, above = smooth(), smooth()
-        below, above = _clear_mixed_field(below, above, 0.5, 0.5)
-        return [below, above], None, 0
-
-    yield ("chain_up_relu",
-           InteriorMessage("up", 0, 1, 0.5, 0.5, 1.0, _activation("relu")),
-           chain_up_relu_case)
-    yield ("chain_down", InteriorMessage("down", 0, 1, 0.5, 0.5),
-           lambda: ([smooth(), smooth()], None, rng.integers(2)))
 
     yield ("affine_mix", AffineMix(rng.normal(size=(2, 2))),
            lambda: ([smooth(2)],

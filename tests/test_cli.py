@@ -1,3 +1,4 @@
+import dataclasses
 import filecmp
 import json
 import os
@@ -8,7 +9,8 @@ import numpy as np
 import pytest
 
 import graphamp
-from graphamp import cli
+from graphamp import (CommitteeModel, GmmSpatialModel, MultilayerModel,
+                      SpikedModel, cli)
 from graphamp import config as config_mod
 from graphamp.cli import main
 from graphamp.config import MODEL_KINDS
@@ -315,18 +317,46 @@ def test_glm_gate_fails_a_scaled_prediction():
     assert failures(0.9) >= 1
 
 
-def test_module_entry_point_runs(tmp_path):
-    cfg = _write(tmp_path, {**TINY_LASSO, "T": 2, "amp_seeds": [0]})
-    # the child finds the package where this process found it, installed
-    # or not
+def _run_child(cfg, out, **env):
+    """`python -m graphamp.cli run` in a child process whose environment
+    is this one's updated by env (a None value unsets the variable); the
+    child finds the package where this process found it, installed or
+    not."""
     src = os.path.dirname(os.path.dirname(graphamp.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
+    child = {**os.environ, "PYTHONPATH": path, **env}
+    return subprocess.run(
         [sys.executable, "-m", "graphamp.cli", "run", "--config", cfg,
-         "--out", str(tmp_path / "o")],
-        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
+         "--out", str(out)],
+        capture_output=True, text=True,
+        env={k: v for k, v in child.items() if v is not None})
+
+
+def test_module_entry_point_runs(tmp_path):
+    cfg = _write(tmp_path, {**TINY_LASSO, "T": 2, "amp_seeds": [0]})
+    proc = _run_child(cfg, tmp_path / "o")
     assert proc.returncode == 0, proc.stderr
     assert "comparisons" in proc.stdout
+
+
+def test_cli_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # at d = n = 1000 a threaded OpenBLAS splits the design products and
+    # rounds them differently from one thread; the CLI runs on one
+    cfg = _write(tmp_path, {"model": {"kind": "committee", "d": 1000,
+                                      "n": 1000},
+                            "T": 2, "se_samples": 100, "master_seed": 31,
+                            "observables": ["norm_sq"]})
+    outs = []
+    for threads in (None, "1", "2"):
+        out = tmp_path / f"o{threads}"
+        proc = _run_child(cfg, out, OPENBLAS_NUM_THREADS=threads,
+                          GOTO_NUM_THREADS=None, OMP_NUM_THREADS=None)
+        assert proc.returncode == 0, proc.stderr
+        outs.append(out)
+    for out in outs[1:]:
+        for name in ("trajectory.csv", "se.csv", "compare.csv"):
+            assert filecmp.cmp(outs[0] / name, out / name, shallow=False), \
+                (out.name, name)
 
 
 GLM_TINY = {"d": 60, "aspect": 0.5, "lam": 1.0}
@@ -342,8 +372,33 @@ TINY_MODELS = {
 }
 
 
+def test_missing_blas_is_said_once_and_the_run_goes_on(tmp_path, capsys,
+                                                      monkeypatch):
+    monkeypatch.setattr(cli, "_BLAS_SYMBOLS", (("no_such_set", "no_such_get"),))
+    cli._blas_threads.cache_clear()
+    try:
+        cfg = _write(tmp_path, {**TINY_LASSO, "T": 2, "amp_seeds": [0]})
+        for _ in range(2):
+            assert main(["validate-config", "--config", cfg]) == 0
+        assert capsys.readouterr().err.count("no known BLAS library") == 1
+    finally:
+        cli._blas_threads.cache_clear()
+
+
 def test_kind_table_covers_the_config_schema():
     assert set(cli.KINDS) == set(MODEL_KINDS)
+
+
+def test_model_fields_are_the_config_keys():
+    # a field that no config key sets would be a knob only the library
+    # can turn
+    for kind, cls in (("spiked", SpikedModel), ("gmm_spatial", GmmSpatialModel),
+                      ("committee", CommitteeModel)):
+        assert isinstance(cli.KINDS[kind].model(TINY_MODELS[kind]), cls)
+        assert ({f.name for f in dataclasses.fields(cls)}
+                == set(config_mod._MODEL_KEYS[kind])), kind
+    assert ([f.name for f in dataclasses.fields(MultilayerModel)]
+            == ["d0", "layers"])
 
 
 @pytest.mark.parametrize("kind", MODEL_KINDS)
@@ -443,16 +498,29 @@ BAD_VALUES = {
                               "n_per_cluster": 8, "coupling": -0.3},
     "negative_committee_threshold": {"kind": "committee", "d": 20, "n": 20,
                                      "theta": -1.0},
+    # whole configs: a repeated entry counts one instance twice
+    "repeated_seed": {"model": {"kind": "committee", "d": 60, "n": 60},
+                      "amp_seeds": [3, 3, 3]},
+    "repeated_observable": {"model": {"kind": "lasso", "d": 30, "aspect": 0.5,
+                                      "lam": 1.0},
+                            "observables": ["mse", "mse"]},
+}
+# the error of a whole-config case; a model block's is "model: ..."
+BAD_VALUE_ERRORS = {
+    "repeated_seed": "amp_seeds[1]: duplicate seed 3",
+    "repeated_observable": "observables[1]: duplicate observable 'mse'",
 }
 
 
 @pytest.mark.parametrize("case", sorted(BAD_VALUES))
 def test_bad_model_values_are_config_errors(tmp_path, capsys, case):
-    cfg = _write(tmp_path, {"model": BAD_VALUES[case], "T": 2,
-                            "se_samples": 50})
+    bad = BAD_VALUES[case]
+    cfg = _write(tmp_path, {"T": 2, "se_samples": 50,
+                            **(bad if "model" in bad else {"model": bad})})
     out = tmp_path / "o"
     for command in ("validate-config", "run"):
         assert main([command, "--config", cfg, "--out", str(out)]) == 2
-        assert "config error: model: " in capsys.readouterr().err
+        assert (f"config error: {BAD_VALUE_ERRORS.get(case, 'model: ')}"
+                in capsys.readouterr().err)
     assert not out.exists()
 

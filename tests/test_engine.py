@@ -6,9 +6,9 @@ import pytest
 from graphamp import (GraphInstance, NumericalError, ShapeError,
                       build_gamp_instance, lasso_model)
 from graphamp.engine import (Observable, block_product, init,
-                             norm_sq_observable, observe, overlap_observable,
-                             run, stationary_provider, step)
-from graphamp.graphs import EdgeId, single_loop, two_node_chain
+                             norm_sq_observable, observe, run,
+                             stationary_provider, step)
+from graphamp.graphs import EdgeId, line_graph, single_loop
 from graphamp.nonlinearity import (Entrywise, FromCallable, Identity,
                                    Nonlinearity)
 from helpers import default_prior
@@ -17,7 +17,7 @@ from helpers import default_prior
 def _chain_instance(A, x0_fwd, scale):
     """Two-node chain with identity updates on both edges."""
     n, d = A.shape
-    g = two_node_chain("sig", d, "obs", n)
+    g = line_graph(["sig", "obs"], [d, n])
     fwd = EdgeId("sig", "obs")
     return GraphInstance(
         graph=g,
@@ -200,7 +200,7 @@ def test_loop_matrix_symmetry_tolerance():
 def test_zero_output_keeps_its_onsager_correction():
     A = np.array([[1.0, 2.0, 0.0], [0.0, 1.0, -1.0]])
     n, d = A.shape
-    g = two_node_chain("sig", d, "obs", n)
+    g = line_graph(["sig", "obs"], [d, n])
     fwd = EdgeId("sig", "obs")
     bwd = fwd.reversed()
     # zero output, unit derivative: J = d rows, b = d / scale
@@ -253,7 +253,7 @@ def test_divergence_aborts_with_location():
 def _centering_chain(n):
     """Chain whose forward update centers its input: not row-local, and
     FromCallable without jac, so its trace is the FD fallback."""
-    g = two_node_chain("sig", n, "obs", 10)
+    g = line_graph(["sig", "obs"], [n, 10])
     fwd = EdgeId("sig", "obs")
     center = FromCallable(lambda inputs, side: inputs[0] - inputs[0].mean(axis=0))
     A = np.random.default_rng(2).normal(size=(10, n)) / np.sqrt(n)
@@ -327,8 +327,7 @@ def test_observe_records_and_builtin_observables():
     inst, fwd = _chain_instance(A, x0, scale=3.0)
     traj = run(inst, 2, allow_degenerate=True)
     bwd = fwd.reversed()
-    obs = [norm_sq_observable(bwd, scale=1.0 / 3.0),
-           overlap_observable(bwd, np.ones((3, 1)))]
+    obs = [norm_sq_observable(bwd, scale=1.0 / 3.0)]
     recs = observe(traj, obs, times=[1, 2])
     assert {r["t"] for r in recs} == {1, 2}
     want = float(np.sum((A.T @ x0) ** 2)) / 3.0

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from graphamp import NumericalError
-from graphamp.ensembles import (normals, sample_correlated_rows, sample_goe,
-                                sample_iid, sample_spatially_coupled,
-                                spectral_inv_sqrt, spectral_sqrt, stream)
+from graphamp.ensembles import (normals, sample_goe, sample_iid,
+                                sample_spatially_coupled, spectral_sqrt,
+                                stream)
 
 
 def test_stream_is_deterministic_and_label_sensitive():
@@ -68,21 +68,11 @@ def test_spatially_coupled_zero_blocks_are_zero():
     assert np.all(Z[50:, :40] == 0.0)
 
 
-def test_correlated_rows_covariance():
-    Sigma = np.array([[2.0, 0.6], [0.6, 1.0]])
-    root = spectral_sqrt(Sigma)
-    X = sample_correlated_rows(20_000, root, 1.0, stream(4, "corr"))
-    emp = X.T @ X / X.shape[0]
-    assert np.max(np.abs(emp - Sigma)) < 0.1
-
-
 def test_samplers_scale_the_normals_exactly():
     # dividing the draws in place rounds as dividing a copy does
     s = 7.0
     ref = normals(stream(5, "scale"), (6, 4)) / np.sqrt(s)
     assert np.array_equal(sample_iid(6, 4, s, stream(5, "scale")), ref)
-    assert np.array_equal(
-        sample_correlated_rows(6, np.eye(4), s, stream(5, "scale")), ref)
     G = normals(stream(5, "scale"), (5, 5)) / np.sqrt(2.0 * s)
     assert np.array_equal(sample_goe(5, stream(5, "scale"), scale_N=s), G + G.T)
 
@@ -103,8 +93,6 @@ def test_spectral_sqrt_roundtrip():
     Sigma = B @ B.T + 0.1 * np.eye(4)
     R = spectral_sqrt(Sigma)
     assert np.allclose(R @ R.T, Sigma, atol=1e-10)
-    Ri = spectral_inv_sqrt(Sigma)
-    assert np.allclose(Ri @ Sigma @ Ri.T, np.eye(4), atol=1e-8)
 
 
 def test_spectral_sqrt_rejects_indefinite():

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from graphamp import NumericalError, gamp_se
-from graphamp.gamp_se import (GaussBernoulliPrior, GaussianPrior, GlmScalars,
-                              QuadSpec, RademacherPrior, gamp_overlap_se,
-                              gaussian_piecewise_nodes, gh_points, make_channel)
+from graphamp.gamp_se import (GaussBernoulliPrior, GlmScalars,
+                              LinearGaussianChannel, LogisticChannel, QuadSpec,
+                              RademacherPrior, gamp_overlap_se,
+                              gaussian_piecewise_nodes, gh_points)
 from graphamp.prox import ProxSpec
 
 # frozen two-sided quadrature oracles for the soft-threshold instance
@@ -28,7 +29,7 @@ def _lasso_pieces(lam=0.6, sigma=0.5):
     prior = GaussBernoulliPrior(eps=0.25, var=4.0)
     scalars = GlmScalars(penalty=ProxSpec("abs", gamma=1.0, weight=lam),
                          loss="squared")
-    channel = make_channel("linear", sigma)
+    channel = LinearGaussianChannel(sigma)
     return prior, channel, scalars
 
 
@@ -121,7 +122,7 @@ def test_logistic_gh_quadrature_runs_and_tracks_mc():
     prior = GaussBernoulliPrior(eps=0.25, var=4.0)
     scalars = GlmScalars(penalty=ProxSpec("abs", gamma=1.0, weight=0.5),
                          loss="logistic")
-    channel = make_channel("logistic")
+    channel = LogisticChannel()
     gh = gamp_overlap_se(prior, channel, scalars, delta=2.0, T=4, beta0=1.0)
     mc = gamp_overlap_se(prior, channel, scalars, delta=2.0, T=4, beta0=1.0,
                          quad=QuadSpec("mc", samples=100_000, seed=2))
@@ -145,7 +146,7 @@ def test_vanishing_signal_forces_vanishing_overlap():
     # linearly with the prior mass as rho -> 0
     scalars = GlmScalars(penalty=ProxSpec("abs", gamma=1.0, weight=0.6),
                          loss="squared")
-    channel = make_channel("linear", 0.5)
+    channel = LinearGaussianChannel(0.5)
     with pytest.raises(ValueError):
         gamp_overlap_se(GaussBernoulliPrior(eps=0.0, var=4.0), channel,
                         scalars, delta=0.5, T=2, beta0=1.0)
@@ -171,7 +172,7 @@ def test_priors_expose_second_moment_and_sampling():
     gb = GaussBernoulliPrior(eps=0.25, var=4.0)
     assert abs(gb.rho - 1.0) < 1e-12
     assert abs(RademacherPrior().rho - 1.0) < 1e-12
-    g = GaussianPrior(var=2.0)
+    g = GaussBernoulliPrior(eps=1.0, var=2.0)
     assert abs(g.rho - 2.0) < 1e-12
     x = gb.sample(50_000, np.random.default_rng(0))
     assert abs(np.mean(x == 0.0) - 0.75) < 0.01

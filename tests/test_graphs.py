@@ -3,8 +3,8 @@ import pytest
 from graphamp import GraphError
 from graphamp.graphs import (EdgeId, GraphSpec, canonical_edge_order,
                              edges_into, line_graph, require_valid,
-                             reversed_input_index, single_loop, two_node_chain,
-                             validate, with_loop)
+                             reversed_input_index, single_loop, validate,
+                             with_loop)
 
 
 def test_edge_id_reverse_and_loop():
@@ -17,7 +17,7 @@ def test_edge_id_reverse_and_loop():
 
 
 def test_two_node_chain_shapes():
-    g = two_node_chain("sig", 7, "obs", 4)
+    g = line_graph(["sig", "obs"], [7, 4])
     e = EdgeId("sig", "obs")
     assert validate(g).ok
     # iterate lives at the end node, message at the start node

@@ -1,12 +1,10 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphamp import (ProxSpec, penalty_grad, penalty_value, prox, prox_deriv,
-                      shifted_prox, soft_threshold)
+                      soft_threshold)
 
 # roots of p - v - gamma*w*y*sigmoid(-y*p) = 0, solved independently by
 # bisection to 1e-14
@@ -33,17 +31,9 @@ def test_squared_prox_closed_form():
     assert np.allclose(prox_deriv(spec, v), 0.5)
 
 
-def test_indicator_prox_clips():
-    spec = ProxSpec("indicator", gamma=1.0, lo=-1.0, hi=2.0)
-    v = np.array([-3.0, 0.5, 5.0])
-    assert np.allclose(prox(spec, v), [-1.0, 0.5, 2.0])
-    assert np.allclose(prox_deriv(spec, v), [0.0, 1.0, 0.0])
-    assert penalty_value(spec, np.array([0.0, 2.0])) == 0.0
-    assert penalty_value(spec, np.array([2.5])) == math.inf
-
-
 def test_zero_prox_is_identity():
-    spec = ProxSpec("zero", gamma=1.0)
+    # the zero penalty is the squared one at weight 0
+    spec = ProxSpec("squared", gamma=1.0, weight=0.0)
     v = np.array([-2.0, 0.3])
     assert np.allclose(prox(spec, v), v)
     assert np.allclose(prox_deriv(spec, v), 1.0)
@@ -85,14 +75,6 @@ def test_logistic_prox_requires_labels():
         prox(spec, np.array([1.0, 2.0]), labels=np.array([1.0]))
 
 
-def test_shifted_prox_identity():
-    spec = ProxSpec("abs", gamma=1.0, weight=0.5)
-    shift = np.array([0.3, -1.2, 0.0])
-    v = np.array([1.0, 0.4, -0.2])
-    assert np.allclose(shifted_prox(spec, shift, v),
-                       prox(spec, v + shift) - shift)
-
-
 def test_penalty_grad_matches_value_fd():
     for spec, labels in ((ProxSpec("squared", 1.0, weight=1.4), None),
                          (ProxSpec("logistic", 1.0, weight=0.9),
@@ -114,7 +96,7 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         ProxSpec("abs", 0.0)
     with pytest.raises(ValueError):
-        ProxSpec("indicator", 1.0, lo=2.0, hi=1.0)
+        ProxSpec("indicator", 1.0)
     assert ProxSpec("abs", 1.0).with_gamma(2.5).gamma == 2.5
 
 

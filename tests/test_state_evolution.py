@@ -9,13 +9,16 @@ from graphamp import state_evolution
 from graphamp.engine import run, stationary_provider
 from graphamp.graphs import EdgeId, single_loop
 from graphamp.nonlinearity import (Entrywise, FromCallable, Identity,
-                                   LinearEntrywiseLinear, Nonlinearity, Zero,
-                                   relu)
+                                   LinearEntrywiseLinear, Nonlinearity, Zero)
 from graphamp.gamp_se import gaussian_piecewise_nodes
 from graphamp.state_evolution import (compare, mc_observable_stats, se_init,
                                       se_run, se_step, summarize)
 from graphamp.engine import observe
 from graphamp.ensembles import normals, sample_goe, stream
+
+
+def relu(x):
+    return np.maximum(x, 0.0)
 
 
 def _loop_instance(f, n=400, x0_val=1.0, seed=9):
