@@ -16,7 +16,7 @@ import numpy as np
 
 from .ensembles import normals, sample_goe, spectral_sqrt, stream
 from .errors import NumericalError
-from .nonlinearity import Nonlinearity, fd_jacobian_trace
+from .nonlinearity import FD_STEP, Nonlinearity, fd_jacobian_trace
 
 
 @dataclass
@@ -186,18 +186,20 @@ def goe_projection_checks(n, q, t_rank, M, rng, z_threshold=4.0) -> List[CheckRe
 
 
 def onsager_fd_check(f: Nonlinearity, inputs: Sequence[np.ndarray], wrt_block: int = 0,
-                     side=None, rel_tol=1e-5, step=1e-6) -> CheckReport:
+                     side=None, rel_tol=1e-5) -> CheckReport:
     """Analytic Jacobian trace against a central finite-difference oracle.
 
     The inputs must be a smooth point of f (keep away from prox kinks).
     Relative error uses max(1, |analytic|) entrywise as denominator.
+    The oracle steps each entry x by FD_STEP * (1 + |x|); params reports
+    FD_STEP as step.
     """
     analytic = f.jacobian_trace(list(inputs), side=side, wrt=wrt_block)
     fd = fd_jacobian_trace(f, list(inputs), side=side, wrt=wrt_block)
     rel = np.abs(analytic - fd) / np.maximum(1.0, np.abs(analytic))
     return CheckReport(
         check_id="onsager_fd",
-        params={"n": inputs[wrt_block].shape[0], "cols": analytic.shape[1], "step": step},
+        params={"n": inputs[wrt_block].shape[0], "cols": analytic.shape[1], "step": FD_STEP},
         statistic=float(rel.max()),
         predicted=0.0,
         stderr=0.0,

@@ -3,7 +3,7 @@ import pytest
 
 from graphamp import CheckReport, goe_projection_checks, onsager_fd_check, opnorm_check, stein_check
 from graphamp.ensembles import stream
-from graphamp.nonlinearity import Entrywise, FromCallable, Identity
+from graphamp.nonlinearity import FD_STEP, Entrywise, FromCallable, Identity
 
 
 def _tanh_pair():
@@ -44,6 +44,13 @@ def test_onsager_fd_agrees_for_smooth_map():
     rep = onsager_fd_check(_tanh_pair(), [x])
     assert rep.passed
     assert rep.statistic <= 1e-5
+
+
+def test_onsager_fd_reports_the_step_its_oracle_takes():
+    rng = stream(0, "fd-step")
+    rep = onsager_fd_check(_tanh_pair(), [rng.normal(size=(50, 1))])
+    assert rep.params["step"] == FD_STEP
+    assert f"step={FD_STEP}" in rep.row()["params"]
 
 
 def test_onsager_fd_flags_a_wrong_jacobian():
