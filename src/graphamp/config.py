@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import asdict, dataclass
 from typing import Any, Dict, Tuple
 
@@ -90,7 +91,14 @@ def _check_type(value, tp, path):
     # bool is an int subclass in Python; keep the two distinct in configs
     if (tp is float and isinstance(value, (int, float))
             and not isinstance(value, bool)):
-        return float(value)
+        # json reads NaN, Infinity and -Infinity, and ints of any size
+        try:
+            value = float(value)
+        except OverflowError:
+            value = math.inf
+        if not math.isfinite(value):
+            raise ConfigError(f"{path}: must be finite, got {value}")
+        return value
     if isinstance(value, tp) and not isinstance(value, bool):
         return value
     raise ConfigError(f"{path}: expected {tp.__name__}, "

@@ -17,6 +17,17 @@ declared: one covering m^t_e).  An all-zero output, as in the off phase
 of a two-phase chain, leaves A_e unread, and a non-finite entry of A_e
 is caught only at a step whose nonzero blocks read its column.
 
+When both directions of a stored pair (not a loop) have a nonzero
+output and neither declares out_blocks, the two products share one
+pass over the stored matrix S, PANEL_ROWS rows at a time (_pair_sweep):
+each panel S[p] gives x[p] = S[p] m and adds S[p]^T m_rev[p] to the
+reversed product.  The packing buffer then scales with a panel, not
+with S.  A pair of at most PANEL_ROWS rows makes the per-block calls
+exactly; a taller one sums its reversed product panel by panel, in a
+fixed order, so it can differ from one BLAS call in the last bits.
+Loops, declared blocks and pairs with one live direction, such as
+every step of a two-phase chain, keep the per-block products.
+
 Each block product is taken as (m^T S^T)^T with S = A_e[:, rs]
 (block_product).  On the reversed direction of a pair, served as the
 transpose of the stored matrix, S^T is a block of stored rows, which
@@ -48,6 +59,9 @@ Provider = Callable[[EdgeId, int, Optional[Mapping[EdgeId, np.ndarray]]], Nonlin
 # input entry per pair of applies, O(n^2 q) work in all; onsager refuses
 # it above this many entries (n * q of the perturbed block).
 FD_FALLBACK_MAX_ENTRIES = 512
+
+# Rows of the stored matrix that _pair_sweep reads per panel.
+PANEL_ROWS = 256
 
 
 def stationary_provider(fns: Mapping[EdgeId, Nonlinearity]) -> Provider:
@@ -206,14 +220,36 @@ def block_product(S: np.ndarray, m: np.ndarray) -> np.ndarray:
     return (m.T @ S.T).T
 
 
+def _pair_sweep(S: np.ndarray, m: np.ndarray, m_rev: np.ndarray):
+    """(S @ m, S^T @ m_rev) in one pass over S, PANEL_ROWS rows at a time.
+
+    Each panel makes the block_product calls of its rows; the reversed
+    product is assigned from the first panel and summed over the rest in
+    row order.
+    """
+    x = np.zeros((S.shape[0], m.shape[1]))
+    x_rev = np.zeros((S.shape[1], m_rev.shape[1]))
+    for lo in range(0, S.shape[0], PANEL_ROWS):
+        p = slice(lo, lo + PANEL_ROWS)
+        x[p] = block_product(S[p], m)
+        if lo:
+            x_rev += block_product(S[p].T, m_rev[p])
+        else:
+            x_rev[:] = block_product(S[p].T, m_rev[p])
+    return x, x_rev
+
+
 def step(instance: GraphInstance, traj: AmpTrajectory) -> AmpTrajectory:
     """Advance every edge by one iteration (in place; returns traj).
 
     A_e is read only if some block of m^t_e is nonzero, else x^{t+1}_e
-    is the correction term alone (zeros at t = 0).  Each live block is
-    assigned block_product(A_e[:, rs], m^t_e[rs, cs]); an exactly
-    symmetric loop passes its row strip A_e[rs, :]^T instead.  An output
-    with a nonzero entry outside its out_blocks raises ShapeError.
+    is the correction term alone (zeros at t = 0).  A stored pair whose
+    two directions both have a nonzero output, neither with declared
+    out_blocks, reads its matrix once for both products (_pair_sweep).
+    Otherwise each live block is assigned block_product(A_e[:, rs],
+    m^t_e[rs, cs]); an exactly symmetric loop passes its row strip
+    A_e[rs, :]^T instead.  An output with a nonzero entry outside its
+    out_blocks raises ShapeError.
     """
     g = instance.graph
     t = traj.T
@@ -221,6 +257,7 @@ def step(instance: GraphInstance, traj: AmpTrajectory) -> AmpTrajectory:
     ms: Dict[EdgeId, np.ndarray] = {}
     bs: Dict[EdgeId, np.ndarray] = {}
     live: Dict[EdgeId, list] = {}
+    whole = set()  # live, with no out_blocks declared
     b_prev = {e: traj.b[e][t - 1] for e in order} if t else None
     for e in order:
         f = instance.provider(e, t, b_prev)
@@ -232,24 +269,33 @@ def step(instance: GraphInstance, traj: AmpTrajectory) -> AmpTrajectory:
             raise NumericalError("update function produced non-finite values", edge=str(e), t=t)
         ms[e] = m
         live[e] = _live_blocks(f, m, e, t)
+        if live[e] and not f.out_blocks:
+            whole.add(e)
         bs[e] = onsager(instance, e, t, f, inputs)
-    for e in order:
-        x_new = np.zeros(g.x_shape(e))
-        # overflow surfaces through the isfinite guard, not a warning
-        with np.errstate(over="ignore", invalid="ignore"):
-            if live[e]:
-                A = instance.matrix(e)
-                by_rows = e in instance.exact_symmetric
-                for rs, cs in live[e]:
-                    S = A[rs, :].T if by_rows else A[:, rs]
-                    x_new[:, cs] = block_product(S, ms[e][rs, cs])
+    xs: Dict[EdgeId, np.ndarray] = {}
+    # overflow surfaces through the isfinite guard, not a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        for key in instance.matrices:
+            rev = key.reversed()
+            if not key.is_loop() and key in whole and rev in whole:
+                xs[key], xs[rev] = _pair_sweep(instance.matrix(key), ms[key], ms[rev])
+        for e in order:
+            x_new = xs.pop(e, None)
+            if x_new is None:
+                x_new = np.zeros(g.x_shape(e))
+                if live[e]:
+                    A = instance.matrix(e)
+                    by_rows = e in instance.exact_symmetric
+                    for rs, cs in live[e]:
+                        S = A[rs, :].T if by_rows else A[:, rs]
+                        x_new[:, cs] = block_product(S, ms[e][rs, cs])
             if t >= 1:
                 x_new -= traj.m[e.reversed()][t - 1] @ bs[e].T
-        if not np.all(np.isfinite(x_new)):
-            raise NumericalError("iterate diverged (non-finite values)", edge=str(e), t=t + 1)
-        traj.x[e].append(x_new)
-        traj.m[e].append(ms[e])
-        traj.b[e].append(bs[e])
+            if not np.all(np.isfinite(x_new)):
+                raise NumericalError("iterate diverged (non-finite values)", edge=str(e), t=t + 1)
+            traj.x[e].append(x_new)
+            traj.m[e].append(ms[e])
+            traj.b[e].append(bs[e])
     return traj
 
 

@@ -498,6 +498,16 @@ BAD_VALUES = {
                               "n_per_cluster": 8, "coupling": -0.3},
     "negative_committee_threshold": {"kind": "committee", "d": 20, "n": 20,
                                      "theta": -1.0},
+    # json.dump writes these as Infinity and NaN, which json.load reads
+    "nonfinite_aspect": {"kind": "lasso", "d": 30, "aspect": float("inf"),
+                         "lam": 1.0},
+    # an int literal beyond float range, which json keeps as an int
+    "overflowing_aspect": {"kind": "lasso", "d": 30, "aspect": 10 ** 400,
+                           "lam": 1.0},
+    "nan_lasso_penalty": {"kind": "lasso", "d": 30, "aspect": 0.5,
+                          "lam": float("nan")},
+    "infinite_committee_threshold": {"kind": "committee", "d": 20, "n": 20,
+                                     "theta": float("inf")},
     # whole configs: a repeated entry counts one instance twice
     "repeated_seed": {"model": {"kind": "committee", "d": 60, "n": 60},
                       "amp_seeds": [3, 3, 3]},
@@ -505,10 +515,15 @@ BAD_VALUES = {
                                       "lam": 1.0},
                             "observables": ["mse", "mse"]},
 }
-# the error of a whole-config case; a model block's is "model: ..."
+# the error of a whole-config or a type case; other model cases read
+# "model: ..."
 BAD_VALUE_ERRORS = {
     "repeated_seed": "amp_seeds[1]: duplicate seed 3",
     "repeated_observable": "observables[1]: duplicate observable 'mse'",
+    "nonfinite_aspect": "model.aspect: must be finite, got inf",
+    "overflowing_aspect": "model.aspect: must be finite, got inf",
+    "nan_lasso_penalty": "model.lam: must be finite, got nan",
+    "infinite_committee_threshold": "model.theta: must be finite, got inf",
 }
 
 

@@ -3,14 +3,15 @@ import time
 import numpy as np
 import pytest
 
-from graphamp import (GraphInstance, NumericalError, ShapeError,
+from graphamp import (CommitteeModel, GraphInstance, NumericalError,
+                      ShapeError, build_committee_instance,
                       build_gamp_instance, lasso_model)
-from graphamp.engine import (Observable, block_product, init,
-                             norm_sq_observable, observe, run,
-                             stationary_provider, step)
+from graphamp.engine import (PANEL_ROWS, Observable, _pair_sweep,
+                             block_product, init, norm_sq_observable,
+                             observe, run, stationary_provider, step)
 from graphamp.graphs import EdgeId, line_graph, single_loop
-from graphamp.nonlinearity import (Entrywise, FromCallable, Identity,
-                                   Nonlinearity)
+from graphamp.nonlinearity import (Entrywise, EntrywiseThenMix,
+                                   FromCallable, Identity, Nonlinearity)
 from helpers import default_prior
 
 
@@ -61,16 +62,92 @@ def test_second_step_subtracts_onsager_term():
     assert np.allclose(traj.b[bwd][1], [[2.0 / 3.0]])
 
 
-def test_zero_output_skips_the_matrix_product():
-    model = lasso_model(d=200, n=100, lam=1.2, prior=default_prior(), sigma=0.5)
-    inst, _ = build_gamp_instance(model, seed=3)
+def _rel(a, b):
+    return np.linalg.norm(a - b) / np.linalg.norm(b)
+
+
+def _count_reads(inst):
     reads = []
     matrix = inst.matrix
     inst.matrix = lambda e: reads.append(e) or matrix(e)
+    return reads
+
+
+def test_zero_output_skips_the_matrix_product():
+    model = lasso_model(d=200, n=100, lam=1.2, prior=default_prior(), sigma=0.5)
+    inst, _ = build_gamp_instance(model, seed=3)
+    reads = _count_reads(inst)
     T = 10
     run(inst, T, allow_degenerate=True)
     # one of the two phases applies the zero update at every step
     assert len(reads) == T
+
+
+def test_pair_step_reads_its_matrix_once():
+    # both directions are live at every step; d = n = 600 is three panels
+    inst, _ = build_committee_instance(CommitteeModel(d=600, n=600), seed=1)
+    assert 2 * PANEL_ROWS < 600 <= 3 * PANEL_ROWS
+    reads = _count_reads(inst)
+    T = 4
+    run(inst, T)
+    assert len(reads) == T
+
+
+def _tanh_chain(n, d, q, seed):
+    """Two-node chain, q columns, tanh then a column mix on both edges."""
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((n, d)) / np.sqrt(d)
+    fwd = EdgeId("sig", "obs")
+    mix = {e: EntrywiseThenMix(np.tanh, lambda x: 1.0 - np.tanh(x) ** 2,
+                               rng.standard_normal((q, q)))
+           for e in (fwd, fwd.reversed())}
+    inst = GraphInstance(
+        graph=line_graph(["sig", "obs"], [d, n], q=q), matrices={fwd: A},
+        provider=stationary_provider(mix),
+        x0={fwd: rng.standard_normal((n, q)),
+            fwd.reversed(): rng.standard_normal((d, q))},
+        scale_base={fwd: float(d)})
+    return inst, fwd, A
+
+
+def _next_x(traj, e, t, product):
+    """x^{t+1}_e from the product A_e m^t_e: minus the Onsager term."""
+    if t:
+        return product - traj.m[e.reversed()][t - 1] @ traj.b[e][t].T
+    return product
+
+
+@pytest.mark.parametrize("n", [1, 255, 256, 257, 600])
+@pytest.mark.parametrize("d", [3, 300])
+def test_pair_sweep_matches_the_dense_product(n, d):
+    for q in (1, 2, 3):
+        inst, fwd, A = _tanh_chain(n, d, q, seed=n + d + q)
+        traj = run(inst, 2)
+        for e, A_e in ((fwd, A), (fwd.reversed(), A.T)):
+            for t in (0, 1):
+                want = _next_x(traj, e, t, A_e @ traj.m[e][t])
+                assert _rel(traj.x[e][t + 1], want) <= 1e-12
+    # a pair's two directions may differ in width outside a graph
+    rng = np.random.default_rng(n * d)
+    S = rng.standard_normal((n, d))
+    for q in (1, 2, 3):
+        for q_rev in (1, 2, 3):
+            m = rng.standard_normal((d, q))
+            m_rev = rng.standard_normal((n, q_rev))
+            x, x_rev = _pair_sweep(S, m, m_rev)
+            assert _rel(x, S @ m) <= 1e-12
+            assert _rel(x_rev, S.T @ m_rev) <= 1e-12
+
+
+@pytest.mark.parametrize("n, d", [(1, 3), (PANEL_ROWS, 300)])
+def test_one_panel_pair_makes_the_per_direction_calls(n, d):
+    inst, fwd, A = _tanh_chain(n, d, 2, seed=5)
+    traj = run(inst, 3)
+    for e, A_e in ((fwd, A), (fwd.reversed(), A.T)):
+        for t in (0, 1, 2):
+            want = _next_x(traj, e, t, block_product(A_e, traj.m[e][t]))
+            # tobytes tells -0.0 from 0.0
+            assert traj.x[e][t + 1].tobytes() == want.tobytes()
 
 
 class _TwoBlocks(Nonlinearity):
@@ -127,10 +204,6 @@ def test_output_outside_its_blocks_is_refused():
         run(inst, 2)
 
 
-def _rel(a, b):
-    return np.linalg.norm(a - b) / np.linalg.norm(b)
-
-
 @pytest.mark.parametrize("q", [1, 2, 3, 4])
 def test_block_product_matches_matmul(q):
     rng = np.random.default_rng(q)
@@ -144,6 +217,35 @@ def test_block_product_matches_matmul(q):
         for S in (C, F, C[:, a:b], F[:, a:b]):
             m = rng.standard_normal((S.shape[1], q))
             assert _rel(block_product(S, m), np.matmul(S, m)) <= 1e-13
+
+
+def _two_block_chain(leak_at=None):
+    """Both directions of a pair declare out_blocks and are live."""
+    g = line_graph(["a", "b"], [6, 6], q=3)
+    fwd = EdgeId("a", "b")
+    rng = np.random.default_rng(2)
+    inst = GraphInstance(
+        graph=g, matrices={fwd: rng.standard_normal((6, 6))},
+        provider=lambda e, t, b: _TwoBlocks(leak=t == leak_at),
+        x0={fwd: rng.standard_normal((6, 3)),
+            fwd.reversed(): rng.standard_normal((6, 3))})
+    return inst, fwd
+
+
+def test_declared_blocks_keep_the_per_block_products():
+    inst, fwd = _two_block_chain()
+    reads = _count_reads(inst)
+    traj = run(inst, 2)
+    # one read per live direction: no pair sweep
+    assert len(reads) == 4
+    for e in (fwd, fwd.reversed()):
+        for t in (0, 1):
+            assert traj.m[e][t][:3, 0].any()
+            want = _next_x(traj, e, t, inst.matrix(e) @ traj.m[e][t])
+            assert np.max(np.abs(traj.x[e][t + 1] - want)) <= 1e-12
+    inst, _ = _two_block_chain(leak_at=1)
+    with pytest.raises(ShapeError, match="outside its out_blocks at step 1"):
+        run(inst, 2)
 
 
 def _identity_loop(A, q):
