@@ -13,7 +13,9 @@ gates are always strict), 2 config error, 3 numerical abort, 4 I/O
 error.  Seeds fan out across a thread pool of --workers threads.  The
 generic SE runs once per AMP seed, in `run` inside the seed's task on
 the instance its AMP run used (built once, at most --workers alive),
-and its rows are the traces of the kernels K^{t,t}.  Reductions happen
+and its rows are the traces of the kernels K^{t,t}.  Each seed's AMP
+run streams: its rows are read as each step returns, so a seed's memory
+does not grow with T.  Reductions happen
 in submission order so results are independent of scheduling.  A
 command runs on one BLAS thread, so its bytes do not depend on the BLAS
 thread count, and gives the caller its count back.
@@ -44,7 +46,7 @@ from .models import (CommitteeModel, GmmSpatialModel, MultilayerModel,
                      SpikedModel, accuracy, build_committee_instance,
                      build_gamp_instance, build_gmm_spatial_instance,
                      build_multilayer_instance, build_spiked_instance,
-                     gamp_iterate_stats, gmm_weights, lasso_model,
+                     gamp_stats, gmm_weights, lasso_model,
                      layer_specs, logistic_model, ridge_baseline,
                      ridge_model, spiked_scalar_se)
 from .nonlinearity import Entrywise
@@ -78,7 +80,8 @@ def _fields(m):
 
 
 # ---------------------------------------------------------------------------
-# per-kind AMP observable extraction: rows (t, name) -> value
+# per-kind AMP readers: the rows (t, name, value) of graph step t >= 1,
+# read off a streamed trajectory as the step returns
 
 def _glm_named_rows(cfg, t, named) -> List[Tuple[int, str, float]]:
     """Rows of the requested GLM observables at time t, in config
@@ -99,30 +102,29 @@ def _spiked_named_rows(cfg, t, overlap, norm_sq) -> List[Tuple[int, str, float]]
             if name in cfg.observables]
 
 
-def _glm_rows(cfg, traj, instance, model, teacher) -> List[Tuple[int, str, float]]:
-    return [row for st in gamp_iterate_stats(traj, model, teacher)
-            for row in _glm_named_rows(cfg, st.t, {
-                "overlap": st.m, "mse": st.mse, "norm_sq_v": st.v2,
-                "norm_sq_u": st.u2})]
+def _glm_rows(cfg, t, traj, instance, model, teacher) -> List[Tuple[int, str, float]]:
+    """Estimation time s's statistics at graph step t = 2s; none at odd t."""
+    if t % 2:
+        return []
+    st = gamp_stats(traj, model, teacher, t // 2)
+    return _glm_named_rows(cfg, st.t, {"overlap": st.m, "mse": st.mse,
+                                       "norm_sq_v": st.v2, "norm_sq_u": st.u2})
 
 
-def _spiked_rows(cfg, traj, instance, model, v0) -> List[Tuple[int, str, float]]:
+def _spiked_rows(cfg, t, traj, instance, model, v0) -> List[Tuple[int, str, float]]:
     loop = next(e for e in traj.x if e.start == e.end)
-    rows = []
-    for t in range(1, traj.T + 1):
-        x = traj.x[loop][t].reshape(-1)
-        rows += _spiked_named_rows(cfg, t, float(v0 @ x) / model.N,
-                                   float(x @ x) / model.N)
-    return rows
+    x = traj.x[loop][t].reshape(-1)
+    return _spiked_named_rows(cfg, t, float(v0 @ x) / model.N,
+                              float(x @ x) / model.N)
 
 
-def _generic_rows(cfg, traj, instance, model, aux) -> List[Tuple[int, str, float]]:
+def _generic_rows(cfg, t, traj, instance, model, aux) -> List[Tuple[int, str, float]]:
     """norm_sq[e] = ||x_e||^2 / n_e, the per-row second moment."""
     g = instance.graph
     obs = [norm_sq_observable(e, 1.0 / g.node_dim[e.end])
            for e in canonical_edge_order(g)]
     return [(rec["t"], rec["observable"], rec["value"])
-            for rec in observe(traj, obs, range(1, traj.T + 1))]
+            for rec in observe(traj, obs, [t])]
 
 
 # ---------------------------------------------------------------------------
@@ -188,9 +190,9 @@ def _compare_rows(cfg, amp_results, se_rows):
                     for t, name, value, stderr in se_rows})
 
 
-def _gmm_fixed_point(traj, model, data):
-    """(weight relative error, AMP accuracy, ridge accuracy) of a seed."""
-    W = gmm_weights(traj, model, data)
+def _gmm_fixed_point(W, model, data):
+    """(weight relative error, AMP accuracy, ridge accuracy) of a seed
+    whose run ended at the weights W."""
     Wb = ridge_baseline(model, data)
     werr = float(np.linalg.norm(W - Wb) / max(np.linalg.norm(Wb), 1e-12))
     return werr, accuracy(W, data), accuracy(Wb, data)
@@ -221,7 +223,8 @@ class Kind:
     """How the CLI builds, runs and gates one model kind.
 
     model(cfg.model) -> model; build(model, seed) -> (instance, aux);
-    amp_rows(cfg, traj, instance, model, aux) -> [(t, name, value)];
+    amp_rows(cfg, t, traj, instance, model, aux) -> [(t, name, value)],
+    the rows of graph step t >= 1, read from a run that streams;
     se_rows(cfg, model, workers, per_seed) -> [(t, name, value, stderr)],
     None for a kind without an SE route; gate(cfg, amp_results, se_rows) ->
     compare.csv rows; phases is the number of graph steps per model step;
@@ -326,13 +329,25 @@ def map_ordered(task: Callable[[int], Any], n_tasks: int, workers: int) -> List[
 def _run_one_seed(cfg, seed):
     """(AMP rows, SE prediction, fixed point) of one seed, all its gate
     reads; the generic kinds' SE runs on the AMP instance, None where the
-    kind has no SE or fixed-point gate.  The trajectory is dropped."""
+    kind has no SE or fixed-point gate.  The run streams: each step's
+    rows, and a gmm seed's weights at the last step, are read as the step
+    returns, so no history is held and the trajectory is gone before the
+    SE runs."""
     kind = _kind(cfg)
     instance, model, aux = _build_zoo(cfg, seed)
-    traj = run(instance, _graph_T(cfg), allow_degenerate=True)
+    T = _graph_T(cfg)
+    rows, weights = [], []
+
+    def each(t, traj):
+        if t:
+            rows.extend(kind.amp_rows(cfg, t, traj, instance, model, aux))
+        if t == T and kind.gate is _gmm_compare_rows:
+            weights.append(gmm_weights(traj, model, aux))
+
+    run(instance, T, allow_degenerate=True, each=each)
     se = _seed_se(cfg, instance) if kind.se_rows is _generic_se_rows else None
-    fixed = _gmm_fixed_point(traj, model, aux) if kind.gate is _gmm_compare_rows else None
-    return kind.amp_rows(cfg, traj, instance, model, aux), se, fixed
+    fixed = _gmm_fixed_point(weights[0], model, aux) if weights else None
+    return rows, se, fixed
 
 
 def _fan_out(cfg, workers):

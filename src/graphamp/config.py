@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import sys
 from dataclasses import asdict, dataclass
 from typing import Any, Dict, Tuple
 
@@ -100,6 +101,10 @@ def _check_type(value, tp, path):
             raise ConfigError(f"{path}: must be finite, got {value}")
         return value
     if isinstance(value, tp) and not isinstance(value, bool):
+        # every int field feeds float arithmetic (sizes, aspect * d)
+        if tp is int and abs(value) > sys.float_info.max:
+            raise ConfigError(f"{path}: must be at most {sys.float_info.max:.4g} "
+                              f"in magnitude, got a {len(str(abs(value)))}-digit int")
         return value
     raise ConfigError(f"{path}: expected {tp.__name__}, "
                       f"got {type(value).__name__}")
@@ -176,6 +181,8 @@ def loads(text: str) -> ExperimentConfig:
         raise ConfigError(
             f"JSON parse error at line {ex.lineno}, column {ex.colno}: {ex.msg}"
         ) from ex
+    except ValueError as ex:  # an int literal longer than int() reads
+        raise ConfigError(f"JSON parse error: {ex}") from ex
     return validate(raw)
 
 

@@ -23,11 +23,13 @@ converted block by block (see EmbeddedNonlinearity).
 verify_equivalence runs the graph side and the flattened side on two
 threads; each side's arithmetic is that of a run of one after the
 other, so the report has the same bits.  Neither side keeps its
-history (_forget): a step reads only x^t, m^{t-1} and b^{t-1}, so each
-side drops its m^{t-2} and b^{t-2} after step t, and x^{t-1} goes once
-x^t has been compared.  The check holds the flattened matrix, the
-instance and the graph iterates not yet compared; its memory does not
-grow with T.
+history, by the engine's one retention rule (engine.forget): a step
+reads only x^t, m^{t-1} and b^{t-1}, so each side drops its m^{t-2}
+and b^{t-2} after step t, and x^{t-1} goes once x^t has been compared.
+The flattened side streams through engine.run; the graph side steps
+in its own loop, since the comparison, not the step, frees its x^{t-1}.
+The check holds the flattened matrix, the instance and the graph
+iterates not yet compared; its memory does not grow with T.
 """
 
 from __future__ import annotations
@@ -239,37 +241,18 @@ def embed(instance: GraphInstance, seed: int = 0, fill: str = "goe") -> Embedded
     return EmbeddedInstance(symmetric=sym, layout=lay, source=instance)
 
 
-def _forget(traj: engine.AmpTrajectory, t: int, xs: bool = True, outputs: bool = True) -> None:
-    """Drop from traj, on every edge, what no step after step t reads.
-
-    Step t + 1 reads only x^t, m^{t-1} and b^{t-1}: xs drops x^{t-1},
-    outputs drops m^{t-2} and b^{t-2}.  Each holder of a trajectory
-    calls this once it is done with step t's iterates; two threads may
-    share one trajectory if each drops only the part it alone reads.
-    """
-    for e in traj.x:
-        if xs and t >= 1:
-            traj.x[e][t - 1] = None
-        if outputs and t >= 2:
-            traj.m[e][t - 2] = traj.b[e][t - 2] = None
-
-
 def run_symmetric(emb: EmbeddedInstance, T: int,
                   each: Callable[[int, np.ndarray], None]) -> None:
     """Run the flattened iteration for T steps from X^0, calling
     each(t, X^t) on every iterate as its step returns.
 
-    The run keeps only what its next step reads, x^t, m^{t-1} and
-    b^{t-1} (_forget), so the flattened history is never held whole;
+    The run streams (engine.run with a callback), so it keeps only what
+    its next step reads and the flattened history is never held whole;
     engine.run(emb.symmetric, T) keeps it all.
     """
-    traj = engine.init(emb.symmetric, allow_degenerate=True)
     e = emb.loop_edge
-    each(0, traj.x[e][0])
-    for t in range(1, T + 1):
-        engine.step(emb.symmetric, traj)
-        each(t, traj.x[e][t])
-        _forget(traj, t)
+    engine.run(emb.symmetric, T, allow_degenerate=True,
+               each=lambda t, traj: each(t, traj.x[e][t]))
 
 
 @dataclass
@@ -294,7 +277,7 @@ def verify_equivalence(instance: GraphInstance, T: int, seed: int = 0,
     flattened iterate is compared as its step returns, so the flattened
     history is never held whole.
 
-    Both sides keep only what is still read (_forget).  The flattened
+    Both sides keep only what is still read (engine.forget).  The flattened
     side drops its x^{t-1}, m^{t-2} and b^{t-2} after step t.  The graph
     side drops m^{t-2} and b^{t-2} of every edge after its step t, and
     the comparison drops the graph's x^{t-1} once it has read x^t; the
@@ -314,7 +297,7 @@ def verify_equivalence(instance: GraphInstance, T: int, seed: int = 0,
         try:
             for _ in range(T):
                 engine.step(instance, traj)
-                _forget(traj, traj.T, xs=False)
+                engine.forget(traj, traj.T, xs=False)
                 stepped.release()
         except BaseException as ex:  # re-raised on the calling thread
             failed.append(ex)
@@ -333,7 +316,7 @@ def verify_equivalence(instance: GraphInstance, T: int, seed: int = 0,
             report.records.append({"t": t, "edge": str(e), "err": err})
             # overflowing norms give inf / inf: a block that cannot be compared fails
             report.max_err = max(report.max_err, math.inf if math.isnan(err) else err)
-        _forget(traj, t, outputs=False)
+        engine.forget(traj, t, outputs=False)
 
     worker = threading.Thread(target=graph_side, name="graph-side")
     worker.start()

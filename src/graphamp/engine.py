@@ -37,6 +37,10 @@ A_e[rs, :]^T, the same values, so it is streamed too; one that is only
 allclose-symmetric is read as stored.  A row strip is summed in another
 order than the column strip when q = 1, so such a loop product can
 differ from S @ m in the last bits.
+
+Step t + 1 reads only x^t, m^{t-1} and b^{t-1}.  run keeps the whole
+history unless given a callback, which reads each step as it returns;
+then forget drops the rest, and memory does not grow with T.
 """
 
 from __future__ import annotations
@@ -138,7 +142,8 @@ class GraphInstance:
 @dataclass
 class AmpTrajectory:
     """Per-edge history of iterates x^0..x^T, outputs m^0..m^{T-1}, and
-    correction coefficients b^0..b^{T-1} (q_e x q_{e<-} each)."""
+    correction coefficients b^0..b^{T-1} (q_e x q_{e<-} each); forget
+    leaves None in place of what it drops."""
 
     graph: GraphSpec
     x: Dict[EdgeId, List[np.ndarray]]
@@ -299,11 +304,38 @@ def step(instance: GraphInstance, traj: AmpTrajectory) -> AmpTrajectory:
     return traj
 
 
-def run(instance: GraphInstance, T: int, allow_degenerate: bool = False) -> AmpTrajectory:
-    """Run T steps from x^0, returning the full trajectory."""
+def forget(traj: AmpTrajectory, t: int, xs: bool = True, outputs: bool = True) -> None:
+    """Drop from traj, on every edge, what no step after step t reads.
+
+    Step t + 1 reads only x^t, m^{t-1} and b^{t-1}: xs drops x^{t-1},
+    outputs drops m^{t-2} and b^{t-2}.  Each holder of a trajectory
+    calls this once it is done with step t's iterates; two threads may
+    share one trajectory if each drops only the part it alone reads.
+    """
+    for e in traj.x:
+        if xs and t >= 1:
+            traj.x[e][t - 1] = None
+        if outputs and t >= 2:
+            traj.m[e][t - 2] = traj.b[e][t - 2] = None
+
+
+def run(instance: GraphInstance, T: int, allow_degenerate: bool = False,
+        each: Optional[Callable[[int, AmpTrajectory], None]] = None) -> AmpTrajectory:
+    """Run T steps from x^0 and return the trajectory.
+
+    Without each, it holds the whole history.  With each, the run
+    streams: each(t, traj) is called on x^0 and as every step t returns,
+    while x^{t-1}, m^{t-2} and b^{t-2} are still held, and then forget
+    drops them.
+    """
     traj = init(instance, allow_degenerate=allow_degenerate)
-    for _ in range(T):
+    if each is not None:
+        each(0, traj)
+    for t in range(1, T + 1):
         step(instance, traj)
+        if each is not None:
+            each(t, traj)
+            forget(traj, t)
     return traj
 
 

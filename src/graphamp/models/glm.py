@@ -156,13 +156,13 @@ def two_phase_provider(fwd: EdgeId, q: int, signal_fn, obs_fn, beta0: float):
     return provider
 
 
-def signal_half_iterates(traj: AmpTrajectory, fwd: EdgeId):
-    """[(u^t, alpha_t)] for t = 1..: the signal-side half iterates of a
-    two-phase run and the scale its provider applied to each."""
+def signal_half_iterate(traj: AmpTrajectory, fwd: EdgeId, t: int):
+    """(u^t, alpha_t) of a two-phase run at estimation time t >= 1: the
+    signal-side half iterate x^{2t-1} and the scale its provider applied,
+    read off b^{2t-2}."""
     bwd = fwd.reversed()
-    return [(traj.x[bwd][2 * t - 1],
-             -1.0 / _iso_scalar(traj.b[bwd][2 * t - 2], "observation-side"))
-            for t in range(1, (traj.T + 1) // 2 + 1)]
+    return (traj.x[bwd][2 * t - 1],
+            -1.0 / _iso_scalar(traj.b[bwd][2 * t - 2], "observation-side"))
 
 
 def build_gamp_instance(model: GlmModel, seed: int = 0):
@@ -205,31 +205,46 @@ class GampIterateStats:
     v2: float
 
 
+def estimation_times(traj: AmpTrajectory) -> range:
+    """The estimation times t = 1.. whose signal half iterate traj holds."""
+    return range(1, (traj.T + 1) // 2 + 1)
+
+
+def gamp_estimate(traj: AmpTrajectory, model: GlmModel, t: int) -> np.ndarray:
+    """Signal estimate x_hat_t = e_t(u^t) at estimation time t >= 1;
+    alpha_t is recovered from the stored observation-side coefficient."""
+    u, alpha = signal_half_iterate(traj, forward_edge(), t)
+    return model.scalars.e_apply(u.reshape(-1), alpha)
+
+
+def gamp_stats(traj: AmpTrajectory, model: GlmModel, teacher: GlmTeacher,
+               t: int) -> GampIterateStats:
+    """Overlap/error/field statistics at estimation time t, for
+    comparison with the overlap recursion (same normalizations:
+    everything per coordinate); graph step 2t, streamed, can read them."""
+    fwd = forward_edge()
+    x0 = teacher.x0
+    xh = gamp_estimate(traj, model, t)
+    u = traj.x[fwd.reversed()][2 * t - 1].reshape(-1)
+    return GampIterateStats(
+        t=t,
+        m=float(x0 @ xh) / model.d,
+        mse=float(np.sum((xh - x0) ** 2)) / model.d,
+        u2=float(u @ u) / model.d,
+        v2=float(np.sum(traj.x[fwd][2 * t] ** 2)) / model.n
+        if 2 * t <= traj.T else math.nan,
+    )
+
+
 def gamp_estimates(traj: AmpTrajectory, model: GlmModel) -> List[np.ndarray]:
-    """Signal estimates x_hat_t = e_t(u^t) for t = 1..; alpha_t is
-    recovered from the stored observation-side coefficients."""
-    return [model.scalars.e_apply(u.reshape(-1), alpha)
-            for u, alpha in signal_half_iterates(traj, forward_edge())]
+    """gamp_estimate at every estimation time of a whole trajectory."""
+    return [gamp_estimate(traj, model, t) for t in estimation_times(traj)]
 
 
 def gamp_iterate_stats(traj: AmpTrajectory, model: GlmModel,
                        teacher: GlmTeacher) -> List[GampIterateStats]:
-    """Per-time overlap/error/field statistics for comparison with the
-    overlap recursion (same normalizations: everything per coordinate)."""
-    fwd = forward_edge()
-    x0 = teacher.x0
-    recs = []
-    for t, xh in enumerate(gamp_estimates(traj, model), start=1):
-        u = traj.x[fwd.reversed()][2 * t - 1].reshape(-1)
-        recs.append(GampIterateStats(
-            t=t,
-            m=float(x0 @ xh) / model.d,
-            mse=float(np.sum((xh - x0) ** 2)) / model.d,
-            u2=float(u @ u) / model.d,
-            v2=float(np.sum(traj.x[fwd][2 * t] ** 2)) / model.n
-            if 2 * t <= traj.T else math.nan,
-        ))
-    return recs
+    """gamp_stats at every estimation time of a whole trajectory."""
+    return [gamp_stats(traj, model, teacher, t) for t in estimation_times(traj)]
 
 
 def kkt_residual(model: GlmModel, A: np.ndarray, y: np.ndarray, xhat: np.ndarray) -> float:

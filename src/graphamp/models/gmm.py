@@ -42,7 +42,8 @@ from ..engine import AmpTrajectory, GraphInstance, block_product
 from ..ensembles import normals, sample_spatially_coupled, stream
 from ..graphs import EdgeId, line_graph
 from ..nonlinearity import Nonlinearity, SideData
-from .glm import ObservationResidual, signal_half_iterates, two_phase_provider
+from .glm import (ObservationResidual, estimation_times, signal_half_iterate,
+                  two_phase_provider)
 
 
 @dataclass(frozen=True)
@@ -108,8 +109,10 @@ def _sample_clusters(model: GmmSpatialModel, seed: int):
         # O(1)-norm means balance the O(1)-norm noise rows
         mu = model.mean_scale * normals(stream(seed, "gmm", "mean", k), model.d)
         mu /= math.sqrt(model.d)
-        z = normals(stream(seed, "gmm", "cov", k), (model.d, model.d))
-        q, _ = np.linalg.qr(z)
+        # the draw and R go at once and q at the end of the cluster, so no
+        # d x d temporary outlives its cluster; peak memory of a GMM build
+        # is then lower and does not hinge on where the heap can be trimmed
+        q = np.linalg.qr(normals(stream(seed, "gmm", "cov", k), (model.d, model.d)))[0]
         # eig lies between 0.5 and top > 0, so the inverse root exists
         top = 1.0 + 0.5 * k
         eig = 0.5 + (top - 0.5) * (np.arange(model.d) + 0.5) / model.d
@@ -117,6 +120,7 @@ def _sample_clusters(model: GmmSpatialModel, seed: int):
         roots.append((q * root_eig) @ q.T)
         gs.append(q @ ((q.T @ mu) / root_eig))
         S += (q * eig) @ q.T
+        del q
     return roots, gs, np.linalg.eigh(S)
 
 
@@ -202,8 +206,10 @@ def build_gmm_spatial_instance(model: GmmSpatialModel, seed: int = 0):
 
 
 def gmm_weights(traj: AmpTrajectory, model: GmmSpatialModel, data: GmmData) -> np.ndarray:
-    """Ridge weights W (d x K) recovered from the final stacked iterate."""
-    u, alpha = signal_half_iterates(traj, EdgeId("stack", "obs"))[-1]
+    """Ridge weights W (d x K) recovered from the last stacked iterate
+    traj holds; a streamed run can read them as its last step returns."""
+    u, alpha = signal_half_iterate(traj, EdgeId("stack", "obs"),
+                                   estimation_times(traj)[-1])
     return StackPenaltyProx(model, data.cov_sqrts, data.spectrum, alpha).weights(u)
 
 

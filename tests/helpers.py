@@ -6,6 +6,7 @@ implementation, not the code under test.
 """
 
 import threading
+import weakref
 
 import numpy as np
 
@@ -107,3 +108,42 @@ def bounded_call(fn, *args, timeout=120.0, **kwargs):
     if "error" in out:
         raise out["error"]
     return out["result"]
+
+
+class StepRecorder:
+    """Weak references to the iterates, outputs and Onsager coefficients
+    that engine.step makes.
+
+    wrap(step) returns a step that, on an instance for which
+    tracks(instance) holds, records x^0 before the first step (but not
+    the x0 entries, which the instance itself holds) and after each step
+    t its x^t, m^{t-1} and b^{t-1}, as (kind, time, edge, weakref) in
+    held.  stale(t) lists those still alive that no step after step t
+    reads: x older than x^{t-1}, m and b older than t - 2.
+    """
+
+    def __init__(self, tracks=lambda instance: True):
+        self.tracks = tracks
+        self.held = []
+
+    def wrap(self, step):
+        def recording_step(instance, traj):
+            tracked = self.tracks(instance)
+            if tracked and traj.T == 0:
+                self.held.extend(("x", 0, e, weakref.ref(xs[0]))
+                                 for e, xs in traj.x.items() if e not in instance.x0)
+            step(instance, traj)
+            if tracked:
+                t = traj.T
+                for kind, hist, s in (("x", traj.x, t), ("m", traj.m, t - 1),
+                                      ("b", traj.b, t - 1)):
+                    self.held.extend((kind, s, e, weakref.ref(h[-1]))
+                                     for e, h in hist.items())
+            return traj
+
+        return recording_step
+
+    def stale(self, t):
+        oldest = {"x": t - 1, "m": t - 2, "b": t - 2}
+        return [(kind, s, str(e)) for kind, s, e, ref in list(self.held)
+                if s < oldest[kind] and ref() is not None]

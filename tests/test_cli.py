@@ -4,22 +4,24 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import graphamp
 from graphamp import (CommitteeModel, GmmSpatialModel, MultilayerModel,
-                      SpikedModel, cli)
+                      SpikedModel, cli, engine, gamp_iterate_stats)
 from graphamp import config as config_mod
 from graphamp.cli import main
 from graphamp.config import MODEL_KINDS
-from graphamp.engine import run
+from graphamp.engine import norm_sq_observable, observe, run
 from graphamp import state_evolution
-from graphamp.graphs import canonical_edge_order
+from graphamp.graphs import EdgeId, canonical_edge_order
+from graphamp.models import gmm_weights
 from graphamp.state_evolution import se_run
 
-from helpers import bounded_call, read_report_csv
+from helpers import StepRecorder, bounded_call, read_report_csv
 
 TINY_LASSO = {
     "model": {"kind": "lasso", "d": 80, "aspect": 0.5, "lam": 1.2,
@@ -412,6 +414,84 @@ def test_every_model_kind_runs(tmp_path, kind):
     assert rows
 
 
+def _kind_config(kind, **top):
+    """test_every_model_kind_runs' config of kind, as the CLI reads it."""
+    return config_mod.validate({"model": {"kind": kind, **TINY_MODELS[kind]},
+                                "T": 3, "amp_seeds": [0, 1], "se_samples": 100,
+                                "master_seed": 1, **top})
+
+
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_streamed_rows_match_the_whole_trajectory_readers(kind):
+    cfg = _kind_config(kind)
+    rows, _, fixed = cli._run_one_seed(cfg, 1)
+    instance, model, aux = cli._build_zoo(cfg, 1)
+    T = cli._graph_T(cfg)
+    traj = run(instance, T, allow_degenerate=True)
+    g = instance.graph
+    if kind in ("lasso", "ridge", "logistic"):
+        want = [row for st in gamp_iterate_stats(traj, model, aux)
+                for row in cli._glm_named_rows(cfg, st.t, {
+                    "overlap": st.m, "mse": st.mse, "norm_sq_v": st.v2,
+                    "norm_sq_u": st.u2})]
+    elif kind == "spiked":
+        xs = [traj.x[EdgeId("spike", "spike")][t].reshape(-1) for t in range(T + 1)]
+        want = [row for t in range(1, T + 1)
+                for row in cli._spiked_named_rows(cfg, t, float(aux @ xs[t]) / model.N,
+                                                  float(xs[t] @ xs[t]) / model.N)]
+    else:
+        obs = [norm_sq_observable(e, 1.0 / g.node_dim[e.end])
+               for e in canonical_edge_order(g)]
+        want = [(rec["t"], rec["observable"], rec["value"])
+                for rec in observe(traj, obs, range(1, T + 1))]
+    assert rows and rows == want
+    if kind == "gmm_spatial":
+        assert fixed == cli._gmm_fixed_point(gmm_weights(traj, model, aux), model, aux)
+    else:
+        assert fixed is None
+
+
+@pytest.mark.parametrize("kind", ["lasso", "committee", "gmm_spatial"])
+def test_run_releases_what_no_later_step_reads(kind, monkeypatch):
+    # a seed's task holds x^{t-1}, m^{t-2} and b^{t-2} at most while its
+    # reader takes step t's rows; the instance holds its own x0
+    rec = StepRecorder()
+    recording = rec.wrap(engine.step)
+    stepped = []
+
+    def checking_step(instance, traj):
+        recording(instance, traj)
+        t = traj.T
+        alive = rec.stale(t)
+        assert not alive, f"still held after step {t}: {alive}"
+        stepped.append(t)
+        return traj
+
+    monkeypatch.setattr(engine, "step", checking_step)
+    cfg = _kind_config(kind, T=6)
+    rows, _, _ = cli._run_one_seed(cfg, 0)
+    assert stepped == list(range(1, cli._graph_T(cfg) + 1))
+    assert {kind for kind, *_ in rec.held} == {"x", "m", "b"}
+    assert rows
+
+
+def test_run_memory_does_not_grow_with_T():
+    # the seed's history is ~10 kB a step here, next to a 640 kB design
+    def peak(T):
+        cfg = config_mod.validate({"model": {"kind": "lasso", "d": 400, "aspect": 0.5,
+                                             "lam": 1.2}, "T": T})
+        tracemalloc.start()
+        try:
+            cli._run_one_seed(cfg, 0)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(6)  # the first call also makes what the process caches
+    short, long = peak(6), peak(24)
+    assert long <= 1.05 * short, (short, long)
+
+
 @pytest.mark.parametrize("kind", ["committee", "multilayer", "spiked"])
 def test_config_requesting_no_reported_observable_exits_2(tmp_path, capsys,
                                                           kind):
@@ -504,6 +584,8 @@ BAD_VALUES = {
     # an int literal beyond float range, which json keeps as an int
     "overflowing_aspect": {"kind": "lasso", "d": 30, "aspect": 10 ** 400,
                            "lam": 1.0},
+    "overflowing_dimension": {"kind": "lasso", "d": 10 ** 400, "aspect": 0.5,
+                              "lam": 1.0},
     "nan_lasso_penalty": {"kind": "lasso", "d": 30, "aspect": 0.5,
                           "lam": float("nan")},
     "infinite_committee_threshold": {"kind": "committee", "d": 20, "n": 20,
@@ -522,6 +604,8 @@ BAD_VALUE_ERRORS = {
     "repeated_observable": "observables[1]: duplicate observable 'mse'",
     "nonfinite_aspect": "model.aspect: must be finite, got inf",
     "overflowing_aspect": "model.aspect: must be finite, got inf",
+    "overflowing_dimension": ("model.d: must be at most 1.798e+308 in "
+                              "magnitude, got a 401-digit int"),
     "nan_lasso_penalty": "model.lam: must be finite, got nan",
     "infinite_committee_threshold": "model.theta: must be finite, got inf",
 }

@@ -60,6 +60,12 @@ def test_json_syntax_error_reports_line_and_column():
         loads('{"model": }')
 
 
+def test_int_literal_too_long_to_read_is_a_parse_error():
+    # json refuses an int literal of more digits than int() may read
+    with pytest.raises(ConfigError, match="JSON parse error: Exceeds the limit"):
+        loads('{"model": {"kind": "lasso", "d": 1' + "0" * 5000 + "}}")
+
+
 def test_bool_is_not_an_int():
     raw = json.loads(GOOD)
     raw["T"] = True

@@ -22,7 +22,7 @@ from graphamp.graphs import EdgeId, canonical_edge_order, line_graph
 from graphamp.models.glm import build_gamp_instance
 from graphamp.nonlinearity import Nonlinearity
 
-from helpers import bounded_call, default_prior
+from helpers import StepRecorder, bounded_call, default_prior
 
 
 def _small_glm():
@@ -154,18 +154,8 @@ def test_concurrent_sides_match_the_sequential_reference(make, fast_switching):
 def test_graph_side_releases_what_it_no_longer_reads(make, fast_switching, monkeypatch):
     inst, T = make(), 12
     want = _sequential_records(inst, T, seed=3)
-    held = []  # (kind, t, edge, weakref) for every graph-side x^t, m^t, b^t
-    step, run_sym = engine.step, embedding.run_symmetric
-
-    def recording_step(instance, traj):
-        if instance is inst and traj.T == 0:
-            held.extend(("x", 0, e, weakref.ref(xs[0])) for e, xs in traj.x.items())
-        step(instance, traj)
-        if instance is inst:
-            t = traj.T
-            for kind, hist, s in (("x", traj.x, t), ("m", traj.m, t - 1), ("b", traj.b, t - 1)):
-                held.extend((kind, s, e, weakref.ref(h[-1])) for e, h in hist.items())
-        return traj
+    rec = StepRecorder(lambda instance: instance is inst)  # the graph side's steps
+    run_sym = embedding.run_symmetric
 
     compared = []
 
@@ -174,19 +164,16 @@ def test_graph_side_releases_what_it_no_longer_reads(make, fast_switching, monke
             each(t, X)
             # the comparison of step t has read x^t; the next graph step
             # reads only x^t, m^{t-1} and b^{t-1}, so much older is gone
-            oldest = {"x": t - 1, "m": t - 2, "b": t - 2}
-            alive = [(kind, s, str(e)) for kind, s, e, ref in list(held)
-                     if s < oldest[kind] and ref() is not None
-                     and not (kind == "x" and s == 0 and e in inst.x0)]
+            alive = rec.stale(t)
             assert not alive, f"still held after comparing step {t}: {alive}"
             compared.append(t)
         run_sym(emb, T, checked)
 
-    monkeypatch.setattr(engine, "step", recording_step)
+    monkeypatch.setattr(engine, "step", rec.wrap(engine.step))
     monkeypatch.setattr(embedding, "run_symmetric", checking_run)
     rep = bounded_call(verify_equivalence, inst, T, seed=3)
     assert compared == list(range(T + 1))
-    assert {kind for kind, *_ in held} == {"x", "m", "b"}
+    assert {kind for kind, *_ in rec.held} == {"x", "m", "b"}
     assert rep.records == want
 
 
