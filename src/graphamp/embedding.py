@@ -21,20 +21,20 @@ run reads its b^{t-1} from the flattened loop's Onsager coefficient,
 converted block by block (see EmbeddedNonlinearity).
 
 verify_equivalence runs the graph side and the flattened side on two
-threads; each side's arithmetic is that of a run of one after the
-other, so the report has the same bits.  Neither side keeps its
-history, by the engine's one retention rule (engine.forget): a step
-reads only x^t, m^{t-1} and b^{t-1}, so each side drops its m^{t-2}
-and b^{t-2} after step t, and x^{t-1} goes once x^t has been compared.
-The flattened side streams through engine.run; the graph side steps
-in its own loop, since the comparison, not the step, frees its x^{t-1}.
-The check holds the flattened matrix, the instance and the graph
-iterates not yet compared; its memory does not grow with T.
+threads, each as one streaming engine.run; each side's arithmetic is
+that of a run of one after the other, so the report has the same bits.
+Each side keeps only what its next step reads (engine.forget).  The
+graph side hands each step's iterates to the comparison, which reads
+them as the flattened side's steps return.  The graph side may run
+ahead, and the iterates it has handed over that the comparison has not
+read yet stay alive; the check holds those, the flattened matrix and
+the instance.
 """
 
 from __future__ import annotations
 
 import math
+import queue
 import threading
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
@@ -153,9 +153,6 @@ class EmbeddedInstance:
     def loop_edge(self) -> EdgeId:
         return next(iter(self.symmetric.graph.edges))
 
-    def tracked_block(self, X: np.ndarray, e: EdgeId) -> np.ndarray:
-        return self.layout.x_block(X, e)
-
 
 def _check_pair_scales(instance: GraphInstance) -> None:
     for e in instance.graph.edges:
@@ -271,52 +268,41 @@ def verify_equivalence(instance: GraphInstance, T: int, seed: int = 0,
     """Run both sides for T steps and compare every tracked block.
 
     Per (t, e) error is ||X^t block - x^t_e||_F / (1 + ||x^t_e||_F).
-    The graph side steps on a worker thread while the calling thread
-    builds and runs the flattening; only the comparison of step t reads
-    the graph trajectory, after waiting for graph step t.  Each
-    flattened iterate is compared as its step returns, so the flattened
-    history is never held whole.
-
-    Both sides keep only what is still read (engine.forget).  The flattened
-    side drops its x^{t-1}, m^{t-2} and b^{t-2} after step t.  The graph
-    side drops m^{t-2} and b^{t-2} of every edge after its step t, and
-    the comparison drops the graph's x^{t-1} once it has read x^t; the
-    graph step after t reads only x^t, m^{t-1} and b^{t-1}.  The graph
-    side may run any number of steps ahead, holding only the iterates
-    not yet compared, so memory does not grow with T.
+    The graph side runs on a worker thread while the calling thread
+    builds and runs the flattening; both stream through engine.run, so
+    neither history is held whole.  The graph side hands {e: x^t_e} to
+    the comparison as its step t returns, and the comparison of step t
+    waits for it.  The graph side may run any number of steps ahead:
+    what it has handed over and the comparison has not read yet stays
+    alive until it is compared.
 
     Errors come out as if the graph run had finished first: a graph-side
     exception is re-raised unchanged and wins over the flattened side's.
     The worker is joined before this returns or raises.
     """
-    traj = engine.init(instance, allow_degenerate=True)
-    stepped = threading.Semaphore(0)
+    handed = queue.SimpleQueue()
     failed: List[BaseException] = []
 
     def graph_side() -> None:
         try:
-            for _ in range(T):
-                engine.step(instance, traj)
-                engine.forget(traj, traj.T, xs=False)
-                stepped.release()
+            engine.run(instance, T, allow_degenerate=True,
+                       each=lambda t, traj: handed.put({e: xs[t] for e, xs in traj.x.items()}))
         except BaseException as ex:  # re-raised on the calling thread
             failed.append(ex)
-            stepped.release()
+            handed.put(ex)
 
     report = EquivalenceReport(max_err=0.0)
 
     def compare(t: int, X: np.ndarray) -> None:
-        if t:
-            stepped.acquire()
-            if failed:
-                raise failed[0]
+        xs = handed.get()
+        if failed:
+            raise failed[0]
         for e in emb.layout.order:
-            ref = traj.x[e][t]
-            err = float(np.linalg.norm(emb.tracked_block(X, e) - ref) / (1.0 + np.linalg.norm(ref)))
+            ref = xs[e]
+            err = float(np.linalg.norm(emb.layout.x_block(X, e) - ref) / (1.0 + np.linalg.norm(ref)))
             report.records.append({"t": t, "edge": str(e), "err": err})
             # overflowing norms give inf / inf: a block that cannot be compared fails
             report.max_err = max(report.max_err, math.inf if math.isnan(err) else err)
-        engine.forget(traj, t, outputs=False)
 
     worker = threading.Thread(target=graph_side, name="graph-side")
     worker.start()

@@ -304,18 +304,17 @@ def step(instance: GraphInstance, traj: AmpTrajectory) -> AmpTrajectory:
     return traj
 
 
-def forget(traj: AmpTrajectory, t: int, xs: bool = True, outputs: bool = True) -> None:
+def forget(traj: AmpTrajectory, t: int) -> None:
     """Drop from traj, on every edge, what no step after step t reads.
 
-    Step t + 1 reads only x^t, m^{t-1} and b^{t-1}: xs drops x^{t-1},
-    outputs drops m^{t-2} and b^{t-2}.  Each holder of a trajectory
-    calls this once it is done with step t's iterates; two threads may
-    share one trajectory if each drops only the part it alone reads.
+    Step t + 1 reads only x^t, m^{t-1} and b^{t-1}, so x^{t-1}, m^{t-2}
+    and b^{t-2} go.  The holder of a trajectory calls this once it is
+    done with step t's iterates.
     """
     for e in traj.x:
-        if xs and t >= 1:
+        if t >= 1:
             traj.x[e][t - 1] = None
-        if outputs and t >= 2:
+        if t >= 2:
             traj.m[e][t - 2] = traj.b[e][t - 2] = None
 
 

@@ -75,46 +75,35 @@ _TAIL_SDS = 12.0
 
 
 def gaussian_piecewise_nodes(mean, sd, kinks, n: int):
-    """Nodes and weights for E[g(U)], U ~ N(mean, sd^2), with g smooth
-    between the given kink points.
+    """Nodes and weights for E[g(U)], U ~ N(mean_i, sd_i^2), one rule per
+    entry of the 1-D array mean, with g smooth between the given kink
+    points.  sd is one sd for every mean or an array of one per mean.
 
     Gauss-Hermite converges poorly across kinks (thresholding makes the
-    integrand only piecewise smooth), so the axis is split at the kinks
-    and each finite piece integrated by Gauss-Legendre against the
-    explicit normal density; the truncated tails carry ~1e-32 mass.
-
-    mean may also be a 1-D array of m means, with sd one sd or an array
-    of m.  The rules then come as (m, P) arrays, a row per mean, and
-    each row is cut at its mean as well as at the kinks, so that no
-    piece spans the peak of the density.  Kinks outside a row's range
-    clip to its ends, where they leave pieces of zero weight, so every
-    row has the same P.  A row of sd 0 puts every node on its mean and
-    weight 1 on the first.
+    integrand only piecewise smooth), so the axis is split at the kinks,
+    and at the mean so that no piece spans the peak of the density.
+    Each finite piece is integrated by n-node Gauss-Legendre against the
+    explicit normal density; the truncated tails carry ~1e-32 mass.  The
+    rules come as (m, P) arrays, a row per mean.  Kinks outside a row's
+    range clip to its ends, where they leave pieces of zero weight, so
+    every row has the same P.  A row of sd 0 puts every node on its mean
+    and weight 1 on the first.
     """
-    if np.ndim(mean) == 0:
-        if sd == 0.0:
-            return np.array([mean]), np.array([1.0])
-        lo, hi = mean - _TAIL_SDS * sd, mean + _TAIL_SDS * sd
-        cuts = np.array([lo] + sorted(k for k in kinks if lo < k < hi) + [hi])
-        centre = mean
-    else:
-        centre = np.asarray(mean, dtype=float)[:, None]
-        point = np.broadcast_to(np.reshape(sd, (-1, 1)) == 0.0, centre.shape)
-        sd = np.where(point, 1.0, np.reshape(sd, (-1, 1)))
-        lo, hi = centre - _TAIL_SDS * sd, centre + _TAIL_SDS * sd
-        inner = np.clip(np.asarray(kinks, dtype=float)[None, :], lo, hi)
-        inner = np.sort(np.concatenate([inner, centre], axis=1), axis=1)
-        cuts = np.concatenate([lo, inner, hi], axis=1)
-        centre, sd = centre[:, :, None], sd[:, :, None]
+    centre = np.asarray(mean, dtype=float)[:, None]
+    point = np.broadcast_to(np.reshape(sd, (-1, 1)) == 0.0, centre.shape)
+    sd = np.where(point, 1.0, np.reshape(sd, (-1, 1)))
+    lo, hi = centre - _TAIL_SDS * sd, centre + _TAIL_SDS * sd
+    inner = np.clip(np.asarray(kinks, dtype=float)[None, :], lo, hi)
+    inner = np.sort(np.concatenate([inner, centre], axis=1), axis=1)
+    cuts = np.concatenate([lo, inner, hi], axis=1)
+    centre, sd = centre[:, :, None], sd[:, :, None]
     xg, wg = _legendre_points(n)
     # one row per piece
-    a, b = cuts[..., :-1, None], cuts[..., 1:, None]
+    a, b = cuts[:, :-1, None], cuts[:, 1:, None]
     u = 0.5 * (b - a) * xg + 0.5 * (a + b)
     dens = np.exp(-0.5 * ((u - centre) / sd) ** 2) / (sd * math.sqrt(2.0 * math.pi))
-    shape = (-1,) if np.ndim(mean) == 0 else (len(cuts), -1)
-    u, w = u.reshape(shape), (0.5 * (b - a) * wg * dens).reshape(shape)
-    if np.ndim(mean):
-        u[point[:, 0]], w[point[:, 0]] = centre[point], np.eye(1, w.shape[1])
+    u, w = u.reshape(len(cuts), -1), (0.5 * (b - a) * wg * dens).reshape(len(cuts), -1)
+    u[point[:, 0]], w[point[:, 0]] = centre[point], np.eye(1, w.shape[1])
     return u, w
 
 
@@ -341,14 +330,8 @@ def _u_expectations(prior: Prior, scalars: GlmScalars, nu: float, kappa2: float,
     sk = math.sqrt(max(kappa2, 0.0))
     if quad.method == "gh":
         x0, wx = prior.quad_points(quad.nodes)
-        kinks = scalars.e_kinks()
-        pts = [gaussian_piecewise_nodes(nu * v, sk, kinks, quad.nodes) for v in x0]
-        width = max(len(p[0]) for p in pts)
-        U = np.zeros((len(x0), width))
-        W = np.zeros((len(x0), width))
-        for i, (ui, wi) in enumerate(pts):
-            U[i, : len(ui)] = ui
-            W[i, : len(ui)] = wx[i] * wi
+        U, W = gaussian_piecewise_nodes(nu * x0, sk, scalars.e_kinks(), quad.nodes)
+        W = wx[:, None] * W
         X0 = x0[:, None]
     else:
         X0, H = base

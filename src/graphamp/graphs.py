@@ -72,10 +72,6 @@ class GraphSpec:
         """Global dimension: sum of end-node dims over directed edges."""
         return sum(self.node_dim[e.end] for e in self.edges)
 
-    def n_rows(self, e: EdgeId) -> int:
-        """Row count of the iterate x_e (dimension of the end node)."""
-        return self.node_dim[e.end]
-
     def q(self, e: EdgeId) -> int:
         return self.edge_cols[e]
 

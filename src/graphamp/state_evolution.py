@@ -22,7 +22,8 @@ the new block of an edge in one of two ways:
   The phi part is n R^T E[phi(W)^T phi(W)] R, and each entry (a, b) of
   that expectation is a 2-D Gaussian integral over (W_a, W_b): an
   outer integral over W_a and an inner one over W_b given W_a, each
-  split at phi's kinks (gamp_se.gaussian_piecewise_nodes, QUAD_NODES
+  split at phi's kinks and at its mean, every rule of a stage built in
+  one batched call (gamp_se.gaussian_piecewise_nodes, QUAD_NODES
   Gauss-Legendre nodes a piece), outer nodes where phi vanishes
   dropped.  These blocks are deterministic: they depend on neither
   reps nor the streams.

@@ -88,7 +88,7 @@ def test_symmetric_onsager_respects_block_pattern():
 def _block_errs(emb, flat, graph, T):
     """verify_equivalence's records for whole trajectories of both sides."""
     return [{"t": t, "edge": str(e),
-             "err": float(np.linalg.norm(emb.tracked_block(flat.x[emb.loop_edge][t], e)
+             "err": float(np.linalg.norm(emb.layout.x_block(flat.x[emb.loop_edge][t], e)
                                          - graph.x[e][t]) / (1.0 + np.linalg.norm(graph.x[e][t])))}
             for t in range(T + 1) for e in emb.layout.order]
 
@@ -119,7 +119,7 @@ def test_streamed_comparison_matches_the_whole_trajectory():
 @pytest.fixture
 def fast_switching():
     """Switch threads every microsecond, so that an unsynchronized read
-    of the graph side's trajectory would land mid-step."""
+    of the graph side's iterates would land mid-step."""
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -142,8 +142,8 @@ def _small_gmm():
 
 @pytest.mark.parametrize("make", [_small_glm, _small_gmm], ids=["glm", "gmm_spatial"])
 def test_concurrent_sides_match_the_sequential_reference(make, fast_switching):
-    # both are two-phase chains; only the comparison reads the graph
-    # trajectory while the graph side keeps stepping
+    # both are two-phase chains; the comparison reads the graph iterates
+    # handed over while the graph side keeps stepping
     inst, T = make(), 12
     rep = bounded_call(verify_equivalence, inst, T, seed=3)
     assert rep.records == _sequential_records(inst, T, seed=3)
@@ -175,6 +175,41 @@ def test_graph_side_releases_what_it_no_longer_reads(make, fast_switching, monke
     assert compared == list(range(T + 1))
     assert {kind for kind, *_ in rec.held} == {"x", "m", "b"}
     assert rep.records == want
+
+
+def test_both_sides_step_only_inside_engine_run(monkeypatch):
+    inst, T = _small_glm(), 7
+    runs, steps, embedded = [], [], []
+    inside = threading.local()
+    base_run, base_step, base_embed = engine.run, engine.step, embedding.embed
+
+    def recording_run(instance, T, *args, **kwargs):
+        runs.append((instance, T))
+        inside.run = True
+        try:
+            return base_run(instance, T, *args, **kwargs)
+        finally:
+            inside.run = False
+
+    def recording_step(instance, traj):
+        steps.append(getattr(inside, "run", False))
+        return base_step(instance, traj)
+
+    def recording_embed(*args, **kwargs):
+        embedded.append(base_embed(*args, **kwargs))
+        return embedded[-1]
+
+    monkeypatch.setattr(engine, "run", recording_run)
+    monkeypatch.setattr(engine, "step", recording_step)
+    monkeypatch.setattr(embedding, "embed", recording_embed)
+    rep = bounded_call(verify_equivalence, inst, T, seed=1)
+    assert rep.max_err <= 1e-12
+    (emb,) = embedded
+    assert len(runs) == 2
+    assert {id(instance) for instance, _ in runs} == {id(inst), id(emb.symmetric)}
+    assert [t for _, t in runs] == [T, T]
+    # T steps a side, none outside a run
+    assert steps == [True] * (2 * T)
 
 
 @pytest.mark.parametrize("make", [_small_glm, _small_gmm], ids=["glm", "gmm_spatial"])

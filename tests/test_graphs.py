@@ -23,7 +23,6 @@ def test_two_node_chain_shapes():
     # iterate lives at the end node, message at the start node
     assert g.x_shape(e) == (4, 1)
     assert g.m_shape(e) == (7, 1)
-    assert g.n_rows(e) == 4
     assert g.q(e) == 1
     assert g.N == 11
 

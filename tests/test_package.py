@@ -1,5 +1,6 @@
 import importlib
 import os
+import re
 import runpy
 import subprocess
 import sys
@@ -14,6 +15,27 @@ import graphamp.models
                          ids=lambda m: m.__name__)
 def test_every_export_resolves(module):
     assert [name for name in module.__all__ if not hasattr(module, name)] == []
+
+
+def test_every_export_has_a_use():
+    # some line of the package (outside the __init__ files) or of the
+    # tests names each export, other than the line that defines it
+    src = os.path.dirname(graphamp.__file__)
+    tests = os.path.dirname(os.path.abspath(__file__))
+    lines = []
+    for root in (src, tests):
+        for folder, _, files in os.walk(root):
+            for name in files:
+                if name.endswith(".py") and name != "__init__.py":
+                    with open(os.path.join(folder, name), encoding="utf-8") as fh:
+                        lines.extend(fh)
+    unused = []
+    for name in sorted(set(graphamp.__all__) | set(graphamp.models.__all__)):
+        named = re.compile(rf"\b{re.escape(name)}\b")
+        own = re.compile(rf"^\s*(def|class)\s+{re.escape(name)}\b")
+        if not any(named.search(line) and not own.match(line) for line in lines):
+            unused.append(name)
+    assert unused == []
 
 
 def test_cli_import_leaves_scipy_unloaded():
