@@ -3,7 +3,8 @@
 All normal variates come from numpy's ziggurat sampler
 (Generator.standard_normal) on a PCG64 stream, so draws are
 reproducible byte-for-byte for a fixed (master seed, stream key) and a
-fixed numpy version.  Stream keys are derived by hashing string labels,
+fixed numpy version; uniform variates come from the same streams'
+integers.  Stream keys are derived by hashing string labels,
 giving every (edge, purpose, index) its own independent substream.
 """
 
@@ -28,9 +29,15 @@ def stream(master_seed: int, *labels) -> np.random.Generator:
 
 
 def normals(rng: np.random.Generator, shape) -> np.ndarray:
-    """Standard normals of the given shape: the one entry point every
-    sampler draws through."""
+    """Standard normals of the given shape: with uniforms, the one entry
+    point every sampler draws through."""
     return rng.standard_normal(shape)
+
+
+def uniforms(rng: np.random.Generator, shape) -> np.ndarray:
+    """Uniforms on (0, 1) of the given shape, (k + 1/2) / 2^53 for k
+    uniform on the integers below 2^53: never 0 or 1."""
+    return (rng.integers(0, 1 << 53, size=shape) + 0.5) / float(1 << 53)
 
 
 def sample_goe(n: int, rng: np.random.Generator, scale_N: Optional[float] = None,

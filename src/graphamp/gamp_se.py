@@ -44,7 +44,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .ensembles import normals, stream
+from .ensembles import normals, stream, uniforms
 from .errors import NumericalError
 from .prox import ProxSpec, prox, prox_deriv
 
@@ -110,10 +110,10 @@ def gaussian_piecewise_nodes(mean, sd, kinks, n: int):
 @dataclass(frozen=True)
 class QuadSpec:
     """Expectation backend: tensorized Gauss-Hermite (method "gh" with
-    nodes per axis) or seeded Monte Carlo (method "mc" with samples)."""
+    DEFAULT_GH_NODES nodes per axis) or seeded Monte Carlo (method "mc"
+    with samples)."""
 
     method: str = "gh"
-    nodes: int = DEFAULT_GH_NODES
     samples: int = 200_000
     seed: int = 0
 
@@ -154,7 +154,7 @@ class GaussBernoulliPrior(Prior):
         return self.eps * self.var
 
     def sample(self, n, rng):
-        mask = (rng.integers(0, 1 << 53, size=n) + 0.5) / float(1 << 53) < self.eps
+        mask = uniforms(rng, n) < self.eps
         return np.where(mask, math.sqrt(self.var) * normals(rng, n), 0.0)
 
     def quad_points(self, nodes):
@@ -169,8 +169,7 @@ class RademacherPrior(Prior):
     rho = 1.0  # uniform on {-1, +1}
 
     def sample(self, n, rng):
-        u = (rng.integers(0, 1 << 53, size=n) + 0.5) / float(1 << 53)
-        return np.where(u < 0.5, -1.0, 1.0)
+        return np.where(uniforms(rng, n) < 0.5, -1.0, 1.0)
 
     def quad_points(self, nodes):
         return np.array([-1.0, 1.0]), np.array([0.5, 0.5])
@@ -219,7 +218,7 @@ class LogisticChannel(Channel):
 
     def sample(self, z, rng):
         z = np.asarray(z, dtype=float)
-        u = (rng.integers(0, 1 << 53, size=z.shape) + 0.5) / float(1 << 53)
+        u = uniforms(rng, z.shape)
         p = 1.0 / (1.0 + np.exp(-z))
         return np.where(u < p, 1.0, -1.0)
 
@@ -329,8 +328,8 @@ def _u_expectations(prior: Prior, scalars: GlmScalars, nu: float, kappa2: float,
     (base: the u-field sample set of _mc_bases, for quad "mc")."""
     sk = math.sqrt(max(kappa2, 0.0))
     if quad.method == "gh":
-        x0, wx = prior.quad_points(quad.nodes)
-        U, W = gaussian_piecewise_nodes(nu * x0, sk, scalars.e_kinks(), quad.nodes)
+        x0, wx = prior.quad_points(DEFAULT_GH_NODES)
+        U, W = gaussian_piecewise_nodes(nu * x0, sk, scalars.e_kinks(), DEFAULT_GH_NODES)
         W = wx[:, None] * W
         X0 = x0[:, None]
     else:
@@ -354,9 +353,9 @@ def _v_expectations(channel: Channel, scalars: GlmScalars, m: float, kappa1: flo
     sr = math.sqrt(rho)
     sk = math.sqrt(max(kappa1, 0.0))
     if quad.method == "gh":
-        s, ws = gh_points(quad.nodes)
-        g, wg = gh_points(quad.nodes)
-        Y, Wy = channel.cond_points(sr * s, quad.nodes)
+        s, ws = gh_points(DEFAULT_GH_NODES)
+        g, wg = gh_points(DEFAULT_GH_NODES)
+        Y, Wy = channel.cond_points(sr * s, DEFAULT_GH_NODES)
         V = (m / sr) * s[:, None, None] + sk * g[None, :, None]
         W = ws[:, None, None] * wg[None, :, None] * Wy[:, None, :]
         S = s[:, None, None]

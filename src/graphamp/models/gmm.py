@@ -128,11 +128,11 @@ def sample_gmm_data(model: GmmSpatialModel, seed: int, tag: str = "train") -> Gm
     """Draw one dataset: coupled Gaussian blocks plus mean blocks."""
     K, d, npc = model.K, model.d, model.n_per_cluster
     roots, gs, spectrum = _sample_clusters(model, seed)
-    Z = sample_spatially_coupled([npc] * K, [d] * K, model.sigma_grid(), d,
-                                 stream(seed, "gmm", "Z", tag))
-    design = Z.copy()
+    design = sample_spatially_coupled([npc] * K, [d] * K, model.sigma_grid(), d,
+                                      stream(seed, "gmm", "Z", tag))
     for k in range(K):
-        design[k * npc:(k + 1) * npc, k * d:(k + 1) * d] += np.outer(np.ones(npc), gs[k])
+        # the mean g_k on every row of the cluster's diagonal block
+        design[k * npc:(k + 1) * npc, k * d:(k + 1) * d] += gs[k]
     labels = np.repeat(np.arange(K), npc)
     Y = np.zeros((model.n, K))
     Y[np.arange(model.n), labels] = 1.0

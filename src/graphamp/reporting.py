@@ -52,10 +52,7 @@ def write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence],
 
 
 def write_dict_rows(path: str, rows: List[Dict], config_hash: str,
-                    header: Sequence[str] = None) -> None:
-    if header is None:
-        if not rows:
-            raise ReportIOError(f"{path}: no rows and no explicit header")
-        header = list(rows[0].keys())
+                    header: Sequence[str]) -> None:
+    """The columns `header` of each row; a missing key writes empty."""
     table = [[row.get(col, "") for col in header] for row in rows]
     write_csv(path, header, table, config_hash)

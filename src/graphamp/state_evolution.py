@@ -19,11 +19,12 @@ the new block of an edge in one of two ways:
   is centred, independent of the side data and independent across
   input edges, so the affine part is closed form,
       Y^T Y + n sum_j M_j^T K_j^{t,t} M_j.
-  The phi part is n R^T E[phi(W)^T phi(W)] R, and each entry (a, b) of
-  that expectation is a 2-D Gaussian integral over (W_a, W_b): an
-  outer integral over W_a and an inner one over W_b given W_a, each
-  split at phi's kinks and at its mean, every rule of a stage built in
-  one batched call (gamp_se.gaussian_piecewise_nodes, QUAD_NODES
+  The phi part is n R^T E[phi(W)^T phi(W)] R.  Each diagonal entry
+  E phi(W_a)^2 is a 1-D rule over W_a, and each off-diagonal entry
+  (a, b) a 2-D Gaussian integral over (W_a, W_b): the same outer rule
+  over W_a, and an inner one over W_b given W_a.  Every rule is split
+  at phi's kinks and at its mean, the rules of a stage built in one
+  batched call (gamp_se.gaussian_piecewise_nodes, QUAD_NODES
   Gauss-Legendre nodes a piece), outer nodes where phi vanishes
   dropped.  These blocks are deterministic: they depend on neither
   reps nor the streams.
@@ -181,27 +182,34 @@ def _exact(f: Nonlinearity) -> bool:
 
 def _phi_moments(f: LinearEntrywiseLinear, field_cov: np.ndarray) -> np.ndarray:
     """E phi(W)^T phi(W) for a centred Gaussian row W with covariance
-    field_cov.  Entry (a, b) is a nested rule: an outer rule over W_a,
-    less the nodes where its weight times phi is 0, and an inner rule
-    over W_b given each kept node.  The nested rule is not symmetric in
-    (a, b), so the moment is symmetrised.  A zero (conditional) variance
-    puts the variable on its (conditional) mean."""
+    field_cov, from an outer rule over each W_a, less the nodes where
+    its weight times phi is 0.  A diagonal entry E phi(W_a)^2 is that
+    1-D rule.  An off-diagonal entry (a, b) is nested: an inner rule over
+    W_b given each kept node of W_a.  The nested rule is not symmetric
+    in (a, b), so the moment is symmetrised.  A zero (conditional)
+    variance puts the variable on its (conditional) mean."""
+    q = len(field_cov)
     var = np.diag(field_cov)
-    u, wu = gaussian_piecewise_nodes(np.zeros(len(var)), np.sqrt(var), f.kinks, QUAD_NODES)
+    u, wu = gaussian_piecewise_nodes(np.zeros(q), np.sqrt(var), f.kinks, QUAD_NODES)
     pu = f.phi(u)
     r, k = np.nonzero(wu * pu)
+    w, p = wu[r, k], pu[r, k]
     E = np.zeros_like(field_cov)
-    if not len(r):
-        # phi vanishes on the whole outer rule (relu at variance 0, say),
-        # and the inner rules cannot be built on no rows
+    np.add.at(E, (r, r), w * (p * p))
+    if q == 1 or not len(r):
+        # no pair to nest, or phi vanishes on the whole outer rule (relu
+        # at variance 0, say) and the inner rules cannot be built on no
+        # rows
         return E
-    c, v_r = field_cov[r], var[r, None]
+    # row i's inner rules: W_b given node i of W_a, a = r[i], for b != a
+    b = np.nonzero(~np.eye(q, dtype=bool))[1].reshape(q, q - 1)[r]
+    c, v_r = field_cov[r[:, None], b], var[r, None]
     slope = np.divide(c, v_r, out=np.zeros_like(c), where=v_r > 0.0)
-    sd = np.sqrt(np.maximum(var - slope * c, 0.0))
+    sd = np.sqrt(np.maximum(var[b] - slope * c, 0.0))
     v, wv = gaussian_piecewise_nodes((slope * u[r, k][:, None]).ravel(), sd.ravel(),
                                      f.kinks, QUAD_NODES)
-    inner = np.sum(wv * f.phi(v), axis=1).reshape(len(r), len(var))
-    np.add.at(E, r, wu[r, k][:, None] * (pu[r, k][:, None] * inner))
+    inner = np.sum(wv * f.phi(v), axis=1).reshape(b.shape)
+    np.add.at(E, (r[:, None], b), w[:, None] * (p[:, None] * inner))
     return 0.5 * (E + E.T)
 
 

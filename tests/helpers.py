@@ -5,6 +5,7 @@ internals (plain numpy) so fixed-point tests compare against a second
 implementation, not the code under test.
 """
 
+import math
 import threading
 import weakref
 
@@ -147,3 +148,42 @@ class StepRecorder:
         oldest = {"x": t - 1, "m": t - 2, "b": t - 2}
         return [(kind, s, str(e)) for kind, s, e, ref in list(self.held)
                 if s < oldest[kind] and ref() is not None]
+
+
+def _soft_mean(mu, s, lam):
+    """E soft(mu + s Z, lam), Z standard normal, in closed form: soft is
+    (x - lam)_+ - (-x - lam)_+, and E (m + s Z)_+ = m Phi(m/s) + s phi(m/s).
+    s is one sd per column of mu, 0 meaning no spread."""
+    sd = np.where(s > 0.0, s, 1.0)
+
+    def plus(m):
+        r = m / sd
+        cdf = 0.5 * np.vectorize(math.erfc)(-r / math.sqrt(2.0))
+        return m * cdf + sd * np.exp(-0.5 * r * r) / math.sqrt(2.0 * math.pi)
+
+    return np.where(s > 0.0, plus(mu - lam) - plus(-mu - lam), soft_threshold(mu, lam))
+
+
+def soft_gaussian_moments(C, lam):
+    """E soft(W)^T soft(W) for W ~ N(0, C), soft at threshold lam.
+
+    Row a integrates W_a past each threshold (soft(W_a) is 0 between
+    them) out to 14 of its sds, against the closed-form
+    E[soft(W_b) | W_a], by composite Simpson in u with W_a - lam =
+    14 sd u^2, which packs the nodes where the density falls steepest.
+    No Gauss-Legendre rule and no nesting, so it shares nothing with the
+    state evolution's exact route but the Gaussian."""
+    u = np.linspace(0.0, 1.0, 2001)
+    simpson = np.ones_like(u)
+    simpson[1:-1:2], simpson[2:-1:2] = 4.0, 2.0
+    z, simpson = 14.0 * u * u, simpson * (u[1] - u[0]) / 3.0 * 28.0 * u
+    var = np.diag(C)
+    E = np.zeros_like(C)
+    for a in np.flatnonzero(var > 0.0):
+        slope = C[a] / var[a]
+        s = np.sqrt(np.maximum(var - slope * C[a], 0.0))
+        for side in (1.0, -1.0):
+            x = side * (lam + math.sqrt(var[a]) * z)
+            w = simpson * np.exp(-0.5 * x * x / var[a]) / math.sqrt(2.0 * math.pi)
+            E[a] += (w * soft_threshold(x, lam)) @ _soft_mean(np.outer(x, slope), s, lam)
+    return 0.5 * (E + E.T)

@@ -11,10 +11,12 @@ from graphamp.graphs import EdgeId, single_loop
 from graphamp.nonlinearity import (Entrywise, FromCallable, Identity,
                                    LinearEntrywiseLinear, Nonlinearity, Zero)
 from graphamp.gamp_se import gaussian_piecewise_nodes
+from graphamp.prox import soft_threshold
 from graphamp.state_evolution import (compare, mc_observable_stats, se_init,
                                       se_run, se_step, summarize)
 from graphamp.engine import observe
 from graphamp.ensembles import normals, sample_goe, stream
+from helpers import soft_gaussian_moments
 
 
 def relu(x):
@@ -392,3 +394,92 @@ def test_family_factor_once_per_step_and_edge(monkeypatch):
     calls.clear()
     mc_observable_stats(inst, cov, [], reps=300, seed=4, chunk=64)
     assert len(calls) == 2 * 3
+
+
+def _all_pairs_phi_moments(f, field_cov):
+    """_phi_moments as it was before diagonal entries were read off the
+    outer rule: every entry, the diagonal too, nested over an inner rule
+    of W_b given each kept node of W_a."""
+    var = np.diag(field_cov)
+    u, wu = gaussian_piecewise_nodes(np.zeros(len(var)), np.sqrt(var), f.kinks,
+                                     state_evolution.QUAD_NODES)
+    pu = f.phi(u)
+    r, k = np.nonzero(wu * pu)
+    E = np.zeros_like(field_cov)
+    if not len(r):
+        return E
+    c, v_r = field_cov[r], var[r, None]
+    slope = np.divide(c, v_r, out=np.zeros_like(c), where=v_r > 0.0)
+    sd = np.sqrt(np.maximum(var - slope * c, 0.0))
+    v, wv = gaussian_piecewise_nodes((slope * u[r, k][:, None]).ravel(), sd.ravel(),
+                                     f.kinks, state_evolution.QUAD_NODES)
+    inner = np.sum(wv * f.phi(v), axis=1).reshape(len(r), len(var))
+    np.add.at(E, r, wu[r, k][:, None] * (pu[r, k][:, None] * inner))
+    return 0.5 * (E + E.T)
+
+
+LAM = 0.3  # the soft threshold's level
+# name -> (phi, phi', kinks), each with phi(0) = 0
+PHIS = {
+    "relu": (relu, lambda x: (x > 0).astype(float), (0.0,)),
+    "soft": (lambda x: soft_threshold(x, LAM),
+             lambda x: (np.abs(x) > LAM).astype(float), (-LAM, LAM)),
+    "tanh": (np.tanh, lambda x: 1 - np.tanh(x) ** 2, ()),
+}
+
+
+def _field_covariances(q):
+    """A random covariance, one with a zero-variance column and, for
+    q >= 2, one whose first two columns are perfectly correlated."""
+    A = normals(stream(11, "field", q), (q, q + 1))
+    C = A @ A.T / (q + 1)
+    zero = C.copy()
+    zero[0], zero[:, 0] = 0.0, 0.0
+    covs = [C, zero]
+    if q >= 2:
+        tied = [0, 0] + list(range(2, q))  # (W_0, W_0, W_2, ..)
+        covs.append(C[np.ix_(tied, tied)])
+    return covs
+
+
+@pytest.mark.parametrize("q", [1, 2, 3])
+@pytest.mark.parametrize("name", sorted(PHIS))
+def test_phi_moments_match_the_all_pairs_rule_byte_for_byte(monkeypatch, q, name):
+    # the diagonal entries come off the outer rule with the same products
+    # and the same accumulation order, so the moment is the nested
+    # all-pairs rule's to the byte, with inner rules only for b != a
+    phi, dphi, kinks = PHIS[name]
+    f = LinearEntrywiseLinear(out_cols=q, phi=phi, dphi=dphi, L=[1.0], kinks=kinks)
+    calls = []
+    monkeypatch.setattr(state_evolution, "gaussian_piecewise_nodes",
+                        lambda mean, *args: calls.append(
+                            (len(mean), gaussian_piecewise_nodes(mean, *args)))
+                        or calls[-1][1])
+    for C in _field_covariances(q):
+        calls.clear()
+        E = state_evolution._phi_moments(f, C)
+        assert E.tobytes() == _all_pairs_phi_moments(f, C).tobytes()
+        (rows, (u, w)), inner = calls[0], calls[1:]
+        kept = np.count_nonzero(w * phi(u))
+        # phi(0) = 0, so only an all-zero field keeps no node
+        assert rows == q and bool(kept) == C.any()
+        assert [n for n, _ in inner] == ([kept * (q - 1)] if q > 1 and kept else [])
+
+
+@pytest.mark.parametrize("rho", [0.0, 0.3, 0.6])
+@pytest.mark.parametrize("ratio", [0.5, 2.0, 4.2])
+def test_exact_soft_threshold_moments_match_an_independent_quadrature(ratio, rho):
+    # the exact route against helpers.soft_gaussian_moments, which shares
+    # nothing with it but the Gaussian, on 3-column fields whose sds sit
+    # near the threshold over `ratio`: out to 4.2 sds, the tails that
+    # Monte Carlo copies seldom reach.  Column correlations stay at or
+    # below 0.6; past that the nested rule's off-diagonal error grows
+    # (see test_exact_matches_closed_form_relu_moments)
+    phi, dphi, kinks = PHIS["soft"]
+    f = LinearEntrywiseLinear(out_cols=3, phi=phi, dphi=dphi, L=[1.0], kinks=kinks)
+    sd = LAM / ratio * np.array([1.0, 0.9, 1.1])
+    corr = np.array([[1.0, rho, -rho / 2], [rho, 1.0, rho / 3], [-rho / 2, rho / 3, 1.0]])
+    C = corr * np.outer(sd, sd)
+    want = soft_gaussian_moments(C, LAM)
+    np.testing.assert_allclose(state_evolution._phi_moments(f, C), want,
+                               rtol=1e-8, atol=1e-8 * np.abs(want).max())
