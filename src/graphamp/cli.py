@@ -147,11 +147,11 @@ def _glm_se_rows(cfg, model, *_) -> List[Tuple[int, str, float, float]]:
 
 
 def _spiked_se_rows(cfg, model, *_) -> List[Tuple[int, str, float, float]]:
-    if model.depth:
-        raise ConfigError("model.gen_dims: the spiked SE recursion covers the "
-                          "depth-0 spike only; embed-verify still runs "
-                          "the deep model")
-    return [(t, name, value, 0.0) for pt in spiked_scalar_se(model, cfg.T)[1:]
+    try:
+        pts = spiked_scalar_se(model, cfg.T)
+    except ValueError as ex:
+        raise ConfigError(f"model.{ex}; embed-verify still runs the deep model") from ex
+    return [(t, name, value, 0.0) for pt in pts[1:]
             for t, name, value in _spiked_named_rows(cfg, pt.t, pt.mu,
                                                      pt.second_moment())]
 
@@ -344,7 +344,7 @@ def _run_one_seed(cfg, seed):
         if t == T and kind.gate is _gmm_compare_rows:
             weights.append(gmm_weights(traj, model, aux))
 
-    run(instance, T, allow_degenerate=True, each=each)
+    run(instance, T, each=each)
     se = _seed_se(cfg, instance) if kind.se_rows is _generic_se_rows else None
     fixed = _gmm_fixed_point(weights[0], model, aux) if weights else None
     return rows, se, fixed
@@ -366,14 +366,17 @@ def _write_se(out_dir, se_rows, h):
 def cmd_run(cfg, out_dir, workers, strict) -> int:
     h = cfg.config_hash()
     kind = _kind(cfg)
+    # the cheap spiked recursion runs first, so a deep model exits before a
+    # seed is built; the others follow the seeds, whose aborts come first
+    se_rows = se_rows_for(cfg) if kind.se_rows is _spiked_se_rows else []
     amp_results = _fan_out(cfg, workers)
     traj_rows = [{"seed": seed, "t": t, "name": name, "value": value}
                  for seed, (rows, _, _) in amp_results
                  for t, name, value in rows]
     write_dict_rows(os.path.join(out_dir, "trajectory.csv"), traj_rows, h,
                     header=TRAJ_HEADER)
-    se_rows = (se_rows_for(cfg, workers, [se for _, (_, se, _) in amp_results])
-               if kind.se_rows else [])
+    if kind.se_rows not in (None, _spiked_se_rows):
+        se_rows = se_rows_for(cfg, workers, [se for _, (_, se, _) in amp_results])
     _write_se(out_dir, se_rows, h)
     cmp_rows = kind.gate(cfg, amp_results, se_rows)
     write_dict_rows(os.path.join(out_dir, "compare.csv"), cmp_rows, h,

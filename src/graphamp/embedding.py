@@ -248,8 +248,7 @@ def run_symmetric(emb: EmbeddedInstance, T: int,
     engine.run(emb.symmetric, T) keeps it all.
     """
     e = emb.loop_edge
-    engine.run(emb.symmetric, T, allow_degenerate=True,
-               each=lambda t, traj: each(t, traj.x[e][t]))
+    engine.run(emb.symmetric, T, each=lambda t, traj: each(t, traj.x[e][t]))
 
 
 @dataclass
@@ -259,8 +258,8 @@ class EquivalenceReport:
     max_err: float
     records: List[dict] = field(default_factory=list)
 
-    def ok(self, tol: float = EMBED_TOL) -> bool:
-        return self.max_err <= tol
+    def ok(self) -> bool:
+        return self.max_err <= EMBED_TOL
 
 
 def verify_equivalence(instance: GraphInstance, T: int, seed: int = 0,
@@ -285,7 +284,7 @@ def verify_equivalence(instance: GraphInstance, T: int, seed: int = 0,
 
     def graph_side() -> None:
         try:
-            engine.run(instance, T, allow_degenerate=True,
+            engine.run(instance, T,
                        each=lambda t, traj: handed.put({e: xs[t] for e, xs in traj.x.items()}))
         except BaseException as ex:  # re-raised on the calling thread
             failed.append(ex)

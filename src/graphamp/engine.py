@@ -168,16 +168,9 @@ def initial_iterates(instance: GraphInstance) -> Dict[EdgeId, np.ndarray]:
     return xs
 
 
-def init(instance: GraphInstance, allow_degenerate: bool = False) -> AmpTrajectory:
-    """Trajectory holding x^0 (zeros where not supplied)."""
+def init(instance: GraphInstance) -> AmpTrajectory:
+    """Trajectory holding x^0 (zeros where not supplied); step 0 judges it."""
     xs = initial_iterates(instance)
-    if not allow_degenerate and not any(np.any(v != 0.0) for v in xs.values()):
-        warnings.warn(
-            "all edges initialized at zero; odd update functions will keep the "
-            "iteration at the all-zero fixed point (pass allow_degenerate=True "
-            "to silence)",
-            stacklevel=2,
-        )
     return AmpTrajectory(graph=instance.graph, x={e: [v] for e, v in xs.items()},
                          m={e: [] for e in xs}, b={e: [] for e in xs})
 
@@ -254,7 +247,9 @@ def step(instance: GraphInstance, traj: AmpTrajectory) -> AmpTrajectory:
     Otherwise each live block is assigned block_product(A_e[:, rs],
     m^t_e[rs, cs]); an exactly symmetric loop passes its row strip
     A_e[rs, :]^T instead.  An output with a nonzero entry outside its
-    out_blocks raises ShapeError.
+    out_blocks raises ShapeError.  At t = 0 it warns when no edge has a
+    live block: every x^1 is then zero, and odd maps keep the iteration
+    at the all-zero fixed point.
     """
     g = instance.graph
     t = traj.T
@@ -277,6 +272,9 @@ def step(instance: GraphInstance, traj: AmpTrajectory) -> AmpTrajectory:
         if live[e] and not f.out_blocks:
             whole.add(e)
         bs[e] = onsager(instance, e, t, f, inputs)
+    if t == 0 and not any(live.values()):
+        warnings.warn("step 0 wrote no nonzero output, so every x^1 is zero; odd "
+                      "maps keep the iteration at the all-zero fixed point", stacklevel=2)
     xs: Dict[EdgeId, np.ndarray] = {}
     # overflow surfaces through the isfinite guard, not a warning
     with np.errstate(over="ignore", invalid="ignore"):
@@ -318,16 +316,16 @@ def forget(traj: AmpTrajectory, t: int) -> None:
             traj.m[e][t - 2] = traj.b[e][t - 2] = None
 
 
-def run(instance: GraphInstance, T: int, allow_degenerate: bool = False,
+def run(instance: GraphInstance, T: int,
         each: Optional[Callable[[int, AmpTrajectory], None]] = None) -> AmpTrajectory:
-    """Run T steps from x^0 and return the trajectory.
+    """Run T steps from x^0 and return the trajectory (step 0 may warn).
 
     Without each, it holds the whole history.  With each, the run
     streams: each(t, traj) is called on x^0 and as every step t returns,
     while x^{t-1}, m^{t-2} and b^{t-2} are still held, and then forget
     drops them.
     """
-    traj = init(instance, allow_degenerate=allow_degenerate)
+    traj = init(instance)
     if each is not None:
         each(0, traj)
     for t in range(1, T + 1):

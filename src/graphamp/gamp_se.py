@@ -131,7 +131,7 @@ class Prior:
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         raise NotImplementedError
 
-    def quad_points(self, nodes: int) -> Tuple[np.ndarray, np.ndarray]:
+    def quad_points(self) -> Tuple[np.ndarray, np.ndarray]:
         """(values, weights) with weights summing to 1."""
         raise NotImplementedError
 
@@ -157,8 +157,8 @@ class GaussBernoulliPrior(Prior):
         mask = uniforms(rng, n) < self.eps
         return np.where(mask, math.sqrt(self.var) * normals(rng, n), 0.0)
 
-    def quad_points(self, nodes):
-        x, w = gh_points(nodes)
+    def quad_points(self):
+        x, w = gh_points(DEFAULT_GH_NODES)
         vals = np.concatenate([[0.0], math.sqrt(self.var) * x])
         wts = np.concatenate([[1.0 - self.eps], self.eps * w])
         return vals, wts
@@ -171,7 +171,7 @@ class RademacherPrior(Prior):
     def sample(self, n, rng):
         return np.where(uniforms(rng, n) < 0.5, -1.0, 1.0)
 
-    def quad_points(self, nodes):
+    def quad_points(self):
         return np.array([-1.0, 1.0]), np.array([0.5, 0.5])
 
 
@@ -183,7 +183,7 @@ class Channel:
     def sample(self, z: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         raise NotImplementedError
 
-    def cond_points(self, z: np.ndarray, nodes: int) -> Tuple[np.ndarray, np.ndarray]:
+    def cond_points(self, z: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Arrays of shape z.shape + (k,): support points and weights."""
         raise NotImplementedError
 
@@ -203,11 +203,11 @@ class LinearGaussianChannel(Channel):
             return np.array(z, dtype=float, copy=True)
         return z + self.sigma * normals(rng, np.shape(z))
 
-    def cond_points(self, z, nodes):
+    def cond_points(self, z):
         z = np.asarray(z, dtype=float)
         if self.sigma == 0.0:
             return z[..., None], np.ones(z.shape + (1,))
-        xi, w = gh_points(nodes)
+        xi, w = gh_points(DEFAULT_GH_NODES)
         y = z[..., None] + self.sigma * xi
         return y, np.broadcast_to(w, y.shape).copy()
 
@@ -222,7 +222,7 @@ class LogisticChannel(Channel):
         p = 1.0 / (1.0 + np.exp(-z))
         return np.where(u < p, 1.0, -1.0)
 
-    def cond_points(self, z, nodes):
+    def cond_points(self, z):
         z = np.asarray(z, dtype=float)
         p = 1.0 / (1.0 + np.exp(-z))
         y = np.broadcast_to(np.array([1.0, -1.0]), z.shape + (2,)).copy()
@@ -328,7 +328,7 @@ def _u_expectations(prior: Prior, scalars: GlmScalars, nu: float, kappa2: float,
     (base: the u-field sample set of _mc_bases, for quad "mc")."""
     sk = math.sqrt(max(kappa2, 0.0))
     if quad.method == "gh":
-        x0, wx = prior.quad_points(DEFAULT_GH_NODES)
+        x0, wx = prior.quad_points()
         U, W = gaussian_piecewise_nodes(nu * x0, sk, scalars.e_kinks(), DEFAULT_GH_NODES)
         W = wx[:, None] * W
         X0 = x0[:, None]
@@ -355,7 +355,7 @@ def _v_expectations(channel: Channel, scalars: GlmScalars, m: float, kappa1: flo
     if quad.method == "gh":
         s, ws = gh_points(DEFAULT_GH_NODES)
         g, wg = gh_points(DEFAULT_GH_NODES)
-        Y, Wy = channel.cond_points(sr * s, DEFAULT_GH_NODES)
+        Y, Wy = channel.cond_points(sr * s)
         V = (m / sr) * s[:, None, None] + sk * g[None, :, None]
         W = ws[:, None, None] * wg[None, :, None] * Wy[:, None, :]
         S = s[:, None, None]

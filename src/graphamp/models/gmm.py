@@ -124,12 +124,12 @@ def _sample_clusters(model: GmmSpatialModel, seed: int):
     return roots, gs, np.linalg.eigh(S)
 
 
-def sample_gmm_data(model: GmmSpatialModel, seed: int, tag: str = "train") -> GmmData:
+def sample_gmm_data(model: GmmSpatialModel, seed: int) -> GmmData:
     """Draw one dataset: coupled Gaussian blocks plus mean blocks."""
     K, d, npc = model.K, model.d, model.n_per_cluster
     roots, gs, spectrum = _sample_clusters(model, seed)
     design = sample_spatially_coupled([npc] * K, [d] * K, model.sigma_grid(), d,
-                                      stream(seed, "gmm", "Z", tag))
+                                      stream(seed, "gmm", "Z", "train"))
     for k in range(K):
         # the mean g_k on every row of the cluster's diagonal block
         design[k * npc:(k + 1) * npc, k * d:(k + 1) * d] += gs[k]
@@ -190,7 +190,7 @@ def build_gmm_spatial_instance(model: GmmSpatialModel, seed: int = 0):
     """
     fwd = EdgeId("stack", "obs")
     bwd = fwd.reversed()
-    data = sample_gmm_data(model, seed, tag="train")
+    data = sample_gmm_data(model, seed)
     g = line_graph(["stack", "obs"], [model.K * model.d, model.n], q=model.K)
     instance = GraphInstance(
         graph=g,

@@ -134,9 +134,9 @@ def spiked_scalar_se(model: SpikedModel, T: int) -> List[SpikedSePoint]:
     """Two-scalar recursion for the depth-0 spike from (mu, q) =
     (init_overlap, 0), on a 121-node Gauss-Hermite rule."""
     if model.depth != 0:
-        raise ValueError("scalar recursion covers the depth-0 spike only")
+        raise ValueError("gen_dims: the scalar SE covers the depth-0 spike only")
     f = _activation(model.denoiser, model.theta)[0]
-    v, wv = PRIOR.quad_points(121)
+    v, wv = PRIOR.quad_points()
     gz, wg = gh_points(121)
     sl = math.sqrt(model.lam)
     mu, q = model.init_overlap, 0.0

@@ -75,7 +75,7 @@ def _glm_amp_table(model, seeds, T):
     table = {}
     for seed in seeds:
         inst, teacher = build_gamp_instance(model, seed=seed)
-        traj = run(inst, 2 * T, allow_degenerate=True)
+        traj = run(inst, 2 * T)
         for st in gamp_iterate_stats(traj, model, teacher):
             for name, val in (("norm_sq_v", st.v2), ("norm_sq_u", st.u2),
                               ("mse", st.mse), ("overlap", st.m)):
@@ -182,7 +182,7 @@ def test_criterion_04_fixed_point_vs_convex_oracle():
     prior = default_prior()
     lmodel = lasso_model(d=500, n=250, lam=1.2, prior=prior, sigma=0.5)
     inst, teacher = build_gamp_instance(lmodel, seed=42)
-    traj = run(inst, 400, allow_degenerate=True)
+    traj = run(inst, 400)
     xh = gamp_estimates(traj, lmodel)[-1]
     A = inst.matrix(EdgeId("sig", "obs"))
     xf = fista_lasso(A, teacher.y, 1.2, iters=20000)
@@ -191,7 +191,7 @@ def test_criterion_04_fixed_point_vs_convex_oracle():
 
     rmodel = ridge_model(d=500, n=250, lam=1.2, prior=prior, sigma=0.5)
     inst, teacher = build_gamp_instance(rmodel, seed=43)
-    traj = run(inst, 400, allow_degenerate=True)
+    traj = run(inst, 400)
     xh = gamp_estimates(traj, rmodel)[-1]
     A = inst.matrix(EdgeId("sig", "obs"))
     xd = ridge_direct(A, teacher.y, 1.2)
@@ -476,7 +476,7 @@ def test_criterion_10_gmm_spatial():
             blk = data.design[400 * i:400 * (i + 1), 500 * j:500 * (j + 1)]
             var_rel = max(var_rel,
                           abs(blk.var() * model.d - grid[i, j]) / grid[i, j])
-    traj = run(inst, 120, allow_degenerate=True)
+    traj = run(inst, 120)
     W = gmm_weights(traj, model, data)
     Wb = ridge_baseline(model, data)
     werr = np.linalg.norm(W - Wb) / np.linalg.norm(Wb)

@@ -157,7 +157,7 @@ def test_generic_norm_sq_is_the_per_row_second_moment():
     cfg = config_mod.validate(SMALL_COMMITTEE)
     rows, _, _ = cli._run_one_seed(cfg, cfg.amp_seeds[0])
     instance, _, _ = cli._build_zoo(cfg, cfg.amp_seeds[0])
-    traj = run(instance, cli._graph_T(cfg), allow_degenerate=True)
+    traj = run(instance, cli._graph_T(cfg))
     xs = {f"norm_sq[{e}]": traj.x[e] for e in traj.x}
     assert len(rows) == cfg.T * len(xs)
     for t, name, value in rows:
@@ -247,7 +247,7 @@ def test_diverging_embed_verify_exits_3_with_the_graph_location(tmp_path, capsys
     params = {k: v for k, v in DIVERGING_GMM.items() if k != "kind"}
     inst, _ = graphamp.build_gmm_spatial_instance(graphamp.GmmSpatialModel(**params), seed=0)
     with pytest.raises(graphamp.NumericalError) as ref:
-        run(inst, 200, allow_degenerate=True)
+        run(inst, 200)
     rc = bounded_call(main, ["embed-verify", "--config", cfg, "--out", str(tmp_path / "o")])
     assert rc == 3
     err = capsys.readouterr().err
@@ -427,7 +427,7 @@ def test_streamed_rows_match_the_whole_trajectory_readers(kind):
     rows, _, fixed = cli._run_one_seed(cfg, 1)
     instance, model, aux = cli._build_zoo(cfg, 1)
     T = cli._graph_T(cfg)
-    traj = run(instance, T, allow_degenerate=True)
+    traj = run(instance, T)
     g = instance.graph
     if kind in ("lasso", "ridge", "logistic"):
         want = [row for st in gamp_iterate_stats(traj, model, aux)
@@ -505,18 +505,28 @@ def test_config_requesting_no_reported_observable_exits_2(tmp_path, capsys,
     assert not out.exists()
 
 
-def test_spiked_generative_prior_has_no_scalar_se_gate(tmp_path, capsys):
+def test_spiked_generative_prior_has_no_scalar_se_gate(tmp_path, capsys,
+                                                       monkeypatch):
     # the scalar recursion is the depth-0 one; comparing a depth-1 run
-    # against it would put every row outside its gate
+    # against it would put every row outside its gate, so `run` refuses
+    # before it builds a seed or writes a file
     cfg = _write(tmp_path, {"model": {"kind": "spiked", "N": 120, "lam": 2.5,
                                       "gen_dims": [60]},
                             "T": 4, "amp_seeds": [0, 1]})
+    builds = []
+    build = cli.build_spiked_instance
+    monkeypatch.setattr(cli, "build_spiked_instance",
+                        lambda *a, **k: builds.append(a) or build(*a, **k))
     for command in ("run", "se-only"):
         assert main([command, "--config", cfg,
                      "--out", str(tmp_path / command)]) == 2
         assert "model.gen_dims" in capsys.readouterr().err
+        assert builds == []
+        assert not (tmp_path / command / "trajectory.csv").exists()
+    assert main(["validate-config", "--config", cfg]) == 0
     assert main(["embed-verify", "--config", cfg,
                  "--out", str(tmp_path / "e")]) == 0
+    assert len(builds) == 1
 
 
 def test_one_layer_multilayer_runs_the_generic_se_gate(tmp_path):

@@ -52,7 +52,7 @@ def test_layout_blocks_partition_the_flattened_dimension():
 def test_scalar_chain_equivalence_is_machine_exact():
     rep = verify_equivalence(_small_glm(), T=10, seed=0)
     assert rep.max_err <= 1e-12
-    assert rep.ok(1e-10)
+    assert rep.ok()
 
 
 def test_matrix_valued_equivalence_is_machine_exact():
@@ -79,7 +79,7 @@ def test_equivalence_records_cover_all_times_and_edges():
 def test_symmetric_onsager_respects_block_pattern():
     inst = _small_glm()
     emb = embed(inst, seed=0)
-    sym_traj = run(emb.symmetric, 8, allow_degenerate=True)
+    sym_traj = run(emb.symmetric, 8)
     for t in range(1, 8):
         B = sym_traj.b[emb.loop_edge][t]
         assert onsager_block_pattern_err(emb.layout, B) <= 1e-12
@@ -99,8 +99,8 @@ def test_streamed_comparison_matches_the_whole_trajectory():
     rep = verify_equivalence(inst, T=T, seed=2)
     emb = embed(inst, seed=2)
     loop = emb.loop_edge
-    whole = run(emb.symmetric, T, allow_degenerate=True)
-    assert rep.records == _block_errs(emb, whole, run(inst, T, allow_degenerate=True), T)
+    whole = run(emb.symmetric, T)
+    assert rep.records == _block_errs(emb, whole, run(inst, T), T)
 
     seen, refs = [], []
 
@@ -131,8 +131,8 @@ def fast_switching():
 def _sequential_records(inst, T, seed):
     """The comparison run one side after the other."""
     emb = embed(inst, seed=seed)
-    return _block_errs(emb, run(emb.symmetric, T, allow_degenerate=True),
-                       run(inst, T, allow_degenerate=True), T)
+    return _block_errs(emb, run(emb.symmetric, T),
+                       run(inst, T), T)
 
 
 def _small_gmm():
@@ -217,8 +217,8 @@ def test_flattened_run_needs_no_graph_run(make):
     # the flattening reads its two-phase step sizes off its own b
     inst, T = make(), 12
     emb = embed(inst, seed=1)
-    flat = run(emb.symmetric, T, allow_degenerate=True)
-    errs = _block_errs(emb, flat, run(inst, T, allow_degenerate=True), T)
+    flat = run(emb.symmetric, T)
+    errs = _block_errs(emb, flat, run(inst, T), T)
     assert max(r["err"] for r in errs) <= 1e-12
 
 
@@ -233,8 +233,8 @@ def test_providers_see_the_previous_onsager_coefficients():
         return dataclasses.replace(inst, provider=provider)
 
     graph_calls, flat_calls = [], []
-    graph = run(recording(graph_calls), T, allow_degenerate=True)
-    run(embed(recording(flat_calls)).symmetric, T, allow_degenerate=True)
+    graph = run(recording(graph_calls), T)
+    run(embed(recording(flat_calls)).symmetric, T)
     # each side resolves every edge's map once per step
     for calls, tol in ((graph_calls, 0.0), (flat_calls, 1e-12)):
         assert sorted((t, str(e)) for e, t, _ in calls) == sorted(
@@ -276,7 +276,7 @@ def test_graph_side_error_is_raised_unchanged(fast_switching):
 
     inst = dataclasses.replace(inst, provider=provider)
     with pytest.raises(NumericalError) as ref:
-        run(inst, 10, allow_degenerate=True)
+        run(inst, 10)
     assert (ref.value.edge, ref.value.t) == (str(canonical_edge_order(inst.graph)[0]), bad_t)
     # the flattened side fails at the same step, on its own loop edge.  The
     # graph side, which is ahead, gets there first and sleeps, so the
@@ -300,7 +300,7 @@ def test_flattening_error_joins_the_graph_side():
     # the slowed graph side is still running when embed raises
     inst = dataclasses.replace(inst, provider=slow,
                                scale_base={fwd: 90.0, fwd.reversed(): 91.0})
-    run(inst, 20, allow_degenerate=True)
+    run(inst, 20)
     with pytest.raises(GraphError, match="different variance bases"):
         bounded_call(verify_equivalence, inst, 20)
 

@@ -1,14 +1,21 @@
+import glob
+import os
 import time
+import warnings
 
 import numpy as np
 import pytest
 
-from graphamp import (CommitteeModel, GraphInstance, NumericalError,
-                      ShapeError, build_committee_instance,
-                      build_gamp_instance, lasso_model)
+from graphamp import (CommitteeModel, GmmSpatialModel, GraphInstance,
+                      NumericalError, ShapeError, build_committee_instance,
+                      build_gamp_instance, build_gmm_spatial_instance,
+                      lasso_model)
+from graphamp import cli
+from graphamp import config as config_mod
 from graphamp.engine import (PANEL_ROWS, Observable, _pair_sweep,
-                             block_product, init, norm_sq_observable,
-                             observe, run, stationary_provider, step)
+                             block_product, initial_iterates,
+                             norm_sq_observable, observe, run,
+                             stationary_provider, step)
 from graphamp.graphs import EdgeId, line_graph, single_loop
 from graphamp.nonlinearity import (Entrywise, EntrywiseThenMix,
                                    FromCallable, Identity, Nonlinearity)
@@ -34,7 +41,7 @@ def test_first_step_has_no_correction():
     A = np.array([[1.0, 2.0, 0.0], [0.0, 1.0, -1.0]])
     x0 = np.array([[1.0], [-1.0]])
     inst, fwd = _chain_instance(A, x0, scale=3.0)
-    traj = run(inst, 1, allow_degenerate=True)
+    traj = run(inst, 1)
     bwd = fwd.reversed()
     # x^1_fwd = A m^0_fwd with m^0_fwd = identity(x^0_bwd) = 0
     assert np.allclose(traj.x[fwd][1], 0.0)
@@ -46,7 +53,7 @@ def test_second_step_subtracts_onsager_term():
     A = np.array([[1.0, 2.0, 0.0], [0.0, 1.0, -1.0]])
     x0 = np.array([[1.0], [-1.0]])
     inst, fwd = _chain_instance(A, x0, scale=3.0)
-    traj = run(inst, 2, allow_degenerate=True)
+    traj = run(inst, 2)
     bwd = fwd.reversed()
     # identity on d = 3 rows: J = 3, b = J / scale = 1
     m1_fwd = A.T @ x0                       # = x^1_bwd, identity message
@@ -78,7 +85,7 @@ def test_zero_output_skips_the_matrix_product():
     inst, _ = build_gamp_instance(model, seed=3)
     reads = _count_reads(inst)
     T = 10
-    run(inst, T, allow_degenerate=True)
+    run(inst, T)
     # one of the two phases applies the zero update at every step
     assert len(reads) == T
 
@@ -325,11 +332,48 @@ def test_zero_output_keeps_its_onsager_correction():
         assert np.array_equal(traj.x[fwd][t + 1], want)
 
 
-def test_degenerate_zero_init_warns():
-    A = np.eye(3)
-    inst, _ = _chain_instance(A, np.zeros((3, 1)), scale=3.0)
+def _runs_silently(inst, T=2):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", UserWarning)
+        run(inst, T)
+
+
+def test_step_zero_warns_exactly_when_it_writes_no_nonzero_output():
+    # (a) a zero start under odd maps stays at the all-zero fixed point
+    inst, _ = _chain_instance(np.eye(3), np.zeros((3, 1)), scale=3.0)
     with pytest.warns(UserWarning, match="all-zero"):
-        init(inst)
+        run(inst, 2)
+
+    # (b) the GLM and gmm chains start at zero, yet their first
+    # observation-side output y / (1 + beta0) is not zero
+    lasso = lasso_model(d=60, n=30, lam=1.2, prior=default_prior(), sigma=0.5)
+    gmm = GmmSpatialModel(K=2, d=20, n_per_cluster=15, lam=1.0, coupling=0.3)
+    for inst, _ in (build_gamp_instance(lasso, seed=1),
+                    build_gmm_spatial_instance(gmm, seed=1)):
+        assert not any(np.any(x) for x in initial_iterates(inst).values())
+        _runs_silently(inst)
+
+    # (c) a nonzero start that relu maps to zero
+    n = 5
+    loop = EdgeId("v", "v")
+    inst = GraphInstance(
+        graph=single_loop("v", n),
+        matrices={loop: sample_goe_like(n)},
+        provider=stationary_provider({loop: Entrywise(
+            lambda x: np.maximum(x, 0.0), lambda x: (x > 0).astype(float), (0.0,))}),
+        x0={loop: -np.ones((n, 1))},
+    )
+    with pytest.warns(UserWarning, match="all-zero"):
+        run(inst, 2)
+
+    # (d) the first step of every benchmark workload
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    paths = sorted(glob.glob(os.path.join(root, "perfbench", "workloads", "*.json")))
+    assert paths
+    for path in paths:
+        cfg = config_mod.load(path)
+        inst, _, _ = cli._build_zoo(cfg, cfg.amp_seeds[0])
+        _runs_silently(inst, T=1)
 
 
 @pytest.mark.filterwarnings("ignore:overflow")
@@ -347,7 +391,7 @@ def test_divergence_aborts_with_location():
         x0={loop: np.ones((n, 1))},
     )
     with pytest.raises(NumericalError) as ei:
-        run(inst, 400, allow_degenerate=True)
+        run(inst, 400)
     assert ei.value.edge == str(loop)
     assert ei.value.t is not None and ei.value.t > 1
 
@@ -372,7 +416,7 @@ def test_costly_fd_fallback_aborts_with_location():
     inst, fwd = _centering_chain(2000)
     start = time.perf_counter()
     with pytest.raises(NumericalError, match="analytic jacobian_trace") as ei:
-        run(inst, 2, allow_degenerate=True)
+        run(inst, 2)
     assert time.perf_counter() - start < 1.0
     assert ei.value.edge == str(fwd)
     assert ei.value.t == 0
@@ -381,7 +425,9 @@ def test_costly_fd_fallback_aborts_with_location():
 def test_fd_fallback_within_budget_still_runs():
     n = 40
     inst, fwd = _centering_chain(n)
-    traj = run(inst, 2, allow_degenerate=True)
+    # the centred ones and the identity of zeros both write zeros
+    with pytest.warns(UserWarning, match="all-zero"):
+        traj = run(inst, 2)
     # d/dx_i of (x_i - mean x) summed over rows is n - 1
     assert traj.b[fwd][0][0, 0] == pytest.approx((n - 1) / inst.scale(fwd), rel=1e-6)
 
@@ -405,7 +451,7 @@ def test_nonfinite_message_aborts():
     )
     with pytest.raises(NumericalError):
         with np.errstate(divide="ignore", invalid="ignore"):
-            run(inst, 1, allow_degenerate=True)
+            run(inst, 1)
 
 
 def test_wrong_output_shape_is_rejected():
@@ -420,14 +466,14 @@ def test_wrong_output_shape_is_rejected():
         x0={loop: np.ones((4, 1))},
     )
     with pytest.raises(ShapeError):
-        run(inst, 1, allow_degenerate=True)
+        run(inst, 1)
 
 
 def test_observe_records_and_builtin_observables():
     A = np.array([[1.0, 2.0, 0.0], [0.0, 1.0, -1.0]])
     x0 = np.array([[1.0], [-1.0]])
     inst, fwd = _chain_instance(A, x0, scale=3.0)
-    traj = run(inst, 2, allow_degenerate=True)
+    traj = run(inst, 2)
     bwd = fwd.reversed()
     obs = [norm_sq_observable(bwd, scale=1.0 / 3.0)]
     recs = observe(traj, obs, times=[1, 2])

@@ -37,7 +37,7 @@ def test_teacher_signal_independent_of_design():
 def test_ridge_fixed_point_matches_direct_solve():
     model = ridge_model(d=200, n=100, lam=1.2, prior=default_prior(), sigma=0.5)
     inst, teacher = build_gamp_instance(model, seed=1)
-    traj = run(inst, 300, allow_degenerate=True)
+    traj = run(inst, 300)
     xh = gamp_estimates(traj, model)[-1]
     A = inst.matrix(EdgeId("sig", "obs"))
     xd = ridge_direct(A, teacher.y, 1.2)
@@ -47,7 +47,7 @@ def test_ridge_fixed_point_matches_direct_solve():
 def test_lasso_fixed_point_satisfies_kkt():
     model = lasso_model(d=200, n=100, lam=1.2, prior=default_prior(), sigma=0.5)
     inst, teacher = build_gamp_instance(model, seed=2)
-    traj = run(inst, 400, allow_degenerate=True)
+    traj = run(inst, 400)
     xh = gamp_estimates(traj, model)[-1]
     A = inst.matrix(EdgeId("sig", "obs"))
     assert kkt_residual(model, A, teacher.y, xh) < 1e-8
@@ -58,7 +58,7 @@ def test_lasso_fixed_point_satisfies_kkt():
 def test_logistic_fixed_point_satisfies_kkt_with_positive_overlap():
     model = logistic_model(d=300, n=450, lam=0.3, prior=default_prior())
     inst, teacher = build_gamp_instance(model, seed=3)
-    traj = run(inst, 60, allow_degenerate=True)
+    traj = run(inst, 60)
     xh = gamp_estimates(traj, model)[-1]
     A = inst.matrix(EdgeId("sig", "obs"))
     assert kkt_residual(model, A, teacher.y, xh) < 1e-8
@@ -73,7 +73,7 @@ def test_depth_one_multilayer_is_a_stationary_line_graph():
     # the generic SE calls the provider with b=None
     for e in inst.graph.edges:
         assert inst.provider(e, 0, None) is inst.provider(e, 5, None)
-    traj = run(inst, 8, allow_degenerate=True)
+    traj = run(inst, 8)
     assert traj.T == 8
 
 
@@ -81,7 +81,7 @@ def test_multilayer_chain_fields_are_nonzero():
     ml = MultilayerModel(d0=120, layers=layer_specs([100, 80],
                                                     ["linear", "relu"]))
     inst, _ = build_multilayer_instance(ml, seed=5)
-    traj = run(inst, 8, allow_degenerate=True)
+    traj = run(inst, 8)
     for e in inst.graph.edges:
         assert np.linalg.norm(traj.x[e][8]) > 0
 
@@ -99,7 +99,7 @@ def test_spiked_scalar_recursion_matches_independent_quadrature():
 def test_spiked_amp_reaches_predicted_overlap():
     model = SpikedModel(N=2000, lam=2.5)
     inst, v0 = build_spiked_instance(model, seed=6)
-    traj = run(inst, 8, allow_degenerate=True)
+    traj = run(inst, 8)
     loop = EdgeId("spike", "spike")
     overlap = float(v0 @ traj.x[loop][8].reshape(-1)) / model.N
     pred = spiked_scalar_se(model, T=8)[8].mu
@@ -109,7 +109,7 @@ def test_spiked_amp_reaches_predicted_overlap():
 def test_weak_spike_keeps_overlap_near_zero():
     model = SpikedModel(N=1500, lam=0.04, init_overlap=0.05)
     inst, v0 = build_spiked_instance(model, seed=7)
-    traj = run(inst, 6, allow_degenerate=True)
+    traj = run(inst, 6)
     loop = EdgeId("spike", "spike")
     overlap = float(v0 @ traj.x[loop][6].reshape(-1)) / model.N
     assert abs(overlap) < 0.08
@@ -119,7 +119,7 @@ def test_spiked_generative_chain_runs_finite():
     for gen_dims in ((80,), (30, 40)):
         model = SpikedModel(N=240, lam=2.5, gen_dims=gen_dims, gen_activation="tanh")
         inst, v0 = build_spiked_instance(model, seed=8)
-        traj = run(inst, 8, allow_degenerate=True)
+        traj = run(inst, 8)
         assert all(np.all(np.isfinite(traj.x[e][8])) for e in inst.graph.edges)
         assert v0.shape == (240,)
     # the depth-2 line's interior node g1 combines its fields from below
@@ -137,7 +137,7 @@ def test_committee_first_iterate_second_moment():
     # second moment is then |0.1 colsums(R)|^2 exactly in the limit
     model = CommitteeModel(d=1200, n=900)
     inst, _ = build_committee_instance(model, seed=9)
-    traj = run(inst, 1, allow_degenerate=True)
+    traj = run(inst, 1)
     fwd = EdgeId("wts", "obs")
     row = 0.1 * committee.R.sum(axis=0)
     want = float(row @ row)
@@ -161,7 +161,7 @@ def test_gmm_iteration_reaches_ridge_weights():
     model = GmmSpatialModel(K=2, d=200, n_per_cluster=160, lam=1.0,
                             coupling=0.3)
     inst, data = build_gmm_spatial_instance(model, seed=11)
-    traj = run(inst, 60, allow_degenerate=True)
+    traj = run(inst, 60)
     W = gmm_weights(traj, model, data)
     Wr = ridge_baseline(model, data)
     err = np.linalg.norm(W - Wr) / np.linalg.norm(Wr)
@@ -216,7 +216,7 @@ def test_gmm_iteration_factors_no_matrix_per_step(monkeypatch):
 
     for name in FACTORIZATIONS:
         monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
-    traj = run(inst, 6, allow_degenerate=True)
+    traj = run(inst, 6)
     assert traj.T == 6
     assert calls == {name: 0 for name in FACTORIZATIONS}
 

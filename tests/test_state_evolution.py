@@ -115,7 +115,7 @@ def test_compare_merges_amp_and_se_statistics():
     values = {}
     for s in range(4):
         i2, _ = build_committee_instance(CommitteeModel(d=150, n=100), seed=10 + s)
-        for rec in observe(run(i2, 4, allow_degenerate=True), obs, times=[1, 2, 3]):
+        for rec in observe(run(i2, 4), obs, times=[1, 2, 3]):
             values.setdefault((rec["t"], rec["observable"]), []).append(rec["value"])
     amp = {key: summarize(vals) for key, vals in values.items()}
     cov = se_run(inst, T=3, reps=1500, seed=7)
