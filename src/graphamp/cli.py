@@ -9,16 +9,16 @@ Subcommands map 1:1 onto library entry points:
   checks           numerical validation suites (Stein, GOE, Onsager, opnorm)
 
 Exit codes: 0 success, 1 gate failure under --strict (embed-verify
-gates are always strict), 2 config error, 3 numerical abort, 4 I/O
-error.  Seeds fan out across a thread pool of --workers threads.  The
-generic SE runs once per AMP seed, in `run` inside the seed's task on
-the instance its AMP run used (built once, at most --workers alive),
-and its rows are the traces of the kernels K^{t,t}.  Each seed's AMP
-run streams: its rows are read as each step returns, so a seed's memory
-does not grow with T.  Reductions happen
-in submission order so results are independent of scheduling.  A
-command runs on one BLAS thread, so its bytes do not depend on the BLAS
-thread count, and gives the caller its count back.
+gates are always strict), 2 config error (a model too large to
+allocate included), 3 numerical abort, 4 I/O error.  Seeds fan out
+across a thread pool of --workers threads.  The generic SE runs once
+per AMP seed, in `run` inside the seed's task on the instance its AMP
+run used (built once, at most --workers alive), and its rows are the
+traces of the kernels K^{t,t}.  Each seed's AMP run streams: its rows
+are read as each step returns, so a seed's memory does not grow with
+T.  Reductions happen in submission order so results are independent
+of scheduling.  A command runs on one BLAS thread, so its bytes do not
+depend on the BLAS thread count, and gives the caller its count back.
 """
 
 from __future__ import annotations
@@ -398,8 +398,15 @@ def cmd_se_only(cfg, out_dir, workers) -> int:
 
 
 def cmd_embed_verify(cfg, out_dir) -> int:
+    """Build the first AMP seed's instance and check its flattening.
+
+    The build's freed scratch is handed back to the OS (_trim_heap)
+    before the flattened N x N matrix is allocated, so the process peaks
+    at the instance plus that matrix.
+    """
     h = cfg.config_hash()
     instance, _, _ = _build_zoo(cfg, seed=cfg.amp_seeds[0])
+    _trim_heap()
     report = verify_equivalence(instance, _graph_T(cfg), seed=cfg.master_seed)
     write_dict_rows(os.path.join(out_dir, "embed.csv"), report.records, h,
                     header=("t", "edge", "err"))
@@ -519,6 +526,16 @@ def _blas_threads():
     return (lambda n: None), (lambda: None)
 
 
+def _trim_heap() -> None:
+    """Return the heap's freed pages to the OS: glibc's malloc_trim(0),
+    looked up through ctypes; a no-op where the C library has none.
+    Only embed-verify calls it: `run` reuses each seed's freed heap for
+    the next seed's matrix."""
+    trim = getattr(ctypes.CDLL(None), "malloc_trim", None)
+    if trim is not None:
+        trim(0)
+
+
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     set_threads, get_threads = _blas_threads()
@@ -548,6 +565,9 @@ def main(argv=None) -> int:
         return cmd_embed_verify(cfg, out_dir)
     except ConfigError as ex:
         print(f"config error: {ex}", file=sys.stderr)
+        return 2
+    except MemoryError as ex:
+        print(f"config error: the model does not fit in memory: {ex}", file=sys.stderr)
         return 2
     except NumericalError as ex:
         where = ""

@@ -43,7 +43,7 @@ import numpy as np
 
 from . import engine
 from .engine import GraphInstance
-from .ensembles import sample_goe, sample_iid, stream
+from .ensembles import draw_rows, sample_goe, stream
 from .errors import GraphError
 from .graphs import EdgeId, GraphSpec, canonical_edge_order, edges_into, reversed_input_index, single_loop
 from .nonlinearity import Nonlinearity
@@ -168,7 +168,9 @@ def _goe_fill(lay: BlockLayout, rng: np.random.Generator) -> np.ndarray:
 
     Each untracked diagonal block gets a GOE(n) block, each untracked
     off-diagonal pair an iid N(0, 1/N) block and its transpose, in
-    layout order; the tracked blocks stay zero.
+    layout order; the tracked blocks stay zero.  Every block is drawn in
+    place, a block of rows at a time (sample_goe, draw_rows), so A is
+    the only N x N array.
     """
     N = lay.N
     A = np.zeros((N, N))
@@ -178,11 +180,10 @@ def _goe_fill(lay: BlockLayout, rng: np.random.Generator) -> np.ndarray:
             if f == e.reversed():
                 continue
             rows_f = lay.row_slices[f]
-            n_e, n_f = rows_e.stop - rows_e.start, rows_f.stop - rows_f.start
             if f == e:
-                sample_goe(n_e, rng, scale_N=N, out=A[rows_e, rows_e])
+                sample_goe(rows_e.stop - rows_e.start, rng, scale_N=N, out=A[rows_e, rows_e])
             else:
-                A[rows_e, rows_f] = sample_iid(n_e, n_f, N, rng)
+                draw_rows(A[rows_e, rows_f], rng, N)
                 A[rows_f, rows_e] = A[rows_e, rows_f].T
     return A
 

@@ -64,7 +64,8 @@ Provider = Callable[[EdgeId, int, Optional[Mapping[EdgeId, np.ndarray]]], Nonlin
 # it above this many entries (n * q of the perturbed block).
 FD_FALLBACK_MAX_ENTRIES = 512
 
-# Rows of the stored matrix that _pair_sweep reads per panel.
+# Rows per panel: of the stored matrix that _pair_sweep reads, of a loop
+# matrix's symmetry check, and of sample_goe's G + G^T.
 PANEL_ROWS = 256
 
 
@@ -78,6 +79,23 @@ def stationary_provider(fns: Mapping[EdgeId, Nonlinearity]) -> Provider:
     return provider
 
 
+def _loop_symmetry(A: np.ndarray, key: EdgeId) -> bool:
+    """Whether loop matrix A is exactly symmetric; ShapeError unless it
+    is allclose to its transpose.  Each PANEL_ROWS row panel A[p] is
+    compared with the column strip A[:, p]^T, so no temporary is larger
+    than a panel: array_equal while the panels so far are exact, then
+    allclose, which sets what passes."""
+    exact = True
+    for lo in range(0, A.shape[0], PANEL_ROWS):
+        p = slice(lo, lo + PANEL_ROWS)
+        if exact and np.array_equal(A[p], A[:, p].T):
+            continue
+        exact = False
+        if not np.allclose(A[p], A[:, p].T):
+            raise ShapeError(f"loop matrix at {key.start} must be symmetric")
+    return exact
+
+
 @dataclass
 class GraphInstance:
     """A concrete iteration: graph, one matrix per edge pair, update
@@ -85,7 +103,9 @@ class GraphInstance:
 
     matrices holds one array per unordered pair, keyed by a single
     direction; the reversed direction is served as the transpose.  Loop
-    matrices must be symmetric.  scale_base[e] is the ensemble variance
+    matrices must be symmetric, checked a row panel at a time, with no
+    N x N temporary; exact_symmetric lists the exactly symmetric ones,
+    whose products read row strips.  scale_base[e] is the ensemble variance
     base of A_e (entries ~ 1/S_e); both directions of a pair share it.
     """
 
@@ -112,12 +132,8 @@ class GraphInstance:
             want = (self.graph.node_dim[key.end], self.graph.node_dim[key.start])
             if A.shape != want:
                 raise ShapeError(f"matrix for {key} has shape {A.shape}, expected {want}")
-            # array_equal is the cheap exact case; allclose sets what passes
-            if key.is_loop():
-                if np.array_equal(A, A.T):
-                    self.exact_symmetric.add(key)
-                elif not np.allclose(A, A.T):
-                    raise ShapeError(f"loop matrix at {key.start} must be symmetric")
+            if key.is_loop() and _loop_symmetry(A, key):
+                self.exact_symmetric.add(key)
         extra = set(self.matrices) - seen
         if extra:
             raise GraphError(f"matrices for unknown edges: {sorted(str(e) for e in extra)}")

@@ -16,6 +16,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .engine import PANEL_ROWS
 from .errors import NumericalError
 
 
@@ -44,11 +45,40 @@ def sample_goe(n: int, rng: np.random.Generator, scale_N: Optional[float] = None
                out: Optional[np.ndarray] = None) -> np.ndarray:
     """A = G + G^T with G_ij iid N(0, 1/(2 scale)): off-diagonal variance
     1/scale, diagonal 2/scale.  Default scale is n itself.  out, an
-    n x n array or view, receives A in place of a new array."""
+    n x n array or view, receives A in place of a new array.
+
+    G is drawn into A a block of rows at a time, in stream order, and
+    divided in place (draw_rows).  Then each pair of PANEL_ROWS panels
+    P <= Q gets A[P, Q] + A[Q, P]^T in both blocks, so no temporary is
+    larger than a panel block.  Entry for entry that is the sum
+    G + G^T takes, so A has its bits.
+    """
     scale = float(scale_N if scale_N is not None else n)
-    G = normals(rng, (n, n))
-    G /= math.sqrt(2.0 * scale)
-    return np.add(G, G.T, out=out)
+    if out is None:
+        out = np.empty((n, n))
+    elif out.shape != (n, n):
+        raise ValueError(f"out has shape {out.shape}, expected {(n, n)}")
+    draw_rows(out, rng, 2.0 * scale)
+    for lo in range(0, n, PANEL_ROWS):
+        p = slice(lo, lo + PANEL_ROWS)
+        for hi in range(lo, n, PANEL_ROWS):
+            q = slice(hi, hi + PANEL_ROWS)
+            out[p, q] = out[p, q] + out[q, p].T
+            if hi > lo:
+                out[q, p] = out[p, q].T
+    return out
+
+
+def draw_rows(out: np.ndarray, rng: np.random.Generator, scale_N: float) -> None:
+    """Fill out, in stream order, with iid N(0, 1/scale_N): the bits of
+    normals(rng, out.shape) / sqrt(scale_N).  Whole rows are drawn at a
+    time, at most a PANEL_ROWS x PANEL_ROWS block's entries (or one row)
+    per draw: a small temporary, and few draws."""
+    sd = math.sqrt(float(scale_N))
+    k = max(1, PANEL_ROWS * PANEL_ROWS // max(1, out.shape[1]))
+    for lo in range(0, out.shape[0], k):
+        rows = out[lo:lo + k]
+        np.divide(normals(rng, rows.shape), sd, out=rows)
 
 
 def sample_iid(rows: int, cols: int, scale_N: float, rng: np.random.Generator) -> np.ndarray:

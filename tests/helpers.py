@@ -7,6 +7,7 @@ implementation, not the code under test.
 
 import math
 import threading
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -109,6 +110,17 @@ def bounded_call(fn, *args, timeout=120.0, **kwargs):
     if "error" in out:
         raise out["error"]
     return out["result"]
+
+
+def traced_peak(fn, *args, **kwargs):
+    """The peak traced memory (tracemalloc), in bytes, of fn(*args,
+    **kwargs); tracing stops however the call ends."""
+    tracemalloc.start()
+    try:
+        fn(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class StepRecorder:

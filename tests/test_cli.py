@@ -4,7 +4,6 @@ import json
 import os
 import subprocess
 import sys
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,7 +20,7 @@ from graphamp.graphs import EdgeId, canonical_edge_order
 from graphamp.models import gmm_weights
 from graphamp.state_evolution import se_run
 
-from helpers import StepRecorder, bounded_call, read_report_csv
+from helpers import StepRecorder, bounded_call, read_report_csv, traced_peak
 
 TINY_LASSO = {
     "model": {"kind": "lasso", "d": 80, "aspect": 0.5, "lam": 1.2,
@@ -220,6 +219,19 @@ def test_unknown_key_exits_2(tmp_path, capsys):
 def test_missing_config_file_exits_2(tmp_path, capsys):
     assert main(["run", "--config", str(tmp_path / "nope.json")]) == 2
     assert "cannot read config" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_model_too_large_to_allocate_exits_2(tmp_path, capsys, workers):
+    # a 5e6 x 1e7 design: numpy refuses the allocation outright, on the
+    # calling thread or in a seed task
+    cfg = _write(tmp_path, {**TINY_LASSO, "model": {**TINY_LASSO["model"], "d": 10_000_000}})
+    out = tmp_path / "out"
+    assert main(["run", "--config", cfg, "--out", str(out), "--workers", workers]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: the model does not fit in memory: ")
+    assert "Traceback" not in err and len(err.splitlines()) == 1
+    assert not (out / "trajectory.csv").exists()
 
 
 @pytest.mark.filterwarnings("ignore:divide by zero")
@@ -480,12 +492,7 @@ def test_run_memory_does_not_grow_with_T():
     def peak(T):
         cfg = config_mod.validate({"model": {"kind": "lasso", "d": 400, "aspect": 0.5,
                                              "lam": 1.2}, "T": T})
-        tracemalloc.start()
-        try:
-            cli._run_one_seed(cfg, 0)
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        return traced_peak(cli._run_one_seed, cfg, 0)
 
     peak(6)  # the first call also makes what the process caches
     short, long = peak(6), peak(24)

@@ -22,7 +22,7 @@ from graphamp.graphs import EdgeId, canonical_edge_order, line_graph
 from graphamp.models.glm import build_gamp_instance
 from graphamp.nonlinearity import Nonlinearity
 
-from helpers import StepRecorder, bounded_call, default_prior
+from helpers import StepRecorder, bounded_call, default_prior, traced_peak
 
 
 def _small_glm():
@@ -343,3 +343,18 @@ def test_goe_fill_draws_only_the_untracked_blocks(monkeypatch):
         assert sum(draws) == diag + (untracked.sum() - diag) // 2
         off = np.triu(untracked, k=1)
         assert abs(A[off].var() * lay.N - 1.0) < 0.05
+
+
+def test_embed_peaks_at_the_flattened_matrix():
+    # the flattened matrix is the only N x N array embed makes: the fill
+    # draws in place and the symmetry check reads row panels; X^0 is the
+    # other array it keeps.  An (n, n) draw of a diagonal block, or an
+    # N x N boolean of the symmetry check, is more than the 5% allowed.
+    gmm = GmmSpatialModel(K=2, d=450, n_per_cluster=350, lam=1.0, coupling=0.3)
+    # the multilayer line also has untracked off-diagonal pairs
+    ml = MultilayerModel(d0=500, layers=layer_specs([450, 400], ["linear", "relu"]))
+    for inst in (build_gmm_spatial_instance(gmm, seed=0)[0],
+                 build_multilayer_instance(ml, seed=0)[0]):
+        lay = BlockLayout.from_graph(inst.graph)
+        peak = traced_peak(embed, inst, seed=4)
+        assert peak <= 1.05 * 8 * lay.N ** 2 + 8 * lay.N * lay.q_tot, (peak, lay.N)

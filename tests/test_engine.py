@@ -10,7 +10,7 @@ from graphamp import (CommitteeModel, GmmSpatialModel, GraphInstance,
                       NumericalError, ShapeError, build_committee_instance,
                       build_gamp_instance, build_gmm_spatial_instance,
                       lasso_model)
-from graphamp import cli
+from graphamp import cli, engine
 from graphamp import config as config_mod
 from graphamp.engine import (PANEL_ROWS, Observable, _pair_sweep,
                              block_product, initial_iterates,
@@ -304,6 +304,29 @@ def test_loop_matrix_symmetry_tolerance():
     build(1e-12)
     with pytest.raises(ShapeError, match="symmetric"):
         build(1e-3)
+
+
+def test_symmetry_is_checked_panel_by_panel(monkeypatch):
+    # three row panels, the last partial; each case perturbs an entry
+    # there and not its mirror
+    n = 2 * PANEL_ROWS + 3
+    G = np.random.default_rng(5).standard_normal((n, n))
+    A = G + G.T
+    i, j = n - 1, 1
+    inst, loop, _ = _identity_loop(A, 1)
+    assert loop in inst.exact_symmetric
+    B = A.copy()
+    B[i, j] = np.nextafter(B[i, j], np.inf)
+    inst, loop, _ = _identity_loop(B, 1)
+    assert loop not in inst.exact_symmetric
+    strips = []
+    monkeypatch.setattr(engine, "block_product",
+                        lambda S, m: strips.append(S.strides) or S @ m)
+    run(inst, 1)
+    assert strips == [B.strides]  # the column strip, as stored
+    B[i, j] += 1e-3
+    with pytest.raises(ShapeError, match="symmetric"):
+        _identity_loop(B, 1)
 
 
 def test_zero_output_keeps_its_onsager_correction():

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from graphamp import NumericalError
+from graphamp.engine import PANEL_ROWS
 from graphamp.ensembles import (normals, sample_goe, sample_iid,
                                 sample_spatially_coupled, spectral_sqrt,
                                 stream)
@@ -68,23 +69,35 @@ def test_spatially_coupled_zero_blocks_are_zero():
     assert np.all(Z[50:, :40] == 0.0)
 
 
+def _goe_reference(n, rng, s):
+    # one (n, n) draw, divided, plus its transpose
+    G = normals(rng, (n, n)) / np.sqrt(2.0 * s)
+    return G + G.T
+
+
 def test_samplers_scale_the_normals_exactly():
     # dividing the draws in place rounds as dividing a copy does
     s = 7.0
     ref = normals(stream(5, "scale"), (6, 4)) / np.sqrt(s)
     assert np.array_equal(sample_iid(6, 4, s, stream(5, "scale")), ref)
-    G = normals(stream(5, "scale"), (5, 5)) / np.sqrt(2.0 * s)
-    assert np.array_equal(sample_goe(5, stream(5, "scale"), scale_N=s), G + G.T)
+    # one panel, and more than two: panel pairs sum as G + G^T does
+    for n in (5, 2 * PANEL_ROWS + 3):
+        assert np.array_equal(sample_goe(n, stream(5, "scale"), scale_N=s),
+                              _goe_reference(n, stream(5, "scale"), s))
 
 
 def test_goe_written_into_a_view_is_the_same_matrix():
-    big = np.zeros((9, 9))
-    view = big[2:7, 3:8]
-    got = sample_goe(5, stream(5, "out"), scale_N=7.0, out=view)
-    assert got is view
-    assert np.array_equal(big[2:7, 3:8], sample_goe(5, stream(5, "out"), scale_N=7.0))
-    big[2:7, 3:8] = 0.0
-    assert not big.any()
+    for n in (5, 2 * PANEL_ROWS + 3):
+        big = np.zeros((n + 4, n + 4))
+        view = big[2:n + 2, 3:n + 3]
+        got = sample_goe(n, stream(5, "out"), scale_N=7.0, out=view)
+        assert got is view
+        assert np.array_equal(big[2:n + 2, 3:n + 3], sample_goe(n, stream(5, "out"), scale_N=7.0))
+        assert np.array_equal(view, _goe_reference(n, stream(5, "out"), 7.0))
+        big[2:n + 2, 3:n + 3] = 0.0
+        assert not big.any()
+    with pytest.raises(ValueError, match="shape"):
+        sample_goe(5, stream(5, "out"), out=np.zeros((5, 6)))
 
 
 def test_spectral_sqrt_roundtrip():

@@ -1,5 +1,4 @@
 import dataclasses
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,7 +15,7 @@ from graphamp.state_evolution import (compare, mc_observable_stats, se_init,
                                       se_run, se_step, summarize)
 from graphamp.engine import observe
 from graphamp.ensembles import normals, sample_goe, stream
-from helpers import soft_gaussian_moments
+from helpers import soft_gaussian_moments, traced_peak
 
 
 def relu(x):
@@ -175,12 +174,7 @@ def test_se_step_memory_stays_within_chunks_in_flight():
     n, t, q, chunk = 400, 6, 2, 32
     inst = _mc_twin(build_committee_instance(CommitteeModel(d=n, n=n), seed=0)[0])
     cov = se_run(inst, T=t, reps=64, seed=1)
-    tracemalloc.start()
-    try:
-        se_step(inst, cov, 256, lambda *labels: stream(5, *labels), chunk=chunk)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(se_step, inst, cov, 256, lambda *labels: stream(5, *labels), chunk=chunk)
     assert peak <= 4 * chunk * n * t * q * 8
 
 
@@ -369,12 +363,7 @@ def test_exact_route_memory_does_not_grow_with_t():
     inst = _committee(n=60)
 
     def peak(T):
-        tracemalloc.start()
-        try:
-            se_run(inst, T, reps=16)
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        return traced_peak(se_run, inst, T, reps=16)
 
     peak(3)  # the first run builds the cached quadrature rules
     assert peak(30) <= 1.1 * peak(3)
