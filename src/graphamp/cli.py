@@ -8,13 +8,13 @@ Subcommands map 1:1 onto library entry points:
   embed-verify     symmetric-embedding equivalence check
   checks           numerical validation suites (Stein, GOE, Onsager, opnorm)
 
-Exit codes: 0 success, 1 gate failure under --strict (embed-verify
-gates are always strict), 2 config error (a model too large to
-allocate included), 3 numerical abort, 4 I/O error.  Seeds fan out
-across a thread pool of --workers threads.  The generic SE runs once
-per AMP seed, in `run` inside the seed's task on the instance its AMP
-run used (built once, at most --workers alive), and its rows are the
-traces of the kernels K^{t,t}.  Each seed's AMP run streams: its rows
+Exit codes: 0 success, 1 under --strict a gate failure or a seed whose
+step 0 wrote no nonzero output (embed-verify gates are always strict),
+2 config error (a model too large to allocate included), 3 numerical
+abort, 4 I/O error.  Seeds fan out across a thread pool of --workers
+threads.  The generic SE runs once per AMP seed, in `run` inside the
+seed's task on the instance its AMP run used (built once, at most
+--workers alive), and its rows are the traces of the kernels K^{t,t}.  Each seed's AMP run streams: its rows
 are read as each step returns, so a seed's memory does not grow with
 T.  Reductions happen in submission order so results are independent
 of scheduling.  A command runs on one BLAS thread, so its bytes do not
@@ -30,7 +30,7 @@ import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -182,8 +182,8 @@ def _generic_se_rows(cfg, model, workers, per_seed) -> List[Tuple[int, str, floa
 
 def _compare_rows(cfg, amp_results, se_rows):
     by_key: Dict[Tuple[int, str], List[float]] = {}
-    for _, (rows, _, _) in amp_results:
-        for t, name, value in rows:
+    for _, seed_result in amp_results:
+        for t, name, value in seed_result.rows:
             by_key.setdefault((t, name), []).append(value)
     return compare({key: summarize(values) for key, values in by_key.items()},
                    {(t, name): {"mean": value, "sem": stderr}
@@ -206,7 +206,8 @@ def _gmm_compare_rows(cfg, amp_results, se_rows):
                 "rel_err": err, "z": np.inf, "pass": int(ok)}
 
     rows = []
-    for seed, (_, _, (werr, acc_amp, acc_base)) in amp_results:
+    for seed, seed_result in amp_results:
+        werr, acc_amp, acc_base = seed_result.fixed
         rows.append(row(f"weight_rel_err[seed={seed}]", werr, 0.0, werr,
                         werr <= 1e-3))
         rows.append(row(f"accuracy[seed={seed}]", acc_amp, acc_base,
@@ -326,13 +327,23 @@ def map_ordered(task: Callable[[int], Any], n_tasks: int, workers: int) -> List[
         return list(pool.map(task, range(n_tasks)))
 
 
-def _run_one_seed(cfg, seed):
-    """(AMP rows, SE prediction, fixed point) of one seed, all its gate
-    reads; the generic kinds' SE runs on the AMP instance, None where the
-    kind has no SE or fixed-point gate.  The run streams: each step's
-    rows, and a gmm seed's weights at the last step, are read as the step
-    returns, so no history is held and the trajectory is gone before the
-    SE runs."""
+class SeedResult(NamedTuple):
+    """What the gates read of one seed: its AMP rows, its SE prediction
+    and its fixed point (None where the kind has no SE or fixed-point
+    gate), and whether step 0 wrote no nonzero output (engine.step's
+    zero-start guard), which fails `run --strict`."""
+
+    rows: List[Tuple[int, str, float]]
+    se: Optional[Dict[Tuple[int, str], float]]
+    fixed: Optional[Tuple[float, float, float]]
+    zero_start: bool
+
+
+def _run_one_seed(cfg, seed) -> SeedResult:
+    """One seed's SeedResult; the generic kinds' SE runs on the AMP
+    instance.  The run streams: each step's rows, and a gmm seed's
+    weights at the last step, are read as the step returns, so no history
+    is held and the trajectory is gone before the SE runs."""
     kind = _kind(cfg)
     instance, model, aux = _build_zoo(cfg, seed)
     T = _graph_T(cfg)
@@ -344,10 +355,10 @@ def _run_one_seed(cfg, seed):
         if t == T and kind.gate is _gmm_compare_rows:
             weights.append(gmm_weights(traj, model, aux))
 
-    run(instance, T, each=each)
+    zero_start = run(instance, T, each=each).zero_start
     se = _seed_se(cfg, instance) if kind.se_rows is _generic_se_rows else None
     fixed = _gmm_fixed_point(weights[0], model, aux) if weights else None
-    return rows, se, fixed
+    return SeedResult(rows, se, fixed, zero_start)
 
 
 def _fan_out(cfg, workers):
@@ -371,12 +382,12 @@ def cmd_run(cfg, out_dir, workers, strict) -> int:
     se_rows = se_rows_for(cfg) if kind.se_rows is _spiked_se_rows else []
     amp_results = _fan_out(cfg, workers)
     traj_rows = [{"seed": seed, "t": t, "name": name, "value": value}
-                 for seed, (rows, _, _) in amp_results
-                 for t, name, value in rows]
+                 for seed, seed_result in amp_results
+                 for t, name, value in seed_result.rows]
     write_dict_rows(os.path.join(out_dir, "trajectory.csv"), traj_rows, h,
                     header=TRAJ_HEADER)
     if kind.se_rows not in (None, _spiked_se_rows):
-        se_rows = se_rows_for(cfg, workers, [se for _, (_, se, _) in amp_results])
+        se_rows = se_rows_for(cfg, workers, [res.se for _, res in amp_results])
     _write_se(out_dir, se_rows, h)
     cmp_rows = kind.gate(cfg, amp_results, se_rows)
     write_dict_rows(os.path.join(out_dir, "compare.csv"), cmp_rows, h,
@@ -385,7 +396,11 @@ def cmd_run(cfg, out_dir, workers, strict) -> int:
     n_fail = sum(1 for row in cmp_rows if not row["pass"])
     print(f"run: {len(cmp_rows)} comparisons, {n_fail} outside gates "
           f"-> {out_dir}/{{trajectory,se,compare}}.csv")
-    if strict and n_fail:
+    dead = [str(seed) for seed, res in amp_results if res.zero_start]
+    if strict and dead:
+        print(f"run: step 0 wrote no nonzero output on seed {', '.join(dead)}, "
+              "so its run stays at zero", file=sys.stderr)
+    if strict and (n_fail or dead):
         return 1
     return 0
 

@@ -159,12 +159,14 @@ class GraphInstance:
 class AmpTrajectory:
     """Per-edge history of iterates x^0..x^T, outputs m^0..m^{T-1}, and
     correction coefficients b^0..b^{T-1} (q_e x q_{e<-} each); forget
-    leaves None in place of what it drops."""
+    leaves None in place of what it drops.  zero_start is set by the
+    step 0 that wrote no nonzero output (see step)."""
 
     graph: GraphSpec
     x: Dict[EdgeId, List[np.ndarray]]
     m: Dict[EdgeId, List[np.ndarray]]
     b: Dict[EdgeId, List[np.ndarray]]
+    zero_start: bool = False
 
     @property
     def T(self) -> int:
@@ -263,9 +265,9 @@ def step(instance: GraphInstance, traj: AmpTrajectory) -> AmpTrajectory:
     Otherwise each live block is assigned block_product(A_e[:, rs],
     m^t_e[rs, cs]); an exactly symmetric loop passes its row strip
     A_e[rs, :]^T instead.  An output with a nonzero entry outside its
-    out_blocks raises ShapeError.  At t = 0 it warns when no edge has a
-    live block: every x^1 is then zero, and odd maps keep the iteration
-    at the all-zero fixed point.
+    out_blocks raises ShapeError.  At t = 0 it warns, and sets
+    traj.zero_start, when no edge has a live block: every x^1 is then
+    zero, and odd maps keep the iteration at the all-zero fixed point.
     """
     g = instance.graph
     t = traj.T
@@ -289,6 +291,7 @@ def step(instance: GraphInstance, traj: AmpTrajectory) -> AmpTrajectory:
             whole.add(e)
         bs[e] = onsager(instance, e, t, f, inputs)
     if t == 0 and not any(live.values()):
+        traj.zero_start = True
         warnings.warn("step 0 wrote no nonzero output, so every x^1 is zero; odd "
                       "maps keep the iteration at the all-zero fixed point", stacklevel=2)
     xs: Dict[EdgeId, np.ndarray] = {}

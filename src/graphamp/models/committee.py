@@ -59,7 +59,8 @@ def build_committee_instance(model: CommitteeModel, seed: int = 0):
     theta = model.theta
     sig = EntrywiseThenMix(lambda x: soft_threshold(x, theta),
                            lambda x: (np.abs(x) > theta).astype(float),
-                           R, kinks=(-theta, theta))
+                           R, kinks=(-theta, theta),
+                           pieces=((1.0, theta), (0.0, 0.0), (1.0, -theta)))
     instance = GraphInstance(
         graph=g,
         matrices={fwd: A},

@@ -43,15 +43,17 @@ SIGNAL_PROX = ProxSpec(kind="abs", gamma=1.0, weight=0.05)
 # the weight of each of an interior node's two fields in zhat
 MIX = 0.5
 
-# name -> theta -> (phi, phi', kinks) of the map x -> name(theta x)
+# name -> theta -> (phi, phi', kinks, pieces) of the map x -> name(theta x);
+# pieces is None where phi is not linear between its kinks
 ACTIVATIONS = {
     "linear": lambda theta: ((lambda x: theta * x),
-                             (lambda x: np.full_like(x, theta)), ()),
+                             (lambda x: np.full_like(x, theta)), (), ((theta, 0.0),)),
     "relu": lambda theta: ((lambda x: np.maximum(theta * x, 0.0)),
-                           (lambda x: theta * (theta * x > 0)), (0.0,)),
+                           (lambda x: theta * (theta * x > 0)), (0.0,),
+                           ((min(theta, 0.0), 0.0), (max(theta, 0.0), 0.0))),
     "tanh": lambda theta: ((lambda x: np.tanh(theta * x)),
                            (lambda x: theta * (1.0 - np.tanh(theta * x) ** 2)),
-                           ()),
+                           (), None),
 }
 
 
@@ -68,7 +70,7 @@ def check_dims(path: str, dims) -> None:
 
 
 def _activation(kind: str, theta: float = 1.0):
-    """(phi, phi', kinks) of the named map x -> kind(theta x)."""
+    """(phi, phi', kinks, pieces) of the named map x -> kind(theta x)."""
     return ACTIVATIONS[kind](theta)
 
 
@@ -112,16 +114,16 @@ def InteriorMessage(direction: str, below_index: int, above_index: int,
     """Message out of a node with two incoming fields: combines them as
     zhat = MIX x_below + MIX x_above and emits either the residual
     zhat - x_below ("down") or phi(zhat) ("up", with act = (phi, phi',
-    kinks)).  Interior nodes of the multilayer and generative chains use
-    it, and so does the spiked loop node."""
+    kinks, pieces)).  Interior nodes of the multilayer and generative
+    chains use it, and so does the spiked loop node."""
     coef = [None, None]
     if direction == "down":
         coef[below_index], coef[above_index] = MIX - 1.0, MIX
         return LinearEntrywiseLinear(arity=2, M=coef)
     coef[below_index] = coef[above_index] = MIX
-    phi, dphi, kinks = act
+    phi, dphi, kinks, pieces = act
     return LinearEntrywiseLinear(arity=2, phi=phi, dphi=dphi, L=coef,
-                                 kinks=kinks)
+                                 kinks=kinks, pieces=pieces)
 
 
 def push_pipeline(z: np.ndarray, mats, phis) -> np.ndarray:

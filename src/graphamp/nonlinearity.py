@@ -124,8 +124,11 @@ class LinearEntrywiseLinear(Nonlinearity):
     coefficient offset[1]; M and L hold one coefficient per input block,
     None where the block does not enter that term.  A coefficient is a
     fixed matrix or a scalar a, standing for a I.  phi is entrywise with
-    derivative dphi and smooth between the points in kinks.  Every part
-    is optional; den divides last, so (y - V) / (1 + beta) rounds as
+    derivative dphi and smooth between the points in kinks.  A phi that
+    is linear between them may declare its pieces: one (slope,
+    intercept) pair per interval, the kinks ascending, so that phi(x) =
+    slope x + intercept on the interval holding x.  Every part is
+    optional; den divides last, so (y - V) / (1 + beta) rounds as
     written.  The Jacobian sum with respect to block j is
     (n M_j^T + R^T diag(sum over rows of phi'(W)) L_j^T) / den, and the
     state evolution integrates these maps exactly (see state_evolution).
@@ -134,12 +137,18 @@ class LinearEntrywiseLinear(Nonlinearity):
     row_local = True
 
     def __init__(self, arity=1, out_cols=1, offset=None, M=None, phi=None,
-                 dphi=None, L=None, R=1.0, kinks=(), den=1.0):
+                 dphi=None, L=None, R=1.0, kinks=(), den=1.0, pieces=None):
         self.arity, self.out_cols, self.offset = arity, out_cols, offset
         self.M = tuple(M) if M is not None else (None,) * arity
         self.L = tuple(L) if L is not None else (None,) * arity
         self.phi, self.dphi, self.R, self.kinks = phi, dphi, R, tuple(kinks)
         self.den = float(den)
+        self.pieces = None if pieces is None else tuple(
+            (float(s), float(c)) for s, c in pieces)
+        if self.pieces is not None and (len(self.pieces) != len(self.kinks) + 1
+                                        or list(self.kinks) != sorted(self.kinks)):
+            raise ValueError("pieces: need one (slope, intercept) pair per interval "
+                             "between ascending kinks")
 
     @property
     def affine(self) -> bool:
@@ -191,12 +200,12 @@ def Zero(cols=1, arity=1) -> LinearEntrywiseLinear:
     return LinearEntrywiseLinear(arity=arity, out_cols=cols)
 
 
-def Entrywise(phi: Callable, dphi: Callable, kinks=()) -> LinearEntrywiseLinear:
+def Entrywise(phi: Callable, dphi: Callable, kinks=(), pieces=None) -> LinearEntrywiseLinear:
     """phi applied entrywise to a single input block."""
-    return LinearEntrywiseLinear(phi=phi, dphi=dphi, L=[1.0], kinks=kinks)
+    return LinearEntrywiseLinear(phi=phi, dphi=dphi, L=[1.0], kinks=kinks, pieces=pieces)
 
 
-def EntrywiseThenMix(phi, dphi, R, kinks=()) -> LinearEntrywiseLinear:
+def EntrywiseThenMix(phi, dphi, R, kinks=(), pieces=None) -> LinearEntrywiseLinear:
     """X -> phi(X) @ R: entrywise map followed by a column mix.
 
     The trace block is R^T diag(column sums of phi'), which exercises
@@ -204,7 +213,7 @@ def EntrywiseThenMix(phi, dphi, R, kinks=()) -> LinearEntrywiseLinear:
     """
     R = np.asarray(R, dtype=float)
     return LinearEntrywiseLinear(out_cols=R.shape[1], phi=phi, dphi=dphi,
-                                 L=[1.0], R=R, kinks=kinks)
+                                 L=[1.0], R=R, kinks=kinks, pieces=pieces)
 
 
 class FromCallable(Nonlinearity):

@@ -19,15 +19,28 @@ the new block of an edge in one of two ways:
   is centred, independent of the side data and independent across
   input edges, so the affine part is closed form,
       Y^T Y + n sum_j M_j^T K_j^{t,t} M_j.
-  The phi part is n R^T E[phi(W)^T phi(W)] R.  Each diagonal entry
-  E phi(W_a)^2 is a 1-D rule over W_a, and each off-diagonal entry
-  (a, b) a 2-D Gaussian integral over (W_a, W_b): the same outer rule
-  over W_a, and an inner one over W_b given W_a.  Every rule is split
-  at phi's kinks and at its mean, the rules of a stage built in one
-  batched call (gamp_se.gaussian_piecewise_nodes, QUAD_NODES
-  Gauss-Legendre nodes a piece), outer nodes where phi vanishes
-  dropped.  These blocks are deterministic: they depend on neither
-  reps nor the streams.
+  The phi part is n R^T E[phi(W)^T phi(W)] R, which takes one of two
+  forms.
+  - A phi that declares its pieces (linear between its kinks: the
+    committee's soft threshold, the relu and linear activations) gets
+    the closed form, exact to rounding.  A diagonal entry sums the
+    truncated-normal moments of each piece; an off-diagonal entry sums,
+    over every product of pieces, the moments P, E[X], E[Y] and E[XY]
+    of a bivariate normal rectangle (Tallis 1961), from Phi, the
+    normal density and Genz's bivariate normal orthant (Genz 2004).
+    Correlation +-1 and a zero variance are taken as their limits.
+  - Any other phi (tanh, sin) keeps a fixed rule.  Each diagonal
+    entry E phi(W_a)^2 is a 1-D rule over W_a, and each off-diagonal
+    entry (a, b) a 2-D Gaussian integral over (W_a, W_b): the same
+    outer rule over W_a, and an inner one over W_b given W_a.  Every
+    rule is split at phi's kinks and at its mean, the rules of a stage
+    built in one batched call (gamp_se.gaussian_piecewise_nodes,
+    QUAD_NODES Gauss-Legendre nodes a piece), outer nodes where phi
+    vanishes dropped.  The rule has no error control: it is 2.7e-9
+    relative on E W^2, but a phi that varies fast across the field's
+    sd, or a field correlation near +-1, puts it further off.
+  These blocks are deterministic: they depend on neither reps nor the
+  streams.
 - Replicated Monte Carlo, for every other edge.  Each step draws fresh
   copies of the input families that these edges read, from the q x q
   factor of each input's K^{t,t}, evaluates the real update functions
@@ -53,6 +66,9 @@ gamp_se).
 
 from __future__ import annotations
 
+import bisect
+import functools
+import math
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -60,7 +76,7 @@ import numpy as np
 
 from .engine import GraphInstance, Observable, initial_iterates
 from .ensembles import normals, stream
-from .gamp_se import gaussian_piecewise_nodes
+from .gamp_se import _legendre_points, gaussian_piecewise_nodes
 from .graphs import EdgeId, canonical_edge_order, edges_into
 from .nonlinearity import (LinearEntrywiseLinear, Nonlinearity, SideData,
                            sandwich)
@@ -180,14 +196,154 @@ def _exact(f: Nonlinearity) -> bool:
             and not (f.affine and f.phi is not None))
 
 
+_INF = math.inf
+# a kink past this many sds stands for +-inf: Phi(-40) underflows to 0
+_Z_CAP = 40.0
+
+
+def _cdf(x: float) -> float:
+    return 0.5 * math.erfc(-x / math.sqrt(2.0))
+
+
+def _pdf(x: float) -> float:
+    return math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
+
+
+def _xpdf(x: float) -> float:
+    """x times the normal density, 0 at +-inf."""
+    return x * _pdf(x) if math.isfinite(x) else 0.0
+
+
+@functools.lru_cache(maxsize=None)
+def _legendre_list(n: int) -> List[Tuple[float, float]]:
+    return list(zip(*(a.tolist() for a in _legendre_points(n))))
+
+
+def _upper_orthant(h: float, k: float, r: float) -> float:
+    """P(X > h, Y > k) for standard normals X, Y of correlation r,
+    |r| < 1, h and k finite: Genz's BVNU (Genz 2004), whose Gauss-Legendre
+    rule has 6, 12 or 20 nodes by |r| band, with his expansion about
+    |r| = 1 from |r| >= 0.925."""
+    rule = _legendre_list(6 if abs(r) < 0.3 else 12 if abs(r) < 0.75 else 20)
+    hk = h * k
+    if abs(r) < 0.925:
+        hs, asr = 0.5 * (h * h + k * k), math.asin(r)
+        total = 0.0
+        for x, w in rule:
+            sn = math.sin(0.5 * asr * (x + 1.0))
+            total += w * math.exp((sn * hk - hs) / (1.0 - sn * sn))
+        return total * asr / (4.0 * math.pi) + _cdf(-h) * _cdf(-k)
+    if r < 0.0:
+        k, hk = -k, -hk
+    a2 = (1.0 - r) * (1.0 + r)
+    a, bs = math.sqrt(a2), (h - k) ** 2
+    c, d = (4.0 - hk) / 8.0, (12.0 - hk) / 16.0
+    total = a * math.exp(-0.5 * (bs / a2 + hk)) * (
+        1.0 - c * (bs - a2) * (1.0 - d * bs / 5.0) / 3.0 + c * d * a2 * a2 / 5.0)
+    if hk > -160.0:
+        b = math.sqrt(bs)
+        total -= (math.exp(-0.5 * hk) * math.sqrt(2.0 * math.pi) * _cdf(-b / a) * b
+                  * (1.0 - c * bs * (1.0 - d * bs / 5.0) / 3.0))
+    a *= 0.5
+    for x, w in rule:
+        xs = (a * (x + 1.0)) ** 2
+        rs = math.sqrt(1.0 - xs)
+        total += a * w * math.exp(-0.5 * (bs / xs + hk)) * (
+            math.exp(-hk * (1.0 - rs) / (2.0 * (1.0 + rs))) / rs - (1.0 + c * xs * (1.0 + d * xs)))
+    total /= -2.0 * math.pi
+    if r > 0.0:
+        return total + _cdf(-max(h, k))
+    return max(0.0, _cdf(-h) - _cdf(-k)) - total
+
+
+def _orthant(h: float, k: float, r: float) -> Tuple[float, float, float, float]:
+    """(P, E[X; A], E[Y; A], E[XY; A]) over A = {X <= h, Y <= k} for
+    standard normals X, Y of correlation r (Tallis 1961); h and k may be
+    +inf, and r = +-1 is taken as its limit."""
+    if h == _INF:
+        return _cdf(k), -r * _pdf(k), -_pdf(k), r * (_cdf(k) - _xpdf(k))
+    if k == _INF:
+        return _cdf(h), -_pdf(h), -r * _pdf(h), r * (_cdf(h) - _xpdf(h))
+    ph, pk = _pdf(h), _pdf(k)
+    if r == 1.0:
+        m = min(h, k)
+        return _cdf(m), -_pdf(m), -_pdf(m), _cdf(m) - _xpdf(m)
+    if r == -1.0:
+        # Y = -X, so A is -k <= X <= h
+        if h <= -k:
+            return 0.0, 0.0, 0.0, 0.0
+        P = _cdf(h) - _cdf(-k)
+        return P, pk - ph, ph - pk, h * ph + k * pk - P
+    s = math.sqrt((1.0 - r) * (1.0 + r))
+    A, B = _cdf((k - r * h) / s), _cdf((h - r * k) / s)
+    P = _upper_orthant(-h, -k, r)
+    return (P, -ph * A - r * pk * B, -r * ph * A - pk * B,
+            r * (P - h * ph * A - k * pk * B) + s * ph * _pdf((k - r * h) / s))
+
+
+def _standard_pieces(f: LinearEntrywiseLinear, sd: float) -> list:
+    """The nonzero pieces of phi(sd Z), Z standard normal, as (sign,
+    slope, intercept, lo, hi): phi(sd Z) = slope (sign Z) + intercept
+    on lo < sign Z < hi.  A piece whose midpoint is above 0 is reflected
+    (sign -1), so that every corner is taken where Phi is least rounded.
+    At sd 0, phi(0) is one piece over the whole line."""
+    if sd == 0.0:
+        c = f.pieces[bisect.bisect_right(f.kinks, 0.0)][1]
+        return [(1.0, 0.0, c, -_INF, _INF)] if c else []
+    z = [k / sd for k in f.kinks]
+    cuts = [-_INF] + [_INF if x > _Z_CAP else -_INF if x < -_Z_CAP else x for x in z] + [_INF]
+    out = []
+    for (s, c), lo, hi in zip(f.pieces, cuts, cuts[1:]):
+        if lo < hi and (s or c):
+            out.append((-1.0, -s * sd, c, -hi, -lo) if lo > -hi else (1.0, s * sd, c, lo, hi))
+    return out
+
+
+def _piecewise_linear_moments(f: LinearEntrywiseLinear, field_cov: np.ndarray) -> np.ndarray:
+    """E phi(W)^T phi(W) for phi declaring its pieces, in closed form: the
+    sum over every product of pieces of the truncated moments P, E[X],
+    E[Y] and E[XY] on their rectangle, from Phi, the normal density and
+    the bivariate normal orthant (_orthant); a diagonal entry sums the
+    univariate truncated moments of each piece."""
+    C = field_cov.tolist()
+    sds = [math.sqrt(C[a][a]) for a in range(len(C))]
+    cols = [_standard_pieces(f, sd) for sd in sds]
+    E = np.zeros_like(field_cov)
+    for a, pieces in enumerate(cols):
+        total = 0.0
+        for _, al, be, lo, hi in pieces:
+            m0, m1 = _cdf(hi) - _cdf(lo), _pdf(lo) - _pdf(hi)
+            total += al * al * (m0 + _xpdf(lo) - _xpdf(hi)) + 2.0 * al * be * m1 + be * be * m0
+        E[a, a] = total
+        for b in range(a):
+            scale = sds[a] * sds[b]
+            r = min(1.0, max(-1.0, C[a][b] / scale)) if scale > 0.0 else 0.0
+            total = 0.0
+            for sa, a1, b1, lo1, hi1 in pieces:
+                for sb, a2, b2, lo2, hi2 in cols[b]:
+                    # the rectangle's moments from its corners' orthants
+                    for h, k, sign in ((hi1, hi2, 1.0), (lo1, hi2, -1.0),
+                                       (hi1, lo2, -1.0), (lo1, lo2, 1.0)):
+                        if h > -_INF and k > -_INF:
+                            P, EX, EY, EXY = _orthant(h, k, sa * sb * r)
+                            total += sign * (a1 * a2 * EXY + a1 * b2 * EX + b1 * a2 * EY
+                                             + b1 * b2 * P)
+            E[a, b] = E[b, a] = total
+    return E
+
+
 def _phi_moments(f: LinearEntrywiseLinear, field_cov: np.ndarray) -> np.ndarray:
     """E phi(W)^T phi(W) for a centred Gaussian row W with covariance
-    field_cov, from an outer rule over each W_a, less the nodes where
-    its weight times phi is 0.  A diagonal entry E phi(W_a)^2 is that
-    1-D rule.  An off-diagonal entry (a, b) is nested: an inner rule over
-    W_b given each kept node of W_a.  The nested rule is not symmetric
-    in (a, b), so the moment is symmetrised.  A zero (conditional)
-    variance puts the variable on its (conditional) mean."""
+    field_cov.  A phi that declares its pieces gets the closed form
+    (_piecewise_linear_moments).  Any other comes from an outer rule over
+    each W_a, less the nodes where its weight times phi is 0.  A
+    diagonal entry E phi(W_a)^2 is that 1-D rule.  An off-diagonal entry
+    (a, b) is nested: an inner rule over W_b given each kept node of W_a.
+    The nested rule is not symmetric in (a, b), so the moment is
+    symmetrised.  A zero (conditional) variance puts the variable on its
+    (conditional) mean."""
+    if f.pieces is not None:
+        return _piecewise_linear_moments(f, field_cov)
     q = len(field_cov)
     var = np.diag(field_cov)
     u, wu = gaussian_piecewise_nodes(np.zeros(q), np.sqrt(var), f.kinks, QUAD_NODES)

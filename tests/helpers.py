@@ -185,7 +185,7 @@ def soft_gaussian_moments(C, lam):
     14 sd u^2, which packs the nodes where the density falls steepest.
     No Gauss-Legendre rule and no nesting, so it shares nothing with the
     state evolution's exact route but the Gaussian."""
-    u = np.linspace(0.0, 1.0, 2001)
+    u = np.linspace(0.0, 1.0, 4001)
     simpson = np.ones_like(u)
     simpson[1:-1:2], simpson[2:-1:2] = 4.0, 2.0
     z, simpson = 14.0 * u * u, simpson * (u[1] - u[0]) / 3.0 * 28.0 * u

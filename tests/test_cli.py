@@ -154,7 +154,7 @@ def test_generic_norm_sq_is_the_per_row_second_moment():
     # norm_sq[e] is ||x_e||^2 / n_e, n_e the rows of x_e, the scale of
     # tr K_e^{t,t}
     cfg = config_mod.validate(SMALL_COMMITTEE)
-    rows, _, _ = cli._run_one_seed(cfg, cfg.amp_seeds[0])
+    rows = cli._run_one_seed(cfg, cfg.amp_seeds[0]).rows
     instance, _, _ = cli._build_zoo(cfg, cfg.amp_seeds[0])
     traj = run(instance, cli._graph_T(cfg))
     xs = {f"norm_sq[{e}]": traj.x[e] for e in traj.x}
@@ -301,6 +301,21 @@ def test_strict_turns_gate_failures_into_exit_1(tmp_path):
     assert main(["run", "--config", cfg, "--out", str(out)]) == 0
 
 
+def test_strict_fails_a_run_whose_step_0_writes_zero(tmp_path, capsys):
+    # init_overlap 0 starts the spiked loop at x^0 = 0, which tanh keeps
+    # at the all-zero fixed point: every gate passes (0 against 0), yet
+    # engine.step warns, and --strict fails the run and names its seeds
+    cfg = _write(tmp_path, {"model": {"kind": "spiked", "N": 200, "lam": 2.5,
+                                      "init_overlap": 0}, "T": 3, "amp_seeds": [0, 1]})
+    out = tmp_path / "o"
+    for strict, code in ((["--strict"], 1), ([], 0)):
+        with pytest.warns(UserWarning, match="step 0 wrote no nonzero output"):
+            assert main(["run", "--config", cfg, "--out", str(out)] + strict) == code
+        std = capsys.readouterr()
+        assert "0 outside gates" in std.out
+        assert ("no nonzero output on seed 0, 1" in std.err) == bool(strict)
+
+
 def test_shipped_configs_pass_their_own_gates(tmp_path):
     configs = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
     names = sorted(os.listdir(configs))
@@ -436,7 +451,7 @@ def _kind_config(kind, **top):
 @pytest.mark.parametrize("kind", MODEL_KINDS)
 def test_streamed_rows_match_the_whole_trajectory_readers(kind):
     cfg = _kind_config(kind)
-    rows, _, fixed = cli._run_one_seed(cfg, 1)
+    rows, _, fixed, _ = cli._run_one_seed(cfg, 1)
     instance, model, aux = cli._build_zoo(cfg, 1)
     T = cli._graph_T(cfg)
     traj = run(instance, T)
@@ -481,7 +496,7 @@ def test_run_releases_what_no_later_step_reads(kind, monkeypatch):
 
     monkeypatch.setattr(engine, "step", checking_step)
     cfg = _kind_config(kind, T=6)
-    rows, _, _ = cli._run_one_seed(cfg, 0)
+    rows = cli._run_one_seed(cfg, 0).rows
     assert stepped == list(range(1, cli._graph_T(cfg) + 1))
     assert {kind for kind, *_ in rec.held} == {"x", "m", "b"}
     assert rows

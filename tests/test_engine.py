@@ -358,14 +358,14 @@ def test_zero_output_keeps_its_onsager_correction():
 def _runs_silently(inst, T=2):
     with warnings.catch_warnings():
         warnings.simplefilter("error", UserWarning)
-        run(inst, T)
+        assert not run(inst, T).zero_start
 
 
 def test_step_zero_warns_exactly_when_it_writes_no_nonzero_output():
     # (a) a zero start under odd maps stays at the all-zero fixed point
     inst, _ = _chain_instance(np.eye(3), np.zeros((3, 1)), scale=3.0)
     with pytest.warns(UserWarning, match="all-zero"):
-        run(inst, 2)
+        assert run(inst, 2).zero_start
 
     # (b) the GLM and gmm chains start at zero, yet their first
     # observation-side output y / (1 + beta0) is not zero
@@ -387,7 +387,7 @@ def test_step_zero_warns_exactly_when_it_writes_no_nonzero_output():
         x0={loop: -np.ones((n, 1))},
     )
     with pytest.warns(UserWarning, match="all-zero"):
-        run(inst, 2)
+        assert run(inst, 2).zero_start
 
     # (d) the first step of every benchmark workload
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))

@@ -94,3 +94,15 @@ def test_side_data_access():
     assert np.allclose(side.array("y"), [0, 1, 2, 3])
     with pytest.raises(KeyError):
         side.array("missing")
+
+
+def test_pieces_need_one_pair_per_interval_between_ascending_kinks():
+    relu = np.maximum
+    f = LinearEntrywiseLinear(phi=lambda x: relu(x, 0.0), L=[1.0], kinks=(0.0,),
+                              pieces=[(0, 0), (1, 0)])
+    assert f.pieces == ((0.0, 0.0), (1.0, 0.0))
+    with pytest.raises(ValueError, match="pieces"):
+        LinearEntrywiseLinear(phi=np.abs, L=[1.0], kinks=(0.0,), pieces=[(-1.0, 0.0)])
+    with pytest.raises(ValueError, match="pieces"):
+        LinearEntrywiseLinear(phi=np.abs, L=[1.0], kinks=(1.0, -1.0),
+                              pieces=[(0.0, 1.0), (1.0, 0.0), (0.0, -1.0)])

@@ -1,3 +1,4 @@
+import ast
 import importlib
 import os
 import re
@@ -36,6 +37,36 @@ def test_every_export_has_a_use():
         if not any(named.search(line) and not own.match(line) for line in lines):
             unused.append(name)
     assert unused == []
+
+
+def _called(decorator):
+    """(name, positional constants) of a decorator call such as seed(0)
+    or hypothesis.seed(0); None for a bare decorator."""
+    if not isinstance(decorator, ast.Call):
+        return None
+    func = decorator.func
+    name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+    return name, [a.value for a in decorator.args if isinstance(a, ast.Constant)]
+
+
+def test_every_given_test_is_seeded():
+    # a @given test without @seed(0) draws its examples from a hash of its
+    # source, so an edit to its body silently swaps them
+    tests = os.path.dirname(os.path.abspath(__file__))
+    given, unseeded = 0, []
+    for name in sorted(os.listdir(tests)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(tests, name), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                calls = [_called(d) for d in node.decorator_list]
+                if any(c and c[0] == "given" for c in calls):
+                    given += 1
+                    if ("seed", [0]) not in calls:
+                        unseeded.append(f"{name}::{node.name}")
+    assert given and unseeded == []
 
 
 def test_cli_import_leaves_scipy_unloaded():
