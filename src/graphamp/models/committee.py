@@ -23,8 +23,7 @@ import numpy as np
 from ..engine import GraphInstance, stationary_provider
 from ..ensembles import normals, sample_iid, stream
 from ..graphs import EdgeId, line_graph
-from ..nonlinearity import EntrywiseThenMix, LinearEntrywiseLinear, SideData
-from ..prox import soft_threshold
+from ..nonlinearity import LinearEntrywiseLinear, SideData
 
 
 R = np.array([[0.9, 0.25], [-0.15, 0.8]])
@@ -57,10 +56,9 @@ def build_committee_instance(model: CommitteeModel, seed: int = 0):
     Y = normals(stream(seed, "committee", "Y"), (model.n, 2))
 
     theta = model.theta
-    sig = EntrywiseThenMix(lambda x: soft_threshold(x, theta),
-                           lambda x: (np.abs(x) > theta).astype(float),
-                           R, kinks=(-theta, theta),
-                           pieces=((1.0, theta), (0.0, 0.0), (1.0, -theta)))
+    # soft_threshold(U, theta) @ R, by its pieces
+    sig = LinearEntrywiseLinear(out_cols=R.shape[1], L=[1.0], R=R, kinks=(-theta, theta),
+                                pieces=((1.0, theta), (0.0, 0.0), (1.0, -theta)))
     instance = GraphInstance(
         graph=g,
         matrices={fwd: A},

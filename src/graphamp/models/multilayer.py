@@ -32,7 +32,7 @@ from ..engine import GraphInstance, stationary_provider
 from ..ensembles import sample_iid, stream
 from ..gamp_se import GaussBernoulliPrior, GlmScalars
 from ..graphs import EdgeId, edges_into, line_graph
-from ..nonlinearity import LinearEntrywiseLinear, Nonlinearity, SideData
+from ..nonlinearity import Entrywise, LinearEntrywiseLinear, Nonlinearity, SideData
 from ..prox import ProxSpec
 from .glm import ObservationResidual, PenaltyProx
 
@@ -43,17 +43,15 @@ SIGNAL_PROX = ProxSpec(kind="abs", gamma=1.0, weight=0.05)
 # the weight of each of an interior node's two fields in zhat
 MIX = 0.5
 
-# name -> theta -> (phi, phi', kinks, pieces) of the map x -> name(theta x);
-# pieces is None where phi is not linear between its kinks
+# name -> theta -> the LinearEntrywiseLinear arguments giving phi, the
+# map x -> name(theta x): its kinks and pieces where it is linear between
+# them, else phi and phi'
 ACTIVATIONS = {
-    "linear": lambda theta: ((lambda x: theta * x),
-                             (lambda x: np.full_like(x, theta)), (), ((theta, 0.0),)),
-    "relu": lambda theta: ((lambda x: np.maximum(theta * x, 0.0)),
-                           (lambda x: theta * (theta * x > 0)), (0.0,),
-                           ((min(theta, 0.0), 0.0), (max(theta, 0.0), 0.0))),
-    "tanh": lambda theta: ((lambda x: np.tanh(theta * x)),
-                           (lambda x: theta * (1.0 - np.tanh(theta * x) ** 2)),
-                           (), None),
+    "linear": lambda theta: {"pieces": ((theta, 0.0),)},
+    "relu": lambda theta: {"kinks": (0.0,),
+                           "pieces": ((min(theta, 0.0), 0.0), (max(theta, 0.0), 0.0))},
+    "tanh": lambda theta: {"phi": lambda x: np.tanh(theta * x),
+                           "dphi": lambda x: theta * (1.0 - np.tanh(theta * x) ** 2)},
 }
 
 
@@ -70,7 +68,8 @@ def check_dims(path: str, dims) -> None:
 
 
 def _activation(kind: str, theta: float = 1.0):
-    """(phi, phi', kinks, pieces) of the named map x -> kind(theta x)."""
+    """The LinearEntrywiseLinear arguments giving phi, the named map
+    x -> kind(theta x)."""
     return ACTIVATIONS[kind](theta)
 
 
@@ -113,17 +112,15 @@ def InteriorMessage(direction: str, below_index: int, above_index: int,
                     act=None) -> LinearEntrywiseLinear:
     """Message out of a node with two incoming fields: combines them as
     zhat = MIX x_below + MIX x_above and emits either the residual
-    zhat - x_below ("down") or phi(zhat) ("up", with act = (phi, phi',
-    kinks, pieces)).  Interior nodes of the multilayer and generative
-    chains use it, and so does the spiked loop node."""
+    zhat - x_below ("down") or phi(zhat) ("up", with act the arguments
+    giving phi, see _activation).  Interior nodes of the multilayer and
+    generative chains use it, and so does the spiked loop node."""
     coef = [None, None]
     if direction == "down":
         coef[below_index], coef[above_index] = MIX - 1.0, MIX
         return LinearEntrywiseLinear(arity=2, M=coef)
     coef[below_index] = coef[above_index] = MIX
-    phi, dphi, kinks, pieces = act
-    return LinearEntrywiseLinear(arity=2, phi=phi, dphi=dphi, L=coef,
-                                 kinks=kinks, pieces=pieces)
+    return LinearEntrywiseLinear(arity=2, L=coef, **act)
 
 
 def push_pipeline(z: np.ndarray, mats, phis) -> np.ndarray:
@@ -167,7 +164,7 @@ def build_multilayer_instance(model: MultilayerModel, seed: int = 0):
     fresh, _ = line_matrices(names, dims, seed, "mlayer", "indep")
     acts = [_activation(layer.activation) for layer in model.layers]
     y = push_pipeline(PRIOR.sample(model.d0, stream(seed, "mlayer", "teacher", "signal")),
-                      fresh.values(), [act[0] for act in acts])
+                      fresh.values(), [Entrywise(**act).phi for act in acts])
 
     up = list(mats)
     fns = interior_messages(g, names, acts)

@@ -77,7 +77,7 @@ def build_spiked_instance(model: SpikedModel, seed: int = 0):
     else:
         gen, _ = line_matrices(names, dims, seed, "spiked", "G")
         v0 = push_pipeline(PRIOR.sample(dims[0], stream(seed, "spiked", "w0")),
-                           gen.values(), [gact[0]] * model.depth)
+                           gen.values(), [Entrywise(**gact).phi] * model.depth)
 
     W = sample_goe(N, stream(seed, "spiked", "W"), scale_N=N)
     Y = (math.sqrt(lam) / N) * np.outer(v0, v0) + W
@@ -93,7 +93,7 @@ def build_spiked_instance(model: SpikedModel, seed: int = 0):
         inst = GraphInstance(
             graph=single_loop("spike", N),
             matrices={loop: Y},
-            provider=stationary_provider({loop: Entrywise(*denoiser)}),
+            provider=stationary_provider({loop: Entrywise(**denoiser)}),
             x0={loop: model.init_overlap * v0.reshape(-1, 1)},
         )
         return inst, v0
@@ -135,7 +135,7 @@ def spiked_scalar_se(model: SpikedModel, T: int) -> List[SpikedSePoint]:
     (init_overlap, 0), on a 121-node Gauss-Hermite rule."""
     if model.depth != 0:
         raise ValueError("gen_dims: the scalar SE covers the depth-0 spike only")
-    f = _activation(model.denoiser, model.theta)[0]
+    f = Entrywise(**_activation(model.denoiser, model.theta)).phi
     v, wv = PRIOR.quad_points()
     gz, wg = gh_points(121)
     sl = math.sqrt(model.lam)

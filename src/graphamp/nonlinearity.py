@@ -117,6 +117,34 @@ def sandwich(A, K, B):
     return times(times(_transpose(K), A).T, B)
 
 
+def _piecewise_linear(kinks, pieces):
+    """(phi, phi') of the map slope x + intercept on each interval
+    between the ascending kinks.  On a kink phi takes the piece left of
+    it, and phi' the flatter of the two pieces meeting there: 0 for relu
+    and the soft threshold, as their indicators (x > 0) and (|x| > theta)
+    read."""
+    slope, intercept = np.array(pieces, dtype=float).T
+    left = [False] * len(kinks)
+    right = [abs(b) < abs(a) for a, b in zip(slope, slope[1:])]
+
+    def piece(x, on_right):
+        # the number of kinks below x, a kink counting when x is on it
+        # and on_right says so
+        i = np.zeros(np.shape(x), dtype=np.intp)
+        for k, r in zip(kinks, on_right):
+            i += (x >= k) if r else (x > k)
+        return i
+
+    def phi(x):
+        i = piece(x, left)
+        return slope.take(i) * x + intercept.take(i)
+
+    def dphi(x):
+        return slope.take(piece(x, right))
+
+    return phi, dphi
+
+
 class LinearEntrywiseLinear(Nonlinearity):
     """f(X_1..X_k) = (Y + sum_j X_j M_j + phi(W) R) / den, W = sum_j X_j L_j.
 
@@ -125,9 +153,9 @@ class LinearEntrywiseLinear(Nonlinearity):
     None where the block does not enter that term.  A coefficient is a
     fixed matrix or a scalar a, standing for a I.  phi is entrywise with
     derivative dphi and smooth between the points in kinks.  A phi that
-    is linear between them may declare its pieces: one (slope,
-    intercept) pair per interval, the kinks ascending, so that phi(x) =
-    slope x + intercept on the interval holding x.  Every part is
+    is linear between them is given by its pieces instead of phi and
+    dphi: one (slope, intercept) pair per interval, the kinks ascending,
+    from which both are built (see _piecewise_linear).  Every part is
     optional; den divides last, so (y - V) / (1 + beta) rounds as
     written.  The Jacobian sum with respect to block j is
     (n M_j^T + R^T diag(sum over rows of phi'(W)) L_j^T) / den, and the
@@ -141,14 +169,18 @@ class LinearEntrywiseLinear(Nonlinearity):
         self.arity, self.out_cols, self.offset = arity, out_cols, offset
         self.M = tuple(M) if M is not None else (None,) * arity
         self.L = tuple(L) if L is not None else (None,) * arity
-        self.phi, self.dphi, self.R, self.kinks = phi, dphi, R, tuple(kinks)
-        self.den = float(den)
+        self.R, self.kinks, self.den = R, tuple(kinks), float(den)
         self.pieces = None if pieces is None else tuple(
             (float(s), float(c)) for s, c in pieces)
-        if self.pieces is not None and (len(self.pieces) != len(self.kinks) + 1
-                                        or list(self.kinks) != sorted(self.kinks)):
-            raise ValueError("pieces: need one (slope, intercept) pair per interval "
-                             "between ascending kinks")
+        if self.pieces is not None:
+            if phi is not None or dphi is not None:
+                raise ValueError("pieces: give phi by its pieces or as phi and dphi, not both")
+            if (len(self.pieces) != len(self.kinks) + 1
+                    or list(self.kinks) != sorted(self.kinks)):
+                raise ValueError("pieces: need one (slope, intercept) pair per interval "
+                                 "between ascending kinks")
+            phi, dphi = _piecewise_linear(self.kinks, self.pieces)
+        self.phi, self.dphi = phi, dphi
 
     @property
     def affine(self) -> bool:
@@ -200,12 +232,14 @@ def Zero(cols=1, arity=1) -> LinearEntrywiseLinear:
     return LinearEntrywiseLinear(arity=arity, out_cols=cols)
 
 
-def Entrywise(phi: Callable, dphi: Callable, kinks=(), pieces=None) -> LinearEntrywiseLinear:
-    """phi applied entrywise to a single input block."""
+def Entrywise(phi: Optional[Callable] = None, dphi: Optional[Callable] = None,
+              kinks=(), pieces=None) -> LinearEntrywiseLinear:
+    """phi applied entrywise to a single input block; phi and dphi, or
+    the pieces of a phi linear between its kinks."""
     return LinearEntrywiseLinear(phi=phi, dphi=dphi, L=[1.0], kinks=kinks, pieces=pieces)
 
 
-def EntrywiseThenMix(phi, dphi, R, kinks=(), pieces=None) -> LinearEntrywiseLinear:
+def EntrywiseThenMix(phi, dphi, R, kinks=()) -> LinearEntrywiseLinear:
     """X -> phi(X) @ R: entrywise map followed by a column mix.
 
     The trace block is R^T diag(column sums of phi'), which exercises
@@ -213,7 +247,7 @@ def EntrywiseThenMix(phi, dphi, R, kinks=(), pieces=None) -> LinearEntrywiseLine
     """
     R = np.asarray(R, dtype=float)
     return LinearEntrywiseLinear(out_cols=R.shape[1], phi=phi, dphi=dphi,
-                                 L=[1.0], R=R, kinks=kinks, pieces=pieces)
+                                 L=[1.0], R=R, kinks=kinks)
 
 
 class FromCallable(Nonlinearity):

@@ -21,7 +21,7 @@ the new block of an edge in one of two ways:
       Y^T Y + n sum_j M_j^T K_j^{t,t} M_j.
   The phi part is n R^T E[phi(W)^T phi(W)] R, which takes one of two
   forms.
-  - A phi that declares its pieces (linear between its kinks: the
+  - A phi given by its pieces (linear between its kinks: the
     committee's soft threshold, the relu and linear activations) gets
     the closed form, exact to rounding.  A diagonal entry sums the
     truncated-normal moments of each piece; an off-diagonal entry sums,

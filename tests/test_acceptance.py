@@ -362,7 +362,7 @@ def _nonlinearity_catalog(rng):
                     SideData(arrays={"y": np.eye(2)[rng.integers(0, 2, n)]}),
                     0))
     yield ("spiked_denoiser_tanh_theta",
-           Entrywise(*_activation("tanh", 1.7)),
+           Entrywise(**_activation("tanh", 1.7)),
            lambda: ([smooth()], None, 0))
 
 

@@ -97,12 +97,16 @@ def test_side_data_access():
 
 
 def test_pieces_need_one_pair_per_interval_between_ascending_kinks():
-    relu = np.maximum
-    f = LinearEntrywiseLinear(phi=lambda x: relu(x, 0.0), L=[1.0], kinks=(0.0,),
-                              pieces=[(0, 0), (1, 0)])
+    f = LinearEntrywiseLinear(L=[1.0], kinks=(0.0,), pieces=[(0, 0), (1, 0)])
     assert f.pieces == ((0.0, 0.0), (1.0, 0.0))
+    x = np.array([-2.0, 0.0, 3.0])
+    assert np.array_equal(f.phi(x), [0.0, 0.0, 3.0])
+    assert np.array_equal(f.dphi(x), [0.0, 0.0, 1.0])
     with pytest.raises(ValueError, match="pieces"):
-        LinearEntrywiseLinear(phi=np.abs, L=[1.0], kinks=(0.0,), pieces=[(-1.0, 0.0)])
+        LinearEntrywiseLinear(L=[1.0], kinks=(0.0,), pieces=[(-1.0, 0.0)])
     with pytest.raises(ValueError, match="pieces"):
-        LinearEntrywiseLinear(phi=np.abs, L=[1.0], kinks=(1.0, -1.0),
+        LinearEntrywiseLinear(L=[1.0], kinks=(1.0, -1.0),
                               pieces=[(0.0, 1.0), (1.0, 0.0), (0.0, -1.0)])
+    with pytest.raises(ValueError, match="pieces"):
+        LinearEntrywiseLinear(phi=np.abs, dphi=np.sign, L=[1.0], kinks=(0.0,),
+                              pieces=[(-1.0, 0.0), (1.0, 0.0)])

@@ -21,7 +21,7 @@ from graphamp.engine import GraphInstance, run, stationary_provider
 from graphamp.ensembles import normals, sample_goe, sample_iid, stream
 from graphamp.graphs import (EdgeId, GraphSpec, canonical_edge_order, edges_into,
                              reversed_input_index)
-from graphamp.nonlinearity import (Entrywise, EntrywiseThenMix, FromCallable,
+from graphamp.nonlinearity import (Entrywise, FromCallable,
                                    LinearEntrywiseLinear, SideData, sandwich)
 from graphamp.models.multilayer import ACTIVATIONS, _activation
 from graphamp.prox import soft_threshold
@@ -29,26 +29,22 @@ from graphamp.state_evolution import se_run
 from helpers import soft_gaussian_moments
 
 LAM = 0.3  # the soft threshold's level
-# name -> (phi, phi', kinks, pieces); pieces is None where phi is not
-# linear between its kinks
+# name -> the LinearEntrywiseLinear arguments giving phi: phi and phi',
+# or the kinks and pieces of a phi linear between them
 PHIS = {
-    "tanh": (np.tanh, lambda x: 1.0 - np.tanh(x) ** 2, (), None),
-    "sin": (np.sin, np.cos, (), None),
-    "soft": (lambda x: soft_threshold(x, LAM),
-             lambda x: (np.abs(x) > LAM).astype(float), (-LAM, LAM),
-             ((1.0, LAM), (0.0, 0.0), (1.0, -LAM))),
+    "tanh": {"phi": np.tanh, "dphi": lambda x: 1.0 - np.tanh(x) ** 2},
+    "sin": {"phi": np.sin, "dphi": np.cos},
+    "soft": {"kinks": (-LAM, LAM), "pieces": ((1.0, LAM), (0.0, 0.0), (1.0, -LAM))},
 }
 
 
-def OnBlock(inner, k, arity, out_cols):
-    """inner, a map of one input block, applied to block k of an edge
+def OnBlock(phi_args, R, k, arity, out_cols):
+    """The map of phi_args, mixed by R, applied to block k of an edge
     with several inputs; the Jacobian sum with respect to every other
     block is zero."""
     L = [None] * arity
-    L[k] = inner.L[0]
-    return LinearEntrywiseLinear(arity=arity, out_cols=out_cols, phi=inner.phi,
-                                 dphi=inner.dphi, L=L, R=inner.R,
-                                 kinks=inner.kinks, pieces=inner.pieces)
+    L[k] = 1.0
+    return LinearEntrywiseLinear(arity=arity, out_cols=out_cols, L=L, R=R, **phi_args)
 
 
 def _mc_twins(instance):
@@ -99,13 +95,13 @@ def symmetric_instances(draw):
         ins = edges_into(g, e)
         k = draw(st.integers(0, len(ins) - 1))
         q_in, q_out = g.q(ins[k]), g.q(e)
-        phi, dphi, kinks, pieces = PHIS[draw(st.sampled_from(sorted(PHIS)))]
+        phi_args = PHIS[draw(st.sampled_from(sorted(PHIS)))]
         if q_in != q_out or draw(st.booleans()):
             R = normals(stream(seed, "mix", str(e)), (q_in, q_out))
-            f = EntrywiseThenMix(phi, dphi, R, kinks, pieces)
+            f = LinearEntrywiseLinear(out_cols=q_out, L=[1.0], R=R, **phi_args)
         else:
-            f = Entrywise(phi, dphi, kinks, pieces)
-        fns[e] = f if len(ins) == 1 else OnBlock(f, k, len(ins), q_out)
+            f = Entrywise(**phi_args)
+        fns[e] = f if len(ins) == 1 else OnBlock(phi_args, f.R, k, len(ins), q_out)
 
     x0 = {e: normals(stream(seed, "x0", str(e)), g.x_shape(e))
           for e in g.edges}
@@ -190,10 +186,9 @@ def affine_or_phi_instances(draw):
             fns[e] = LinearEntrywiseLinear(arity=len(ins), out_cols=q,
                                            offset=("y", coef(q, "Y")), M=blocks)
         else:
-            phi, dphi, kinks, pieces = PHIS[draw(st.sampled_from(sorted(PHIS)))]
-            fns[e] = LinearEntrywiseLinear(arity=len(ins), out_cols=q, phi=phi,
-                                           dphi=dphi, L=blocks, kinks=kinks,
-                                           R=coef(q, "R"), pieces=pieces)
+            phi_args = PHIS[draw(st.sampled_from(sorted(PHIS)))]
+            fns[e] = LinearEntrywiseLinear(arity=len(ins), out_cols=q, L=blocks,
+                                           R=coef(q, "R"), **phi_args)
     x0 = {e: normals(stream(seed, "x0", str(e)), g.x_shape(e)) for e in g.edges}
     instance = GraphInstance(graph=g, matrices=matrices,
                              provider=stationary_provider(fns), x0=x0,
@@ -208,7 +203,7 @@ def _unreached_soft_block(instance, cov, e, t, copies):
     than one entry past the threshold; None otherwise."""
     g = instance.graph
     f = instance.provider(e, t, None)
-    if f.phi is not PHIS["soft"][0]:
+    if f.pieces != PHIS["soft"]["pieces"]:
         return None
     C = sum(sandwich(L, cov.kernel(ein, t), L)
             for L, ein in zip(f.L, edges_into(g, e)) if L is not None)
@@ -289,46 +284,47 @@ def test_flattened_se_is_the_graph_se(case):
     assert t1 > 1e-12 and excess > 0.0
 
 
-def _declared_maps(theta):
-    """Every map that declares its pieces: the committee's soft threshold
-    at |theta|, the activations that have pieces at theta, and PHIS's soft
-    threshold."""
+def _piecewise_maps(theta):
+    """(map, phi, phi') for every map given by its pieces, with the phi
+    and phi' it stands for: the committee's soft threshold at |theta|,
+    the activations given by pieces at theta, and PHIS's soft threshold.
+    relu's phi' reads the sign of theta x off theta and x, which keeps it
+    where theta x underflows to 0."""
+    def soft(t):
+        return (lambda x: soft_threshold(x, t)), (lambda x: (np.abs(x) > t).astype(float))
+
     inst, _ = build_committee_instance(CommitteeModel(d=2, n=2, theta=abs(theta)))
-    maps = [f for f in (inst.provider(e, 0, None) for e in sorted(inst.graph.edges))
-            if getattr(f, "pieces", None) is not None]
-    assert len(maps) == 1
-    acts = [_activation(kind, theta) for kind in sorted(ACTIVATIONS)]
-    maps += [Entrywise(*act) for act in acts if act[3] is not None]
-    assert len(maps) == 3
-    return maps + [Entrywise(*PHIS["soft"])]
-
-
-def _pieces_agree(f, x) -> bool:
-    """Whether phi rebuilt from f's pieces is f.phi at the points x, and
-    phi' is f.dphi at those off the kinks."""
-    slope, intercept = np.array(f.pieces).T
-    i = np.searchsorted(f.kinks, x, side="right")
-    smooth = ~np.isin(x, f.kinks)
-    return (np.allclose(slope[i] * x + intercept[i], f.phi(x), rtol=1e-12, atol=1e-12)
-            and np.allclose(slope[i][smooth], f.dphi(x[smooth]), rtol=1e-12, atol=1e-12))
+    committee = [f for f in (inst.provider(e, 0, None) for e in sorted(inst.graph.edges))
+                 if f.pieces is not None]
+    assert len(committee) == 1
+    acts = {kind: _activation(kind, theta) for kind in ACTIVATIONS}
+    assert sorted(kind for kind, act in acts.items() if "pieces" in act) == ["linear", "relu"]
+    return [(committee[0], *soft(abs(theta))),
+            (Entrywise(**acts["relu"]), lambda x: np.maximum(theta * x, 0.0),
+             lambda x: theta * (np.sign(theta) * x > 0)),
+            (Entrywise(**acts["linear"]), lambda x: theta * x,
+             lambda x: np.full_like(x, theta)),
+            (Entrywise(**PHIS["soft"]), *soft(LAM))]
 
 
 @seed(0)
 @settings(derandomize=True, max_examples=40, deadline=None)
 @given(st.floats(-3.0, 3.0), st.lists(st.floats(-20.0, 20.0), min_size=1, max_size=20))
 def test_declared_pieces_are_phi(theta, points):
-    # the closed form reads the pieces, the iteration phi and phi': at
-    # random points and either side of each kink, they agree; a copy
-    # with the sign of one intercept above the tolerance flipped disagrees
+    # a map given by its pieces builds phi and phi' from them, and they
+    # are the maps it stands for to the bit, at random points and on and
+    # either side of each kink; a copy with the sign of one intercept
+    # above 1e-9 flipped is not
     flipped = 0
-    for f in _declared_maps(theta):
-        x = np.array(points + [k + d for k in f.kinks for d in (-1e-9, 1e-9)])
-        assert _pieces_agree(f, x), f.pieces
+    for f, phi, dphi in _piecewise_maps(theta):
+        x = np.array(points + [k + d for k in f.kinks for d in (-1e-9, 0.0, 1e-9)])
+        assert np.array_equal(f.phi(x), phi(x)), f.pieces
+        assert np.array_equal(f.dphi(x), dphi(x)), f.pieces
         for j, (s, c) in enumerate(f.pieces):
             if abs(c) > 1e-9:
-                wrong = LinearEntrywiseLinear(phi=f.phi, dphi=f.dphi, L=[1.0], kinks=f.kinks,
+                wrong = LinearEntrywiseLinear(L=[1.0], kinks=f.kinks,
                                               pieces=f.pieces[:j] + ((s, -c),) + f.pieces[j + 1:])
-                assert not _pieces_agree(wrong, x), wrong.pieces
+                assert not np.array_equal(wrong.phi(x), phi(x)), wrong.pieces
                 flipped += 1
                 break
     assert flipped

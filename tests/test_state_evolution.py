@@ -372,19 +372,19 @@ def _nested(inst):
 
 def test_exact_route_memory_does_not_grow_with_t():
     # a step integrates one q x q block per edge whatever t is, so a
-    # T = 30 run peaks where a T = 3 run does, but for the kernels it
-    # keeps: the last step holds the T - 1 blocks an edge had and the T
-    # it gets.  Those dwarf the closed form's working memory (the
-    # committee's soft threshold declares its pieces), and the nested
-    # rule's working memory dwarfs them
+    # T = 30 run peaks where a T = 3 run does.  The nested rule's working
+    # memory dwarfs the kernels the run keeps; the closed form's (the
+    # committee's soft threshold declares its pieces) does not, so there
+    # the last step's T - 1 kept blocks per edge and the T it gets are
+    # allowed on top
     committee = _committee(n=60)
-    for inst in (committee, _nested(committee)):
+    kept = 2 * (30 - 3) * sum(8 * committee.graph.q(e) ** 2 for e in committee.graph.edges)
+    for inst, allowance in ((_nested(committee), 0), (committee, kept)):
         def peak(T):
             return traced_peak(se_run, inst, T, reps=16)
 
         peak(3)  # the first run builds the cached quadrature rules
-        kept = 2 * (30 - 3) * sum(8 * inst.graph.q(e) ** 2 for e in inst.graph.edges)
-        assert peak(30) <= 1.1 * peak(3) + kept
+        assert peak(30) <= 1.1 * peak(3) + allowance
 
 
 def test_family_factor_once_per_step_and_edge(monkeypatch):
@@ -492,8 +492,6 @@ def test_exact_soft_threshold_moments_match_an_independent_quadrature(ratio, rho
                                rtol=1e-8, atol=1e-8 * np.abs(want).max())
 
 
-# name -> (the map's pieces on PHIS[name]'s kinks, or linear's, and an
-# independent reference for E phi(W)^T phi(W), W ~ N(0, C))
 def _arc_cosine_moments(C):
     """E relu(W)^T relu(W): the arc-cosine kernel sqrt(ab) / (2 pi)
     (sin theta + (pi - theta) cos theta), cos theta the correlation."""
@@ -504,13 +502,33 @@ def _arc_cosine_moments(C):
     return scale / (2 * np.pi) * (np.sin(theta) + (np.pi - theta) * cos)
 
 
+def _on_a_line(phi, kinks, v):
+    """E phi(x v)^T phi(x v), x ~ N(0, 1): the moments of a field of
+    rank one, whose live columns correlate +-1.  A 100-node
+    Gauss-Legendre rule on each piece of [-12, 12] between the integers
+    and the points where some x v_j crosses a kink, so no piece holds
+    one; past 12 sds x is out of reach."""
+    live = v[v != 0.0]
+    cuts = np.unique(np.clip(np.concatenate([np.arange(-12.0, 13.0),
+                                             np.divide.outer(kinks, live).ravel()]),
+                             -12.0, 12.0))
+    t, w = np.polynomial.legendre.leggauss(100)
+    E = np.zeros((len(v), len(v)))
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        x = 0.5 * (hi - lo) * t + 0.5 * (hi + lo)
+        p = phi(np.outer(x, v))
+        E += (0.5 * (hi - lo) * w * np.exp(-0.5 * x * x) / np.sqrt(2.0 * np.pi) * p.T) @ p
+    return E
+
+
 SLOPE = 1.7  # the linear map's
+# name -> the kinks and pieces of PHIS[name], or of linear, and an
+# independent reference for E phi(W)^T phi(W), W ~ N(0, C)
 CLOSED_FORMS = {
-    "relu": (PHIS["relu"], ((0.0, 0.0), (1.0, 0.0)), _arc_cosine_moments),
-    "soft": (PHIS["soft"], ((1.0, LAM), (0.0, 0.0), (1.0, -LAM)),
+    "relu": ((0.0,), ((0.0, 0.0), (1.0, 0.0)), _arc_cosine_moments),
+    "soft": ((-LAM, LAM), ((1.0, LAM), (0.0, 0.0), (1.0, -LAM)),
              lambda C: soft_gaussian_moments(C, LAM)),
-    "linear": ((lambda x: SLOPE * x, lambda x: np.full_like(x, SLOPE), ()),
-               ((SLOPE, 0.0),), lambda C: SLOPE ** 2 * C),
+    "linear": ((), ((SLOPE, 0.0),), lambda C: SLOPE ** 2 * C),
 }
 
 
@@ -520,20 +538,40 @@ def test_declared_pieces_give_the_moments_to_rounding(monkeypatch, name, rho):
     # a map that declares its pieces gets the closed form, with no
     # quadrature rule, within 1e-12 of the block's largest entry of an
     # independent reference, on 3-column fields of sds 0.1 to 10, column
-    # correlation +-rho and a zero-variance column.  At rho = +-1 and
-    # unequal sds the soft reference's Simpson rule straddles the kink
-    # of its inner mean soft(c W_a), and holds only about 4e-9; there
-    # the relu and linear references still apply
-    (phi, dphi, kinks), pieces, reference = CLOSED_FORMS[name]
-    f = LinearEntrywiseLinear(out_cols=3, phi=phi, dphi=dphi, L=[1.0],
-                              kinks=kinks, pieces=pieces)
+    # correlation +-rho and a zero-variance column.  At rho = +-1 the
+    # soft reference is the 1-D rule on the line W = x sd: the Simpson
+    # rule of soft_gaussian_moments straddles the kink of its inner mean
+    # soft(c W_a) there when the sds differ
+    kinks, pieces, reference = CLOSED_FORMS[name]
+    f = LinearEntrywiseLinear(out_cols=3, L=[1.0], kinks=kinks, pieces=pieces)
     monkeypatch.setattr(state_evolution, "gaussian_piecewise_nodes", None)
     for s1 in (0.1, 0.3, 1.0, 3.0, 10.0):
         for s2 in (0.1, 1.0, 10.0):
-            if name == "soft" and rho == 1.0 and s1 != s2:
-                continue
             for r in (rho, -rho):
                 sd = np.array([s1, s2, 0.0])
                 C = np.array([[1.0, r, 0.0], [r, 1.0, 0.0], [0.0, 0.0, 1.0]]) * np.outer(sd, sd)
-                E, want = state_evolution._phi_moments(f, C), reference(C)
+                E = state_evolution._phi_moments(f, C)
+                if name == "soft" and rho == 1.0:
+                    want = _on_a_line(lambda x: soft_threshold(x, LAM), kinks, sd * [1.0, r, 1.0])
+                else:
+                    want = reference(C)
                 assert np.abs(E - want).max() <= 1e-12 * np.abs(want).max(), (s1, s2, r)
+
+
+@pytest.mark.parametrize("r", [1.0, -1.0])
+def test_closed_form_takes_correlation_one_as_its_limit(monkeypatch, r):
+    # a clip to [-1, 1] has a piece across 0, so at correlation -1 its
+    # rectangles {X <= h, -X <= k} are not all empty, as the soft
+    # threshold's and relu's are; held to the 1-D rule on the line, the
+    # fields and tolerance above
+    kinks = (-1.0, 1.0)
+    f = LinearEntrywiseLinear(out_cols=3, L=[1.0], kinks=kinks,
+                              pieces=((0.0, -1.0), (1.0, 0.0), (0.0, 1.0)))
+    monkeypatch.setattr(state_evolution, "gaussian_piecewise_nodes", None)
+    for s1 in (0.1, 0.3, 1.0, 3.0, 10.0):
+        for s2 in (0.1, 1.0, 10.0):
+            sd = np.array([s1, s2, 0.0])
+            C = np.array([[1.0, r, 0.0], [r, 1.0, 0.0], [0.0, 0.0, 1.0]]) * np.outer(sd, sd)
+            E = state_evolution._phi_moments(f, C)
+            want = _on_a_line(lambda x: np.clip(x, -1.0, 1.0), kinks, sd * [1.0, r, 1.0])
+            assert np.abs(E - want).max() <= 1e-12 * np.abs(want).max(), (s1, s2)
