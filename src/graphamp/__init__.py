@@ -6,7 +6,7 @@ incoming edges, and a memory correction.  The package provides the
 engine, an exact embedding into a single symmetric iteration, Gaussian
 covariance recursions that predict iterate statistics, a model zoo
 (penalized GLMs, multilayer chains, spiked matrices, mixture
-classification) and numerical checks for the identities involved.
+classification) and a batch runner.
 """
 
 from .errors import (ConfigError, GraphError, GraphampError, NumericalError,
@@ -18,7 +18,7 @@ from .nonlinearity import (Entrywise, EntrywiseThenMix, FromCallable,
                            SideData, Zero, fd_jacobian_trace)
 from .prox import (ProxSpec, penalty_grad, penalty_value, prox,
                    prox_deriv, soft_threshold)
-from .ensembles import normals, sample_goe, sample_iid, spectral_sqrt, stream
+from .ensembles import normals, sample_goe, sample_iid, stream
 from .engine import (AmpTrajectory, GraphInstance, Observable, init,
                      norm_sq_observable, observe, run, stationary_provider,
                      step)
@@ -29,8 +29,6 @@ from .state_evolution import (SECovariances, compare, mc_observable_stats,
 from .gamp_se import (Channel, GampSePoint, GaussBernoulliPrior, GlmScalars,
                       LinearGaussianChannel, LogisticChannel, Prior, QuadSpec,
                       RademacherPrior, gamp_overlap_se)
-from .checks import (CheckReport, goe_projection_checks, onsager_fd_check,
-                     opnorm_check, stein_check)
 from .config import ExperimentConfig, load, loads
 from . import models
 from .models import (CommitteeModel, GlmModel, GlmTeacher, GmmSpatialModel,
@@ -52,7 +50,7 @@ __all__ = [
     "LinearEntrywiseLinear", "Nonlinearity", "SideData", "Zero", "fd_jacobian_trace",
     "ProxSpec", "penalty_grad", "penalty_value", "prox",
     "prox_deriv", "soft_threshold",
-    "normals", "sample_goe", "sample_iid", "spectral_sqrt", "stream",
+    "normals", "sample_goe", "sample_iid", "stream",
     "AmpTrajectory", "GraphInstance", "Observable", "init",
     "norm_sq_observable", "observe", "run", "stationary_provider", "step",
     "BlockLayout", "EmbeddedInstance", "EquivalenceReport", "embed",
@@ -61,8 +59,6 @@ __all__ = [
     "Channel", "GampSePoint", "GaussBernoulliPrior", "GlmScalars",
     "LinearGaussianChannel", "LogisticChannel", "Prior", "QuadSpec",
     "RademacherPrior", "gamp_overlap_se",
-    "CheckReport", "goe_projection_checks", "onsager_fd_check",
-    "opnorm_check", "stein_check",
     "ExperimentConfig", "load", "loads",
     "models",
     "CommitteeModel", "GlmModel", "GlmTeacher", "GmmSpatialModel",

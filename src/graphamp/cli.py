@@ -6,7 +6,6 @@ Subcommands map 1:1 onto library entry points:
   run              AMP trajectories + SE predictions + comparison CSVs
   se-only          SE predictions alone
   embed-verify     symmetric-embedding equivalence check
-  checks           numerical validation suites (Stein, GOE, Onsager, opnorm)
 
 Exit codes: 0 success, 1 under --strict a gate failure or a seed whose
 step 0 wrote no nonzero output (embed-verify gates are always strict),
@@ -34,11 +33,9 @@ from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from . import checks as checks_mod
 from . import config as config_mod
 from .embedding import EMBED_TOL, verify_equivalence
 from .engine import norm_sq_observable, observe, run
-from .ensembles import normals, stream
 from .errors import ConfigError, GraphampError, NumericalError
 from .gamp_se import GaussBernoulliPrior, QuadSpec, gamp_overlap_se
 from .graphs import canonical_edge_order
@@ -49,7 +46,6 @@ from .models import (CommitteeModel, GmmSpatialModel, MultilayerModel,
                      gamp_stats, gmm_weights, lasso_model,
                      layer_specs, logistic_model, ridge_baseline,
                      ridge_model, spiked_scalar_se)
-from .nonlinearity import Entrywise
 from .reporting import ReportIOError, write_dict_rows
 from .state_evolution import compare, se_run, summarize
 
@@ -430,63 +426,13 @@ def cmd_embed_verify(cfg, out_dir) -> int:
     return 0 if report.ok() else 1
 
 
-def _checks_suite(suite, master_seed):
-    reports = []
-    if suite in ("stein", "all"):
-        tanh = Entrywise(np.tanh, lambda x: 1 - np.tanh(x) ** 2)
-
-        def soft(x):
-            return np.sign(x) * np.maximum(np.abs(x) - 0.7, 0.0)
-
-        def dsoft(x):
-            return (np.abs(x) > 0.7).astype(float)
-
-        fns = [("identity", Entrywise(lambda x: x, lambda x: np.ones_like(x))),
-               ("tanh", tanh),
-               ("soft_threshold", Entrywise(soft, dsoft))]
-        kap = np.array([[1.0, 0.4], [0.4, 2.0]])
-        for name, f in fns:
-            rep = checks_mod.stein_check(f, kap, n=10_000, M=200,
-                                         rng=stream(master_seed, "stein", name))
-            rep.params["fn"] = name
-            reports.append(rep)
-    if suite in ("goe", "all"):
-        reports.extend(checks_mod.goe_projection_checks(
-            n=2000, q=3, t_rank=1, M=60, rng=stream(master_seed, "goe")))
-    if suite in ("onsager", "all"):
-        rng = stream(master_seed, "onsager-cli")
-        tanh = Entrywise(np.tanh, lambda x: 1 - np.tanh(x) ** 2)
-        for _ in range(20):
-            x = normals(rng, (40, 1))
-            reports.append(checks_mod.onsager_fd_check(tanh, [x]))
-    if suite in ("opnorm", "all"):
-        reports.extend(checks_mod.opnorm_check([1000], [0, 1, 2],
-                                               master_seed=master_seed))
-    return reports
-
-
-def cmd_checks(suite, out_dir, master_seed, strict) -> int:
-    reports = _checks_suite(suite, master_seed)
-    rows = [rep.row() for rep in reports]
-    write_dict_rows(os.path.join(out_dir, f"checks_{suite}.csv"), rows, "nocfg",
-                    header=("check_id", "params", "statistic", "predicted",
-                            "stderr", "z", "pass"))
-    n_fail = sum(1 for rep in reports if not rep.passed)
-    print(f"checks[{suite}]: {len(reports)} checks, {n_fail} failed "
-          f"-> {out_dir}/checks_{suite}.csv")
-    if strict and n_fail:
-        return 1
-    return 0
-
-
 def _parser():
     p = argparse.ArgumentParser(prog="graphamp",
                                 description="Graph-indexed AMP experiments")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add_common(sp, needs_config=True):
-        if needs_config:
-            sp.add_argument("--config", required=True, help="JSON config path")
+    def add_common(sp):
+        sp.add_argument("--config", required=True, help="JSON config path")
         sp.add_argument("--out", default=None, help="output directory")
         sp.add_argument("--workers", type=int, default=1,
                         help="worker pool size")
@@ -500,10 +446,6 @@ def _parser():
     add_common(sub.add_parser("se-only", help="SE predictions only"))
     add_common(sub.add_parser("embed-verify",
                               help="symmetric embedding equivalence"))
-    sp = sub.add_parser("checks", help="numerical validation suites")
-    sp.add_argument("--suite", default="all",
-                    choices=("stein", "goe", "onsager", "opnorm", "all"))
-    add_common(sp, needs_config=False)
     return p
 
 
@@ -557,11 +499,6 @@ def main(argv=None) -> int:
     previous = get_threads()
     set_threads(1)
     try:
-        if args.command == "checks":
-            out_dir = args.out or "results"
-            seed = args.seed if args.seed is not None else 0
-            return cmd_checks(args.suite, out_dir, seed, args.strict)
-
         cfg = config_mod.load(args.config)
         if args.seed is not None:
             cfg = replace(cfg, master_seed=args.seed)

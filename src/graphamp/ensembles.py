@@ -17,7 +17,6 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .engine import PANEL_ROWS
-from .errors import NumericalError
 
 
 def stream(master_seed: int, *labels) -> np.random.Generator:
@@ -114,20 +113,4 @@ def sample_spatially_coupled(
             c0 += nc
         r0 += nr
     return out
-
-
-EIG_FLOOR = 1e-12
-
-
-def spectral_sqrt(Sigma: np.ndarray, require_pd: bool = True) -> np.ndarray:
-    """Symmetric square root by eigendecomposition; rejects non-PD input
-    (eigenvalue below EIG_FLOOR relative to the largest)."""
-    Sigma = np.asarray(Sigma, dtype=float)
-    Sigma = 0.5 * (Sigma + Sigma.T)
-    w, V = np.linalg.eigh(Sigma)
-    floor = EIG_FLOOR * max(1.0, float(w[-1]))
-    if require_pd and w[0] < floor:
-        raise NumericalError(f"covariance not positive definite: min eigenvalue {w[0]:.3e}")
-    w = np.maximum(w, floor)
-    return (V * np.sqrt(w)) @ V.T
 

@@ -181,21 +181,29 @@ def soft_gaussian_moments(C, lam):
 
     Row a integrates W_a past each threshold (soft(W_a) is 0 between
     them) out to 14 of its sds, against the closed-form
-    E[soft(W_b) | W_a], by composite Simpson in u with W_a - lam =
-    14 sd u^2, which packs the nodes where the density falls steepest.
+    E[soft(W_b) | W_a], by composite Simpson in u on each piece [z0, z1]
+    of W_a - lam = sd z, with z = z0 + (z1 - z0) u^2, which packs the
+    nodes where the density falls steepest.  The pieces end where some
+    c W_a, c = C_ab / C_aa, crosses the threshold: where W_b = c W_a
+    (correlation +-1) the inner mean soft(c W_a) has its kink there.
     No Gauss-Legendre rule and no nesting, so it shares nothing with the
     state evolution's exact route but the Gaussian."""
     u = np.linspace(0.0, 1.0, 4001)
     simpson = np.ones_like(u)
     simpson[1:-1:2], simpson[2:-1:2] = 4.0, 2.0
-    z, simpson = 14.0 * u * u, simpson * (u[1] - u[0]) / 3.0 * 28.0 * u
+    simpson *= (u[1] - u[0]) / 3.0 * 2.0 * u
     var = np.diag(C)
     E = np.zeros_like(C)
     for a in np.flatnonzero(var > 0.0):
+        sd = math.sqrt(var[a])
         slope = C[a] / var[a]
         s = np.sqrt(np.maximum(var - slope * C[a], 0.0))
+        kinks = (lam / np.abs(slope[slope != 0.0]) - lam) / sd
+        cuts = np.unique(np.concatenate([[0.0, 14.0], kinks[(kinks > 0.0) & (kinks < 14.0)]]))
+        z = np.concatenate([lo + (hi - lo) * u * u for lo, hi in zip(cuts[:-1], cuts[1:])])
+        dz = np.concatenate([(hi - lo) * simpson for lo, hi in zip(cuts[:-1], cuts[1:])])
         for side in (1.0, -1.0):
-            x = side * (lam + math.sqrt(var[a]) * z)
-            w = simpson * np.exp(-0.5 * x * x / var[a]) / math.sqrt(2.0 * math.pi)
+            x = side * (lam + sd * z)
+            w = dz * np.exp(-0.5 * x * x / var[a]) / math.sqrt(2.0 * math.pi)
             E[a] += (w * soft_threshold(x, lam)) @ _soft_mean(np.outer(x, slope), s, lam)
     return 0.5 * (E + E.T)

@@ -15,9 +15,7 @@ import numpy as np
 
 from graphamp import (GaussBernoulliPrior, QuadSpec, build_gamp_instance,
                       gamp_estimates, gamp_iterate_stats, gamp_overlap_se,
-                      goe_projection_checks, kkt_residual, lasso_model,
-                      onsager_fd_check, opnorm_check, ridge_model,
-                      soft_threshold, spectral_sqrt, stein_check,
+                      kkt_residual, lasso_model, ridge_model, soft_threshold,
                       verify_equivalence)
 from graphamp.cli import main as cli_main
 from graphamp.engine import run
@@ -38,6 +36,8 @@ from graphamp.nonlinearity import (Entrywise, EntrywiseThenMix, FromCallable,
 from graphamp.prox import ProxSpec
 from graphamp.state_evolution import compare
 
+from checks import (goe_projection_checks, onsager_fd_check, opnorm_check,
+                    spectral_sqrt, stein_check)
 from helpers import default_prior, fista_lasso, read_report_csv, ridge_direct, zoo_instances
 
 

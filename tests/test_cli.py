@@ -1,5 +1,8 @@
+import contextlib
 import dataclasses
 import filecmp
+import glob
+import io
 import json
 import os
 import subprocess
@@ -7,6 +10,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 import graphamp
 from graphamp import (CommitteeModel, GmmSpatialModel, MultilayerModel,
@@ -283,14 +288,14 @@ def test_unwritable_output_exits_4(tmp_path, capsys):
     assert "io error:" in capsys.readouterr().err
 
 
-def test_checks_subcommand_writes_suite_csv(tmp_path, capsys):
+def test_checks_is_an_unknown_command(tmp_path, capsys):
+    # the validation suites are test helpers, not a command
     out = tmp_path / "o"
-    assert main(["checks", "--suite", "onsager", "--out", str(out)]) == 0
-    assert "checks[onsager]: 20 checks, 0 failed" in capsys.readouterr().out
-    _, rows = read_report_csv(out / "checks_onsager.csv")
-    assert len(rows) == 20
-    assert all(r["check_id"] == "onsager_fd" for r in rows)
-    assert all(r["pass"] == "1" for r in rows)
+    with pytest.raises(SystemExit) as exit_info:
+        main(["checks", "--suite", "onsager", "--out", str(out)])
+    assert exit_info.value.code == 2
+    assert "invalid choice: 'checks'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_strict_turns_gate_failures_into_exit_1(tmp_path):
@@ -655,3 +660,52 @@ def test_bad_model_values_are_config_errors(tmp_path, capsys, case):
                 in capsys.readouterr().err)
     assert not out.exists()
 
+
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SHIPPED = sorted(glob.glob(os.path.join(ROOT, "configs", "*.json"))
+                 + glob.glob(os.path.join(ROOT, "perfbench", "workloads", "*.json")))
+
+
+def _leaves(node, path=()):
+    """The key paths of a parsed JSON document's scalar leaves."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return [path]
+    return [leaf for key, value in items for leaf in _leaves(value, path + (key,))]
+
+
+def _load(name):
+    with open(name, encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+# one leaf of one shipped config or benchmark workload, and what takes its
+# place: huge, negative, zero, non-finite, wrong type, empty list, null
+SHIPPED_LEAVES = [(name, leaf) for name in SHIPPED for leaf in _leaves(_load(name))]
+MUTATIONS = (10 ** 30, -1, 0, float("nan"), float("inf"), "x", [], None, True)
+
+
+@pytest.fixture(scope="module")
+def mutant_path(tmp_path_factory):
+    return str(tmp_path_factory.mktemp("mutant") / "cfg.json")
+
+
+@seed(0)
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.sampled_from(SHIPPED_LEAVES), st.sampled_from(MUTATIONS))
+def test_validate_config_admits_or_rejects_every_mutated_leaf(mutant_path, where, value):
+    name, leaf = where
+    doc = _load(name)
+    node = doc
+    for key in leaf[:-1]:
+        node = node[key]
+    node[leaf[-1]] = value
+    with open(mutant_path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh)
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        assert main(["validate-config", "--config", mutant_path]) in (0, 2)

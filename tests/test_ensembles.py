@@ -1,11 +1,9 @@
 import numpy as np
 import pytest
 
-from graphamp import NumericalError
 from graphamp.engine import PANEL_ROWS
 from graphamp.ensembles import (normals, sample_goe, sample_iid,
-                                sample_spatially_coupled, spectral_sqrt,
-                                stream)
+                                sample_spatially_coupled, stream)
 
 
 def test_stream_is_deterministic_and_label_sensitive():
@@ -98,20 +96,3 @@ def test_goe_written_into_a_view_is_the_same_matrix():
         assert not big.any()
     with pytest.raises(ValueError, match="shape"):
         sample_goe(5, stream(5, "out"), out=np.zeros((5, 6)))
-
-
-def test_spectral_sqrt_roundtrip():
-    rng = np.random.default_rng(5)
-    B = rng.normal(size=(4, 4))
-    Sigma = B @ B.T + 0.1 * np.eye(4)
-    R = spectral_sqrt(Sigma)
-    assert np.allclose(R @ R.T, Sigma, atol=1e-10)
-
-
-def test_spectral_sqrt_rejects_indefinite():
-    Sigma = np.array([[1.0, 0.0], [0.0, -0.5]])
-    with pytest.raises(NumericalError):
-        spectral_sqrt(Sigma)
-    # the non-strict variant clips the negative part instead
-    R = spectral_sqrt(Sigma, require_pd=False)
-    assert np.all(np.isfinite(R))

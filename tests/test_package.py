@@ -1,3 +1,4 @@
+import argparse
 import ast
 import importlib
 import os
@@ -10,6 +11,7 @@ import pytest
 
 import graphamp
 import graphamp.models
+from graphamp import cli
 
 
 @pytest.mark.parametrize("module", [graphamp, graphamp.models],
@@ -90,3 +92,29 @@ def test_every_benchmark_trace_target_resolves():
     assert targets
     assert [f"{mod}.{attr}" for mod, attr, *_ in targets
             if not hasattr(importlib.import_module(mod), attr)] == []
+
+
+def _readme_block(heading):
+    """The lines of the first code block under README.md's `## heading`."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "README.md"), encoding="utf-8") as fh:
+        text = fh.read()
+    section = text.split(f"\n## {heading}\n", 1)[1].split("\n## ", 1)[0]
+    return section.split("```", 2)[1].splitlines()[1:]
+
+
+def test_readme_cli_block_lists_exactly_the_commands():
+    sub = next(a for a in cli._parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    listed = {line.split()[1] for line in _readme_block("CLI")
+              if line.startswith("graphamp ")}
+    assert listed == set(sub.choices)
+
+
+def test_readme_layout_lists_exactly_the_modules():
+    src = os.path.dirname(graphamp.__file__)
+    modules = {name for name in os.listdir(src)
+               if name.endswith(".py") and name != "__init__.py"}
+    listed = {line.split()[0] for line in _readme_block("Layout")
+              if re.match(r"  \S", line)}
+    assert listed == modules | {"models/"}

@@ -538,10 +538,7 @@ def test_declared_pieces_give_the_moments_to_rounding(monkeypatch, name, rho):
     # a map that declares its pieces gets the closed form, with no
     # quadrature rule, within 1e-12 of the block's largest entry of an
     # independent reference, on 3-column fields of sds 0.1 to 10, column
-    # correlation +-rho and a zero-variance column.  At rho = +-1 the
-    # soft reference is the 1-D rule on the line W = x sd: the Simpson
-    # rule of soft_gaussian_moments straddles the kink of its inner mean
-    # soft(c W_a) there when the sds differ
+    # correlation +-rho and a zero-variance column
     kinks, pieces, reference = CLOSED_FORMS[name]
     f = LinearEntrywiseLinear(out_cols=3, L=[1.0], kinks=kinks, pieces=pieces)
     monkeypatch.setattr(state_evolution, "gaussian_piecewise_nodes", None)
@@ -551,10 +548,7 @@ def test_declared_pieces_give_the_moments_to_rounding(monkeypatch, name, rho):
                 sd = np.array([s1, s2, 0.0])
                 C = np.array([[1.0, r, 0.0], [r, 1.0, 0.0], [0.0, 0.0, 1.0]]) * np.outer(sd, sd)
                 E = state_evolution._phi_moments(f, C)
-                if name == "soft" and rho == 1.0:
-                    want = _on_a_line(lambda x: soft_threshold(x, LAM), kinks, sd * [1.0, r, 1.0])
-                else:
-                    want = reference(C)
+                want = reference(C)
                 assert np.abs(E - want).max() <= 1e-12 * np.abs(want).max(), (s1, s2, r)
 
 
