@@ -188,25 +188,19 @@ def _goe_fill(lay: BlockLayout, rng: np.random.Generator) -> np.ndarray:
     return A
 
 
-def embed(instance: GraphInstance, seed: int = 0, fill: str = "goe") -> EmbeddedInstance:
+def embed(instance: GraphInstance, seed: int = 0) -> EmbeddedInstance:
     """Flatten a graph instance into a single symmetric iteration.
 
-    fill selects the untracked blocks: "goe" draws them as the matching
-    blocks of a GOE(N) matrix (the default; gives a genuine Gaussian
-    symmetric instance), "zero" leaves them zero (cheaper; iterates of
-    tracked blocks are identical either way).
+    The untracked blocks are the matching blocks of a GOE(N) matrix
+    drawn from seed (_goe_fill), which makes the flattening a genuine
+    Gaussian symmetric instance; iterates of tracked blocks do not
+    depend on them.
     """
     _check_pair_scales(instance)
     g = instance.graph
     lay = BlockLayout.from_graph(g)
     N = lay.N
-
-    if fill == "goe":
-        A = _goe_fill(lay, stream(seed, "embed", "fill"))
-    elif fill == "zero":
-        A = np.zeros((N, N))
-    else:
-        raise ValueError(f"unknown fill {fill!r}")
+    A = _goe_fill(lay, stream(seed, "embed", "fill"))
 
     done = set()
     for e in lay.order:
@@ -263,8 +257,7 @@ class EquivalenceReport:
         return self.max_err <= EMBED_TOL
 
 
-def verify_equivalence(instance: GraphInstance, T: int, seed: int = 0,
-                       fill: str = "goe") -> EquivalenceReport:
+def verify_equivalence(instance: GraphInstance, T: int, seed: int = 0) -> EquivalenceReport:
     """Run both sides for T steps and compare every tracked block.
 
     Per (t, e) error is ||X^t block - x^t_e||_F / (1 + ||x^t_e||_F).
@@ -307,7 +300,7 @@ def verify_equivalence(instance: GraphInstance, T: int, seed: int = 0,
     worker = threading.Thread(target=graph_side, name="graph-side")
     worker.start()
     try:
-        emb = embed(instance, seed=seed, fill=fill)
+        emb = embed(instance, seed=seed)
         run_symmetric(emb, T, each=compare)
     finally:
         worker.join()

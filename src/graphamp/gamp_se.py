@@ -25,8 +25,9 @@ normals, and
     alpha_{t+1}  = -1 / d_t
 
 started from h_0 evaluated at v = 0.  Here e_t(u) = prox of the
-penalty at scale alpha_t applied to alpha_t u, and h_t(v, y) is the
-residual map of the loss prox at scale beta_t.
+penalty at scale alpha_t applied to alpha_t u, given by its pieces
+(GlmScalars.signal_map, the map the iteration applies), and h_t(v, y)
+is the residual map of the loss prox at scale beta_t.
 
 Expectations run on tensorized Gauss-Hermite grids by default, or by
 seeded Monte Carlo.  Each quadrature rule (Gauss-Hermite nodes and the
@@ -46,7 +47,8 @@ import numpy as np
 
 from .ensembles import normals, stream, uniforms
 from .errors import NumericalError
-from .prox import ProxSpec, prox, prox_deriv
+from .nonlinearity import Entrywise, LinearEntrywiseLinear
+from .prox import ProxSpec, prox, prox_deriv, soft_threshold_pieces
 
 DEFAULT_GH_NODES = 61
 
@@ -234,9 +236,10 @@ class LogisticChannel(Channel):
 class GlmScalars:
     """Coordinatewise update maps of the two-phase iteration.
 
-    e_t(u) = prox_{alpha penalty}(alpha u) on the estimation side and
-    h_t(v, y) = (prox_{beta loss(., y)}(v) - v) / beta on the
-    observation side; both vectorize over arrays.
+    e_t(u) = prox_{alpha penalty}(alpha u) on the estimation side, a
+    map linear between its kinks (signal_map), and h_t(v, y) =
+    (prox_{beta loss(., y)}(v) - v) / beta on the observation side;
+    both vectorize over arrays.
     """
 
     penalty: ProxSpec
@@ -245,21 +248,18 @@ class GlmScalars:
     def __post_init__(self):
         if self.loss not in ("squared", "logistic"):
             raise ValueError(f"unknown loss {self.loss!r}")
+        if self.penalty.kind not in ("abs", "squared"):
+            raise ValueError(f"unknown penalty {self.penalty.kind!r}")
 
-    def e_kinks(self):
-        """Points where u -> e(u) is not smooth (quadrature split points)."""
-        pen = self.penalty
-        if pen.kind == "abs":
-            return [-pen.weight, pen.weight]
-        return []
-
-    def e_apply(self, u, alpha: float):
-        spec = self.penalty.with_gamma(alpha)
-        return prox(spec, alpha * np.asarray(u, dtype=float))
-
-    def e_deriv(self, u, alpha: float):
-        spec = self.penalty.with_gamma(alpha)
-        return alpha * prox_deriv(spec, alpha * np.asarray(u, dtype=float))
+    def signal_map(self, alpha: float) -> LinearEntrywiseLinear:
+        """e_t at scale alpha, u -> prox_{alpha penalty}(alpha u), given by
+        its pieces: alpha soft_threshold(u, weight) for "abs", the slope
+        alpha / (1 + alpha weight) for "squared"."""
+        alpha, w = float(alpha), self.penalty.weight
+        if self.penalty.kind == "abs":
+            kinks, pieces = soft_threshold_pieces(w, alpha)
+            return Entrywise(kinks=kinks, pieces=pieces)
+        return Entrywise(pieces=((alpha / (1.0 + alpha * w), 0.0),))
 
     def h_apply(self, v, y, beta: float):
         v = np.asarray(v, dtype=float)
@@ -327,17 +327,18 @@ def _u_expectations(prior: Prior, scalars: GlmScalars, nu: float, kappa2: float,
     """E[X0 e], E[e^2], E[e'], E[(e - X0)^2] over U = nu X0 + sqrt(kappa2) H
     (base: the u-field sample set of _mc_bases, for quad "mc")."""
     sk = math.sqrt(max(kappa2, 0.0))
+    f = scalars.signal_map(alpha)
     if quad.method == "gh":
         x0, wx = prior.quad_points()
-        U, W = gaussian_piecewise_nodes(nu * x0, sk, scalars.e_kinks(), DEFAULT_GH_NODES)
+        U, W = gaussian_piecewise_nodes(nu * x0, sk, f.kinks, DEFAULT_GH_NODES)
         W = wx[:, None] * W
         X0 = x0[:, None]
     else:
         X0, H = base
         U = nu * X0 + sk * H
         W = np.full(quad.samples, 1.0 / quad.samples)
-    e = scalars.e_apply(U, alpha)
-    de = scalars.e_deriv(U, alpha)
+    e = f.phi(U)
+    de = f.dphi(U)
     m = float(np.sum(W * X0 * e))
     p = float(np.sum(W * e ** 2))
     beta = float(np.sum(W * de))

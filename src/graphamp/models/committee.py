@@ -24,6 +24,7 @@ from ..engine import GraphInstance, stationary_provider
 from ..ensembles import normals, sample_iid, stream
 from ..graphs import EdgeId, line_graph
 from ..nonlinearity import LinearEntrywiseLinear, SideData
+from ..prox import soft_threshold_pieces
 
 
 R = np.array([[0.9, 0.25], [-0.15, 0.8]])
@@ -57,8 +58,8 @@ def build_committee_instance(model: CommitteeModel, seed: int = 0):
 
     theta = model.theta
     # soft_threshold(U, theta) @ R, by its pieces
-    sig = LinearEntrywiseLinear(out_cols=R.shape[1], L=[1.0], R=R, kinks=(-theta, theta),
-                                pieces=((1.0, theta), (0.0, 0.0), (1.0, -theta)))
+    kinks, pieces = soft_threshold_pieces(theta, 1.0)
+    sig = LinearEntrywiseLinear(out_cols=R.shape[1], L=[1.0], R=R, kinks=kinks, pieces=pieces)
     instance = GraphInstance(
         graph=g,
         matrices={fwd: A},

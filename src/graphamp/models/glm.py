@@ -77,15 +77,6 @@ class GlmTeacher:
     y: np.ndarray
 
 
-def PenaltyProx(scalars: GlmScalars, alpha: float) -> LinearEntrywiseLinear:
-    """Signal-side update u -> prox_{alpha penalty}(alpha u), scale fixed
-    at construction; the diagonal Jacobian sum is the derivative sum."""
-    alpha = float(alpha)
-    return LinearEntrywiseLinear(phi=lambda u: scalars.e_apply(u, alpha),
-                                 dphi=lambda u: scalars.e_deriv(u, alpha),
-                                 L=[1.0], kinks=scalars.e_kinks())
-
-
 class LossResidual(Nonlinearity):
     """Observation-side update v -> (prox_{beta loss(., y)}(v) - v)/beta
     with y taken from side data."""
@@ -184,7 +175,7 @@ def build_gamp_instance(model: GlmModel, seed: int = 0):
         graph=g,
         matrices={fwd: A},
         provider=two_phase_provider(
-            fwd, 1, lambda alpha: PenaltyProx(model.scalars, alpha),
+            fwd, 1, model.scalars.signal_map,
             lambda beta: LossResidual(model.scalars, beta), model.beta0),
         x0={},
         side={bwd: SideData(arrays={"y": y})},
@@ -214,7 +205,7 @@ def gamp_estimate(traj: AmpTrajectory, model: GlmModel, t: int) -> np.ndarray:
     """Signal estimate x_hat_t = e_t(u^t) at estimation time t >= 1;
     alpha_t is recovered from the stored observation-side coefficient."""
     u, alpha = signal_half_iterate(traj, forward_edge(), t)
-    return model.scalars.e_apply(u.reshape(-1), alpha)
+    return model.scalars.signal_map(alpha).phi(u.reshape(-1))
 
 
 def gamp_stats(traj: AmpTrajectory, model: GlmModel, teacher: GlmTeacher,

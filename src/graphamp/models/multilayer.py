@@ -34,7 +34,7 @@ from ..gamp_se import GaussBernoulliPrior, GlmScalars
 from ..graphs import EdgeId, edges_into, line_graph
 from ..nonlinearity import Entrywise, LinearEntrywiseLinear, Nonlinearity, SideData
 from ..prox import ProxSpec
-from .glm import ObservationResidual, PenaltyProx
+from .glm import ObservationResidual
 
 PRIOR = GaussBernoulliPrior()
 # Soft threshold small enough that typical interior fields (rms
@@ -168,7 +168,7 @@ def build_multilayer_instance(model: MultilayerModel, seed: int = 0):
 
     up = list(mats)
     fns = interior_messages(g, names, acts)
-    fns[up[0]] = PenaltyProx(GlmScalars(penalty=SIGNAL_PROX), 1.0)
+    fns[up[0]] = GlmScalars(penalty=SIGNAL_PROX).signal_map(1.0)
     fns[up[-1].reversed()] = ObservationResidual(1.0)
 
     instance = GraphInstance(

@@ -107,7 +107,7 @@ def build_spiked_instance(model: SpikedModel, seed: int = 0):
     # the denoiser, and sends the same output both ways
     fns[loop] = fns[top_up.reversed()] = InteriorMessage(
         "up", ins_at_spike.index(loop), ins_at_spike.index(top_up), denoiser)
-    fns[EdgeId(names[0], names[1])] = Entrywise(np.tanh, lambda x: 1.0 - np.tanh(x) ** 2)
+    fns[EdgeId(names[0], names[1])] = Entrywise(**_activation("tanh"))
 
     inst = GraphInstance(
         graph=g,

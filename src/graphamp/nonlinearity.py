@@ -154,10 +154,11 @@ class LinearEntrywiseLinear(Nonlinearity):
     fixed matrix or a scalar a, standing for a I.  phi is entrywise with
     derivative dphi and smooth between the points in kinks.  A phi that
     is linear between them is given by its pieces instead of phi and
-    dphi: one (slope, intercept) pair per interval, the kinks ascending,
-    from which both are built (see _piecewise_linear).  Every part is
-    optional; den divides last, so (y - V) / (1 + beta) rounds as
-    written.  The Jacobian sum with respect to block j is
+    dphi: one (slope, intercept) pair per interval, the kinks ascending
+    and the pieces meeting at each (to rounding), from which both are
+    built (see _piecewise_linear).  Every part is optional; den divides
+    last, so (y - V) / (1 + beta) rounds as written.  The Jacobian sum
+    with respect to block j is
     (n M_j^T + R^T diag(sum over rows of phi'(W)) L_j^T) / den, and the
     state evolution integrates these maps exactly (see state_evolution).
     """
@@ -179,6 +180,11 @@ class LinearEntrywiseLinear(Nonlinearity):
                     or list(self.kinks) != sorted(self.kinks)):
                 raise ValueError("pieces: need one (slope, intercept) pair per interval "
                                  "between ascending kinks")
+            for k, (s, c), (t, d) in zip(self.kinks, self.pieces, self.pieces[1:]):
+                if abs(s * k + c - (t * k + d)) > 1e-12 * max(1.0, abs(s * k), abs(c),
+                                                              abs(t * k), abs(d)):
+                    raise ValueError(f"pieces: the pieces either side of kink {k} "
+                                     "do not meet there")
             phi, dphi = _piecewise_linear(self.kinks, self.pieces)
         self.phi, self.dphi = phi, dphi
 

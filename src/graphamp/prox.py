@@ -39,12 +39,16 @@ class ProxSpec:
         if not self.gamma > 0:
             raise ValueError(f"prox scale gamma must be > 0, got {self.gamma}")
 
-    def with_gamma(self, gamma: float) -> "ProxSpec":
-        return ProxSpec(self.kind, gamma, self.weight)
-
 
 def soft_threshold(v, thresh):
     return np.sign(v) * np.maximum(np.abs(v) - thresh, 0.0)
+
+
+def soft_threshold_pieces(thresh: float, slope: float):
+    """(kinks, pieces) of slope * soft_threshold(x, thresh), the map
+    linear between its kinks (see nonlinearity.LinearEntrywiseLinear)."""
+    cut = slope * thresh
+    return (-thresh, thresh), ((slope, cut), (0.0, 0.0), (slope, -cut))
 
 
 def _sigmoid(z):

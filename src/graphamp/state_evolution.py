@@ -22,8 +22,9 @@ the new block of an edge in one of two ways:
   The phi part is n R^T E[phi(W)^T phi(W)] R, which takes one of two
   forms.
   - A phi given by its pieces (linear between its kinks: the
-    committee's soft threshold, the relu and linear activations) gets
-    the closed form, exact to rounding.  A diagonal entry sums the
+    committee's soft threshold, the relu and linear activations, the
+    penalty prox on the multilayer's signal edge) gets the closed form,
+    exact to rounding.  A diagonal entry sums the
     truncated-normal moments of each piece; an off-diagonal entry sums,
     over every product of pieces, the moments P, E[X], E[Y] and E[XY]
     of a bivariate normal rectangle (Tallis 1961), from Phi, the

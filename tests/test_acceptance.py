@@ -24,7 +24,7 @@ from graphamp.gamp_se import GlmScalars
 from graphamp.graphs import EdgeId
 from graphamp.models import GmmSpatialModel, SpikedModel
 from graphamp.models.committee import AffineMix
-from graphamp.models.glm import LossResidual, ObservationResidual, PenaltyProx
+from graphamp.models.glm import LossResidual, ObservationResidual
 from graphamp.models.gmm import (StackPenaltyProx, accuracy,
                                  build_gmm_spatial_instance, gmm_weights,
                                  ridge_baseline)
@@ -297,12 +297,12 @@ def _nonlinearity_catalog(rng):
     abs_scalars = GlmScalars(penalty=ProxSpec(kind="abs", gamma=1.0,
                                               weight=0.8), loss="squared")
     alpha = 0.9
-    yield ("penalty_prox_abs", PenaltyProx(abs_scalars, alpha),
-           lambda: ([_away_from(smooth(), abs_scalars.e_kinks())],
-                    None, 0))
+    abs_prox = abs_scalars.signal_map(alpha)
+    yield ("penalty_prox_abs", abs_prox,
+           lambda: ([_away_from(smooth(), abs_prox.kinks)], None, 0))
     sq_scalars = GlmScalars(penalty=ProxSpec(kind="squared", gamma=1.0,
                                              weight=1.2), loss="squared")
-    yield ("penalty_prox_squared", PenaltyProx(sq_scalars, 0.7),
+    yield ("penalty_prox_squared", sq_scalars.signal_map(0.7),
            lambda: ([smooth()], None, 0))
     yield ("loss_residual_squared", LossResidual(sq_scalars, 0.6),
            lambda: ([smooth()],
@@ -330,7 +330,7 @@ def _nonlinearity_catalog(rng):
            lambda: ([smooth(), smooth()], None, rng.integers(2)))
     yield ("interior_down", InteriorMessage("down", 0, 1),
            lambda: ([smooth(), smooth()], None, rng.integers(2)))
-    yield ("signal_prox", PenaltyProx(GlmScalars(penalty=SIGNAL_PROX), 1.0),
+    yield ("signal_prox", GlmScalars(penalty=SIGNAL_PROX).signal_map(1.0),
            lambda: ([_away_from(smooth(), [-0.05, 0.05])], None, 0))
     yield ("observation_residual", ObservationResidual(1.0),
            lambda: ([smooth()],

@@ -137,6 +137,22 @@ def test_seed_se_integrates_one_time_row_per_step(monkeypatch):
     assert calls == [(2, 2)] * (cfg.T - 1)
 
 
+@pytest.mark.parametrize("path", ["configs/multilayer_small.json",
+                                  "perfbench/workloads/committee_se.json"])
+def test_shipped_generic_configs_build_no_quadrature_rule(monkeypatch, path):
+    # every map of the shipped generic configs is given by its pieces or
+    # is affine, so the exact route integrates it in closed form and
+    # builds no Gauss-Legendre rule
+    calls = []
+    nodes = state_evolution.gaussian_piecewise_nodes
+    monkeypatch.setattr(state_evolution, "gaussian_piecewise_nodes",
+                        lambda *args: calls.append(1) or nodes(*args))
+    cfg = config_mod.load(os.path.join(ROOT, path))
+    instance = cli._build_zoo(cfg, cfg.amp_seeds[0])[0]
+    se_run(instance, cli._graph_T(cfg), reps=cfg.se_samples, seed=cfg.master_seed)
+    assert not calls
+
+
 def test_run_builds_each_seed_instance_once(tmp_path, monkeypatch):
     # run's generic SE runs in each seed's task, on the instance its AMP
     # run used; se-only builds the instances for the SE alone, and both

@@ -62,9 +62,13 @@ def test_matrix_valued_equivalence_is_machine_exact():
 
 
 def test_equivalence_independent_of_fill():
+    # two embed seeds fill the untracked blocks with two different GOE
+    # draws, and neither couples back into the tracked iterates
     inst = _small_glm()
-    for fill in ("goe", "zero"):
-        rep = verify_equivalence(inst, T=6, seed=5, fill=fill)
+    fills = [embed(inst, seed=s).symmetric.matrices for s in (5, 6)]
+    assert not any(np.array_equal(fills[0][e], fills[1][e]) for e in fills[0])
+    for s in (5, 6):
+        rep = verify_equivalence(inst, T=6, seed=s)
         assert rep.max_err <= 1e-12
 
 

@@ -88,6 +88,15 @@ def test_cached_quadrature_rules_are_read_only():
             w *= 2.0
 
 
+def test_glm_scalars_reject_what_they_cannot_apply():
+    # the signal-side map is given by its pieces for "abs" and "squared"
+    # only; the logistic penalty has no pieces
+    with pytest.raises(ValueError, match="unknown penalty"):
+        GlmScalars(penalty=ProxSpec("logistic", gamma=1.0))
+    with pytest.raises(ValueError, match="unknown loss"):
+        GlmScalars(penalty=ProxSpec("abs", gamma=1.0), loss="hinge")
+
+
 def test_first_iteration_scalars_are_closed_form():
     prior, channel, scalars = _lasso_pieces()
     pts = gamp_overlap_se(prior, channel, scalars, delta=0.5, T=1, beta0=1.0)

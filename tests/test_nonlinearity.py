@@ -110,3 +110,16 @@ def test_pieces_need_one_pair_per_interval_between_ascending_kinks():
     with pytest.raises(ValueError, match="pieces"):
         LinearEntrywiseLinear(phi=np.abs, dphi=np.sign, L=[1.0], kinks=(0.0,),
                               pieces=[(-1.0, 0.0), (1.0, 0.0)])
+
+
+def test_pieces_must_meet_at_their_kinks():
+    # a step at 0: phi(0) = 0 takes the left piece, the closed form's
+    # zero-variance moment the right one, and phi' has no mass for the
+    # jump, so the map is rejected; pieces that meet to rounding build
+    with pytest.raises(ValueError, match="do not meet"):
+        LinearEntrywiseLinear(L=[1.0], kinks=(0.0,), pieces=((0.0, 0.0), (0.0, 1.0)))
+    with pytest.raises(ValueError, match="do not meet"):
+        LinearEntrywiseLinear(L=[1.0], kinks=(-0.3, 0.3),
+                              pieces=((1.0, 0.3), (0.0, 0.0), (1.0, 0.3)))
+    k, s = 0.7, 1.3
+    LinearEntrywiseLinear(L=[1.0], kinks=(k,), pieces=((0.1, 0.0), (s, 0.1 * k - s * k)))

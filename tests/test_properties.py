@@ -23,8 +23,9 @@ from graphamp.graphs import (EdgeId, GraphSpec, canonical_edge_order, edges_into
                              reversed_input_index)
 from graphamp.nonlinearity import (Entrywise, FromCallable,
                                    LinearEntrywiseLinear, SideData, sandwich)
-from graphamp.models.multilayer import ACTIVATIONS, _activation
-from graphamp.prox import soft_threshold
+from graphamp.models.multilayer import ACTIVATIONS, SIGNAL_PROX, _activation
+from graphamp.gamp_se import GlmScalars
+from graphamp.prox import ProxSpec, prox, prox_deriv, soft_threshold
 from graphamp.state_evolution import se_run
 from helpers import soft_gaussian_moments
 
@@ -120,10 +121,11 @@ def test_random_graphs_embed_exactly(case):
     order = canonical_edge_order(g)
     assert len(order) == len(g.edges) and set(order) == set(g.edges)
 
-    for fill in ("goe", "zero"):
-        assert verify_equivalence(instance, T, seed=seed, fill=fill).max_err <= 1e-10
+    # two embed seeds: two GOE fills of the untracked blocks
+    for s in (seed, seed + 1):
+        assert verify_equivalence(instance, T, seed=s).max_err <= 1e-10
 
-    emb = embed(instance, seed=seed, fill="zero")
+    emb = embed(instance, seed=seed)
     loop = emb.loop_edge
     sym = run(emb.symmetric, T)
     for t in range(T):
@@ -254,7 +256,7 @@ def test_flattened_se_is_the_graph_se(case):
     instance, _, seed = case
     T, B, R = 3, 24, 16
     graph = se_run(instance, T, seed=seed)
-    emb = embed(instance, fill="zero")
+    emb = embed(instance)
     loop = emb.loop_edge
     diagonal = np.zeros((emb.layout.q_tot,) * 2, dtype=bool)
     for cols in emb.layout.col_slices.values():
@@ -285,13 +287,26 @@ def test_flattened_se_is_the_graph_se(case):
 
 
 def _piecewise_maps(theta):
-    """(map, phi, phi') for every map given by its pieces, with the phi
-    and phi' it stands for: the committee's soft threshold at |theta|,
-    the activations given by pieces at theta, and PHIS's soft threshold.
-    relu's phi' reads the sign of theta x off theta and x, which keeps it
-    where theta x underflows to 0."""
+    """(map, phi, phi', rel) for every map given by its pieces, with the
+    phi and phi' it stands for, to within rel of their size (0: to the
+    bit): the committee's soft threshold at |theta|, the activations
+    given by pieces at theta, PHIS's soft threshold, and the GLM penalty
+    prox u -> prox_{alpha penalty}(alpha u) at alpha 1 and 1.7 and, for
+    "abs", weights 0, the multilayer's, 1.2 and |theta|.  relu's phi'
+    reads the sign of theta x off theta and x, which keeps it where
+    theta x underflows to 0."""
     def soft(t):
         return (lambda x: soft_threshold(x, t)), (lambda x: (np.abs(x) > t).astype(float))
+
+    def penalty(kind, alpha, w):
+        spec = ProxSpec(kind, alpha, w)
+        f = GlmScalars(penalty=ProxSpec(kind, 1.0, w)).signal_map(alpha)
+        # the "squared" map is the slope alpha / (1 + alpha w) times u,
+        # which rounds differently from prox's alpha u / (1 + alpha w):
+        # two roundings either side, so within 4 units of rounding
+        return (f, lambda x: prox(spec, alpha * x),
+                lambda x: alpha * prox_deriv(spec, alpha * x),
+                0.0 if kind == "abs" else 2 * np.finfo(float).eps)
 
     inst, _ = build_committee_instance(CommitteeModel(d=2, n=2, theta=abs(theta)))
     committee = [f for f in (inst.provider(e, 0, None) for e in sorted(inst.graph.edges))
@@ -299,12 +314,15 @@ def _piecewise_maps(theta):
     assert len(committee) == 1
     acts = {kind: _activation(kind, theta) for kind in ACTIVATIONS}
     assert sorted(kind for kind, act in acts.items() if "pieces" in act) == ["linear", "relu"]
-    return [(committee[0], *soft(abs(theta))),
+    return [(committee[0], *soft(abs(theta)), 0.0),
             (Entrywise(**acts["relu"]), lambda x: np.maximum(theta * x, 0.0),
-             lambda x: theta * (np.sign(theta) * x > 0)),
+             lambda x: theta * (np.sign(theta) * x > 0), 0.0),
             (Entrywise(**acts["linear"]), lambda x: theta * x,
-             lambda x: np.full_like(x, theta)),
-            (Entrywise(**PHIS["soft"]), *soft(LAM))]
+             lambda x: np.full_like(x, theta), 0.0),
+            (Entrywise(**PHIS["soft"]), *soft(LAM), 0.0)] + [
+        penalty(kind, alpha, w) for alpha in (1.0, 1.7)
+        for kind, w in [("abs", w) for w in (0.0, SIGNAL_PROX.weight, 1.2, abs(theta))]
+        + [("squared", 1.2)]]
 
 
 @seed(0)
@@ -312,19 +330,22 @@ def _piecewise_maps(theta):
 @given(st.floats(-3.0, 3.0), st.lists(st.floats(-20.0, 20.0), min_size=1, max_size=20))
 def test_declared_pieces_are_phi(theta, points):
     # a map given by its pieces builds phi and phi' from them, and they
-    # are the maps it stands for to the bit, at random points and on and
-    # either side of each kink; a copy with the sign of one intercept
-    # above 1e-9 flipped is not
-    flipped = 0
-    for f, phi, dphi in _piecewise_maps(theta):
+    # are the maps it stands for (to the bit, or within rel), at random
+    # points and on and either side of each kink; a copy with its first
+    # slope raised by 1, and its intercept re-solved so that the pieces
+    # still meet at the first kink, is not
+    def close(a, b, rel):
+        return np.all(np.abs(a - b) <= rel * np.abs(b))
+
+    changed = 0
+    for f, phi, dphi, rel in _piecewise_maps(theta):
         x = np.array(points + [k + d for k in f.kinks for d in (-1e-9, 0.0, 1e-9)])
-        assert np.array_equal(f.phi(x), phi(x)), f.pieces
-        assert np.array_equal(f.dphi(x), dphi(x)), f.pieces
-        for j, (s, c) in enumerate(f.pieces):
-            if abs(c) > 1e-9:
-                wrong = LinearEntrywiseLinear(L=[1.0], kinks=f.kinks,
-                                              pieces=f.pieces[:j] + ((s, -c),) + f.pieces[j + 1:])
-                assert not np.array_equal(wrong.phi(x), phi(x)), wrong.pieces
-                flipped += 1
-                break
-    assert flipped
+        assert close(f.phi(x), phi(x), rel), f.pieces
+        assert close(f.dphi(x), dphi(x), rel), f.pieces
+        if f.kinks:
+            (s, c), k = f.pieces[0], f.kinks[0]
+            wrong = LinearEntrywiseLinear(L=[1.0], kinks=f.kinks,
+                                          pieces=((s + 1.0, c - k),) + f.pieces[1:])
+            assert not close(wrong.phi(x), phi(x), rel), wrong.pieces
+            changed += 1
+    assert changed

@@ -97,7 +97,6 @@ def test_spec_validation():
         ProxSpec("abs", 0.0)
     with pytest.raises(ValueError):
         ProxSpec("indicator", 1.0)
-    assert ProxSpec("abs", 1.0).with_gamma(2.5).gamma == 2.5
 
 
 @seed(0)
