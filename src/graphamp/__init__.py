@@ -13,9 +13,9 @@ from .errors import (ConfigError, GraphError, GraphampError, NumericalError,
                      ShapeError)
 from .graphs import (EdgeId, GraphSpec, canonical_edge_order, edges_into,
                      line_graph, require_valid, single_loop, validate)
-from .nonlinearity import (Entrywise, EntrywiseThenMix, FromCallable,
-                           Identity, LinearEntrywiseLinear, Nonlinearity,
-                           SideData, Zero, fd_jacobian_trace)
+from .nonlinearity import (Entrywise, FromCallable, Identity,
+                           LinearEntrywiseLinear, Nonlinearity, SideData,
+                           Zero, fd_jacobian_trace)
 from .prox import (ProxSpec, penalty_grad, penalty_value, prox,
                    prox_deriv, soft_threshold)
 from .ensembles import normals, sample_goe, sample_iid, stream
@@ -35,8 +35,7 @@ from .models import (CommitteeModel, GlmModel, GlmTeacher, GmmSpatialModel,
                      LayerSpec, MultilayerModel, SpikedModel,
                      build_committee_instance, build_gamp_instance,
                      build_gmm_spatial_instance, build_multilayer_instance,
-                     build_spiked_instance, gamp_estimates,
-                     gamp_iterate_stats, kkt_residual, lasso_model,
+                     build_spiked_instance, kkt_residual, lasso_model,
                      layer_specs, logistic_model, ridge_model,
                      spiked_scalar_se)
 
@@ -46,7 +45,7 @@ __all__ = [
     "ConfigError", "GraphError", "GraphampError", "NumericalError", "ShapeError",
     "EdgeId", "GraphSpec", "canonical_edge_order", "edges_into",
     "line_graph", "require_valid", "single_loop", "validate",
-    "Entrywise", "EntrywiseThenMix", "FromCallable", "Identity",
+    "Entrywise", "FromCallable", "Identity",
     "LinearEntrywiseLinear", "Nonlinearity", "SideData", "Zero", "fd_jacobian_trace",
     "ProxSpec", "penalty_grad", "penalty_value", "prox",
     "prox_deriv", "soft_threshold",
@@ -65,7 +64,6 @@ __all__ = [
     "LayerSpec", "MultilayerModel", "SpikedModel",
     "build_committee_instance", "build_gamp_instance",
     "build_gmm_spatial_instance", "build_multilayer_instance",
-    "build_spiked_instance", "gamp_estimates", "gamp_iterate_stats",
-    "kkt_residual", "lasso_model", "layer_specs", "logistic_model",
-    "ridge_model", "spiked_scalar_se",
+    "build_spiked_instance", "kkt_residual", "lasso_model", "layer_specs",
+    "logistic_model", "ridge_model", "spiked_scalar_se",
 ]

@@ -45,7 +45,7 @@ from . import engine
 from .engine import GraphInstance
 from .ensembles import draw_rows, sample_goe, stream
 from .errors import GraphError
-from .graphs import EdgeId, GraphSpec, canonical_edge_order, edges_into, reversed_input_index, single_loop
+from .graphs import EdgeId, GraphSpec, canonical_edge_order, edges_into, single_loop
 from .nonlinearity import Nonlinearity
 
 # gate on the largest normalized block discrepancy of verify_equivalence
@@ -88,9 +88,10 @@ class EmbeddedNonlinearity(Nonlinearity):
     Reads block (rows(e'), cols(e')) for each input edge e' of e,
     applies f_e, writes sqrt(N/S_e) m_e at (rows(reversed e), cols(e)),
     its out_blocks, and zeros everywhere else, so the engine multiplies
-    only the live blocks.  The diagonal Jacobian sum is assembled
-    analytically from the per-edge traces, so no finite differences run
-    on the big iterate.
+    only the live blocks.  The diagonal Jacobian sum is assembled from
+    the per-edge sums of engine.jacobian_sum, so no finite differences
+    run on the big iterate, and an edge's own finite-difference trace
+    keeps the graph run's budget.
 
     b is the flattened loop's b^{t-1} (q_tot x q_tot; None at t = 0).
     Its block (cols(e), cols(e<-)) is sqrt(N/S_e) J_e / N, so times
@@ -102,6 +103,7 @@ class EmbeddedNonlinearity(Nonlinearity):
                  b: Optional[np.ndarray]):
         self.source = source
         self.layout = layout
+        self.t = t
         self.arity = 1
         self.out_cols = layout.q_tot
         self._scale = {e: math.sqrt(layout.N / source.scale(e)) for e in layout.order}
@@ -127,15 +129,10 @@ class EmbeddedNonlinearity(Nonlinearity):
     def jacobian_trace(self, inputs, side=None, wrt=0):
         (X,) = inputs
         lay = self.layout
-        g = self.source.graph
         B = np.zeros((lay.q_tot, lay.q_tot))
         for e in lay.order:
-            J = self._fns[e].jacobian_trace(
-                self._edge_inputs(X, e),
-                side=self.source.side_data(e),
-                wrt=reversed_input_index(g, e),
-            )
-            B[lay.col_slices[e], lay.col_slices[e.reversed()]] = self._scale[e] * np.atleast_2d(J)
+            J = engine.jacobian_sum(self.source, e, self.t, self._fns[e], self._edge_inputs(X, e))
+            B[lay.col_slices[e], lay.col_slices[e.reversed()]] = self._scale[e] * J
         return B
 
 

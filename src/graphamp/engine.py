@@ -193,10 +193,12 @@ def init(instance: GraphInstance) -> AmpTrajectory:
                          m={e: [] for e in xs}, b={e: [] for e in xs})
 
 
-def onsager(instance: GraphInstance, e: EdgeId, t: int, f: Nonlinearity,
-            inputs: List[np.ndarray]) -> np.ndarray:
-    """Correction coefficient b^t_e = J_e / S_e where J_e sums the rowwise
-    Jacobian of f^t_e at inputs with respect to the reversed input edge."""
+def jacobian_sum(instance: GraphInstance, e: EdgeId, t: int, f: Nonlinearity,
+                 inputs: List[np.ndarray]) -> np.ndarray:
+    """J_e, the rowwise Jacobian of f^t_e at inputs summed with respect to
+    the reversed input edge, of shape q_e x q_{e<-}.  A finite-difference
+    trace of a non-row-local f over more than FD_FALLBACK_MAX_ENTRIES
+    entries raises NumericalError naming e and t."""
     g = instance.graph
     wrt = reversed_input_index(g, e)
     if not f.row_local and f.fd_trace:
@@ -212,7 +214,13 @@ def onsager(instance: GraphInstance, e: EdgeId, t: int, f: Nonlinearity,
     want = (g.q(e), g.q(e.reversed()))
     if J.shape != want:
         raise ShapeError(f"jacobian trace for {e} has shape {J.shape}, expected {want}")
-    return J / instance.scale(e)
+    return J
+
+
+def onsager(instance: GraphInstance, e: EdgeId, t: int, f: Nonlinearity,
+            inputs: List[np.ndarray]) -> np.ndarray:
+    """Correction coefficient b^t_e = J_e / S_e (J_e: jacobian_sum)."""
+    return jacobian_sum(instance, e, t, f, inputs) / instance.scale(e)
 
 
 def _live_blocks(f: Nonlinearity, m: np.ndarray, e: EdgeId, t: int) -> list:

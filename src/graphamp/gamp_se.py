@@ -24,10 +24,11 @@ normals, and
     nu_{t+1}     = (delta / sqrt(rho)) E[S h_t] - d_t m_t / rho
     alpha_{t+1}  = -1 / d_t
 
-started from h_0 evaluated at v = 0.  Here e_t(u) = prox of the
-penalty at scale alpha_t applied to alpha_t u, given by its pieces
-(GlmScalars.signal_map, the map the iteration applies), and h_t(v, y)
-is the residual map of the loss prox at scale beta_t.
+started from h_0 evaluated at v = 0, the v-step of t = 0.  Here e_t(u)
+= prox of the penalty at scale alpha_t applied to alpha_t u, given by
+its pieces (GlmScalars.signal_map), and h_t(v, y) the residual of the
+loss prox at scale beta_t (GlmScalars.residual_map): the maps the
+iteration applies, integrated through their apply and slopes.
 
 Expectations run on tensorized Gauss-Hermite grids by default, or by
 seeded Monte Carlo.  Each quadrature rule (Gauss-Hermite nodes and the
@@ -47,7 +48,8 @@ import numpy as np
 
 from .ensembles import normals, stream, uniforms
 from .errors import NumericalError
-from .nonlinearity import Entrywise, LinearEntrywiseLinear
+from .nonlinearity import (AffineResidual, Entrywise, LinearEntrywiseLinear,
+                           Nonlinearity, SideData)
 from .prox import ProxSpec, prox, prox_deriv, soft_threshold_pieces
 
 DEFAULT_GH_NODES = 61
@@ -238,8 +240,9 @@ class GlmScalars:
 
     e_t(u) = prox_{alpha penalty}(alpha u) on the estimation side, a
     map linear between its kinks (signal_map), and h_t(v, y) =
-    (prox_{beta loss(., y)}(v) - v) / beta on the observation side;
-    both vectorize over arrays.
+    (prox_{beta loss(., y)}(v) - v) / beta on the observation side
+    (residual_map).  These are the maps the iteration applies, and the
+    overlap recursion integrates them.
     """
 
     penalty: ProxSpec
@@ -261,26 +264,41 @@ class GlmScalars:
             return Entrywise(kinks=kinks, pieces=pieces)
         return Entrywise(pieces=((alpha / (1.0 + alpha * w), 0.0),))
 
-    def h_apply(self, v, y, beta: float):
-        v = np.asarray(v, dtype=float)
-        y = np.asarray(y, dtype=float)
+    def residual_map(self, beta: float) -> Nonlinearity:
+        """h_t at scale beta, with y the side array "y": (y - v) / (1 + beta)
+        for "squared" (nonlinearity.AffineResidual), LogisticResidual for
+        "logistic"."""
         if self.loss == "squared":
-            return (y - v) / (1.0 + beta)
-        # the prox needs labels of v's shape; quadrature grids broadcast
-        v, y = np.broadcast_arrays(v, y)
-        spec = ProxSpec(kind="logistic", gamma=beta)
-        p = prox(spec, v, labels=y)
-        return (p - v) / beta
+            return AffineResidual("y", den=1.0 + float(beta))
+        return LogisticResidual(beta)
 
-    def h_deriv(self, v, y, beta: float):
+
+class LogisticResidual(Nonlinearity):
+    """v -> (prox_{beta loss(., y)}(v) - v) / beta for the logistic loss,
+    entrywise, with the labels y = +-1 taken from side data "y"."""
+
+    row_local = True
+
+    def __init__(self, beta: float):
+        self.beta = float(beta)
+        self.spec = ProxSpec(kind="logistic", gamma=self.beta)
+
+    def _labelled(self, inputs, side):
+        (v,) = inputs
         v = np.asarray(v, dtype=float)
-        y = np.asarray(y, dtype=float)
-        if self.loss == "squared":
-            return np.full(np.broadcast(v, y).shape, -1.0 / (1.0 + beta))
-        v, y = np.broadcast_arrays(v, y)
-        spec = ProxSpec(kind="logistic", gamma=beta)
-        dp = prox_deriv(spec, v, labels=y)
-        return (dp - 1.0) / beta
+        return v, side.array("y").reshape(v.shape)
+
+    def apply(self, inputs, side=None):
+        v, y = self._labelled(inputs, side)
+        return (prox(self.spec, v, labels=y) - v) / self.beta
+
+    def slopes(self, inputs, side=None) -> np.ndarray:
+        """d h_i / d v_i entrywise; they sum to jacobian_trace."""
+        v, y = self._labelled(inputs, side)
+        return (prox_deriv(self.spec, v, labels=y) - 1.0) / self.beta
+
+    def jacobian_trace(self, inputs, side=None, wrt=0):
+        return np.array([[float(np.sum(self.slopes(inputs, side)))]])
 
 
 @dataclass
@@ -365,8 +383,12 @@ def _v_expectations(channel: Channel, scalars: GlmScalars, m: float, kappa1: flo
         S, Yb, G = base
         V = (m / sr) * S + sk * G
         W = np.full(quad.samples, 1.0 / quad.samples)
-    hv = scalars.h_apply(V, Yb, beta)
-    dh = scalars.h_deriv(V, Yb, beta)
+    # h_t on the grid laid out as one column, the labels beside it
+    h = scalars.residual_map(beta)
+    V, Yb = np.broadcast_arrays(V, Yb)
+    v, side = [V.reshape(-1, 1)], SideData(arrays={"y": Yb.reshape(-1)})
+    hv = h.apply(v, side).reshape(V.shape)
+    dh = h.slopes(v, side).reshape(V.shape)
     e_sh = float(np.sum(W * S * hv))
     e_h2 = float(np.sum(W * hv ** 2))
     e_dh = float(np.sum(W * dh))
@@ -376,7 +398,7 @@ def _v_expectations(channel: Channel, scalars: GlmScalars, m: float, kappa1: flo
 def gamp_overlap_se(prior: Prior, channel: Channel, scalars: GlmScalars, delta: float,
                     T: int, beta0: float = 1.0,
                     quad: Optional[QuadSpec] = None) -> List[GampSePoint]:
-    """Run the six-scalar recursion for T estimation-side iterations.
+    """Run the six-scalar recursion for T >= 1 estimation-side iterations.
 
     Returns points [0..T]; point t = 0 holds the init scalars, point t
     holds the u-field of iteration t and the quantities derived from it.
@@ -387,33 +409,25 @@ def gamp_overlap_se(prior: Prior, channel: Channel, scalars: GlmScalars, delta: 
         raise ValueError("prior second moment must be positive")
 
     u_base, v_base = _mc_bases(prior, channel, quad) if quad.method == "mc" else (None, None)
-    try:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            e_sh, e_h2, e_dh = _v_expectations(channel, scalars, 0.0, 0.0, rho, beta0,
-                                               quad, v_base)
-    except ZeroDivisionError:
-        e_dh = math.nan
-    d = delta * e_dh
-    if not math.isfinite(d) or abs(d) < 1e-14:
-        raise NumericalError(f"init stage has a vanishing or undefined average "
-                             f"derivative at beta0 = {beta0}; cannot set the "
-                             "estimation step size")
-    points = [GampSePoint(t=0, beta=beta0, d=d)]
-    nu = (delta / math.sqrt(rho)) * e_sh
-    kappa2 = delta * e_h2
-    alpha = -1.0 / d
-
-    for t in range(1, T + 1):
-        m, p, beta_t, mse = _u_expectations(prior, scalars, nu, kappa2, alpha, quad, u_base)
-        kappa1 = max(p - m ** 2 / rho, 0.0)
-        pt = GampSePoint(t=t, nu=nu, kappa2=kappa2, alpha=alpha, m=m, p=p,
-                         mse=mse, kappa1=kappa1, beta=beta_t)
+    # the init stage is the v-step of t = 0: h_0 at v = 0 (m = kappa1 = 0)
+    pt, m, kappa1 = GampSePoint(t=0, beta=beta0), 0.0, 0.0
+    points = []
+    for t in range(T + 1):
+        if t:
+            m, p, beta_t, mse = _u_expectations(prior, scalars, nu, kappa2, alpha, quad, u_base)
+            kappa1 = max(p - m ** 2 / rho, 0.0)
+            pt = GampSePoint(t=t, nu=nu, kappa2=kappa2, alpha=alpha, m=m, p=p,
+                             mse=mse, kappa1=kappa1, beta=beta_t)
         if t < T:
-            e_sh, e_h2, e_dh = _v_expectations(channel, scalars, m, kappa1, rho, beta_t,
-                                               quad, v_base)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                e_sh, e_h2, e_dh = _v_expectations(channel, scalars, m, kappa1, rho,
+                                                   pt.beta, quad, v_base)
             d = delta * e_dh
-            if abs(d) < 1e-14:
-                raise NumericalError(f"average derivative vanished at t={t}")
+            if not math.isfinite(d) or abs(d) < 1e-14:
+                raise NumericalError(
+                    f"average derivative vanished or is undefined at t={t}" if t else
+                    f"init stage has a vanishing or undefined average derivative at "
+                    f"beta0 = {beta0}; cannot set the estimation step size")
             pt.d = d
             nu = (delta / math.sqrt(rho)) * e_sh - d * m / rho
             kappa2 = delta * e_h2

@@ -23,7 +23,7 @@ import numpy as np
 from ..engine import GraphInstance, stationary_provider
 from ..ensembles import normals, sample_iid, stream
 from ..graphs import EdgeId, line_graph
-from ..nonlinearity import LinearEntrywiseLinear, SideData
+from ..nonlinearity import AffineResidual, LinearEntrywiseLinear, SideData
 from ..prox import soft_threshold_pieces
 
 
@@ -42,12 +42,6 @@ class CommitteeModel:
             raise ValueError(f"theta: must be >= 0, got {self.theta}")
 
 
-def AffineMix(C: np.ndarray) -> LinearEntrywiseLinear:
-    """V -> (Y - V) @ C with side data Y; Jacobian sum is -n C^T."""
-    C = np.asarray(C, dtype=float)
-    return LinearEntrywiseLinear(out_cols=C.shape[1], offset=("Y", C), M=[-C])
-
-
 def build_committee_instance(model: CommitteeModel, seed: int = 0):
     """Chain instance with q = 2 on both edges; returns (instance, Y)."""
     fwd = EdgeId("wts", "obs")
@@ -63,7 +57,7 @@ def build_committee_instance(model: CommitteeModel, seed: int = 0):
     instance = GraphInstance(
         graph=g,
         matrices={fwd: A},
-        provider=stationary_provider({fwd: sig, bwd: AffineMix(C)}),
+        provider=stationary_provider({fwd: sig, bwd: AffineResidual("Y", C)}),
         x0={bwd: 0.5 * np.ones((model.d, 2))},
         side={bwd: SideData(arrays={"Y": Y})},
         scale_base={fwd: float(model.d)},

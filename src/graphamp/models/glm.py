@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List
 
 import numpy as np
 
@@ -33,8 +32,7 @@ from ..errors import NumericalError
 from ..gamp_se import (Channel, GlmScalars, LinearGaussianChannel,
                        LogisticChannel, Prior)
 from ..graphs import EdgeId, line_graph
-from ..nonlinearity import (LinearEntrywiseLinear, Nonlinearity, SideData,
-                            Zero)
+from ..nonlinearity import SideData, Zero
 from ..prox import ProxSpec, penalty_grad
 
 
@@ -75,35 +73,6 @@ class GlmTeacher:
 
     x0: np.ndarray
     y: np.ndarray
-
-
-class LossResidual(Nonlinearity):
-    """Observation-side update v -> (prox_{beta loss(., y)}(v) - v)/beta
-    with y taken from side data."""
-
-    def __init__(self, scalars: GlmScalars, beta: float):
-        self.scalars = scalars
-        self.beta = float(beta)
-        self.arity = 1
-        self.out_cols = 1
-        self.row_local = True
-
-    def apply(self, inputs, side=None):
-        (v,) = inputs
-        y = side.array("y").reshape(v.shape)
-        return self.scalars.h_apply(v, y, self.beta)
-
-    def jacobian_trace(self, inputs, side=None, wrt=0):
-        (v,) = inputs
-        y = side.array("y").reshape(v.shape)
-        return np.array([[float(np.sum(self.scalars.h_deriv(v, y, self.beta)))]])
-
-
-def ObservationResidual(beta: float) -> LinearEntrywiseLinear:
-    """Observation-side map V -> (Y - V) / (1 + beta), columnwise, with
-    Y taken from side data "y"; the Jacobian sum is -n / (1 + beta) I."""
-    return LinearEntrywiseLinear(offset=("y", 1.0), M=[-1.0],
-                                 den=1.0 + float(beta))
 
 
 def forward_edge() -> EdgeId:
@@ -174,9 +143,8 @@ def build_gamp_instance(model: GlmModel, seed: int = 0):
     instance = GraphInstance(
         graph=g,
         matrices={fwd: A},
-        provider=two_phase_provider(
-            fwd, 1, model.scalars.signal_map,
-            lambda beta: LossResidual(model.scalars, beta), model.beta0),
+        provider=two_phase_provider(fwd, 1, model.scalars.signal_map,
+                                    model.scalars.residual_map, model.beta0),
         x0={},
         side={bwd: SideData(arrays={"y": y})},
         scale_base={fwd: float(model.d)},
@@ -225,17 +193,6 @@ def gamp_stats(traj: AmpTrajectory, model: GlmModel, teacher: GlmTeacher,
         v2=float(np.sum(traj.x[fwd][2 * t] ** 2)) / model.n
         if 2 * t <= traj.T else math.nan,
     )
-
-
-def gamp_estimates(traj: AmpTrajectory, model: GlmModel) -> List[np.ndarray]:
-    """gamp_estimate at every estimation time of a whole trajectory."""
-    return [gamp_estimate(traj, model, t) for t in estimation_times(traj)]
-
-
-def gamp_iterate_stats(traj: AmpTrajectory, model: GlmModel,
-                       teacher: GlmTeacher) -> List[GampIterateStats]:
-    """gamp_stats at every estimation time of a whole trajectory."""
-    return [gamp_stats(traj, model, teacher, t) for t in estimation_times(traj)]
 
 
 def kkt_residual(model: GlmModel, A: np.ndarray, y: np.ndarray, xhat: np.ndarray) -> float:

@@ -41,9 +41,8 @@ import numpy as np
 from ..engine import AmpTrajectory, GraphInstance, block_product
 from ..ensembles import normals, sample_spatially_coupled, stream
 from ..graphs import EdgeId, line_graph
-from ..nonlinearity import Nonlinearity, SideData
-from .glm import (ObservationResidual, estimation_times, signal_half_iterate,
-                  two_phase_provider)
+from ..nonlinearity import AffineResidual, Nonlinearity, SideData
+from .glm import estimation_times, signal_half_iterate, two_phase_provider
 
 
 @dataclass(frozen=True)
@@ -198,7 +197,7 @@ def build_gmm_spatial_instance(model: GmmSpatialModel, seed: int = 0):
         provider=two_phase_provider(
             fwd, model.K,
             lambda alpha: StackPenaltyProx(model, data.cov_sqrts, data.spectrum, alpha),
-            ObservationResidual, model.beta0),
+            lambda beta: AffineResidual("y", den=1.0 + float(beta)), model.beta0),
         side={bwd: SideData(arrays={"y": data.Y})},
         scale_base={fwd: float(model.d)},
     )

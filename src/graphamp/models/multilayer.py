@@ -8,8 +8,8 @@ from below, one from above) and sends messages both ways:
     downward  = zhat - x_below                 (residual message)
     upward    = phi(zhat)                      (activation push)
 
-The end nodes apply a penalty prox (signal side) and a loss residual
-map (observation side).  All scales are fixed constants, so the
+The end nodes apply a penalty prox (signal side) and the residual
+(y - v) / 2 (observation side).  All scales are fixed constants, so the
 provider is time-independent and the plain covariance recursion
 applies at every depth, L = 1 (one edge pair, no interior node)
 included.
@@ -32,9 +32,9 @@ from ..engine import GraphInstance, stationary_provider
 from ..ensembles import sample_iid, stream
 from ..gamp_se import GaussBernoulliPrior, GlmScalars
 from ..graphs import EdgeId, edges_into, line_graph
-from ..nonlinearity import Entrywise, LinearEntrywiseLinear, Nonlinearity, SideData
+from ..nonlinearity import (AffineResidual, Entrywise, LinearEntrywiseLinear,
+                            Nonlinearity, SideData)
 from ..prox import ProxSpec
-from .glm import ObservationResidual
 
 PRIOR = GaussBernoulliPrior()
 # Soft threshold small enough that typical interior fields (rms
@@ -169,7 +169,7 @@ def build_multilayer_instance(model: MultilayerModel, seed: int = 0):
     up = list(mats)
     fns = interior_messages(g, names, acts)
     fns[up[0]] = GlmScalars(penalty=SIGNAL_PROX).signal_map(1.0)
-    fns[up[-1].reversed()] = ObservationResidual(1.0)
+    fns[up[-1].reversed()] = AffineResidual("y", den=2.0)
 
     instance = GraphInstance(
         graph=g,

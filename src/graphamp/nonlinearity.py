@@ -228,6 +228,20 @@ class LinearEntrywiseLinear(Nonlinearity):
             return np.zeros((self.out_cols, q))
         return sum(terms[1:], terms[0]) / self.den
 
+    def slopes(self, inputs, side=None) -> np.ndarray:
+        """d f_i / d x_i entrywise, for a map of one input block of one
+        column: (M + phi'(W) L R) / den, which sums to jacobian_trace."""
+        self.check_inputs(inputs)
+        (x,) = [np.asarray(x, dtype=float) for x in inputs]
+        if x.shape[1] != 1:
+            raise ShapeError(f"slopes: need one input column, got {x.shape[1]}")
+        s = np.zeros(x.shape)
+        if self.M[0] is not None:
+            s += self.M[0]
+        if self.phi is not None and self.L[0] is not None:
+            s += self.dphi(self.field([x])) * self.L[0] * self.R
+        return s / self.den
+
 
 def Identity(cols=1) -> LinearEntrywiseLinear:
     return LinearEntrywiseLinear(out_cols=cols, M=[1.0])
@@ -245,15 +259,13 @@ def Entrywise(phi: Optional[Callable] = None, dphi: Optional[Callable] = None,
     return LinearEntrywiseLinear(phi=phi, dphi=dphi, L=[1.0], kinks=kinks, pieces=pieces)
 
 
-def EntrywiseThenMix(phi, dphi, R, kinks=()) -> LinearEntrywiseLinear:
-    """X -> phi(X) @ R: entrywise map followed by a column mix.
-
-    The trace block is R^T diag(column sums of phi'), which exercises
-    non-diagonal Onsager blocks in the matrix-valued path.
-    """
-    R = np.asarray(R, dtype=float)
-    return LinearEntrywiseLinear(out_cols=R.shape[1], phi=phi, dphi=dphi,
-                                 L=[1.0], R=R, kinks=kinks)
+def AffineResidual(name: str, C=1.0, den=1.0) -> LinearEntrywiseLinear:
+    """V -> (Y - V) C / den with Y the side array name: the observation
+    residual of the committee (C mixes its columns), the multilayer and
+    gmm_spatial chains and the squared-loss GLM (den 1 + beta).  C is a
+    matrix or a scalar (see times); the Jacobian sum is -n C^T / den."""
+    return LinearEntrywiseLinear(out_cols=np.shape(C)[1] if np.ndim(C) else 1,
+                                 offset=(name, C), M=[-C], den=den)
 
 
 class FromCallable(Nonlinearity):

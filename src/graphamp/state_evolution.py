@@ -77,6 +77,7 @@ import numpy as np
 
 from .engine import GraphInstance, Observable, initial_iterates
 from .ensembles import normals, stream
+from .errors import NumericalError
 from .gamp_se import _legendre_points, gaussian_piecewise_nodes
 from .graphs import EdgeId, canonical_edge_order, edges_into
 from .nonlinearity import (LinearEntrywiseLinear, Nonlinearity, SideData,
@@ -410,6 +411,8 @@ def se_step(instance: GraphInstance, cov: SECovariances, reps: int,
     partial sums are added in chunk order.  Chunk c draws the family of
     each edge e that an MC edge reads from rng_factory("se", t, str(e),
     c), which must return independent generators for distinct labels.
+    A block with a non-finite entry raises NumericalError naming its
+    edge and time t + 1.
     """
     g = instance.graph
     t = cov.T
@@ -438,13 +441,17 @@ def se_step(instance: GraphInstance, cov: SECovariances, reps: int,
     parts = [chunk_sums(c) for c in range(len(sizes))]
     K = {}
     for e in order:
-        if e in exact:
-            new = _exact_row(instance, cov, e, fns[e]) / instance.scale(e)
-        else:
-            S = parts[0][e]
-            for part in parts[1:]:
-                S += part[e]
-            new = S / (reps * instance.scale(e))
+        # overflow surfaces through the isfinite check, not a warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            if e in exact:
+                new = _exact_row(instance, cov, e, fns[e]) / instance.scale(e)
+            else:
+                S = parts[0][e]
+                for part in parts[1:]:
+                    S += part[e]
+                new = S / (reps * instance.scale(e))
+        if not np.all(np.isfinite(new)):
+            raise NumericalError("state evolution kernel is not finite", edge=str(e), t=t + 1)
         # fresh draws can leave the block slightly indefinite; keep its
         # PSD part, the covariance family_factor would sample from anyway
         K[e] = np.concatenate([cov.K[e], _psd_part(new)[None]])

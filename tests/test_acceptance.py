@@ -14,23 +14,21 @@ import time
 import numpy as np
 
 from graphamp import (GaussBernoulliPrior, QuadSpec, build_gamp_instance,
-                      gamp_estimates, gamp_iterate_stats, gamp_overlap_se,
-                      kkt_residual, lasso_model, ridge_model, soft_threshold,
-                      verify_equivalence)
+                      gamp_overlap_se, kkt_residual, lasso_model, ridge_model,
+                      soft_threshold, verify_equivalence)
 from graphamp.cli import main as cli_main
 from graphamp.engine import run
 from graphamp.ensembles import normals, stream
 from graphamp.gamp_se import GlmScalars
 from graphamp.graphs import EdgeId
 from graphamp.models import GmmSpatialModel, SpikedModel
-from graphamp.models.committee import AffineMix
-from graphamp.models.glm import LossResidual, ObservationResidual
+from graphamp.models.glm import estimation_times, gamp_estimate, gamp_stats
 from graphamp.models.gmm import (StackPenaltyProx, accuracy,
                                  build_gmm_spatial_instance, gmm_weights,
                                  ridge_baseline)
 from graphamp.models.multilayer import (MIX, SIGNAL_PROX, InteriorMessage,
                                         _activation)
-from graphamp.nonlinearity import (Entrywise, EntrywiseThenMix, FromCallable,
+from graphamp.nonlinearity import (AffineResidual, Entrywise, FromCallable,
                                    Identity, LinearEntrywiseLinear, SideData,
                                    Zero)
 from graphamp.prox import ProxSpec
@@ -76,7 +74,7 @@ def _glm_amp_table(model, seeds, T):
     for seed in seeds:
         inst, teacher = build_gamp_instance(model, seed=seed)
         traj = run(inst, 2 * T)
-        for st in gamp_iterate_stats(traj, model, teacher):
+        for st in (gamp_stats(traj, model, teacher, t) for t in estimation_times(traj)):
             for name, val in (("norm_sq_v", st.v2), ("norm_sq_u", st.u2),
                               ("mse", st.mse), ("overlap", st.m)):
                 table.setdefault((st.t, name), []).append(val)
@@ -183,7 +181,7 @@ def test_criterion_04_fixed_point_vs_convex_oracle():
     lmodel = lasso_model(d=500, n=250, lam=1.2, prior=prior, sigma=0.5)
     inst, teacher = build_gamp_instance(lmodel, seed=42)
     traj = run(inst, 400)
-    xh = gamp_estimates(traj, lmodel)[-1]
+    xh = gamp_estimate(traj, lmodel, estimation_times(traj)[-1])
     A = inst.matrix(EdgeId("sig", "obs"))
     xf = fista_lasso(A, teacher.y, 1.2, iters=20000)
     lasso_rel = np.linalg.norm(xh - xf) / np.linalg.norm(xf)
@@ -192,7 +190,7 @@ def test_criterion_04_fixed_point_vs_convex_oracle():
     rmodel = ridge_model(d=500, n=250, lam=1.2, prior=prior, sigma=0.5)
     inst, teacher = build_gamp_instance(rmodel, seed=43)
     traj = run(inst, 400)
-    xh = gamp_estimates(traj, rmodel)[-1]
+    xh = gamp_estimate(traj, rmodel, estimation_times(traj)[-1])
     A = inst.matrix(EdgeId("sig", "obs"))
     xd = ridge_direct(A, teacher.y, 1.2)
     ridge_rel = np.linalg.norm(xh - xd) / np.linalg.norm(xd)
@@ -278,8 +276,9 @@ def _nonlinearity_catalog(rng):
            lambda: ([_away_from(smooth(2), [-0.7, 0.7])], None, 0))
     R = rng.normal(size=(2, 2))
     yield ("entrywise_then_mix",
-           EntrywiseThenMix(lambda x: soft_threshold(x, 0.4),
-                            lambda x: (np.abs(x) > 0.4).astype(float), R),
+           LinearEntrywiseLinear(out_cols=2, phi=lambda x: soft_threshold(x, 0.4),
+                                 dphi=lambda x: (np.abs(x) > 0.4).astype(float),
+                                 L=[1.0], R=R),
            lambda: ([_away_from(smooth(2), [-0.4, 0.4])], None, 0))
     yield ("scaled_tanh",
            LinearEntrywiseLinear(phi=np.tanh, dphi=lambda x: 1.0 - np.tanh(x) ** 2,
@@ -304,12 +303,12 @@ def _nonlinearity_catalog(rng):
                                              weight=1.2), loss="squared")
     yield ("penalty_prox_squared", sq_scalars.signal_map(0.7),
            lambda: ([smooth()], None, 0))
-    yield ("loss_residual_squared", LossResidual(sq_scalars, 0.6),
+    yield ("residual_map_squared", sq_scalars.residual_map(0.6),
            lambda: ([smooth()],
                     SideData(arrays={"y": rng.normal(size=n)}), 0))
     logi = GlmScalars(penalty=ProxSpec(kind="squared", gamma=1.0, weight=0.5),
                       loss="logistic")
-    yield ("loss_residual_logistic", LossResidual(logi, 0.8),
+    yield ("residual_map_logistic", logi.residual_map(0.8),
            lambda: ([smooth()],
                     SideData(arrays={"y": rng.choice([-1.0, 1.0], size=n)}),
                     0))
@@ -332,7 +331,7 @@ def _nonlinearity_catalog(rng):
            lambda: ([smooth(), smooth()], None, rng.integers(2)))
     yield ("signal_prox", GlmScalars(penalty=SIGNAL_PROX).signal_map(1.0),
            lambda: ([_away_from(smooth(), [-0.05, 0.05])], None, 0))
-    yield ("observation_residual", ObservationResidual(1.0),
+    yield ("affine_residual_den2", AffineResidual("y", den=2.0),
            lambda: ([smooth()],
                     SideData(arrays={"y": rng.normal(size=n)}), 0))
 
@@ -343,7 +342,7 @@ def _nonlinearity_catalog(rng):
     yield ("loop_node_wrt_chain", loop_node,
            lambda: ([smooth(), smooth()], None, 1))
 
-    yield ("affine_mix", AffineMix(rng.normal(size=(2, 2))),
+    yield ("affine_residual_mix", AffineResidual("Y", rng.normal(size=(2, 2))),
            lambda: ([smooth(2)],
                     SideData(arrays={"Y": rng.normal(size=(n, 2))}), 0))
 
@@ -357,7 +356,7 @@ def _nonlinearity_catalog(rng):
     stack = StackPenaltyProx(gmodel, roots, np.linalg.eigh(sum(covs)), alpha=0.7)
     yield ("stack_penalty_prox", stack,
            lambda: ([rng.normal(size=(60, 2))], None, 0))
-    yield ("observation_residual_q2", ObservationResidual(0.9),
+    yield ("affine_residual_q2", AffineResidual("y", den=1.9),
            lambda: ([smooth(2)],
                     SideData(arrays={"y": np.eye(2)[rng.integers(0, 2, n)]}),
                     0))

@@ -15,14 +15,15 @@ from hypothesis import strategies as st
 
 import graphamp
 from graphamp import (CommitteeModel, GmmSpatialModel, MultilayerModel,
-                      SpikedModel, cli, engine, gamp_iterate_stats)
+                      SpikedModel, cli, engine)
 from graphamp import config as config_mod
 from graphamp.cli import main
 from graphamp.config import MODEL_KINDS
 from graphamp.engine import norm_sq_observable, observe, run
 from graphamp import state_evolution
 from graphamp.graphs import EdgeId, canonical_edge_order
-from graphamp.models import gmm_weights
+from graphamp.models import gamp_stats, gmm_weights
+from graphamp.models.glm import estimation_times
 from graphamp.state_evolution import se_run
 
 from helpers import StepRecorder, bounded_call, read_report_csv, traced_peak
@@ -478,7 +479,8 @@ def test_streamed_rows_match_the_whole_trajectory_readers(kind):
     traj = run(instance, T)
     g = instance.graph
     if kind in ("lasso", "ridge", "logistic"):
-        want = [row for st in gamp_iterate_stats(traj, model, aux)
+        stats = [gamp_stats(traj, model, aux, t) for t in estimation_times(traj)]
+        want = [row for st in stats
                 for row in cli._glm_named_rows(cfg, st.t, {
                     "overlap": st.m, "mse": st.mse, "norm_sq_v": st.v2,
                     "norm_sq_u": st.u2})]
@@ -597,6 +599,17 @@ def test_se_only_numerical_abort_names_the_init_stage(tmp_path, capsys):
     assert main(["se-only", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
     err = capsys.readouterr().err
     assert "numerical abort" in err and "init stage" in err
+
+
+def test_se_only_aborts_on_a_nonfinite_kernel(tmp_path, capsys):
+    # d 2 against n 20000: the committee's kernels grow until they
+    # overflow at t 177, which se-only must not write out as nan
+    cfg = _write(tmp_path, {"model": {"kind": "committee", "d": 2, "n": 20000},
+                            "T": 200})
+    assert main(["se-only", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert err.splitlines() == ["numerical abort at edge obs->wts, step 177: "
+                                "state evolution kernel is not finite"]
 
 
 ML_LINEAR_RELU = {"kind": "multilayer", "d0": 30, "dims": [20, 10],

@@ -16,11 +16,11 @@ from graphamp import (CommitteeModel, GmmSpatialModel, MultilayerModel,
                       layer_specs)
 from graphamp.embedding import (BlockLayout, embed, onsager_block_pattern_err,
                                 run_symmetric, verify_equivalence)
-from graphamp.engine import run
+from graphamp.engine import GraphInstance, run, stationary_provider
 from graphamp.errors import GraphError, NumericalError
-from graphamp.graphs import EdgeId, canonical_edge_order, line_graph
+from graphamp.graphs import EdgeId, canonical_edge_order, line_graph, single_loop
 from graphamp.models.glm import build_gamp_instance
-from graphamp.nonlinearity import Nonlinearity
+from graphamp.nonlinearity import FromCallable, Nonlinearity
 
 from helpers import StepRecorder, bounded_call, default_prior, traced_peak
 
@@ -362,3 +362,21 @@ def test_embed_peaks_at_the_flattened_matrix():
         lay = BlockLayout.from_graph(inst.graph)
         peak = traced_peak(embed, inst, seed=4)
         assert peak <= 1.05 * 8 * lay.N ** 2 + 8 * lay.N * lay.q_tot, (peak, lay.N)
+
+
+def test_flattened_run_keeps_the_finite_difference_budget():
+    # a non-row-local map without an analytic trace: its O(n^2 q)
+    # finite-difference trace is refused on the graph and on the flattening
+    n, q = 300, 2
+    loop = EdgeId("v", "v")
+    center = FromCallable(lambda inputs, side: inputs[0] - inputs[0].mean(axis=0),
+                          out_cols=q)
+    inst = GraphInstance(
+        graph=single_loop("v", n, q=q),
+        matrices={loop: ensembles.sample_goe(n, ensembles.stream(0, "fd"), scale_N=n)},
+        provider=stationary_provider({loop: center}),
+        x0={loop: np.random.default_rng(0).normal(size=(n, q))})
+    for target in (inst, embed(inst).symmetric):
+        with pytest.raises(NumericalError, match="analytic jacobian_trace") as ei:
+            run(target, 2)
+        assert (ei.value.edge, ei.value.t) == (str(loop), 0)

@@ -17,8 +17,8 @@ from graphamp.engine import (PANEL_ROWS, Observable, _pair_sweep,
                              norm_sq_observable, observe, run,
                              stationary_provider, step)
 from graphamp.graphs import EdgeId, line_graph, single_loop
-from graphamp.nonlinearity import (Entrywise, EntrywiseThenMix,
-                                   FromCallable, Identity, Nonlinearity)
+from graphamp.nonlinearity import (Entrywise, FromCallable, Identity,
+                                   LinearEntrywiseLinear, Nonlinearity)
 from helpers import default_prior
 
 
@@ -105,8 +105,9 @@ def _tanh_chain(n, d, q, seed):
     rng = np.random.default_rng(seed)
     A = rng.standard_normal((n, d)) / np.sqrt(d)
     fwd = EdgeId("sig", "obs")
-    mix = {e: EntrywiseThenMix(np.tanh, lambda x: 1.0 - np.tanh(x) ** 2,
-                               rng.standard_normal((q, q)))
+    mix = {e: LinearEntrywiseLinear(out_cols=q, phi=np.tanh,
+                                    dphi=lambda x: 1.0 - np.tanh(x) ** 2, L=[1.0],
+                                    R=rng.standard_normal((q, q)))
            for e in (fwd, fwd.reversed())}
     inst = GraphInstance(
         graph=line_graph(["sig", "obs"], [d, n], q=q), matrices={fwd: A},

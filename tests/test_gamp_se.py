@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from graphamp import NumericalError, gamp_se
+from graphamp import state_evolution
 from graphamp.gamp_se import (GaussBernoulliPrior, GlmScalars,
                               LinearGaussianChannel, LogisticChannel, QuadSpec,
                               RademacherPrior, gamp_overlap_se,
                               gaussian_piecewise_nodes, gh_points)
+from graphamp.nonlinearity import SideData
 from graphamp.prox import ProxSpec
 
 # frozen two-sided quadrature oracles for the soft-threshold instance
@@ -223,3 +225,27 @@ def test_priors_expose_second_moment_and_sampling():
     x = gb.sample(50_000, np.random.default_rng(0))
     assert abs(np.mean(x == 0.0) - 0.75) < 0.01
     assert abs(x.var() - 1.0) < 0.05
+
+
+@pytest.mark.parametrize("loss", ["squared", "logistic"])
+def test_residual_map_slopes_are_its_jacobian_diagonal(loss):
+    scalars = GlmScalars(penalty=ProxSpec("squared", gamma=1.0, weight=0.5), loss=loss)
+    h = scalars.residual_map(0.7)
+    rng = np.random.default_rng(8)
+    v = 2.0 * rng.normal(size=(300, 1))
+    side = SideData(arrays={"y": rng.choice([-1.0, 1.0], size=300)})
+    s = h.slopes([v], side)
+    assert s.shape == v.shape
+    # row-local: entry i of a central difference is d h_i / d v_i
+    step = 1e-4
+    fd = (h.apply([v + step], side) - h.apply([v - step], side)) / (2.0 * step)
+    assert np.max(np.abs(s - fd)) < 1e-6
+    assert np.sum(s) == pytest.approx(h.jacobian_trace([v], side)[0, 0], rel=1e-12)
+
+
+def test_squared_residual_takes_the_exact_route():
+    squared = GlmScalars(penalty=ProxSpec("abs", gamma=1.0, weight=1.0))
+    logistic = GlmScalars(penalty=ProxSpec("squared", gamma=1.0, weight=1.0),
+                          loss="logistic")
+    assert state_evolution._exact(squared.residual_map(0.5))
+    assert not state_evolution._exact(logistic.residual_map(0.5))

@@ -9,7 +9,7 @@ from graphamp import (CommitteeModel, GmmSpatialModel, MultilayerModel,
 from graphamp.engine import run
 from graphamp.graphs import EdgeId, edges_into
 from graphamp.models import committee
-from graphamp.models.glm import gamp_estimates, gamp_iterate_stats, kkt_residual
+from graphamp.models.glm import estimation_times, gamp_estimate, gamp_stats, kkt_residual
 from graphamp.models.gmm import (StackPenaltyProx, accuracy, classify, gmm_weights,
                                  ridge_baseline, sample_gmm_data)
 from graphamp.models.spiked import spiked_scalar_se
@@ -38,7 +38,7 @@ def test_ridge_fixed_point_matches_direct_solve():
     model = ridge_model(d=200, n=100, lam=1.2, prior=default_prior(), sigma=0.5)
     inst, teacher = build_gamp_instance(model, seed=1)
     traj = run(inst, 300)
-    xh = gamp_estimates(traj, model)[-1]
+    xh = gamp_estimate(traj, model, estimation_times(traj)[-1])
     A = inst.matrix(EdgeId("sig", "obs"))
     xd = ridge_direct(A, teacher.y, 1.2)
     assert np.linalg.norm(xh - xd) / np.linalg.norm(xd) < 1e-8
@@ -48,7 +48,7 @@ def test_lasso_fixed_point_satisfies_kkt():
     model = lasso_model(d=200, n=100, lam=1.2, prior=default_prior(), sigma=0.5)
     inst, teacher = build_gamp_instance(model, seed=2)
     traj = run(inst, 400)
-    xh = gamp_estimates(traj, model)[-1]
+    xh = gamp_estimate(traj, model, estimation_times(traj)[-1])
     A = inst.matrix(EdgeId("sig", "obs"))
     assert kkt_residual(model, A, teacher.y, xh) < 1e-8
     xf = fista_lasso(A, teacher.y, 1.2, iters=8000)
@@ -59,11 +59,11 @@ def test_logistic_fixed_point_satisfies_kkt_with_positive_overlap():
     model = logistic_model(d=300, n=450, lam=0.3, prior=default_prior())
     inst, teacher = build_gamp_instance(model, seed=3)
     traj = run(inst, 60)
-    xh = gamp_estimates(traj, model)[-1]
+    t = estimation_times(traj)[-1]
+    xh = gamp_estimate(traj, model, t)
     A = inst.matrix(EdgeId("sig", "obs"))
     assert kkt_residual(model, A, teacher.y, xh) < 1e-8
-    stats = gamp_iterate_stats(traj, model, teacher)
-    assert stats[-1].m > 0.3
+    assert gamp_stats(traj, model, teacher, t).m > 0.3
 
 
 def test_depth_one_multilayer_is_a_stationary_line_graph():

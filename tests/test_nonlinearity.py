@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from graphamp.nonlinearity import (Entrywise, EntrywiseThenMix, FromCallable,
+from graphamp.nonlinearity import (Entrywise, FromCallable,
                                    Identity, LinearEntrywiseLinear, SideData,
                                    Zero, fd_jacobian_trace)
 
@@ -40,7 +40,8 @@ def test_entrywise_relu_fd_agreement_off_kink():
 
 def test_entrywise_then_mix_matrix_jacobian():
     R = np.array([[0.9, 0.25], [-0.15, 0.8]])
-    f = EntrywiseThenMix(np.tanh, lambda x: 1.0 - np.tanh(x) ** 2, R)
+    f = LinearEntrywiseLinear(out_cols=2, phi=np.tanh,
+                              dphi=lambda x: 1.0 - np.tanh(x) ** 2, L=[1.0], R=R)
     x = np.random.default_rng(3).normal(size=(25, 2))
     assert np.allclose(f.apply([x]), np.tanh(x) @ R)
     an = f.jacobian_trace([x])

@@ -4,7 +4,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from graphamp import CommitteeModel, GraphInstance, build_committee_instance
+from graphamp import (CommitteeModel, GraphInstance, NumericalError,
+                      build_committee_instance)
 from graphamp import state_evolution
 from graphamp.engine import run, stationary_provider
 from graphamp.graphs import EdgeId, single_loop
@@ -569,3 +570,12 @@ def test_closed_form_takes_correlation_one_as_its_limit(monkeypatch, r):
             E = state_evolution._phi_moments(f, C)
             want = _on_a_line(lambda x: np.clip(x, -1.0, 1.0), kinks, sd * [1.0, r, 1.0])
             assert np.abs(E - want).max() <= 1e-12 * np.abs(want).max(), (s1, s2)
+
+
+def test_nonfinite_kernel_aborts_naming_edge_and_time():
+    # phi = 1e3 x multiplies the kernel by 1e6 a step from K^1 = 1e6, so
+    # K^52 = 1e312 overflows; the recursion must not carry it on
+    inst, loop = _loop_instance(Entrywise(pieces=((1e3, 0.0),)), n=50)
+    with pytest.raises(NumericalError, match="not finite") as ei:
+        se_run(inst, 60)
+    assert (ei.value.edge, ei.value.t) == (str(loop), 52)
