@@ -16,8 +16,6 @@ from .graphs import (EdgeId, GraphSpec, canonical_edge_order, edges_into,
 from .nonlinearity import (Entrywise, FromCallable, Identity,
                            LinearEntrywiseLinear, Nonlinearity, SideData,
                            Zero, fd_jacobian_trace)
-from .prox import (ProxSpec, penalty_grad, penalty_value, prox,
-                   prox_deriv, soft_threshold)
 from .ensembles import normals, sample_goe, sample_iid, stream
 from .engine import (AmpTrajectory, GraphInstance, Observable, init,
                      norm_sq_observable, observe, run, stationary_provider,
@@ -35,9 +33,8 @@ from .models import (CommitteeModel, GlmModel, GlmTeacher, GmmSpatialModel,
                      LayerSpec, MultilayerModel, SpikedModel,
                      build_committee_instance, build_gamp_instance,
                      build_gmm_spatial_instance, build_multilayer_instance,
-                     build_spiked_instance, kkt_residual, lasso_model,
-                     layer_specs, logistic_model, ridge_model,
-                     spiked_scalar_se)
+                     build_spiked_instance, lasso_model, layer_specs,
+                     logistic_model, ridge_model, spiked_scalar_se)
 
 __version__ = "0.1.0"
 
@@ -47,8 +44,6 @@ __all__ = [
     "line_graph", "require_valid", "single_loop", "validate",
     "Entrywise", "FromCallable", "Identity",
     "LinearEntrywiseLinear", "Nonlinearity", "SideData", "Zero", "fd_jacobian_trace",
-    "ProxSpec", "penalty_grad", "penalty_value", "prox",
-    "prox_deriv", "soft_threshold",
     "normals", "sample_goe", "sample_iid", "stream",
     "AmpTrajectory", "GraphInstance", "Observable", "init",
     "norm_sq_observable", "observe", "run", "stationary_provider", "step",
@@ -64,6 +59,6 @@ __all__ = [
     "LayerSpec", "MultilayerModel", "SpikedModel",
     "build_committee_instance", "build_gamp_instance",
     "build_gmm_spatial_instance", "build_multilayer_instance",
-    "build_spiked_instance", "kkt_residual", "lasso_model", "layer_specs",
+    "build_spiked_instance", "lasso_model", "layer_specs",
     "logistic_model", "ridge_model", "spiked_scalar_se",
 ]

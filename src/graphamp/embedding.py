@@ -305,13 +305,3 @@ def verify_equivalence(instance: GraphInstance, T: int, seed: int = 0) -> Equiva
             raise failed[0]
     return report
 
-
-def onsager_block_pattern_err(layout: BlockLayout, B: np.ndarray) -> float:
-    """Largest absolute entry of B outside the (cols(e), cols(rev e))
-    sparsity pattern; zero for a correctly assembled Jacobian sum."""
-    mask = np.ones_like(B, dtype=bool)
-    for e in layout.order:
-        mask[layout.col_slices[e], layout.col_slices[e.reversed()]] = False
-    if not mask.any():
-        return 0.0
-    return float(np.max(np.abs(B[mask]))) if B[mask].size else 0.0

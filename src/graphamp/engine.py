@@ -276,6 +276,8 @@ def step(instance: GraphInstance, traj: AmpTrajectory) -> AmpTrajectory:
     out_blocks raises ShapeError.  At t = 0 it warns, and sets
     traj.zero_start, when no edge has a live block: every x^1 is then
     zero, and odd maps keep the iteration at the all-zero fixed point.
+    A NumericalError raised with no edge while f^t_e, m^t_e or b^t_e is
+    formed gets e and t.
     """
     g = instance.graph
     t = traj.T
@@ -285,26 +287,33 @@ def step(instance: GraphInstance, traj: AmpTrajectory) -> AmpTrajectory:
     live: Dict[EdgeId, list] = {}
     whole = set()  # live, with no out_blocks declared
     b_prev = {e: traj.b[e][t - 1] for e in order} if t else None
-    for e in order:
-        f = instance.provider(e, t, b_prev)
-        inputs = [traj.x[ein][t] for ein in edges_into(g, e)]
-        m = np.asarray(f.apply(inputs, side=instance.side_data(e)), dtype=float)
-        if m.shape != g.m_shape(e):
-            raise ShapeError(f"f for {e} returned shape {m.shape}, expected {g.m_shape(e)}")
-        if not np.all(np.isfinite(m)):
-            raise NumericalError("update function produced non-finite values", edge=str(e), t=t)
-        ms[e] = m
-        live[e] = _live_blocks(f, m, e, t)
-        if live[e] and not f.out_blocks:
-            whole.add(e)
-        bs[e] = onsager(instance, e, t, f, inputs)
-    if t == 0 and not any(live.values()):
-        traj.zero_start = True
-        warnings.warn("step 0 wrote no nonzero output, so every x^1 is zero; odd "
-                      "maps keep the iteration at the all-zero fixed point", stacklevel=2)
     xs: Dict[EdgeId, np.ndarray] = {}
-    # overflow surfaces through the isfinite guard, not a warning
-    with np.errstate(over="ignore", invalid="ignore"):
+    # overflow and division by zero surface through the isfinite guards,
+    # not as warnings
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for e in order:
+            try:
+                f = instance.provider(e, t, b_prev)
+                inputs = [traj.x[ein][t] for ein in edges_into(g, e)]
+                m = np.asarray(f.apply(inputs, side=instance.side_data(e)), dtype=float)
+                if m.shape != g.m_shape(e):
+                    raise ShapeError(f"f for {e} returned shape {m.shape}, "
+                                     f"expected {g.m_shape(e)}")
+                if not np.all(np.isfinite(m)):
+                    raise NumericalError("update function produced non-finite values")
+                ms[e] = m
+                live[e] = _live_blocks(f, m, e, t)
+                if live[e] and not f.out_blocks:
+                    whole.add(e)
+                bs[e] = onsager(instance, e, t, f, inputs)
+            except NumericalError as ex:
+                if ex.edge is None:
+                    ex.edge, ex.t = str(e), t
+                raise
+        if t == 0 and not any(live.values()):
+            traj.zero_start = True
+            warnings.warn("step 0 wrote no nonzero output, so every x^1 is zero; odd "
+                          "maps keep the iteration at the all-zero fixed point", stacklevel=2)
         for key in instance.matrices:
             rev = key.reversed()
             if not key.is_loop() and key in whole and rev in whole:

@@ -29,6 +29,9 @@ started from h_0 evaluated at v = 0, the v-step of t = 0.  Here e_t(u)
 its pieces (GlmScalars.signal_map), and h_t(v, y) the residual of the
 loss prox at scale beta_t (GlmScalars.residual_map): the maps the
 iteration applies, integrated through their apply and slopes.
+GlmScalars names the penalty by its kind and weight lam, and the loss;
+the logistic loss prox has no closed form and is solved entrywise by
+safeguarded Newton (LogisticResidual).
 
 Expectations run on tensorized Gauss-Hermite grids by default, or by
 seeded Monte Carlo.  Each quadrature rule (Gauss-Hermite nodes and the
@@ -49,8 +52,7 @@ import numpy as np
 from .ensembles import normals, stream, uniforms
 from .errors import NumericalError
 from .nonlinearity import (AffineResidual, Entrywise, LinearEntrywiseLinear,
-                           Nonlinearity, SideData)
-from .prox import ProxSpec, prox, prox_deriv, soft_threshold_pieces
+                           Nonlinearity, SideData, soft_threshold_pieces)
 
 DEFAULT_GH_NODES = 61
 
@@ -236,30 +238,34 @@ class LogisticChannel(Channel):
 
 @dataclass(frozen=True)
 class GlmScalars:
-    """Coordinatewise update maps of the two-phase iteration.
+    """Coordinatewise update maps of the two-phase iteration solving
+    min_x sum loss(y, Ax) + sum penalty(x).
 
-    e_t(u) = prox_{alpha penalty}(alpha u) on the estimation side, a
-    map linear between its kinks (signal_map), and h_t(v, y) =
-    (prox_{beta loss(., y)}(v) - v) / beta on the observation side
-    (residual_map).  These are the maps the iteration applies, and the
-    overlap recursion integrates them.
+    The penalty is lam |x| ("abs") or lam x^2 / 2 ("squared"); the loss
+    (y - z)^2 / 2 ("squared") or log(1 + exp(-y z)), y = +-1
+    ("logistic").  e_t(u) = prox_{alpha penalty}(alpha u) on the
+    estimation side, a map linear between its kinks (signal_map), and
+    h_t(v, y) = (prox_{beta loss(., y)}(v) - v) / beta on the
+    observation side (residual_map): the maps the iteration applies and
+    the overlap recursion integrates.
     """
 
-    penalty: ProxSpec
+    penalty: str
+    lam: float
     loss: str = "squared"
 
     def __post_init__(self):
         if self.loss not in ("squared", "logistic"):
             raise ValueError(f"unknown loss {self.loss!r}")
-        if self.penalty.kind not in ("abs", "squared"):
-            raise ValueError(f"unknown penalty {self.penalty.kind!r}")
+        if self.penalty not in ("abs", "squared"):
+            raise ValueError(f"unknown penalty {self.penalty!r}")
 
     def signal_map(self, alpha: float) -> LinearEntrywiseLinear:
         """e_t at scale alpha, u -> prox_{alpha penalty}(alpha u), given by
-        its pieces: alpha soft_threshold(u, weight) for "abs", the slope
-        alpha / (1 + alpha weight) for "squared"."""
-        alpha, w = float(alpha), self.penalty.weight
-        if self.penalty.kind == "abs":
+        its pieces: alpha soft_threshold(u, lam) for "abs", the slope
+        alpha / (1 + alpha lam) for "squared"."""
+        alpha, w = float(alpha), self.lam
+        if self.penalty == "abs":
             kinks, pieces = soft_threshold_pieces(w, alpha)
             return Entrywise(kinks=kinks, pieces=pieces)
         return Entrywise(pieces=((alpha / (1.0 + alpha * w), 0.0),))
@@ -273,29 +279,71 @@ class GlmScalars:
         return LogisticResidual(beta)
 
 
+LOGISTIC_TOL = 1e-10
+LOGISTIC_MAX_ITERS = 100
+
+
+def _sigmoid(z):
+    out = np.empty_like(z, dtype=float)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def _logistic_prox(v, beta, y):
+    """prox_{beta loss(., y)}(v) for the logistic loss: the root p of
+    p - v - beta y sigmoid(-y p) = 0 per entry.
+
+    Safeguarded Newton: the residual is strictly increasing in p with
+    slope >= 1, and the root lies in [v - beta, v + beta]; iterates are
+    clamped to the shrinking bracket.
+    """
+    lo, hi, p = v - beta, v + beta, v.copy()
+    for _ in range(LOGISTIC_MAX_ITERS):
+        s = _sigmoid(-y * p)
+        res = p - v - beta * y * s
+        below = res < 0
+        lo, hi = np.where(below, p, lo), np.where(below, hi, p)
+        p_new = p - res / (1.0 + beta * s * (1.0 - s))
+        p_new = np.where((p_new < lo) | (p_new > hi), 0.5 * (lo + hi), p_new)
+        if np.max(np.abs(res)) < LOGISTIC_TOL and np.max(np.abs(p_new - p)) < LOGISTIC_TOL:
+            return p_new
+        p = p_new
+    worst = float(np.max(np.abs(p - v - beta * y * _sigmoid(-y * p))))
+    if worst > 100 * LOGISTIC_TOL:
+        raise NumericalError(f"logistic prox did not converge, residual {worst:.3e}")
+    return p
+
+
 class LogisticResidual(Nonlinearity):
-    """v -> (prox_{beta loss(., y)}(v) - v) / beta for the logistic loss,
-    entrywise, with the labels y = +-1 taken from side data "y"."""
+    """v -> (p - v) / beta for the logistic loss, p = prox_{beta loss(., y)}(v)
+    (_logistic_prox), entrywise, with the labels y = +-1 taken from side
+    data "y"."""
 
     row_local = True
 
     def __init__(self, beta: float):
         self.beta = float(beta)
-        self.spec = ProxSpec(kind="logistic", gamma=self.beta)
 
-    def _labelled(self, inputs, side):
+    def _prox(self, inputs, side):
         (v,) = inputs
         v = np.asarray(v, dtype=float)
-        return v, side.array("y").reshape(v.shape)
+        y = np.asarray(side.array("y"), dtype=float).reshape(v.shape)
+        return v, y, _logistic_prox(v, self.beta, y)
 
     def apply(self, inputs, side=None):
-        v, y = self._labelled(inputs, side)
-        return (prox(self.spec, v, labels=y) - v) / self.beta
+        v, _, p = self._prox(inputs, side)
+        return (p - v) / self.beta
 
     def slopes(self, inputs, side=None) -> np.ndarray:
-        """d h_i / d v_i entrywise; they sum to jacobian_trace."""
-        v, y = self._labelled(inputs, side)
-        return (prox_deriv(self.spec, v, labels=y) - 1.0) / self.beta
+        """d h_i / d v_i entrywise, from dp/dv = 1 / (1 + beta s (1 - s)),
+        s = sigmoid(-y p), the derivative of the optimality equation;
+        they sum to jacobian_trace."""
+        _, y, p = self._prox(inputs, side)
+        s = _sigmoid(-y * p)
+        return (1.0 / (1.0 + self.beta * s * (1.0 - s)) - 1.0) / self.beta
 
     def jacobian_trace(self, inputs, side=None, wrt=0):
         return np.array([[float(np.sum(self.slopes(inputs, side)))]])
@@ -402,6 +450,8 @@ def gamp_overlap_se(prior: Prior, channel: Channel, scalars: GlmScalars, delta: 
 
     Returns points [0..T]; point t = 0 holds the init scalars, point t
     holds the u-field of iteration t and the quantities derived from it.
+    A NumericalError raised in the v-step of t (a logistic prox that
+    does not converge) names t.
     """
     quad = quad or QuadSpec()
     rho = prior.rho
@@ -419,9 +469,12 @@ def gamp_overlap_se(prior: Prior, channel: Channel, scalars: GlmScalars, delta: 
             pt = GampSePoint(t=t, nu=nu, kappa2=kappa2, alpha=alpha, m=m, p=p,
                              mse=mse, kappa1=kappa1, beta=beta_t)
         if t < T:
-            with np.errstate(divide="ignore", invalid="ignore"):
-                e_sh, e_h2, e_dh = _v_expectations(channel, scalars, m, kappa1, rho,
-                                                   pt.beta, quad, v_base)
+            try:
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    e_sh, e_h2, e_dh = _v_expectations(channel, scalars, m, kappa1, rho,
+                                                       pt.beta, quad, v_base)
+            except NumericalError as ex:
+                raise NumericalError(f"{ex} at t={t}") from ex
             d = delta * e_dh
             if not math.isfinite(d) or abs(d) < 1e-14:
                 raise NumericalError(

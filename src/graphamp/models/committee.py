@@ -23,8 +23,8 @@ import numpy as np
 from ..engine import GraphInstance, stationary_provider
 from ..ensembles import normals, sample_iid, stream
 from ..graphs import EdgeId, line_graph
-from ..nonlinearity import AffineResidual, LinearEntrywiseLinear, SideData
-from ..prox import soft_threshold_pieces
+from ..nonlinearity import (AffineResidual, LinearEntrywiseLinear, SideData,
+                            soft_threshold_pieces)
 
 
 R = np.array([[0.9, 0.25], [-0.15, 0.8]])

@@ -15,8 +15,11 @@ alpha_t = -1/<h_{t-1}'> and beta_t = <e_t'>, both recoverable from the
 stored correction coefficients (the variance base is d, so b = J/d is
 exactly the d-normalized average derivative).
 
-Fixed points solve min_x sum loss(y, (Ax)) + penalty(x) exactly; the
-scalar overlap recursion (gamp_overlap_se) predicts the observables.
+Fixed points solve min_x sum loss(y, (Ax)) + penalty(x) exactly, for
+the penalty kind, its weight lam and the loss that GlmScalars names
+(lasso: abs + squared, ridge: squared + squared, logistic: squared +
+logistic); the scalar overlap recursion (gamp_overlap_se) predicts the
+observables.
 """
 
 from __future__ import annotations
@@ -33,7 +36,6 @@ from ..gamp_se import (Channel, GlmScalars, LinearGaussianChannel,
                        LogisticChannel, Prior)
 from ..graphs import EdgeId, line_graph
 from ..nonlinearity import SideData, Zero
-from ..prox import ProxSpec, penalty_grad
 
 
 @dataclass(frozen=True)
@@ -51,9 +53,8 @@ class GlmModel:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError(f"aspect: gives n = {self.n} rows, need >= 1")
-        lam = self.scalars.penalty.weight
-        if lam < 0:
-            raise ValueError(f"lam: must be >= 0, got {lam}")
+        if self.scalars.lam < 0:
+            raise ValueError(f"lam: must be >= 0, got {self.scalars.lam}")
         if self.scalars.loss == "logistic" and self.beta0 <= 0:
             raise ValueError("beta0: the logistic loss prox needs beta0 > 0, "
                              f"got {self.beta0}")
@@ -195,41 +196,19 @@ def gamp_stats(traj: AmpTrajectory, model: GlmModel, teacher: GlmTeacher,
     )
 
 
-def kkt_residual(model: GlmModel, A: np.ndarray, y: np.ndarray, xhat: np.ndarray) -> float:
-    """Sup-norm violation of the first-order conditions of
-    min_x sum loss(y, Ax) + penalty(x) at xhat."""
-    xhat = np.asarray(xhat, dtype=float).reshape(-1)
-    z = A @ xhat
-    if model.scalars.loss == "squared":
-        gz = z - y
-    else:
-        gz = -y / (1.0 + np.exp(y * z))
-    grad = A.T @ gz
-    pen = model.scalars.penalty
-    if pen.kind == "abs":
-        lam = pen.weight
-        on = np.abs(grad + lam * np.sign(xhat))
-        off = np.maximum(np.abs(grad) - lam, 0.0)
-        return float(np.max(np.where(xhat != 0.0, on, off)))
-    return float(np.max(np.abs(grad + penalty_grad(pen, xhat))))
-
-
 def lasso_model(d: int, n: int, lam: float, prior: Prior, sigma: float = 0.5,
                 beta0: float = 1.0) -> GlmModel:
     return GlmModel(d=d, n=n, prior=prior, channel=LinearGaussianChannel(sigma),
-                    scalars=GlmScalars(penalty=ProxSpec(kind="abs", gamma=1.0, weight=lam),
-                                       loss="squared"), beta0=beta0)
+                    scalars=GlmScalars("abs", lam), beta0=beta0)
 
 
 def ridge_model(d: int, n: int, lam: float, prior: Prior, sigma: float = 0.5,
                 beta0: float = 1.0) -> GlmModel:
     return GlmModel(d=d, n=n, prior=prior, channel=LinearGaussianChannel(sigma),
-                    scalars=GlmScalars(penalty=ProxSpec(kind="squared", gamma=1.0, weight=lam),
-                                       loss="squared"), beta0=beta0)
+                    scalars=GlmScalars("squared", lam), beta0=beta0)
 
 
 def logistic_model(d: int, n: int, lam: float, prior: Prior,
                    beta0: float = 1.0) -> GlmModel:
     return GlmModel(d=d, n=n, prior=prior, channel=LogisticChannel(),
-                    scalars=GlmScalars(penalty=ProxSpec(kind="squared", gamma=1.0, weight=lam),
-                                       loss="logistic"), beta0=beta0)
+                    scalars=GlmScalars("squared", lam, loss="logistic"), beta0=beta0)

@@ -34,12 +34,11 @@ from ..gamp_se import GaussBernoulliPrior, GlmScalars
 from ..graphs import EdgeId, edges_into, line_graph
 from ..nonlinearity import (AffineResidual, Entrywise, LinearEntrywiseLinear,
                             Nonlinearity, SideData)
-from ..prox import ProxSpec
 
 PRIOR = GaussBernoulliPrior()
 # Soft threshold small enough that typical interior fields (rms
 # around 0.15 for unit weights) are not annihilated.
-SIGNAL_PROX = ProxSpec(kind="abs", gamma=1.0, weight=0.05)
+SIGNAL_PROX = GlmScalars("abs", 0.05)
 # the weight of each of an interior node's two fields in zhat
 MIX = 0.5
 
@@ -168,7 +167,7 @@ def build_multilayer_instance(model: MultilayerModel, seed: int = 0):
 
     up = list(mats)
     fns = interior_messages(g, names, acts)
-    fns[up[0]] = GlmScalars(penalty=SIGNAL_PROX).signal_map(1.0)
+    fns[up[0]] = SIGNAL_PROX.signal_map(1.0)
     fns[up[-1].reversed()] = AffineResidual("y", den=2.0)
 
     instance = GraphInstance(

@@ -145,6 +145,12 @@ def _piecewise_linear(kinks, pieces):
     return phi, dphi
 
 
+def soft_threshold_pieces(thresh: float, slope: float):
+    """(kinks, pieces) of x -> slope * sign(x) max(|x| - thresh, 0)."""
+    cut = slope * thresh
+    return (-thresh, thresh), ((slope, cut), (0.0, 0.0), (slope, -cut))
+
+
 class LinearEntrywiseLinear(Nonlinearity):
     """f(X_1..X_k) = (Y + sum_j X_j M_j + phi(W) R) / den, W = sum_j X_j L_j.
 

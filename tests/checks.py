@@ -4,8 +4,10 @@ Each check Monte Carlos (or finite-differences) a stated identity and
 returns a CheckReport whose pass criterion is either a z-score gate
 (|measured - predicted| <= z_threshold * stderr) or a stated absolute
 tolerance.  The identities themselves are asymptotic; thresholds are
-chosen so the checks are stable at desk scale.  No run of the package
-reads them: they back the acceptance gates and tests/test_checks.py.
+chosen so the checks are stable at desk scale.  Two exact checks sit
+beside them: the Onsager block pattern of an embedded Jacobian sum and
+the KKT residual of a penalized-regression fixed point.  No run of the
+package reads them: they back the acceptance gates and the tests.
 """
 
 from __future__ import annotations
@@ -15,8 +17,10 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
+from graphamp.embedding import BlockLayout
 from graphamp.ensembles import normals, sample_goe, stream
 from graphamp.errors import NumericalError
+from graphamp.models.glm import GlmModel
 from graphamp.nonlinearity import FD_STEP, Nonlinearity, fd_jacobian_trace
 
 EIG_FLOOR = 1e-12
@@ -251,3 +255,32 @@ def opnorm_check(n_list: Sequence[int], seeds: Sequence[int], master_seed=0) -> 
                 abs_tol=5.0 * n ** (-1.0 / 3.0),
             ))
     return reports
+
+
+def onsager_block_pattern_err(layout: BlockLayout, B: np.ndarray) -> float:
+    """Largest absolute entry of B outside the (cols(e), cols(rev e))
+    sparsity pattern; zero for a correctly assembled Jacobian sum."""
+    mask = np.ones_like(B, dtype=bool)
+    for e in layout.order:
+        mask[layout.col_slices[e], layout.col_slices[e.reversed()]] = False
+    if not mask.any():
+        return 0.0
+    return float(np.max(np.abs(B[mask])))
+
+
+def kkt_residual(model: GlmModel, A: np.ndarray, y: np.ndarray, xhat: np.ndarray) -> float:
+    """Sup-norm violation of the first-order conditions of
+    min_x sum loss(y, Ax) + penalty(x) at xhat."""
+    xhat = np.asarray(xhat, dtype=float).reshape(-1)
+    z = A @ xhat
+    if model.scalars.loss == "squared":
+        gz = z - y
+    else:
+        gz = -y / (1.0 + np.exp(y * z))
+    grad = A.T @ gz
+    lam = model.scalars.lam
+    if model.scalars.penalty == "abs":
+        on = np.abs(grad + lam * np.sign(xhat))
+        off = np.maximum(np.abs(grad) - lam, 0.0)
+        return float(np.max(np.where(xhat != 0.0, on, off)))
+    return float(np.max(np.abs(grad + lam * xhat)))

@@ -16,8 +16,12 @@ from graphamp import (CommitteeModel, GaussBernoulliPrior, GmmSpatialModel,
                       MultilayerModel, SpikedModel, build_committee_instance,
                       build_gamp_instance, build_gmm_spatial_instance,
                       build_multilayer_instance, build_spiked_instance,
-                      lasso_model, layer_specs, logistic_model, ridge_model,
-                      soft_threshold)
+                      lasso_model, layer_specs, logistic_model, ridge_model)
+
+
+def soft_threshold(v, thresh):
+    """sign(v) max(|v| - thresh, 0), the reference soft threshold."""
+    return np.sign(v) * np.maximum(np.abs(v) - thresh, 0.0)
 
 
 def fista_lasso(A, y, lam, iters=20000):

@@ -14,8 +14,8 @@ import time
 import numpy as np
 
 from graphamp import (GaussBernoulliPrior, QuadSpec, build_gamp_instance,
-                      gamp_overlap_se, kkt_residual, lasso_model, ridge_model,
-                      soft_threshold, verify_equivalence)
+                      gamp_overlap_se, lasso_model, ridge_model,
+                      verify_equivalence)
 from graphamp.cli import main as cli_main
 from graphamp.engine import run
 from graphamp.ensembles import normals, stream
@@ -31,12 +31,12 @@ from graphamp.models.multilayer import (MIX, SIGNAL_PROX, InteriorMessage,
 from graphamp.nonlinearity import (AffineResidual, Entrywise, FromCallable,
                                    Identity, LinearEntrywiseLinear, SideData,
                                    Zero)
-from graphamp.prox import ProxSpec
 from graphamp.state_evolution import compare
 
-from checks import (goe_projection_checks, onsager_fd_check, opnorm_check,
-                    spectral_sqrt, stein_check)
-from helpers import default_prior, fista_lasso, read_report_csv, ridge_direct, zoo_instances
+from checks import (goe_projection_checks, kkt_residual, onsager_fd_check,
+                    opnorm_check, spectral_sqrt, stein_check)
+from helpers import (default_prior, fista_lasso, read_report_csv, ridge_direct,
+                     soft_threshold, zoo_instances)
 
 
 def _report(k, label, ok, detail=""):
@@ -293,21 +293,18 @@ def _nonlinearity_catalog(rng):
                         jac=affine_jac, row_local=True),
            lambda: ([smooth()], None, 0))
 
-    abs_scalars = GlmScalars(penalty=ProxSpec(kind="abs", gamma=1.0,
-                                              weight=0.8), loss="squared")
+    abs_scalars = GlmScalars("abs", 0.8)
     alpha = 0.9
     abs_prox = abs_scalars.signal_map(alpha)
     yield ("penalty_prox_abs", abs_prox,
            lambda: ([_away_from(smooth(), abs_prox.kinks)], None, 0))
-    sq_scalars = GlmScalars(penalty=ProxSpec(kind="squared", gamma=1.0,
-                                             weight=1.2), loss="squared")
+    sq_scalars = GlmScalars("squared", 1.2)
     yield ("penalty_prox_squared", sq_scalars.signal_map(0.7),
            lambda: ([smooth()], None, 0))
     yield ("residual_map_squared", sq_scalars.residual_map(0.6),
            lambda: ([smooth()],
                     SideData(arrays={"y": rng.normal(size=n)}), 0))
-    logi = GlmScalars(penalty=ProxSpec(kind="squared", gamma=1.0, weight=0.5),
-                      loss="logistic")
+    logi = GlmScalars("squared", 0.5, loss="logistic")
     yield ("residual_map_logistic", logi.residual_map(0.8),
            lambda: ([smooth()],
                     SideData(arrays={"y": rng.choice([-1.0, 1.0], size=n)}),
@@ -329,7 +326,7 @@ def _nonlinearity_catalog(rng):
            lambda: ([smooth(), smooth()], None, rng.integers(2)))
     yield ("interior_down", InteriorMessage("down", 0, 1),
            lambda: ([smooth(), smooth()], None, rng.integers(2)))
-    yield ("signal_prox", GlmScalars(penalty=SIGNAL_PROX).signal_map(1.0),
+    yield ("signal_prox", SIGNAL_PROX.signal_map(1.0),
            lambda: ([_away_from(smooth(), [-0.05, 0.05])], None, 0))
     yield ("affine_residual_den2", AffineResidual("y", den=2.0),
            lambda: ([smooth()],

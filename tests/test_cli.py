@@ -256,9 +256,10 @@ def test_model_too_large_to_allocate_exits_2(tmp_path, capsys, workers):
     assert not (out / "trajectory.csv").exists()
 
 
-@pytest.mark.filterwarnings("ignore:divide by zero")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_numerical_abort_exits_3_with_location(tmp_path, capsys):
-    # beta0 = -1 zeroes the residual denominator on the first half-step
+    # beta0 = -1 zeroes the residual denominator on the first half-step;
+    # the division is caught by the finiteness guard, not warned about
     cfg = _write(tmp_path, {
         "model": {"kind": "lasso", "d": 60, "aspect": 0.5, "lam": 1.0,
                   "beta0": -1.0},
@@ -266,8 +267,42 @@ def test_numerical_abort_exits_3_with_location(tmp_path, capsys):
     })
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
     err = capsys.readouterr().err
-    assert "numerical abort" in err
-    assert "edge obs->sig" in err and "step 0" in err
+    assert err.splitlines() == ["numerical abort at edge obs->sig, step 0: "
+                                "update function produced non-finite values"]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_gmm_zero_denominator_aborts_without_a_warning(tmp_path, capsys):
+    # beta0 = -1 makes the stacked residual 0 / 0 and x / 0 at step 0
+    cfg = _write(tmp_path, {"model": {"kind": "gmm_spatial", "K": 2, "d": 20,
+                                      "n_per_cluster": 15, "beta0": -1.0},
+                            "T": 6, "amp_seeds": [0]})
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+    assert capsys.readouterr().err.splitlines() == [
+        "numerical abort at edge obs->stack, step 0: "
+        "update function produced non-finite values"]
+
+
+# lam 0 on labels a hyperplane separates: the logistic prox's root runs
+# off as the scale beta grows, and its Newton solve stops unconverged
+SEPARABLE_LOGISTIC = {"kind": "logistic", "d": 200, "aspect": 2.0, "lam": 0.0}
+
+
+def test_unconverged_logistic_prox_names_the_edge_and_step(tmp_path, capsys):
+    cfg = _write(tmp_path, {"model": SEPARABLE_LOGISTIC, "T": 6, "amp_seeds": [0, 1]})
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("numerical abort at edge obs->sig, step 10: "
+                           "logistic prox did not converge, residual ")
+
+
+def test_unconverged_logistic_prox_names_the_overlap_recursion_time(tmp_path, capsys):
+    cfg = _write(tmp_path, {"model": {**SEPARABLE_LOGISTIC, "aspect": 1.0}, "T": 6,
+                            "amp_seeds": [0, 1]})
+    assert main(["se-only", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("numerical abort: logistic prox did not converge, residual ")
+    assert line.endswith(" at t=2")
 
 
 # large cluster means make the mean direction's loop gain far above 1

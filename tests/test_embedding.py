@@ -14,14 +14,15 @@ from graphamp import (CommitteeModel, GmmSpatialModel, MultilayerModel,
                       build_gmm_spatial_instance, build_multilayer_instance,
                       build_spiked_instance, ensembles, lasso_model,
                       layer_specs)
-from graphamp.embedding import (BlockLayout, embed, onsager_block_pattern_err,
-                                run_symmetric, verify_equivalence)
+from graphamp.embedding import (BlockLayout, embed, run_symmetric,
+                                verify_equivalence)
 from graphamp.engine import GraphInstance, run, stationary_provider
 from graphamp.errors import GraphError, NumericalError
 from graphamp.graphs import EdgeId, canonical_edge_order, line_graph, single_loop
 from graphamp.models.glm import build_gamp_instance
 from graphamp.nonlinearity import FromCallable, Nonlinearity
 
+from checks import onsager_block_pattern_err
 from helpers import StepRecorder, bounded_call, default_prior, traced_peak
 
 

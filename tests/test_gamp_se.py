@@ -10,7 +10,6 @@ from graphamp.gamp_se import (GaussBernoulliPrior, GlmScalars,
                               RademacherPrior, gamp_overlap_se,
                               gaussian_piecewise_nodes, gh_points)
 from graphamp.nonlinearity import SideData
-from graphamp.prox import ProxSpec
 
 # frozen two-sided quadrature oracles for the soft-threshold instance
 # lam = 0.6, delta = 0.5, sigma = 0.5, prior 0.25 * N(0, 4):
@@ -29,8 +28,7 @@ T1 = {
 
 def _lasso_pieces(lam=0.6, sigma=0.5):
     prior = GaussBernoulliPrior(eps=0.25, var=4.0)
-    scalars = GlmScalars(penalty=ProxSpec("abs", gamma=1.0, weight=lam),
-                         loss="squared")
+    scalars = GlmScalars("abs", lam)
     channel = LinearGaussianChannel(sigma)
     return prior, channel, scalars
 
@@ -94,9 +92,9 @@ def test_glm_scalars_reject_what_they_cannot_apply():
     # the signal-side map is given by its pieces for "abs" and "squared"
     # only; the logistic penalty has no pieces
     with pytest.raises(ValueError, match="unknown penalty"):
-        GlmScalars(penalty=ProxSpec("logistic", gamma=1.0))
+        GlmScalars("logistic", 1.0)
     with pytest.raises(ValueError, match="unknown loss"):
-        GlmScalars(penalty=ProxSpec("abs", gamma=1.0), loss="hinge")
+        GlmScalars("abs", 1.0, loss="hinge")
 
 
 def test_first_iteration_scalars_are_closed_form():
@@ -168,8 +166,7 @@ def test_mc_quadrature_tracks_gh():
 def test_logistic_gh_quadrature_runs_and_tracks_mc():
     # the logistic loss needs labels broadcast against the gh grid
     prior = GaussBernoulliPrior(eps=0.25, var=4.0)
-    scalars = GlmScalars(penalty=ProxSpec("abs", gamma=1.0, weight=0.5),
-                         loss="logistic")
+    scalars = GlmScalars("abs", 0.5, loss="logistic")
     channel = LogisticChannel()
     gh = gamp_overlap_se(prior, channel, scalars, delta=2.0, T=4, beta0=1.0)
     mc = gamp_overlap_se(prior, channel, scalars, delta=2.0, T=4, beta0=1.0,
@@ -192,8 +189,7 @@ def test_mc_quadrature_is_seed_deterministic():
 def test_vanishing_signal_forces_vanishing_overlap():
     # rho = 0 is rejected as degenerate; the overlap must scale away
     # linearly with the prior mass as rho -> 0
-    scalars = GlmScalars(penalty=ProxSpec("abs", gamma=1.0, weight=0.6),
-                         loss="squared")
+    scalars = GlmScalars("abs", 0.6)
     channel = LinearGaussianChannel(0.5)
     with pytest.raises(ValueError):
         gamp_overlap_se(GaussBernoulliPrior(eps=0.0, var=4.0), channel,
@@ -229,7 +225,7 @@ def test_priors_expose_second_moment_and_sampling():
 
 @pytest.mark.parametrize("loss", ["squared", "logistic"])
 def test_residual_map_slopes_are_its_jacobian_diagonal(loss):
-    scalars = GlmScalars(penalty=ProxSpec("squared", gamma=1.0, weight=0.5), loss=loss)
+    scalars = GlmScalars("squared", 0.5, loss=loss)
     h = scalars.residual_map(0.7)
     rng = np.random.default_rng(8)
     v = 2.0 * rng.normal(size=(300, 1))
@@ -244,8 +240,7 @@ def test_residual_map_slopes_are_its_jacobian_diagonal(loss):
 
 
 def test_squared_residual_takes_the_exact_route():
-    squared = GlmScalars(penalty=ProxSpec("abs", gamma=1.0, weight=1.0))
-    logistic = GlmScalars(penalty=ProxSpec("squared", gamma=1.0, weight=1.0),
-                          loss="logistic")
+    squared = GlmScalars("abs", 1.0)
+    logistic = GlmScalars("squared", 1.0, loss="logistic")
     assert state_evolution._exact(squared.residual_map(0.5))
     assert not state_evolution._exact(logistic.residual_map(0.5))

@@ -9,11 +9,12 @@ from graphamp import (CommitteeModel, GmmSpatialModel, MultilayerModel,
 from graphamp.engine import run
 from graphamp.graphs import EdgeId, edges_into
 from graphamp.models import committee
-from graphamp.models.glm import estimation_times, gamp_estimate, gamp_stats, kkt_residual
+from graphamp.models.glm import estimation_times, gamp_estimate, gamp_stats
 from graphamp.models.gmm import (StackPenaltyProx, accuracy, classify, gmm_weights,
                                  ridge_baseline, sample_gmm_data)
 from graphamp.models.spiked import spiked_scalar_se
 
+from checks import kkt_residual
 from helpers import default_prior, fista_lasso, ridge_direct
 
 # independent adaptive-quadrature values for the two-scalar spike

@@ -13,8 +13,7 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from graphamp import CommitteeModel, build_committee_instance
-from graphamp.embedding import (embed, onsager_block_pattern_err,
-                                verify_equivalence)
+from graphamp.embedding import embed, verify_equivalence
 import dataclasses
 
 from graphamp.engine import GraphInstance, run, stationary_provider
@@ -25,9 +24,9 @@ from graphamp.nonlinearity import (Entrywise, FromCallable,
                                    LinearEntrywiseLinear, SideData, sandwich)
 from graphamp.models.multilayer import ACTIVATIONS, SIGNAL_PROX, _activation
 from graphamp.gamp_se import GlmScalars
-from graphamp.prox import ProxSpec, prox, prox_deriv, soft_threshold
 from graphamp.state_evolution import se_run
-from helpers import soft_gaussian_moments
+from checks import onsager_block_pattern_err
+from helpers import soft_gaussian_moments, soft_threshold
 
 LAM = 0.3  # the soft threshold's level
 # name -> the LinearEntrywiseLinear arguments giving phi: phi and phi',
@@ -299,14 +298,18 @@ def _piecewise_maps(theta):
         return (lambda x: soft_threshold(x, t)), (lambda x: (np.abs(x) > t).astype(float))
 
     def penalty(kind, alpha, w):
-        spec = ProxSpec(kind, alpha, w)
-        f = GlmScalars(penalty=ProxSpec(kind, 1.0, w)).signal_map(alpha)
-        # the "squared" map is the slope alpha / (1 + alpha w) times u,
-        # which rounds differently from prox's alpha u / (1 + alpha w):
-        # two roundings either side, so within 4 units of rounding
-        return (f, lambda x: prox(spec, alpha * x),
-                lambda x: alpha * prox_deriv(spec, alpha * x),
-                0.0 if kind == "abs" else 2 * np.finfo(float).eps)
+        # the prox of alpha w |p| (the soft threshold at alpha w) or of
+        # alpha w p^2 / 2 (division by 1 + alpha w), taken at alpha u
+        f = GlmScalars(kind, w).signal_map(alpha)
+        if kind == "abs":
+            phi, dphi = soft(alpha * w)
+            return (f, lambda x: phi(alpha * x), lambda x: alpha * dphi(alpha * x), 0.0)
+        # the map is the slope alpha / (1 + alpha w) times u, which rounds
+        # differently from alpha u / (1 + alpha w): two roundings either
+        # side, so within 4 units of rounding
+        return (f, lambda x: alpha * x / (1.0 + alpha * w),
+                lambda x: np.full_like(x, alpha / (1.0 + alpha * w)),
+                2 * np.finfo(float).eps)
 
     inst, _ = build_committee_instance(CommitteeModel(d=2, n=2, theta=abs(theta)))
     committee = [f for f in (inst.provider(e, 0, None) for e in sorted(inst.graph.edges))
@@ -321,7 +324,7 @@ def _piecewise_maps(theta):
              lambda x: np.full_like(x, theta), 0.0),
             (Entrywise(**PHIS["soft"]), *soft(LAM), 0.0)] + [
         penalty(kind, alpha, w) for alpha in (1.0, 1.7)
-        for kind, w in [("abs", w) for w in (0.0, SIGNAL_PROX.weight, 1.2, abs(theta))]
+        for kind, w in [("abs", w) for w in (0.0, SIGNAL_PROX.lam, 1.2, abs(theta))]
         + [("squared", 1.2)]]
 
 

@@ -12,12 +12,11 @@ from graphamp.graphs import EdgeId, single_loop
 from graphamp.nonlinearity import (Entrywise, FromCallable, Identity,
                                    LinearEntrywiseLinear, Nonlinearity, Zero)
 from graphamp.gamp_se import gaussian_piecewise_nodes
-from graphamp.prox import soft_threshold
 from graphamp.state_evolution import (compare, mc_observable_stats, se_init,
                                       se_run, se_step, summarize)
 from graphamp.engine import observe
 from graphamp.ensembles import normals, sample_goe, stream
-from helpers import soft_gaussian_moments, traced_peak
+from helpers import soft_gaussian_moments, soft_threshold, traced_peak
 
 
 def relu(x):
