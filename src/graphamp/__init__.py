@@ -14,8 +14,7 @@ from .errors import (ConfigError, GraphError, GraphampError, NumericalError,
 from .graphs import (EdgeId, GraphSpec, canonical_edge_order, edges_into,
                      line_graph, require_valid, single_loop, validate)
 from .nonlinearity import (Entrywise, FromCallable, Identity,
-                           LinearEntrywiseLinear, Nonlinearity, SideData,
-                           Zero, fd_jacobian_trace)
+                           LinearEntrywiseLinear, Nonlinearity, SideData, Zero)
 from .ensembles import normals, sample_goe, sample_iid, stream
 from .engine import (AmpTrajectory, GraphInstance, Observable, init,
                      norm_sq_observable, observe, run, stationary_provider,
@@ -43,7 +42,7 @@ __all__ = [
     "EdgeId", "GraphSpec", "canonical_edge_order", "edges_into",
     "line_graph", "require_valid", "single_loop", "validate",
     "Entrywise", "FromCallable", "Identity",
-    "LinearEntrywiseLinear", "Nonlinearity", "SideData", "Zero", "fd_jacobian_trace",
+    "LinearEntrywiseLinear", "Nonlinearity", "SideData", "Zero",
     "normals", "sample_goe", "sample_iid", "stream",
     "AmpTrajectory", "GraphInstance", "Observable", "init",
     "norm_sq_observable", "observe", "run", "stationary_provider", "step",

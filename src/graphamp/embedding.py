@@ -89,9 +89,7 @@ class EmbeddedNonlinearity(Nonlinearity):
     applies f_e, writes sqrt(N/S_e) m_e at (rows(reversed e), cols(e)),
     its out_blocks, and zeros everywhere else, so the engine multiplies
     only the live blocks.  The diagonal Jacobian sum is assembled from
-    the per-edge sums of engine.jacobian_sum, so no finite differences
-    run on the big iterate, and an edge's own finite-difference trace
-    keeps the graph run's budget.
+    the per-edge sums of engine.jacobian_sum.
 
     b is the flattened loop's b^{t-1} (q_tot x q_tot; None at t = 0).
     Its block (cols(e), cols(e<-)) is sqrt(N/S_e) J_e / N, so times
@@ -103,7 +101,6 @@ class EmbeddedNonlinearity(Nonlinearity):
                  b: Optional[np.ndarray]):
         self.source = source
         self.layout = layout
-        self.t = t
         self.arity = 1
         self.out_cols = layout.q_tot
         self._scale = {e: math.sqrt(layout.N / source.scale(e)) for e in layout.order}
@@ -131,7 +128,7 @@ class EmbeddedNonlinearity(Nonlinearity):
         lay = self.layout
         B = np.zeros((lay.q_tot, lay.q_tot))
         for e in lay.order:
-            J = engine.jacobian_sum(self.source, e, self.t, self._fns[e], self._edge_inputs(X, e))
+            J = engine.jacobian_sum(self.source, e, self._fns[e], self._edge_inputs(X, e))
             B[lay.col_slices[e], lay.col_slices[e.reversed()]] = self._scale[e] * J
         return B
 

@@ -59,11 +59,6 @@ from .nonlinearity import Nonlinearity, SideData
 # coefficient b^{t-1}_e, and is None at t = 0 and in the state evolution.
 Provider = Callable[[EdgeId, int, Optional[Mapping[EdgeId, np.ndarray]]], Nonlinearity]
 
-# The finite-difference trace of a non-row-local update perturbs one
-# input entry per pair of applies, O(n^2 q) work in all; onsager refuses
-# it above this many entries (n * q of the perturbed block).
-FD_FALLBACK_MAX_ENTRIES = 512
-
 # Rows per panel: of the stored matrix that _pair_sweep reads, of a loop
 # matrix's symmetry check, and of sample_goe's G + G^T.
 PANEL_ROWS = 256
@@ -81,19 +76,18 @@ def stationary_provider(fns: Mapping[EdgeId, Nonlinearity]) -> Provider:
 
 def _loop_symmetry(A: np.ndarray, key: EdgeId) -> bool:
     """Whether loop matrix A is exactly symmetric; ShapeError unless it
-    is allclose to its transpose.  Each PANEL_ROWS row panel A[p] is
-    compared with the column strip A[:, p]^T, so no temporary is larger
-    than a panel: array_equal while the panels so far are exact, then
-    allclose, which sets what passes."""
-    exact = True
-    for lo in range(0, A.shape[0], PANEL_ROWS):
-        p = slice(lo, lo + PANEL_ROWS)
-        if exact and np.array_equal(A[p], A[:, p].T):
-            continue
-        exact = False
+    is allclose to its transpose.  The exact pass compares each pair of
+    PANEL_ROWS tiles P <= Q once, A[P, Q] with A[Q, P]^T.  Only if some
+    tile differs does allclose, which sets what passes, compare each row
+    panel A[p] with the column strip A[:, p]^T.  No temporary is larger
+    than a panel."""
+    tiles = [slice(lo, lo + PANEL_ROWS) for lo in range(0, A.shape[0], PANEL_ROWS)]
+    if all(np.array_equal(A[P, Q], A[Q, P].T) for i, P in enumerate(tiles) for Q in tiles[i:]):
+        return True
+    for p in tiles:
         if not np.allclose(A[p], A[:, p].T):
             raise ShapeError(f"loop matrix at {key.start} must be symmetric")
-    return exact
+    return False
 
 
 @dataclass
@@ -103,7 +97,7 @@ class GraphInstance:
 
     matrices holds one array per unordered pair, keyed by a single
     direction; the reversed direction is served as the transpose.  Loop
-    matrices must be symmetric, checked a row panel at a time, with no
+    matrices must be symmetric, checked a tile at a time, with no
     N x N temporary; exact_symmetric lists the exactly symmetric ones,
     whose products read row strips.  scale_base[e] is the ensemble variance
     base of A_e (entries ~ 1/S_e); both directions of a pair share it.
@@ -193,22 +187,12 @@ def init(instance: GraphInstance) -> AmpTrajectory:
                          m={e: [] for e in xs}, b={e: [] for e in xs})
 
 
-def jacobian_sum(instance: GraphInstance, e: EdgeId, t: int, f: Nonlinearity,
+def jacobian_sum(instance: GraphInstance, e: EdgeId, f: Nonlinearity,
                  inputs: List[np.ndarray]) -> np.ndarray:
     """J_e, the rowwise Jacobian of f^t_e at inputs summed with respect to
-    the reversed input edge, of shape q_e x q_{e<-}.  A finite-difference
-    trace of a non-row-local f over more than FD_FALLBACK_MAX_ENTRIES
-    entries raises NumericalError naming e and t."""
+    the reversed input edge, of shape q_e x q_{e<-}."""
     g = instance.graph
     wrt = reversed_input_index(g, e)
-    if not f.row_local and f.fd_trace:
-        n, qw = inputs[wrt].shape
-        if n * qw > FD_FALLBACK_MAX_ENTRIES:
-            raise NumericalError(
-                f"non-row-local update has no analytic jacobian_trace; its "
-                f"finite-difference trace over {n} x {qw} inputs would take "
-                f"{2 * n * qw} applies (budget {FD_FALLBACK_MAX_ENTRIES} entries)",
-                edge=str(e), t=t)
     J = f.jacobian_trace(inputs, side=instance.side_data(e), wrt=wrt)
     J = np.atleast_2d(np.asarray(J, dtype=float))
     want = (g.q(e), g.q(e.reversed()))
@@ -217,10 +201,10 @@ def jacobian_sum(instance: GraphInstance, e: EdgeId, t: int, f: Nonlinearity,
     return J
 
 
-def onsager(instance: GraphInstance, e: EdgeId, t: int, f: Nonlinearity,
+def onsager(instance: GraphInstance, e: EdgeId, f: Nonlinearity,
             inputs: List[np.ndarray]) -> np.ndarray:
     """Correction coefficient b^t_e = J_e / S_e (J_e: jacobian_sum)."""
-    return jacobian_sum(instance, e, t, f, inputs) / instance.scale(e)
+    return jacobian_sum(instance, e, f, inputs) / instance.scale(e)
 
 
 def _live_blocks(f: Nonlinearity, m: np.ndarray, e: EdgeId, t: int) -> list:
@@ -305,7 +289,7 @@ def step(instance: GraphInstance, traj: AmpTrajectory) -> AmpTrajectory:
                 live[e] = _live_blocks(f, m, e, t)
                 if live[e] and not f.out_blocks:
                     whole.add(e)
-                bs[e] = onsager(instance, e, t, f, inputs)
+                bs[e] = onsager(instance, e, f, inputs)
             except NumericalError as ex:
                 if ex.edge is None:
                     ex.edge, ex.t = str(e), t

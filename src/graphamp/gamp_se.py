@@ -320,18 +320,25 @@ def _logistic_prox(v, beta, y):
 class LogisticResidual(Nonlinearity):
     """v -> (p - v) / beta for the logistic loss, p = prox_{beta loss(., y)}(v)
     (_logistic_prox), entrywise, with the labels y = +-1 taken from side
-    data "y"."""
+    data "y".  slopes and jacobian_trace reuse the p that apply solved
+    for when given the same input array and side data objects, which the
+    engine and the overlap recursion do not change in between."""
 
     row_local = True
 
     def __init__(self, beta: float):
         self.beta = float(beta)
+        self._last = None
 
     def _prox(self, inputs, side):
+        """(v, y, p), solving only for a new input array or side data."""
         (v,) = inputs
-        v = np.asarray(v, dtype=float)
-        y = np.asarray(side.array("y"), dtype=float).reshape(v.shape)
-        return v, y, _logistic_prox(v, self.beta, y)
+        last = self._last
+        if last is None or last[0] is not v or last[1] is not side:
+            x = np.asarray(v, dtype=float)
+            y = np.asarray(side.array("y"), dtype=float).reshape(x.shape)
+            last = self._last = (v, side, x, y, _logistic_prox(x, self.beta, y))
+        return last[2:]
 
     def apply(self, inputs, side=None):
         v, _, p = self._prox(inputs, side)

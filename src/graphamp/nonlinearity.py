@@ -30,10 +30,8 @@ class SideData:
 
 
 class Nonlinearity:
-    """Base class; subclasses implement apply and, ideally, an analytic
-    jacobian_trace.  The default jacobian_trace falls back to central
-    finite differences (O(n q) applies when row_local, O(n^2 q) else).
-    """
+    """Base class; subclasses implement apply and an analytic
+    jacobian_trace."""
 
     arity: int = 1
     out_cols: int = 1
@@ -51,12 +49,7 @@ class Nonlinearity:
         raise NotImplementedError
 
     def jacobian_trace(self, inputs, side=None, wrt: int = 0) -> np.ndarray:
-        return fd_jacobian_trace(self, inputs, side=side, wrt=wrt)
-
-    @property
-    def fd_trace(self) -> bool:
-        """True when jacobian_trace is the finite-difference fallback."""
-        return type(self).jacobian_trace is Nonlinearity.jacobian_trace
+        raise NotImplementedError(f"{type(self).__name__} states no jacobian_trace")
 
     def check_inputs(self, inputs):
         if len(inputs) != self.arity:
@@ -67,7 +60,9 @@ class Nonlinearity:
 
 
 def fd_jacobian_trace(f: Nonlinearity, inputs, side=None, wrt=0) -> np.ndarray:
-    """Central-difference Jacobian trace, step h = cbrt(eps) * (1 + |x|)."""
+    """Central-difference Jacobian trace, step h = cbrt(eps) * (1 + |x|):
+    the oracle the tests hold each analytic trace to (O(n q) applies
+    when f is row_local, O(n^2 q) else); the engine never calls it."""
     inputs = [np.asarray(x, dtype=float) for x in inputs]
     X = inputs[wrt]
     n, qw = X.shape
@@ -275,10 +270,10 @@ def AffineResidual(name: str, C=1.0, den=1.0) -> LinearEntrywiseLinear:
 
 
 class FromCallable(Nonlinearity):
-    """Adapter for ad-hoc functions; Jacobian trace by finite differences
-    unless an analytic jac(inputs, side, wrt) is supplied."""
+    """Adapter for ad-hoc functions fn(inputs, side), with the analytic
+    Jacobian trace jac(inputs, side, wrt)."""
 
-    def __init__(self, fn, out_cols=1, arity=1, jac=None, row_local=False):
+    def __init__(self, fn, out_cols=1, arity=1, *, jac, row_local=False):
         self.fn = fn
         self.out_cols = out_cols
         self.arity = arity
@@ -290,11 +285,5 @@ class FromCallable(Nonlinearity):
         return self.fn(inputs, side)
 
     def jacobian_trace(self, inputs, side=None, wrt=0):
-        if self.jac is not None:
-            return self.jac(inputs, side, wrt)
-        return fd_jacobian_trace(self, inputs, side=side, wrt=wrt)
-
-    @property
-    def fd_trace(self) -> bool:
-        return self.jac is None
+        return self.jac(inputs, side, wrt)
 

@@ -1,6 +1,5 @@
 import glob
 import os
-import time
 import warnings
 
 import numpy as np
@@ -18,7 +17,8 @@ from graphamp.engine import (PANEL_ROWS, Observable, _pair_sweep,
                              stationary_provider, step)
 from graphamp.graphs import EdgeId, line_graph, single_loop
 from graphamp.nonlinearity import (Entrywise, FromCallable, Identity,
-                                   LinearEntrywiseLinear, Nonlinearity)
+                                   LinearEntrywiseLinear, Nonlinearity,
+                                   fd_jacobian_trace)
 from helpers import default_prior
 
 
@@ -420,12 +420,14 @@ def test_divergence_aborts_with_location():
     assert ei.value.t is not None and ei.value.t > 1
 
 
-def _centering_chain(n):
-    """Chain whose forward update centers its input: not row-local, and
-    FromCallable without jac, so its trace is the FD fallback."""
+def test_non_row_local_trace_matches_the_fd_oracle():
+    # the forward update centers its input, so row i of its output reads
+    # every row; d/dx_i of (x_i - mean x) summed over rows is n - 1
+    n = 40
     g = line_graph(["sig", "obs"], [n, 10])
     fwd = EdgeId("sig", "obs")
-    center = FromCallable(lambda inputs, side: inputs[0] - inputs[0].mean(axis=0))
+    center = FromCallable(lambda inputs, side: inputs[0] - inputs[0].mean(axis=0),
+                          jac=lambda inputs, side, wrt: np.array([[len(inputs[0]) - 1.0]]))
     A = np.random.default_rng(2).normal(size=(10, n)) / np.sqrt(n)
     inst = GraphInstance(
         graph=g,
@@ -433,27 +435,12 @@ def _centering_chain(n):
         provider=stationary_provider({fwd: center, fwd.reversed(): Identity()}),
         x0={fwd.reversed(): np.ones((n, 1))},
     )
-    return inst, fwd
-
-
-def test_costly_fd_fallback_aborts_with_location():
-    inst, fwd = _centering_chain(2000)
-    start = time.perf_counter()
-    with pytest.raises(NumericalError, match="analytic jacobian_trace") as ei:
-        run(inst, 2)
-    assert time.perf_counter() - start < 1.0
-    assert ei.value.edge == str(fwd)
-    assert ei.value.t == 0
-
-
-def test_fd_fallback_within_budget_still_runs():
-    n = 40
-    inst, fwd = _centering_chain(n)
     # the centred ones and the identity of zeros both write zeros
     with pytest.warns(UserWarning, match="all-zero"):
         traj = run(inst, 2)
-    # d/dx_i of (x_i - mean x) summed over rows is n - 1
-    assert traj.b[fwd][0][0, 0] == pytest.approx((n - 1) / inst.scale(fwd), rel=1e-6)
+    assert traj.b[fwd][0][0, 0] == (n - 1) / inst.scale(fwd)
+    x = np.random.default_rng(3).normal(size=(n, 1))
+    assert fd_jacobian_trace(center, [x])[0, 0] == pytest.approx(n - 1, rel=1e-6)
 
 
 def sample_goe_like(n):
@@ -470,6 +457,7 @@ def test_nonfinite_message_aborts():
         matrices={loop: np.eye(4)},
         provider=stationary_provider(
             {loop: FromCallable(lambda inputs, side: inputs[0] / 0.0,
+                                jac=lambda inputs, side, wrt: np.array([[np.inf]]),
                                 row_local=True)}),
         x0={loop: np.ones((4, 1))},
     )
@@ -486,6 +474,7 @@ def test_wrong_output_shape_is_rejected():
         matrices={loop: np.eye(4)},
         provider=stationary_provider(
             {loop: FromCallable(lambda inputs, side: inputs[0][:2],
+                                jac=lambda inputs, side, wrt: np.array([[2.0]]),
                                 row_local=True)}),
         x0={loop: np.ones((4, 1))},
     )

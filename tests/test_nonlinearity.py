@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from graphamp.nonlinearity import (Entrywise, FromCallable,
-                                   Identity, LinearEntrywiseLinear, SideData,
-                                   Zero, fd_jacobian_trace)
+                                   Identity, LinearEntrywiseLinear, Nonlinearity,
+                                   SideData, Zero, fd_jacobian_trace)
 
 
 def test_identity_jacobian_is_row_count():
@@ -83,11 +83,16 @@ def test_from_callable_with_analytic_jacobian():
     assert np.allclose(fd_jacobian_trace(f, [x]), [[16.0]])
 
 
-def test_from_callable_defaults_to_fd():
-    f = FromCallable(lambda inputs, side: np.sin(inputs[0]), row_local=True)
-    x = np.random.default_rng(6).normal(size=(10, 1))
-    want = float(np.sum(np.cos(x)))
-    assert abs(float(f.jacobian_trace([x])[0, 0]) - want) < 1e-5
+def test_a_map_states_its_jacobian_trace():
+    with pytest.raises(TypeError, match="jac"):
+        FromCallable(lambda inputs, side: np.sin(inputs[0]), row_local=True)
+
+    class Bare(Nonlinearity):
+        def apply(self, inputs, side=None):
+            return inputs[0]
+
+    with pytest.raises(NotImplementedError, match="Bare"):
+        Bare().jacobian_trace([np.ones((3, 1))])
 
 
 def test_side_data_access():

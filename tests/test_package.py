@@ -2,6 +2,7 @@ import argparse
 import ast
 import importlib
 import os
+import pkgutil
 import re
 import runpy
 import subprocess
@@ -12,6 +13,7 @@ import pytest
 import graphamp
 import graphamp.models
 from graphamp import cli
+from graphamp.nonlinearity import Nonlinearity
 
 
 @pytest.mark.parametrize("module", [graphamp, graphamp.models],
@@ -92,6 +94,22 @@ def test_every_benchmark_trace_target_resolves():
     assert targets
     assert [f"{mod}.{attr}" for mod, attr, *_ in targets
             if not hasattr(importlib.import_module(mod), attr)] == []
+
+
+def test_every_map_states_its_jacobian_trace():
+    # the engine forms each Onsager term from jacobian_trace; a map that
+    # inherits Nonlinearity's would fail a run at step 0
+    for info in pkgutil.walk_packages(graphamp.__path__, "graphamp."):
+        importlib.import_module(info.name)
+    maps, todo = [], Nonlinearity.__subclasses__()
+    while todo:
+        cls = todo.pop()
+        todo.extend(cls.__subclasses__())
+        if cls.__module__.startswith("graphamp."):
+            maps.append(cls)
+    assert len(maps) > 2
+    assert [cls.__qualname__ for cls in maps
+            if cls.jacobian_trace is Nonlinearity.jacobian_trace] == []
 
 
 def _readme_block(heading):

@@ -7,8 +7,12 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from graphamp.gamp_se import GaussBernoulliPrior, GlmScalars, LogisticResidual
-from graphamp.models.glm import lasso_model, logistic_model, ridge_model
+from graphamp import gamp_se
+from graphamp.engine import run
+from graphamp.gamp_se import (GaussBernoulliPrior, GlmScalars, LogisticResidual,
+                              gamp_overlap_se)
+from graphamp.models.glm import (build_gamp_instance, lasso_model, logistic_model,
+                                 ridge_model)
 from graphamp.nonlinearity import Entrywise, SideData, soft_threshold_pieces
 
 from checks import kkt_residual
@@ -134,3 +138,24 @@ def test_prox_is_firmly_nonexpansive_scalar(v, alpha, lam, kind):
     w = v + 1.0
     ev, ew = f.phi(np.array([v, w]))
     assert abs(ev - ew) <= alpha * abs(w - v) + 1e-12 * alpha * (1.0 + abs(v))
+
+
+def test_logistic_residual_solves_once_per_step(monkeypatch):
+    # apply solves for the prox point; slopes and jacobian_trace on the
+    # same input array reuse it, and a new array solves again
+    calls = []
+    solve = gamp_se._logistic_prox
+    monkeypatch.setattr(gamp_se, "_logistic_prox",
+                        lambda *args: calls.append(1) or solve(*args))
+    model = logistic_model(d=200, n=400, lam=1.0, prior=GaussBernoulliPrior(eps=0.25, var=4.0))
+    inst, _ = build_gamp_instance(model, seed=0)
+    run(inst, 12)
+    assert len(calls) == 6
+    del calls[:]
+    gamp_overlap_se(model.prior, model.channel, model.scalars, delta=model.delta, T=6,
+                    beta0=model.beta0)
+    assert len(calls) == 6
+    h, v, side = LogisticResidual(1.0), np.array([[0.3], [-1.0]]), _labels([1.0, -1.0])
+    h.apply([v], side)
+    h.slopes([v.copy()], side)
+    assert len(calls) == 8

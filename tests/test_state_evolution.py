@@ -151,7 +151,8 @@ def _per_copy_twin(f, rows_seen):
     def fn(inputs, side):
         rows_seen.add(inputs[0].shape[0])
         return f.apply(inputs, side)
-    return FromCallable(fn, out_cols=f.out_cols, arity=f.arity, row_local=False)
+    return FromCallable(fn, out_cols=f.out_cols, arity=f.arity, jac=f.jacobian_trace,
+                        row_local=False)
 
 
 def test_non_row_local_update_takes_per_copy_path():
