@@ -102,15 +102,8 @@ def sample_spatially_coupled(
             f"({len(block_rows)}, {len(block_cols)})"
         )
     out = np.zeros((sum(block_rows), sum(block_cols)))
-    r0 = 0
-    for i, nr in enumerate(block_rows):
-        c0 = 0
-        for j, nc in enumerate(block_cols):
-            if sigma[i, j] > 0:
-                out[r0 : r0 + nr, c0 : c0 + nc] = normals(rng, (nr, nc)) * math.sqrt(
-                    sigma[i, j] / float(scale_N)
-                )
-            c0 += nc
-        r0 += nr
+    r, c = np.cumsum([0, *block_rows]), np.cumsum([0, *block_cols])
+    # block by block in row-major order, each drawn into place
+    for i, j in zip(*np.nonzero(sigma > 0)):
+        draw_rows(out[r[i]:r[i + 1], c[j]:c[j + 1]], rng, scale_N / sigma[i, j])
     return out
-

@@ -81,8 +81,6 @@ def build_spiked_instance(model: SpikedModel, seed: int = 0):
 
     W = sample_goe(N, stream(seed, "spiked", "W"), scale_N=N)
     Y = (math.sqrt(lam) / N) * np.outer(v0, v0) + W
-    # keep the loop matrix exactly symmetric against rounding
-    Y = 0.5 * (Y + Y.T)
 
     denoiser = _activation(model.denoiser, model.theta)
     loop = EdgeId("spike", "spike")

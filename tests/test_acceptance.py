@@ -18,7 +18,7 @@ from graphamp import (GaussBernoulliPrior, QuadSpec, build_gamp_instance,
                       verify_equivalence)
 from graphamp.cli import main as cli_main
 from graphamp.engine import run
-from graphamp.ensembles import normals, stream
+from graphamp.ensembles import stream
 from graphamp.gamp_se import GlmScalars
 from graphamp.graphs import EdgeId
 from graphamp.models import GmmSpatialModel, SpikedModel
@@ -343,14 +343,14 @@ def _nonlinearity_catalog(rng):
            lambda: ([smooth(2)],
                     SideData(arrays={"Y": rng.normal(size=(n, 2))}), 0))
 
-    gmodel = GmmSpatialModel(K=2, d=30, n_per_cluster=20, lam=1.1)
     covs, roots = [], []
     for k in range(2):
         q, _ = np.linalg.qr(rng.normal(size=(30, 30)))
         Sig = (q * rng.uniform(0.5, 2.0, size=30)) @ q.T
         covs.append(Sig)
         roots.append(spectral_sqrt(Sig))
-    stack = StackPenaltyProx(gmodel, roots, np.linalg.eigh(sum(covs)), alpha=0.7)
+    stack = StackPenaltyProx(np.vstack(roots), np.linalg.eigh(sum(covs)),
+                             lam=1.1, alpha=0.7)
     yield ("stack_penalty_prox", stack,
            lambda: ([rng.normal(size=(60, 2))], None, 0))
     yield ("affine_residual_q2", AffineResidual("y", den=1.9),

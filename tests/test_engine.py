@@ -14,7 +14,7 @@ from graphamp import config as config_mod
 from graphamp.engine import (PANEL_ROWS, Observable, _pair_sweep,
                              block_product, initial_iterates,
                              norm_sq_observable, observe, run,
-                             stationary_provider, step)
+                             stationary_provider)
 from graphamp.graphs import EdgeId, line_graph, single_loop
 from graphamp.nonlinearity import (Entrywise, FromCallable, Identity,
                                    LinearEntrywiseLinear, Nonlinearity,

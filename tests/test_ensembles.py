@@ -82,6 +82,21 @@ def test_samplers_scale_the_normals_exactly():
     for n in (5, 2 * PANEL_ROWS + 3):
         assert np.array_equal(sample_goe(n, stream(5, "scale"), scale_N=s),
                               _goe_reference(n, stream(5, "scale"), s))
+    # each sigma > 0 block takes the next draws in row-major block order,
+    # over more than one PANEL_ROWS x PANEL_ROWS draw for the widest block
+    rows, cols = [3, PANEL_ROWS + 2], [PANEL_ROWS + 5, 4]
+    grid = np.array([[1.0, 0.0], [0.3, 2.5]])
+    Z = sample_spatially_coupled(rows, cols, grid, s, stream(5, "scale"))
+    rng = stream(5, "scale")
+    r, c = np.cumsum([0, *rows]), np.cumsum([0, *cols])
+    for i in range(2):
+        for j in range(2):
+            blk = Z[r[i]:r[i + 1], c[j]:c[j + 1]]
+            if grid[i, j] > 0:
+                ref = normals(rng, blk.shape) / np.sqrt(s / grid[i, j])
+                assert np.array_equal(blk, ref), (i, j)
+            else:
+                assert not blk.any()
 
 
 def test_goe_written_into_a_view_is_the_same_matrix():

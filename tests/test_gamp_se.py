@@ -3,7 +3,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from graphamp import NumericalError, gamp_se
+from graphamp import gamp_se
 from graphamp import state_evolution
 from graphamp.gamp_se import (GaussBernoulliPrior, GlmScalars,
                               LinearGaussianChannel, LogisticChannel, QuadSpec,

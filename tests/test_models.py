@@ -184,20 +184,44 @@ def test_stack_prox_spectral_form_matches_dense_solve(lam):
     model = GmmSpatialModel(K=3, d=40, n_per_cluster=10, lam=lam, coupling=0.3)
     data = sample_gmm_data(model, seed=4)
     alpha, K, d = 0.7, model.K, model.d
-    prox = StackPenaltyProx(model, data.cov_sqrts, data.spectrum, alpha)
+    R = data.roots
+    prox = StackPenaltyProx(R, data.spectrum, lam, alpha)
     U = np.random.default_rng(5).normal(size=(K * d, K))
     # dense reference: G = alpha lam I + sum_k Sigma_k, Sigma_k = R_k R_k^T
-    roots = data.cov_sqrts
-    covs = [R @ R.T for R in roots]
+    blocks = [R[k * d:(k + 1) * d] for k in range(K)]
+    covs = [B @ B.T for B in blocks]
     G = alpha * lam * np.eye(d) + sum(covs)
-    rhs = sum(roots[k].T @ (alpha * U[k * d:(k + 1) * d]) for k in range(K))
+    rhs = sum(blocks[k].T @ (alpha * U[k * d:(k + 1) * d]) for k in range(K))
     W_ref = np.linalg.solve(G, rhs)
-    out_ref = np.vstack([roots[k] @ W_ref for k in range(K)])
+    out_ref = np.vstack([B @ W_ref for B in blocks])
     Ginv = np.linalg.inv(G)
     tr_ref = alpha * sum(np.trace(C @ Ginv) for C in covs) * np.eye(K)
     assert _rel(prox.weights(U), W_ref) <= 1e-12
     assert _rel(prox.apply([U]), out_ref) <= 1e-12
     assert _rel(prox.jacobian_trace([U]), tr_ref) <= 1e-12
+
+
+@pytest.mark.parametrize("coupling", [0.0, 0.3])
+def test_gmm_roots_match_their_spectrum_and_rows(coupling):
+    model = GmmSpatialModel(K=3, d=40, n_per_cluster=25, coupling=coupling)
+    data = sample_gmm_data(model, seed=6)
+    K, d, npc = model.K, model.d, model.n_per_cluster
+    R = data.roots
+    assert R.shape == (K * d, d)
+    for k in range(K):
+        # each row block is the symmetric root of an SPD covariance
+        B = R[k * d:(k + 1) * d]
+        assert np.allclose(B, B.T, rtol=0, atol=1e-12)
+        assert np.linalg.eigvalsh(B).min() > 0
+    s, U = data.spectrum
+    assert _rel((U * s) @ U.T, R.T @ R) <= 1e-12
+    # per-block reference: row block k is sum_j design_kj R_j
+    rows = np.zeros((model.n, d))
+    for k in range(K):
+        for j in range(K):
+            blk = data.design[k * npc:(k + 1) * npc, j * d:(j + 1) * d]
+            rows[k * npc:(k + 1) * npc] += blk @ R[j * d:(j + 1) * d]
+    assert _rel(data.design_rows, rows) <= 1e-12
 
 
 FACTORIZATIONS = ("eigh", "eig", "eigvalsh", "solve", "inv", "cholesky",

@@ -22,18 +22,25 @@ def test_every_export_resolves(module):
     assert [name for name in module.__all__ if not hasattr(module, name)] == []
 
 
+def _py_files():
+    """Every .py file of the package and of the tests."""
+    src = os.path.dirname(graphamp.__file__)
+    tests = os.path.dirname(os.path.abspath(__file__))
+    for root in (src, tests):
+        for folder, _, files in os.walk(root):
+            for name in sorted(files):
+                if name.endswith(".py"):
+                    yield os.path.join(folder, name)
+
+
 def test_every_export_has_a_use():
     # some line of the package (outside the __init__ files) or of the
     # tests names each export, other than the line that defines it
-    src = os.path.dirname(graphamp.__file__)
-    tests = os.path.dirname(os.path.abspath(__file__))
     lines = []
-    for root in (src, tests):
-        for folder, _, files in os.walk(root):
-            for name in files:
-                if name.endswith(".py") and name != "__init__.py":
-                    with open(os.path.join(folder, name), encoding="utf-8") as fh:
-                        lines.extend(fh)
+    for path in _py_files():
+        if os.path.basename(path) != "__init__.py":
+            with open(path, encoding="utf-8") as fh:
+                lines.extend(fh)
     unused = []
     for name in sorted(set(graphamp.__all__) | set(graphamp.models.__all__)):
         named = re.compile(rf"\b{re.escape(name)}\b")
@@ -41,6 +48,29 @@ def test_every_export_has_a_use():
         if not any(named.search(line) and not own.match(line) for line in lines):
             unused.append(name)
     assert unused == []
+
+
+def _unread_imports(path):
+    """Names a module imports at top level but never reads; a name listed
+    in __all__ counts as read, and __future__ imports are skipped."""
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    imported, read = set(), {n.id for n in ast.walk(tree)
+                             if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            imported |= {(a.asname or a.name).split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported |= {a.asname or a.name for a in node.names if a.name != "*"}
+        elif (isinstance(node, ast.Assign)
+              and any(getattr(t, "id", None) == "__all__" for t in node.targets)):
+            read |= set(ast.literal_eval(node.value))
+    return sorted(imported - read)
+
+
+def test_every_top_level_import_is_read():
+    unread = {path: names for path in _py_files() if (names := _unread_imports(path))}
+    assert unread == {}
 
 
 def _called(decorator):
