@@ -426,6 +426,17 @@ def cmd_embed_verify(cfg, out_dir) -> int:
     return 0 if report.ok() else 1
 
 
+def _pool_size(text: str) -> int:
+    """--workers: an integer of at least 1; argparse exits 2 otherwise."""
+    try:
+        n = int(text)
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer of at least 1, got {text!r}")
+    return n
+
+
 def _parser():
     p = argparse.ArgumentParser(prog="graphamp",
                                 description="Graph-indexed AMP experiments")
@@ -434,8 +445,8 @@ def _parser():
     def add_common(sp):
         sp.add_argument("--config", required=True, help="JSON config path")
         sp.add_argument("--out", default=None, help="output directory")
-        sp.add_argument("--workers", type=int, default=1,
-                        help="worker pool size")
+        sp.add_argument("--workers", type=_pool_size, default=1,
+                        help="worker pool size (at least 1)")
         sp.add_argument("--seed", type=int, default=None,
                         help="override the master seed")
         sp.add_argument("--strict", action="store_true",

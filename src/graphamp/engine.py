@@ -26,7 +26,11 @@ with S.  A pair of at most PANEL_ROWS rows makes the per-block calls
 exactly; a taller one sums its reversed product panel by panel, in a
 fixed order, so it can differ from one BLAS call in the last bits.
 Loops, declared blocks and pairs with one live direction, such as
-every step of a two-phase chain, keep the per-block products.
+every step of a two-phase chain, take one product per live block
+(strip_product).  With q >= 2 columns it runs in row panels of at most
+PANEL_ENTRIES entries of q x rows x cols, each one BLAS call writing
+its own rows: no sum runs across panels, but a panelled product can
+differ from one call over the strip in the last bits.
 
 Each block product is taken as (m^T S^T)^T with S = A_e[:, rs]
 (block_product).  On the reversed direction of a pair, served as the
@@ -62,6 +66,11 @@ Provider = Callable[[EdgeId, int, Optional[Mapping[EdgeId, np.ndarray]]], Nonlin
 # Rows per panel: of the stored matrix that _pair_sweep reads, of a loop
 # matrix's symmetry check, and of sample_goe's G + G^T.
 PANEL_ROWS = 256
+
+# Entries, q x rows x cols, of one panel of a single-direction product
+# (strip_product).  OpenBLAS appears to skip its packing pass on a GEMM
+# this small: the bound is inferred from timings, not from its source.
+PANEL_ENTRIES = 1 << 19
 
 
 def stationary_provider(fns: Mapping[EdgeId, Nonlinearity]) -> Provider:
@@ -228,6 +237,28 @@ def block_product(S: np.ndarray, m: np.ndarray) -> np.ndarray:
     return (m.T @ S.T).T
 
 
+def strip_product(S: np.ndarray, m: np.ndarray, out: np.ndarray) -> None:
+    """out[...] = S @ m, in row panels of S when m has q >= 2 columns.
+
+    A panel has max(1, PANEL_ENTRIES // (q * cols)) rows, and it is one
+    block_product call that writes its own rows of out, so no sum runs
+    across panels and the order of the panels does not matter.  One
+    GEMM over a tall strip reads S about twice; a panel that small is
+    taken in about one pass.  One call is kept for q = 1 (a gemv, which
+    streams S already), for a strip of one panel, and for a transposed
+    view with q >= 3, whose panels are too short a run of each stored
+    row to stream.
+    """
+    q = m.shape[1]
+    rows = max(1, PANEL_ENTRIES // max(1, q * S.shape[1]))
+    transposed = S.strides[0] < S.strides[1]
+    if q == 1 or (q > 2 and transposed) or S.shape[0] <= rows:
+        out[...] = block_product(S, m)
+        return
+    for lo in range(0, S.shape[0], rows):
+        out[lo:lo + rows] = block_product(S[lo:lo + rows], m)
+
+
 def _pair_sweep(S: np.ndarray, m: np.ndarray, m_rev: np.ndarray):
     """(S @ m, S^T @ m_rev) in one pass over S, PANEL_ROWS rows at a time.
 
@@ -254,10 +285,11 @@ def step(instance: GraphInstance, traj: AmpTrajectory) -> AmpTrajectory:
     is the correction term alone (zeros at t = 0).  A stored pair whose
     two directions both have a nonzero output, neither with declared
     out_blocks, reads its matrix once for both products (_pair_sweep).
-    Otherwise each live block is assigned block_product(A_e[:, rs],
-    m^t_e[rs, cs]); an exactly symmetric loop passes its row strip
-    A_e[rs, :]^T instead.  An output with a nonzero entry outside its
-    out_blocks raises ShapeError.  At t = 0 it warns, and sets
+    Otherwise each live block is assigned strip_product(A_e[:, rs],
+    m^t_e[rs, cs]), in row panels when it has q >= 2 columns; an
+    exactly symmetric loop passes its row strip A_e[rs, :]^T instead.
+    An output with a nonzero entry outside its out_blocks raises
+    ShapeError.  At t = 0 it warns, and sets
     traj.zero_start, when no edge has a live block: every x^1 is then
     zero, and odd maps keep the iteration at the all-zero fixed point.
     A NumericalError raised with no edge while f^t_e, m^t_e or b^t_e is
@@ -311,7 +343,7 @@ def step(instance: GraphInstance, traj: AmpTrajectory) -> AmpTrajectory:
                     by_rows = e in instance.exact_symmetric
                     for rs, cs in live[e]:
                         S = A[rs, :].T if by_rows else A[:, rs]
-                        x_new[:, cs] = block_product(S, ms[e][rs, cs])
+                        strip_product(S, ms[e][rs, cs], x_new[:, cs])
             if t >= 1:
                 x_new -= traj.m[e.reversed()][t - 1] @ bs[e].T
             if not np.all(np.isfinite(x_new)):

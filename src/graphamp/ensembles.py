@@ -28,10 +28,11 @@ def stream(master_seed: int, *labels) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(ss))
 
 
-def normals(rng: np.random.Generator, shape) -> np.ndarray:
-    """Standard normals of the given shape: with uniforms, the one entry
-    point every sampler draws through."""
-    return rng.standard_normal(shape)
+def normals(rng: np.random.Generator, shape, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Standard normals of the given shape, written into out (a
+    C-contiguous array of that shape) if given: with uniforms, the one
+    entry point every sampler draws through."""
+    return rng.standard_normal(shape, out=out)
 
 
 def uniforms(rng: np.random.Generator, shape) -> np.ndarray:
@@ -72,18 +73,21 @@ def draw_rows(out: np.ndarray, rng: np.random.Generator, scale_N: float) -> None
     """Fill out, in stream order, with iid N(0, 1/scale_N): the bits of
     normals(rng, out.shape) / sqrt(scale_N).  Whole rows are drawn at a
     time, at most a PANEL_ROWS x PANEL_ROWS block's entries (or one row)
-    per draw: a small temporary, and few draws."""
+    per draw, and divided while they are in cache: straight into out
+    where the rows are contiguous, else through a small temporary."""
     sd = math.sqrt(float(scale_N))
     k = max(1, PANEL_ROWS * PANEL_ROWS // max(1, out.shape[1]))
     for lo in range(0, out.shape[0], k):
         rows = out[lo:lo + k]
-        np.divide(normals(rng, rows.shape), sd, out=rows)
+        into = rows if rows.flags.c_contiguous else None
+        np.divide(normals(rng, rows.shape, out=into), sd, out=rows)
 
 
 def sample_iid(rows: int, cols: int, scale_N: float, rng: np.random.Generator) -> np.ndarray:
-    Z = normals(rng, (rows, cols))
-    Z /= math.sqrt(float(scale_N))
-    return Z
+    """rows x cols iid N(0, 1/scale_N), drawn into place (draw_rows)."""
+    out = np.empty((rows, cols))
+    draw_rows(out, rng, scale_N)
+    return out
 
 
 def sample_spatially_coupled(

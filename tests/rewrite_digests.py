@@ -12,7 +12,8 @@ change meant to alter the outputs rewrites this machine's table with
 
     PYTHONPATH=src python tests/rewrite_digests.py
 
-and says in CHANGES.md which files changed and why.
+which prints the name of every CSV whose digest it added, changed or
+removed; say in CHANGES.md which files changed and why.
 """
 
 import contextlib
@@ -115,11 +116,21 @@ def pinned() -> dict:
         return json.load(fh)
 
 
+def moved(old: dict, new: dict) -> list:
+    """["<added|changed|removed>: <name>"] for the names whose digest
+    differs between two tables, in name order."""
+    return [f"{'added' if name not in old else 'removed' if name not in new else 'changed'}: "
+            f"{name}" for name in sorted(set(old) | set(new)) if old.get(name) != new.get(name)]
+
+
 if __name__ == "__main__":
     table = pinned() if os.path.exists(DIGESTS) else {}
+    old = table.get(digest_key(), {})
     table[digest_key()] = all_digests()
     with open(DIGESTS, "w", encoding="utf-8") as fh:
         json.dump(table, fh, indent=1, sort_keys=True)
         fh.write("\n")
+    for line in moved(old, table[digest_key()]):
+        print(line)
     print(f"{DIGESTS}: wrote {len(table[digest_key()])} digests under {digest_key()!r}",
           file=sys.stderr)

@@ -350,6 +350,18 @@ def test_checks_is_an_unknown_command(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("workers", ["0", "-3", "two"])
+def test_workers_below_one_exits_2_naming_the_flag(tmp_path, capsys, workers):
+    cfg = _write(tmp_path, TINY_LASSO)
+    out = tmp_path / "o"
+    with pytest.raises(SystemExit) as exit_info:
+        main(["run", "--config", cfg, "--out", str(out), "--workers", workers])
+    assert exit_info.value.code == 2
+    assert f"argument --workers: must be an integer of at least 1, got '{workers}'" \
+        in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_strict_turns_gate_failures_into_exit_1(tmp_path):
     # a single seed at d = 80: finite-size offsets trip the gates
     cfg = _write(tmp_path, {**TINY_LASSO, "amp_seeds": [0]})

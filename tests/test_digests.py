@@ -5,7 +5,7 @@ import os
 
 from graphamp import engine
 
-from rewrite_digests import (ROOT, RUNS, all_digests, digest_key, pinned,
+from rewrite_digests import (ROOT, RUNS, all_digests, digest_key, moved, pinned,
                              run_digests, run_outputs)
 
 
@@ -14,9 +14,13 @@ def test_pinned_outputs_keep_their_bytes():
     table = pinned().get(key)
     assert table, (f"tests/digests.json has no digests for {key!r}; write them "
                    "with `PYTHONPATH=src python tests/rewrite_digests.py`")
-    got = all_digests()
-    assert sorted(got) == sorted(table)
-    assert [name for name in sorted(table) if got[name] != table[name]] == []
+    assert moved(table, all_digests()) == []
+
+
+def test_moved_names_every_added_changed_and_removed_digest():
+    old = {"a/x.csv": "1", "b/x.csv": "2", "c/x.csv": "3"}
+    new = {"a/x.csv": "1", "b/x.csv": "9", "d/x.csv": "4"}
+    assert moved(old, new) == ["changed: b/x.csv", "removed: c/x.csv", "added: d/x.csv"]
 
 
 def test_one_changed_seed_changes_a_digest():

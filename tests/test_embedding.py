@@ -62,6 +62,17 @@ def test_matrix_valued_equivalence_is_machine_exact():
     assert rep.max_err <= 1e-12
 
 
+def test_panelled_three_column_equivalence_holds():
+    # q = 3 on both sides; the graph side's 360 x 900 design is taller
+    # than a panel, so its forward products run in row panels
+    model = GmmSpatialModel(K=3, d=300, n_per_cluster=120, coupling=0.3)
+    inst, _ = build_gmm_spatial_instance(model, seed=2)
+    assert 3 * 900 * 360 > engine.PANEL_ENTRIES
+    rep = verify_equivalence(inst, T=10, seed=0)
+    assert rep.max_err <= 1e-10
+    assert rep.ok()
+
+
 def test_equivalence_independent_of_fill():
     # two embed seeds fill the untracked blocks with two different GOE
     # draws, and neither couples back into the tracked iterates
@@ -324,8 +335,8 @@ def _fill_instances():
 def test_goe_fill_draws_only_the_untracked_blocks(monkeypatch):
     draws, normals = [], ensembles.normals
 
-    def counted(rng, shape):
-        out = normals(rng, shape)
+    def counted(rng, shape, out=None):
+        out = normals(rng, shape, out=out)
         draws.append(out.size)
         return out
 

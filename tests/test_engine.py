@@ -227,6 +227,64 @@ def test_block_product_matches_matmul(q):
             assert _rel(block_product(S, m), np.matmul(S, m)) <= 1e-13
 
 
+@pytest.mark.parametrize("q", [1, 2, 3, 4, 8])
+def test_strip_product_matches_matmul_over_panels(q, monkeypatch):
+    rng = np.random.default_rng(10 + q)
+    k = 1500
+    h = engine.PANEL_ENTRIES // (q * k)
+    calls = []
+    one_call = engine.block_product
+    monkeypatch.setattr(engine, "block_product",
+                        lambda S, m: calls.append(S.shape[0]) or one_call(S, m))
+    for n in (h + 1, 3 * h + 7):
+        C = rng.standard_normal((n, k))
+        F = rng.standard_normal((k, n))
+        for S, transposed in ((C, False), (F.T, True)):
+            m = rng.standard_normal((k, q))
+            out = np.empty((n, q))
+            calls.clear()
+            engine.strip_product(S, m, out)
+            assert _rel(out, np.matmul(S, m)) <= 1e-13
+            # panels of h rows, the last one short; one call for q = 1
+            # and for a transposed view with q >= 3
+            panelled = q == 2 or (q > 2 and not transposed)
+            assert calls == ([h] * (n // h) + [n % h] if panelled else [n])
+
+
+def _live_steps(traj):
+    """(e, t) of every step whose output m^t_e has a nonzero entry."""
+    return [(e, t) for e in traj.x for t in range(traj.T) if traj.m[e][t].any()]
+
+
+def test_one_column_product_is_one_call():
+    # a gemv streams its strip already; both of these strips are taller
+    # than a panel of PANEL_ENTRIES entries would be
+    model = lasso_model(d=1200, n=600, lam=1.2, prior=default_prior(), sigma=0.5)
+    inst, _ = build_gamp_instance(model, seed=2)
+    assert 600 * 1200 > engine.PANEL_ENTRIES
+    traj = run(inst, 4)
+    steps = _live_steps(traj)
+    assert {e for e, _ in steps} == set(traj.x)
+    for e, t in steps:
+        want = _next_x(traj, e, t, block_product(inst.matrix(e), traj.m[e][t]))
+        assert traj.x[e][t + 1].tobytes() == want.tobytes()
+
+
+def test_two_phase_panelled_chain_matches_the_dense_product():
+    # q = 2, so q x rows x cols is 2 A.size: the 600 x 1000 design and
+    # its transpose each run in three panels
+    model = GmmSpatialModel(K=2, d=500, n_per_cluster=300, coupling=0.3)
+    inst, _ = build_gmm_spatial_instance(model, seed=4)
+    A = inst.matrices[EdgeId("stack", "obs")]
+    assert A.shape == (600, 1000) and A.size > engine.PANEL_ENTRIES
+    traj = run(inst, 4)
+    steps = _live_steps(traj)
+    assert {e for e, _ in steps} == set(traj.x)
+    for e, t in steps:
+        want = _next_x(traj, e, t, inst.matrix(e) @ traj.m[e][t])
+        assert _rel(traj.x[e][t + 1], want) <= 1e-12
+
+
 def _two_block_chain(leak_at=None):
     """Both directions of a pair declare out_blocks and are live."""
     g = line_graph(["a", "b"], [6, 6], q=3)

@@ -78,6 +78,10 @@ def test_samplers_scale_the_normals_exactly():
     s = 7.0
     ref = normals(stream(5, "scale"), (6, 4)) / np.sqrt(s)
     assert np.array_equal(sample_iid(6, 4, s, stream(5, "scale")), ref)
+    # over more than one draw_rows draw
+    shape = (PANEL_ROWS + 3, PANEL_ROWS + 5)
+    ref = normals(stream(5, "scale"), shape) / np.sqrt(s)
+    assert np.array_equal(sample_iid(*shape, s, stream(5, "scale")), ref)
     # one panel, and more than two: panel pairs sum as G + G^T does
     for n in (5, 2 * PANEL_ROWS + 3):
         assert np.array_equal(sample_goe(n, stream(5, "scale"), scale_N=s),
