@@ -13,8 +13,7 @@ Edges with a non-default variance base S are rescaled on the way in
 unchanged but makes every block of the big matrix variance-1/N.
 
 The big matrix is symmetric bit for bit when the source's loop matrices
-are, so the engine reads each column strip it multiplies as the row
-strip with the same values (see engine).
+are, so the instance's symmetry check ends after its exact tile pass.
 
 The flattened iteration runs on its own: a provider that adapts to the
 run reads its b^{t-1} from the flattened loop's Onsager coefficient,

@@ -11,36 +11,17 @@ where e<- is the reversed edge and S_e is the edge's variance base
 (the scale_N of its matrix ensemble; defaults to the global N).  The
 t = 0 update has no correction term (m^{-1} = 0).
 
-The product is formed as x_e[:, cs] = A_e[:, rs] m^t_e[rs, cs] over the
-blocks (rs, cs) of f.out_blocks that hold a nonzero entry (no blocks
-declared: one covering m^t_e).  An all-zero output, as in the off phase
-of a two-phase chain, leaves A_e unread, and a non-finite entry of A_e
-is caught only at a step whose nonzero blocks read its column.
-
-When both directions of a stored pair (not a loop) have a nonzero
-output and neither declares out_blocks, the two products share one
-pass over the stored matrix S, PANEL_ROWS rows at a time (_pair_sweep):
-each panel S[p] gives x[p] = S[p] m and adds S[p]^T m_rev[p] to the
-reversed product.  The packing buffer then scales with a panel, not
-with S.  A pair of at most PANEL_ROWS rows makes the per-block calls
-exactly; a taller one sums its reversed product panel by panel, in a
-fixed order, so it can differ from one BLAS call in the last bits.
-Loops, declared blocks and pairs with one live direction, such as
-every step of a two-phase chain, take one product per live block
-(strip_product).  With q >= 2 columns it runs in row panels of at most
-PANEL_ENTRIES entries of q x rows x cols, each one BLAS call writing
-its own rows: no sum runs across panels, but a panelled product can
-differ from one call over the strip in the last bits.
-
-Each block product is taken as (m^T S^T)^T with S = A_e[:, rs]
-(block_product).  On the reversed direction of a pair, served as the
-transpose of the stored matrix, S^T is a block of stored rows, which
-BLAS streams instead of striding across columns.  A loop matrix that is
-exactly symmetric has its column strip read as the row strip
-A_e[rs, :]^T, the same values, so it is streamed too; one that is only
-allclose-symmetric is read as stored.  A row strip is summed in another
-order than the column strip when q = 1, so such a loop product can
-differ from S @ m in the last bits.
+Every product is one sweep over row panels of a stored matrix S
+(panel_sweep).  The stored direction of a pair, and every loop, is
+forward, x = S m; its reversed direction is S^T m', summed over the
+panels in row order.  A pair whose two directions both have a nonzero
+output and neither declares f.out_blocks gets both products from one
+sweep, so a step reads its matrix once.  Otherwise each block (rs, cs)
+of f.out_blocks that holds a nonzero entry (no blocks declared: one
+covering m^t_e) is swept on its own: the column strip S[:, rs] forward,
+the stored rows S[rs, :] reversed.  An all-zero output, as in the off
+phase of a two-phase chain, leaves A_e unread, and a non-finite entry
+of A_e is caught only at a step whose nonzero blocks read it.
 
 Step t + 1 reads only x^t, m^{t-1} and b^{t-1}.  run keeps the whole
 history unless given a callback, which reads each step as it returns;
@@ -63,12 +44,12 @@ from .nonlinearity import Nonlinearity, SideData
 # coefficient b^{t-1}_e, and is None at t = 0 and in the state evolution.
 Provider = Callable[[EdgeId, int, Optional[Mapping[EdgeId, np.ndarray]]], Nonlinearity]
 
-# Rows per panel: of the stored matrix that _pair_sweep reads, of a loop
-# matrix's symmetry check, and of sample_goe's G + G^T.
+# Rows per panel of a loop matrix's symmetry check and of sample_goe's
+# G + G^T.
 PANEL_ROWS = 256
 
-# Entries, q x rows x cols, of one panel of a single-direction product
-# (strip_product).  OpenBLAS appears to skip its packing pass on a GEMM
+# Entries, q x rows x cols, of one panel of panel_sweep, q the columns
+# it multiplies.  OpenBLAS appears to skip its packing pass on a GEMM
 # this small: the bound is inferred from timings, not from its source.
 PANEL_ENTRIES = 1 << 19
 
@@ -83,20 +64,18 @@ def stationary_provider(fns: Mapping[EdgeId, Nonlinearity]) -> Provider:
     return provider
 
 
-def _loop_symmetry(A: np.ndarray, key: EdgeId) -> bool:
-    """Whether loop matrix A is exactly symmetric; ShapeError unless it
-    is allclose to its transpose.  The exact pass compares each pair of
-    PANEL_ROWS tiles P <= Q once, A[P, Q] with A[Q, P]^T.  Only if some
-    tile differs does allclose, which sets what passes, compare each row
-    panel A[p] with the column strip A[:, p]^T.  No temporary is larger
-    than a panel."""
+def _loop_symmetry(A: np.ndarray, key: EdgeId) -> None:
+    """ShapeError unless loop matrix A is allclose to its transpose.  A
+    first pass compares each pair of PANEL_ROWS tiles P <= Q once, A[P, Q]
+    with A[Q, P]^T.  Only if some tile differs does allclose, which sets
+    what passes, compare each row panel A[p] with the column strip
+    A[:, p]^T.  No temporary is larger than a panel."""
     tiles = [slice(lo, lo + PANEL_ROWS) for lo in range(0, A.shape[0], PANEL_ROWS)]
     if all(np.array_equal(A[P, Q], A[Q, P].T) for i, P in enumerate(tiles) for Q in tiles[i:]):
-        return True
+        return
     for p in tiles:
         if not np.allclose(A[p], A[:, p].T):
             raise ShapeError(f"loop matrix at {key.start} must be symmetric")
-    return False
 
 
 @dataclass
@@ -107,9 +86,8 @@ class GraphInstance:
     matrices holds one array per unordered pair, keyed by a single
     direction; the reversed direction is served as the transpose.  Loop
     matrices must be symmetric, checked a tile at a time, with no
-    N x N temporary; exact_symmetric lists the exactly symmetric ones,
-    whose products read row strips.  scale_base[e] is the ensemble variance
-    base of A_e (entries ~ 1/S_e); both directions of a pair share it.
+    N x N temporary.  scale_base[e] is the ensemble variance base of A_e
+    (entries ~ 1/S_e); both directions of a pair share it.
     """
 
     graph: GraphSpec
@@ -118,7 +96,6 @@ class GraphInstance:
     x0: Dict[EdgeId, np.ndarray] = field(default_factory=dict)
     side: Dict[EdgeId, SideData] = field(default_factory=dict)
     scale_base: Dict[EdgeId, float] = field(default_factory=dict)
-    exact_symmetric: set = field(init=False, default_factory=set, repr=False, compare=False)
 
     def __post_init__(self):
         require_valid(self.graph)
@@ -135,8 +112,8 @@ class GraphInstance:
             want = (self.graph.node_dim[key.end], self.graph.node_dim[key.start])
             if A.shape != want:
                 raise ShapeError(f"matrix for {key} has shape {A.shape}, expected {want}")
-            if key.is_loop() and _loop_symmetry(A, key):
-                self.exact_symmetric.add(key)
+            if key.is_loop():
+                _loop_symmetry(A, key)
         extra = set(self.matrices) - seen
         if extra:
             raise GraphError(f"matrices for unknown edges: {sorted(str(e) for e in extra)}")
@@ -227,54 +204,33 @@ def _live_blocks(f: Nonlinearity, m: np.ndarray, e: EdgeId, t: int) -> list:
     return [block for n, block in counts if n]
 
 
-def block_product(S: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """S @ m, taken as (m^T S^T)^T so that BLAS reads S^T.
+def panel_sweep(S: np.ndarray, m: Optional[np.ndarray] = None,
+                m_rev: Optional[np.ndarray] = None):
+    """(S @ m, S^T @ m_rev) in one pass over row panels of S; a side given
+    as None is skipped and returned as None.
 
-    The same values as np.matmul(S, m) up to rounding.  When S is a
-    transposed view of row-major storage, S^T is that storage, and a
-    skinny m streams it instead of striding across it.
+    S is a stored matrix or a column strip of one.  A panel has
+    max(1, PANEL_ENTRIES // (q * cols)) rows, q the columns of m and
+    m_rev together: one GEMM over a tall strip reads it about twice, a
+    panel that small about once.  One side of one column is one call (a
+    gemv streams S already).  S @ m is written a panel at a time, and
+    S^T @ m_rev summed over the panels in row order, so the bits depend
+    on the shapes alone.
     """
-    return (m.T @ S.T).T
-
-
-def strip_product(S: np.ndarray, m: np.ndarray, out: np.ndarray) -> None:
-    """out[...] = S @ m, in row panels of S when m has q >= 2 columns.
-
-    A panel has max(1, PANEL_ENTRIES // (q * cols)) rows, and it is one
-    block_product call that writes its own rows of out, so no sum runs
-    across panels and the order of the panels does not matter.  One
-    GEMM over a tall strip reads S about twice; a panel that small is
-    taken in about one pass.  One call is kept for q = 1 (a gemv, which
-    streams S already), for a strip of one panel, and for a transposed
-    view with q >= 3, whose panels are too short a run of each stored
-    row to stream.
-    """
-    q = m.shape[1]
-    rows = max(1, PANEL_ENTRIES // max(1, q * S.shape[1]))
-    transposed = S.strides[0] < S.strides[1]
-    if q == 1 or (q > 2 and transposed) or S.shape[0] <= rows:
-        out[...] = block_product(S, m)
-        return
-    for lo in range(0, S.shape[0], rows):
-        out[lo:lo + rows] = block_product(S[lo:lo + rows], m)
-
-
-def _pair_sweep(S: np.ndarray, m: np.ndarray, m_rev: np.ndarray):
-    """(S @ m, S^T @ m_rev) in one pass over S, PANEL_ROWS rows at a time.
-
-    Each panel makes the block_product calls of its rows; the reversed
-    product is assigned from the first panel and summed over the rest in
-    row order.
-    """
-    x = np.zeros((S.shape[0], m.shape[1]))
-    x_rev = np.zeros((S.shape[1], m_rev.shape[1]))
-    for lo in range(0, S.shape[0], PANEL_ROWS):
-        p = slice(lo, lo + PANEL_ROWS)
-        x[p] = block_product(S[p], m)
-        if lo:
-            x_rev += block_product(S[p].T, m_rev[p])
-        else:
-            x_rev[:] = block_product(S[p].T, m_rev[p])
+    q = sum(v.shape[1] for v in (m, m_rev) if v is not None)
+    n = S.shape[0]
+    rows = n if q == 1 else max(1, PANEL_ENTRIES // max(1, q * S.shape[1]))
+    x = None if m is None else np.empty((n, m.shape[1]))
+    x_rev = None
+    for lo in range(0, n, rows):
+        p = slice(lo, lo + rows)
+        if m is not None:
+            np.matmul(S[p], m, out=x[p])
+        if m_rev is not None:
+            if lo:
+                x_rev += S[p].T @ m_rev[p]
+            else:
+                x_rev = S[p].T @ m_rev[p]
     return x, x_rev
 
 
@@ -284,12 +240,10 @@ def step(instance: GraphInstance, traj: AmpTrajectory) -> AmpTrajectory:
     A_e is read only if some block of m^t_e is nonzero, else x^{t+1}_e
     is the correction term alone (zeros at t = 0).  A stored pair whose
     two directions both have a nonzero output, neither with declared
-    out_blocks, reads its matrix once for both products (_pair_sweep).
-    Otherwise each live block is assigned strip_product(A_e[:, rs],
-    m^t_e[rs, cs]), in row panels when it has q >= 2 columns; an
-    exactly symmetric loop passes its row strip A_e[rs, :]^T instead.
-    An output with a nonzero entry outside its out_blocks raises
-    ShapeError.  At t = 0 it warns, and sets
+    out_blocks, reads its matrix once for both products.  Otherwise each
+    live block is one panel_sweep: of the column strip S[:, rs] forward,
+    of the stored rows S[rs, :] reversed.  An output with a nonzero entry
+    outside its out_blocks raises ShapeError.  At t = 0 it warns, and sets
     traj.zero_start, when no edge has a live block: every x^1 is then
     zero, and odd maps keep the iteration at the all-zero fixed point.
     A NumericalError raised with no edge while f^t_e, m^t_e or b^t_e is
@@ -333,17 +287,18 @@ def step(instance: GraphInstance, traj: AmpTrajectory) -> AmpTrajectory:
         for key in instance.matrices:
             rev = key.reversed()
             if not key.is_loop() and key in whole and rev in whole:
-                xs[key], xs[rev] = _pair_sweep(instance.matrix(key), ms[key], ms[rev])
+                xs[key], xs[rev] = panel_sweep(instance.matrix(key), ms[key], ms[rev])
         for e in order:
             x_new = xs.pop(e, None)
             if x_new is None:
                 x_new = np.zeros(g.x_shape(e))
                 if live[e]:
-                    A = instance.matrix(e)
-                    by_rows = e in instance.exact_symmetric
+                    forward = e in instance.matrices
+                    S = instance.matrix(e if forward else e.reversed())
                     for rs, cs in live[e]:
-                        S = A[rs, :].T if by_rows else A[:, rs]
-                        strip_product(S, ms[e][rs, cs], x_new[:, cs])
+                        m = ms[e][rs, cs]
+                        x_new[:, cs] = (panel_sweep(S[:, rs], m)[0] if forward
+                                        else panel_sweep(S[rs], m_rev=m)[1])
             if t >= 1:
                 x_new -= traj.m[e.reversed()][t - 1] @ bs[e].T
             if not np.all(np.isfinite(x_new)):

@@ -40,7 +40,7 @@ from typing import Tuple
 
 import numpy as np
 
-from ..engine import AmpTrajectory, GraphInstance, block_product
+from ..engine import AmpTrajectory, GraphInstance
 from ..ensembles import normals, sample_spatially_coupled, stream
 from ..graphs import EdgeId, line_graph
 from ..nonlinearity import AffineResidual, Nonlinearity, SideData
@@ -154,8 +154,8 @@ class StackPenaltyProx(Nonlinearity):
         self._denom = self.alpha * lam + self._s
 
     def _solve(self, U):
-        rhs = block_product(self.roots.T, self.alpha * U)
-        W = self._U @ (block_product(self._U.T, rhs) / self._denom[:, None])
+        rhs = (self.alpha * U).T @ self.roots  # (R^T alpha U)^T
+        W = self._U @ ((rhs @ self._U).T / self._denom[:, None])
         return W, self.roots @ W
 
     def apply(self, inputs, side=None):

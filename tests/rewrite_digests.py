@@ -13,7 +13,11 @@ change meant to alter the outputs rewrites this machine's table with
     PYTHONPATH=src python tests/rewrite_digests.py
 
 which prints the name of every CSV whose digest it added, changed or
-removed; say in CHANGES.md which files changed and why.
+removed; say in CHANGES.md which files changed and why.  With
+`--dump DIR` it writes those CSVs under DIR/<name>/ instead and leaves
+the table alone, so a change's dump can be diffed against its parent's:
+
+    PYTHONPATH=src python tests/rewrite_digests.py --dump DIR
 """
 
 import contextlib
@@ -111,6 +115,16 @@ def all_digests() -> dict:
     return digests
 
 
+def dump(root) -> None:
+    """Write every CSV that all_digests hashes to root/<name>/<file>.csv."""
+    for name, (command, config) in RUNS.items():
+        for csv, data in run_outputs(name, command, config).items():
+            path = os.path.join(root, csv)
+            os.makedirs(os.path.dirname(path), exist_ok=True)
+            with open(path, "wb") as fh:
+                fh.write(data)
+
+
 def pinned() -> dict:
     with open(DIGESTS, encoding="utf-8") as fh:
         return json.load(fh)
@@ -124,6 +138,11 @@ def moved(old: dict, new: dict) -> list:
 
 
 if __name__ == "__main__":
+    if sys.argv[1:2] == ["--dump"] and len(sys.argv) == 3:
+        dump(sys.argv[2])
+        sys.exit(0)
+    if sys.argv[1:]:
+        sys.exit(f"usage: {sys.argv[0]} [--dump DIR]")
     table = pinned() if os.path.exists(DIGESTS) else {}
     old = table.get(digest_key(), {})
     table[digest_key()] = all_digests()

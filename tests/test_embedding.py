@@ -64,7 +64,7 @@ def test_matrix_valued_equivalence_is_machine_exact():
 
 def test_panelled_three_column_equivalence_holds():
     # q = 3 on both sides; the graph side's 360 x 900 design is taller
-    # than a panel, so its forward products run in row panels
+    # than a panel, so both its directions sweep it in row panels
     model = GmmSpatialModel(K=3, d=300, n_per_cluster=120, coupling=0.3)
     inst, _ = build_gmm_spatial_instance(model, seed=2)
     assert 3 * 900 * 360 > engine.PANEL_ENTRIES

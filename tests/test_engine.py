@@ -9,12 +9,11 @@ from graphamp import (CommitteeModel, GmmSpatialModel, GraphInstance,
                       NumericalError, ShapeError, build_committee_instance,
                       build_gamp_instance, build_gmm_spatial_instance,
                       lasso_model)
-from graphamp import cli, engine
+from graphamp import cli
 from graphamp import config as config_mod
-from graphamp.engine import (PANEL_ROWS, Observable, _pair_sweep,
-                             block_product, initial_iterates,
-                             norm_sq_observable, observe, run,
-                             stationary_provider)
+from graphamp.engine import (PANEL_ENTRIES, PANEL_ROWS, Observable,
+                             initial_iterates, norm_sq_observable, observe,
+                             panel_sweep, run, stationary_provider)
 from graphamp.graphs import EdgeId, line_graph, single_loop
 from graphamp.nonlinearity import (Entrywise, FromCallable, Identity,
                                    LinearEntrywiseLinear, Nonlinearity,
@@ -80,6 +79,60 @@ def _count_reads(inst):
     return reads
 
 
+class _Reads(np.ndarray):
+    """A stored matrix that logs, for every matmul reading a view of it,
+    the stored rows and columns of the operand (read through its
+    transpose if need be) and whether it is a row panel: consecutive
+    stored rows, each a unit-stride run."""
+
+    def __array_finalize__(self, obj):
+        self.origin = getattr(obj, "origin", None)
+        self.log = getattr(obj, "log", None)
+
+    def __array_ufunc__(self, ufunc, method, *inputs, out=None, **kwargs):
+        assert ufunc is np.matmul and method == "__call__"
+        plain = []
+        for x in inputs:
+            if isinstance(x, _Reads):
+                base, log, x = x.origin, x.log, x.view(np.ndarray)
+                panel = x if x.strides[-1] == 8 else x.T
+                offset = panel.__array_interface__["data"][0] - base.__array_interface__["data"][0]
+                lo, c = divmod(offset, base.strides[0])
+                log.append(((lo, lo + panel.shape[0]), (c // 8, c // 8 + panel.shape[1]),
+                                 panel.strides == base.strides))
+            plain.append(x)
+        if out is not None:
+            kwargs["out"] = tuple(o.view(np.ndarray) for o in out)
+        return ufunc(*plain, **kwargs)
+
+
+def _reads(A):
+    """A as _Reads, with an empty log; A must be C-contiguous."""
+    assert A.flags.c_contiguous
+    R = A.view(_Reads)
+    R.origin, R.log = A, []
+    return R
+
+
+def _log_reads(inst):
+    """Serve inst's stored matrices as _Reads; returns their shared log."""
+    log = []
+    matrix = inst.matrix
+
+    def logged(e):
+        R = _reads(matrix(e))
+        R.log = log
+        return R
+
+    inst.matrix = logged
+    return log
+
+
+def _panels(n, rows):
+    """Row ranges of the panels of rows rows over n."""
+    return [(lo, min(n, lo + rows)) for lo in range(0, n, rows)]
+
+
 def test_zero_output_skips_the_matrix_product():
     model = lasso_model(d=200, n=100, lam=1.2, prior=default_prior(), sigma=0.5)
     inst, _ = build_gamp_instance(model, seed=3)
@@ -91,13 +144,21 @@ def test_zero_output_skips_the_matrix_product():
 
 
 def test_pair_step_reads_its_matrix_once():
-    # both directions are live at every step; d = n = 600 is three panels
+    # both directions are live at every step, q = 2 each; d = n = 600
+    # is three panels
     inst, _ = build_committee_instance(CommitteeModel(d=600, n=600), seed=1)
-    assert 2 * PANEL_ROWS < 600 <= 3 * PANEL_ROWS
+    rows = PANEL_ENTRIES // (4 * 600)
+    assert 2 * rows < 600 <= 3 * rows
     reads = _count_reads(inst)
     T = 4
     run(inst, T)
     assert len(reads) == T
+    # each panel is read once a step, by its two calls back to back
+    log = _log_reads(inst)
+    run(inst, T)
+    panels = [p for p in _panels(600, rows) for _ in range(2)]
+    assert [rs for rs, cs, row_panel in log] == panels * T
+    assert all(cs == (0, 600) and row_panel for rs, cs, row_panel in log)
 
 
 def _tanh_chain(n, d, q, seed):
@@ -142,18 +203,20 @@ def test_pair_sweep_matches_the_dense_product(n, d):
         for q_rev in (1, 2, 3):
             m = rng.standard_normal((d, q))
             m_rev = rng.standard_normal((n, q_rev))
-            x, x_rev = _pair_sweep(S, m, m_rev)
+            x, x_rev = panel_sweep(S, m, m_rev)
             assert _rel(x, S @ m) <= 1e-12
             assert _rel(x_rev, S.T @ m_rev) <= 1e-12
+            assert panel_sweep(S, m)[1] is None and panel_sweep(S, m_rev=m_rev)[0] is None
 
 
 @pytest.mark.parametrize("n, d", [(1, 3), (PANEL_ROWS, 300)])
 def test_one_panel_pair_makes_the_per_direction_calls(n, d):
+    assert n * 4 * d <= PANEL_ENTRIES  # q = 2 both ways
     inst, fwd, A = _tanh_chain(n, d, 2, seed=5)
     traj = run(inst, 3)
     for e, A_e in ((fwd, A), (fwd.reversed(), A.T)):
         for t in (0, 1, 2):
-            want = _next_x(traj, e, t, block_product(A_e, traj.m[e][t]))
+            want = _next_x(traj, e, t, A_e @ traj.m[e][t])
             # tobytes tells -0.0 from 0.0
             assert traj.x[e][t + 1].tobytes() == want.tobytes()
 
@@ -207,7 +270,6 @@ def test_block_products_match_the_dense_product():
 def test_output_outside_its_blocks_is_refused():
     # negative control: the product would silently drop the stray entry
     inst, loop = _two_block_instance(leak_at=1)
-    assert loop in inst.exact_symmetric  # the row-strip path
     with pytest.raises(ShapeError, match=r"v->v .*step 1"):
         run(inst, 2)
 
@@ -224,31 +286,51 @@ def test_block_product_matches_matmul(q):
         # C arrays, transposed views, and column sub-slices of both
         for S in (C, F, C[:, a:b], F[:, a:b]):
             m = rng.standard_normal((S.shape[1], q))
-            assert _rel(block_product(S, m), np.matmul(S, m)) <= 1e-13
+            m_rev = rng.standard_normal((S.shape[0], q))
+            assert _rel(panel_sweep(S, m)[0], np.matmul(S, m)) <= 1e-13
+            assert _rel(panel_sweep(S, m_rev=m_rev)[1], np.matmul(S.T, m_rev)) <= 1e-13
 
 
 @pytest.mark.parametrize("q", [1, 2, 3, 4, 8])
-def test_strip_product_matches_matmul_over_panels(q, monkeypatch):
+def test_strip_product_matches_matmul_over_panels(q):
     rng = np.random.default_rng(10 + q)
     k = 1500
-    h = engine.PANEL_ENTRIES // (q * k)
-    calls = []
-    one_call = engine.block_product
-    monkeypatch.setattr(engine, "block_product",
-                        lambda S, m: calls.append(S.shape[0]) or one_call(S, m))
+    h = PANEL_ENTRIES // (q * k)
     for n in (h + 1, 3 * h + 7):
-        C = rng.standard_normal((n, k))
-        F = rng.standard_normal((k, n))
-        for S, transposed in ((C, False), (F.T, True)):
-            m = rng.standard_normal((k, q))
-            out = np.empty((n, q))
-            calls.clear()
-            engine.strip_product(S, m, out)
-            assert _rel(out, np.matmul(S, m)) <= 1e-13
-            # panels of h rows, the last one short; one call for q = 1
-            # and for a transposed view with q >= 3
-            panelled = q == 2 or (q > 2 and not transposed)
-            assert calls == ([h] * (n // h) + [n % h] if panelled else [n])
+        A = rng.standard_normal((n, 2 * k))
+        # the stored matrix and a column strip of it
+        for cs in (slice(0, 2 * k), slice(k // 2, k // 2 + k)):
+            S = _reads(A)[:, cs]
+            m = rng.standard_normal((S.shape[1], q))
+            x, _ = panel_sweep(S, m)
+            assert _rel(x, np.matmul(A[:, cs], m)) <= 1e-13
+            # panels of PANEL_ENTRIES // (q * cols) rows, the last one
+            # short, each a row panel of the strip; one call for q = 1
+            rows = n if q == 1 else PANEL_ENTRIES // (q * S.shape[1])
+            assert S.log == [(p, (cs.start, cs.stop), True) for p in _panels(n, rows)]
+
+
+@pytest.mark.parametrize("q", [3, 8])
+@pytest.mark.parametrize("n, d", [(800, 1000), (1500, 3000)])
+def test_reversed_products_read_row_panels_of_the_stored_matrix(n, d, q):
+    # S^T m' of a wide q >= 3 product, summed over row panels of S
+    rng = np.random.default_rng(n + q)
+    A = rng.standard_normal((n, d))
+    S = _reads(A)
+    m_rev = rng.standard_normal((n, q))
+    _, x_rev = panel_sweep(S, m_rev=m_rev)
+    assert _rel(x_rev, np.matmul(A.T, m_rev)) <= 1e-13
+    rows = PANEL_ENTRIES // (q * d)
+    assert S.log == [(p, (0, d), True) for p in _panels(n, rows)]
+    # and so does the reversed direction of a chain: A_e = A^T in row
+    # panels of A, the stored matrix
+    inst, fwd, A = _tanh_chain(n, d, q, seed=q)
+    inst.x0[fwd.reversed()] = np.zeros((d, q))  # so the forward output is zero
+    log = _log_reads(inst)
+    traj = run(inst, 1)
+    e = fwd.reversed()
+    assert _rel(traj.x[e][1], np.matmul(A.T, traj.m[e][0])) <= 1e-13
+    assert log == [(p, (0, d), True) for p in _panels(n, rows)]
 
 
 def _live_steps(traj):
@@ -261,22 +343,25 @@ def test_one_column_product_is_one_call():
     # than a panel of PANEL_ENTRIES entries would be
     model = lasso_model(d=1200, n=600, lam=1.2, prior=default_prior(), sigma=0.5)
     inst, _ = build_gamp_instance(model, seed=2)
-    assert 600 * 1200 > engine.PANEL_ENTRIES
+    assert 600 * 1200 > PANEL_ENTRIES
     traj = run(inst, 4)
     steps = _live_steps(traj)
     assert {e for e, _ in steps} == set(traj.x)
     for e, t in steps:
-        want = _next_x(traj, e, t, block_product(inst.matrix(e), traj.m[e][t]))
+        want = _next_x(traj, e, t, inst.matrix(e) @ traj.m[e][t])
         assert traj.x[e][t + 1].tobytes() == want.tobytes()
+    log = _log_reads(inst)
+    run(inst, 4)
+    assert log == [((0, 600), (0, 1200), True)] * 4
 
 
 def test_two_phase_panelled_chain_matches_the_dense_product():
-    # q = 2, so q x rows x cols is 2 A.size: the 600 x 1000 design and
-    # its transpose each run in three panels
+    # q = 2, so q x rows x cols is 2 A.size: both directions sweep the
+    # 600 x 1000 design in three row panels
     model = GmmSpatialModel(K=2, d=500, n_per_cluster=300, coupling=0.3)
     inst, _ = build_gmm_spatial_instance(model, seed=4)
     A = inst.matrices[EdgeId("stack", "obs")]
-    assert A.shape == (600, 1000) and A.size > engine.PANEL_ENTRIES
+    assert A.shape == (600, 1000) and A.size > PANEL_ENTRIES
     traj = run(inst, 4)
     steps = _live_steps(traj)
     assert {e for e, _ in steps} == set(traj.x)
@@ -324,15 +409,6 @@ def _identity_loop(A, q):
 
 
 @pytest.mark.parametrize("q", [1, 2])
-def test_exactly_symmetric_loop_is_read_by_rows(q):
-    G = np.random.default_rng(3).standard_normal((40, 40))
-    inst, loop, x0 = _identity_loop(G + G.T, q)
-    assert loop in inst.exact_symmetric
-    traj = run(inst, 1)
-    assert _rel(traj.x[loop][1], (G + G.T) @ x0) <= 1e-13
-
-
-@pytest.mark.parametrize("q", [1, 2])
 def test_nearly_symmetric_loop_keeps_its_stored_orientation(q):
     rng = np.random.default_rng(4)
     G = rng.standard_normal((40, 40))
@@ -342,10 +418,14 @@ def test_nearly_symmetric_loop_keeps_its_stored_orientation(q):
     np.fill_diagonal(U, 0.0)
     B = A + 1e-7 * np.abs(A) * U
     assert np.allclose(B, B.T) and not np.array_equal(B, B.T)
-    inst, loop, x0 = _identity_loop(B, q)
-    assert loop not in inst.exact_symmetric
-    x1 = run(inst, 1).x[loop][1]
-    assert _rel(x1, B @ x0) <= 1e-13
+    # an exactly symmetric loop is read the same way: its column strip,
+    # as stored
+    for M in (A, B):
+        inst, loop, x0 = _identity_loop(M, q)
+        log = _log_reads(inst)
+        x1 = run(inst, 1).x[loop][1]
+        assert _rel(x1, M @ x0) <= 1e-13
+        assert log == [((0, 40), (0, 40), True)]
     assert _rel(x1, B.T @ x0) > 1e-9
 
 
@@ -365,24 +445,17 @@ def test_loop_matrix_symmetry_tolerance():
         build(1e-3)
 
 
-def test_symmetry_is_checked_panel_by_panel(monkeypatch):
+def test_symmetry_is_checked_panel_by_panel():
     # three row panels, the last partial; each case perturbs an entry
     # there and not its mirror
     n = 2 * PANEL_ROWS + 3
     G = np.random.default_rng(5).standard_normal((n, n))
     A = G + G.T
     i, j = n - 1, 1
-    inst, loop, _ = _identity_loop(A, 1)
-    assert loop in inst.exact_symmetric
+    _identity_loop(A, 1)
     B = A.copy()
     B[i, j] = np.nextafter(B[i, j], np.inf)
-    inst, loop, _ = _identity_loop(B, 1)
-    assert loop not in inst.exact_symmetric
-    strips = []
-    monkeypatch.setattr(engine, "block_product",
-                        lambda S, m: strips.append(S.strides) or S @ m)
-    run(inst, 1)
-    assert strips == [B.strides]  # the column strip, as stored
+    _identity_loop(B, 1)  # allclose-symmetric passes
     B[i, j] += 1e-3
     with pytest.raises(ShapeError, match="symmetric"):
         _identity_loop(B, 1)

@@ -3,7 +3,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from graphamp import gamp_se
+from graphamp import build_gamp_instance, engine, gamp_se, logistic_model
 from graphamp import state_evolution
 from graphamp.gamp_se import (GaussBernoulliPrior, GlmScalars,
                               LinearGaussianChannel, LogisticChannel, QuadSpec,
@@ -244,3 +244,21 @@ def test_squared_residual_takes_the_exact_route():
     logistic = GlmScalars("squared", 1.0, loss="logistic")
     assert state_evolution._exact(squared.residual_map(0.5))
     assert not state_evolution._exact(logistic.residual_map(0.5))
+
+
+def test_logistic_prox_solves_once_per_step(monkeypatch):
+    # apply, slopes and jacobian_trace of one step share one Newton solve:
+    # 12 steps of the two-phase chain are 6 observation-side steps, and
+    # T = 6 of the overlap recursion are 6 v-steps
+    solves = []
+    prox = gamp_se._logistic_prox
+    monkeypatch.setattr(gamp_se, "_logistic_prox",
+                        lambda *args: solves.append(args) or prox(*args))
+    model = logistic_model(d=200, n=100, lam=0.8, prior=GaussBernoulliPrior(eps=0.25, var=4.0))
+    inst, _ = build_gamp_instance(model, seed=1)
+    engine.run(inst, 12)
+    assert len(solves) == 6
+    solves.clear()
+    gamp_overlap_se(model.prior, model.channel, model.scalars, model.delta, T=6,
+                    beta0=model.beta0)
+    assert len(solves) == 6
