@@ -13,20 +13,27 @@ step 0 wrote no nonzero output (embed-verify gates are always strict),
 abort, 4 I/O error.  Seeds fan out across a thread pool of --workers
 threads.  The generic SE runs once per AMP seed, in `run` inside the
 seed's task on the instance its AMP run used (built once, at most
---workers alive), and its rows are the traces of the kernels K^{t,t}.  Each seed's AMP run streams: its rows
-are read as each step returns, so a seed's memory does not grow with
-T.  Reductions happen in submission order so results are independent
-of scheduling.  A command runs on one BLAS thread, so its bytes do not
-depend on the BLAS thread count, and gives the caller its count back.
+--workers alive), and its rows are the traces of the kernels K^{t,t}.
+Instances are built --workers at a time, but the generic kinds' seeds
+iterate and run their SE one at a time (_ITERATING): both are many short
+numpy calls, and two threads making them at once hand the interpreter
+lock back and forth on every call, while a design draw leaves it to the
+other worker.  Each seed's AMP run streams: its rows are read as each
+step returns, so a seed's memory does not grow with T.  Reductions
+happen in submission order so results are independent of scheduling.
+A command runs on one BLAS thread, so its bytes do not depend on the
+BLAS thread count, and gives the caller its count back.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import ctypes
 import functools
 import os
 import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
@@ -152,6 +159,15 @@ def _spiked_se_rows(cfg, model, *_) -> List[Tuple[int, str, float, float]]:
                                                      pt.second_moment())]
 
 
+# Held while a seed of a generic kind (se_rows is _generic_se_rows:
+# committee, multilayer) iterates and runs its SE; its instance is built
+# outside it (see the module docstring).  GLM, spiked and gmm seeds make
+# one product per step and have no per-seed SE, so for them the lock
+# would only stagger the workers by one iteration (taken on every kind,
+# it read lasso_glm +43 ms paired, lower in 7 of 16 pairs).
+_ITERATING = threading.Lock()
+
+
 def _seed_se(cfg, instance) -> Dict[Tuple[int, str], float]:
     """One AMP seed's prediction: the SE is conditional on side data, so
     each seed's instance gets its own run."""
@@ -165,10 +181,13 @@ def _seed_se(cfg, instance) -> Dict[Tuple[int, str], float]:
 def _generic_se_rows(cfg, model, workers, per_seed) -> List[Tuple[int, str, float, float]]:
     """The mean over the AMP seeds of each seed's prediction; per_seed
     holds them when `run` made them, else each instance is built here."""
+    def one(i):
+        instance = _kind(cfg).build(model, cfg.amp_seeds[i])[0]
+        with _ITERATING:
+            return _seed_se(cfg, instance)
+
     if per_seed is None:
-        per_seed = map_ordered(
-            lambda i: _seed_se(cfg, _kind(cfg).build(model, cfg.amp_seeds[i])[0]),
-            len(cfg.amp_seeds), workers)
+        per_seed = map_ordered(one, len(cfg.amp_seeds), workers)
     return [(t, name, float(np.mean([p[(t, name)] for p in per_seed])), 0.0)
             for t, name in sorted(per_seed[0])]
 
@@ -351,8 +370,10 @@ def _run_one_seed(cfg, seed) -> SeedResult:
         if t == T and kind.gate is _gmm_compare_rows:
             weights.append(gmm_weights(traj, model, aux))
 
-    zero_start = run(instance, T, each=each).zero_start
-    se = _seed_se(cfg, instance) if kind.se_rows is _generic_se_rows else None
+    generic = kind.se_rows is _generic_se_rows
+    with _ITERATING if generic else contextlib.nullcontext():
+        zero_start = run(instance, T, each=each).zero_start
+        se = _seed_se(cfg, instance) if generic else None
     fixed = _gmm_fixed_point(weights[0], model, aux) if weights else None
     return SeedResult(rows, se, fixed, zero_start)
 

@@ -150,9 +150,13 @@ def validate(raw: Dict[str, Any]) -> ExperimentConfig:
 
     if cfg.T < 1:
         raise ConfigError("T: must be >= 1")
-    # a repeated seed or observable would count one instance twice
+    # a repeated seed or observable would count one instance twice; the
+    # streams read a seed modulo 2^64, so one outside [0, 2^64) could
+    # repeat another under a different value
     for i, s in enumerate(cfg.amp_seeds):
         _check_type(s, int, f"amp_seeds[{i}]")
+        if not 0 <= s < 1 << 64:
+            raise ConfigError(f"amp_seeds[{i}]: must be in [0, 2^64), got {s}")
         if s in cfg.amp_seeds[:i]:
             raise ConfigError(f"amp_seeds[{i}]: duplicate seed {s}")
     if not cfg.amp_seeds:

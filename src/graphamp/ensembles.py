@@ -47,11 +47,10 @@ def sample_goe(n: int, rng: np.random.Generator, scale_N: Optional[float] = None
     1/scale, diagonal 2/scale.  Default scale is n itself.  out, an
     n x n array or view, receives A in place of a new array.
 
-    G is drawn into A a block of rows at a time, in stream order, and
-    divided in place (draw_rows).  Then each pair of PANEL_ROWS panels
-    P <= Q gets A[P, Q] + A[Q, P]^T in both blocks, so no temporary is
-    larger than a panel block.  Entry for entry that is the sum
-    G + G^T takes, so A has its bits.
+    G is drawn into A in stream order and divided in place (draw_rows).
+    Then each pair of PANEL_ROWS panels P <= Q gets A[P, Q] + A[Q, P]^T
+    in both blocks, so no temporary is larger than a panel block.  Entry
+    for entry that is the sum G + G^T takes, so A has its bits.
     """
     scale = float(scale_N if scale_N is not None else n)
     if out is None:
@@ -71,16 +70,20 @@ def sample_goe(n: int, rng: np.random.Generator, scale_N: Optional[float] = None
 
 def draw_rows(out: np.ndarray, rng: np.random.Generator, scale_N: float) -> None:
     """Fill out, in stream order, with iid N(0, 1/scale_N): the bits of
-    normals(rng, out.shape) / sqrt(scale_N).  Whole rows are drawn at a
-    time, at most a PANEL_ROWS x PANEL_ROWS block's entries (or one row)
-    per draw, and divided while they are in cache: straight into out
-    where the rows are contiguous, else through a small temporary."""
+    normals(rng, out.shape) / sqrt(scale_N).  A C-contiguous out takes
+    one draw and one division in place, two calls that leave the
+    interpreter lock to other threads for the whole fill; a strided view
+    is drawn whole rows at a time through a temporary of at most a
+    PANEL_ROWS x PANEL_ROWS block's entries (or one row), divided into
+    place."""
     sd = math.sqrt(float(scale_N))
+    if out.flags.c_contiguous:
+        np.divide(normals(rng, out.shape, out=out), sd, out=out)
+        return
     k = max(1, PANEL_ROWS * PANEL_ROWS // max(1, out.shape[1]))
     for lo in range(0, out.shape[0], k):
         rows = out[lo:lo + k]
-        into = rows if rows.flags.c_contiguous else None
-        np.divide(normals(rng, rows.shape, out=into), sd, out=rows)
+        np.divide(normals(rng, rows.shape), sd, out=rows)
 
 
 def sample_iid(rows: int, cols: int, scale_N: float, rng: np.random.Generator) -> np.ndarray:

@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -96,6 +97,35 @@ def test_worker_pool_splits_generic_se_without_changing_artifacts(tmp_path):
     assert main(["run", "--config", cfg, "--out", str(b), "--workers", "2"]) == 0
     for name in ("trajectory.csv", "se.csv", "compare.csv"):
         assert filecmp.cmp(a / name, b / name, shallow=False), name
+
+
+@pytest.mark.parametrize("command, payload, wrapped, meet", [
+    ("run", SMALL_COMMITTEE, "run", False),
+    ("se-only", SMALL_COMMITTEE, "se_run", False),
+    ("run", TINY_LASSO, "run", True)], ids=["committee", "se_only", "lasso"])
+def test_only_one_generic_seed_iterates_at_a_time(tmp_path, monkeypatch, command,
+                                                  payload, wrapped, meet):
+    # two seeds on two workers, each seed's run (or, in se-only, its SE)
+    # waiting at a barrier for the other's: GLM seeds meet there, while a
+    # generic seed waits alone until the barrier times out, because the
+    # other seed can start only when this one has finished its run and SE
+    barrier = threading.Barrier(2, timeout=0.5)
+    met, inner = [], getattr(cli, wrapped)
+
+    def meeting(*args, **kwargs):
+        try:
+            barrier.wait()
+            met.append(True)
+        except threading.BrokenBarrierError:
+            met.append(False)
+            barrier.reset()
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(cli, wrapped, meeting)
+    cfg = _write(tmp_path, payload)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o"),
+                 "--workers", "2"]) == 0
+    assert met == [meet, meet]
 
 
 def test_generic_se_rows_are_kernel_traces():
@@ -706,6 +736,11 @@ BAD_VALUES = {
     # whole configs: a repeated entry counts one instance twice
     "repeated_seed": {"model": {"kind": "committee", "d": 60, "n": 60},
                       "amp_seeds": [3, 3, 3]},
+    # the streams read a seed modulo 2^64: each pair draws one instance
+    "aliased_seed": {"model": {"kind": "committee", "d": 60, "n": 60},
+                     "amp_seeds": [-1, 2 ** 64 - 1]},
+    "seed_past_2_64": {"model": {"kind": "committee", "d": 60, "n": 60},
+                       "amp_seeds": [2 ** 64 - 1, 2 ** 65 - 1]},
     "repeated_observable": {"model": {"kind": "lasso", "d": 30, "aspect": 0.5,
                                       "lam": 1.0},
                             "observables": ["mse", "mse"]},
@@ -714,6 +749,9 @@ BAD_VALUES = {
 # "model: ..."
 BAD_VALUE_ERRORS = {
     "repeated_seed": "amp_seeds[1]: duplicate seed 3",
+    "aliased_seed": "amp_seeds[0]: must be in [0, 2^64), got -1",
+    "seed_past_2_64": ("amp_seeds[1]: must be in [0, 2^64), "
+                       f"got {2 ** 65 - 1}"),
     "repeated_observable": "observables[1]: duplicate observable 'mse'",
     "nonfinite_aspect": "model.aspect: must be finite, got inf",
     "overflowing_aspect": "model.aspect: must be finite, got inf",

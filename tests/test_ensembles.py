@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
+from graphamp import ensembles
 from graphamp.engine import PANEL_ROWS
-from graphamp.ensembles import (normals, sample_goe, sample_iid,
+from graphamp.ensembles import (draw_rows, normals, sample_goe, sample_iid,
                                 sample_spatially_coupled, stream)
 
 
@@ -101,6 +104,30 @@ def test_samplers_scale_the_normals_exactly():
                 assert np.array_equal(blk, ref), (i, j)
             else:
                 assert not blk.any()
+
+
+def test_contiguous_draws_take_one_call_and_views_small_temporaries(monkeypatch):
+    # a C-contiguous matrix is drawn into place in one call; a strided
+    # block, whole rows at a time, through temporaries of at most a
+    # PANEL_ROWS x PANEL_ROWS block's entries
+    calls = []
+
+    def counted(rng, shape, out=None):
+        calls.append((tuple(shape), out))
+        return normals(rng, shape, out=out)
+
+    monkeypatch.setattr(ensembles, "normals", counted)
+    A = sample_iid(1500, 3000, 7.0, stream(5, "count"))
+    assert len(calls) == 1 and calls[0][0] == (1500, 3000) and calls[0][1] is A
+    calls.clear()
+    block = np.zeros((600, 1010))[:, 5:1005]
+    draw_rows(block, stream(5, "count"), 7.0)
+    assert len(calls) > 1 and sum(shape[0] for shape, _ in calls) == 600
+    for shape, out in calls:
+        assert out is None and shape[1] == 1000
+        assert math.prod(shape) <= PANEL_ROWS ** 2
+    ref = normals(stream(5, "count"), (600, 1000)) / np.sqrt(7.0)
+    assert np.array_equal(block, ref)
 
 
 def test_goe_written_into_a_view_is_the_same_matrix():
